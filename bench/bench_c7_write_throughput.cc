@@ -19,13 +19,6 @@
 // the hot path fail loudly); the full run uses enough transactions for a
 // stable estimate. Microbenchmarks for the two hottest structures
 // (SegmentHotLog append, boxcar+fanout) run under google-benchmark.
-//
-// A second, open-loop workload runs on the sharded windowed engine
-// (event_shards = 3, DESIGN.md §9) across a --threads sweep: the writer
-// issues at a fixed arrival rate while RunSharded drives the cluster.
-// Commits and the schedule fingerprint must be identical at every thread
-// count — the sweep measures what parallel execution costs/buys on the
-// REAL protocol workload, not a synthetic mesh.
 
 #include <benchmark/benchmark.h>
 
@@ -153,86 +146,6 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
   return result;
 }
 
-struct ParallelResult {
-  int threads = 0;
-  uint64_t commits_acked = 0;
-  uint64_t events_executed = 0;
-  uint64_t fingerprint = 0;
-  double wall_seconds = 0;
-
-  double CommitsPerSec() const { return commits_acked / wall_seconds; }
-  double EventsPerSec() const { return events_executed / wall_seconds; }
-};
-
-/// Open-loop write workload on the sharded engine, driven by RunSharded.
-/// Deterministic in (seed, rate, duration) — identical for every thread
-/// count, which the caller verifies via the fingerprint.
-ParallelResult RunParallelWorkload(double txn_per_sec, SimDuration duration,
-                                   uint64_t seed, int threads) {
-  core::AuroraOptions options;
-  options.seed = seed;
-  options.num_pgs = 2;
-  options.blocks_per_pg = 1 << 16;
-  options.db.driver.boxcar.policy = log::BoxcarPolicy::kAdaptive;
-  options.db.driver.ack_coalesce_window = 10;
-  options.event_shards = 3;
-  // Give the conservative windows useful width: every cross-node hop is
-  // at least 40us, so each window batches ~40us of per-shard work.
-  options.network.min_latency_us = 40;
-  core::AuroraCluster cluster(options);
-  ParallelResult result;
-  result.threads = threads;
-  if (!cluster.StartBlocking().ok()) return result;
-  cluster.AddReplica();
-  (void)bench::RunClosedLoopWrites(cluster, 128, "warm");
-
-  // Arm the open-loop generator (it reschedules itself on the writer's
-  // shard), then hand the cluster to the windowed engine.
-  struct LoopState {
-    core::AuroraCluster* cluster;
-    engine::DbInstance* writer;
-    SimDuration interval;
-    SimTime end;
-    uint64_t acked = 0;
-    std::function<void(int)> issue;
-  };
-  auto state = std::make_shared<LoopState>();
-  state->cluster = &cluster;
-  state->writer = cluster.writer();
-  state->interval = static_cast<SimDuration>(1e6 / txn_per_sec);
-  state->end = cluster.sim().Now() + duration;
-  const std::string value(256, 'v');
-  state->issue = [state, value](int i) {
-    auto& sim = state->cluster->sim();
-    if (sim.Now() >= state->end) return;
-    engine::DbInstance* writer = state->writer;
-    const TxnId txn = writer->Begin();
-    writer->Put(txn, "c7p-" + std::to_string(i % 4096), value,
-                [state, writer, txn](Status st) {
-                  if (!st.ok()) return;
-                  writer->Commit(txn, [state](Status commit_st) {
-                    if (commit_st.ok()) state->acked++;
-                  });
-                });
-    sim.Schedule(state->interval, [state, i]() { state->issue(i + 1); });
-  };
-  state->issue(0);
-
-  const uint64_t events_before = cluster.sim().ExecutedEvents();
-  const auto wall_start = std::chrono::steady_clock::now();
-  cluster.sim().RunShardedFor(duration + 2 * kSecond, threads);
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  result.commits_acked = state->acked;
-  result.events_executed = cluster.sim().ExecutedEvents() - events_before;
-  result.fingerprint = cluster.sim().ScheduleFingerprint();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (result.wall_seconds <= 0) result.wall_seconds = 1e-9;
-  state->issue = nullptr;  // break the shared_ptr self-reference cycle
-  return result;
-}
-
 }  // namespace
 }  // namespace aurora
 
@@ -304,13 +217,9 @@ int main(int argc, char** argv) {
   using aurora::bench::Table;
 
   bool quick = false;
-  int threads_arg = 0;      // 0 = sweep 1/2/4/8
   double read_ratio = 0.0;  // 0 = pure writes (the gated baseline shape)
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_arg = std::atoi(argv[i] + 10);
-    }
     if (std::strncmp(argv[i], "--read-ratio=", 13) == 0) {
       read_ratio = std::atof(argv[i] + 13);
     }
@@ -349,43 +258,6 @@ int main(int argc, char** argv) {
   table.Row({"hedge rate", Num(result.HedgeRate(), 4), ""});
   table.Print();
 
-  // Sharded-engine sweep on the protocol workload.
-  const std::vector<int> thread_counts =
-      threads_arg > 0 ? std::vector<int>{threads_arg}
-                      : std::vector<int>{1, 2, 4, 8};
-  const double rate = quick ? 4000.0 : 10000.0;
-  const aurora::SimDuration window =
-      (quick ? 1 : 4) * aurora::kSecond;
-  std::vector<aurora::ParallelResult> parallel;
-  for (int t : thread_counts) {
-    parallel.push_back(
-        aurora::RunParallelWorkload(rate, window, /*seed=*/4242, t));
-    const auto& p = parallel.back();
-    if (p.commits_acked == 0) {
-      std::fprintf(stderr, "C7: parallel workload committed nothing\n");
-      return 1;
-    }
-    if (p.fingerprint != parallel.front().fingerprint ||
-        p.commits_acked != parallel.front().commits_acked) {
-      std::fprintf(stderr,
-                   "C7: parallel run diverged at %d threads — "
-                   "determinism bug\n",
-                   t);
-      return 1;
-    }
-  }
-
-  Table scaling("C7: write path on the sharded engine (RunSharded sweep)");
-  scaling.Columns(
-      {"threads", "commits", "commits/sec", "events/sec", "vs 1 thread"});
-  const double base = parallel.front().EventsPerSec();
-  for (const auto& p : parallel) {
-    scaling.Row({std::to_string(p.threads), std::to_string(p.commits_acked),
-                 Num(p.CommitsPerSec(), 0), Num(p.EventsPerSec(), 0),
-                 Num(p.EventsPerSec() / base, 2) + "x"});
-  }
-  scaling.Print();
-
   BenchJson json("c7_write_throughput");
   json.SetString("mode", quick ? "quick" : "full")
       .Set("txns", result.txns)
@@ -405,14 +277,7 @@ int main(int argc, char** argv) {
       .Set("hedged_reads", result.hedged_reads)
       .Set("hedge_rate", result.HedgeRate())
       .Set("vdl_advance_p50_us", static_cast<uint64_t>(result.vdl_advance_p50_us))
-      .Set("vdl_advance_p99_us", static_cast<uint64_t>(result.vdl_advance_p99_us));
-  for (const auto& p : parallel) {
-    const std::string suffix = "_t" + std::to_string(p.threads);
-    json.Set("parallel_commits" + suffix, p.commits_acked)
-        .Set("parallel_commits_per_sec" + suffix, p.CommitsPerSec())
-        .Set("parallel_events_per_sec" + suffix, p.EventsPerSec());
-  }
-  json.Set("parallel_fingerprint", parallel.front().fingerprint)
+      .Set("vdl_advance_p99_us", static_cast<uint64_t>(result.vdl_advance_p99_us))
       .SetRaw("metrics", result.metrics_json);
   if (!json.WriteFile()) return 1;
 

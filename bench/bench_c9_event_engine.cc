@@ -15,23 +15,15 @@
 //                   small heap, maximal schedule/fire alternation.
 //   * spill       — large captures (past the inline SBO budget) taking
 //                   the closure-pool path.
-//   * parallel    — the sharded windowed engine (DESIGN.md §9): four
-//                   shards of self-rescheduling tick chains with periodic
-//                   cross-shard sends, driven by RunSharded at each
-//                   --threads count. The schedule fingerprint must be
-//                   identical across thread counts (checked here), so the
-//                   scaling table measures pure engine overhead/speedup.
 //
 // Results go to BENCH_c9_event_engine.json; scripts/bench_gate.sh compares
-// events_per_sec and parallel_events_per_sec against the committed
-// baseline. `--quick` shrinks the workloads for the CTest smoke run;
-// `--threads=N` restricts the parallel sweep to one worker count.
+// events_per_sec and cancel_mix_ops_per_sec against the committed
+// baseline. `--quick` shrinks the workloads for the CTest smoke run.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -180,66 +172,6 @@ MixResult RunSpillMix(uint64_t total_events) {
   });
 }
 
-/// Sharded windowed engine: per-shard tick chains plus cross-shard sends
-/// at the lookahead bound, executed by RunSharded(`threads`). The workload
-/// is identical for every thread count (same canonical schedule), so
-/// events/sec across the sweep is a pure engine-scaling measurement.
-MixResult RunParallelMix(uint64_t total_events, int threads,
-                         uint64_t* fingerprint_out) {
-  constexpr uint32_t kShards = 4;
-  constexpr SimDuration kLookahead = 500;
-  constexpr uint64_t kChainsPerShard = 16;
-  return Timed([&](MixResult& r) {
-    sim::Simulator sim(7);
-    sim.ConfigureShards(kShards);
-    sim.SetLookahead(kLookahead);
-    struct Chain {
-      sim::Simulator* sim;
-      uint32_t shard;
-      uint64_t left;
-      SimDuration period;
-      uint64_t tick = 0;
-      uint64_t cross_sent = 0;
-      uint64_t fired = 0;
-      void Tick() {
-        ++fired;
-        if (--left == 0) return;
-        ++tick;
-        if (tick % 16 == 0) {
-          // Cross-shard traffic keeps the mailboxes honest; the delay
-          // respects the conservative lookahead bound.
-          sim->ScheduleOn(
-              (shard + 1) % kShards, kLookahead + tick % 37, []() {},
-              "bench.xshard");
-          ++cross_sent;
-        }
-        sim->Schedule(period, [this]() { Tick(); }, "bench.ptick");
-      }
-    };
-    const uint64_t ticks = total_events / (kShards * kChainsPerShard);
-    std::vector<Chain> chains(kShards * kChainsPerShard);
-    for (uint32_t s = 0; s < kShards; ++s) {
-      sim::Simulator::ShardScope scope(&sim, s);
-      for (uint64_t c = 0; c < kChainsPerShard; ++c) {
-        Chain& chain = chains[s * kChainsPerShard + c];
-        chain = Chain{&sim, s, ticks,
-                      static_cast<SimDuration>(10 + (s * 31 + c) % 17)};
-        sim.Schedule(chain.period, [&chain]() { chain.Tick(); },
-                     "bench.ptick");
-      }
-    }
-    // Drain to empty: RunSharded stops when no work remains.
-    sim.RunSharded(std::numeric_limits<SimTime>::max() - 1, threads);
-    for (const Chain& chain : chains) {
-      r.scheduled += chain.fired + chain.cross_sent;
-    }
-    r.executed = sim.ExecutedEvents();
-    if (fingerprint_out != nullptr) {
-      *fingerprint_out = sim.ScheduleFingerprint();
-    }
-  });
-}
-
 }  // namespace
 }  // namespace aurora
 
@@ -249,12 +181,8 @@ int main(int argc, char** argv) {
   using aurora::bench::Table;
 
   bool quick = false;
-  int threads_arg = 0;  // 0 = sweep 1/2/4/8
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_arg = std::atoi(argv[i] + 10);
-    }
   }
 
   const uint64_t n = quick ? 200000 : 2000000;
@@ -271,35 +199,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Parallel scaling sweep: same workload, same canonical schedule, more
-  // workers. Fingerprints must agree or the windowed engine is broken.
-  std::vector<int> thread_counts =
-      threads_arg > 0 ? std::vector<int>{threads_arg}
-                      : std::vector<int>{1, 2, 4, 8};
-  std::vector<std::pair<int, aurora::MixResult>> parallel;
-  uint64_t parallel_fp = 0;
-  for (int t : thread_counts) {
-    uint64_t fp = 0;
-    const auto res = aurora::RunParallelMix(n, t, &fp);
-    if (res.executed != res.scheduled) {
-      std::fprintf(stderr,
-                   "C9: parallel executed/scheduled mismatch at %d threads "
-                   "(%llu vs %llu)\n",
-                   t, static_cast<unsigned long long>(res.executed),
-                   static_cast<unsigned long long>(res.scheduled));
-      return 1;
-    }
-    if (parallel_fp == 0) parallel_fp = fp;
-    if (fp != parallel_fp) {
-      std::fprintf(stderr,
-                   "C9: parallel schedule fingerprint diverged at %d "
-                   "threads — determinism bug\n",
-                   t);
-      return 1;
-    }
-    parallel.emplace_back(t, res);
-  }
-
   Table table("C9: event-engine schedule/cancel/fire throughput");
   table.Columns({"mix", "scheduled", "cancelled", "executed", "ops/sec"});
   auto row = [&](const char* name, const aurora::MixResult& r) {
@@ -313,16 +212,6 @@ int main(int argc, char** argv) {
   row("spill", spill);
   table.Print();
 
-  Table scaling("C9: sharded windowed engine scaling (RunSharded)");
-  scaling.Columns({"threads", "executed", "events/sec", "vs 1 thread"});
-  const double base_rate = parallel.front().second.EventsPerSec();
-  for (const auto& [t, res] : parallel) {
-    scaling.Row({std::to_string(t), std::to_string(res.executed),
-                 Num(res.EventsPerSec(), 0),
-                 Num(res.EventsPerSec() / base_rate, 2) + "x"});
-  }
-  scaling.Print();
-
   BenchJson json("c9_event_engine");
   json.SetString("mode", quick ? "quick" : "full")
       .Set("fire_events", fire.executed)
@@ -335,22 +224,6 @@ int main(int argc, char** argv) {
       .Set("spill_events_per_sec", spill.EventsPerSec())
       // Headline gate metric: the pure schedule+fire rate.
       .Set("events_per_sec", fire.EventsPerSec());
-  double best_parallel = 0;
-  int best_threads = 0;
-  for (const auto& [t, res] : parallel) {
-    json.Set("parallel_events_t" + std::to_string(t), res.executed)
-        .Set("parallel_events_per_sec_t" + std::to_string(t),
-             res.EventsPerSec());
-    if (res.EventsPerSec() > best_parallel) {
-      best_parallel = res.EventsPerSec();
-      best_threads = t;
-    }
-  }
-  // Headline parallel gate metric: the best windowed rate on this host
-  // (thread count recorded alongside; host_threads is in every file).
-  json.Set("parallel_events_per_sec", best_parallel)
-      .Set("parallel_best_threads", best_threads)
-      .Set("parallel_fingerprint", parallel_fp);
   if (!json.WriteFile()) return 1;
   return 0;
 }

@@ -125,9 +125,8 @@ class BenchJson {
 
   std::string Render() const {
     std::string out = "{\n  \"bench\": \"" + name_ + "\"";
-    // Host thread count rides in every emitted file: scaling numbers
-    // (--threads sweeps) are meaningless without knowing how many cores
-    // the run actually had, and gate baselines are host-specific.
+    // Host thread count rides in every emitted file: wall-clock rates
+    // depend on the host, and gate baselines are host-specific.
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0) hw = 1;
     out += ",\n  \"host_threads\": " + std::to_string(hw);

@@ -44,15 +44,14 @@ if [[ ! -x "${BUILD_DIR}/bench/bench_c7_write_throughput" ||
       ! -x "${BUILD_DIR}/bench/bench_c9_event_engine" ||
       ! -x "${BUILD_DIR}/bench/bench_c10_read_path" ||
       ! -x "${BUILD_DIR}/bench/bench_c11_multi_tenant" ||
-      ! -x "${BUILD_DIR}/bench/bench_c12_adversarial" ||
-      ! -x "${BUILD_DIR}/bench/bench_c13_fleet_scaling" ]]; then
+      ! -x "${BUILD_DIR}/bench/bench_c12_adversarial" ]]; then
   echo "bench_gate: building benches in ${BUILD_DIR}"
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >/dev/null
   cmake --build "${BUILD_DIR}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target bench_c7_write_throughput bench_c9_event_engine \
     bench_c10_read_path bench_c11_multi_tenant \
-    bench_c12_adversarial bench_c13_fleet_scaling >/dev/null
+    bench_c12_adversarial >/dev/null
 fi
 
 TMP="$(mktemp -d)"
@@ -73,9 +72,6 @@ AURORA_BENCH_JSON_DIR="${TMP}" \
 echo "bench_gate: running bench_c12_adversarial --quick"
 AURORA_BENCH_JSON_DIR="${TMP}" \
   "${BUILD_DIR}/bench/bench_c12_adversarial" --quick >/dev/null
-echo "bench_gate: running bench_c13_fleet_scaling --quick"
-AURORA_BENCH_JSON_DIR="${TMP}" \
-  "${BUILD_DIR}/bench/bench_c13_fleet_scaling" --quick >/dev/null
 
 # Extracts a numeric field from a flat BENCH_*.json.
 json_value() {
@@ -138,12 +134,10 @@ for spec in \
   "c7:BENCH_c7_write_throughput.json:events_per_sec" \
   "c9:BENCH_c9_event_engine.json:events_per_sec" \
   "c9:BENCH_c9_event_engine.json:cancel_mix_ops_per_sec" \
-  "c9:BENCH_c9_event_engine.json:parallel_events_per_sec" \
   "c10:BENCH_c10_read_path.json:reads_per_sec" \
   "c11:BENCH_c11_multi_tenant.json:commits_per_sec" \
   "c12:BENCH_c12_adversarial.json:events_per_sec" \
-  "c12:BENCH_c12_adversarial.json:control_events_per_sec" \
-  "c13:BENCH_c13_fleet_scaling.json:fleet_events_per_sec"; do
+  "c12:BENCH_c12_adversarial.json:control_events_per_sec"; do
   IFS=: read -r label file key <<<"${spec}"
   if ! validate_baseline "${BASELINE_DIR}/${file}"; then
     FAILED=1

@@ -4,12 +4,12 @@
 // are about median-vs-tail shape (jitter), so percentile fidelity in the
 // 1us..100s range at ~2% relative error is sufficient.
 //
-// Recording is thread-safe (relaxed atomics on fixed-layout cells) so
-// actors running on parallel simulator shards can share a histogram handle
-// from the metrics registry. Readers (percentiles, copies, Merge) take
-// relaxed per-cell snapshots — coherent values, not a point-in-time cut —
-// which is exact whenever the simulation is quiesced (barriers, run end),
-// the only places the repo reads them.
+// Recording is thread-safe (relaxed atomics on fixed-layout cells), so a
+// histogram handle from the metrics registry may be shared across threads.
+// Readers (percentiles, copies, Merge) take relaxed per-cell snapshots —
+// coherent values, not a point-in-time cut — which is exact whenever no
+// recorder is running concurrently (between events, at run end), the only
+// places the repo reads them.
 
 #pragma once
 

@@ -6,9 +6,9 @@
 namespace aurora {
 
 namespace {
-// Relaxed atomic: worker threads of the parallel simulator consult the
-// level concurrently; the emit path below stays unsynchronized (stderr is
-// line-buffered enough for diagnostics, and hot runs log at kWarn+).
+// Relaxed atomic: any thread may consult the level; the emit path below
+// stays unsynchronized (stderr is line-buffered enough for diagnostics,
+// and hot runs log at kWarn+).
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 const char* LevelName(LogLevel level) {

@@ -23,9 +23,9 @@
 // ("driver.", "storage.", ...) so all actors of a cluster aggregate
 // naturally. Tests that assert on absolute values call Reset() in their
 // setup. Recording is thread-safe — counters/gauges are relaxed atomics
-// and histogram cells likewise — so actors running on parallel simulator
-// shards share handles without synchronization; registration and
-// snapshot reads take the registry mutex (cold paths only).
+// and histogram cells likewise — so concurrent recorders share handles
+// without further synchronization; registration and snapshot reads take
+// the registry mutex (cold paths only).
 
 #pragma once
 

@@ -47,7 +47,6 @@ AuroraOptions ChaosOptions(uint64_t seed, const ChaosRunOptions& run) {
   options.blocks_per_pg = 1 << 16;
   // Three nodes per AZ so segment replacement always has a free host.
   options.storage_nodes_per_az = 3;
-  options.event_shards = run.event_shards;
   options.storage_node = run.storage_node;
   return options;
 }

@@ -88,57 +88,20 @@ constexpr NodeId kFirstStorageNode = 100;
 
 AuroraCluster::AuroraCluster(AuroraOptions options)
     : options_(options), sim_(options.seed), network_(&sim_, options.network) {
-  if (options_.event_shards > 0) {
-    // Shard the event engine before any actor schedules or forks RNGs.
-    // The lookahead is the network's latency floor: no cross-node (hence
-    // cross-shard) message beats it, so conservative windows are sound.
-    uint32_t shard_count = options_.event_shards;
-    const bool per_node =
-        options_.shard_granularity == ShardGranularity::kPerNode &&
-        options_.event_shards >= 2;
-    if (per_node) {
-      // Fine-grained mapping: one shard per storage node (folded into the
-      // cap), plus shard 0 for the control plane. event_shards >= 2 only
-      // opts in; the count is derived from the fleet.
-      const size_t fleet = options_.num_azs * options_.storage_nodes_per_az;
-      const uint32_t cap = std::max<uint32_t>(2, options_.max_event_shards);
-      shard_count =
-          1 + static_cast<uint32_t>(std::min<size_t>(fleet, cap - 1));
-    }
-    sim_.ConfigureShards(shard_count);
-    sim_.SetLookahead(network_.MinCrossNodeLatency());
-    network_.PrepareShardLanes();
-    // Per-node mode refines the scalar bound into the pairwise matrix:
-    // node registrations below lower each (src, dst) entry to the
-    // tightest link class connecting the pair.
-    if (per_node) network_.EnablePairwiseLookahead();
-  }
   object_store_ =
       std::make_unique<storage::ObjectStore>(&sim_, options_.object_store);
-  object_store_->SetHomeShard(0);
   failure_injector_ = std::make_unique<sim::FailureInjector>(&sim_, &network_);
   metadata_ =
       std::make_unique<MetadataService>(&sim_, &network_, kMetadataNode, 0);
-  network_.SetNodeShard(kMetadataNode, ShardForControl(0));
-  // Storage fleet. In per-AZ mode shards partition by AZ: intra-AZ
-  // chatter (gossip, segment peers) stays shard-local and cross-AZ
-  // traffic is the cross-shard traffic the latency floor bounds. In
-  // per-node mode every storage node owns a shard — all its peer
-  // traffic is network-mediated (UnaryCall), so every hop clears the
-  // pairwise matrix entry for its link class.
   NodeId id = kFirstStorageNode;
-  size_t fleet_index = 0;
   for (size_t az = 0; az < options_.num_azs; ++az) {
     for (size_t i = 0; i < options_.storage_nodes_per_az; ++i) {
       auto node = std::make_unique<storage::StorageNode>(
           &sim_, &network_, id, static_cast<AzId>(az), object_store_.get(),
           options_.storage_node);
-      network_.SetNodeShard(
-          id, ShardForStorageIndex(fleet_index, static_cast<AzId>(az)));
       node_index_[id] = node.get();
       storage_nodes_.push_back(std::move(node));
       ++id;
-      ++fleet_index;
     }
   }
   auto resolver = MakeResolver();
@@ -277,21 +240,15 @@ Status AuroraCluster::StartBlocking() {
         quorum::VolumeGeometry(options_.blocks_per_pg, pgs));
     for (const auto& pg : pgs) CreateSegmentStores(pg);
   }
-  for (auto& node : storage_nodes_) {
-    // Each node's background timers must start on the node's own shard.
-    sim::Simulator::ShardScope scope(&sim_, network_.ShardOf(node->id()));
-    node->StartBackground();
-  }
+  for (auto& node : storage_nodes_) node->StartBackground();
 
   writer_ = MakeWriter(next_node_id_++, 0);
-  network_.SetNodeShard(writer_->id(), ShardForControl(0));
   AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writer_.get()));
   // Tenant writers (volumes 1..N-1), spread across AZs, bootstrapped
   // sequentially: each recovers its own volume independently.
   for (VolumeId volume = 1; volume < options_.volumes; ++volume) {
     const AzId az = static_cast<AzId>(volume % options_.num_azs);
     auto writer = MakeWriter(next_node_id_++, az, volume);
-    network_.SetNodeShard(writer->id(), ShardForControl(az));
     AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writer.get()));
     tenant_writers_.push_back(std::move(writer));
   }
@@ -388,7 +345,6 @@ bool AuroraCluster::RunUntil(const std::function<bool()>& pred,
 NodeId AuroraCluster::RegisterClientNode(AzId az) {
   const NodeId id = next_node_id_++;
   network_.RegisterNode(id, az, nullptr);
-  network_.SetNodeShard(id, ShardForControl(az));
   return id;
 }
 
@@ -399,17 +355,10 @@ replica::ReadReplica* AuroraCluster::AddReplica() {
   auto rep = std::make_unique<replica::ReadReplica>(
       &sim_, &network_, id, az, MakeResolver(), writer_->id(),
       metadata_->geometry(), metadata_->volume_epoch(), options_.replica);
-  network_.SetNodeShard(id, ShardForControl(az));
   replica::ReadReplica* raw = rep.get();
   replicas_.push_back(std::move(rep));
   WireReplica(raw);
-  {
-    // Replica timers start on the replica's shard; its links to the writer
-    // (replication sink, read-point reports) are all network-mediated, so
-    // they cross shards as messages, never as direct calls.
-    sim::Simulator::ShardScope scope(&sim_, ShardForControl(az));
-    raw->Start();
-  }
+  raw->Start();
   return raw;
 }
 

@@ -40,23 +40,6 @@ namespace aurora::core {
 /// plus up to 15 read replicas on the shared volume).
 inline constexpr size_t kMaxReplicas = 15;
 
-/// Actor→shard mapping used when the event engine is sharded
-/// (DESIGN.md §9).
-enum class ShardGranularity {
-  /// Classic mapping: shard = az % ShardCount(); the writer, metadata
-  /// service, replicas, and clients ride their AZ's shard (AZ 0 for the
-  /// control plane). Uses the scalar global-min lookahead.
-  kPerAz,
-  /// Fine-grained mapping: every storage node gets its own shard
-  /// (round-robin folded once the fleet exceeds max_event_shards - 1)
-  /// while the writer(s), metadata service, replicas, and clients all
-  /// stay on shard 0 so the control plane keeps one serial stream.
-  /// Activates the pairwise lookahead matrix: each (src, dst) shard
-  /// pair's window bound derives from the tightest network link class
-  /// actually connecting the pair instead of the global minimum hop.
-  kPerNode,
-};
-
 struct AuroraOptions {
   uint64_t seed = 42;
   /// Protection groups in the volume (each owns blocks_per_pg blocks).
@@ -73,24 +56,6 @@ struct AuroraOptions {
   replica::ReplicaOptions replica;
   /// Default timeout for the *Blocking helpers.
   SimDuration blocking_timeout = 60 * kSecond;
-  /// Event-engine shards (DESIGN.md §9). 0 = classic unsharded engine.
-  /// 1 = sharded engine, single shard — bit-identical to unsharded, the
-  /// determinism oracle for parallel mode. n >= 2 partitions actors by
-  /// AZ (shard = az % n, writer + metadata on shard 0) and enables
-  /// sim().RunSharded(deadline, threads); lookahead derives from
-  /// network.min_latency_us, so raise that floor (e.g. ~40us) to give
-  /// the windows useful width.
-  uint32_t event_shards = 0;
-  /// Actor→shard mapping when event_shards >= 2; ignored otherwise.
-  /// kPerNode derives its own shard count (see max_event_shards) — any
-  /// event_shards value >= 2 just switches parallel mode on.
-  ShardGranularity shard_granularity = ShardGranularity::kPerAz;
-  /// Shard-count cap in kPerNode mode: the engine gets
-  /// 1 + min(fleet_size, max_event_shards - 1) shards (shard 0 is the
-  /// control plane; storage node `i` folds to 1 + i % (count - 1), a
-  /// deterministic round-robin over the storage shards). Ignored in
-  /// kPerAz mode, where event_shards is the shard count directly.
-  uint32_t max_event_shards = 64;
   /// Independent volumes (tenants) sharing the storage fleet (DESIGN.md
   /// §11). 1 (default) is the classic single-tenant cluster — legacy
   /// round-robin placement, one writer, bit-identical schedules. With
@@ -194,30 +159,6 @@ class AuroraCluster {
   sim::Simulator& sim() { return sim_; }
   sim::Network& network() { return network_; }
 
-  /// Event-engine shard hosting AZ `az`'s actors (shard 0 when unsharded).
-  sim::ShardKey ShardForAz(AzId az) const {
-    return sim_.Sharded()
-               ? static_cast<sim::ShardKey>(az % sim_.ShardCount())
-               : 0;
-  }
-  /// True when the fine-grained per-storage-node mapping is active.
-  bool PerNodeSharding() const {
-    return sim_.Sharded() && sim_.ShardCount() >= 2 &&
-           options_.shard_granularity == ShardGranularity::kPerNode;
-  }
-  /// Shard hosting control-plane actors (writers, the metadata service,
-  /// replicas, client endpoints): shard 0 under per-node sharding, the
-  /// AZ shard otherwise.
-  sim::ShardKey ShardForControl(AzId az) const {
-    return PerNodeSharding() ? 0 : ShardForAz(az);
-  }
-  /// Shard hosting storage node `index` (fleet creation order): its own
-  /// storage shard under per-node sharding (round-robin folded into the
-  /// max_event_shards cap), the AZ shard otherwise.
-  sim::ShardKey ShardForStorageIndex(size_t index, AzId az) const {
-    if (!PerNodeSharding()) return ShardForAz(az);
-    return static_cast<sim::ShardKey>(1 + index % (sim_.ShardCount() - 1));
-  }
   sim::FailureInjector& failures() { return *failure_injector_; }
   storage::ObjectStore& object_store() { return *object_store_; }
   MetadataService& metadata() { return *metadata_; }

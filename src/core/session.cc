@@ -121,7 +121,7 @@ void ClientSession::Put(const std::string& key, const std::string& value,
 void ClientSession::RunAtWriterAnchor(
     Lsn anchor, SimTime deadline, std::function<void(engine::DbInstance*)> op,
     std::function<void()> fail) {
-  // Runs on the writer's shard (callers reach it via one network hop).
+  // Callers reach the writer via one network hop.
   // VDL >= anchor is required even here: the writer acks a commit at
   // VCL >= SCN, but statement views anchor at VDL, which can trail SCN
   // for a beat.

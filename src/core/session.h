@@ -12,8 +12,7 @@
 //
 // The session is itself a simulated network node: requests to the
 // writer and to replicas cross the network, so sessions compose with
-// AZ placement, partitions, and the sharded parallel engine (their
-// traffic is messages, never cross-shard calls).
+// AZ placement, partitions, and node crashes.
 
 #pragma once
 
@@ -42,8 +41,8 @@ struct SessionOptions {
   /// sessions across replicas deterministically).
   size_t replica_offset = 0;
   /// Writer-fallback poll cadence: a fallback read must still honor the
-  /// anchor, so it polls the writer's VDL at this interval (the poll
-  /// runs on the writer's shard, reached via one network hop).
+  /// anchor, so it polls the writer's VDL at this interval (each poll is
+  /// one network hop to the writer).
   SimDuration writer_poll = 1 * kMillisecond;
   /// Give up on an operation after this long (replica wait + writer
   /// fallback + a watchdog for messages lost to crashes/partitions).
@@ -61,9 +60,7 @@ struct SessionStats {
   uint64_t writer_fallbacks = 0;
 };
 
-/// One client session bound to a cluster. Not thread-safe; lives on the
-/// simulator shard of its registered node (the cluster places it on the
-/// writer's shard so its callbacks never cross shards).
+/// One client session bound to a cluster. Not thread-safe.
 class ClientSession {
  public:
   /// Registers a client endpoint node in `az` on the cluster's network.
@@ -95,7 +92,7 @@ class ClientSession {
  private:
   /// Next live replica in round-robin order, or nullptr.
   replica::ReadReplica* PickReplica();
-  /// Runs `op(writer)` on the writer's shard once the writer is open
+  /// Runs `op(writer)` at the writer once the writer is open
   /// with VDL >= `anchor`; `fail()` after `deadline`. Re-resolves the
   /// current writer each poll so it rides through failovers.
   void RunAtWriterAnchor(Lsn anchor, SimTime deadline,

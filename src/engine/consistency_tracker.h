@@ -70,12 +70,11 @@ class ConsistencyTracker {
 
   Lsn pgcl(ProtectionGroupId pg) const;
   Lsn vcl() const { return vcl_; }
-  /// VDL is written only on the writer's event shard, but client sessions
-  /// on other shards peek it for the anchored-read fast path, so the
+  /// Client sessions peek VDL for the anchored-read fast path; the
   /// accessor/writer pair goes through relaxed atomics. Routing decisions
   /// only consume one-way-monotonic facts (has a VDL appeared / passed an
-  /// anchor already durable to this session), so a stale peek is safe and
-  /// schedule-deterministic.
+  /// anchor already durable to this session), so a stale peek would be
+  /// safe.
   Lsn vdl() const {
     return std::atomic_ref<Lsn>(const_cast<Lsn&>(vdl_))
         .load(std::memory_order_relaxed);
@@ -105,8 +104,9 @@ class ConsistencyTracker {
  private:
   Lsn ComputePgcl(const PgTracking& tracking) const;
 
-  /// All vdl_ writes go through here (see vdl() above); same-shard reads
-  /// may still touch the plain member — they are sequenced with the store.
+  /// All vdl_ writes go through here (see vdl() above); the tracker's own
+  /// reads may still touch the plain member — they are sequenced with the
+  /// store.
   void StoreVdl(Lsn vdl) {
     std::atomic_ref<Lsn>(vdl_).store(vdl, std::memory_order_relaxed);
   }

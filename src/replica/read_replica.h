@@ -88,11 +88,10 @@ class ReadReplica : public sim::NodeLifecycleListener {
               VolumeEpoch volume_epoch, ReplicaOptions options = {});
 
   NodeId id() const { return id_; }
-  /// vdl_ is written only on this replica's event shard, but session
-  /// routing on other shards peeks it (ClientSession::PickReplica checks
-  /// "has this replica ever applied a VDL"), so the accessor/writer pair
-  /// goes through relaxed atomics. The peeked fact is one-way monotonic
-  /// per replica incarnation, so a stale read only skips a replica that
+  /// Session routing peeks vdl_ (ClientSession::PickReplica checks "has
+  /// this replica ever applied a VDL"); the accessor/writer pair goes
+  /// through relaxed atomics. The peeked fact is one-way monotonic per
+  /// replica incarnation, so a stale read would only skip a replica that
   /// just became ready — never the reverse.
   Lsn vdl() const {
     return std::atomic_ref<Lsn>(const_cast<Lsn&>(vdl_))
@@ -170,8 +169,9 @@ class ReadReplica : public sim::NodeLifecycleListener {
   Histogram& replica_lag() { return replica_lag_; }
 
  private:
-  /// All vdl_ writes go through here (see vdl() above); same-shard reads
-  /// may still touch the plain member — they are sequenced with the store.
+  /// All vdl_ writes go through here (see vdl() above); the replica's own
+  /// reads may still touch the plain member — they are sequenced with the
+  /// store.
   void StoreVdl(Lsn vdl) {
     std::atomic_ref<Lsn>(vdl_).store(vdl, std::memory_order_relaxed);
   }

@@ -7,15 +7,10 @@
 // common capture sizes inline in the event slab slot; closures too large for
 // the inline buffer fall back to a per-thread size-class pool (a freelist
 // beats the general-purpose allocator and keeps hot closure blocks
-// cache-resident). The pools are thread_local, which stays correct under
-// the parallel sharded engine: blocks are plain operator-new memory, so a
-// closure mailed across shards (allocated on one worker, destroyed on
-// another) simply migrates its block to the destroyer's freelist — no
-// shared freelist, no locks, no ownership requirement. The batched
-// cross-shard outboxes lean on the same property: a window's worth of
-// mailed MoveFuncs sits in the source shard's per-destination arena
-// until the barrier flush, then each block is freed on whichever worker
-// later executes the destination shard.
+// cache-resident). The pools are thread_local: blocks are plain
+// operator-new memory, so a closure destroyed on another thread than the
+// one that built it simply migrates its block to the destroyer's freelist
+// — no shared freelist, no locks, no ownership requirement.
 //
 // MoveFunc is move-only by design: the engine moves each callback exactly
 // once (slab slot -> stack) before invoking it, and move-only storage lets

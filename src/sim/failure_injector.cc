@@ -1,11 +1,5 @@
 #include "src/sim/failure_injector.h"
 
-// Every injector timer is a global event: the callbacks mutate cross-shard
-// network state (liveness, AZ status, slowdowns), which the sharded engine
-// only permits at window barriers with all workers quiesced. With zero or
-// one worker shards ScheduleGlobal degenerates to plain Schedule, keeping
-// legacy runs bit-identical.
-
 namespace aurora::sim {
 
 FailureInjector::FailureInjector(Simulator* sim, Network* network,
@@ -47,14 +41,14 @@ SimDuration FailureInjector::Draw(const char* kind, uint64_t subject,
 void FailureInjector::ScheduleNodeFailure(NodeId node) {
   const SimDuration delay = Draw("node_fail_delay", node, model_.node_mttf);
   const uint64_t gen = generation_;
-  sim_->ScheduleGlobal(delay, [this, node, gen]() {
+  sim_->Schedule(delay, [this, node, gen]() {
     if (!running_ || gen != generation_) return;
     if (network_->IsUp(node)) {
       network_->Crash(node);
       ++node_failures_;
       const SimDuration repair =
           Draw("node_repair_delay", node, model_.node_mttr);
-      sim_->ScheduleGlobal(repair, [this, node, gen]() {
+      sim_->Schedule(repair, [this, node, gen]() {
         if (!running_ || gen != generation_) return;
         network_->Restart(node);
       }, "inj.node_repair");
@@ -66,11 +60,11 @@ void FailureInjector::ScheduleNodeFailure(NodeId node) {
 void FailureInjector::ScheduleAzFailure(AzId az) {
   const SimDuration delay = Draw("az_fail_delay", az, model_.az_mttf);
   const uint64_t gen = generation_;
-  sim_->ScheduleGlobal(delay, [this, az, gen]() {
+  sim_->Schedule(delay, [this, az, gen]() {
     if (!running_ || gen != generation_) return;
     network_->FailAz(az);
     ++az_failures_;
-    sim_->ScheduleGlobal(model_.az_mttr, [this, az, gen]() {
+    sim_->Schedule(model_.az_mttr, [this, az, gen]() {
       if (gen != generation_) return;
       network_->RestoreAz(az);
     }, "inj.az_restore");
@@ -79,20 +73,20 @@ void FailureInjector::ScheduleAzFailure(AzId az) {
 }
 
 void FailureInjector::CrashNodeAt(SimTime when, NodeId node) {
-  sim_->ScheduleGlobalAt(when, [this, node]() { network_->Crash(node); },
+  sim_->ScheduleAt(when, [this, node]() { network_->Crash(node); },
                    "inj.script_crash");
 }
 
 void FailureInjector::RestartNodeAt(SimTime when, NodeId node) {
-  sim_->ScheduleGlobalAt(when, [this, node]() { network_->Restart(node); },
+  sim_->ScheduleAt(when, [this, node]() { network_->Restart(node); },
                    "inj.script_restart");
 }
 
 void FailureInjector::FailAzAt(SimTime when, AzId az, SimDuration outage) {
-  sim_->ScheduleGlobalAt(when, [this, az, outage]() {
+  sim_->ScheduleAt(when, [this, az, outage]() {
     network_->FailAz(az);
     ++az_failures_;
-    sim_->ScheduleGlobal(outage, [this, az]() { network_->RestoreAz(az); },
+    sim_->Schedule(outage, [this, az]() { network_->RestoreAz(az); },
                    "inj.script_az_restore");
   }, "inj.script_az_fail");
 }
@@ -105,7 +99,7 @@ void FailureInjector::Flap(NodeId node, SimDuration period, int count) {
   // without perturbing draws that still match.
   const SimDuration down_delay = Draw("flap_down_delay", node, period);
   const uint64_t gen = generation_;
-  sim_->ScheduleGlobal(down_delay, [this, node, period, count, gen]() {
+  sim_->Schedule(down_delay, [this, node, period, count, gen]() {
     if (gen != generation_) return;
     // Only restart what this cycle crashed: if another fault (scripted
     // crash, AZ outage, a concurrent schedule op) already has the node
@@ -117,7 +111,7 @@ void FailureInjector::Flap(NodeId node, SimDuration period, int count) {
       ++node_failures_;
     }
     const SimDuration up_delay = Draw("flap_up_delay", node, period);
-    sim_->ScheduleGlobal(up_delay, [this, node, period, count, gen,
+    sim_->Schedule(up_delay, [this, node, period, count, gen,
                               crashed_here]() {
       if (gen != generation_) return;
       if (crashed_here) network_->Restart(node);
@@ -128,9 +122,9 @@ void FailureInjector::Flap(NodeId node, SimDuration period, int count) {
 
 void FailureInjector::SlowNodeAt(SimTime when, NodeId node, double factor,
                                  SimDuration duration) {
-  sim_->ScheduleGlobalAt(when, [this, node, factor, duration]() {
+  sim_->ScheduleAt(when, [this, node, factor, duration]() {
     network_->SetNodeSlowdown(node, factor);
-    sim_->ScheduleGlobal(duration,
+    sim_->Schedule(duration,
                    [this, node]() { network_->SetNodeSlowdown(node, 1.0); },
                    "inj.slow_end");
   }, "inj.slow_begin");

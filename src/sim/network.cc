@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -29,55 +27,10 @@ NetMetrics& M() {
   }();
   return m;
 }
-
-/// Topology/liveness mutations are barrier-only: they touch state every
-/// lane reads without synchronization, so a call from inside a parallel
-/// window would be a data race AND a determinism hole. Enforced in all
-/// build types.
-void CheckBarrierOnly(const Simulator* sim, const char* what) {
-  if (sim->WorkersActive()) {
-    std::fprintf(stderr, "network: %s during a parallel window\n", what);
-    std::abort();
-  }
-}
 }  // namespace
 
 Network::Network(Simulator* sim, NetworkOptions options)
-    : sim_(sim), options_(options) {
-  // Lane 0 takes the fork the pre-sharding network took, so unsharded and
-  // single-shard runs draw the identical latency stream.
-  lanes_.push_back(std::make_unique<Lane>(sim->rng().Fork()));
-}
-
-void Network::PrepareShardLanes() {
-  CheckBarrierOnly(sim_, "PrepareShardLanes");
-  while (lanes_.size() < sim_->ShardCount()) {
-    lanes_.push_back(std::make_unique<Lane>(lanes_[0]->rng.Fork()));
-  }
-}
-
-Network::Lane& Network::CurrentLane() {
-  const ShardKey shard = sim_->ExecutingShard();
-  if (shard == kShardNone) return *lanes_[0];
-  if (shard >= lanes_.size()) {
-    // An executing worker shard with no lane means PrepareShardLanes was
-    // skipped, or ran before ConfigureShards grew the shard count. During
-    // a parallel window the lane-0 fallback would put several worker
-    // threads on one rng/link_clock/stats — a data race masked as a
-    // working configuration — so it is fatal there in all build types.
-    // Outside windows (serial oracle) lane 0 stays the deterministic
-    // pre-sharding stream.
-    if (sim_->WorkersActive()) {
-      std::fprintf(stderr,
-                   "network: executing shard %u has no lane "
-                   "(PrepareShardLanes not called after ConfigureShards?)\n",
-                   shard);
-      std::abort();
-    }
-    return *lanes_[0];
-  }
-  return *lanes_[shard];
-}
+    : sim_(sim), options_(options), rng_(sim->rng().Fork()) {}
 
 void Network::RegisterNode(NodeId node, AzId az,
                            NodeLifecycleListener* listener) {
@@ -86,9 +39,6 @@ void Network::RegisterNode(NodeId node, AzId az,
   st.az = az;
   st.listener = listener;
   nodes_[node] = st;
-  // A node lands on shard 0 until SetNodeShard moves it; the matrix must
-  // reflect that placement immediately in case it never moves.
-  if (pairwise_enabled_) LowerLookaheadForNode(node);
 }
 
 void Network::SetListener(NodeId node, NodeLifecycleListener* listener) {
@@ -105,77 +55,22 @@ AzId Network::AzOf(NodeId node) const {
   return it->second.az;
 }
 
-void Network::SetNodeShard(NodeId node, ShardKey shard) {
-  CheckBarrierOnly(sim_, "SetNodeShard");
-  auto it = nodes_.find(node);
-  assert(it != nodes_.end());
-  assert(shard < sim_->ShardCount());
-  it->second.shard = shard;
-  if (pairwise_enabled_) LowerLookaheadForNode(node);
-}
-
-void Network::EnablePairwiseLookahead() {
-  CheckBarrierOnly(sim_, "EnablePairwiseLookahead");
-  const uint32_t n = sim_->ShardCount();
-  if (n < 2) return;  // single shard: the scalar engine is the oracle
-  pairwise_enabled_ = true;
-  // Ceiling: the widest bound any hop class can justify. Pairs that never
-  // host node traffic keep it — only engine-mediated hops (which size
-  // themselves via Simulator::LookaheadTo) can cross such pairs, so the
-  // high entry just means wide windows, never a late event.
-  const SimDuration ceiling = std::max(HopFloor(false), HopFloor(true));
-  for (ShardKey s = 0; s < n; ++s) {
-    for (ShardKey d = 0; d < n; ++d) {
-      if (s != d) sim_->SetPairwiseLookahead(s, d, ceiling);
-    }
-  }
-  for (const auto& [id, st] : nodes_) LowerLookaheadForNode(id);
-}
-
-void Network::LowerLookaheadForNode(NodeId node) {
-  const NodeState& a = nodes_.at(node);
-  for (const auto& [other, b] : nodes_) {
-    if (other == node || b.shard == a.shard) continue;
-    const SimDuration floor = HopFloor(a.az != b.az);
-    // Link classes are symmetric, so both directions lower together.
-    if (floor < sim_->PairwiseLookahead(a.shard, b.shard)) {
-      sim_->SetPairwiseLookahead(a.shard, b.shard, floor);
-    }
-    if (floor < sim_->PairwiseLookahead(b.shard, a.shard)) {
-      sim_->SetPairwiseLookahead(b.shard, a.shard, floor);
-    }
-  }
-}
-
-ShardKey Network::ShardOf(NodeId node) const {
-  auto it = nodes_.find(node);
-  assert(it != nodes_.end());
-  return it->second.shard;
-}
-
 bool Network::IsUp(NodeId node) const {
   auto it = nodes_.find(node);
   return it != nodes_.end() && it->second.up;
 }
 
 void Network::Crash(NodeId node) {
-  CheckBarrierOnly(sim_, "Crash");
   auto it = nodes_.find(node);
   assert(it != nodes_.end());
   if (!it->second.up) return;
   it->second.up = false;
   it->second.incarnation++;
   AURORA_DEBUG << "node " << node << " crashed";
-  if (it->second.listener != nullptr) {
-    // Listener re-arms (timers the actor schedules while handling the
-    // transition) must land on the actor's shard, not the global queue.
-    Simulator::ShardScope scope(sim_, it->second.shard);
-    it->second.listener->OnCrash();
-  }
+  if (it->second.listener != nullptr) it->second.listener->OnCrash();
 }
 
 void Network::Restart(NodeId node) {
-  CheckBarrierOnly(sim_, "Restart");
   auto it = nodes_.find(node);
   assert(it != nodes_.end());
   if (it->second.up) return;
@@ -183,10 +78,7 @@ void Network::Restart(NodeId node) {
   if (IsAzFailed(it->second.az)) return;
   it->second.up = true;
   AURORA_DEBUG << "node " << node << " restarted";
-  if (it->second.listener != nullptr) {
-    Simulator::ShardScope scope(sim_, it->second.shard);
-    it->second.listener->OnRestart();
-  }
+  if (it->second.listener != nullptr) it->second.listener->OnRestart();
 }
 
 void Network::FailAz(AzId az) {
@@ -214,7 +106,6 @@ uint64_t Network::PairKey(NodeId a, NodeId b) const {
 }
 
 void Network::Partition(NodeId a, NodeId b, bool blocked) {
-  CheckBarrierOnly(sim_, "Partition");
   partitions_[PairKey(a, b)] = blocked;
   if (AURORA_METRICS_ON()) {
     if (blocked) M().partitions_set->Add(1);
@@ -232,7 +123,6 @@ bool Network::IsPartitioned(NodeId a, NodeId b) const {
 }
 
 void Network::SetNodeSlowdown(NodeId node, double factor) {
-  CheckBarrierOnly(sim_, "SetNodeSlowdown");
   auto it = nodes_.find(node);
   assert(it != nodes_.end());
   it->second.slowdown = factor;
@@ -244,90 +134,62 @@ double Network::NodeSlowdown(NodeId node) const {
   return it->second.slowdown;
 }
 
-SimDuration Network::SampleLatencyInLane(Lane& lane, NodeId from, NodeId to,
-                                         uint64_t bytes) {
+SimDuration Network::SampleLatency(NodeId from, NodeId to, uint64_t bytes) {
   const auto& src = nodes_.at(from);
   const auto& dst = nodes_.at(to);
   SimDuration base;
   if (from == to) {
-    return 1;  // loopback: same shard by construction, floor-exempt
+    return 1;  // loopback
   } else if (src.az == dst.az) {
-    base = options_.intra_az.Sample(lane.rng);
+    base = options_.intra_az.Sample(rng_);
   } else {
-    base = options_.cross_az.Sample(lane.rng);
+    base = options_.cross_az.Sample(rng_);
   }
   double lat = static_cast<double>(base) * src.slowdown * dst.slowdown;
   if (options_.bytes_per_us > 0.0) {
     lat += static_cast<double>(bytes) / options_.bytes_per_us;
   }
-  // The floor binds AFTER slowdowns: no distribution tail or sub-unity
-  // slowdown can undercut the lookahead contract. The class floor is the
-  // same guarantee per link class — it is what makes the pairwise
-  // lookahead matrix conservative for every message this method can emit.
-  const double floor = static_cast<double>(HopFloor(src.az != dst.az));
-  return static_cast<SimDuration>(std::max(floor, lat));
-}
-
-SimDuration Network::SampleLatency(NodeId from, NodeId to, uint64_t bytes) {
-  return SampleLatencyInLane(CurrentLane(), from, to, bytes);
+  // Every hop between distinct nodes takes at least 1us, whatever the
+  // distribution tail or a sub-unity slowdown would give.
+  return static_cast<SimDuration>(std::max(1.0, lat));
 }
 
 Network::SendPlan Network::PlanSend(NodeId from, NodeId to, uint64_t bytes) {
-  Lane& lane = CurrentLane();
-  lane.stats.messages_sent++;
-  lane.stats.bytes_sent += bytes;
+  stats_.messages_sent++;
+  stats_.bytes_sent += bytes;
   AURORA_COUNT(M().messages_sent, 1);
   AURORA_COUNT(M().bytes_sent, bytes);
   auto src_it = nodes_.find(from);
   auto dst_it = nodes_.find(to);
   assert(src_it != nodes_.end() && dst_it != nodes_.end());
   if (!src_it->second.up || !dst_it->second.up || IsPartitioned(from, to)) {
-    lane.stats.messages_dropped++;
+    stats_.messages_dropped++;
     AURORA_COUNT(M().messages_dropped, 1);
     return SendPlan{};
   }
-  SimDuration latency = SampleLatencyInLane(lane, from, to, bytes);
+  SimDuration latency = SampleLatency(from, to, bytes);
   if (options_.fifo_links) {
-    // FIFO clocks live in the sending context's lane; the adjustment only
-    // ever pushes delivery later, so it cannot break the latency floor.
+    // The FIFO adjustment only ever pushes delivery later.
     const uint64_t link = (static_cast<uint64_t>(from) << 32) | to;
-    SimTime& last = lane.link_clock[link];
+    SimTime& last = link_clock_[link];
     const SimTime deliver_at = std::max(sim_->Now() + latency, last + 1);
     latency = deliver_at - sim_->Now();
     last = deliver_at;
   }
-  return SendPlan{true, latency, dst_it->second.incarnation,
-                  dst_it->second.shard};
+  return SendPlan{true, latency, dst_it->second.incarnation};
 }
 
 bool Network::Arrives(NodeId to, uint64_t dst_incarnation, uint64_t bytes) {
-  Lane& lane = CurrentLane();
   auto it = nodes_.find(to);
   if (it == nodes_.end() || !it->second.up ||
       it->second.incarnation != dst_incarnation) {
-    lane.stats.messages_dropped++;
+    stats_.messages_dropped++;
     AURORA_COUNT(M().messages_dropped, 1);
     return false;
   }
-  lane.stats.messages_delivered++;
-  lane.stats.bytes_delivered += bytes;
+  stats_.messages_delivered++;
+  stats_.bytes_delivered += bytes;
   return true;
-}
-
-const NetworkStats& Network::stats() const {
-  agg_stats_ = NetworkStats{};
-  for (const auto& lane : lanes_) {
-    agg_stats_.messages_sent += lane->stats.messages_sent;
-    agg_stats_.messages_delivered += lane->stats.messages_delivered;
-    agg_stats_.messages_dropped += lane->stats.messages_dropped;
-    agg_stats_.bytes_sent += lane->stats.bytes_sent;
-    agg_stats_.bytes_delivered += lane->stats.bytes_delivered;
-  }
-  return agg_stats_;
-}
-
-void Network::ResetStats() {
-  for (auto& lane : lanes_) lane->stats = NetworkStats{};
 }
 
 }  // namespace aurora::sim

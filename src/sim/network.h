@@ -8,10 +8,8 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,22 +54,6 @@ struct NetworkOptions {
   /// a TCP connection. The replication stream (§3.3) relies on in-order
   /// MTR-then-VDL delivery.
   bool fifo_links = true;
-  /// Hard floor on any non-loopback hop, applied after slowdown/bandwidth
-  /// terms. In sharded mode this is the engine's conservative lookahead
-  /// (Network::MinCrossNodeLatency): no message between distinct nodes
-  /// arrives sooner, so cross-shard deliveries always clear the window
-  /// bound. The default keeps latency sampling bit-identical to the
-  /// pre-sharding model (which already clamped at 1us).
-  SimDuration min_latency_us = 1;
-  /// Per-link-class floors, combined with min_latency_us the same way
-  /// (max wins, after slowdowns). 0 disables a class floor, keeping the
-  /// sampling bit-identical to the single-floor model. These are what the
-  /// pairwise lookahead matrix is derived from: a (src, dst) shard pair
-  /// whose node pairs are all cross-AZ is bounded below by the cross-AZ
-  /// floor, so its lookahead entry — and every window that pair would
-  /// otherwise throttle — widens beyond the global minimum hop.
-  SimDuration intra_az_floor_us = 0;
-  SimDuration cross_az_floor_us = 0;
 };
 
 /// The network fabric. Nodes register with an AZ placement; sends sample
@@ -91,45 +73,6 @@ class Network {
 
   bool IsRegistered(NodeId node) const;
   AzId AzOf(NodeId node) const;
-
-  /// Pins `node`'s event stream to a simulator shard: deliveries to it and
-  /// its lifecycle re-arms execute there. Call during topology setup,
-  /// before traffic flows. Defaults to shard 0 (the unsharded engine).
-  void SetNodeShard(NodeId node, ShardKey shard);
-  ShardKey ShardOf(NodeId node) const;
-
-  /// Creates the per-shard network lanes (rng / stats / FIFO link clocks)
-  /// for the simulator's configured shard count. Call once after
-  /// ConfigureShards, before actors fork RNGs — lane forks draw from the
-  /// network's own rng, and with a single shard nothing forks (the run
-  /// stays bit-identical to the unsharded engine).
-  void PrepareShardLanes();
-
-  /// The guaranteed minimum latency of a hop of the given link class
-  /// (after slowdowns; loopback hops are exempt and same-shard anyway).
-  SimDuration HopFloor(bool cross_az) const {
-    const SimDuration class_floor = cross_az ? options_.cross_az_floor_us
-                                             : options_.intra_az_floor_us;
-    return std::max<SimDuration>(
-        1, std::max(options_.min_latency_us, class_floor));
-  }
-
-  /// The guaranteed minimum latency of any hop between distinct nodes —
-  /// the engine's conservative lookahead (Simulator::SetLookahead).
-  SimDuration MinCrossNodeLatency() const {
-    return std::min(HopFloor(false), HopFloor(true));
-  }
-
-  /// Switches the engine to the pairwise lookahead matrix (DESIGN.md §9):
-  /// every (src, dst) shard pair starts at the widest class floor and
-  /// node registrations lower it to the tightest link class actually
-  /// connecting the pair — so the matrix is conservative by construction
-  /// for network traffic, and non-network cross-shard hops must size
-  /// their delay with Simulator::LookaheadTo. Call after ConfigureShards
-  /// + PrepareShardLanes, before traffic flows; nodes registered or
-  /// re-sharded later keep the matrix current automatically (lowering
-  /// entries is always safe mid-run, at barriers).
-  void EnablePairwiseLookahead();
 
   bool IsUp(NodeId node) const;
   /// Crashes `node`: pending deliveries to it are dropped and its listener
@@ -158,15 +101,12 @@ class Network {
   /// for any reason"). Templated on the delivery callable so the closure
   /// moves straight into the event slab — no std::function heap hop on the
   /// per-message hot path.
-  /// Deliveries execute on the destination node's shard (ScheduleOn), so
-  /// an actor's inbound events stay on its own event stream; in unsharded
-  /// mode that degenerates to the classic Schedule path bit-identically.
   template <typename F>
   void Send(NodeId from, NodeId to, uint64_t bytes, F&& deliver) {
     const SendPlan plan = PlanSend(from, to, bytes);
     if (!plan.deliverable) return;
-    sim_->ScheduleOn(
-        plan.dst_shard, plan.latency,
+    sim_->Schedule(
+        plan.latency,
         [this, to, bytes, incarnation = plan.dst_incarnation,
          deliver = std::forward<F>(deliver)]() mutable {
           if (Arrives(to, incarnation, bytes)) deliver();
@@ -177,16 +117,14 @@ class Network {
   /// Samples the one-way latency the next Send(from, to) would see.
   SimDuration SampleLatency(NodeId from, NodeId to, uint64_t bytes);
 
-  /// Aggregated over all lanes; stable only outside parallel windows.
-  const NetworkStats& stats() const;
-  void ResetStats();
+  const NetworkStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = NetworkStats{}; }
 
   Simulator* simulator() { return sim_; }
 
  private:
   struct NodeState {
     AzId az = 0;
-    ShardKey shard = 0;
     bool up = true;
     // Incremented on each crash; in-flight deliveries capture the value at
     // send time and are dropped if it changed ("the socket died").
@@ -195,49 +133,27 @@ class Network {
     NodeLifecycleListener* listener = nullptr;
   };
 
-  /// Per-execution-context network state. Sends mutate the lane of the
-  /// shard they execute on (deliveries likewise), so parallel windows
-  /// never contend: lane rng streams and FIFO link clocks advance in each
-  /// shard's canonical event order, identical serial or parallel. Lane 0
-  /// serves shard 0 plus every context-less call (external drivers,
-  /// global events) — with one shard it is the whole legacy state.
-  struct Lane {
-    explicit Lane(Rng rng_in) : rng(rng_in) {}
-    Rng rng;
-    NetworkStats stats;
-    // Per-directional-link last scheduled delivery time (FIFO ordering).
-    std::unordered_map<uint64_t, SimTime> link_clock;
-  };
-  Lane& CurrentLane();
-
   /// Send-time accounting + routing decision (non-template half of Send).
   struct SendPlan {
     bool deliverable = false;
     SimDuration latency = 0;
     uint64_t dst_incarnation = 0;
-    ShardKey dst_shard = 0;
   };
   SendPlan PlanSend(NodeId from, NodeId to, uint64_t bytes);
   /// Delivery-time liveness check + accounting; true if `deliver` runs.
   bool Arrives(NodeId to, uint64_t dst_incarnation, uint64_t bytes);
 
-  SimDuration SampleLatencyInLane(Lane& lane, NodeId from, NodeId to,
-                                  uint64_t bytes);
-
-  /// Lowers the pairwise matrix entries of `node`'s shard against every
-  /// other registered node's shard to the connecting link-class floor.
-  void LowerLookaheadForNode(NodeId node);
-
   uint64_t PairKey(NodeId a, NodeId b) const;
 
   Simulator* sim_;
   NetworkOptions options_;
-  bool pairwise_enabled_ = false;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  Rng rng_;
+  NetworkStats stats_;
+  // Per-directional-link last scheduled delivery time (FIFO ordering).
+  std::unordered_map<uint64_t, SimTime> link_clock_;
   std::unordered_map<NodeId, NodeState> nodes_;
   std::unordered_map<uint64_t, bool> partitions_;
   std::unordered_map<AzId, bool> failed_azs_;
-  mutable NetworkStats agg_stats_;
 };
 
 }  // namespace aurora::sim

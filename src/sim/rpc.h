@@ -13,12 +13,6 @@
 // and client continuation move straight into network events, and the
 // response payload itself rides inside the reply closure — no std::function
 // wrappers and no shared_ptr round-trip per response on the hot path.
-//
-// Under the sharded engine both legs ride Network::Send, which schedules
-// each delivery on the *destination* node's shard: the server closure runs
-// on the server's shard, the continuation back on the client's. An RPC is
-// therefore shard-safe by construction — neither side ever executes on a
-// foreign event stream.
 
 #pragma once
 

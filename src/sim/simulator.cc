@@ -4,10 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <utility>
-
-#include "src/common/metrics.h"
 
 namespace aurora::sim {
 
@@ -15,388 +12,93 @@ namespace {
 constexpr size_t kInitialQueueCapacity = 1024;
 /// Below this heap size tombstone compaction is not worth the rebuild.
 constexpr size_t kCompactMinEntries = 64;
-/// EventId reserves 24 bits for (slot index + 1).
-constexpr uint32_t kMaxSlotIndex = (1u << 24) - 2;
-/// Stamp context of the global queue: sorts after every worker context at
-/// equal timestamps, so a global event runs once the whole window time is
-/// otherwise quiesced.
-constexpr uint64_t kGlobalStampBase = 0xffffull << 48;
-
-/// Engine safety invariants are enforced even in release builds: a
-/// violated window/lookahead contract silently corrupts determinism,
-/// which is far worse than an abort.
-void Check(bool ok, const char* msg) {
-  if (!ok) {
-    std::fprintf(stderr, "simulator invariant violated: %s\n", msg);
-    std::abort();
-  }
-}
-
-SimTime SatAdd(SimTime a, SimDuration b) {
-  const SimTime max = std::numeric_limits<SimTime>::max();
-  return a > max - b ? max : a + b;
-}
-
-/// Shard-claim word layout: low bits hold the next shard index, high bits
-/// the round the cursor belongs to. kMaxShards (200) fits comfortably in
-/// 20 bits; 44 bits of round cannot wrap in any realistic run.
-constexpr uint64_t kClaimIndexBits = 20;
-constexpr uint64_t kClaimIndexMask = (1ull << kClaimIndexBits) - 1;
-
-/// Engine-efficiency metrics (DESIGN.md §5b): registered once, mirrored
-/// from EngineStats only when the registry is enabled, so the default
-/// (metrics-off) fingerprint path never touches them.
-struct SimMetrics {
-  metrics::Counter* windows;
-  metrics::Counter* mailbox_batches;
-  metrics::Counter* mailbox_msgs;
-  Histogram* window_span;
-};
-SimMetrics& M() {
-  static SimMetrics m = [] {
-    auto& r = metrics::Registry::Global();
-    return SimMetrics{r.GetCounter("aurora.sim.windows"),
-                      r.GetCounter("aurora.sim.mailbox_batches"),
-                      r.GetCounter("aurora.sim.mailbox_msgs"),
-                      r.GetHistogram("aurora.sim.window_span_us")};
-  }();
-  return m;
-}
+/// EventId reserves 32 bits for (slot index + 1).
+constexpr uint32_t kMaxSlotIndex = 0xfffffffeu;
 }  // namespace
 
-/// Persistent worker pool for RunSharded. Rounds are broadcast via
-/// cv_start; workers claim shards by CAS on a round-tagged claim word and
-/// the last finished shard releases the coordinator via cv_done.
-/// Everything the workers read (bound, active_shards, shard state) is
-/// published under `mu` before the round counter advances, and a claim
-/// succeeds only while the word still carries the claimant's own round —
-/// a worker straggling out of round k can never grab a shard of round
-/// k+1, so every thread that touches round state entered it through the
-/// mutex-published round broadcast.
-struct Simulator::Pool {
-  std::mutex mu;
-  std::condition_variable cv_start;
-  std::condition_variable cv_done;
-  std::vector<std::thread> threads;
-  uint64_t round = 0;
-  bool shutdown = false;
-  /// (round << kClaimIndexBits) | next shard index; see ProcessWindowShards.
-  std::atomic<uint64_t> claim{0};
-  uint32_t done_shards = 0;
-  /// Written under mu at round setup, but read lock-free at the top of
-  /// ProcessWindowShards by stragglers from the previous round (whose
-  /// claim CAS the round tag then rejects) — atomic so that overlap is
-  /// defined. Constant within a RunSharded call.
-  std::atomic<uint32_t> active_shards{0};
-  HeapKey bound{0, 0};
-};
-
 Simulator::Simulator(uint64_t seed) : rng_(seed) {
-  auto shard = std::make_unique<Shard>();
-  shard->heap.reserve(kInitialQueueCapacity);
-  shard->slots.reserve(kInitialQueueCapacity);
-  shards_.push_back(std::move(shard));
+  heap_.reserve(kInitialQueueCapacity);
+  slots_.reserve(kInitialQueueCapacity);
 }
 
-Simulator::~Simulator() { StopPool(); }
-
-void Simulator::ConfigureShards(uint32_t count) {
-  Check(count >= 1 && count <= kMaxShards, "shard count out of range");
-  Check(!sharded_, "ConfigureShards called twice");
-  Check(executed_ == 0 && shards_[0]->live == 0 && shards_[0]->heap.empty() &&
-            shards_[0]->now == 0,
-        "ConfigureShards requires a pristine simulator");
-  sharded_ = true;
-  for (uint32_t i = 1; i < count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->id = i;
-    shard->stamp_base = static_cast<uint64_t>(i) << 48;
-    shard->heap.reserve(kInitialQueueCapacity);
-    shard->slots.reserve(kInitialQueueCapacity);
-    shards_.push_back(std::move(shard));
-  }
-  for (auto& sp : shards_) sp->outbox.resize(count);
-  // A single-shard configuration stays bit-identical to the unsharded
-  // engine, including ScheduleGlobal aliasing to Schedule; the separate
-  // global queue only exists when there are shards to synchronize.
-  if (count >= 2) {
-    global_ = std::make_unique<Shard>();
-    global_->id = kGlobalShardTag;
-    global_->stamp_base = kGlobalStampBase;
-  }
-}
-
-void Simulator::SetLookahead(SimDuration lookahead) {
-  Check(lookahead >= 1, "lookahead must be >= 1us");
-  lookahead_ = lookahead;
-  // The scalar is the uniform default; any previously installed matrix is
-  // superseded by it.
-  pair_la_.clear();
-  out_min_la_.clear();
-}
-
-void Simulator::SetPairwiseLookahead(ShardKey src, ShardKey dst,
-                                     SimDuration bound) {
-  Check(sharded_, "SetPairwiseLookahead requires ConfigureShards");
-  Check(!WorkersActive(), "SetPairwiseLookahead during a parallel window");
-  Check(src < shards_.size() && dst < shards_.size() && src != dst,
-        "SetPairwiseLookahead: bad shard pair");
-  Check(bound >= 1, "pairwise lookahead must be >= 1us");
-  const size_t n = shards_.size();
-  if (pair_la_.empty()) {
-    pair_la_.assign(n * n, lookahead_);
-    out_min_la_.assign(n, lookahead_);
-  }
-  SimDuration& cell = pair_la_[src * n + dst];
-  const SimDuration old = cell;
-  cell = bound;
-  if (bound <= out_min_la_[src]) {
-    out_min_la_[src] = bound;
-  } else if (old == out_min_la_[src]) {
-    RecomputeOutMinRow(src);
-  }
-}
-
-void Simulator::RecomputeOutMinRow(uint32_t src) {
-  const size_t n = shards_.size();
-  SimDuration min_la = std::numeric_limits<SimDuration>::max();
-  for (size_t d = 0; d < n; ++d) {
-    if (d == src) continue;
-    min_la = std::min(min_la, pair_la_[src * n + d]);
-  }
-  // A single-shard matrix has no cross pairs; keep the scalar so window
-  // bounds degrade to legacy behavior instead of saturating.
-  out_min_la_[src] =
-      min_la == std::numeric_limits<SimDuration>::max() ? lookahead_ : min_la;
-}
-
-SimDuration Simulator::PairwiseLookahead(ShardKey src, ShardKey dst) const {
-  Check(src < shards_.size() && dst < shards_.size(),
-        "PairwiseLookahead: unknown shard");
-  return PairLa(src, dst);
-}
-
-SimDuration Simulator::LookaheadTo(ShardKey dst) const {
-  Check(dst < shards_.size(), "LookaheadTo: unknown shard");
-  const ExecContext& ctx = TlsCtx();
-  if (ctx.sim == this && ctx.shard->id != kGlobalShardTag &&
-      ctx.shard->id != dst) {
-    return PairLa(ctx.shard->id, dst);
-  }
-  return lookahead_;
-}
-
-SimTime Simulator::Now() const {
-  const ExecContext& ctx = TlsCtx();
-  if (ctx.sim == this) return ctx.shard->now;
-  if (!sharded_) return shards_[0]->now;
-  return coordinator_now_;
-}
-
-ShardKey Simulator::ExecutingShard() const {
-  const ExecContext& ctx = TlsCtx();
-  if (ctx.sim == this && ctx.shard->id != kGlobalShardTag) {
-    return ctx.shard->id;
-  }
-  return kShardNone;
-}
-
-Simulator::ShardScope::ShardScope(Simulator* sim, ShardKey shard)
-    : sim_(sim), saved_(sim->scoped_shard_) {
-  Check(shard < sim->shards_.size(), "ShardScope: unknown shard");
-  sim->scoped_shard_ = static_cast<int64_t>(shard);
-}
-
-Simulator::ShardScope::~ShardScope() { sim_->scoped_shard_ = saved_; }
-
-Simulator::Shard& Simulator::ScheduleTargetForExternal() {
-  return scoped_shard_ >= 0 ? *shards_[static_cast<size_t>(scoped_shard_)]
-                            : *shards_[0];
-}
-
-uint32_t Simulator::AllocSlot(Shard& sh) {
-  if (sh.free_head != 0) {
-    const uint32_t index = sh.free_head - 1;
-    sh.free_head = sh.slots[index].next_free;
+uint32_t Simulator::AllocSlot() {
+  if (free_head_ != 0) {
+    const uint32_t index = free_head_ - 1;
+    free_head_ = slots_[index].next_free;
     return index;
   }
-  Check(sh.slots.size() <= kMaxSlotIndex, "shard slab exhausted (2^24 slots)");
-  sh.slots.emplace_back();
-  return static_cast<uint32_t>(sh.slots.size() - 1);
+  if (slots_.size() > kMaxSlotIndex) {
+    std::fprintf(stderr, "simulator: event slab exhausted (2^32 slots)\n");
+    std::abort();
+  }
+  slots_.emplace_back();
+  return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-void Simulator::ReleaseSlot(Shard& sh, uint32_t index) {
-  Slot& slot = sh.slots[index];
+void Simulator::ReleaseSlot(uint32_t index) {
+  Slot& slot = slots_[index];
   slot.fn = SimCallback();  // destroy the closure (and its captures) now
   slot.generation++;        // invalidates outstanding ids and heap entries
-  slot.next_free = sh.free_head;
-  sh.free_head = index + 1;
+  slot.next_free = free_head_;
+  free_head_ = index + 1;
 }
 
-EventId Simulator::InsertEvent(Shard& dst, SimTime when, uint64_t seq,
-                               SimCallback fn, const char* label) {
-  assert(when >= dst.now);
-  const uint32_t index = AllocSlot(dst);
-  Slot& slot = dst.slots[index];
+EventId Simulator::InsertEvent(SimTime when, SimCallback fn,
+                               const char* label) {
+  assert(when >= now_);
+  const uint32_t index = AllocSlot();
+  Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.label = label;
   // The fire time is already known, so the full trace digest is computed
   // once here; execution just mixes the stored value into the fingerprint.
   slot.digest = Trace::EventDigest(when, label);
-  dst.heap.push_back(HeapEntry{when, seq, index, slot.generation});
-  std::push_heap(dst.heap.begin(), dst.heap.end(), HeapGreater{});
-  ++dst.live;
+  heap_.push_back(HeapEntry{when, seq_++, index, slot.generation});
+  std::push_heap(heap_.begin(), heap_.end(), HeapGreater{});
+  ++live_;
   return (static_cast<EventId>(slot.generation) << 32) |
-         (static_cast<EventId>(dst.id) << 24) |
          static_cast<EventId>(index + 1);
 }
 
 EventId Simulator::Schedule(SimDuration delay, SimCallback fn,
                             const char* label) {
   assert(delay >= 0);
-  const ExecContext& c = TlsCtx();
-  if (c.sim == this) {
-    Shard& ctx = *c.shard;
-    // Global-event context honors ShardScope so lifecycle re-arms land on
-    // the actor's shard; otherwise events inherit their scheduler's shard.
-    Shard& dst = (ctx.id == kGlobalShardTag && scoped_shard_ >= 0)
-                     ? *shards_[static_cast<size_t>(scoped_shard_)]
-                     : ctx;
-    return InsertEvent(dst, ctx.now + delay, MakeStamp(ctx), std::move(fn),
-                       label);
-  }
-  Check(!WorkersActive(), "external Schedule during a parallel window");
-  Shard& dst = ScheduleTargetForExternal();
-  const SimTime base = sharded_ ? coordinator_now_ : dst.now;
-  return InsertEvent(dst, base + delay, MakeStamp(dst), std::move(fn), label);
+  return InsertEvent(now_ + delay, std::move(fn), label);
 }
 
 EventId Simulator::ScheduleAt(SimTime when, SimCallback fn,
                               const char* label) {
-  const ExecContext& c = TlsCtx();
-  if (c.sim == this) {
-    Shard& ctx = *c.shard;
-    assert(when >= ctx.now);
-    Shard& dst = (ctx.id == kGlobalShardTag && scoped_shard_ >= 0)
-                     ? *shards_[static_cast<size_t>(scoped_shard_)]
-                     : ctx;
-    return InsertEvent(dst, when, MakeStamp(ctx), std::move(fn), label);
-  }
-  Check(!WorkersActive(), "external ScheduleAt during a parallel window");
-  Shard& dst = ScheduleTargetForExternal();
-  assert(when >= (sharded_ ? coordinator_now_ : dst.now));
-  return InsertEvent(dst, when, MakeStamp(dst), std::move(fn), label);
-}
-
-EventId Simulator::ScheduleOn(ShardKey shard, SimDuration delay,
-                              SimCallback fn, const char* label) {
-  assert(delay >= 0);
-  Check(shard < shards_.size(), "ScheduleOn: unknown shard");
-  Shard& dst = *shards_[shard];
-  const ExecContext& c = TlsCtx();
-  if (c.sim == this) {
-    Shard& src = *c.shard;
-    if (&src == &dst) {  // same-shard fast path == plain Schedule
-      return InsertEvent(dst, src.now + delay, MakeStamp(src), std::move(fn),
-                         label);
-    }
-    const SimTime when = src.now + delay;
-    if (src.id != kGlobalShardTag) {
-      // Cross-shard from a worker shard: the conservative-synchronization
-      // contract. delay >= the (src, dst) pairwise lookahead guarantees
-      // the event lands at or beyond every window bound the engine can
-      // pick (the bound is min over pending shards s of next(s) +
-      // min_d L(s, d) <= next(src) + L(src, dst) <= when), so mail
-      // integrated at the next barrier can never be late.
-      Check(delay >= PairLa(src.id, shard),
-            "cross-shard ScheduleOn below the pairwise lookahead bound");
-      if (WorkersActive()) {
-        // Batched mailbox: the sender owns its shard for the whole window,
-        // so the per-destination arena needs no lock; one release store
-        // publishes the entire window's batch at the window edge.
-        src.outbox[shard].push_back(
-            Mail{when, src.counter++, label, std::move(fn)});
-        ++src.out_pending;
-        return kInvalidEvent;  // cross-window events are not cancellable
-      }
-      return InsertEvent(dst, when, MakeStamp(src), std::move(fn), label);
-    }
-    // Global-event context: workers are quiesced at the barrier, so a
-    // direct insert into any shard is race-free.
-    return InsertEvent(dst, when, MakeStamp(src), std::move(fn), label);
-  }
-  Check(!WorkersActive(), "external ScheduleOn during a parallel window");
-  const SimTime base = sharded_ ? coordinator_now_ : dst.now;
-  return InsertEvent(dst, base + delay, MakeStamp(dst), std::move(fn), label);
-}
-
-EventId Simulator::ScheduleGlobal(SimDuration delay, SimCallback fn,
-                                  const char* label) {
-  assert(delay >= 0);
-  if (global_ == nullptr) return Schedule(delay, std::move(fn), label);
-  const ExecContext& c = TlsCtx();
-  Check(c.sim != this || c.shard->id == kGlobalShardTag,
-        "ScheduleGlobal from worker-shard context");
-  const SimTime base = c.sim == this ? c.shard->now : coordinator_now_;
-  return InsertEvent(*global_, base + delay, MakeStamp(*global_),
-                     std::move(fn), label);
-}
-
-EventId Simulator::ScheduleGlobalAt(SimTime when, SimCallback fn,
-                                    const char* label) {
-  if (global_ == nullptr) return ScheduleAt(when, std::move(fn), label);
-  const ExecContext& c = TlsCtx();
-  Check(c.sim != this || c.shard->id == kGlobalShardTag,
-        "ScheduleGlobalAt from worker-shard context");
-  assert(when >= (c.sim == this ? c.shard->now : coordinator_now_));
-  return InsertEvent(*global_, when, MakeStamp(*global_), std::move(fn),
-                     label);
+  return InsertEvent(when, std::move(fn), label);
 }
 
 void Simulator::Cancel(EventId id) {
   if (id == kInvalidEvent) return;
-  const uint32_t tag = static_cast<uint32_t>((id >> 24) & 0xffu);
-  Shard* sh;
-  if (tag == kGlobalShardTag) {
-    if (global_ == nullptr) return;
-    sh = global_.get();
-  } else {
-    Check(tag < shards_.size(), "Cancel: unknown shard tag");
-    sh = shards_[tag].get();
-  }
-  if (WorkersActive()) {
-    const ExecContext& c = TlsCtx();
-    Check(c.sim == this && c.shard == sh,
-          "cross-shard Cancel during a parallel window");
-  }
-  const uint32_t index = static_cast<uint32_t>(id & 0xffffffu) - 1;
+  const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu) - 1;
   const uint32_t generation = static_cast<uint32_t>(id >> 32);
   // A stale id (already fired, already cancelled, or from a recycled slot)
   // fails the generation check and is a clean no-op.
-  if (index >= sh->slots.size() || sh->slots[index].generation != generation) {
+  if (index >= slots_.size() || slots_[index].generation != generation) {
     return;
   }
-  ReleaseSlot(*sh, index);
-  --sh->live;
-  ++sh->dead_in_heap;
-  if (sh->dead_in_heap > sh->heap.size() / 2 &&
-      sh->heap.size() >= kCompactMinEntries) {
-    CompactHeap(*sh);
+  ReleaseSlot(index);
+  --live_;
+  ++dead_in_heap_;
+  if (dead_in_heap_ > heap_.size() / 2 && heap_.size() >= kCompactMinEntries) {
+    CompactHeap();
   }
 }
 
-void Simulator::CompactHeap(Shard& sh) {
-  std::erase_if(sh.heap,
-                [&sh](const HeapEntry& e) { return !SlotLive(sh, e); });
-  std::make_heap(sh.heap.begin(), sh.heap.end(), HeapGreater{});
-  sh.dead_in_heap = 0;
+void Simulator::CompactHeap() {
+  std::erase_if(heap_, [this](const HeapEntry& e) { return !SlotLive(e); });
+  std::make_heap(heap_.begin(), heap_.end(), HeapGreater{});
+  dead_in_heap_ = 0;
 }
 
-void Simulator::PruneDeadTop(Shard& sh) {
-  while (!sh.heap.empty() && !SlotLive(sh, sh.heap.front())) {
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), HeapGreater{});
-    sh.heap.pop_back();
-    --sh.dead_in_heap;
+void Simulator::PruneDeadTop() {
+  while (!heap_.empty() && !SlotLive(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{});
+    heap_.pop_back();
+    --dead_in_heap_;
   }
 }
 
@@ -418,19 +120,18 @@ void Simulator::ObserveExecuted(SimTime at, const char* label,
   }
 }
 
-bool Simulator::StepLegacy() {
-  Shard& sh = *shards_[0];
-  while (!sh.heap.empty()) {
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), HeapGreater{});
-    const HeapEntry entry = sh.heap.back();
-    sh.heap.pop_back();
-    if (!SlotLive(sh, entry)) {  // cancelled; tombstone reclaimed here
-      --sh.dead_in_heap;
+bool Simulator::Step() {
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{});
+    const HeapEntry entry = heap_.back();
+    heap_.pop_back();
+    if (!SlotLive(entry)) {  // cancelled; tombstone reclaimed here
+      --dead_in_heap_;
       continue;
     }
-    Slot& slot = sh.slots[entry.slot];
-    assert(entry.time >= sh.now);
-    sh.now = entry.time;
+    Slot& slot = slots_[entry.slot];
+    assert(entry.time >= now_);
+    now_ = entry.time;
     ++executed_;
     fingerprint_ = Trace::MixFingerprint(fingerprint_, slot.digest);
     if (trace_out_ != nullptr || replay_ != nullptr) {
@@ -439,8 +140,8 @@ bool Simulator::StepLegacy() {
     // Move the callback out and recycle the slot BEFORE invoking: the
     // callback may schedule new events (possibly reusing this very slot).
     SimCallback fn = std::move(slot.fn);
-    ReleaseSlot(sh, entry.slot);
-    --sh.live;
+    ReleaseSlot(entry.slot);
+    --live_;
     fn();
     if (inspector_ && executed_ % inspect_every_ == 0) inspector_();
     return true;
@@ -448,412 +149,21 @@ bool Simulator::StepLegacy() {
   return false;
 }
 
-Simulator::Shard* Simulator::NextCanonical() {
-  Shard* best = nullptr;
-  for (auto& sp : shards_) {
-    PruneDeadTop(*sp);
-    if (sp->heap.empty()) continue;
-    if (best == nullptr ||
-        HeapKey{sp->heap.front().time, sp->heap.front().seq} <
-            HeapKey{best->heap.front().time, best->heap.front().seq}) {
-      best = sp.get();
-    }
-  }
-  if (global_ != nullptr) {
-    PruneDeadTop(*global_);
-    if (!global_->heap.empty() &&
-        (best == nullptr ||
-         HeapKey{global_->heap.front().time, global_->heap.front().seq} <
-             HeapKey{best->heap.front().time, best->heap.front().seq})) {
-      best = global_.get();
-    }
-  }
-  return best;
-}
-
-void Simulator::ExecTopCanonical(Shard& sh) {
-  std::pop_heap(sh.heap.begin(), sh.heap.end(), HeapGreater{});
-  const HeapEntry entry = sh.heap.back();
-  sh.heap.pop_back();
-  Slot& slot = sh.slots[entry.slot];
-  assert(entry.time >= sh.now);
-  sh.now = entry.time;
-  if (entry.time > coordinator_now_) coordinator_now_ = entry.time;
-  ++executed_;
-  fingerprint_ = Trace::MixFingerprint(fingerprint_, slot.digest);
-  if (trace_out_ != nullptr || replay_ != nullptr) {
-    ObserveExecuted(entry.time, slot.label, slot.digest);
-  }
-  SimCallback fn = std::move(slot.fn);
-  ReleaseSlot(sh, entry.slot);
-  --sh.live;
-  ExecContext& tls = TlsCtx();
-  const ExecContext saved = tls;
-  tls = ExecContext{this, &sh};
-  fn();
-  tls = saved;
-  if (inspector_ && executed_ % inspect_every_ == 0) inspector_();
-}
-
-bool Simulator::StepSharded() {
-  Shard* best = NextCanonical();
-  if (best == nullptr) return false;
-  ExecTopCanonical(*best);
-  return true;
-}
-
-bool Simulator::Step() { return sharded_ ? StepSharded() : StepLegacy(); }
-
 void Simulator::Run() {
   while (Step()) {
   }
 }
 
 void Simulator::RunUntil(SimTime deadline) {
-  if (!sharded_) {
-    Shard& sh = *shards_[0];
-    for (;;) {
-      // Reclaim tombstones at the top so the deadline check sees the event
-      // that would actually fire next (a cancelled entry inside the window
-      // must not smuggle a live event from beyond the deadline into Step).
-      PruneDeadTop(sh);
-      if (sh.heap.empty() || sh.heap.front().time > deadline) break;
-      StepLegacy();
-    }
-    if (sh.now < deadline) sh.now = deadline;
-    return;
-  }
   for (;;) {
-    Shard* best = NextCanonical();
-    if (best == nullptr || best->heap.front().time > deadline) break;
-    ExecTopCanonical(*best);
+    // Reclaim tombstones at the top so the deadline check sees the event
+    // that would actually fire next (a cancelled entry inside the window
+    // must not smuggle a live event from beyond the deadline into Step).
+    PruneDeadTop();
+    if (heap_.empty() || heap_.front().time > deadline) break;
+    Step();
   }
-  FinalizeNows(deadline);
-}
-
-void Simulator::FinalizeNows(SimTime deadline) {
-  for (auto& sp : shards_) {
-    if (sp->now < deadline) sp->now = deadline;
-  }
-  if (global_ != nullptr && global_->now < deadline) global_->now = deadline;
-  if (coordinator_now_ < deadline) coordinator_now_ = deadline;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel windowed engine
-// ---------------------------------------------------------------------------
-
-void Simulator::RunSharded(SimTime deadline, int threads) {
-  Check(sharded_, "RunSharded requires ConfigureShards");
-  Check(TlsCtx().sim != this, "RunSharded from inside an event");
-  if (threads < 1) threads = 1;
-  const uint32_t workers =
-      std::min(static_cast<uint32_t>(threads), ShardCount());
-  EnsurePool(workers - 1);
-  for (;;) {
-    DrainMailboxes();
-    // Scan for the minimal pending key per queue; this fixes the window.
-    // The bound accumulates the pairwise term per pending shard: shard s
-    // cannot emit a cross-shard event below next(s) + min_d L(s, d), so
-    // the window may extend to the min of those horizons — per-shard
-    // next keys AND per-pair lookahead, not one global scalar. With no
-    // matrix installed this reduces exactly to t0 + lookahead.
-    Shard* first = nullptr;
-    HeapKey shard_min{0, 0};
-    SimTime horizon = std::numeric_limits<SimTime>::max();
-    for (auto& sp : shards_) {
-      PruneDeadTop(*sp);
-      if (sp->heap.empty()) continue;
-      const HeapKey k{sp->heap.front().time, sp->heap.front().seq};
-      if (first == nullptr || k < shard_min) {
-        first = sp.get();
-        shard_min = k;
-      }
-      horizon = std::min(horizon, SatAdd(k.time, OutMinLa(sp->id)));
-    }
-    bool have_global = false;
-    HeapKey gk{0, 0};
-    if (global_ != nullptr) {
-      PruneDeadTop(*global_);
-      if (!global_->heap.empty()) {
-        have_global = true;
-        gk = HeapKey{global_->heap.front().time, global_->heap.front().seq};
-      }
-    }
-    if (first == nullptr && !have_global) break;
-    SimTime t0 = first != nullptr ? shard_min.time
-                                  : std::numeric_limits<SimTime>::max();
-    if (have_global && gk.time < t0) t0 = gk.time;
-    if (t0 > deadline) break;
-    // Window bound: a canonical KEY, not just a time — a pending global
-    // event splits the window exactly at its own stamp, so it observes
-    // every shard quiesced up to (and not past) its position in the
-    // canonical order.
-    HeapKey bound{horizon, 0};
-    if (have_global && gk < bound) bound = gk;
-    const HeapKey deadline_bound{SatAdd(deadline, 1), 0};
-    if (deadline_bound < bound) bound = deadline_bound;
-    if (first != nullptr && shard_min < bound) {
-      ExecuteWindow(bound, workers);
-      MergeWindowLogs();
-      ++engine_stats_.windows;
-      if (AURORA_METRICS_ON()) {
-        M().windows->Add(1);
-        AURORA_OBSERVE(M().window_span,
-                       static_cast<SimDuration>(
-                           std::min(bound.time, SatAdd(deadline, 1)) -
-                           shard_min.time));
-      }
-      const SimTime wnow = std::min(bound.time, deadline);
-      for (auto& sp : shards_) {
-        if (sp->now < wnow) sp->now = wnow;
-      }
-      if (global_ != nullptr && global_->now < wnow) global_->now = wnow;
-      if (coordinator_now_ < wnow) coordinator_now_ = wnow;
-      if (inspector_) inspector_();
-      continue;
-    }
-    // No shard work below the bound: the global event is next. Mails it
-    // sends (via worker-shard inserts) and the events those spawn are
-    // picked up by the rescan.
-    Check(have_global && gk.time <= deadline, "window scheduling invariant");
-    ExecTopCanonical(*global_);
-  }
-  FinalizeNows(deadline);
-}
-
-void Simulator::RunShardWindow(Shard& sh, HeapKey bound) {
-  ExecContext& tls = TlsCtx();
-  const ExecContext saved = tls;
-  tls = ExecContext{this, &sh};
-  for (;;) {
-    PruneDeadTop(sh);
-    if (sh.heap.empty()) break;
-    const HeapKey key{sh.heap.front().time, sh.heap.front().seq};
-    if (!(key < bound)) break;
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), HeapGreater{});
-    const HeapEntry entry = sh.heap.back();
-    sh.heap.pop_back();
-    Slot& slot = sh.slots[entry.slot];
-    sh.now = entry.time;
-    // Fingerprint/trace work is deferred to the barrier merge — the log
-    // keeps the canonical stream identical to a serial run while the hot
-    // loop stays shard-local.
-    sh.window_log.push_back(
-        ExecRecord{entry.time, entry.seq, slot.digest, slot.label});
-    SimCallback fn = std::move(slot.fn);
-    ReleaseSlot(sh, entry.slot);
-    --sh.live;
-    fn();
-  }
-  tls = saved;
-  if (sh.out_pending != 0) {
-    // One release publish for the whole window's cross-shard batch; the
-    // barrier drain's acquire load pairs with it.
-    sh.out_published.store(sh.out_pending, std::memory_order_release);
-  }
-}
-
-void Simulator::ExecuteWindow(HeapKey bound, uint32_t workers) {
-  // Even the single-threaded window marks workers active: cross-shard
-  // schedules must go through mailboxes mid-window regardless of worker
-  // count, or same-timestamp events could merge in a round-dependent
-  // order (the mailbox defers them to the barrier, where the drain order
-  // is canonical).
-  if (workers <= 1 || pool_ == nullptr) {
-    workers_active_.store(true, std::memory_order_relaxed);
-    for (auto& sp : shards_) RunShardWindow(*sp, bound);
-    workers_active_.store(false, std::memory_order_relaxed);
-    return;
-  }
-  Pool& p = *pool_;
-  uint64_t round;
-  {
-    std::lock_guard<std::mutex> lock(p.mu);
-    p.bound = bound;
-    p.done_shards = 0;
-    p.active_shards.store(static_cast<uint32_t>(shards_.size()),
-                          std::memory_order_relaxed);
-    workers_active_.store(true, std::memory_order_relaxed);
-    round = ++p.round;
-    // Re-tag the claim cursor with the new round. A worker finishing the
-    // previous round performs one more claim attempt before re-waiting on
-    // cv_start, without holding mu; its CAS requires the old round tag
-    // and therefore fails against this word, so ONLY threads that
-    // observed the round broadcast under mu (and hence every round-setup
-    // write above, plus the coordinator's barrier-phase mutations of the
-    // shard heaps/slabs sequenced before them) can claim a shard of this
-    // round.
-    p.claim.store(round << kClaimIndexBits, std::memory_order_release);
-  }
-  p.cv_start.notify_all();
-  ProcessWindowShards(round);  // the coordinator is worker 0
-  {
-    std::unique_lock<std::mutex> lock(p.mu);
-    p.cv_done.wait(lock, [&p] {
-      return p.done_shards == p.active_shards.load(std::memory_order_relaxed);
-    });
-    workers_active_.store(false, std::memory_order_relaxed);
-  }
-}
-
-void Simulator::ProcessWindowShards(uint64_t round) {
-  Pool& p = *pool_;
-  const uint32_t n = p.active_shards.load(std::memory_order_relaxed);
-  const uint64_t tag = round << kClaimIndexBits;
-  for (;;) {
-    uint64_t cur = p.claim.load(std::memory_order_acquire);
-    uint32_t index;
-    for (;;) {
-      // A claim is valid only while the word still carries our round tag:
-      // a straggler from an earlier round observes a foreign tag here and
-      // leaves without touching any shard of a round it never
-      // synchronized with.
-      if ((cur & ~kClaimIndexMask) != tag) return;
-      index = static_cast<uint32_t>(cur & kClaimIndexMask);
-      if (index >= n) return;
-      if (p.claim.compare_exchange_weak(cur, cur + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        break;
-      }
-    }
-    RunShardWindow(*shards_[index], p.bound);
-    std::lock_guard<std::mutex> lock(p.mu);
-    if (++p.done_shards == n) p.cv_done.notify_all();
-  }
-}
-
-void Simulator::WorkerMain() {
-  Pool& p = *pool_;
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(p.mu);
-      p.cv_start.wait(lock, [&] { return p.shutdown || p.round != seen; });
-      if (p.shutdown) return;
-      seen = p.round;
-    }
-    ProcessWindowShards(seen);
-  }
-}
-
-void Simulator::EnsurePool(uint32_t worker_threads) {
-  if (worker_threads == 0) return;
-  if (pool_ != nullptr && pool_->threads.size() == worker_threads) return;
-  StopPool();
-  pool_ = std::make_unique<Pool>();
-  pool_->threads.reserve(worker_threads);
-  for (uint32_t i = 0; i < worker_threads; ++i) {
-    pool_->threads.emplace_back([this] { WorkerMain(); });
-  }
-}
-
-void Simulator::StopPool() {
-  if (pool_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_->mu);
-    pool_->shutdown = true;
-  }
-  pool_->cv_start.notify_all();
-  for (auto& t : pool_->threads) t.join();
-  pool_.reset();
-}
-
-void Simulator::DrainMailboxes() {
-  uint64_t batches = 0;
-  uint64_t msgs = 0;
-  for (auto& sp : shards_) {
-    Shard& src = *sp;
-    if (src.out_published.load(std::memory_order_acquire) == 0 &&
-        src.out_pending == 0) {
-      continue;
-    }
-    // Heap order is by canonical key, so the fixed src-major drain order
-    // has no semantic weight — each mail sorts to its stamped position.
-    // The sender's stamp base is hoisted per source and OR'd over the
-    // batch (amortized stamping); digests are computed on insertion, same
-    // as any schedule.
-    const uint64_t base = src.stamp_base;
-    for (size_t d = 0; d < src.outbox.size(); ++d) {
-      std::vector<Mail>& batch = src.outbox[d];
-      if (batch.empty()) continue;
-      Shard& dst = *shards_[d];
-      for (auto& mail : batch) {
-        InsertEvent(dst, mail.time, base | mail.counter, std::move(mail.fn),
-                    mail.label);
-      }
-      msgs += batch.size();
-      ++batches;
-      batch.clear();
-    }
-    src.out_pending = 0;
-    src.out_published.store(0, std::memory_order_relaxed);
-  }
-  if (msgs != 0) {
-    engine_stats_.mailbox_batches += batches;
-    engine_stats_.mailbox_msgs += msgs;
-    if (AURORA_METRICS_ON()) {
-      M().mailbox_batches->Add(batches);
-      M().mailbox_msgs->Add(msgs);
-    }
-  }
-}
-
-void Simulator::MergeWindowLogs() {
-  // K-way merge of per-shard execution logs by head key, preserving each
-  // shard's internal execution order. This equals the canonical serial
-  // order: a shard's log head is exactly the event serial execution would
-  // pick next from that shard (delay-0 children enter the log only after
-  // their parent), so greedy min-over-heads == greedy min-over-pending.
-  const bool observe = trace_out_ != nullptr || replay_ != nullptr;
-  const size_t n = shards_.size();
-  size_t cursor[kMaxShards];
-  size_t remaining = 0;
-  for (size_t i = 0; i < n; ++i) {
-    cursor[i] = 0;
-    remaining += shards_[i]->window_log.size();
-  }
-  while (remaining > 0) {
-    size_t best = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (cursor[i] >= shards_[i]->window_log.size()) continue;
-      if (best == n) {
-        best = i;
-        continue;
-      }
-      const ExecRecord& a = shards_[i]->window_log[cursor[i]];
-      const ExecRecord& b = shards_[best]->window_log[cursor[best]];
-      if (HeapKey{a.time, a.seq} < HeapKey{b.time, b.seq}) best = i;
-    }
-    const ExecRecord& r = shards_[best]->window_log[cursor[best]++];
-    ++executed_;
-    fingerprint_ = Trace::MixFingerprint(fingerprint_, r.digest);
-    if (observe) ObserveExecuted(r.time, r.label, r.digest);
-    --remaining;
-  }
-  for (auto& sp : shards_) sp->window_log.clear();
-}
-
-size_t Simulator::PendingEvents() const {
-  size_t pending = 0;
-  for (const auto& sp : shards_) pending += sp->live;
-  if (global_ != nullptr) pending += global_->live;
-  return pending;
-}
-
-size_t Simulator::HeapEntriesForTest() const {
-  size_t total = 0;
-  for (const auto& sp : shards_) total += sp->heap.size();
-  if (global_ != nullptr) total += global_->heap.size();
-  return total;
-}
-
-size_t Simulator::DeadHeapEntriesForTest() const {
-  size_t total = 0;
-  for (const auto& sp : shards_) total += sp->dead_in_heap;
-  if (global_ != nullptr) total += global_->dead_in_heap;
-  return total;
+  if (now_ < deadline) now_ = deadline;
 }
 
 }  // namespace aurora::sim

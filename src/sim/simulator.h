@@ -1,5 +1,4 @@
-// Deterministic discrete-event simulator with an optional sharded
-// parallel engine.
+// Deterministic discrete-event simulator.
 //
 // This is the substrate that replaces the paper's multi-AZ AWS testbed. All
 // protocol components run as callbacks on a virtual clock; identical seeds
@@ -11,31 +10,14 @@
 // 24-byte (time, seq, slot, generation) keys, and EventId encodes the slot
 // index plus a generation tag so Cancel() and liveness checks are O(1)
 // array operations — no per-event hash-set bookkeeping, and heap sifts
-// never move closures.
-//
-// Sharded mode (DESIGN.md §9): ConfigureShards(n) partitions the event
-// population into n shards, each with its own slab + heap + clock. Events
-// carry a canonical (time, stamp) key where stamp = (scheduling context
-// << 48) | per-context counter; the canonical total order over these keys
-// is what both the serial oracle (Step/Run/RunUntil, which always executes
-// the globally minimal key) and the parallel engine (RunSharded: conserva-
-// tive time windows bounded by the pairwise lookahead matrix, batched
-// per-(src,dst) outboxes published once per window at the barrier,
-// canonical merge of per-shard execution logs) follow, so
-// serial and parallel runs produce identical schedule fingerprints for any
-// worker count. With a single shard the engine is bit-identical to the
-// classic unsharded engine: same stamps, same order, same EventIds.
+// never move closures. One slab, one heap, one clock and one (time, seq)
+// counter: the loop is serial by design.
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/random.h"
@@ -46,30 +28,15 @@
 namespace aurora::sim {
 
 /// Identifies a scheduled event; usable with Cancel(). Encodes
-/// (generation << 32) | (shard tag << 24) | (slot index + 1); the
-/// generation tag makes a stale id (already fired or cancelled) a harmless
-/// no-op. In unsharded mode the shard tag is 0, so ids are bit-identical
-/// to the pre-sharding encoding.
+/// (generation << 32) | (slot index + 1); the generation tag makes a stale
+/// id (already fired or cancelled) a harmless no-op.
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
-
-/// Identifies an event shard (a worker-owned slab + heap + clock). Derived
-/// from the event's target actor at schedule time — the Network maps nodes
-/// to shards, so a message delivery executes on its destination's shard.
-using ShardKey = uint32_t;
-/// "Not executing on any worker shard" (coordinator / external context).
-inline constexpr ShardKey kShardNone = 0xffffffffu;
-/// Shard-tag byte reserved for the global (barrier-serialized) queue.
-inline constexpr uint32_t kGlobalShardTag = 0xff;
-/// Worker shards must fit the EventId shard-tag byte below the global tag.
-inline constexpr uint32_t kMaxShards = 200;
 
 /// Event loop over virtual microseconds.
 ///
 /// Events at equal timestamps run in scheduling order (FIFO), which keeps
-/// executions deterministic without artificial tie-breaking jitter. In
-/// sharded mode the FIFO tie-break is per scheduling context (see file
-/// comment); with one shard that degenerates to the classic global FIFO.
+/// executions deterministic without artificial tie-breaking jitter.
 class Simulator {
  public:
   explicit Simulator(uint64_t seed = 1);
@@ -77,49 +44,24 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  ~Simulator();
+  /// Virtual now.
+  SimTime Now() const { return now_; }
 
-  /// Virtual now, as seen by the calling context: inside an event this is
-  /// the executing shard's clock; outside it is the coordinator clock (the
-  /// maximum time any shard has reached).
-  SimTime Now() const;
-
-  /// Schedules `fn` to run at Now() + delay (delay >= 0) on the calling
-  /// context's shard (events inherit their scheduler's shard; external
-  /// callers target shard 0 unless inside a ShardScope). `label` names the
-  /// schedule site in captured traces (must be a string literal or outlive
-  /// the event); unlabeled events trace as "".
+  /// Schedules `fn` to run at Now() + delay (delay >= 0). `label` names
+  /// the schedule site in captured traces (must be a string literal or
+  /// outlive the event); unlabeled events trace as "".
   EventId Schedule(SimDuration delay, SimCallback fn, const char* label = "");
 
   /// Schedules at an absolute virtual time (>= Now()).
   EventId ScheduleAt(SimTime when, SimCallback fn, const char* label = "");
 
-  /// Schedules onto a specific shard. Same-shard calls are the plain
-  /// Schedule fast path. Cross-shard calls require delay >= lookahead (the
-  /// conservative-synchronization contract); during a parallel window they
-  /// travel via the destination shard's mailbox and return kInvalidEvent
-  /// (cross-shard events cannot be cancelled).
-  EventId ScheduleOn(ShardKey shard, SimDuration delay, SimCallback fn,
-                     const char* label = "");
-
-  /// Schedules a global event: it executes on the coordinator at an exact-
-  /// key barrier with every worker shard quiesced up to its (time, stamp)
-  /// key, so it may touch cross-shard state (node liveness, partitions)
-  /// race-free and deterministically. With zero or one worker shards this
-  /// is plain Schedule (bit-identical legacy behavior).
-  EventId ScheduleGlobal(SimDuration delay, SimCallback fn,
-                         const char* label = "");
-  EventId ScheduleGlobalAt(SimTime when, SimCallback fn,
-                           const char* label = "");
-
   /// Best-effort cancellation; a no-op if already fired or unknown. The
   /// callback (and everything it captured) is destroyed immediately — a
   /// cancelled far-future event does not pin its captures until the heap
-  /// entry surfaces. During a parallel window only the owning shard may
-  /// cancel its own events.
+  /// entry surfaces.
   void Cancel(EventId id);
 
-  /// Runs until the event queue is empty (canonical serial order).
+  /// Runs until the event queue is empty.
   void Run();
 
   /// Runs all events with timestamp <= deadline; clock lands on deadline.
@@ -128,110 +70,19 @@ class Simulator {
   /// Runs for `duration` of virtual time from Now().
   void RunFor(SimDuration duration) { RunUntil(Now() + duration); }
 
-  /// Executes the single next event in canonical order. Returns false if
-  /// the queue is empty.
+  /// Executes the single next event. Returns false if the queue is empty.
   bool Step();
-
-  // -- Sharded parallel engine (DESIGN.md §9) -----------------------------
-
-  /// Splits the engine into `count` worker shards plus a global queue.
-  /// Must be called before anything is scheduled. count == 1 keeps the
-  /// execution bit-identical to the unsharded engine while exercising the
-  /// sharded machinery (the determinism oracle for parallel mode).
-  void ConfigureShards(uint32_t count);
-  bool Sharded() const { return sharded_; }
-  uint32_t ShardCount() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
-
-  /// Conservative lookahead: the minimum cross-shard scheduling delay
-  /// (derive from Network::MinCrossNodeLatency). Windows span
-  /// [W, W + lookahead); larger lookahead means fewer barriers. Resets any
-  /// pairwise matrix back to this uniform bound.
-  void SetLookahead(SimDuration lookahead);
-  SimDuration Lookahead() const { return lookahead_; }
-
-  /// Pairwise lookahead matrix (DESIGN.md §9): the guaranteed minimum
-  /// delay of any cross-shard ScheduleOn from `src` to `dst`. Entries
-  /// default to the scalar lookahead; raising an entry above it is legal
-  /// only if every schedule path between the pair really observes the
-  /// larger bound (the Network derives entries from per-link-class latency
-  /// floors, which its sends honor by construction). A shard's window
-  /// bound becomes `min over dst of (own next key + L(src, dst))` taken
-  /// across all pending shards, so shards whose mutual traffic is slow —
-  /// e.g. cross-AZ-only storage pairs — stop throttling the window to the
-  /// tightest link in the whole fleet. Barrier-only; src != dst.
-  void SetPairwiseLookahead(ShardKey src, ShardKey dst, SimDuration bound);
-  SimDuration PairwiseLookahead(ShardKey src, ShardKey dst) const;
-
-  /// The minimum safe cross-shard delay from the calling context's shard
-  /// to `dst` — what a cross-shard hop (e.g. the object store's home-shard
-  /// hop) must use instead of the scalar Lookahead() once a pairwise
-  /// matrix is active. Falls back to the scalar for context-less callers
-  /// and same-shard targets.
-  SimDuration LookaheadTo(ShardKey dst) const;
-
-  /// Window-engine efficiency counters (mirrored into the metrics
-  /// registry as aurora.sim.* when metrics are enabled). `windows` counts
-  /// executed parallel windows (== barriers); `mailbox_batches` counts
-  /// non-empty (src, dst) outbox arenas flushed at barriers and
-  /// `mailbox_msgs` the cross-shard events they carried.
-  struct EngineStats {
-    uint64_t windows = 0;
-    uint64_t mailbox_batches = 0;
-    uint64_t mailbox_msgs = 0;
-  };
-  const EngineStats& engine_stats() const { return engine_stats_; }
-  void ResetEngineStats() { engine_stats_ = EngineStats{}; }
-
-  /// Runs all events with timestamp <= deadline through the windowed
-  /// engine with `threads` workers (clamped to [1, ShardCount()]). The
-  /// result — schedule fingerprint, executed count, per-actor state — is
-  /// identical for every thread count, and identical to serial
-  /// RunUntil(deadline) on the same sharded simulator. Not reentrant; must
-  /// not be called from inside an event.
-  void RunSharded(SimTime deadline, int threads);
-  void RunShardedFor(SimDuration duration, int threads) {
-    RunSharded(Now() + duration, threads);
-  }
-
-  /// Shard of the currently executing event, or kShardNone when called
-  /// outside worker-shard execution (coordinator, global event, external).
-  ShardKey ExecutingShard() const;
-
-  /// True while a parallel window is in flight (workers executing).
-  bool WorkersActive() const {
-    return workers_active_.load(std::memory_order_relaxed);
-  }
-
-  /// Redirects context-less scheduling (external callers, lifecycle
-  /// listeners running in global events) to a specific shard for the
-  /// scope's lifetime, so actor setup/rearm timers land on the actor's
-  /// shard. Coordinator-context only; nestable; a no-op when targeting
-  /// shard 0 (the default).
-  class ShardScope {
-   public:
-    ShardScope(Simulator* sim, ShardKey shard);
-    ~ShardScope();
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-
-   private:
-    Simulator* sim_;
-    int64_t saved_;
-  };
 
   /// Number of scheduled events that will still fire (cancelled events are
   /// excluded, whether or not their heap entry has been reclaimed).
-  size_t PendingEvents() const;
+  size_t PendingEvents() const { return live_; }
   uint64_t ExecutedEvents() const { return executed_; }
 
   /// Running FNV-1a digest over every executed event (time + label), in
-  /// canonical execution order. Two runs with equal fingerprints executed
-  /// the same event schedule; see Trace::MixFingerprint. Always maintained
-  /// (one short hash per event), so any pair of runs can be compared after
-  /// the fact without having armed anything up front. Parallel windows mix
-  /// at the barrier, in canonical merge order — equal to the serial order.
+  /// execution order. Two runs with equal fingerprints executed the same
+  /// event schedule; see Trace::MixFingerprint. Always maintained (one
+  /// short hash per event), so any pair of runs can be compared after the
+  /// fact without having armed anything up front.
   uint64_t ScheduleFingerprint() const { return fingerprint_; }
 
   // -- Trace capture & replay verification (src/sim/trace.h) --------------
@@ -242,9 +93,7 @@ class Simulator {
   // not serializable — the caller re-runs the same seeded scenario and the
   // simulator proves the schedules identical (or reports the first
   // divergence). Recording and replay-checking may be active together
-  // (e.g. re-capturing while verifying). In parallel mode both observe the
-  // canonical merge order at window barriers, so captures are comparable
-  // across serial and parallel runs.
+  // (e.g. re-capturing while verifying).
 
   /// Starts appending executed events to `out` (not owned; must outlive
   /// recording). Passing nullptr stops recording.
@@ -275,9 +124,7 @@ class Simulator {
   /// executed event (n >= 1). The invariant auditor hangs off this hook so
   /// it can observe the cluster at real event boundaries — between any two
   /// events the system must be in a protocol-legal state. The inspector
-  /// must not schedule events or mutate actor state. In parallel mode the
-  /// inspector runs at window barriers instead (between windows the system
-  /// is likewise quiesced); cross-shard inspection mid-window would race.
+  /// must not schedule events or mutate actor state.
   void SetInspector(uint64_t every_n, std::function<void()> fn) {
     inspect_every_ = every_n == 0 ? 1 : every_n;
     inspector_ = std::move(fn);
@@ -285,10 +132,10 @@ class Simulator {
   void ClearInspector() { inspector_ = nullptr; }
 
   // -- Introspection for engine tests (not part of the public contract) ---
-  /// Heap entries currently held, live and tombstoned alike (all shards).
-  size_t HeapEntriesForTest() const;
+  /// Heap entries currently held, live and tombstoned alike.
+  size_t HeapEntriesForTest() const { return heap_.size(); }
   /// Tombstoned (cancelled but not yet reclaimed) heap entries.
-  size_t DeadHeapEntriesForTest() const;
+  size_t DeadHeapEntriesForTest() const { return dead_in_heap_; }
 
  private:
   /// Slab slot: callback plus the trace identity of the scheduled event.
@@ -306,7 +153,7 @@ class Simulator {
   /// Compact heap key: 24 bytes, no closure movement during sifts.
   struct HeapEntry {
     SimTime time;
-    uint64_t seq;    // canonical stamp: (context << 48) | counter
+    uint64_t seq;  // scheduling order; breaks timestamp ties FIFO
     uint32_t slot;
     uint32_t generation;
   };
@@ -317,149 +164,24 @@ class Simulator {
     }
   };
 
-  /// Canonical order key; windows are bounded by a key, not just a time,
-  /// so a global event splits a window exactly at its own stamp.
-  struct HeapKey {
-    SimTime time;
-    uint64_t seq;
-    bool operator<(const HeapKey& o) const {
-      if (time != o.time) return time < o.time;
-      return seq < o.seq;
-    }
-  };
-
-  /// One executed event in a shard's window log; merged canonically (by
-  /// key across shard heads, preserving per-shard execution order) into
-  /// the fingerprint/trace stream at the barrier.
-  struct ExecRecord {
-    SimTime time;
-    uint64_t seq;
-    uint64_t digest;
-    const char* label;
-  };
-
-  /// Cross-shard event in flight: accumulated in the sender's per-
-  /// destination outbox arena, integrated into the destination heap at the
-  /// next barrier. Only the low stamp-counter bits travel; the sender's
-  /// (context << 48) stamp base is OR'd back in per batch at the flush,
-  /// and the digest is computed on insertion, same as any schedule.
-  struct Mail {
-    SimTime time;
-    uint64_t counter;  // per-context stamp counter (base applied at flush)
-    const char* label;
-    SimCallback fn;
-  };
-
-  /// One event shard: slab + heap + clock + stamp counter. Cross-shard
-  /// sends batch into `outbox[dst]` — written only by the worker that owns
-  /// this shard's window, so no per-message lock — and are published once
-  /// per window with a single release store of `out_published`, which the
-  /// coordinator's barrier drain acquires. The global queue reuses the
-  /// same structure (outboxes unused: global-event sends insert directly
-  /// while workers are quiesced).
-  struct Shard {
-    uint32_t id = 0;         // worker index, or kGlobalShardTag
-    uint64_t stamp_base = 0; // (context id << 48), precomputed
-    SimTime now = 0;
-    uint64_t counter = 0;    // per-context stamp counter
-    std::vector<Slot> slots;
-    uint32_t free_head = 0;  // index + 1; 0 = empty freelist
-    size_t live = 0;
-    std::vector<HeapEntry> heap;
-    size_t dead_in_heap = 0;
-    std::vector<ExecRecord> window_log;
-    std::vector<std::vector<Mail>> outbox;  // one arena per dst shard
-    uint64_t out_pending = 0;               // mails queued this window
-    std::atomic<uint64_t> out_published{0};
-  };
-
-  struct Pool;  // worker thread pool (simulator.cc)
-
-  /// Per-thread executing context: which simulator + shard the current
-  /// event (if any) belongs to. Thread-local so worker threads resolve
-  /// Now()/Schedule against their own shard with no synchronization.
-  struct ExecContext {
-    Simulator* sim = nullptr;
-    Shard* shard = nullptr;
-  };
-  static ExecContext& TlsCtx() {
-    static thread_local ExecContext ctx;
-    return ctx;
+  uint32_t AllocSlot();
+  void ReleaseSlot(uint32_t index);
+  bool SlotLive(const HeapEntry& e) const {
+    return slots_[e.slot].generation == e.generation;
   }
-
-  uint32_t AllocSlot(Shard& sh);
-  void ReleaseSlot(Shard& sh, uint32_t index);
-  static bool SlotLive(const Shard& sh, const HeapEntry& e) {
-    return sh.slots[e.slot].generation == e.generation;
-  }
-  void CompactHeap(Shard& sh);
-  void PruneDeadTop(Shard& sh);
-
-  /// Inserts a fully stamped event into `dst`'s heap. Cold-path cross-
-  /// shard inserts verify when >= dst.now.
-  EventId InsertEvent(Shard& dst, SimTime when, uint64_t seq, SimCallback fn,
-                      const char* label);
-  uint64_t MakeStamp(Shard& ctx) { return ctx.stamp_base | ctx.counter++; }
-
-  /// Coordinator clock: the maximum virtual time any context has reached.
-  SimTime CoordinatorNow() const { return coordinator_now_; }
-  Shard& ScheduleTargetForExternal();
-
-  bool StepLegacy();
-  bool StepSharded();
-  /// Prunes tombstones and returns the queue holding the canonically
-  /// minimal pending event (worker shards + global), or nullptr if empty.
-  Shard* NextCanonical();
-  /// Pops and runs `sh`'s top event in coordinator context (serial modes
-  /// and global-event barriers): mixes the fingerprint inline.
-  void ExecTopCanonical(Shard& sh);
-  void FinalizeNows(SimTime deadline);
-
-  // Parallel window machinery (all coordinator-side unless noted).
-  void DrainMailboxes();
-  void ExecuteWindow(HeapKey bound, uint32_t workers);
-  void RunShardWindow(Shard& sh, HeapKey bound);  // worker-side
-  void MergeWindowLogs();
-  void EnsurePool(uint32_t worker_threads);
-  void StopPool();
-  void WorkerMain();
-  void ProcessWindowShards(uint64_t round);
-
-  /// Hot-path matrix lookup; degenerates to the scalar when no matrix has
-  /// been installed (the common, legacy configuration).
-  SimDuration PairLa(uint32_t src, uint32_t dst) const {
-    return pair_la_.empty() ? lookahead_
-                            : pair_la_[src * shards_.size() + dst];
-  }
-  /// Per-src outgoing minimum over the matrix row (window-bound term).
-  SimDuration OutMinLa(uint32_t src) const {
-    return pair_la_.empty() ? lookahead_ : out_min_la_[src];
-  }
-  void RecomputeOutMinRow(uint32_t src);
-
+  void CompactHeap();
+  void PruneDeadTop();
+  EventId InsertEvent(SimTime when, SimCallback fn, const char* label);
   void ObserveExecuted(SimTime at, const char* label, uint64_t digest);
 
+  SimTime now_ = 0;
+  uint64_t seq_ = 0;
   uint64_t executed_ = 0;
-  bool sharded_ = false;
-  SimDuration lookahead_ = 1;
-  /// Pairwise lookahead matrix, row-major [src * N + dst]; empty until the
-  /// first SetPairwiseLookahead call (uniform scalar mode).
-  std::vector<SimDuration> pair_la_;
-  /// Cached per-src row minima over dst != src (window-bound terms).
-  std::vector<SimDuration> out_min_la_;
-  EngineStats engine_stats_;
-  SimTime coordinator_now_ = 0;
-  /// Context-less schedule target (ShardScope); -1 = default (shard 0 for
-  /// external callers, the global queue for global-event context).
-  int64_t scoped_shard_ = -1;
-  std::atomic<bool> workers_active_{false};
-
-  /// Worker shards; always at least one. shards_[0] doubles as the
-  /// unsharded engine's single queue.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Barrier-serialized global queue; null until ConfigureShards(>= 2).
-  std::unique_ptr<Shard> global_;
-  std::unique_ptr<Pool> pool_;
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = 0;  // index + 1; 0 = empty freelist
+  size_t live_ = 0;
+  std::vector<HeapEntry> heap_;
+  size_t dead_in_heap_ = 0;
 
   Rng rng_;
   uint64_t inspect_every_ = 1;

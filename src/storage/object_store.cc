@@ -7,44 +7,14 @@ namespace aurora::storage {
 ObjectStore::ObjectStore(sim::Simulator* sim, ObjectStoreOptions options)
     : sim_(sim), options_(options), rng_(sim->rng().Fork()) {}
 
-// Put/Get from a foreign worker shard hop to the home shard first and
-// deliver the completion back on the caller's shard, so the archive state
-// mutates on exactly one event stream. Same-shard and context-less calls
-// take the direct path, which is bit-identical to the pre-sharding object
-// store (same rng draws, same stamps: ScheduleOn's same-shard / external
-// paths degenerate to plain Schedule). Context-less callers (external
-// drivers, global events) only ever run between windows or at barriers, so
-// their entry-side rng draw / counter bump cannot race; the archive
-// mutation itself is pinned by scheduling it explicitly on home_shard_
-// below, whatever the ambient context or ShardScope.
-
 void ObjectStore::Put(ArchiveKey pg,
                       std::vector<log::RedoRecord> records,
                       std::function<void(Lsn)> done) {
-  const sim::ShardKey caller = sim_->ExecutingShard();
-  if (caller != sim::kShardNone && caller != home_shard_) {
-    auto shared =
-        std::make_shared<std::vector<log::RedoRecord>>(std::move(records));
-    sim_->ScheduleOn(
-        home_shard_, sim_->LookaheadTo(home_shard_),
-        [this, pg, shared, caller, done = std::move(done)]() mutable {
-          DoPut(pg, std::move(*shared), std::move(done), caller);
-        },
-        "objstore.put_hop");
-    return;
-  }
-  DoPut(pg, std::move(records), std::move(done), caller);
-}
-
-void ObjectStore::DoPut(ArchiveKey pg,
-                        std::vector<log::RedoRecord> records,
-                        std::function<void(Lsn)> done, sim::ShardKey caller) {
   puts_++;
   const SimDuration latency = options_.put_latency.Sample(rng_);
   auto shared =
       std::make_shared<std::vector<log::RedoRecord>>(std::move(records));
-  sim_->ScheduleOn(home_shard_, latency, [this, pg, shared, caller,
-                                          done = std::move(done)]() mutable {
+  sim_->Schedule(latency, [this, pg, shared, done = std::move(done)]() {
     Lsn max_lsn = kInvalidLsn;
     auto& pg_archive = archive_[pg];
     for (auto& record : *shared) {
@@ -52,39 +22,15 @@ void ObjectStore::DoPut(ArchiveKey pg,
       auto [it, inserted] = pg_archive.emplace(record.lsn, std::move(record));
       if (inserted) bytes_stored_ += it->second.SerializedSize();
     }
-    if (caller != sim::kShardNone && caller != home_shard_) {
-      sim_->ScheduleOn(
-          caller, sim_->LookaheadTo(caller),
-          [done = std::move(done), max_lsn]() { done(max_lsn); },
-          "objstore.put_done");
-      return;
-    }
     done(max_lsn);
   });
 }
 
 void ObjectStore::Get(ArchiveKey pg, Lsn lo, Lsn hi,
                       std::function<void(std::vector<log::RedoRecord>)> done) {
-  const sim::ShardKey caller = sim_->ExecutingShard();
-  if (caller != sim::kShardNone && caller != home_shard_) {
-    sim_->ScheduleOn(
-        home_shard_, sim_->LookaheadTo(home_shard_),
-        [this, pg, lo, hi, caller, done = std::move(done)]() mutable {
-          DoGet(pg, lo, hi, std::move(done), caller);
-        },
-        "objstore.get_hop");
-    return;
-  }
-  DoGet(pg, lo, hi, std::move(done), caller);
-}
-
-void ObjectStore::DoGet(ArchiveKey pg, Lsn lo, Lsn hi,
-                        std::function<void(std::vector<log::RedoRecord>)> done,
-                        sim::ShardKey caller) {
   gets_++;
   const SimDuration latency = options_.get_latency.Sample(rng_);
-  sim_->ScheduleOn(home_shard_, latency, [this, pg, lo, hi, caller,
-                                          done = std::move(done)]() mutable {
+  sim_->Schedule(latency, [this, pg, lo, hi, done = std::move(done)]() {
     std::vector<log::RedoRecord> out;
     auto it = archive_.find(pg);
     if (it != archive_.end()) {
@@ -92,15 +38,6 @@ void ObjectStore::DoGet(ArchiveKey pg, Lsn lo, Lsn hi,
            rec != it->second.end() && rec->first <= hi; ++rec) {
         out.push_back(rec->second);
       }
-    }
-    if (caller != sim::kShardNone && caller != home_shard_) {
-      auto shared =
-          std::make_shared<std::vector<log::RedoRecord>>(std::move(out));
-      sim_->ScheduleOn(
-          caller, sim_->LookaheadTo(caller),
-          [done = std::move(done), shared]() { done(std::move(*shared)); },
-          "objstore.get_done");
-      return;
     }
     done(std::move(out));
   });

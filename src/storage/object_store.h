@@ -34,17 +34,6 @@ class ObjectStore {
  public:
   ObjectStore(sim::Simulator* sim, ObjectStoreOptions options = {});
 
-  /// Pins the archive's state (maps, rng, counters) to one simulator
-  /// shard. Calls from other worker shards hop there (one pairwise
-  /// lookahead each way — Simulator::LookaheadTo sizes the hop to the
-  /// caller's (shard, home) matrix entry — dwarfed by the tens-of-ms
-  /// archive latencies); context-less
-  /// callers (external drivers, global events) run only between windows or
-  /// at barriers and their archive mutation is scheduled onto the home
-  /// shard regardless of ambient context — so parallel windows never touch
-  /// the archive concurrently. Call during cluster setup.
-  void SetHomeShard(sim::ShardKey shard) { home_shard_ = shard; }
-
   /// Archives `records` for `key`; `done(highest_lsn_archived)` runs after
   /// simulated upload latency. Records become visible at completion.
   void Put(ArchiveKey key, std::vector<log::RedoRecord> records,
@@ -63,15 +52,8 @@ class ObjectStore {
   uint64_t gets() const { return gets_; }
 
  private:
-  void DoPut(ArchiveKey key, std::vector<log::RedoRecord> records,
-             std::function<void(Lsn)> done, sim::ShardKey caller);
-  void DoGet(ArchiveKey key, Lsn lo, Lsn hi,
-             std::function<void(std::vector<log::RedoRecord>)> done,
-             sim::ShardKey caller);
-
   sim::Simulator* sim_;
   ObjectStoreOptions options_;
-  sim::ShardKey home_shard_ = 0;
   Rng rng_;
   std::map<ArchiveKey, std::map<Lsn, log::RedoRecord>> archive_;
   uint64_t bytes_stored_ = 0;

@@ -1,13 +1,7 @@
-// StorageNode: one storage server's actor. Under the sharded event
-// engine the node's entire event stream (deliveries, disk completions,
-// background timers) runs on the shard the cluster assigned it —
-// per-AZ, or its own shard under ShardGranularity::kPerNode. Every
-// peer interaction here (gossip, hydration, scrub repair fetches) goes
-// through sim::UnaryCall / Network::Send, never a direct call into
-// another node, so per-node residency introduces no cross-shard data
-// races: cross-node traffic crosses shards only as network messages,
-// each bounded below by its link class's hop floor and hence by the
-// pairwise lookahead matrix entry for the shard pair.
+// StorageNode: one storage server's actor. Every peer interaction here
+// (gossip, hydration, scrub repair fetches) goes through sim::UnaryCall /
+// Network::Send, never a direct call into another node, so peer traffic
+// pays link latency and honours partitions and liveness.
 
 #include "src/storage/storage_node.h"
 

@@ -334,8 +334,8 @@ TEST(IntervalSet, RandomizedModelCheck) {
 }
 
 // ---------------------------------------------------------------------- //
-// Metrics registry under concurrent recording (parallel simulator shards
-// share handles; counters must not drop increments).
+// Metrics registry under concurrent recording (threads share handles;
+// counters must not drop increments).
 
 TEST(Metrics, ConcurrentRecordingLosesNothing) {
   auto& registry = metrics::Registry::Global();

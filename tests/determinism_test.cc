@@ -23,12 +23,11 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-RunFingerprint RunScenario(uint64_t seed, uint32_t event_shards = 0) {
+RunFingerprint RunScenario(uint64_t seed) {
   core::AuroraOptions options;
   options.seed = seed;
   options.blocks_per_pg = 1 << 16;
   options.storage_nodes_per_az = 3;
-  options.event_shards = event_shards;
   core::AuroraCluster cluster(options);
   EXPECT_TRUE(cluster.StartBlocking().ok());
   // A scenario touching most subsystems: writes, a node crash, a
@@ -91,22 +90,6 @@ TEST(Determinism, MatchesPreZeroCopyGoldenFingerprint) {
   // Schedule fingerprint over every executed (time, label) pair, captured
   // from the tree BEFORE the slab event-engine rewrite (PR 5). The engine
   // overhaul must not reorder, add, or drop a single event.
-  EXPECT_EQ(fp.schedule_fingerprint, 7622140960106289882ULL);
-}
-
-TEST(Determinism, ShardedOracleMatchesGoldenFingerprint) {
-  // The sharded engine with ONE shard (event_shards = 1) is the
-  // determinism oracle for parallel mode (DESIGN.md §9): same stamps,
-  // same canonical order, same EventIds — so it must reproduce the exact
-  // golden constants of the classic engine, fingerprint included.
-  const RunFingerprint fp = RunScenario(12345, /*event_shards=*/1);
-  EXPECT_EQ(fp.vcl, 1073742055u);
-  EXPECT_EQ(fp.vdl, 1073742055u);
-  EXPECT_EQ(fp.epoch, 2u);
-  EXPECT_EQ(fp.commits, 60u);
-  EXPECT_EQ(fp.end_time, 692849);
-  EXPECT_EQ(fp.net_bytes, 282281u);
-  EXPECT_EQ(fp.executed_events, 3015u);
   EXPECT_EQ(fp.schedule_fingerprint, 7622140960106289882ULL);
 }
 

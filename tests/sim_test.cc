@@ -231,6 +231,18 @@ TEST(Simulator, RunUntilDeadlineBoundary) {
   EXPECT_TRUE(after_deadline);
 }
 
+TEST(Simulator, RunForLandsClockWithEmptyQueue) {
+  // With nothing left to run, the clock still lands on the deadline, and
+  // RunFor measures its span from the landed clock.
+  Simulator sim;
+  sim.Schedule(10, []() {});
+  sim.RunUntil(500);
+  EXPECT_EQ(sim.Now(), 500);
+  sim.RunFor(250);
+  EXPECT_EQ(sim.Now(), 750);
+  EXPECT_EQ(sim.ExecutedEvents(), 1u);
+}
+
 TEST(Simulator, RunUntilIgnoresCancelledTopBeyondDeadline) {
   // A cancelled event at the top of the heap with time <= deadline must
   // not trick RunUntil into executing the next LIVE event beyond the
@@ -391,6 +403,25 @@ TEST(Network, SlowdownInflatesLatency) {
   net.Send(1, 2, 10, [&]() { at = sim.Now(); });
   sim.Run();
   EXPECT_EQ(at, 500);
+}
+
+TEST(Network, HopFloorIsOneMicrosecond) {
+  // A sub-unity slowdown cannot push a hop between distinct nodes below
+  // 1us; loopback is also 1us.
+  Simulator sim;
+  NetworkOptions options;
+  options.intra_az = LatencyDistribution::Constant(100);
+  options.bytes_per_us = 0;
+  Network net(&sim, options);
+  net.RegisterNode(1, 0);
+  net.RegisterNode(2, 0);
+  net.SetNodeSlowdown(2, 0.001);
+  EXPECT_EQ(net.SampleLatency(1, 2, 10), 1);
+  EXPECT_EQ(net.SampleLatency(1, 1, 10), 1);
+  SimTime at = 0;
+  net.Send(1, 2, 10, [&]() { at = sim.Now(); });
+  sim.Run();
+  EXPECT_EQ(at, 1);
 }
 
 TEST(Network, BandwidthTermScalesWithBytes) {
