@@ -4,23 +4,20 @@
 // each with its own writer, LSN space, and epoch lineage; the placement
 // service spreads every volume's protection groups across the shared
 // servers under anti-affinity, and the per-server deficit-round-robin
-// scheduler bounds how far a noisy tenant can push a quiet co-tenant's
+// (DRR) scheduler bounds how far a noisy tenant can push a quiet co-tenant's
 // commit latency. This bench drives that whole stack at fleet shape:
 // every tenant runs an open-loop writer against its own volume, all
 // tenants contend for the same disks concurrently.
 //
 // Two sweeps:
-//   * scale grid   — tenants {1,4,10,25} x PGs/volume {4,16}, fair
-//                    scheduler on. Per cell: aggregate commits/sec
+//   * scale grid   — tenants {1,4,10,25} x PGs/volume {4,16}. Per cell: aggregate commits/sec
 //                    (wall-clock — the gated floor), per-tenant commit
 //                    p50/p99, and the fairness ratio min/max of
 //                    per-tenant acked counts (1.0 = perfectly even).
 //   * noisy neighbor — two tenants on one fleet, one saturating the
-//                    disks, one quiet. The quiet tenant's p99 with the
-//                    fair scheduler must stay within 2x of its solo p99
-//                    (same fleet, noisy tenant silent); the same cell
-//                    with the scheduler OFF is printed for contrast.
-//                    The 2x bound is asserted — the bench exits nonzero
+//                    disks, one quiet. The quiet tenant's p99 must stay
+//                    within 2x of its solo p99 (same fleet, noisy tenant
+//                    silent). The 2x bound is asserted — the bench exits nonzero
 //                    if QoS fails — because the simulated latencies are
 //                    deterministic in the seed.
 //
@@ -52,7 +49,6 @@ struct MultiTenantConfig {
   double txn_per_sec = 1500;
   SimDuration window = 120 * kMillisecond;
   uint64_t seed = 8111;
-  bool fair = true;
 
   std::string Label() const {
     char buf[32];
@@ -96,7 +92,6 @@ core::AuroraOptions MakeOptions(const MultiTenantConfig& config) {
   // Big grids (25 tenants x 16 PGs = 400 PGs, 2400 segments) get a wider
   // fleet so the per-server segment count stays production-plausible.
   options.storage_nodes_per_az = config.tenants >= 10 ? 4 : 2;
-  options.storage_node.fair_scheduler = config.fair;
   return options;
 }
 
@@ -156,12 +151,11 @@ MultiTenantResult RunGridCell(const MultiTenantConfig& config) {
 struct NoisyNeighborResult {
   /// Quiet tenant alone on the two-volume fleet.
   Histogram solo;
-  /// Quiet tenant sharing with a saturating noisy tenant, DRR on / off.
-  Histogram shared_fair;
-  Histogram shared_unfair;
+  /// Quiet tenant sharing with a saturating noisy tenant.
+  Histogram shared;
   uint64_t noisy_acked = 0;
-  uint64_t quiet_acked_fair = 0;
-  uint64_t throttled_fair = 0;
+  uint64_t quiet_acked = 0;
+  uint64_t throttled = 0;
   bool ran = false;
 };
 
@@ -180,22 +174,16 @@ NoisyNeighborResult RunNoisyNeighbor() {
 
   NoisyNeighborResult out;
 
-  config.fair = true;
   MultiTenantResult solo = RunCell(config, {0.0, kQuietRate});
   if (solo.tenants.size() != 2 || solo.tenants[1].acked == 0) return out;
   out.solo = solo.tenants[1].latency;
 
-  MultiTenantResult fair = RunCell(config, {kNoisyRate, kQuietRate});
-  if (fair.tenants[1].acked == 0) return out;
-  out.shared_fair = fair.tenants[1].latency;
-  out.noisy_acked = fair.tenants[0].acked;
-  out.quiet_acked_fair = fair.tenants[1].acked;
-  out.throttled_fair = fair.throttled;
-
-  config.fair = false;
-  MultiTenantResult unfair = RunCell(config, {kNoisyRate, kQuietRate});
-  out.shared_unfair = unfair.tenants[1].latency;
-
+  MultiTenantResult shared = RunCell(config, {kNoisyRate, kQuietRate});
+  if (shared.tenants[1].acked == 0) return out;
+  out.shared = shared.tenants[1].latency;
+  out.noisy_acked = shared.tenants[0].acked;
+  out.quiet_acked = shared.tenants[1].acked;
+  out.throttled = shared.throttled;
   out.ran = true;
   return out;
 }
@@ -319,38 +307,34 @@ int main(int argc, char** argv) {
   Table nn("C11: noisy neighbor — quiet tenant commit latency");
   nn.Columns({"cell", "quiet p50", "quiet p99", "noisy acked", "throttled"});
   nn.Row({"solo", Us(noisy.solo.P50()), Us(noisy.solo.P99()), "-", "-"});
-  nn.Row({"shared (DRR on)", Us(noisy.shared_fair.P50()),
-          Us(noisy.shared_fair.P99()), std::to_string(noisy.noisy_acked),
-          std::to_string(noisy.throttled_fair)});
-  nn.Row({"shared (DRR off)", Us(noisy.shared_unfair.P50()),
-          Us(noisy.shared_unfair.P99()), "-", "-"});
+  nn.Row({"shared", Us(noisy.shared.P50()),
+          Us(noisy.shared.P99()), std::to_string(noisy.noisy_acked),
+          std::to_string(noisy.throttled)});
 
   table.Print();
   nn.Print();
 
   json.Set("quiet_solo_p99_us", static_cast<uint64_t>(noisy.solo.P99()))
       .Set("quiet_shared_p99_us",
-           static_cast<uint64_t>(noisy.shared_fair.P99()))
-      .Set("quiet_unfair_p99_us",
-           static_cast<uint64_t>(noisy.shared_unfair.P99()))
+           static_cast<uint64_t>(noisy.shared.P99()))
       .Set("noisy_acked", noisy.noisy_acked)
-      .Set("quiet_acked", noisy.quiet_acked_fair)
+      .Set("quiet_acked", noisy.quiet_acked)
       .SetRaw("metrics", head.metrics_json);
   if (!json.WriteFile()) return 1;
 
   // QoS bound (deterministic in the seed, so a hard gate): a saturating
   // co-tenant may not push the quiet tenant's p99 beyond 2x solo.
   const double solo_p99 = static_cast<double>(noisy.solo.P99());
-  const double shared_p99 = static_cast<double>(noisy.shared_fair.P99());
+  const double shared_p99 = static_cast<double>(noisy.shared.P99());
   if (shared_p99 > 2.0 * solo_p99) {
     std::fprintf(stderr,
                  "C11: QoS FAILED — quiet tenant p99 %.0fus vs solo %.0fus "
-                 "(> 2x) with the fair scheduler on\n",
+                 "(> 2x)\n",
                  shared_p99, solo_p99);
     return 1;
   }
   std::printf("\nC11: QoS ok — quiet p99 %s vs solo %s (<= 2x)\n",
-              Us(noisy.shared_fair.P99()).c_str(),
+              Us(noisy.shared.P99()).c_str(),
               Us(noisy.solo.P99()).c_str());
 
   if (!quick) {

@@ -77,11 +77,6 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
   options.seed = seed;
   options.num_pgs = 2;  // VCL must straddle protection groups (Figure 3)
   options.blocks_per_pg = 1 << 16;
-  // Throughput configuration: load-adaptive boxcarring and coalesced ack
-  // processing. Both are opt-in driver features (defaults stay per-ack /
-  // submit-on-first so protocol schedules elsewhere are untouched).
-  options.db.driver.boxcar.policy = log::BoxcarPolicy::kAdaptive;
-  options.db.driver.ack_coalesce_window = 10;
   core::AuroraCluster cluster(options);
   ThroughputResult result;
   if (!cluster.StartBlocking().ok()) return result;

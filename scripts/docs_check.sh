@@ -13,6 +13,10 @@
 #   3. Every src/*/ module directory must have a row in the DESIGN.md §3
 #      system inventory, and every inventory row's directory must still
 #      exist in the tree.
+#   4. Every option field the docs name — `XxxOptions::field`, or the last
+#      member of an `options.<...>.field =` snippet — in README.md,
+#      DESIGN.md or EXPERIMENTS.md must be declared in an `XxxOptions`
+#      struct in src/, so a deleted knob cannot linger in the docs.
 #
 # Run from anywhere; registered as a ctest so every suite run enforces it.
 
@@ -111,12 +115,68 @@ if [[ -n "${stale_inv}" ]]; then
   fail=1
 fi
 
+# ---- 4. option fields named in the docs ---------------------------------
+
+# Declared fields as `Struct::field`: top-level member declarations inside
+# each `struct XxxOptions { ... };` body in src/ headers (comments dropped;
+# a declaration is `type name` followed by `=`, `;` or `{`).
+declared_options="$(
+  find src -name '*.h' -print0 | xargs -0 awk '
+    FNR == 1 { name = "" }
+    name == "" && match($0, /^[[:space:]]*struct [A-Za-z0-9_]*Options[[:space:]]*\{/) {
+      name = $0
+      sub(/^[[:space:]]*struct /, "", name)
+      sub(/[[:space:]]*\{.*/, "", name)
+      depth = 1
+      next
+    }
+    name != "" {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      if (depth == 1 &&
+          match(line, /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>,*& ]*[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=|;|\{)/)) {
+        decl = substr(line, RSTART, RLENGTH)
+        sub(/[[:space:]]*(=|;|\{)$/, "", decl)
+        n = split(decl, parts, /[[:space:]]+/)
+        print name "::" parts[n]
+      }
+      depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+      if (depth <= 0) name = ""
+    }
+  ' | sort -u
+)"
+declared_fields="$(echo "${declared_options}" | sed 's/.*:://' | sort -u)"
+
+doc_options="$(
+  grep -ohP '\b[A-Z][A-Za-z0-9]*Options::[A-Za-z_][A-Za-z0-9_]*' \
+    README.md DESIGN.md EXPERIMENTS.md | sort -u
+)"
+doc_snippet_fields="$(
+  grep -ohP '\boptions(\.[A-Za-z_][A-Za-z0-9_]*)+(?=\s*=(?!=))' \
+    README.md DESIGN.md EXPERIMENTS.md | sed 's/.*\.//' | sort -u
+)"
+
+ghost_options="$(comm -23 <(echo "${doc_options}") <(echo "${declared_options}"))"
+ghost_fields="$(comm -23 <(echo "${doc_snippet_fields}") <(echo "${declared_fields}"))"
+
+if [[ -n "${ghost_options}" ]]; then
+  echo "docs_check: docs name option fields not declared in src/:" >&2
+  echo "${ghost_options}" | sed 's/^/  /' >&2
+  fail=1
+fi
+if [[ -n "${ghost_fields}" ]]; then
+  echo "docs_check: docs assign options.<...>.<field> with no such Options field in src/:" >&2
+  echo "${ghost_fields}" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 if [[ "${fail}" -ne 0 ]]; then
-  echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md (or the code) so they agree" >&2
+  echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md / README.md (or the code) so they agree" >&2
   exit 1
 fi
 
 n_metrics="$(echo "${src_metrics}" | wc -l)"
 n_benches="$(echo "${tree_benches}" | wc -l)"
 n_modules="$(echo "${tree_modules}" | wc -l)"
-echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules in lockstep)"
+n_options="$(cat <(echo "${doc_options}") <(echo "${doc_snippet_fields}") | grep -c . || true)"
+echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep)"

@@ -107,7 +107,15 @@ AuroraCluster::AuroraCluster(AuroraOptions options)
   auto resolver = MakeResolver();
   for (auto& node : storage_nodes_) {
     node->SetResolver(resolver);
+    placement_.RegisterServer(node->id(), node->az());
   }
+  // Placement reads fleet ground truth at decision time: hosted segment
+  // counts balance load across volumes as PGs are placed.
+  placement_.SetLoadSource([this](NodeId id) {
+    auto it = node_index_.find(id);
+    return it == node_index_.end() ? 0 : it->second->segments().size();
+  });
+  placement_.SetLiveness([this](NodeId id) { return network_.IsUp(id); });
 }
 
 AuroraCluster::~AuroraCluster() = default;
@@ -137,34 +145,9 @@ engine::ControlPlane AuroraCluster::MakeControlPlane(NodeId caller,
   return cp;
 }
 
-quorum::PgConfig AuroraCluster::BuildPgConfig(ProtectionGroupId pg) {
-  // Six segments: two per AZ. With the full/tail model, one of the two in
-  // each AZ is full and the other is a tail (§4.2 keeps one full copy per
-  // AZ so an AZ loss cannot take every full segment).
-  std::vector<quorum::SegmentInfo> members;
-  for (size_t az = 0; az < options_.num_azs; ++az) {
-    for (int copy = 0; copy < 2; ++copy) {
-      quorum::SegmentInfo info;
-      info.id = next_segment_id_++;
-      info.az = static_cast<AzId>(az);
-      const size_t node_index =
-          az * options_.storage_nodes_per_az +
-          (pg + copy) % options_.storage_nodes_per_az;
-      info.node = storage_nodes_[node_index]->id();
-      info.is_full = options_.quorum_model == quorum::QuorumModel::kFullTail
-                         ? (copy == 0)
-                         : true;
-      members.push_back(info);
-    }
-  }
-  return quorum::PgConfig::Create(pg, options_.quorum_model,
-                                  std::move(members));
-}
-
 Result<quorum::PgConfig> AuroraCluster::PlacePgConfig(VolumeId volume,
                                                       ProtectionGroupId pg) {
-  assert(placement_ != nullptr);
-  auto members = placement_->PlacePg(
+  auto members = placement_.PlacePg(
       volume, options_.quorum_model, [this]() { return next_segment_id_++; });
   if (!members.ok()) return members.status();
   return quorum::PgConfig::Create(pg, options_.quorum_model,
@@ -200,44 +183,18 @@ Status AuroraCluster::BootstrapWriterBlocking(engine::DbInstance* writer) {
 }
 
 Status AuroraCluster::StartBlocking() {
-  if (options_.volumes > 1) {
-    // Multi-tenant assembly (DESIGN.md §11): the placement service lays
-    // out every volume's PGs across the shared fleet under anti-affinity
-    // rules; load balances across tenants because placement reads hosted
-    // segment counts as it goes.
-    placement_ = std::make_unique<PlacementService>();
-    for (auto& node : storage_nodes_) {
-      placement_->RegisterServer(node->id(), node->az());
-    }
-    placement_->SetLoadSource([this](NodeId id) {
-      auto it = node_index_.find(id);
-      return it == node_index_.end() ? 0 : it->second->segments().size();
-    });
-    placement_->SetLiveness([this](NodeId id) { return network_.IsUp(id); });
-    for (VolumeId volume = 0; volume < options_.volumes; ++volume) {
-      std::vector<quorum::PgConfig> pgs;
-      for (size_t pg = 0; pg < options_.num_pgs; ++pg) {
-        auto config =
-            PlacePgConfig(volume, static_cast<ProtectionGroupId>(pg));
-        if (!config.ok()) return config.status();
-        pgs.push_back(std::move(config).value());
-      }
-      metadata_->SetGeometry(quorum::VolumeGeometry(options_.blocks_per_pg,
-                                                    pgs),
-                             volume);
-      // Create stores per PG as we place, so placement's load probe sees
-      // the segments already committed to each server.
-      for (const auto& pg : pgs) CreateSegmentStores(pg);
-    }
-  } else {
-    // Single-tenant assembly: the legacy round-robin layout, kept
-    // verbatim so default-config schedules stay bit-identical.
+  for (VolumeId volume = 0; volume < options_.volumes; ++volume) {
     std::vector<quorum::PgConfig> pgs;
     for (size_t pg = 0; pg < options_.num_pgs; ++pg) {
-      pgs.push_back(BuildPgConfig(static_cast<ProtectionGroupId>(pg)));
+      auto config = PlacePgConfig(volume, static_cast<ProtectionGroupId>(pg));
+      if (!config.ok()) return config.status();
+      pgs.push_back(std::move(config).value());
     }
-    metadata_->SetGeometry(
-        quorum::VolumeGeometry(options_.blocks_per_pg, pgs));
+    metadata_->SetGeometry(quorum::VolumeGeometry(options_.blocks_per_pg, pgs),
+                           volume);
+    // Stores are created once the whole volume is placed, so the load
+    // probe balances volumes across servers while one volume's PGs see
+    // equal loads and share servers (DESIGN.md §11).
     for (const auto& pg : pgs) CreateSegmentStores(pg);
   }
   for (auto& node : storage_nodes_) node->StartBackground();
@@ -563,25 +520,12 @@ Status AuroraCluster::RecoverWriterBlocking() {
 storage::StorageNode* AuroraCluster::PickNodeForNewSegment(
     AzId az, const quorum::PgConfig& config) {
   // Never co-locate two members of one protection group: a node failure
-  // must cost the quorum at most one member.
-  if (placement_ != nullptr) {
-    // Multi-tenant mode: placement applies the same anti-affinity rule
-    // but picks the least-loaded candidate, balancing repair traffic
-    // across the shared fleet.
-    auto host = placement_->PickReplacement(config, az);
-    if (!host.ok()) return nullptr;
-    return node(*host);
-  }
-  std::set<NodeId> occupied;
-  for (const auto& member : config.AllMembers()) occupied.insert(member.node);
-  storage::StorageNode* fallback = nullptr;
-  for (auto& node : storage_nodes_) {
-    if (node->az() != az) continue;
-    if (occupied.contains(node->id())) continue;
-    if (network_.IsUp(node->id())) return node.get();
-    fallback = node.get();
-  }
-  return fallback;
+  // must cost the quorum at most one member. Placement applies that rule
+  // and picks the least-loaded candidate, balancing repair traffic across
+  // the shared fleet.
+  auto host = placement_.PickReplacement(config, az);
+  if (!host.ok()) return nullptr;
+  return node(*host);
 }
 
 Status AuroraCluster::InstallPgConfigBlocking(
@@ -1004,15 +948,9 @@ Status AuroraCluster::GrowVolumeBlocking(VolumeId volume) {
   }
   const auto pg_id =
       static_cast<ProtectionGroupId>(metadata_->geometry(volume).PgCount());
-  quorum::PgConfig config;
-  if (placement_ != nullptr) {
-    auto placed = PlacePgConfig(volume, pg_id);
-    if (!placed.ok()) return placed.status();
-    config = std::move(placed).value();
-  } else {
-    if (volume != 0) return Status::NotFound("no such volume");
-    config = BuildPgConfig(pg_id);
-  }
+  auto placed = PlacePgConfig(volume, pg_id);
+  if (!placed.ok()) return placed.status();
+  const quorum::PgConfig config = std::move(placed).value();
   CreateSegmentStores(config);
   metadata_->mutable_geometry(volume).AddPg(config);
   if (owner != nullptr && owner->driver() != nullptr) {

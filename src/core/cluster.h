@@ -47,7 +47,8 @@ struct AuroraOptions {
   uint64_t blocks_per_pg = 1 << 20;
   quorum::QuorumModel quorum_model = quorum::QuorumModel::kUniform46;
   size_t num_azs = 3;
-  /// Storage nodes per AZ; segments round-robin across them.
+  /// Storage nodes per AZ; the placement service spreads segments across
+  /// them least-loaded-first.
   size_t storage_nodes_per_az = 2;
   sim::NetworkOptions network;
   storage::StorageNodeOptions storage_node;
@@ -57,13 +58,11 @@ struct AuroraOptions {
   /// Default timeout for the *Blocking helpers.
   SimDuration blocking_timeout = 60 * kSecond;
   /// Independent volumes (tenants) sharing the storage fleet (DESIGN.md
-  /// §11). 1 (default) is the classic single-tenant cluster — legacy
-  /// round-robin placement, one writer, bit-identical schedules. With
-  /// n >= 2 the placement service lays out every volume's PGs under
-  /// anti-affinity rules, volume v gets its own writer instance (reached
-  /// via `writer(v)`) with an independent LSN space, epoch lineage, and
-  /// commit pipeline, and each volume creates `num_pgs` protection
-  /// groups on the shared servers.
+  /// §11). 1 (default) is the classic single-tenant cluster. Each volume
+  /// creates `num_pgs` protection groups on the shared servers, laid out
+  /// by the placement service under anti-affinity rules, and volume v
+  /// gets its own writer instance (reached via `writer(v)`) with an
+  /// independent LSN space, epoch lineage, and commit pipeline.
   size_t volumes = 1;
 };
 
@@ -171,9 +170,9 @@ class AuroraCluster {
   engine::DbInstance* writer(VolumeId volume);
   /// Volumes configured on this cluster (`AuroraOptions::volumes`).
   size_t VolumeCount() const { return options_.volumes; }
-  /// Fleet placement authority; nullptr in single-tenant clusters (which
-  /// keep the legacy round-robin layout for schedule compatibility).
-  PlacementService* placement() { return placement_.get(); }
+  /// Fleet placement authority: lays out every volume's PGs and picks
+  /// replacement hosts.
+  PlacementService* placement() { return &placement_; }
   storage::StorageNode* node(NodeId id);
   const std::vector<std::unique_ptr<storage::StorageNode>>& storage_nodes()
       const {
@@ -279,9 +278,8 @@ class AuroraCluster {
   /// Reverses a pending replacement (the suspect member came back).
   Status RevertReplaceBlocking(SegmentId old_segment);
 
-  /// Appends a protection group to `volume` (geometry epoch increment).
-  /// Multi-tenant clusters place the new PG through the placement
-  /// service; single-tenant clusters keep the legacy round-robin layout.
+  /// Appends a protection group to `volume` (geometry epoch increment),
+  /// placed through the placement service.
   Status GrowVolumeBlocking(VolumeId volume = 0);
 
   /// Heat management (§1, §4.1): migrates a healthy segment to another
@@ -327,8 +325,7 @@ class AuroraCluster {
   }
 
  private:
-  quorum::PgConfig BuildPgConfig(ProtectionGroupId pg);
-  /// Placement-service layout of one PG (multi-tenant mode): anti-affine
+  /// Placement-service layout of one PG: anti-affine
   /// members with fresh fleet-unique segment ids, tagged with `volume`.
   Result<quorum::PgConfig> PlacePgConfig(VolumeId volume,
                                          ProtectionGroupId pg);
@@ -351,7 +348,7 @@ class AuroraCluster {
   std::unique_ptr<storage::ObjectStore> object_store_;
   std::unique_ptr<sim::FailureInjector> failure_injector_;
   std::unique_ptr<MetadataService> metadata_;
-  std::unique_ptr<PlacementService> placement_;
+  PlacementService placement_;
   std::vector<std::unique_ptr<storage::StorageNode>> storage_nodes_;
   std::map<NodeId, storage::StorageNode*> node_index_;
   std::unique_ptr<engine::DbInstance> writer_;

@@ -86,8 +86,9 @@ Result<std::vector<quorum::SegmentInfo>> PlacementService::PlacePg(
       info.id = alloc_id();
       info.node = host;
       info.az = az;
-      // Mirrors the legacy BuildPgConfig shape: under full/tail, the
-      // first copy per AZ materializes blocks, the second is redo-only.
+      // Under full/tail, the first copy per AZ materializes blocks and
+      // the second is redo-only: one full copy per AZ, so an AZ loss
+      // cannot take every full segment (§4.2).
       info.is_full =
           model == quorum::QuorumModel::kFullTail ? (copy == 0) : true;
       info.volume = volume;

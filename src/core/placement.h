@@ -75,7 +75,7 @@ class PlacementService {
   /// (rule 2 checked fleet-wide, not just per AZ). `alloc_id` must return
   /// fresh fleet-unique segment ids; it is called once per member, in
   /// slot order. Under kFullTail the first member per AZ is full and the
-  /// second is a tail segment, mirroring the legacy 3-full/3-tail shape.
+  /// second is a tail segment (the 3-full/3-tail shape).
   /// Fails if any AZ lacks `copies_per_az` distinct live servers.
   Result<std::vector<quorum::SegmentInfo>> PlacePg(
       VolumeId volume, quorum::QuorumModel model,

@@ -957,14 +957,6 @@ void DbInstance::OnDurabilityAdvance() {
     ShipReplicationEvent(event);
   }
   last_shipped_vdl_ = current_vdl;
-  if (options_.purge_commit_history) {
-    const size_t purged = txns_.PurgeHistoryBelow(ComputePgmrpl());
-    if (purged > 0 && AURORA_METRICS_ON()) {
-      metrics::Registry::Global()
-          .GetCounter("aurora.read.history_purged")
-          ->Add(purged);
-    }
-  }
   if (cache_) cache_->TrimToCapacity(current_vdl);
 }
 

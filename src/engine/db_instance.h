@@ -97,13 +97,6 @@ struct DbOptions {
   SimDuration recovery_retry = 50 * kMillisecond;
   /// Max key-path retries before an operation reports Aborted.
   int max_op_retries = 16;
-  /// Opt-in (§3.4): drop commit-history entries below PGMRPL whenever
-  /// durability advances. Long-running replica read views hold PGMRPL
-  /// back, so this makes their GC pressure observable on the writer too
-  /// (mirroring version GC at the segments). Off by default: purging
-  /// changes which commits resolve from memory vs the status index, so
-  /// enabling it perturbs read schedules.
-  bool purge_commit_history = false;
 };
 
 struct DbStats {

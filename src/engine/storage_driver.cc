@@ -156,21 +156,6 @@ void StorageDriver::HandleAck(SegmentChannel* channel,
   write_ack_latency_.Record(sim_->Now() - sent_at);
   AURORA_OBSERVE(m_write_ack_us_, sim_->Now() - sent_at);
   tracker_.ObserveScl(channel->pg, ack.segment, ack.scl);
-  if (options_.ack_coalesce_window > 0) {
-    // Per-ack bookkeeping is done; defer the volume-wide pass so a burst
-    // of fan-out acks (one per segment per batch) pays for one advance.
-    if (!advance_pending_) {
-      advance_pending_ = true;
-      sim_->Schedule(
-          options_.ack_coalesce_window,
-          [this]() {
-            advance_pending_ = false;
-            if (running_) AdvancePass();
-          },
-          "driver.ack_flush");
-    }
-    return;
-  }
   AdvancePass();
 }
 

@@ -57,17 +57,6 @@ struct DriverOptions {
   /// new writes) instead of growing memory without limit. Healthy-PG
   /// traffic never counts against the budget.
   size_t max_parked_records = 8192;
-  /// Write-ack coalescing window. 0 (the default) evaluates consistency
-  /// points on every ack, exactly as before. When > 0, each ack still
-  /// performs its per-ack duties immediately (fencing, hydration state,
-  /// SCL observation, latency accounting) but the expensive volume-wide
-  /// pass — tracker advance, retained-record pruning, degraded-mode
-  /// re-evaluation, commit wakeup — runs once per window instead of once
-  /// per ack. Trades up to one window of commit-ack latency for O(acks)
-  /// → O(advances) consistency-point work under fan-out load. Opt-in;
-  /// with six acks per record the default C7 configuration otherwise
-  /// runs six advance passes per user write.
-  SimDuration ack_coalesce_window = 0;
 };
 
 struct DriverStats {
@@ -79,8 +68,7 @@ struct DriverStats {
   uint64_t reads_issued = 0;
   uint64_t read_failures = 0;
   uint64_t degraded_entries = 0;
-  /// Consistency-point passes actually executed. With coalescing off this
-  /// tracks successful acks; with a window it is the coalesced count.
+  /// Consistency-point passes executed: one per successful ack.
   uint64_t advance_passes = 0;
 };
 
@@ -195,8 +183,8 @@ class StorageDriver {
   void HandleAck(SegmentChannel* channel, const storage::WriteAck& ack,
                  SimTime sent_at);
   /// The volume-wide consistency-point pass: tracker advance + retained
-  /// pruning + degraded re-evaluation + commit wakeup. Runs per ack, or
-  /// once per `ack_coalesce_window` when coalescing is on.
+  /// pruning + degraded re-evaluation + commit wakeup. Runs on every
+  /// successful ack.
   void AdvancePass();
   void RetrySweep();
   void UpdateDegraded();
@@ -227,8 +215,6 @@ class StorageDriver {
   /// records without charging healthy-PG traffic.
   std::map<ProtectionGroupId, size_t> retained_by_pg_;
 
-  /// True while a coalesced AdvancePass is scheduled but not yet run.
-  bool advance_pending_ = false;
   AdvanceCallback on_advance_;
   FencedCallback on_fenced_;
   std::function<void(SegmentId, bool)> ack_observer_;

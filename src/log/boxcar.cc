@@ -1,15 +1,12 @@
 #include "src/log/boxcar.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace aurora::log {
 
 BoxcarBatcher::BoxcarBatcher(sim::Simulator* sim, BoxcarOptions options,
                              FlushFn flush)
-    : sim_(sim),
-      options_(options),
-      flush_(std::move(flush)),
-      current_delay_(options.dispatch_delay) {}
+    : sim_(sim), options_(options), flush_(std::move(flush)) {}
 
 void BoxcarBatcher::Add(RedoRecord record) {
   const bool was_empty = open_batch_.empty();
@@ -23,7 +20,7 @@ void BoxcarBatcher::Add(RedoRecord record) {
   if (was_empty) {
     const SimDuration delay = options_.policy == BoxcarPolicy::kFillOrTimeout
                                   ? options_.fill_timeout
-                                  : current_delay_;
+                                  : options_.dispatch_delay;
     pending_dispatch_ = sim_->Schedule(delay, [this]() {
       pending_dispatch_ = sim::kInvalidEvent;
       Dispatch();
@@ -41,18 +38,6 @@ void BoxcarBatcher::Dispatch() {
   if (open_batch_.empty()) return;
   batches_sent_++;
   records_sent_ += open_batch_.size();
-  if (options_.policy == BoxcarPolicy::kAdaptive) {
-    // Half-full departures mean traffic outpaces the window: widen it to
-    // pack more. Sparse departures shrink back toward the base delay so a
-    // quiet tenant is not taxed with batching latency it cannot use.
-    if (open_bytes_ >= options_.max_batch_bytes / 2) {
-      current_delay_ = std::min(current_delay_ * 2,
-                                options_.adaptive_max_delay);
-    } else {
-      current_delay_ = std::max(current_delay_ / 2,
-                                options_.dispatch_delay);
-    }
-  }
   std::vector<RedoRecord> batch;
   batch.swap(open_batch_);
   open_bytes_ = 0;

@@ -28,15 +28,6 @@ enum class BoxcarPolicy {
   /// Baseline: wait for the batch to fill or a timeout since the first
   /// record, whichever comes first.
   kFillOrTimeout,
-  /// kSubmitOnFirst with a load-adaptive dispatch delay: when batches
-  /// leave at least half full the delay doubles (up to
-  /// `adaptive_max_delay`) so heavier traffic packs more records per
-  /// request; when they leave sparse it halves back toward
-  /// `dispatch_delay`, restoring the low-latency behaviour at low load.
-  /// The adaptation reads only local batch history, so schedules stay
-  /// deterministic. Opt-in (benchmarks, throughput-oriented workloads);
-  /// the default policy is unchanged.
-  kAdaptive,
 };
 
 struct BoxcarOptions {
@@ -46,8 +37,6 @@ struct BoxcarOptions {
   SimDuration dispatch_delay = 20;
   /// Timeout since first record for kFillOrTimeout.
   SimDuration fill_timeout = 4 * kMillisecond;
-  /// Ceiling for the kAdaptive dispatch delay.
-  SimDuration adaptive_max_delay = 320;
   /// Batch is dispatched immediately once it reaches this many bytes.
   uint64_t max_batch_bytes = 32 * 1024;
 };
@@ -78,10 +67,6 @@ class BoxcarBatcher {
                      static_cast<double>(batches_sent_);
   }
 
-  /// Current kAdaptive dispatch delay (== dispatch_delay for the other
-  /// policies).
-  SimDuration CurrentDelay() const { return current_delay_; }
-
  private:
   void Dispatch();
 
@@ -90,7 +75,6 @@ class BoxcarBatcher {
   FlushFn flush_;
   std::vector<RedoRecord> open_batch_;
   uint64_t open_bytes_ = 0;
-  SimDuration current_delay_ = 0;  // set from options in the constructor
   sim::EventId pending_dispatch_ = sim::kInvalidEvent;
   uint64_t batches_sent_ = 0;
   uint64_t records_sent_ = 0;

@@ -184,11 +184,12 @@ void ReadReplica::CheckStreamContinuity(
   if (!broke) return;
   stats_.stream_gaps++;
   AURORA_COUNT(M().stream_gaps, 1);
-  if (!options_.strict_stream_continuity) return;
   // Conservative recovery: any cached page may be silently stale (its
   // missed records would only surface as a chain mismatch when a LATER
-  // record for the same block arrives). Drop the cache so storage —
-  // which has the durable truth — serves the next reads.
+  // record for the same block arrives, §3.2), and a gap window where VDL
+  // has advanced past such a page would let an anchored read return old
+  // data. Drop the cache so storage — which has the durable truth —
+  // serves the next reads.
   if (cache_ && cache_->Size() > 0) {
     stats_.gap_cache_drops++;
     AURORA_COUNT(M().gap_cache_drops, 1);

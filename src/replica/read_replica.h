@@ -50,15 +50,6 @@ struct ReplicaOptions {
   /// replica's VDL to reach the anchor before failing with Unavailable
   /// so the session can fall back to the writer.
   SimDuration anchor_wait_timeout = 2 * kSecond;
-  /// Strict stream continuity: drop the whole block cache when the
-  /// replication stream skips a sequence number (events lost on the
-  /// wire) or switches writers. Without it a stale cached page is only
-  /// detected when that block's NEXT record arrives (chain mismatch,
-  /// §3.2) — correct for the paper's eventual model, but a gap window
-  /// where VDL has advanced past a silently stale page would let an
-  /// anchored read return old data. Off by default: enabling it changes
-  /// read schedules under chaos (golden fingerprints stay put).
-  bool strict_stream_continuity = false;
 };
 
 struct ReplicaStats {
@@ -75,7 +66,7 @@ struct ReplicaStats {
   /// Replication-stream continuity breaks observed (seq gap or writer
   /// switch after the first event).
   uint64_t stream_gaps = 0;
-  /// Cache drops forced by strict_stream_continuity.
+  /// Whole-cache drops forced by a stream continuity break.
   uint64_t gap_cache_drops = 0;
 };
 

@@ -13,6 +13,22 @@
 
 namespace aurora::storage {
 
+namespace {
+
+/// DRR quantum: bytes of dispatch credit a backlogged tenant earns per
+/// scheduling round. Every backlogged tenant earns a quantum each round,
+/// so no tenant can starve (see DESIGN.md §11 for the argument). Smaller
+/// = tighter fairness, larger = fewer switches. It is deliberately a few
+/// redo records, not tens of KB: a backlogged tenant may burst roughly
+/// quantum/record-cost consecutive disk ops when its turn comes, so the
+/// quantum directly sets the co-tenant latency floor (quantum bytes /
+/// disk service rate), and a 16 KB quantum would let a saturating tenant
+/// hold the disk for multiple milliseconds per round (C11's
+/// noisy-neighbor cell).
+constexpr uint64_t kDrrQuantumBytes = 512;
+
+}  // namespace
+
 StorageNode::StorageNode(sim::Simulator* sim, sim::Network* network,
                          NodeId id, AzId az, ObjectStore* object_store,
                          StorageNodeOptions options)
@@ -91,24 +107,11 @@ void StorageNode::HandleWrite(const WriteRequest& request,
                    segment->hydrated()});
     return;
   }
-  if (options_.fair_scheduler) {
-    // Multi-tenant QoS: the request joins its tenant's queue and the DRR
-    // scheduler decides when it reaches the disk (DESIGN.md §11).
-    EnqueueTenantWrite(segment, request, std::move(reply));
-    return;
-  }
-  // Durable append to the update queue, then acknowledge with the SCL
-  // reached after sort/group (§2.1 activities 1-3). The disk write is the
-  // only synchronous cost on the ack path.
-  uint64_t bytes = 0;
-  for (const auto& r : request.records) bytes += r.SerializedSize();
-  disk_.SubmitWrite(bytes, [this, request, reply = std::move(reply),
-                            segment]() mutable {
-    if (!IsUp()) return;  // crashed mid-I/O: write lost, never acked
-    Status st = segment->Append(request.records);
-    reply(WriteAck{request.segment, std::move(st), segment->scl(),
-                   segment->hydrated()});
-  });
+  // Multi-tenant QoS: the request joins its tenant's queue and the DRR
+  // scheduler decides when it reaches the disk (DESIGN.md §11). The
+  // durable append to the update queue is the only synchronous cost on
+  // the ack path (§2.1 activities 1-3).
+  EnqueueTenantWrite(segment, request, std::move(reply));
 }
 
 StorageNode::TenantState& StorageNode::TenantFor(VolumeId volume) {
@@ -202,7 +205,7 @@ void StorageNode::DispatchNextTenantWrite() {
     }
     // Its turn came up short: earn one quantum, count the fair-share
     // deferral, pass the turn.
-    pick->deficit += options_.fair_quantum_bytes;
+    pick->deficit += kDrrQuantumBytes;
     pick->stats.throttled++;
     AURORA_COUNT(pick->m_throttled, 1);
     drr_cursor_ = pick_volume + 1;
@@ -219,7 +222,7 @@ void StorageNode::ServeTenantWrite(TenantWrite entry) {
     DispatchNextTenantWrite();
     return;
   }
-  disk_.SubmitWrite(entry.cost, [this, request = entry.request,
+  disk_.SubmitWrite(entry.cost, [this, request = std::move(entry.request),
                                  reply = std::move(entry.reply),
                                  segment]() mutable {
     if (!IsUp()) return;  // crashed mid-I/O: OnCrash cleared the queues

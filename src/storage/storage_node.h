@@ -10,12 +10,10 @@
 // idempotent and works from local state only.
 //
 // Multi-tenancy (DESIGN.md §11): one server hosts segments from MANY
-// volumes, filed under (volume, pg, segment). Per-tenant accounting is
-// always on (TenantStats); fair scheduling of the shared disk is opt-in
-// (`fair_scheduler`): incoming writes queue per tenant and a
-// deficit-round-robin scheduler dispatches them, so an aggressive tenant
-// cannot starve a quiet co-tenant's commits. The default (scheduler off)
-// preserves the single-tenant fast path bit-for-bit.
+// volumes, filed under (volume, pg, segment). Incoming writes queue per
+// tenant and a deficit-round-robin scheduler dispatches them to the shared
+// disk, so an aggressive tenant cannot starve a quiet co-tenant's commits.
+// With one tenant the scheduler degenerates to FIFO.
 
 #pragma once
 
@@ -54,23 +52,6 @@ struct StorageNodeOptions {
   /// If false, no periodic timers are scheduled; tests drive stages
   /// manually via the Run*Once methods.
   bool background_enabled = true;
-  /// Multi-tenant QoS (DESIGN.md §11). Off (default): writes go straight
-  /// to the disk queue — the legacy single-tenant path, bit-identical to
-  /// pre-multi-tenant schedules. On: writes enqueue per tenant and a
-  /// deficit-round-robin scheduler owns dispatch order, bounding how far
-  /// a noisy tenant can push a quiet one's ack latency.
-  bool fair_scheduler = false;
-  /// DRR quantum: bytes of dispatch credit a backlogged tenant earns per
-  /// scheduling round. Every backlogged tenant earns a quantum each
-  /// round, so no tenant can starve (see DESIGN.md §11 for the
-  /// argument). Smaller = tighter fairness, larger = fewer switches.
-  /// The default is deliberately a few redo records, not tens of KB: a
-  /// backlogged tenant may burst roughly quantum/record-cost consecutive
-  /// disk ops when its turn comes, so the quantum directly sets the
-  /// co-tenant latency floor (quantum bytes / disk service rate), and a
-  /// 16 KB quantum would let a saturating tenant hold the disk for
-  /// multiple milliseconds per round (C11's noisy-neighbor cell).
-  uint64_t fair_quantum_bytes = 512;
 };
 
 /// Per-tenant accounting on one segment server (always maintained;
@@ -81,7 +62,7 @@ struct TenantStats {
   uint64_t dispatched = 0;  ///< write requests handed to the disk
   uint64_t throttled = 0;   ///< DRR turns skipped with backlog (deficit
                             ///< exhausted — fair-share deferrals)
-  size_t queue_depth = 0;   ///< current fair-scheduler queue depth
+  size_t queue_depth = 0;   ///< current DRR queue depth
 };
 
 /// Resolves a peer node id to its StorageNode instance (cluster
@@ -168,7 +149,7 @@ class StorageNode : public sim::NodeLifecycleListener {
 
   void GossipSegment(SegmentStore* segment);
 
-  /// One queued (not yet dispatched) tenant write under the fair
+  /// One queued (not yet dispatched) tenant write under the DRR
   /// scheduler. The reply is deferred with it: acks happen only after the
   /// scheduler grants the disk slot and the durable append completes.
   struct TenantWrite {
@@ -212,7 +193,7 @@ class StorageNode : public sim::NodeLifecycleListener {
   /// store. Kept in lockstep by AddSegment/DropSegment.
   std::map<std::tuple<VolumeId, ProtectionGroupId, SegmentId>, SegmentStore*>
       tenant_index_;
-  /// Fair-scheduler queues and per-tenant accounting, keyed by volume.
+  /// DRR queues and per-tenant accounting, keyed by volume.
   std::map<VolumeId, TenantState> tenants_;
   /// True while a DRR dispatch→disk-completion chain is running; the
   /// chain re-arms itself until every tenant queue drains.

@@ -83,19 +83,6 @@ std::vector<std::pair<TxnId, Scn>> TxnManager::CommitsUpTo(Scn scn) const {
   return out;
 }
 
-size_t TxnManager::PurgeHistoryBelow(Lsn lsn) {
-  size_t purged = 0;
-  for (auto it = commit_history_.begin(); it != commit_history_.end();) {
-    if (it->second < lsn) {
-      it = commit_history_.erase(it);
-      purged++;
-    } else {
-      ++it;
-    }
-  }
-  return purged;
-}
-
 size_t TxnManager::ActiveCount() const { return active_.size(); }
 
 void TxnManager::InstallCommitNotification(TxnId id, Scn scn) {

@@ -87,10 +87,6 @@ class TxnManager {
   /// Commit history entries with SCN <= `scn` (replica catch-up).
   std::vector<std::pair<TxnId, Scn>> CommitsUpTo(Scn scn) const;
 
-  /// Drops commit-history entries no reader can need (below every open
-  /// read view); returns entries purged.
-  size_t PurgeHistoryBelow(Lsn lsn);
-
   size_t ActiveCount() const;
   uint64_t started() const { return started_; }
   uint64_t committed() const { return committed_; }

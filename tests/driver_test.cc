@@ -81,31 +81,9 @@ TEST(StorageDriver, VclAdvancesOnQuorumAcks) {
   EXPECT_EQ(f.driver->tracker().vcl(), 1u);
   EXPECT_EQ(f.driver->tracker().pgcl(0), 1u);
   EXPECT_GE(f.driver->stats().acks_received, 4u);
-  // Coalescing is off by default: every successful ack runs its own
-  // consistency-point pass (pins the legacy schedule).
+  // Every successful ack runs its own consistency-point pass.
   EXPECT_EQ(f.driver->stats().advance_passes,
             f.driver->stats().acks_received);
-}
-
-TEST(StorageDriver, AckCoalescingBatchesAdvancePasses) {
-  DriverOptions driver_options;
-  driver_options.ack_coalesce_window = 500;
-  Fixture f({}, driver_options);
-  // Pace the submissions so each record dispatches as its own 6-way
-  // fan-out (one batch per boxcar window); the resulting ack bursts then
-  // land inside coalescing windows.
-  for (Lsn l = 1; l <= 20; ++l) {
-    f.sim.Schedule(l * 50, [&f, l]() {
-      f.driver->SubmitRecords({f.Record(l)});
-    });
-  }
-  f.sim.RunFor(100 * kMillisecond);
-  // Consistency is unaffected — only the evaluation cadence changes.
-  EXPECT_EQ(f.driver->tracker().vcl(), 20u);
-  EXPECT_GE(f.driver->stats().acks_received, 100u);
-  EXPECT_LT(f.driver->stats().advance_passes,
-            f.driver->stats().acks_received / 2)
-      << "one pass should absorb a burst of fan-out acks";
 }
 
 TEST(StorageDriver, NoQuorumNoVcl) {

@@ -343,48 +343,6 @@ TEST(Boxcar, FlushForcesDispatch) {
   EXPECT_EQ(dispatches, 1u) << "cancelled timer must not double-dispatch";
 }
 
-TEST(Boxcar, AdaptiveMatchesSubmitOnFirstAtLowLoad) {
-  sim::Simulator sim;
-  SimTime dispatched_at = -1;
-  BoxcarOptions options;
-  options.policy = BoxcarPolicy::kAdaptive;
-  options.dispatch_delay = 20;
-  BoxcarBatcher boxcar(&sim, options, [&](std::vector<RedoRecord>) {
-    dispatched_at = sim.Now();
-  });
-  boxcar.Add(MakeRecord(1, 0));
-  sim.Run();
-  // A quiet tenant sees exactly the submit-on-first latency.
-  EXPECT_EQ(dispatched_at, 20);
-  EXPECT_EQ(boxcar.CurrentDelay(), 20);
-}
-
-TEST(Boxcar, AdaptiveWidensUnderLoadAndShrinksWhenSparse) {
-  sim::Simulator sim;
-  BoxcarOptions options;
-  options.policy = BoxcarPolicy::kAdaptive;
-  options.dispatch_delay = 20;
-  options.adaptive_max_delay = 160;
-  options.max_batch_bytes = 4 * MakeRecord(1, 0).SerializedSize();
-  size_t dispatches = 0;
-  BoxcarBatcher boxcar(&sim, options,
-                       [&](std::vector<RedoRecord>) { dispatches++; });
-  // Size-triggered (full) departures double the window up to the cap.
-  Lsn lsn = 1;
-  for (int burst = 0; burst < 4; ++burst) {
-    for (int i = 0; i < 4; ++i, ++lsn) boxcar.Add(MakeRecord(lsn, lsn - 1));
-  }
-  EXPECT_EQ(dispatches, 4u);
-  EXPECT_EQ(boxcar.CurrentDelay(), 160) << "widened to the cap, not past it";
-  // Sparse timer departures halve it back down to the base delay.
-  for (int i = 0; i < 4; ++i, ++lsn) {
-    boxcar.Add(MakeRecord(lsn, lsn - 1));
-    sim.Run();  // let the pending dispatch fire with a 1-record batch
-  }
-  EXPECT_EQ(dispatches, 8u);
-  EXPECT_EQ(boxcar.CurrentDelay(), 20) << "idle load restores base latency";
-}
-
 TEST(Boxcar, MeanBatchFillAccounting) {
   sim::Simulator sim;
   BoxcarBatcher boxcar(&sim, BoxcarOptions{}, [](std::vector<RedoRecord>) {});

@@ -1,6 +1,6 @@
 // MVCC edge cases on the live engine: long version chains, undo-page
 // rollover, write-write conflicts, delete visibility, leftover cleanup
-// after crashes, scans under concurrent writers, and history purge.
+// after crashes, and scans under concurrent writers.
 
 #include <gtest/gtest.h>
 
@@ -188,22 +188,6 @@ TEST(Mvcc, ScanIsSnapshotConsistentUnderConcurrentCommits) {
   });
   ASSERT_TRUE(cluster.RunUntil([&]() { return scanned; }));
   ASSERT_TRUE(cluster.CommitBlocking(reader).ok());
-}
-
-TEST(Mvcc, HistoryPurgeKeepsVisibleOutcomes) {
-  core::AuroraCluster cluster(Options(97));
-  ASSERT_TRUE(cluster.StartBlocking().ok());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(cluster.PutBlocking("p" + std::to_string(i), "v").ok());
-  }
-  auto& txns = cluster.writer()->txns();
-  const size_t purged = txns.PurgeHistoryBelow(cluster.writer()->vdl() + 1);
-  EXPECT_GT(purged, 0u);
-  // Reads re-resolve outcomes from the durable status index.
-  for (int i = 0; i < 20; i += 3) {
-    auto v = cluster.GetBlocking("p" + std::to_string(i));
-    ASSERT_TRUE(v.ok()) << i << ": " << v.status().ToString();
-  }
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 // decides WHERE segments live on a multi-tenant fleet. It is stateless
 // and deterministic — fleet load and liveness are injected probes, ties
 // break on node id — so these tests construct fleets directly and assert
-// on exact layouts, then cross-check the integrated path through a
-// multi-volume AuroraCluster bootstrap.
+// on exact layouts, then cross-check the integrated path through
+// single- and multi-volume AuroraCluster bootstraps.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -177,16 +179,23 @@ TEST(Placement, PlanRebalanceMovesEveryDisplacedSegmentOffLostServer) {
   }
 }
 
-TEST(Placement, MultiVolumeClusterBootstrapsUnderAntiAffinity) {
+// Every cluster lays out its segments through the placement service —
+// the single-volume cluster included — so the same bootstrap checks run
+// over one volume and over a three-volume shared fleet.
+class PlacementCluster : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PlacementCluster, MultiVolumeClusterBootstrapsUnderAntiAffinity) {
+  const size_t volumes = GetParam();
   core::AuroraOptions options;
   options.seed = 4242;
-  options.volumes = 3;
+  options.volumes = volumes;
   options.num_pgs = 2;
   options.blocks_per_pg = 1 << 16;
   options.storage_nodes_per_az = 3;
   core::AuroraCluster cluster(options);
+  ASSERT_NE(cluster.placement(), nullptr);
   ASSERT_TRUE(cluster.StartBlocking().ok());
-  ASSERT_EQ(cluster.VolumeCount(), 3u);
+  ASSERT_EQ(cluster.VolumeCount(), volumes);
 
   // Every volume's every PG: six members, 2 per AZ, distinct servers
   // within an AZ, and the volume tag on each member.
@@ -206,17 +215,49 @@ TEST(Placement, MultiVolumeClusterBootstrapsUnderAntiAffinity) {
           << "volume " << volume << " pg " << pg.pg() << " az " << az;
     }
   });
-  EXPECT_EQ(pgs_seen, 6u);  // 3 volumes x 2 PGs
+  EXPECT_EQ(pgs_seen, volumes * 2);
 
-  // Least-loaded placement spreads the 36 segments across the 9 servers
-  // evenly: every server hosts exactly 4.
-  ASSERT_EQ(segments_per_server.size(), 9u);
+  // Least-loaded placement balances volumes across the servers: hosted
+  // counts differ by at most one segment. One volume's PGs share servers
+  // (its stores are created after the whole volume is placed), so a
+  // single volume occupies two servers per AZ and three volumes cover all
+  // nine.
+  std::map<NodeId, size_t> before;
+  for (const auto& node : cluster.storage_nodes()) {
+    before[node->id()] = node->segments().size();
+  }
+  size_t lo = SIZE_MAX, hi = 0;
   for (const auto& [node, count] : segments_per_server) {
-    EXPECT_EQ(count, 4u) << "server " << node;
+    EXPECT_EQ(before.at(node), count) << "server " << node;
+    lo = std::min(lo, count);
+    hi = std::max(hi, count);
+  }
+  EXPECT_LE(hi - lo, 1u);
+  EXPECT_EQ(segments_per_server.size(), volumes == 1 ? 6u : 9u);
+
+  // Growing volume 0 places the new PG through the service: in each AZ
+  // its two hosts are the least-loaded servers before the grow.
+  const size_t pgs_before = cluster.geometry(0).PgCount();
+  ASSERT_TRUE(cluster.GrowVolumeBlocking(0).ok());
+  ASSERT_EQ(cluster.geometry(0).PgCount(), pgs_before + 1);
+  std::map<AzId, std::set<NodeId>> grown_hosts;
+  for (const auto& member : cluster.geometry(0).pgs().back().AllMembers()) {
+    EXPECT_EQ(member.volume, 0u);
+    grown_hosts[member.az].insert(member.node);
+  }
+  ASSERT_EQ(grown_hosts.size(), 3u);
+  for (const auto& node : cluster.storage_nodes()) {
+    const auto& hosts = grown_hosts[node->az()];
+    ASSERT_EQ(hosts.size(), 2u) << "az " << node->az();
+    if (hosts.contains(node->id())) continue;
+    for (NodeId host : hosts) {
+      EXPECT_LE(before.at(host), before.at(node->id()))
+          << "grow skipped less-loaded server " << node->id();
+    }
   }
 
   // Each tenant writes through its own volume without interference.
-  for (VolumeId volume = 0; volume < 3; ++volume) {
+  for (VolumeId volume = 0; volume < volumes; ++volume) {
     const std::string key = "t" + std::to_string(volume);
     ASSERT_TRUE(cluster.PutBlocking(volume, key, "v").ok());
     auto got = cluster.GetBlocking(volume, key);
@@ -224,8 +265,11 @@ TEST(Placement, MultiVolumeClusterBootstrapsUnderAntiAffinity) {
     EXPECT_EQ(*got, "v");
   }
   // Tenant keyspaces are disjoint: volume 1 never sees volume 0's key.
-  EXPECT_FALSE(cluster.GetBlocking(1, "t0").ok());
+  if (volumes > 1) EXPECT_FALSE(cluster.GetBlocking(1, "t0").ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Volumes, PlacementCluster,
+                         ::testing::Values(size_t{1}, size_t{3}));
 
 }  // namespace
 }  // namespace aurora

@@ -31,7 +31,6 @@ core::AuroraOptions Options() {
   // The whole point of these tests: replica caches small enough that
   // storage reads (and stale-page hazards) actually happen.
   options.replica.cache_pages = 64;
-  options.replica.strict_stream_continuity = true;
   return options;
 }
 
@@ -113,8 +112,8 @@ TEST(SessionConsistency, LaggingReplicaWaitsOrFallsBack) {
 // The stream-gap hazard: a partition drops MTRs for a block the replica
 // has cached; the cached page is then silently stale (nothing arrives to
 // expose the chain mismatch) while later VDL updates let anchored reads
-// through. strict_stream_continuity closes the hole by dropping the
-// cache on the observed seq gap.
+// through. Stream continuity closes the hole by dropping the cache on
+// the observed seq gap.
 TEST(SessionConsistency, StreamGapNeverServesStalePage) {
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());
@@ -153,6 +152,8 @@ TEST(SessionConsistency, StreamGapNeverServesStalePage) {
   EXPECT_EQ(*v, "new") << "stale cached page served across a stream gap";
   EXPECT_GT(rep->stats().stream_gaps, 0u)
       << "the partition did not produce a stream gap; test is vacuous";
+  EXPECT_GT(rep->stats().gap_cache_drops, 0u)
+      << "the stream gap did not drop the replica cache";
 }
 
 TEST(SessionConsistency, AnchorSurvivesPromote) {

@@ -37,7 +37,6 @@ core::AuroraOptions MultiTenantOptions(uint64_t seed, size_t volumes) {
   options.num_pgs = 2;
   options.blocks_per_pg = 1 << 16;
   options.storage_nodes_per_az = 3;
-  options.storage_node.fair_scheduler = true;
   return options;
 }
 

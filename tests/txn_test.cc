@@ -133,17 +133,6 @@ TEST(TxnManager, ReadViewRegistryDrivesMinReadLsn) {
   EXPECT_EQ(manager.MinOpenReadLsn(), kInvalidLsn);
 }
 
-TEST(TxnManager, PurgeHistory) {
-  TxnManager manager;
-  for (int i = 0; i < 5; ++i) {
-    Transaction* t = manager.Begin(0);
-    manager.MarkCommitting(t->id, 10 * (i + 1));
-  }
-  EXPECT_EQ(manager.PurgeHistoryBelow(35), 3u);
-  EXPECT_FALSE(manager.CommitScnOf(1).has_value());
-  EXPECT_TRUE(manager.CommitScnOf(4).has_value());
-}
-
 TEST(TxnManager, TxnIdFloorPreventsReuse) {
   TxnManager manager;
   manager.SetTxnIdFloor(1000);
