@@ -34,7 +34,6 @@
 
 #include "bench/bench_common.h"
 #include "src/common/histogram.h"
-#include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/core/session.h"
 
@@ -182,10 +181,6 @@ ReadPathResult RunReadPathCell(const ReadPathConfig& config) {
   }
   cluster.RunFor(100 * kMillisecond);  // replicas prime their VDL
 
-  auto& registry = metrics::Registry::Global();
-  registry.Reset();
-  metrics::Registry::SetEnabled(true);
-
   std::vector<std::unique_ptr<SessionLoop>> loops;
   const SimTime deadline = cluster.sim().Now() + config.window;
   for (int s = 0; s < config.sessions; ++s) {
@@ -254,9 +249,7 @@ ReadPathResult RunReadPathCell(const ReadPathConfig& config) {
     result.cache_misses += cache_stats.misses;
     result.cache_evictions += cache_stats.evictions;
   }
-  result.metrics_json = registry.ToJson();
-  metrics::Registry::SetEnabled(false);
-  registry.Reset();
+  result.metrics_json = cluster.MetricsJson();
   return result;
 }
 

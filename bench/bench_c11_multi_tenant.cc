@@ -35,7 +35,6 @@
 
 #include "bench/bench_common.h"
 #include "src/common/histogram.h"
-#include "src/common/metrics.h"
 #include "src/core/placement.h"
 #include "src/storage/storage_node.h"
 
@@ -105,10 +104,6 @@ MultiTenantResult RunCell(const MultiTenantConfig& config,
   core::AuroraCluster cluster(MakeOptions(config));
   if (!cluster.StartBlocking().ok()) return result;
 
-  auto& registry = metrics::Registry::Global();
-  registry.Reset();
-  metrics::Registry::SetEnabled(true);
-
   std::vector<std::shared_ptr<bench::OpenLoopState>> loops;
   for (size_t v = 0; v < config.tenants; ++v) {
     if (rates[v] <= 0) continue;
@@ -137,9 +132,7 @@ MultiTenantResult RunCell(const MultiTenantConfig& config,
       result.throttled += node->tenant_stats(v).throttled;
     }
   }
-  result.metrics_json = registry.ToJson();
-  metrics::Registry::SetEnabled(false);
-  registry.Reset();
+  result.metrics_json = cluster.MetricsJson();
   return result;
 }
 

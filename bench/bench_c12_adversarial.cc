@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/metrics.h"
 #include "src/core/chaos_harness.h"
 
 namespace aurora {
@@ -48,6 +47,10 @@ namespace {
 struct ArmTotals {
   uint64_t events = 0;
   uint64_t injected = 0;
+  /// Corrupt records scrub dropped / records gossip refilled, summed
+  /// over the runs' segment stores.
+  uint64_t scrub_corruptions = 0;
+  uint64_t gossip_filled = 0;
   double wall_seconds = 0;
 
   double EventsPerSec() const {
@@ -61,10 +64,6 @@ uint64_t CountCorruptOps(const core::ChaosSchedule& schedule) {
     if (op.kind == core::ChaosOpKind::kCorruptRecord) ++n;
   }
   return n;
-}
-
-uint64_t CounterValue(const char* name) {
-  return metrics::Registry::Global().GetCounter(name)->Value();
 }
 
 // Runs one arm across the seed sweep; returns false (after printing the
@@ -86,6 +85,8 @@ bool RunArm(bool campaign, int seeds, int ops_per_seed, ArmTotals* totals) {
         core::RunChaosSchedule(schedule, options);
     const auto end = std::chrono::steady_clock::now();
     totals->events += result.executed_events;
+    totals->scrub_corruptions += result.scrub_corruptions;
+    totals->gossip_filled += result.gossip_filled_records;
     totals->wall_seconds += std::chrono::duration<double>(end - start).count();
     if (!result.ok()) {
       std::fprintf(stderr, "C12: FAILED — %s arm, seed %d: %s\n",
@@ -116,28 +117,21 @@ int main(int argc, char** argv) {
   const int seeds = quick ? 4 : 10;
   const int ops_per_seed = 40;
 
-  auto& registry = aurora::metrics::Registry::Global();
-  registry.Reset();
-  aurora::metrics::Registry::SetEnabled(true);
-
   // Baseline arm: scrub quarantines, nothing repairs.
   aurora::ArmTotals baseline;
   if (!aurora::RunArm(/*campaign=*/false, seeds, ops_per_seed, &baseline)) {
     return 1;
   }
-  const uint64_t quarantined = aurora::CounterValue("storage.scrub_corruptions");
-  const uint64_t baseline_refills =
-      aurora::CounterValue("storage.gossip_filled_records");
 
   // Campaign arm: the control plane heals what the adversary breaks.
   aurora::ArmTotals campaign;
   if (!aurora::RunArm(/*campaign=*/true, seeds, ops_per_seed, &campaign)) {
     return 1;
   }
-  const uint64_t detected = aurora::CounterValue("storage.scrub_corruptions");
-  const uint64_t repaired =
-      aurora::CounterValue("storage.gossip_filled_records") - baseline_refills;
-  aurora::metrics::Registry::SetEnabled(false);
+  const uint64_t quarantined = baseline.scrub_corruptions;
+  const uint64_t detected =
+      baseline.scrub_corruptions + campaign.scrub_corruptions;
+  const uint64_t repaired = campaign.gossip_filled;
 
   Table table("C12: adversarial corruption campaign");
   table.Columns({"arm", "seeds", "events", "wall", "events/sec"});

@@ -27,7 +27,6 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/log/hot_log.h"
 #include "src/log/record.h"
@@ -44,8 +43,9 @@ struct ThroughputResult {
   SimTime sim_elapsed = 0;
   double wall_seconds = 0;
 
-  // From the metrics registry (enabled for the measured window), proving
-  // the instrumented hot path still hits the throughput floor.
+  // Measured-window deltas of the writer driver's own stats(). The VDL
+  // advance gaps and `metrics_json` (the cluster's MetricsJson()) cover
+  // the whole run, warm-up included.
   uint64_t fanout_records = 0;
   uint64_t retransmitted_records = 0;
   uint64_t reads_issued = 0;
@@ -84,12 +84,11 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
   // Warm the tree so steady state dominates the measurement.
   (void)bench::RunClosedLoopWrites(cluster, 128, "warm");
 
-  auto& registry = metrics::Registry::Global();
-  registry.Reset();
-  metrics::Registry::SetEnabled(true);
+  engine::StorageDriver* driver = cluster.writer()->driver();
+  const engine::DriverStats driver_before = driver->stats();
+  const uint64_t hedges_before = driver->router().hedged_reads();
 
   const std::string value(256, 'v');
-  const uint64_t records_before = cluster.writer()->driver()->stats().records_sent;
   const uint64_t commits_before = cluster.writer()->stats().commits_acked;
   const uint64_t events_before = cluster.sim().ExecutedEvents();
   const SimTime sim_before = cluster.sim().Now();
@@ -115,8 +114,8 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
   const auto wall_end = std::chrono::steady_clock::now();
 
   result.txns = static_cast<uint64_t>(txns);
-  result.records_sent =
-      cluster.writer()->driver()->stats().records_sent - records_before;
+  const engine::DriverStats& driver_after = driver->stats();
+  result.records_sent = driver_after.records_sent - driver_before.records_sent;
   result.commits_acked =
       cluster.writer()->stats().commits_acked - commits_before;
   result.events_executed = cluster.sim().ExecutedEvents() - events_before;
@@ -125,19 +124,14 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
       std::chrono::duration<double>(wall_end - wall_start).count();
   if (result.wall_seconds <= 0) result.wall_seconds = 1e-9;
 
-  result.fanout_records = registry.CounterValue("driver.fanout_records");
+  result.fanout_records = result.records_sent;
   result.retransmitted_records =
-      registry.CounterValue("driver.retransmitted_records");
-  result.reads_issued = registry.CounterValue("read.issued");
-  result.hedged_reads = registry.CounterValue("read.hedges");
-  if (const Histogram* gaps =
-          registry.FindHistogram("engine.vdl_advance_gap_us")) {
-    result.vdl_advance_p50_us = gaps->Percentile(0.50);
-    result.vdl_advance_p99_us = gaps->Percentile(0.99);
-  }
-  result.metrics_json = registry.ToJson();
-  metrics::Registry::SetEnabled(false);
-  registry.Reset();
+      driver_after.retransmissions - driver_before.retransmissions;
+  result.reads_issued = driver_after.reads_issued - driver_before.reads_issued;
+  result.hedged_reads = driver->router().hedged_reads() - hedges_before;
+  result.vdl_advance_p50_us = driver->vdl_advance_gap().Percentile(0.50);
+  result.vdl_advance_p99_us = driver->vdl_advance_gap().Percentile(0.99);
+  result.metrics_json = cluster.MetricsJson();
   return result;
 }
 

@@ -9,6 +9,12 @@
 # while still catching a lost integer factor (e.g. regressing the slab
 # event engine or the COW page store back to deep copies).
 #
+# Deterministic counts are gated EXACTLY instead: the simulation is
+# deterministic, so C7's executed events, fan-out copies and retransmits
+# must equal the baseline bit for bit (a change that adds a round trip or
+# a resend fails here even when the throughput floor still passes). A
+# deliberate schedule change refreshes those baseline keys.
+#
 # Knobs for noisy machines (documented in EXPERIMENTS.md, C9 section):
 #   AURORA_BENCH_TOLERANCE=0.1  scripts/bench_gate.sh   # looser floor
 #   AURORA_BENCH_GATE=off       scripts/bench_gate.sh   # skip entirely
@@ -146,8 +152,34 @@ for spec in \
   check_metric "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
 done
 
+check_exact() {
+  local label="$1" fresh_file="$2" base_file="$3" key="$4"
+  local fresh base
+  fresh="$(json_value "${fresh_file}" "${key}")"
+  base="$(json_value "${base_file}" "${key}")"
+  if ! is_number "${base}" || ! is_number "${fresh}"; then
+    echo "bench_gate: FAIL ${label}.${key}: non-numeric value (baseline" \
+         "'${base}', fresh '${fresh}')"
+    FAILED=1
+  elif [[ "${fresh}" == "${base}" ]]; then
+    echo "bench_gate: ok   ${label}.${key}: ${fresh} == ${base}"
+  else
+    echo "bench_gate: FAIL ${label}.${key}: ${fresh} != ${base} (exact" \
+         "deterministic count)"
+    FAILED=1
+  fi
+}
+
+for spec in \
+  "c7:BENCH_c7_write_throughput.json:events_executed" \
+  "c7:BENCH_c7_write_throughput.json:fanout_records" \
+  "c7:BENCH_c7_write_throughput.json:retransmitted_records"; do
+  IFS=: read -r label file key <<<"${spec}"
+  check_exact "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
+done
+
 if [[ ${FAILED} -ne 0 ]]; then
-  echo "bench_gate: FAILED — perf floor breached (or baselines missing)."
+  echo "bench_gate: FAILED — perf floor or exact count breached (or baselines missing)."
   echo "  On a slow/noisy host: AURORA_BENCH_TOLERANCE=0.1 or AURORA_BENCH_GATE=off."
   echo "  After a deliberate perf change: refresh bench/baselines/ via"
   echo "  AURORA_BENCH_JSON_DIR=bench/baselines <bench> --quick and commit."

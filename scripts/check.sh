@@ -3,8 +3,8 @@
 # sanitized build per sanitizer (AURORA_SANITIZE=address, =undefined,
 # =thread), each running the ctest suite. This is the pre-merge gate; the
 # sanitized configs catch the lifetime and UB mistakes the callback-heavy
-# simulator makes easy, and the tsan config races the metrics registry's
-# atomics and mutex under concurrent recorders.
+# simulator makes easy, and the tsan config is a tripwire: the simulator
+# is single-threaded, so any thread a change introduces gets raced.
 #
 # Usage:
 #   scripts/check.sh              # all four configs
@@ -69,10 +69,9 @@ run_config() {
     (cd "${dir}" && ctest --output-on-failure -R 'chaos_campaign_test')
     echo "campaign report: ${dir}/tests/campaign_report.json"
   elif [[ ${config} == thread ]]; then
-    # TSan is 5-15x; run the one test that records metrics from several
-    # threads (Metrics.ConcurrentRecordingLosesNothing in common_test) plus
-    # the campaign smoke, rather than the whole protocol matrix the other
-    # configs already cover (the simulator itself is single-threaded).
+    # TSan is 5-15x; run common_test plus the campaign smoke rather than
+    # the whole protocol matrix the other configs already cover (nothing
+    # in the tree starts a thread today).
     echo "=== [${config}] ctest (concurrency subset) ==="
     (cd "${dir}" && ctest --output-on-failure \
        -R '^(common_test|chaos_campaign_smoke)$')

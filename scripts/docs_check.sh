@@ -2,11 +2,12 @@
 # Docs/code lockstep gate: fails when the documentation drifts from the
 # tree in either direction.
 #
-#   1. Every metric name registered in src/ (GetCounter/GetGauge/
-#      GetHistogram call sites) must appear in the DESIGN.md §5b
-#      catalogue, and every catalogue row must still exist in src/.
-#      Dynamic per-subject suffixes (`read.segment_us.<segment>`) are
-#      compared by their static prefix.
+#   1. Every metric name the one renderer spells (the dotted string
+#      literals in src/core/cluster_metrics.cc, AuroraCluster::
+#      MetricsJson()) must appear in the DESIGN.md §5b catalogue, and
+#      every catalogue row must still be rendered there. Per-subject
+#      families (`replica.lag_lsns.<replica>`) are compared by their
+#      static prefix.
 #   2. Every bench/bench_*.cc binary must be mentioned in EXPERIMENTS.md
 #      (the bench index + its section), and every `bench_*` name
 #      EXPERIMENTS.md mentions must exist in bench/.
@@ -28,19 +29,23 @@ fail=0
 
 # ---- 1. metric catalogue ------------------------------------------------
 
-# Registered names: -z lets the match span the line break in multiline
-# Get*( calls; a trailing dot marks a dynamic-suffix family.
+# Rendered names: each dotted string literal in the renderer; a trailing
+# dot (or a `"." + suffix` concatenation) marks a per-subject family.
+metrics_src="src/core/cluster_metrics.cc"
 src_metrics="$(
-  grep -rhozPo 'Get(?:Counter|Gauge|Histogram)\(\s*"[^"]*"' src/ |
-    tr '\0' '\n' | grep -o '"[^"]*"' | tr -d '"' |
-    sed 's/\.$//' | sort -u
+  grep -oP '"[a-z][a-z0-9_]*(\.[a-z0-9_]+)+\.?"' "${metrics_src}" |
+    tr -d '"' | sed 's/\.$//' | sort -u
 )"
+if [[ -z "${src_metrics}" ]]; then
+  echo "docs_check: no metric names found in ${metrics_src}" >&2
+  exit 1
+fi
 
 # Catalogue rows: first backticked column of the table between the
-# "Metrics registry" and "Invariant auditor" headings; `.<subject>`
-# suffixes reduce to the same static prefix the code registers.
+# "Metrics" and "Invariant auditor" headings; `.<subject>` suffixes
+# reduce to the same static prefix the renderer spells.
 doc_metrics="$(
-  awk '/^### Metrics registry/,/^### Invariant auditor/' DESIGN.md |
+  awk '/^### Metrics/,/^### Invariant auditor/' DESIGN.md |
     grep -oP '^\| `\K[^`]+' | sed 's/\.<[^>]*>$//' | sort -u
 )"
 
@@ -48,12 +53,12 @@ undocumented="$(comm -23 <(echo "${src_metrics}") <(echo "${doc_metrics}"))"
 stale="$(comm -13 <(echo "${src_metrics}") <(echo "${doc_metrics}"))"
 
 if [[ -n "${undocumented}" ]]; then
-  echo "docs_check: metrics registered in src/ but missing from DESIGN.md §5b:" >&2
+  echo "docs_check: metrics rendered by ${metrics_src} but missing from DESIGN.md §5b:" >&2
   echo "${undocumented}" | sed 's/^/  /' >&2
   fail=1
 fi
 if [[ -n "${stale}" ]]; then
-  echo "docs_check: metrics in the DESIGN.md §5b catalogue but not registered in src/:" >&2
+  echo "docs_check: metrics in the DESIGN.md §5b catalogue but not rendered by ${metrics_src}:" >&2
   echo "${stale}" | sed 's/^/  /' >&2
   fail=1
 fi

@@ -7,50 +7,9 @@
 
 namespace aurora {
 
-namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
-
-void AtomicMin(std::atomic<SimDuration>& cell, SimDuration v) {
-  SimDuration cur = cell.load(kRelaxed);
-  while (v < cur && !cell.compare_exchange_weak(cur, v, kRelaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<SimDuration>& cell, SimDuration v) {
-  SimDuration cur = cell.load(kRelaxed);
-  while (v > cur && !cell.compare_exchange_weak(cur, v, kRelaxed)) {
-  }
-}
-
-void AtomicAdd(std::atomic<double>& cell, double v) {
-  double cur = cell.load(kRelaxed);
-  while (!cell.compare_exchange_weak(cur, cur + v, kRelaxed)) {
-  }
-}
-}  // namespace
-
 Histogram::Histogram()
     : buckets_(kBucketCount),
       min_(std::numeric_limits<SimDuration>::max()) {}
-
-Histogram::Histogram(const Histogram& other) : buckets_(kBucketCount) {
-  CopyFrom(other);
-}
-
-Histogram& Histogram::operator=(const Histogram& other) {
-  if (this != &other) CopyFrom(other);
-  return *this;
-}
-
-void Histogram::CopyFrom(const Histogram& other) {
-  for (int i = 0; i < kBucketCount; ++i) {
-    buckets_[i].store(other.buckets_[i].load(kRelaxed), kRelaxed);
-  }
-  count_.store(other.count_.load(kRelaxed), kRelaxed);
-  sum_.store(other.sum_.load(kRelaxed), kRelaxed);
-  min_.store(other.min_.load(kRelaxed), kRelaxed);
-  max_.store(other.max_.load(kRelaxed), kRelaxed);
-}
 
 int Histogram::BucketFor(SimDuration value) {
   if (value < 0) value = 0;
@@ -64,37 +23,29 @@ int Histogram::BucketFor(SimDuration value) {
 
 void Histogram::Record(SimDuration value_us) {
   if (value_us < 0) value_us = 0;
-  const int b = BucketFor(value_us);
-  buckets_[b].fetch_add(1, kRelaxed);
-  AtomicMin(min_, value_us);
-  AtomicMax(max_, value_us);
-  AtomicAdd(sum_, static_cast<double>(value_us));
-  count_.fetch_add(1, kRelaxed);
+  buckets_[BucketFor(value_us)]++;
+  min_ = std::min(min_, value_us);
+  max_ = std::max(max_, value_us);
+  sum_ += static_cast<double>(value_us);
+  count_++;
 }
 
 void Histogram::Merge(const Histogram& other) {
-  for (int i = 0; i < kBucketCount; ++i) {
-    buckets_[i].fetch_add(other.buckets_[i].load(kRelaxed), kRelaxed);
+  for (int i = 0; i < kBucketCount; ++i) buckets_[i] += other.buckets_[i];
+  if (other.count_ > 0) {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
   }
-  if (other.count() > 0) {
-    AtomicMin(min_, other.min_.load(kRelaxed));
-    AtomicMax(max_, other.max_.load(kRelaxed));
-  }
-  AtomicAdd(sum_, other.sum_.load(kRelaxed));
-  count_.fetch_add(other.count_.load(kRelaxed), kRelaxed);
+  sum_ += other.sum_;
+  count_ += other.count_;
 }
 
 void Histogram::Reset() {
-  for (int i = 0; i < kBucketCount; ++i) buckets_[i].store(0, kRelaxed);
-  count_.store(0, kRelaxed);
-  sum_.store(0.0, kRelaxed);
-  min_.store(std::numeric_limits<SimDuration>::max(), kRelaxed);
-  max_.store(0, kRelaxed);
+  *this = Histogram();
 }
 
 double Histogram::Mean() const {
-  const uint64_t n = count();
-  return n ? sum_.load(kRelaxed) / static_cast<double>(n) : 0.0;
+  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
 SimDuration Histogram::Percentile(double q) const {
@@ -106,7 +57,7 @@ SimDuration Histogram::Percentile(double q) const {
   const SimDuration observed_max = max();
   uint64_t seen = 0;
   for (int i = 0; i < kBucketCount; ++i) {
-    seen += buckets_[i].load(kRelaxed);
+    seen += buckets_[i];
     if (seen >= target) {
       // Reconstruct the upper edge of bucket i.
       const int major = i / kSubBuckets;

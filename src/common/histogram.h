@@ -4,16 +4,11 @@
 // are about median-vs-tail shape (jitter), so percentile fidelity in the
 // 1us..100s range at ~2% relative error is sufficient.
 //
-// Recording is thread-safe (relaxed atomics on fixed-layout cells), so a
-// histogram handle from the metrics registry may be shared across threads.
-// Readers (percentiles, copies, Merge) take relaxed per-cell snapshots —
-// coherent values, not a point-in-time cut — which is exact whenever no
-// recorder is running concurrently (between events, at run end), the only
-// places the repo reads them.
+// Plain single-threaded state: the simulator runs one event loop, and each
+// histogram belongs to the one component that records into it.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,20 +23,14 @@ namespace aurora {
 class Histogram {
  public:
   Histogram();
-  /// Snapshot copy (relaxed reads); histograms are returned by value from
-  /// bench scenarios after their runs quiesce.
-  Histogram(const Histogram& other);
-  Histogram& operator=(const Histogram& other);
 
   void Record(SimDuration value_us);
   void Merge(const Histogram& other);
   void Reset();
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  SimDuration min() const {
-    return count() ? min_.load(std::memory_order_relaxed) : 0;
-  }
-  SimDuration max() const { return max_.load(std::memory_order_relaxed); }
+  uint64_t count() const { return count_; }
+  SimDuration min() const { return count_ ? min_ : 0; }
+  SimDuration max() const { return max_; }
   double Mean() const;
 
   /// Value at quantile q in [0, 1]. Returns 0 for an empty histogram.
@@ -68,14 +57,13 @@ class Histogram {
   static constexpr int kBucketCount = 64 * kSubBuckets;
 
   static int BucketFor(SimDuration value);
-  void CopyFrom(const Histogram& other);
 
-  std::vector<std::atomic<uint64_t>> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::vector<uint64_t> buckets_;
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
   /// Sentinel int64 max while empty; min() masks it via the count.
-  std::atomic<SimDuration> min_;
-  std::atomic<SimDuration> max_{0};
+  SimDuration min_;
+  SimDuration max_ = 0;
 };
 
 }  // namespace aurora

@@ -181,6 +181,10 @@ class ChaosExecutor {
     result_.fingerprint = sim.ScheduleFingerprint();
     result_.executed_events = sim.ExecutedEvents();
     result_.end_time = sim.Now();
+    for (const storage::SegmentStats& s : cluster_.FleetSegmentStats()) {
+      result_.scrub_corruptions += s.scrub_corruptions_found;
+      result_.gossip_filled_records += s.records_gossip_filled;
+    }
     if (writer() != nullptr) {
       result_.vcl = writer()->vcl();
       result_.vdl = writer()->vdl();

@@ -255,6 +255,20 @@ void AuroraCluster::ForEachSegment(
   }
 }
 
+std::vector<storage::SegmentStats> AuroraCluster::FleetSegmentStats() const {
+  std::vector<storage::SegmentStats> out;
+  for (const auto& node : storage_nodes_) {
+    for (const auto& [id, segment] : node->segments()) {
+      out.push_back(segment->stats());
+    }
+  }
+  for (const auto& node : storage_nodes_) {
+    const auto& dropped = node->dropped_segment_stats();
+    out.insert(out.end(), dropped.begin(), dropped.end());
+  }
+  return out;
+}
+
 void AuroraCluster::ForEachPgConfig(
     const std::function<void(VolumeId, const quorum::PgConfig&)>& fn) const {
   for (VolumeId volume : metadata_->VolumeIds()) {

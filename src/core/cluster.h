@@ -213,6 +213,10 @@ class AuroraCluster {
       const std::function<void(storage::StorageNode*, storage::SegmentStore*)>&
           fn);
 
+  /// Stats of every segment the fleet has hosted: live segments, then
+  /// those dropped by membership changes (StorageNode::DropSegment).
+  std::vector<storage::SegmentStats> FleetSegmentStats() const;
+
   /// Visits every protection-group config of every volume, in (volume,
   /// pg) order. The control plane (health monitor, repair planner,
   /// auditor) uses this instead of `geometry().pgs()` so it covers all
@@ -307,6 +311,15 @@ class AuroraCluster {
   /// Restores the 4/6 model with two fresh (hydrated) members per PG in
   /// `restored_az`.
   Status ExpandToSixBlocking(AzId restored_az);
+
+  // -- Metrics -------------------------------------------------------------
+
+  /// Every series this cluster's components count, as one JSON object
+  /// (DESIGN.md §5b): counters and gauges as numbers, histograms as
+  /// {count, mean_us, p50_us, p99_us, max_us}. Each series is summed over
+  /// the instances the cluster owns, so two clusters in one process never
+  /// share a count.
+  std::string MetricsJson();
 
   // -- Event-loop helpers --------------------------------------------------
 

@@ -18,14 +18,7 @@ namespace aurora::core {
 HealthMonitor::HealthMonitor(AuroraCluster* cluster,
                              HealthMonitorOptions options)
     : cluster_(cluster), options_(options),
-      live_(std::make_shared<HealthMonitor*>(this)) {
-  auto& reg = metrics::Registry::Global();
-  m_probes_ = reg.GetCounter("aurora.health.probes");
-  m_probe_timeouts_ = reg.GetCounter("aurora.health.probe_timeouts");
-  m_suspected_ = reg.GetCounter("aurora.health.suspected");
-  m_suspects_ = reg.GetGauge("aurora.health.suspects");
-  m_probe_rtt_us_ = reg.GetHistogram("aurora.health.probe_rtt_us");
-}
+      live_(std::make_shared<HealthMonitor*>(this)) {}
 
 void HealthMonitor::Start() {
   if (running_) return;
@@ -143,7 +136,6 @@ void HealthMonitor::Sweep() {
       it = health_.erase(it);
     }
   }
-  UpdateSuspectGauge();
   std::weak_ptr<HealthMonitor*> weak = live_;
   cluster_->sim().Schedule(
       options_.probe_interval,
@@ -184,7 +176,6 @@ void HealthMonitor::SendProbe(SegmentId id) {
   const uint64_t token = ++h.probe_token;
   h.probe_in_flight = true;
   ++probes_sent_;
-  AURORA_COUNT(m_probes_, 1);
   const SimTime sent_at = cluster_->sim().Now();
   const uint64_t gen = generation_;
   // Every deferred callback below goes through the weak handle, never a
@@ -254,8 +245,6 @@ void HealthMonitor::OnProbeReply(
     sh.ewma_jitter_us = (1.0 - alpha) * sh.ewma_jitter_us +
                         alpha * std::abs(rtt - sh.ewma_rtt_us);
     sh.ewma_rtt_us = (1.0 - alpha) * sh.ewma_rtt_us + alpha * rtt;
-    AURORA_OBSERVE(m_probe_rtt_us_,
-                   static_cast<SimDuration>(std::llround(rtt)));
     MarkHealthy(sh);
     ScheduleProbe(id, options_.probe_interval);
   } else {
@@ -273,7 +262,6 @@ void HealthMonitor::OnProbeTimeout(SegmentId id, uint64_t token) {
   if (token != h.probe_token || !h.probe_in_flight) return;
   h.probe_in_flight = false;
   ++probe_timeouts_;
-  AURORA_COUNT(m_probe_timeouts_, 1);
   OnProbeFailure(h);
   ScheduleProbe(id, BackoffInterval(h));
 }
@@ -286,8 +274,6 @@ void HealthMonitor::OnProbeFailure(SegmentHealth& h) {
     h.suspected_since = cluster_->sim().Now();
     h.last_suspected_at = h.suspected_since;
     ++suspicions_declared_;
-    AURORA_COUNT(m_suspected_, 1);
-    UpdateSuspectGauge();
   }
 }
 
@@ -298,20 +284,11 @@ void HealthMonitor::MarkHealthy(SegmentHealth& h) {
   if (h.suspected) {
     h.suspected = false;
     h.suspected_since = 0;
-    UpdateSuspectGauge();
   }
 }
 
 SimDuration HealthMonitor::BackoffInterval(const SegmentHealth& h) const {
   return options_.probe_interval << h.backoff_shift;
-}
-
-void HealthMonitor::UpdateSuspectGauge() {
-  int64_t suspects = 0;
-  for (const auto& [id, h] : health_) {
-    if (h.suspected) ++suspects;
-  }
-  AURORA_GAUGE_SET(m_suspects_, suspects);
 }
 
 }  // namespace aurora::core

@@ -31,8 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/histogram.h"
-#include "src/common/metrics.h"
 #include "src/common/types.h"
 
 namespace aurora::storage {
@@ -126,7 +124,6 @@ class HealthMonitor {
   void OnProbeFailure(SegmentHealth& h);
   void MarkHealthy(SegmentHealth& h);
   SimDuration BackoffInterval(const SegmentHealth& h) const;
-  void UpdateSuspectGauge();
 
   AuroraCluster* cluster_;
   HealthMonitorOptions options_;
@@ -144,12 +141,6 @@ class HealthMonitor {
   uint64_t probes_sent_ = 0;
   uint64_t probe_timeouts_ = 0;
   uint64_t suspicions_declared_ = 0;
-
-  metrics::Counter* m_probes_;
-  metrics::Counter* m_probe_timeouts_;
-  metrics::Counter* m_suspected_;
-  metrics::Gauge* m_suspects_;
-  Histogram* m_probe_rtt_us_;
 };
 
 }  // namespace aurora::core

@@ -10,11 +10,7 @@
 namespace aurora::core {
 
 InvariantAuditor::InvariantAuditor(AuroraCluster* cluster)
-    : cluster_(cluster) {
-  auto& registry = metrics::Registry::Global();
-  m_checks_ = registry.GetCounter("audit.checks");
-  m_violations_ = registry.GetCounter("audit.violations");
-}
+    : cluster_(cluster) {}
 
 void InvariantAuditor::Attach(uint64_t every_n_events) {
   cluster_->sim().SetInspector(every_n_events, [this]() { RunChecks(); });
@@ -39,7 +35,6 @@ void InvariantAuditor::ResetDurabilityFloor() { durability_floor_.clear(); }
 
 void InvariantAuditor::RunChecks() {
   checks_run_++;
-  AURORA_COUNT(m_checks_, 1);
   CheckSclMonotonic();
   CheckPgclDurable();
   CheckVdlVclOrder();
@@ -53,7 +48,6 @@ void InvariantAuditor::RunChecks() {
 
 void InvariantAuditor::AddViolation(const std::string& invariant,
                                     const std::string& detail) {
-  AURORA_COUNT(m_violations_, 1);
   AuditViolation v;
   v.invariant = invariant;
   v.detail = detail;

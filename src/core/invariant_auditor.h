@@ -81,7 +81,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/common/metrics.h"
 #include "src/common/types.h"
 #include "src/core/cluster.h"
 
@@ -195,9 +194,6 @@ class InvariantAuditor {
 
   std::vector<AuditViolation> violations_;
   uint64_t checks_run_ = 0;
-
-  metrics::Counter* m_checks_;
-  metrics::Counter* m_violations_;
 };
 
 }  // namespace aurora::core

@@ -23,15 +23,7 @@ constexpr size_t kSclProbeQuorum = 3;
 
 RepairPlanner::RepairPlanner(AuroraCluster* cluster, HealthMonitor* monitor,
                              RepairPlannerOptions options)
-    : cluster_(cluster), monitor_(monitor), options_(options) {
-  auto& reg = metrics::Registry::Global();
-  m_begun_ = reg.GetCounter("aurora.repair.begun");
-  m_committed_ = reg.GetCounter("aurora.repair.committed");
-  m_reverted_ = reg.GetCounter("aurora.repair.reverted");
-  m_failed_ = reg.GetCounter("aurora.repair.failed");
-  m_active_ = reg.GetGauge("aurora.repair.active");
-  m_mttr_us_ = reg.GetHistogram("aurora.repair.mttr_us");
-}
+    : cluster_(cluster), monitor_(monitor), options_(options) {}
 
 void RepairPlanner::Start() {
   if (running_) return;
@@ -85,7 +77,6 @@ void RepairPlanner::Tick() {
   if (!running_) return;
   AdvanceJobs();
   StartNewJobs();
-  AURORA_GAUGE_SET(m_active_, jobs_.size());
   const uint64_t gen = generation_;
   cluster_->sim().Schedule(
       options_.tick_interval,
@@ -228,7 +219,6 @@ void RepairPlanner::AdvanceJobs() {
           // Never reached a read quorum of hydrated SCLs — the group is
           // unreachable; give up and let suspicion re-trigger later.
           ++stats_.failed;
-          AURORA_COUNT(m_failed_, 1);
           jobs_.erase(it);
           break;
         }
@@ -345,7 +335,6 @@ void RepairPlanner::BeginChange(RepairJob& job) {
   auto next = config->BeginReplace(job.old_segment, new_info);
   if (!next.ok()) {
     ++stats_.failed;
-    AURORA_COUNT(m_failed_, 1);
     jobs_.erase(job.old_segment);
     return;
   }
@@ -397,7 +386,6 @@ void RepairPlanner::StartInstall(RepairJob& job) {
           case JobState::kBeginInstall: {
             job.state = JobState::kHydrating;
             ++stats_.begun;
-            AURORA_COUNT(m_begun_, 1);
             if (auto* host = cluster_->node(job.host_node)) {
               job.last_pull_at = cluster_->sim().Now();
               host->StartHydrationPull(job.new_segment);
@@ -425,9 +413,7 @@ void RepairPlanner::FinishCommit(RepairJob& job) {
   const SimTime base =
       job.suspected_since > 0 ? job.suspected_since : job.decided_at;
   mttr_.Record(now - base);
-  AURORA_OBSERVE(m_mttr_us_, now - base);
   ++stats_.committed;
-  AURORA_COUNT(m_committed_, 1);
   AURORA_DEBUG << "repair: committed seg=" << job.old_segment << " -> seg="
                << job.new_segment << " mttr_us=" << (now - base);
   jobs_.erase(job.old_segment);
@@ -438,7 +424,6 @@ void RepairPlanner::FinishRevert(RepairJob& job) {
     host->DropSegment(job.new_segment);
   }
   ++stats_.reverted;
-  AURORA_COUNT(m_reverted_, 1);
   AURORA_DEBUG << "repair: reverted seg=" << job.old_segment
                << " (replacement seg=" << job.new_segment << " dropped)";
   jobs_.erase(job.old_segment);

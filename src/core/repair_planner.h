@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/metrics.h"
 #include "src/common/types.h"
 #include "src/quorum/membership.h"
 
@@ -148,8 +147,7 @@ class RepairPlanner {
   const std::map<SegmentId, RepairJob>& jobs() const { return jobs_; }
   size_t ActiveCount() const { return jobs_.size(); }
   const PlannerStats& stats() const { return stats_; }
-  /// Suspicion→commit latency, recorded regardless of the metrics switch
-  /// so campaign reports work without enabling the global registry.
+  /// Suspicion→commit latency (MTTR) of every committed repair.
   const Histogram& mttr() const { return mttr_; }
 
  private:
@@ -176,13 +174,6 @@ class RepairPlanner {
   std::map<SegmentId, RepairJob> jobs_;
   PlannerStats stats_;
   Histogram mttr_;
-
-  metrics::Counter* m_begun_;
-  metrics::Counter* m_committed_;
-  metrics::Counter* m_reverted_;
-  metrics::Counter* m_failed_;
-  metrics::Gauge* m_active_;
-  Histogram* m_mttr_us_;
 };
 
 }  // namespace aurora::core

@@ -3,29 +3,11 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/metrics.h"
 #include "src/core/cluster.h"
 
 namespace aurora::core {
 
 namespace {
-
-struct SessionMetrics {
-  metrics::Counter* reads;
-  metrics::Counter* replica_served;
-  metrics::Counter* writer_fallbacks;
-  Histogram* latency_us;
-};
-SessionMetrics& M() {
-  static SessionMetrics m = [] {
-    auto& r = metrics::Registry::Global();
-    return SessionMetrics{r.GetCounter("aurora.read.session_reads"),
-                          r.GetCounter("aurora.read.session_replica_reads"),
-                          r.GetCounter("aurora.read.session_fallbacks"),
-                          r.GetHistogram("aurora.read.session_read_us")};
-  }();
-  return m;
-}
 
 /// One-shot arbitration between the normal completion path and the
 /// watchdog (messages lost to crashes or partitions never complete).
@@ -173,16 +155,12 @@ void ClientSession::GetFromWriter(
 void ClientSession::Get(const std::string& key,
                         std::function<void(Result<std::string>)> cb) {
   stats_.gets++;
-  AURORA_COUNT(M().reads, 1);
-  const SimTime start = cluster_->sim().Now();
-  const SimTime deadline = start + options_.op_timeout;
+  const SimTime deadline = cluster_->sim().Now() + options_.op_timeout;
   const Lsn anchor = anchor_;
   auto guard = std::make_shared<OpGuard>();
-  auto done = [this, guard, start,
-               cb = std::move(cb)](Result<std::string> r) {
+  auto done = [guard, cb = std::move(cb)](Result<std::string> r) {
     if (guard->done) return;
     guard->done = true;
-    AURORA_OBSERVE(M().latency_us, cluster_->sim().Now() - start);
     cb(std::move(r));
   };
   cluster_->sim().Schedule(options_.op_timeout, [done]() {
@@ -191,7 +169,6 @@ void ClientSession::Get(const std::string& key,
   replica::ReadReplica* rep = PickReplica();
   if (rep == nullptr) {
     stats_.writer_fallbacks++;
-    AURORA_COUNT(M().writer_fallbacks, 1);
     GetFromWriter(key, anchor, deadline, done);
     return;
   }
@@ -209,14 +186,12 @@ void ClientSession::Get(const std::string& key,
                    r = std::move(r)]() mutable {
                     if (r.ok() || r.status().IsNotFound()) {
                       stats_.replica_reads++;
-                      AURORA_COUNT(M().replica_served, 1);
                       done(std::move(r));
                       return;
                     }
                     // Replica could not serve the anchor (lag, crash,
                     // invalidation storm): the writer always can.
                     stats_.writer_fallbacks++;
-                    AURORA_COUNT(M().writer_fallbacks, 1);
                     GetFromWriter(key, anchor, deadline, done);
                   });
             });
@@ -264,17 +239,14 @@ void ClientSession::Scan(
         void(Result<std::vector<std::pair<std::string, std::string>>>)>
         cb) {
   stats_.scans++;
-  AURORA_COUNT(M().reads, 1);
-  const SimTime start = cluster_->sim().Now();
-  const SimTime deadline = start + options_.op_timeout;
+  const SimTime deadline = cluster_->sim().Now() + options_.op_timeout;
   const Lsn anchor = anchor_;
   auto guard = std::make_shared<OpGuard>();
   auto done =
-      [this, guard, start, cb = std::move(cb)](
+      [guard, cb = std::move(cb)](
           Result<std::vector<std::pair<std::string, std::string>>> r) {
         if (guard->done) return;
         guard->done = true;
-        AURORA_OBSERVE(M().latency_us, cluster_->sim().Now() - start);
         cb(std::move(r));
       };
   cluster_->sim().Schedule(options_.op_timeout, [done]() {
@@ -283,7 +255,6 @@ void ClientSession::Scan(
   replica::ReadReplica* rep = PickReplica();
   if (rep == nullptr) {
     stats_.writer_fallbacks++;
-    AURORA_COUNT(M().writer_fallbacks, 1);
     ScanFromWriter(lo, hi, limit, anchor, deadline, done);
     return;
   }
@@ -302,12 +273,10 @@ void ClientSession::Scan(
                    r = std::move(r)]() mutable {
                     if (r.ok()) {
                       stats_.replica_reads++;
-                      AURORA_COUNT(M().replica_served, 1);
                       done(std::move(r));
                       return;
                     }
                     stats_.writer_fallbacks++;
-                    AURORA_COUNT(M().writer_fallbacks, 1);
                     ScanFromWriter(lo, hi, limit, anchor, deadline, done);
                   });
             });

@@ -111,7 +111,7 @@ bool ConsistencyTracker::Advance() {
     mtr_points_.pop_front();
   }
   if (last_passed != kInvalidLsn) {
-    StoreVdl(std::max(vdl_, last_passed));
+    vdl_ = std::max(vdl_, last_passed);
   }
   return vcl_ != old_vcl || vdl_ != old_vdl;
 }
@@ -129,7 +129,7 @@ void ConsistencyTracker::Reset(Lsn vcl, Lsn vdl, Lsn max_allocated) {
   }
   mtr_points_.clear();
   vcl_ = vcl;
-  StoreVdl(vdl);
+  vdl_ = vdl;
   max_allocated_ = max_allocated;
 }
 

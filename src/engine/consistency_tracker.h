@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -70,15 +69,7 @@ class ConsistencyTracker {
 
   Lsn pgcl(ProtectionGroupId pg) const;
   Lsn vcl() const { return vcl_; }
-  /// Client sessions peek VDL for the anchored-read fast path; the
-  /// accessor/writer pair goes through relaxed atomics. Routing decisions
-  /// only consume one-way-monotonic facts (has a VDL appeared / passed an
-  /// anchor already durable to this session), so a stale peek would be
-  /// safe.
-  Lsn vdl() const {
-    return std::atomic_ref<Lsn>(const_cast<Lsn&>(vdl_))
-        .load(std::memory_order_relaxed);
-  }
+  Lsn vdl() const { return vdl_; }
   Lsn max_allocated() const { return max_allocated_; }
 
   /// Installs recovered consistency points (crash recovery, §2.4) and
@@ -92,7 +83,7 @@ class ConsistencyTracker {
   /// Test-only: forces VDL forward to violate VDL <= VCL, so tests can
   /// prove the invariant auditor actually fires (never called by the
   /// production paths).
-  void CorruptVdlForTest(Lsn vdl) { StoreVdl(vdl); }
+  void CorruptVdlForTest(Lsn vdl) { vdl_ = vdl; }
 
   /// SCL last observed for a segment (kInvalidLsn if never) — feeds read
   /// routing ("the instance knows which segments have the last durable
@@ -103,13 +94,6 @@ class ConsistencyTracker {
 
  private:
   Lsn ComputePgcl(const PgTracking& tracking) const;
-
-  /// All vdl_ writes go through here (see vdl() above); the tracker's own
-  /// reads may still touch the plain member — they are sequenced with the
-  /// store.
-  void StoreVdl(Lsn vdl) {
-    std::atomic_ref<Lsn>(vdl_).store(vdl, std::memory_order_relaxed);
-  }
 
   std::map<ProtectionGroupId, PgTracking> pgs_;
   /// MTR completion points, ascending (monotonic LSN allocation); drained

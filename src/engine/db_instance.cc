@@ -25,12 +25,6 @@ DbInstance::DbInstance(sim::Simulator* sim, sim::Network* network, NodeId id,
       control_plane_(std::move(control_plane)),
       options_(options) {
   network_->RegisterNode(id_, az_, this);
-  auto& registry = metrics::Registry::Global();
-  m_commits_acked_ = registry.GetCounter("engine.commits_acked");
-  m_replication_events_ = registry.GetCounter("engine.replication_events");
-  m_commit_queue_depth_ = registry.GetGauge("engine.commit_queue_depth");
-  m_commit_wait_us_ = registry.GetHistogram("engine.commit_wait_us");
-  m_degraded_rejected_ = registry.GetCounter("aurora.degraded.rejected_writes");
 }
 
 // ---------------------------------------------------------------------------
@@ -98,6 +92,12 @@ void DbInstance::RetireDriver() {
     driver_->Stop();
     retired_drivers_.push_back(std::move(driver_));
   }
+}
+
+void DbInstance::ForEachDriver(
+    const std::function<void(StorageDriver&)>& fn) {
+  for (auto& retired : retired_drivers_) fn(*retired);
+  if (driver_) fn(*driver_);
 }
 
 void DbInstance::OnCrash() {
@@ -320,7 +320,7 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
   // untouched — commits park in the SCN queue and drain on recovery,
   // reads stay available at Vr=3.
   if (driver_ != nullptr && !driver_->AcceptingWrites()) {
-    AURORA_COUNT(m_degraded_rejected_, 1);
+    stats_.degraded_rejected_writes++;
     cb(Status::Unavailable("write quorum degraded: parked-write budget full"));
     return;
   }
@@ -778,8 +778,6 @@ void DbInstance::FinishCommit(TxnId txn, std::function<void(Status)> cb,
         txns_.MarkCommitted(txn);
         stats_.commits_acked++;
         if (scn > max_acked_scn_) max_acked_scn_ = scn;
-        AURORA_COUNT(m_commits_acked_, 1);
-        AURORA_OBSERVE(m_commit_wait_us_, sim_->Now() - enqueued);
         commit_latency_.Record(sim_->Now() - enqueued);
         if (auto it = txn_views_.find(txn); it != txn_views_.end()) {
           txns_.CloseReadView(it->second);
@@ -948,7 +946,6 @@ void DbInstance::OnDurabilityAdvance() {
   for (auto& pending : commit_queue_.DrainUpTo(current_vcl)) {
     pending.ack();
   }
-  AURORA_GAUGE_SET(m_commit_queue_depth_, commit_queue_.Size());
   const Lsn current_vdl = driver_->tracker().vdl();
   if (current_vdl != last_shipped_vdl_ && !replica_sinks_.empty()) {
     ReplicationEvent event;
@@ -961,7 +958,7 @@ void DbInstance::OnDurabilityAdvance() {
 }
 
 void DbInstance::ShipReplicationEvent(const ReplicationEvent& event) {
-  AURORA_COUNT(m_replication_events_, replica_sinks_.size());
+  stats_.replication_events += replica_sinks_.size();
   ReplicationEvent stamped = event;
   stamped.shipped_at = sim_->Now();
   stamped.source = id_;
@@ -998,15 +995,6 @@ void DbInstance::RemoveReplicationSink(NodeId replica) {
 
 void DbInstance::ObserveReplicaReadPoint(NodeId replica, Lsn read_point) {
   replica_read_points_[replica] = read_point;
-  if (AURORA_METRICS_ON() && read_point != kInvalidLsn) {
-    const Lsn current_vdl = vdl();
-    const int64_t lag = current_vdl > read_point
-                            ? static_cast<int64_t>(current_vdl - read_point)
-                            : 0;
-    metrics::Registry::Global()
-        .GetGauge("replica.lag_lsns." + std::to_string(replica))
-        ->Set(lag);
-  }
 }
 
 Lsn DbInstance::ComputePgmrpl() const {

@@ -109,6 +109,11 @@ struct DbStats {
   uint64_t undo_chain_walks = 0;
   uint64_t crash_recoveries = 0;
   uint64_t leftover_rollbacks = 0;
+  /// Replication-stream events shipped, counted once per replica sink.
+  uint64_t replication_events = 0;
+  /// New writes refused while a degraded PG's parked-record budget was
+  /// full (DESIGN.md §7.3).
+  uint64_t degraded_rejected_writes = 0;
 };
 
 class DbInstance : public sim::NodeLifecycleListener {
@@ -202,6 +207,13 @@ class DbInstance : public sim::NodeLifecycleListener {
   }
 
   StorageDriver* driver() { return driver_.get(); }
+  /// Visits every driver this instance has run: retired incarnations
+  /// (crash recovery rebuilds the driver) in order, then the current one.
+  void ForEachDriver(const std::function<void(StorageDriver&)>& fn);
+  /// Last read point each replica reported (feeds PGMRPL, §3.4).
+  const std::map<NodeId, Lsn>& replica_read_points() const {
+    return replica_read_points_;
+  }
   BufferCache& cache() { return *cache_; }
   txn::TxnManager& txns() { return txns_; }
   txn::LockTable& locks() { return locks_; }
@@ -332,13 +344,6 @@ class DbInstance : public sim::NodeLifecycleListener {
 
   // Survives recovery so the rebuilt driver keeps reporting liveness.
   std::function<void(SegmentId, bool)> ack_observer_;
-
-  // Metrics handles (see DESIGN.md §5).
-  metrics::Counter* m_commits_acked_;
-  metrics::Counter* m_replication_events_;
-  metrics::Gauge* m_commit_queue_depth_;
-  Histogram* m_commit_wait_us_;
-  metrics::Counter* m_degraded_rejected_;
 };
 
 }  // namespace aurora::engine

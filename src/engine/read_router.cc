@@ -4,22 +4,7 @@
 
 namespace aurora::engine {
 
-void ReadRouter::CountHedge() {
-  hedged_reads_++;
-  if (AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("read.hedges")->Add(1);
-  }
-}
-
 void ReadRouter::ObserveLatency(SegmentId segment, SimDuration latency) {
-  if (AURORA_METRICS_ON()) {
-    auto [slot, inserted] = segment_latency_.try_emplace(segment, nullptr);
-    if (inserted) {
-      slot->second = metrics::Registry::Global().GetHistogram(
-          "read.segment_us." + std::to_string(segment));
-    }
-    slot->second->Record(latency);
-  }
   auto it = ewma_.find(segment);
   if (it == ewma_.end()) {
     ewma_[segment] = static_cast<double>(latency);

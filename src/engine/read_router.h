@@ -15,8 +15,6 @@
 #include <map>
 #include <vector>
 
-#include "src/common/histogram.h"
-#include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
 
@@ -60,16 +58,12 @@ class ReadRouter {
   SimDuration HedgeDelay(SegmentId segment) const;
 
   uint64_t hedged_reads() const { return hedged_reads_; }
-  void CountHedge();
+  void CountHedge() { hedged_reads_++; }
 
  private:
   ReadRouterOptions options_;
   std::map<SegmentId, double> ewma_;
   uint64_t hedged_reads_ = 0;
-  /// Per-segment read latency series ("read.segment_us.<id>"), registered
-  /// lazily so the registry only carries segments that actually served
-  /// reads while metrics were enabled.
-  std::map<SegmentId, Histogram*> segment_latency_;
 };
 
 }  // namespace aurora::engine

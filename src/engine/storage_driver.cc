@@ -15,25 +15,7 @@ StorageDriver::StorageDriver(sim::Simulator* sim, sim::Network* network,
       resolver_(std::move(resolver)),
       options_(options),
       router_(options.router),
-      rng_(sim->rng().Fork()) {
-  auto& registry = metrics::Registry::Global();
-  m_fanout_records_ = registry.GetCounter("driver.fanout_records");
-  m_write_requests_ = registry.GetCounter("driver.write_requests");
-  m_acks_ = registry.GetCounter("driver.acks");
-  m_stale_epoch_acks_ = registry.GetCounter("driver.stale_epoch_acks");
-  m_retransmitted_ = registry.GetCounter("driver.retransmitted_records");
-  m_reads_issued_ = registry.GetCounter("read.issued");
-  m_read_failures_ = registry.GetCounter("read.failures");
-  m_retained_depth_ = registry.GetGauge("driver.retained_depth");
-  m_degraded_entered_ = registry.GetCounter("aurora.degraded.entered");
-  m_degraded_pgs_ = registry.GetGauge("aurora.degraded.active_pgs");
-  m_parked_records_ = registry.GetGauge("aurora.degraded.parked_records");
-  m_degraded_stall_us_ = registry.GetHistogram("aurora.degraded.stall_us");
-  m_write_ack_us_ = registry.GetHistogram("driver.write_ack_us");
-  m_read_us_ = registry.GetHistogram("read.latency_us");
-  m_vcl_advance_gap_us_ = registry.GetHistogram("engine.vcl_advance_gap_us");
-  m_vdl_advance_gap_us_ = registry.GetHistogram("engine.vdl_advance_gap_us");
-}
+      rng_(sim->rng().Fork()) {}
 
 void StorageDriver::SetGeometry(const quorum::VolumeGeometry& geometry,
                                 VolumeEpoch volume_epoch) {
@@ -93,10 +75,8 @@ void StorageDriver::SubmitRecords(
       it->second.max_sent = std::max(it->second.max_sent, record.lsn);
       it->second.boxcar->Add(record);
       stats_.records_sent++;
-      AURORA_COUNT(m_fanout_records_, 1);
     }
   }
-  AURORA_GAUGE_SET(m_retained_depth_, retained_.size());
 }
 
 void StorageDriver::SendBatch(SegmentChannel* channel,
@@ -111,7 +91,6 @@ void StorageDriver::SendBatch(SegmentChannel* channel,
                                 geometry_.Pg(channel->pg).epoch()};
   request->records = std::move(records);
   stats_.write_requests++;
-  AURORA_COUNT(m_write_requests_, 1);
   const SimTime sent_at = sim_->Now();
   const NodeId target = channel->info.node;
   sim::UnaryCall<storage::WriteAck>(
@@ -136,10 +115,8 @@ void StorageDriver::HandleAck(SegmentChannel* channel,
                               const storage::WriteAck& ack, SimTime sent_at) {
   if (!running_) return;
   stats_.acks_received++;
-  AURORA_COUNT(m_acks_, 1);
   if (ack.status.IsStaleEpoch() || ack.status.IsFenced()) {
     stats_.stale_epoch_acks++;
-    AURORA_COUNT(m_stale_epoch_acks_, 1);
     AURORA_WARN << "instance " << self_ << " fenced by segment "
                 << ack.segment << ": " << ack.status.ToString();
     if (on_fenced_) on_fenced_();
@@ -154,7 +131,6 @@ void StorageDriver::HandleAck(SegmentChannel* channel,
                                     : ChannelHydration::kHydrating;
   if (ack_observer_) ack_observer_(ack.segment, true);
   write_ack_latency_.Record(sim_->Now() - sent_at);
-  AURORA_OBSERVE(m_write_ack_us_, sim_->Now() - sent_at);
   tracker_.ObserveScl(channel->pg, ack.segment, ack.scl);
   AdvancePass();
 }
@@ -164,20 +140,18 @@ void StorageDriver::AdvancePass() {
   const Lsn vcl_before = tracker_.vcl();
   const Lsn vdl_before = tracker_.vdl();
   if (tracker_.Advance()) {
-    if (AURORA_METRICS_ON()) {
-      const SimTime now = sim_->Now();
-      if (tracker_.vcl() > vcl_before) {
-        if (last_vcl_advance_at_ > 0) {
-          m_vcl_advance_gap_us_->Record(now - last_vcl_advance_at_);
-        }
-        last_vcl_advance_at_ = now;
+    const SimTime now = sim_->Now();
+    if (tracker_.vcl() > vcl_before) {
+      if (last_vcl_advance_at_ > 0) {
+        vcl_advance_gap_.Record(now - last_vcl_advance_at_);
       }
-      if (tracker_.vdl() > vdl_before) {
-        if (last_vdl_advance_at_ > 0) {
-          m_vdl_advance_gap_us_->Record(now - last_vdl_advance_at_);
-        }
-        last_vdl_advance_at_ = now;
+      last_vcl_advance_at_ = now;
+    }
+    if (tracker_.vdl() > vdl_before) {
+      if (last_vdl_advance_at_ > 0) {
+        vdl_advance_gap_.Record(now - last_vdl_advance_at_);
       }
+      last_vdl_advance_at_ = now;
     }
     // Durability advanced: drop retained records now known globally
     // durable and wake the commit path.
@@ -188,7 +162,6 @@ void StorageDriver::AdvancePass() {
       }
       retained_.pop_front();
     }
-    AURORA_GAUGE_SET(m_retained_depth_, retained_.size());
     // Quorum progress is the degraded-mode exit signal; re-evaluating
     // here (not just in the periodic sweep) makes recovery immediate
     // once the first post-outage ack lands.
@@ -225,7 +198,6 @@ void StorageDriver::RetrySweep() {
     }
     if (resend.empty()) continue;
     stats_.retransmissions += resend.size();
-    AURORA_COUNT(m_retransmitted_, resend.size());
     SendBatch(&channel, std::move(resend));
   }
   UpdateDegraded();
@@ -261,14 +233,11 @@ void StorageDriver::UpdateDegraded() {
         !degraded_since_.contains(pg_id)) {
       degraded_since_.emplace(pg_id, now);
       stats_.degraded_entries++;
-      AURORA_COUNT(m_degraded_entered_, 1);
       AURORA_WARN << "instance " << self_ << ": pg " << pg_id
                   << " degraded (oldest outstanding lsn " << oldest
                   << " stalled " << (now - watch.since) << "us)";
     }
   }
-  AURORA_GAUGE_SET(m_degraded_pgs_, degraded_since_.size());
-  AURORA_GAUGE_SET(m_parked_records_, ParkedRecords());
 }
 
 size_t StorageDriver::ParkedRecords() const {
@@ -283,7 +252,7 @@ size_t StorageDriver::ParkedRecords() const {
 void StorageDriver::ClearDegraded(ProtectionGroupId pg, SimTime now) {
   auto it = degraded_since_.find(pg);
   if (it == degraded_since_.end()) return;
-  AURORA_OBSERVE(m_degraded_stall_us_, now - it->second);
+  degraded_stall_.Record(now - it->second);
   AURORA_INFO << "instance " << self_ << ": pg " << pg
               << " recovered write quorum after " << (now - it->second)
               << "us";
@@ -392,7 +361,6 @@ void StorageDriver::ReadBlock(BlockId block, Lsn read_lsn, Lsn pgmrpl,
     if (state->done) return;
     state->done = true;
     stats_.read_failures++;
-    AURORA_COUNT(m_read_failures_, 1);
     state->cb(Status::TimedOut("read deadline exceeded"));
   });
   IssueRead(state, 0);
@@ -404,7 +372,6 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
     if (!state->done && state->outstanding == 0) {
       state->done = true;
       stats_.read_failures++;
-      AURORA_COUNT(m_read_failures_, 1);
       state->cb(Status::Unavailable("all read candidates exhausted"));
     }
     return;
@@ -424,7 +391,6 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
   request.read_lsn = state->read_lsn;
   request.pgmrpl = state->pgmrpl;
   stats_.reads_issued++;
-  AURORA_COUNT(m_reads_issued_, 1);
   state->outstanding++;
   const SimTime sent_at = sim_->Now();
   const NodeId target = info->node;
@@ -449,7 +415,6 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
           if (!state->done) {
             state->done = true;
             read_latency_.Record(elapsed);
-            AURORA_OBSERVE(m_read_us_, elapsed);
             state->cb(std::move(*response.page));
           }
           return;

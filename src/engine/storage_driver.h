@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/engine/consistency_tracker.h"
@@ -145,6 +144,14 @@ class StorageDriver {
   const DriverStats& stats() const { return stats_; }
   Histogram& write_ack_latency() { return write_ack_latency_; }
   Histogram& read_latency() { return read_latency_; }
+  /// Sim-time gaps between successive VCL / VDL advances: the cadence of
+  /// the local consistency-point bookkeeping (§2.3).
+  Histogram& vcl_advance_gap() { return vcl_advance_gap_; }
+  Histogram& vdl_advance_gap() { return vdl_advance_gap_; }
+  /// Per-PG degraded-mode dwell: entry → write-quorum recovery.
+  Histogram& degraded_stall() { return degraded_stall_; }
+  /// Records retained above VCL (the retransmission buffer depth).
+  size_t RetainedRecords() const { return retained_.size(); }
   ReadRouter& router() { return router_; }
 
   // -- Control-plane helpers (recovery, membership) -----------------------
@@ -224,26 +231,9 @@ class StorageDriver {
   DriverStats stats_;
   Histogram write_ack_latency_;
   Histogram read_latency_;
-
-  // Registry handles (resolved once at construction; see DESIGN.md §5 for
-  // the metric name catalogue). VCL/VDL advance latency is the cadence of
-  // the local bookkeeping: the gap between successive advances.
-  metrics::Counter* m_fanout_records_;
-  metrics::Counter* m_write_requests_;
-  metrics::Counter* m_acks_;
-  metrics::Counter* m_stale_epoch_acks_;
-  metrics::Counter* m_retransmitted_;
-  metrics::Counter* m_reads_issued_;
-  metrics::Counter* m_read_failures_;
-  metrics::Gauge* m_retained_depth_;
-  metrics::Counter* m_degraded_entered_;
-  metrics::Gauge* m_degraded_pgs_;
-  metrics::Gauge* m_parked_records_;
-  Histogram* m_degraded_stall_us_;
-  Histogram* m_write_ack_us_;
-  Histogram* m_read_us_;
-  Histogram* m_vcl_advance_gap_us_;
-  Histogram* m_vdl_advance_gap_us_;
+  Histogram vcl_advance_gap_;
+  Histogram vdl_advance_gap_;
+  Histogram degraded_stall_;
   SimTime last_vcl_advance_at_ = 0;
   SimTime last_vdl_advance_at_ = 0;
 };

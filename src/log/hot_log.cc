@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "src/common/metrics.h"
-
 namespace aurora::log {
 
 SegmentHotLog::Iter SegmentHotLog::LowerBound(Lsn lsn) const {
@@ -57,9 +55,7 @@ void SegmentHotLog::AdvanceScl() {
     scl_ = it->lsn;
     ++it;
   }
-  if (scl_ != before && AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("storage.scl_advances")->Add(1);
-  }
+  if (scl_ != before) scl_advances_++;
 }
 
 void SegmentHotLog::RewindScl() {

@@ -61,6 +61,8 @@ class SegmentHotLog {
 
   size_t RecordCount() const { return records_.size(); }
   uint64_t TotalBytes() const { return total_bytes_; }
+  /// Times SCL moved (an append or rewind extended the chain, §2.3).
+  uint64_t scl_advances() const { return scl_advances_; }
 
   /// Records on the segment chain strictly above `from_scl`, in chain
   /// order, up to `max_records`. This is the gossip reply (§2.3): a peer
@@ -118,6 +120,7 @@ class SegmentHotLog {
   Lsn scl_ = kInvalidLsn;
   Lsn gc_floor_ = kInvalidLsn;
   uint64_t total_bytes_ = 0;
+  uint64_t scl_advances_ = 0;
   std::vector<TruncationRange> truncations_;
 };
 

@@ -3,34 +3,8 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/common/metrics.h"
 
 namespace aurora::replica {
-
-namespace {
-struct ReadMetrics {
-  metrics::Counter* anchored;
-  metrics::Counter* anchor_waits;
-  metrics::Counter* anchor_timeouts;
-  metrics::Counter* stream_gaps;
-  metrics::Counter* gap_cache_drops;
-  metrics::Gauge* pinned_views;
-  Histogram* anchor_wait_us;
-};
-ReadMetrics& M() {
-  static ReadMetrics m = [] {
-    auto& r = metrics::Registry::Global();
-    return ReadMetrics{r.GetCounter("aurora.read.anchored"),
-                       r.GetCounter("aurora.read.anchor_waits"),
-                       r.GetCounter("aurora.read.anchor_timeouts"),
-                       r.GetCounter("aurora.read.stream_gaps"),
-                       r.GetCounter("aurora.read.gap_cache_drops"),
-                       r.GetGauge("aurora.read.pinned_views"),
-                       r.GetHistogram("aurora.read.anchor_wait_us")};
-  }();
-  return m;
-}
-}  // namespace
 
 ReadReplica::ReadReplica(sim::Simulator* sim, sim::Network* network,
                          NodeId id, AzId az, storage::NodeResolver resolver,
@@ -95,9 +69,8 @@ void ReadReplica::OnCrash() {
   pending_fetches_.clear();
   FailAnchorWaiters();
   pinned_views_.clear();
-  AURORA_GAUGE_SET(M().pinned_views, 0);
   txns_ = txn::TxnManager();
-  StoreVdl(kInvalidLsn);
+  vdl_ = kInvalidLsn;
   stream_source_ = kInvalidNode;
   stream_seq_ = 0;
 }
@@ -144,15 +117,7 @@ void ReadReplica::WithPage(BlockId block,
 
 void ReadReplica::OnReplicationEvent(const engine::ReplicationEvent& event) {
   if (!running_) return;
-  if (event.shipped_at > 0) {
-    const SimDuration lag = sim_->Now() - event.shipped_at;
-    replica_lag_.Record(lag);
-    if (AURORA_METRICS_ON()) {
-      metrics::Registry::Global()
-          .GetHistogram("replica.stream_lag_us")
-          ->Record(lag);
-    }
-  }
+  if (event.shipped_at > 0) replica_lag_.Record(sim_->Now() - event.shipped_at);
   CheckStreamContinuity(event);
   switch (event.type) {
     case engine::ReplicationEvent::Type::kMtr:
@@ -160,7 +125,7 @@ void ReadReplica::OnReplicationEvent(const engine::ReplicationEvent& event) {
       break;
     case engine::ReplicationEvent::Type::kVdlUpdate:
       if (event.vdl > vdl_) {
-        StoreVdl(event.vdl);
+        vdl_ = event.vdl;
         DrainAnchorWaiters();
       }
       break;
@@ -183,7 +148,6 @@ void ReadReplica::CheckStreamContinuity(
   stream_seq_ = event.seq;
   if (!broke) return;
   stats_.stream_gaps++;
-  AURORA_COUNT(M().stream_gaps, 1);
   // Conservative recovery: any cached page may be silently stale (its
   // missed records would only surface as a chain mismatch when a LATER
   // record for the same block arrives, §3.2), and a gap window where VDL
@@ -192,7 +156,6 @@ void ReadReplica::CheckStreamContinuity(
   // serves the next reads.
   if (cache_ && cache_->Size() > 0) {
     stats_.gap_cache_drops++;
-    AURORA_COUNT(M().gap_cache_drops, 1);
     cache_->Clear();
   }
 }
@@ -255,7 +218,6 @@ void ReadReplica::RunAtAnchor(Lsn min_lsn, std::function<void(bool)> fn) {
     return;
   }
   stats_.anchor_waits++;
-  AURORA_COUNT(M().anchor_waits, 1);
   auto waiter = std::make_shared<AnchorWaiter>();
   waiter->fn = std::move(fn);
   waiter->parked_at = sim_->Now();
@@ -264,7 +226,6 @@ void ReadReplica::RunAtAnchor(Lsn min_lsn, std::function<void(bool)> fn) {
     if (waiter->fired) return;
     waiter->fired = true;
     stats_.anchor_timeouts++;
-    AURORA_COUNT(M().anchor_timeouts, 1);
     waiter->fn(false);
   });
 }
@@ -276,7 +237,7 @@ void ReadReplica::DrainAnchorWaiters() {
     anchor_waiters_.erase(anchor_waiters_.begin());
     if (waiter->fired) continue;
     waiter->fired = true;
-    AURORA_OBSERVE(M().anchor_wait_us, sim_->Now() - waiter->parked_at);
+    anchor_wait_.Record(sim_->Now() - waiter->parked_at);
     waiter->fn(true);
   }
 }
@@ -295,7 +256,6 @@ void ReadReplica::GetAtAnchor(
     const std::string& key, Lsn min_lsn,
     std::function<void(Result<std::string>)> cb) {
   stats_.anchored_gets++;
-  AURORA_COUNT(M().anchored, 1);
   RunAtAnchor(min_lsn, [this, key, cb = std::move(cb)](bool ready) mutable {
     if (!ready) {
       cb(Status::Unavailable("replica did not reach the read anchor"));
@@ -310,7 +270,7 @@ void ReadReplica::ScanAtAnchor(
     std::function<
         void(Result<std::vector<std::pair<std::string, std::string>>>)>
         cb) {
-  AURORA_COUNT(M().anchored, 1);
+  stats_.anchored_scans++;
   RunAtAnchor(min_lsn,
               [this, lo, hi, limit, cb = std::move(cb)](bool ready) mutable {
                 if (!ready) {
@@ -326,8 +286,6 @@ uint64_t ReadReplica::PinView() {
   if (!running_ || vdl_ == kInvalidLsn) return 0;
   const uint64_t handle = next_pin_handle_++;
   pinned_views_.emplace(handle, txns_.OpenReadView(vdl_));
-  AURORA_GAUGE_SET(M().pinned_views,
-                   static_cast<int64_t>(pinned_views_.size()));
   return handle;
 }
 
@@ -336,8 +294,6 @@ void ReadReplica::UnpinView(uint64_t handle) {
   if (it == pinned_views_.end()) return;
   txns_.CloseReadView(it->second);
   pinned_views_.erase(it);
-  AURORA_GAUGE_SET(M().pinned_views,
-                   static_cast<int64_t>(pinned_views_.size()));
 }
 
 void ReadReplica::ResolveCommitScn(

@@ -19,7 +19,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -60,6 +59,7 @@ struct ReplicaStats {
   uint64_t gets = 0;
   uint64_t storage_fallback_reads = 0;
   uint64_t anchored_gets = 0;
+  uint64_t anchored_scans = 0;
   /// Anchored reads that had to park for a VDL advance.
   uint64_t anchor_waits = 0;
   uint64_t anchor_timeouts = 0;
@@ -79,15 +79,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
               VolumeEpoch volume_epoch, ReplicaOptions options = {});
 
   NodeId id() const { return id_; }
-  /// Session routing peeks vdl_ (ClientSession::PickReplica checks "has
-  /// this replica ever applied a VDL"); the accessor/writer pair goes
-  /// through relaxed atomics. The peeked fact is one-way monotonic per
-  /// replica incarnation, so a stale read would only skip a replica that
-  /// just became ready — never the reverse.
-  Lsn vdl() const {
-    return std::atomic_ref<Lsn>(const_cast<Lsn&>(vdl_))
-        .load(std::memory_order_relaxed);
-  }
+  Lsn vdl() const { return vdl_; }
 
   /// Entry point for the writer's replication stream (delivered over the
   /// simulated network by the cluster wiring).
@@ -158,14 +150,10 @@ class ReadReplica : public sim::NodeLifecycleListener {
   /// consume the redo stream asynchronously"); the sim-time analogue of
   /// the paper's sub-20ms replica lag.
   Histogram& replica_lag() { return replica_lag_; }
+  /// Park → drain latency of anchored reads that waited for VDL.
+  Histogram& anchor_wait() { return anchor_wait_; }
 
  private:
-  /// All vdl_ writes go through here (see vdl() above); the replica's own
-  /// reads may still touch the plain member — they are sequenced with the
-  /// store.
-  void StoreVdl(Lsn vdl) {
-    std::atomic_ref<Lsn>(vdl_).store(vdl, std::memory_order_relaxed);
-  }
   void WithPage(BlockId block,
                 std::function<void(Result<storage::Page*>)> cb);
   storage::Page* CachedPage(BlockId block);
@@ -232,6 +220,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
   ReplicaStats stats_;
   Histogram read_latency_;
   Histogram replica_lag_;
+  Histogram anchor_wait_;
 };
 
 }  // namespace aurora::replica

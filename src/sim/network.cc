@@ -4,30 +4,8 @@
 #include <cassert>
 
 #include "src/common/logging.h"
-#include "src/common/metrics.h"
 
 namespace aurora::sim {
-
-namespace {
-struct NetMetrics {
-  metrics::Counter* messages_sent;
-  metrics::Counter* bytes_sent;
-  metrics::Counter* messages_dropped;
-  metrics::Counter* partitions_set;
-  metrics::Gauge* active_partitions;
-};
-NetMetrics& M() {
-  static NetMetrics m = [] {
-    auto& r = metrics::Registry::Global();
-    return NetMetrics{r.GetCounter("net.messages_sent"),
-                      r.GetCounter("net.bytes_sent"),
-                      r.GetCounter("net.messages_dropped"),
-                      r.GetCounter("net.partitions_set"),
-                      r.GetGauge("net.active_partitions")};
-  }();
-  return m;
-}
-}  // namespace
 
 Network::Network(Simulator* sim, NetworkOptions options)
     : sim_(sim), options_(options), rng_(sim->rng().Fork()) {}
@@ -107,14 +85,15 @@ uint64_t Network::PairKey(NodeId a, NodeId b) const {
 
 void Network::Partition(NodeId a, NodeId b, bool blocked) {
   partitions_[PairKey(a, b)] = blocked;
-  if (AURORA_METRICS_ON()) {
-    if (blocked) M().partitions_set->Add(1);
-    int64_t active = 0;
-    for (const auto& [key, is_blocked] : partitions_) {
-      if (is_blocked) active++;
-    }
-    M().active_partitions->Set(active);
+  if (blocked) stats_.partitions_set++;
+}
+
+size_t Network::ActivePartitions() const {
+  size_t active = 0;
+  for (const auto& [key, blocked] : partitions_) {
+    if (blocked) active++;
   }
+  return active;
 }
 
 bool Network::IsPartitioned(NodeId a, NodeId b) const {
@@ -157,26 +136,23 @@ SimDuration Network::SampleLatency(NodeId from, NodeId to, uint64_t bytes) {
 Network::SendPlan Network::PlanSend(NodeId from, NodeId to, uint64_t bytes) {
   stats_.messages_sent++;
   stats_.bytes_sent += bytes;
-  AURORA_COUNT(M().messages_sent, 1);
-  AURORA_COUNT(M().bytes_sent, bytes);
   auto src_it = nodes_.find(from);
   auto dst_it = nodes_.find(to);
   assert(src_it != nodes_.end() && dst_it != nodes_.end());
   if (!src_it->second.up || !dst_it->second.up || IsPartitioned(from, to)) {
     stats_.messages_dropped++;
-    AURORA_COUNT(M().messages_dropped, 1);
     return SendPlan{};
   }
-  SimDuration latency = SampleLatency(from, to, bytes);
-  if (options_.fifo_links) {
-    // The FIFO adjustment only ever pushes delivery later.
-    const uint64_t link = (static_cast<uint64_t>(from) << 32) | to;
-    SimTime& last = link_clock_[link];
-    const SimTime deliver_at = std::max(sim_->Now() + latency, last + 1);
-    latency = deliver_at - sim_->Now();
-    last = deliver_at;
-  }
-  return SendPlan{true, latency, dst_it->second.incarnation};
+  // Links are FIFO, like a TCP connection: the replication stream (§3.3)
+  // relies on in-order MTR-then-VDL delivery. The adjustment only ever
+  // pushes delivery later.
+  const uint64_t link = (static_cast<uint64_t>(from) << 32) | to;
+  SimTime& last = link_clock_[link];
+  const SimTime deliver_at =
+      std::max(sim_->Now() + SampleLatency(from, to, bytes), last + 1);
+  last = deliver_at;
+  return SendPlan{true, deliver_at - sim_->Now(),
+                  dst_it->second.incarnation};
 }
 
 bool Network::Arrives(NodeId to, uint64_t dst_incarnation, uint64_t bytes) {
@@ -184,7 +160,6 @@ bool Network::Arrives(NodeId to, uint64_t dst_incarnation, uint64_t bytes) {
   if (it == nodes_.end() || !it->second.up ||
       it->second.incarnation != dst_incarnation) {
     stats_.messages_dropped++;
-    AURORA_COUNT(M().messages_dropped, 1);
     return false;
   }
   stats_.messages_delivered++;

@@ -37,6 +37,8 @@ struct NetworkStats {
   uint64_t messages_dropped = 0;
   uint64_t bytes_sent = 0;
   uint64_t bytes_delivered = 0;
+  /// Partition edges installed (Partition(a, b, true) calls).
+  uint64_t partitions_set = 0;
 };
 
 /// Configuration for link latency. Defaults approximate intra-region EC2:
@@ -50,10 +52,6 @@ struct NetworkOptions {
   /// Simulated NIC bandwidth; serialization delay = bytes / bandwidth.
   /// 0 disables the bandwidth term.
   double bytes_per_us = 1250.0;  // ~10 Gbit/s
-  /// Deliver messages between a given (src, dst) pair in send order, like
-  /// a TCP connection. The replication stream (§3.3) relies on in-order
-  /// MTR-then-VDL delivery.
-  bool fifo_links = true;
 };
 
 /// The network fabric. Nodes register with an AZ placement; sends sample
@@ -88,6 +86,8 @@ class Network {
   /// Symmetric pairwise partition control.
   void Partition(NodeId a, NodeId b, bool blocked);
   bool IsPartitioned(NodeId a, NodeId b) const;
+  /// Partition edges currently blocked.
+  size_t ActivePartitions() const;
 
   /// Multiplies sampled latency for traffic to/from `node` ("slow node" /
   /// "busy node" injection for the hedged-read experiment, §3.1).

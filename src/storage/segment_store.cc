@@ -5,33 +5,8 @@
 
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
-#include "src/common/metrics.h"
 
 namespace aurora::storage {
-
-namespace {
-// Fleet-wide storage counters, shared by every segment on every node (the
-// registry aggregates; per-segment breakdowns were not worth the name
-// cardinality). Resolved once, lazily.
-struct StoreMetrics {
-  metrics::Counter* gossip_filled;
-  metrics::Counter* scrub_corruptions;
-  metrics::Counter* stale_epoch_rejections;
-  metrics::Counter* records_received;
-  metrics::Counter* reads_served;
-};
-StoreMetrics& M() {
-  static StoreMetrics m = [] {
-    auto& r = metrics::Registry::Global();
-    return StoreMetrics{r.GetCounter("storage.gossip_filled_records"),
-                        r.GetCounter("storage.scrub_corruptions"),
-                        r.GetCounter("storage.stale_epoch_rejections"),
-                        r.GetCounter("storage.records_received"),
-                        r.GetCounter("storage.reads_served")};
-  }();
-  return m;
-}
-}  // namespace
 
 SegmentStore::SegmentStore(quorum::SegmentInfo info, ProtectionGroupId pg,
                            quorum::PgConfig config, VolumeEpoch volume_epoch,
@@ -45,7 +20,6 @@ SegmentStore::SegmentStore(quorum::SegmentInfo info, ProtectionGroupId pg,
 Status SegmentStore::CheckEpochs(const EpochVector& epochs) {
   if (epochs.volume_epoch < volume_epoch_) {
     stats_.stale_epoch_rejections++;
-    AURORA_COUNT(M().stale_epoch_rejections, 1);
     return Status::StaleEpoch("stale volume epoch " +
                               std::to_string(epochs.volume_epoch) + " < " +
                               std::to_string(volume_epoch_));
@@ -55,7 +29,6 @@ Status SegmentStore::CheckEpochs(const EpochVector& epochs) {
   volume_epoch_ = std::max(volume_epoch_, epochs.volume_epoch);
   if (epochs.membership_epoch < config_.epoch()) {
     stats_.stale_epoch_rejections++;
-    AURORA_COUNT(M().stale_epoch_rejections, 1);
     return Status::StaleEpoch("stale membership epoch " +
                               std::to_string(epochs.membership_epoch) +
                               " < " + std::to_string(config_.epoch()));
@@ -86,7 +59,6 @@ Status SegmentStore::Append(const std::vector<log::RedoRecord>& records) {
     AURORA_RETURN_IF_ERROR(hot_log_.Append(record));
     if (hot_log_.RecordCount() > before) {
       stats_.records_received++;
-      AURORA_COUNT(M().records_received, 1);
       IndexRecord(record);
     }
   }
@@ -101,7 +73,6 @@ Status SegmentStore::AbsorbGossip(const std::vector<log::RedoRecord>& records) {
     AURORA_RETURN_IF_ERROR(hot_log_.Append(record));
     if (hot_log_.RecordCount() > before) {
       stats_.records_gossip_filled++;
-      AURORA_COUNT(M().gossip_filled, 1);
       IndexRecord(record);
     }
   }
@@ -216,7 +187,6 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     versions_[block].emplace(page.page_lsn, page);
   }
   stats_.reads_served++;
-  AURORA_COUNT(M().reads_served, 1);
   return page;
 }
 
@@ -277,6 +247,7 @@ size_t SegmentStore::GarbageCollect() {
 }
 
 size_t SegmentStore::Scrub() {
+  stats_.scrub_runs++;
   size_t corruptions = 0;
   std::vector<Lsn> bad;
   for (const auto& [lsn, crc] : record_crcs_) {
@@ -293,7 +264,6 @@ size_t SegmentStore::Scrub() {
     for (auto& [block, pending] : pending_redo_) pending.erase(lsn);
     corruptions++;
     stats_.scrub_corruptions_found++;
-    AURORA_COUNT(M().scrub_corruptions, 1);
     AURORA_WARN << "segment " << info_.id << " scrub dropped corrupt record "
                 << lsn;
   }
@@ -309,7 +279,6 @@ Status SegmentStore::UpdateMembership(const MembershipUpdateRequest& request) {
   // and must update membership information" (§4.1).
   if (request.config.epoch() <= config_.epoch()) {
     stats_.stale_epoch_rejections++;
-    AURORA_COUNT(M().stale_epoch_rejections, 1);
     return Status::StaleEpoch("membership epoch " +
                               std::to_string(request.config.epoch()) +
                               " <= " + std::to_string(config_.epoch()));
@@ -323,7 +292,6 @@ Status SegmentStore::UpdateVolumeEpoch(
     const VolumeEpochUpdateRequest& request) {
   if (request.new_epoch <= volume_epoch_) {
     stats_.stale_epoch_rejections++;
-    AURORA_COUNT(M().stale_epoch_rejections, 1);
     return Status::StaleEpoch("volume epoch " +
                               std::to_string(request.new_epoch) + " <= " +
                               std::to_string(volume_epoch_));
@@ -410,6 +378,8 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
   // backed up before being annulled) and must not be resurrected.
   const std::vector<log::TruncationRange> annulled =
       hot_log_.truncations();
+  // The fresh hot log counts SCL advances from zero; bank the old count.
+  stats_.scl_advances += hot_log_.scl_advances();
   hot_log_ = log::SegmentHotLog();
   for (const auto& range : annulled) hot_log_.Truncate(range);
   record_crcs_.clear();

@@ -44,6 +44,12 @@ struct SegmentStats {
   uint64_t stale_epoch_rejections = 0;
   uint64_t scrub_corruptions_found = 0;
   uint64_t versions_gced = 0;
+  /// Anti-entropy exchanges this segment started with a peer.
+  uint64_t gossip_rounds = 0;
+  /// Checksum scrub passes over this segment's hot log.
+  uint64_t scrub_runs = 0;
+  /// Times the hot log's SCL moved (§2.3).
+  uint64_t scl_advances = 0;
 };
 
 /// One segment replica. All methods are local (the owning StorageNode
@@ -68,7 +74,13 @@ class SegmentStore {
   Lsn scl() const { return hot_log_.scl(); }
   VolumeEpoch volume_epoch() const { return volume_epoch_; }
   const quorum::PgConfig& config() const { return config_; }
-  const SegmentStats& stats() const { return stats_; }
+  /// Counters, with SCL advances read from the hot log that owns SCL.
+  SegmentStats stats() const {
+    SegmentStats s = stats_;
+    s.scl_advances += hot_log_.scl_advances();
+    return s;
+  }
+  void CountGossipRound() { stats_.gossip_rounds++; }
   const log::SegmentHotLog& hot_log() const { return hot_log_; }
 
   /// Rejects requests carrying stale epochs (§4.1: "storage nodes will not

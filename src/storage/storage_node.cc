@@ -9,7 +9,6 @@
 #include <cassert>
 
 #include "src/common/logging.h"
-#include "src/common/metrics.h"
 
 namespace aurora::storage {
 
@@ -91,6 +90,7 @@ void StorageNode::DropSegment(SegmentId segment) {
   if (it == segments_.end()) return;
   tenant_index_.erase(
       {it->second->volume(), it->second->pg(), it->second->id()});
+  dropped_segment_stats_.push_back(it->second->stats());
   segments_.erase(it);
 }
 
@@ -114,34 +114,13 @@ void StorageNode::HandleWrite(const WriteRequest& request,
   EnqueueTenantWrite(segment, request, std::move(reply));
 }
 
-StorageNode::TenantState& StorageNode::TenantFor(VolumeId volume) {
-  auto [it, fresh] = tenants_.try_emplace(volume);
-  if (fresh) {
-    // Handles are per (metric, tenant): the registry is keyed by full
-    // name, so the dynamic `.<volume>` suffix makes one series per
-    // tenant (DESIGN.md §5b lists these as `aurora.tenant.*.<volume>`).
-    auto& reg = metrics::Registry::Global();
-    const std::string suffix = std::to_string(volume);
-    it->second.m_records = reg.GetCounter("aurora.tenant.records." + suffix);
-    it->second.m_bytes = reg.GetCounter("aurora.tenant.bytes." + suffix);
-    it->second.m_throttled =
-        reg.GetCounter("aurora.tenant.throttled." + suffix);
-    it->second.m_queue_depth =
-        reg.GetGauge("aurora.tenant.queue_depth." + suffix);
-    it->second.m_sched_wait =
-        reg.GetHistogram("aurora.tenant.sched_wait_us." + suffix);
-  }
-  return it->second;
-}
-
 void StorageNode::EnqueueTenantWrite(SegmentStore* segment,
                                      const WriteRequest& request,
                                      sim::ReplyFn<WriteAck> reply) {
-  TenantState& tenant = TenantFor(segment->volume());
+  TenantState& tenant = tenants_[segment->volume()];
   TenantWrite entry;
   entry.request = request;
   entry.reply = std::move(reply);
-  entry.enqueued_at = sim_->Now();
   uint64_t cost = 0;
   for (const auto& r : request.records) cost += r.SerializedSize();
   entry.cost = std::max<uint64_t>(cost, 1);
@@ -149,10 +128,6 @@ void StorageNode::EnqueueTenantWrite(SegmentStore* segment,
   tenant.stats.records += request.records.size();
   tenant.stats.bytes += cost;
   tenant.stats.queue_depth = tenant.queue.size();
-  AURORA_COUNT(tenant.m_records, request.records.size());
-  AURORA_COUNT(tenant.m_bytes, cost);
-  AURORA_GAUGE_SET(tenant.m_queue_depth,
-                   static_cast<int64_t>(tenant.queue.size()));
   if (!drain_active_) {
     drain_active_ = true;
     DispatchNextTenantWrite();
@@ -197,9 +172,6 @@ void StorageNode::DispatchNextTenantWrite() {
       // tenants cannot bank an unbounded burst.
       if (pick->queue.empty()) pick->deficit = 0;
       drr_cursor_ = pick_volume;
-      AURORA_GAUGE_SET(pick->m_queue_depth,
-                       static_cast<int64_t>(pick->queue.size()));
-      AURORA_OBSERVE(pick->m_sched_wait, sim_->Now() - entry.enqueued_at);
       ServeTenantWrite(std::move(entry));
       return;
     }
@@ -207,7 +179,6 @@ void StorageNode::DispatchNextTenantWrite() {
     // deferral, pass the turn.
     pick->deficit += kDrrQuantumBytes;
     pick->stats.throttled++;
-    AURORA_COUNT(pick->m_throttled, 1);
     drr_cursor_ = pick_volume + 1;
   }
 }
@@ -392,9 +363,7 @@ void StorageNode::RunGossipOnce() {
 }
 
 void StorageNode::GossipSegment(SegmentStore* segment) {
-  if (AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("storage.gossip_rounds")->Add(1);
-  }
+  segment->CountGossipRound();
   // Pick a random peer from the current membership.
   const auto members = segment->config().AllMembers();
   std::vector<quorum::SegmentInfo> peers;
@@ -483,9 +452,6 @@ void StorageNode::RunGcOnce() {
 }
 
 void StorageNode::RunScrubOnce() {
-  if (AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("storage.scrub_runs")->Add(1);
-  }
   for (auto& [id, segment] : segments_) {
     segment->Scrub();
   }
@@ -586,7 +552,6 @@ void StorageNode::OnCrash() {
     tenant.queue.clear();
     tenant.deficit = 0;
     tenant.stats.queue_depth = 0;
-    AURORA_GAUGE_SET(tenant.m_queue_depth, 0);
   }
   drain_active_ = false;
 }

@@ -25,8 +25,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/common/metrics.h"
-
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/sim/network.h"
@@ -54,8 +52,8 @@ struct StorageNodeOptions {
   bool background_enabled = true;
 };
 
-/// Per-tenant accounting on one segment server (always maintained;
-/// `aurora.tenant.*` metrics mirror these when the registry is enabled).
+/// Per-tenant accounting on one segment server (`aurora.tenant.*` in the
+/// cluster's MetricsJson()).
 struct TenantStats {
   uint64_t records = 0;     ///< redo records received for this tenant
   uint64_t bytes = 0;       ///< serialized redo bytes received
@@ -106,6 +104,11 @@ class StorageNode : public sim::NodeLifecycleListener {
 
   /// Removes a segment (after a committed membership change away from it).
   void DropSegment(SegmentId segment);
+  /// Final stats of the segments dropped from this server, so fleet
+  /// totals keep counting work done before a membership change.
+  const std::vector<SegmentStats>& dropped_segment_stats() const {
+    return dropped_segment_stats_;
+  }
 
   // -- RPC handlers (invoked at this node after request delivery) --------
   void HandleWrite(const WriteRequest& request,
@@ -155,7 +158,6 @@ class StorageNode : public sim::NodeLifecycleListener {
   struct TenantWrite {
     WriteRequest request;
     sim::ReplyFn<WriteAck> reply;
-    SimTime enqueued_at = 0;
     uint64_t cost = 1;  ///< serialized redo bytes — the DRR currency
   };
 
@@ -164,14 +166,8 @@ class StorageNode : public sim::NodeLifecycleListener {
     std::deque<TenantWrite> queue;
     uint64_t deficit = 0;  ///< DRR credit in bytes; reset when idle
     TenantStats stats;
-    metrics::Counter* m_records = nullptr;
-    metrics::Counter* m_bytes = nullptr;
-    metrics::Counter* m_throttled = nullptr;
-    metrics::Gauge* m_queue_depth = nullptr;
-    Histogram* m_sched_wait = nullptr;
   };
 
-  TenantState& TenantFor(VolumeId volume);
   void EnqueueTenantWrite(SegmentStore* segment, const WriteRequest& request,
                           sim::ReplyFn<WriteAck> reply);
   /// DRR scan: serves the next affordable head-of-queue request, earning
@@ -189,6 +185,7 @@ class StorageNode : public sim::NodeLifecycleListener {
   Rng rng_;
   NodeResolver resolver_;
   std::map<SegmentId, std::unique_ptr<SegmentStore>> segments_;
+  std::vector<SegmentStats> dropped_segment_stats_;
   /// Tenant-qualified directory of `segments_`: (volume, pg, segment) →
   /// store. Kept in lockstep by AddSegment/DropSegment.
   std::map<std::tuple<VolumeId, ProtectionGroupId, SegmentId>, SegmentStore*>

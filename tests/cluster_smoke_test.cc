@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/cluster.h"
 
 namespace aurora {
@@ -201,6 +203,41 @@ TEST(ClusterSmoke, ScanReturnsVisibleRows) {
   ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
   EXPECT_EQ(rows.size(), 20u);
   EXPECT_EQ(rows.front().first, "s000");
+}
+
+// Value of one counter or gauge in a MetricsJson() dump; fails the test
+// when the name is not rendered.
+uint64_t MetricValue(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + key.size()));
+}
+
+// Metrics are scoped to their cluster: two clusters in one process keep
+// separate counts, so writes to A never show up in B's dump.
+TEST(ClusterSmoke, MetricsAreScopedPerCluster) {
+  core::AuroraCluster a(SmallOptions());
+  core::AuroraCluster b(SmallOptions());
+  ASSERT_TRUE(a.StartBlocking().ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(a.PutBlocking("k" + std::to_string(i), "v").ok());
+  }
+  // A crash-recovery cycle retires A's first driver; its records still
+  // count toward A's total.
+  a.CrashWriter();
+  ASSERT_TRUE(a.RecoverWriterBlocking().ok());
+  ASSERT_TRUE(a.PutBlocking("after", "recovery").ok());
+
+  uint64_t a_records = 0;
+  a.writer()->ForEachDriver([&](engine::StorageDriver& driver) {
+    a_records += driver.stats().records_sent;
+  });
+  EXPECT_GT(a_records, a.writer()->driver()->stats().records_sent);
+  EXPECT_EQ(MetricValue(a.MetricsJson(), "driver.fanout_records"), a_records);
+  EXPECT_EQ(MetricValue(b.MetricsJson(), "driver.fanout_records"), 0u);
+  EXPECT_EQ(MetricValue(b.MetricsJson(), "net.messages_sent"), 0u);
 }
 
 }  // namespace

@@ -171,10 +171,7 @@ TEST(StorageDriver, HedgedReadCapsSlowSegmentLatency) {
       << "hedge must beat the 20ms slow segment";
 }
 
-TEST(StorageDriver, HedgeFiresExactlyOnceAndMetricsAgree) {
-  auto& registry = metrics::Registry::Global();
-  registry.Reset();
-  metrics::Registry::SetEnabled(true);
+TEST(StorageDriver, HedgeFiresExactlyOnceAndStatsAgree) {
   Fixture f;
   f.driver->SubmitRecords({f.Record(1, 7)});
   f.sim.RunFor(50 * kMillisecond);
@@ -190,6 +187,7 @@ TEST(StorageDriver, HedgeFiresExactlyOnceAndMetricsAgree) {
   // 100us * 400 = 40ms, far beyond the 20ms max_hedge_delay cap.
   f.network->SetNodeSlowdown(100, 400.0);
   const uint64_t hedges_before = f.driver->router().hedged_reads();
+  const uint64_t reads_before = f.driver->stats().reads_issued;
   bool done = false;
   f.driver->ReadBlock(7, 1, kInvalidLsn, [&](Result<storage::Page> page) {
     ASSERT_TRUE(page.ok()) << page.status().ToString();
@@ -198,18 +196,15 @@ TEST(StorageDriver, HedgeFiresExactlyOnceAndMetricsAgree) {
   // Run past the slow reply too, so any over-eager second hedge would
   // have fired by now.
   f.sim.RunFor(300 * kMillisecond);
-  metrics::Registry::SetEnabled(false);
   ASSERT_TRUE(done);
   EXPECT_EQ(f.driver->router().hedged_reads() - hedges_before, 1u)
       << "exactly one hedge for one slow primary";
-  // The fast (hedged) reply won: total latency is bounded by hedge delay
-  // plus the healthy segment's round trip, nowhere near the 40ms primary.
-  EXPECT_EQ(registry.CounterValue("read.hedges"),
-            f.driver->router().hedged_reads() - hedges_before)
-      << "hedge-rate metric must match the router's own count";
-  EXPECT_EQ(registry.CounterValue("read.issued"),
-            f.driver->stats().reads_issued);
-  registry.Reset();
+  // The driver's issued-read count covers the primary plus the hedge, so
+  // the hedge rate derived from stats() (hedges / reads) is 1/2 here.
+  EXPECT_EQ(f.driver->stats().reads_issued - reads_before, 2u);
+  EXPECT_EQ(f.driver->stats().read_failures, 0u);
+  EXPECT_EQ(f.driver->read_latency().count(), 1u)
+      << "one read completes once, however many copies were issued";
 }
 
 TEST(StorageDriver, ReadFailsCleanlyWhenAllSegmentsDown) {

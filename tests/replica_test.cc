@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/metrics.h"
 #include "src/core/cluster.h"
 
 namespace aurora {
@@ -177,9 +176,6 @@ TEST(Replica, OldWriterIsFencedAfterFailover) {
 // Once the stream drains, the replica converges and its reported lag
 // gauge returns to zero.
 TEST(Replica, StreamAppliesMtrAtomicallyAndLagDrains) {
-  auto& registry = metrics::Registry::Global();
-  registry.Reset();
-  metrics::Registry::SetEnabled(true);
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());
   auto* rep = cluster.AddReplica();
@@ -238,13 +234,15 @@ TEST(Replica, StreamAppliesMtrAtomicallyAndLagDrains) {
   EXPECT_GT(rep->stats().mtrs_applied, 0u);
   EXPECT_GT(rep->replica_lag().count(), 0u)
       << "ship-to-apply lag must have been observed";
-  // The writer-side lag gauge (fed by read-point reports) returns to 0
-  // once the stream has drained and reports have cycled.
-  EXPECT_EQ(registry.GaugeValue("replica.lag_lsns." +
-                                std::to_string(rep->id())),
-            0);
-  metrics::Registry::SetEnabled(false);
-  registry.Reset();
+  // The writer-side lag (writer VDL minus the replica's last reported
+  // read point) returns to 0 once the stream has drained and reports
+  // have cycled.
+  const auto& points = cluster.writer()->replica_read_points();
+  ASSERT_TRUE(points.contains(rep->id()));
+  EXPECT_EQ(points.at(rep->id()), cluster.writer()->vdl());
+  EXPECT_NE(cluster.MetricsJson().find(
+                "\"replica.lag_lsns." + std::to_string(rep->id()) + "\": 0"),
+            std::string::npos);
 }
 
 TEST(Replica, ReadPointFeedsPgmrpl) {

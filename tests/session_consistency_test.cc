@@ -63,6 +63,22 @@ Result<std::string> SessionGet(core::AuroraCluster& cluster,
   return result;
 }
 
+Result<std::vector<std::pair<std::string, std::string>>> SessionScan(
+    core::AuroraCluster& cluster, core::ClientSession& session,
+    const std::string& lo, const std::string& hi) {
+  Result<std::vector<std::pair<std::string, std::string>>> result =
+      Status::Internal("unset");
+  bool done = false;
+  session.Scan(lo, hi, 10, [&](auto r) {
+    result = std::move(r);
+    done = true;
+  });
+  if (!cluster.RunUntil([&]() { return done; })) {
+    return Status::TimedOut("session scan stuck");
+  }
+  return result;
+}
+
 TEST(SessionConsistency, ReadYourWritesImmediately) {
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());
@@ -79,10 +95,26 @@ TEST(SessionConsistency, ReadYourWritesImmediately) {
     auto v = SessionGet(cluster, session, "ryw");
     ASSERT_TRUE(v.ok()) << g << ": " << v.status().ToString();
     EXPECT_EQ(*v, value) << "stale read at generation " << g;
+    if (g % 4 == 0) {
+      auto rows = SessionScan(cluster, session, "ryw", "ryx");
+      ASSERT_TRUE(rows.ok()) << g << ": " << rows.status().ToString();
+      ASSERT_EQ(rows->size(), 1u);
+      EXPECT_EQ(rows->front().second, value) << "stale scan at " << g;
+    }
   }
   // The fleet actually served session traffic.
   EXPECT_GT(session.stats().replica_reads + session.stats().writer_fallbacks,
             0u);
+  // Every session read reached the healthy replica through an anchor.
+  // Gets and scans are counted apart, and the cluster's
+  // aurora.read.anchored series is their sum.
+  EXPECT_EQ(rep->stats().anchored_gets, session.stats().gets);
+  EXPECT_EQ(rep->stats().anchored_scans, session.stats().scans);
+  EXPECT_EQ(session.stats().scans, 5u);
+  const uint64_t anchored = session.stats().gets + session.stats().scans;
+  EXPECT_NE(cluster.MetricsJson().find("\"aurora.read.anchored\": " +
+                                       std::to_string(anchored) + ","),
+            std::string::npos);
 }
 
 TEST(SessionConsistency, LaggingReplicaWaitsOrFallsBack) {
