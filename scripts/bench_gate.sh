@@ -12,8 +12,10 @@
 # Deterministic counts are gated EXACTLY instead: the simulation is
 # deterministic, so C7's executed events, fan-out copies and retransmits
 # must equal the baseline bit for bit (a change that adds a round trip or
-# a resend fails here even when the throughput floor still passes). A
-# deliberate schedule change refreshes those baseline keys.
+# a resend fails here even when the throughput floor still passes). So
+# must the fleet's block-version bytes at the end of the run: a return to
+# one page copy per coalesced record multiplies it. A deliberate schedule
+# or storage-layout change refreshes those baseline keys.
 #
 # Knobs for noisy machines (documented in EXPERIMENTS.md, C9 section):
 #   AURORA_BENCH_TOLERANCE=0.1  scripts/bench_gate.sh   # looser floor
@@ -173,7 +175,8 @@ check_exact() {
 for spec in \
   "c7:BENCH_c7_write_throughput.json:events_executed" \
   "c7:BENCH_c7_write_throughput.json:fanout_records" \
-  "c7:BENCH_c7_write_throughput.json:retransmitted_records"; do
+  "c7:BENCH_c7_write_throughput.json:retransmitted_records" \
+  "c7:BENCH_c7_write_throughput.json:fleet_version_bytes"; do
   IFS=: read -r label file key <<<"${spec}"
   check_exact "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
 done

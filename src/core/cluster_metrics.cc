@@ -158,6 +158,18 @@ std::string AuroraCluster::MetricsJson() {
         [](const SegmentStats& s) { return s.scrub_corruptions_found; });
   count("storage.stale_epoch_rejections", segments,
         [](const SegmentStats& s) { return s.stale_epoch_rejections; });
+  count("storage.records_coalesced", segments,
+        [](const SegmentStats& s) { return s.records_coalesced; });
+  count("storage.versions_gced", segments,
+        [](const SegmentStats& s) { return s.versions_gced; });
+  std::vector<const storage::SegmentStore*> live_segments;
+  for (auto& node : storage_nodes_) {
+    for (const auto& [id, segment] : node->segments()) {
+      live_segments.push_back(segment.get());
+    }
+  }
+  gauge("storage.version_bytes", live_segments,
+        [](const storage::SegmentStore* s) { return s->TotalVersionBytes(); });
   // Per-tenant DRR accounting (DESIGN.md §11), one series per volume.
   for (auto& node : storage_nodes_) {
     for (VolumeId volume : node->TenantIds()) {

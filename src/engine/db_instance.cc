@@ -52,6 +52,7 @@ void DbInstance::InitComponents(const quorum::VolumeGeometry& geometry,
   // Recovery rebuilds the driver; re-apply the externally installed ack
   // observer (health monitoring) so it survives crash/failover.
   if (ack_observer_) driver_->SetAckObserver(ack_observer_);
+  driver_->SetPgmrplSource([this]() { return ComputePgmrpl(); });
   btree_ = std::make_unique<BTree>(
       options_.btree,
       [this](BlockId block, std::function<void(Result<storage::Page*>)> f) {

@@ -90,6 +90,11 @@ void StorageDriver::SendBatch(SegmentChannel* channel,
   request->epochs = EpochVector{volume_epoch_,
                                 geometry_.Pg(channel->pg).epoch()};
   request->records = std::move(records);
+  if (pgmrpl_source_) {
+    // Never advertise a floor above the group's own completion point
+    // (the same clamp ReadBlock applies to its read point).
+    request->pgmrpl = std::min(pgmrpl_source_(), tracker_.pgcl(channel->pg));
+  }
   stats_.write_requests++;
   const SimTime sent_at = sim_->Now();
   const NodeId target = channel->info.node;

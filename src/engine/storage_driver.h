@@ -104,6 +104,13 @@ class StorageDriver {
     ack_observer_ = std::move(cb);
   }
 
+  /// Source of the instance's minimum read point (PGMRPL, §3.4). Every
+  /// write request carries it, clamped to the target group's PGCL, so
+  /// storage can fold and collect versions under write-only load.
+  void SetPgmrplSource(std::function<Lsn()> source) {
+    pgmrpl_source_ = std::move(source);
+  }
+
   /// Submits a chained batch of records (one MTR or commit record). The
   /// records must carry already-allocated LSNs and PG assignments.
   void SubmitRecords(const std::vector<log::RedoRecord>& records);
@@ -225,6 +232,7 @@ class StorageDriver {
   AdvanceCallback on_advance_;
   FencedCallback on_fenced_;
   std::function<void(SegmentId, bool)> ack_observer_;
+  std::function<Lsn()> pgmrpl_source_;
   /// PGs currently degraded (write quorum stalled) → when they entered.
   std::map<ProtectionGroupId, SimTime> degraded_since_;
   std::map<ProtectionGroupId, QuorumWatch> quorum_watch_;

@@ -21,10 +21,14 @@ namespace aurora::storage {
 inline constexpr uint64_t kMessageOverheadBytes = 64;
 
 /// A batch of redo records addressed to one segment (§2.2 write path).
+/// `pgmrpl` carries the instance's minimum read point, clamped to the
+/// group's PGCL, so coalescing and version GC advance under write-only
+/// load (§3.4). It rides in the fixed envelope.
 struct WriteRequest {
   SegmentId segment = kInvalidSegment;
   EpochVector epochs;
   std::vector<log::RedoRecord> records;
+  Lsn pgmrpl = kInvalidLsn;
 
   uint64_t SerializedSize() const {
     uint64_t bytes = kMessageOverheadBytes;

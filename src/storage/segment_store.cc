@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
@@ -82,37 +83,63 @@ Status SegmentStore::AbsorbGossip(const std::vector<log::RedoRecord>& records) {
 
 size_t SegmentStore::CoalesceStep(size_t max_records) {
   if (!info_.is_full) return 0;
+  // Only history every reader has passed folds (§3.4): records above
+  // min(SCL, PGMRPL) stay pending and ReadPage materializes them on demand.
+  const Lsn floor = std::min(hot_log_.scl(), pgmrpl_);
+  if (floor == kInvalidLsn) return 0;
   size_t applied = 0;
-  const Lsn scl = hot_log_.scl();
   for (auto block_it = pending_redo_.begin();
        block_it != pending_redo_.end() && applied < max_records;) {
     auto& pending = block_it->second;
     auto& block_versions = versions_[block_it->first];
     while (!pending.empty() && applied < max_records) {
       const auto& [lsn, record] = *pending.begin();
-      if (lsn > scl) break;  // not yet chain-complete
-      const Page* latest =
-          block_versions.empty() ? nullptr : &block_versions.rbegin()->second;
-      const Lsn latest_lsn = latest ? latest->page_lsn : kInvalidLsn;
-      if (lsn <= latest_lsn) {
-        // Already applied via on-demand materialization or hydration.
+      if (lsn > floor) break;
+      // Fold into the newest version at or below the record. Versions
+      // older than it lie below the floor, where the folded version is
+      // the block's only state, so they go.
+      auto base = block_versions.upper_bound(lsn);
+      const bool has_base = base != block_versions.begin();
+      if (has_base) --base;
+      const Lsn base_lsn = has_base ? base->first : kInvalidLsn;
+      stats_.versions_gced += std::distance(block_versions.begin(), base);
+      block_versions.erase(block_versions.begin(), base);
+      if (lsn == base_lsn) {
+        // Already applied via on-demand materialization.
         pending.erase(pending.begin());
         continue;
       }
-      if (record.prev_lsn_block != latest_lsn) {
-        // Hole in the block chain below this record (e.g. version state
-        // absorbed from hydration is ahead/behind); wait for gossip.
+      if (record.prev_lsn_block != base_lsn) {
+        if (block_versions.upper_bound(lsn) != block_versions.end()) {
+          // A newer version (absorbed from hydration) already reflects
+          // this record; the history below it is not retained.
+          if (has_base) {
+            block_versions.erase(base);
+            stats_.versions_gced++;
+          }
+          pending.erase(pending.begin());
+          continue;
+        }
+        // Hole in the block chain below this record; wait for gossip.
         break;
       }
-      Page next = latest ? *latest : Page{};
-      next.id = block_it->first;
-      const Status st = ApplyRedoPayload(&next, record.payload.view(), lsn);
-      if (!st.ok()) {
+      auto op = DecodePageOp(record.payload.view());
+      if (!op.ok()) {
         AURORA_ERROR << "segment " << info_.id << " coalesce failed: "
-                     << st.ToString();
+                     << op.status().ToString();
         break;
       }
-      block_versions.emplace(lsn, std::move(next));
+      // In place: re-key the base version's node and apply, no page copy.
+      Page* page = nullptr;
+      if (has_base) {
+        auto node = block_versions.extract(base);
+        node.key() = lsn;
+        page = &block_versions.insert(std::move(node)).position->second;
+      } else {
+        page = &block_versions.emplace(lsn, Page{}).first->second;
+        page->id = block_it->first;
+      }
+      (void)ApplyPageOp(page, *op, lsn);
       pending.erase(pending.begin());
       stats_.records_coalesced++;
       applied++;
@@ -145,7 +172,7 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     stats_.reads_rejected++;
     return Status::Unavailable("segment hydrating");
   }
-  if (pgmrpl_ != kInvalidLsn && read_lsn < pgmrpl_) {
+  if (read_floor_ != kInvalidLsn && read_lsn < read_floor_) {
     stats_.reads_rejected++;
     return Status::OutOfRange("read below PGMRPL");
   }
@@ -154,6 +181,21 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     return Status::Unavailable("read above SCL");
   }
   const Page* base = LatestVersionAtOrBelow(block, read_lsn);
+  // Below the floor a writer sent, only the folded version survives. A
+  // read under it is still served when the block has no record between (a
+  // replica's group-clamped read point may trail that floor); it is
+  // refused only when the block's history there is folded away: its
+  // oldest retained version is above the read point and at or below the
+  // floor, so it was folded.
+  auto refuse = [&](Status status) {
+    stats_.reads_rejected++;
+    auto v = versions_.find(block);
+    if (base == nullptr && v != versions_.end() && !v->second.empty() &&
+        v->second.begin()->first <= pgmrpl_) {
+      return Status::OutOfRange("block history below PGMRPL folded away");
+    }
+    return status;
+  };
   // Collect pending redo in (base_lsn, read_lsn] for on-demand
   // materialization along the block chain (§2.2).
   const Lsn base_lsn = base ? base->page_lsn : kInvalidLsn;
@@ -170,8 +212,8 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
          it != pending_it->second.end() && it->first <= read_lsn; ++it) {
       const auto& record = it->second;
       if (record.prev_lsn_block != page.page_lsn) {
-        stats_.reads_rejected++;
-        return Status::Unavailable("block chain hole during materialization");
+        return refuse(
+            Status::Unavailable("block chain hole during materialization"));
       }
       AURORA_RETURN_IF_ERROR(ApplyRedoPayload(&page, record.payload.view(),
                                               record.lsn));
@@ -179,11 +221,11 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     }
   }
   if (base == nullptr && !applied_any) {
-    stats_.reads_rejected++;
-    return Status::NotFound("block has no data at or below read point");
+    return refuse(Status::NotFound("block has no data at or below read point"));
   }
   if (applied_any) {
-    // Keep the on-demand result (background coalesce will skip past it).
+    // Keep the on-demand result; once the floor passes it, coalescing
+    // reaches it and drops the versions below.
     versions_[block].emplace(page.page_lsn, page);
   }
   stats_.reads_served++;
@@ -192,6 +234,11 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
 
 void SegmentStore::ObservePgmrpl(Lsn pgmrpl) {
   pgmrpl_ = std::max(pgmrpl_, pgmrpl);
+}
+
+void SegmentStore::ObserveReadFloor(Lsn pgmrpl) {
+  read_floor_ = std::max(read_floor_, pgmrpl);
+  ObservePgmrpl(pgmrpl);
 }
 
 void SegmentStore::MarkBackedUp(Lsn lsn) {
@@ -361,11 +408,33 @@ HydrationResponse SegmentStore::BuildHydration(
   constexpr size_t kMaxRecords = 4096;
   response.records = hot_log_.RecordsAbove(request.have_scl, kMaxRecords);
   if (request.need_blocks && info_.is_full) {
+    // Each block ships materialized at SCL: its newest version plus the
+    // chain-complete redo still pending above it. History below is not
+    // needed by any reader of the replacement.
+    std::set<BlockId> blocks;
     for (const auto& [block, block_versions] : versions_) {
-      if (block_versions.empty()) continue;
-      // The newest version is sufficient for repair; history below PGMRPL
-      // is not needed by any reader.
-      response.pages.push_back(block_versions.rbegin()->second);
+      if (!block_versions.empty()) blocks.insert(block);
+    }
+    for (const auto& [block, pending] : pending_redo_) blocks.insert(block);
+    for (BlockId block : blocks) {
+      Page page;
+      page.id = block;
+      auto v = versions_.find(block);
+      if (v != versions_.end() && !v->second.empty()) {
+        page = v->second.rbegin()->second;
+      }
+      auto p = pending_redo_.find(block);
+      if (p != pending_redo_.end()) {
+        for (auto it = p->second.upper_bound(page.page_lsn);
+             it != p->second.end() && it->first <= hot_log_.scl(); ++it) {
+          if (it->second.prev_lsn_block != page.page_lsn ||
+              !ApplyRedoPayload(&page, it->second.payload.view(), it->first)
+                   .ok()) {
+            break;
+          }
+        }
+      }
+      if (page.page_lsn != kInvalidLsn) response.pages.push_back(page);
     }
   }
   return response;
@@ -385,8 +454,8 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
   record_crcs_.clear();
   pending_redo_.clear();
   versions_.clear();
-  coalesce_cursor_ = kInvalidLsn;
   pgmrpl_ = kInvalidLsn;
+  read_floor_ = kInvalidLsn;
   backup_lsn_ = kInvalidLsn;
   hydrated_ = true;
   hydration_target_ = kInvalidLsn;

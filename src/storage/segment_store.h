@@ -6,8 +6,9 @@
 //    not have a vote in determining whether to accept a write, they must
 //    do so";
 //  * on-demand block materialization along the block chain (§2.2);
-//  * out-of-place, non-destructive block versions retained until PGMRPL
-//    advances (§3.4);
+//  * block versions kept only between PGMRPL and SCL (§3.4): redo at or
+//    below the floor folds in place into one version per block, redo
+//    above it stays pending and materializes on demand;
 //  * epoch validation for volume and membership fencing (§2.4, §4.1);
 //  * truncation-range enforcement so in-flight writes from before a crash
 //    are annulled (§2.4);
@@ -101,19 +102,27 @@ class SegmentStore {
     return hot_log_.ChainAfter(peer_scl, max_records);
   }
 
-  /// Applies up to `max_records` chain-complete records (<= SCL) to block
-  /// versions (§2.1 activity 5). No-op for tail segments. Returns records
-  /// applied.
+  /// Folds up to `max_records` chain-complete records at or below
+  /// min(SCL, PGMRPL) in place into each block's newest version at or
+  /// below the record (§2.1 activity 5); older versions of the block go.
+  /// No-op for tail segments. Returns records applied.
   size_t CoalesceStep(size_t max_records);
 
   /// Serves a block version at or below `read_lsn`, materializing
   /// on-demand from the newest coalesced version plus hot-log records
-  /// (§2.2). Only full segments serve pages. The node only accepts reads
-  /// between PGMRPL and SCL (§3.4).
+  /// (§2.2). Only full segments serve pages, and only between PGMRPL and
+  /// SCL (§3.4): a read below a floor some reader advertised is refused
+  /// (OutOfRange). Below a floor only a writer sent, a read is refused
+  /// only when the block's history there is folded away: its oldest
+  /// retained version is above `read_lsn` and at or below PGMRPL.
   Result<Page> ReadPage(BlockId block, Lsn read_lsn);
 
-  /// Observes the instance's minimum read point (§3.4); unlocks GC below.
+  /// Observes the instance's minimum read point carried on a write
+  /// (§3.4); coalescing folds and GC collects below it.
   void ObservePgmrpl(Lsn pgmrpl);
+  /// Observes the floor a reader piggybacked on a page read: as
+  /// ObservePgmrpl, and reads below it are refused outright.
+  void ObserveReadFloor(Lsn pgmrpl);
   Lsn pgmrpl() const { return pgmrpl_; }
 
   /// Marks records at or below `lsn` as durably backed up (§2.1 act. 6).
@@ -162,7 +171,6 @@ class SegmentStore {
   size_t VersionCount(BlockId block) const;
   uint64_t TotalVersionBytes() const;
   uint64_t HotLogBytes() const { return hot_log_.TotalBytes(); }
-  Lsn coalesce_cursor() const { return coalesce_cursor_; }
   size_t PendingRedoCount() const;
 
  private:
@@ -182,11 +190,12 @@ class SegmentStore {
   std::map<Lsn, uint32_t> record_crcs_;
   // Per-block pending (un-coalesced) redo, in LSN order.
   std::map<BlockId, std::map<Lsn, log::RedoRecord>> pending_redo_;
-  // Out-of-place materialized versions per block, keyed by page_lsn.
+  // Materialized versions per block, keyed by page_lsn: at most one at or
+  // below the floor once coalesced, plus on-demand ones above it.
   std::map<BlockId, std::map<Lsn, Page>> versions_;
 
-  Lsn coalesce_cursor_ = kInvalidLsn;  // all records <= this are coalesced
-  Lsn pgmrpl_ = kInvalidLsn;
+  Lsn pgmrpl_ = kInvalidLsn;      // highest floor observed from any request
+  Lsn read_floor_ = kInvalidLsn;  // highest floor a page read advertised
   Lsn backup_lsn_ = kInvalidLsn;
 
   SegmentStats stats_;

@@ -107,6 +107,8 @@ void StorageNode::HandleWrite(const WriteRequest& request,
                    segment->hydrated()});
     return;
   }
+  // Only a writer at the current epochs may move the floor.
+  segment->ObservePgmrpl(request.pgmrpl);
   // Multi-tenant QoS: the request joins its tenant's queue and the DRR
   // scheduler decides when it reaches the disk (DESIGN.md §11). The
   // durable append to the update queue is the only synchronous cost on
@@ -225,7 +227,7 @@ void StorageNode::HandleReadPage(const ReadPageRequest& request,
     return;
   }
   if (request.pgmrpl != kInvalidLsn) {
-    segment->ObservePgmrpl(request.pgmrpl);
+    segment->ObserveReadFloor(request.pgmrpl);
   }
   disk_.SubmitRead(4096, [this, request, reply = std::move(reply),
                           segment]() mutable {

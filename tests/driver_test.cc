@@ -242,5 +242,42 @@ TEST(StorageDriver, DualQuorumNeedsBothCandidateSets) {
   EXPECT_EQ(f.driver->tracker().vcl(), 1u);
 }
 
+// Every write request carries the instance's minimum read point clamped
+// to the group's PGCL, so segments learn the floor without any reads.
+TEST(StorageDriver, WritesCarryFloorClampedToPgcl) {
+  Fixture f;
+  f.driver->SetPgmrplSource([]() { return Lsn{50}; });
+  f.driver->SubmitRecords({f.Record(1)});
+  f.sim.RunFor(50 * kMillisecond);
+  f.driver->SubmitRecords({f.Record(2)});
+  f.sim.RunFor(50 * kMillisecond);
+  for (auto& node : f.nodes) {
+    // Sent while PGCL was 1: the floor never passes the group's own
+    // completion point, however far ahead the instance's read point is.
+    EXPECT_EQ(node->segments().begin()->second->pgmrpl(), 1u);
+  }
+}
+
+TEST(StorageNode, StaleEpochWriteDoesNotMoveFloor) {
+  Fixture f;
+  storage::StorageNode* node = f.nodes.front().get();
+  storage::SegmentStore* segment = node->segments().begin()->second.get();
+  storage::WriteRequest request;
+  request.segment = segment->id();
+  request.epochs = EpochVector{0, 1};  // volume epoch 0 < 1: fenced
+  request.records = {f.Record(1)};
+  request.pgmrpl = 42;
+  Status fenced;
+  node->HandleWrite(request, [&](storage::WriteAck ack) {
+    fenced = ack.status;
+  });
+  EXPECT_TRUE(fenced.IsStaleEpoch());
+  EXPECT_EQ(segment->pgmrpl(), kInvalidLsn);
+  // The same request at the current epochs moves it.
+  request.epochs = EpochVector{1, 1};
+  node->HandleWrite(request, [](storage::WriteAck) {});
+  EXPECT_EQ(segment->pgmrpl(), 42u);
+}
+
 }  // namespace
 }  // namespace aurora::engine

@@ -245,6 +245,56 @@ TEST(Replica, StreamAppliesMtrAtomicallyAndLagDrains) {
             std::string::npos);
 }
 
+// Writes carry the writer's floor to every segment (§3.4). A replica's
+// read of a group is clamped to the last record of that group it has
+// applied, which can sit below a floor the writer sent that group (the
+// writer's floor is the replica's VDL, whose last record lies in another
+// group). Storage must serve such a read: no record of the group lies
+// between the read point and the floor.
+TEST(Replica, ReadBelowWriterFloorOfTrailingGroupIsServed) {
+  core::AuroraOptions options = Options();
+  options.num_pgs = 2;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("k" + std::to_string(i), "v0").ok());
+  }
+  auto* rep = cluster.AddReplica();
+  cluster.RunFor(500 * kMillisecond);
+  auto* writer = cluster.writer();
+  ASSERT_EQ(rep->vdl(), writer->vdl());
+  ASSERT_EQ(writer->replica_read_points().at(rep->id()), rep->vdl());
+  // Freeze the replica at its reported read point while the writer goes
+  // on: both groups' write requests now carry that point as their floor.
+  cluster.network().Partition(writer->id(), rep->id(), true);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("k" + std::to_string(i), "v1").ok());
+  }
+  const Lsn rep_vdl = rep->vdl();
+  auto group_stats = [&](ProtectionGroupId pg) {
+    storage::SegmentStats total;
+    cluster.ForEachSegment([&](storage::StorageNode*,
+                               storage::SegmentStore* segment) {
+      if (segment->pg() != pg || !segment->is_full()) return;
+      EXPECT_EQ(segment->pgmrpl(), rep_vdl) << "pg " << pg;
+      total.reads_served += segment->stats().reads_served;
+      total.reads_rejected += segment->stats().reads_rejected;
+    });
+    return total;
+  };
+  const storage::SegmentStats before = group_stats(1);
+  // The replica's cache is cold: every key reads its leaf from storage.
+  for (int i = 0; i < 200; ++i) {
+    auto v = ReplicaGet(cluster, rep, "k" + std::to_string(i));
+    ASSERT_TRUE(v.ok()) << "k" << i << ": " << v.status().ToString();
+    EXPECT_EQ(*v, "v0");
+  }
+  const storage::SegmentStats after = group_stats(1);
+  EXPECT_GT(after.reads_served, before.reads_served)
+      << "the replica must have read the trailing group";
+  EXPECT_EQ(after.reads_rejected, before.reads_rejected);
+}
+
 TEST(Replica, ReadPointFeedsPgmrpl) {
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
+#include "src/common/random.h"
 #include "src/log/record.h"
 #include "src/quorum/membership.h"
 #include "src/storage/disk.h"
@@ -182,8 +187,15 @@ TEST(SegmentStore, CoalesceMaterializesVersions) {
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
                             DataRecord(3, 2, 7, 2, InsertOp("b", "2"))})
                   .ok());
-  EXPECT_EQ(store.CoalesceStep(100), 3u);
-  EXPECT_EQ(store.VersionCount(7), 3u);  // out-of-place: one per record
+  EXPECT_EQ(store.CoalesceStep(100), 0u) << "no floor: redo stays pending";
+  store.ObservePgmrpl(2);
+  EXPECT_EQ(store.CoalesceStep(100), 2u) << "only records <= PGMRPL fold";
+  EXPECT_EQ(store.VersionCount(7), 1u);
+  store.ObservePgmrpl(3);
+  EXPECT_EQ(store.CoalesceStep(100), 1u);
+  // In place: one version per block below the floor, not one per record.
+  EXPECT_EQ(store.VersionCount(7), 1u);
+  EXPECT_EQ(store.stats().records_coalesced, 3u);
   auto page = store.ReadPage(7, 3);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->entries.size(), 2u);
@@ -225,10 +237,27 @@ TEST(SegmentStore, ReadAboveSclRejected) {
 TEST(SegmentStore, ReadBelowPgmrplRejected) {
   auto store = MakeStore();
   ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
-                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))})
+                            DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
+                            DataRecord(3, 2, 9, 0, FormatOp())})
                   .ok());
-  store.ObservePgmrpl(2);
+  store.ObservePgmrpl(3);
+  // Until coalescing folds it, the history below the floor is intact.
+  auto unfolded = store.ReadPage(7, 1);
+  ASSERT_TRUE(unfolded.ok()) << unfolded.status().ToString();
+  EXPECT_TRUE(unfolded->entries.empty());
+  store.CoalesceStep(100);
+  // Block 7's state at 1 was folded into its version at 2: refused.
   EXPECT_EQ(store.ReadPage(7, 1).status().code(), StatusCode::kOutOfRange);
+  // Below the floor, but no record of block 7 lies in (2, 3]: served.
+  auto below = store.ReadPage(7, 2);
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  EXPECT_EQ(below->entries.at("a"), "1");
+  // Block 9 was folded at 3; a read under it is refused, not NotFound.
+  EXPECT_EQ(store.ReadPage(9, 2).status().code(), StatusCode::kOutOfRange);
+  // A floor a reader advertised refuses every read below it (§3.4).
+  store.ObserveReadFloor(3);
+  EXPECT_EQ(store.ReadPage(7, 2).status().code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(store.ReadPage(7, 3).ok());
 }
 
 TEST(SegmentStore, TailSegmentServesNoPages) {
@@ -248,9 +277,17 @@ TEST(SegmentStore, GcRequiresBackupAndCoalesce) {
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1"))})
                   .ok());
   EXPECT_EQ(store.GarbageCollect(), 0u) << "nothing backed up yet";
-  store.CoalesceStep(100);
   store.MarkBackedUp(2);
-  EXPECT_GT(store.GarbageCollect(), 0u);
+  store.CoalesceStep(100);
+  EXPECT_EQ(store.GarbageCollect(), 0u)
+      << "backed up but above the floor: still pending, not coalesced";
+  EXPECT_EQ(store.hot_log().RecordCount(), 2u);
+  store.ObservePgmrpl(1);
+  store.CoalesceStep(100);
+  EXPECT_EQ(store.GarbageCollect(), 1u) << "only the folded prefix evicts";
+  store.ObservePgmrpl(2);
+  store.CoalesceStep(100);
+  EXPECT_EQ(store.GarbageCollect(), 1u);
   EXPECT_EQ(store.hot_log().RecordCount(), 0u);
   // Reads still work from materialized versions.
   EXPECT_TRUE(store.ReadPage(7, 2).ok());
@@ -263,15 +300,168 @@ TEST(SegmentStore, VersionGcKeepsNewestAtOrBelowPgmrpl) {
                             DataRecord(3, 2, 7, 2, InsertOp("k", "v2")),
                             DataRecord(4, 3, 7, 3, InsertOp("k", "v3"))})
                   .ok());
-  store.CoalesceStep(100);
-  EXPECT_EQ(store.VersionCount(7), 4u);
+  // On-demand reads keep the versions they materialize.
+  ASSERT_TRUE(store.ReadPage(7, 2).ok());
+  ASSERT_TRUE(store.ReadPage(7, 4).ok());
+  EXPECT_EQ(store.VersionCount(7), 2u);
   store.ObservePgmrpl(3);
+  store.CoalesceStep(100);
   store.GarbageCollect();
-  // Versions 1,2 collected; version 3 (newest <= PGMRPL) and 4 retained.
+  // Records 1-3 fold in place into one version at 3 (the on-demand
+  // version at 2 is re-keyed, not copied); version 4 above the floor
+  // stays.
   EXPECT_EQ(store.VersionCount(7), 2u);
   auto page = store.ReadPage(7, 3);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->entries.at("k"), "v2");
+  EXPECT_EQ(store.ReadPage(7, 2).status().code(), StatusCode::kOutOfRange);
+  // Record 4 is already in the on-demand version: folding just drops the
+  // version below it.
+  store.ObservePgmrpl(4);
+  EXPECT_EQ(store.CoalesceStep(100), 0u);
+  EXPECT_EQ(store.VersionCount(7), 1u);
+  auto newest = store.ReadPage(7, 4);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(newest->entries.at("k"), "v3");
+}
+
+// Differential check of in-place coalescing. Random record streams over
+// several blocks (format, insert, erase and truncate ops) arrive out of
+// order through appends and gossip while the floor advances at random.
+// Every served ReadPage(block, r) must equal a from-scratch apply of the
+// block's records <= r. A refusal is allowed only where the block's
+// history at r is folded away: the floor has passed one of its records
+// above r.
+TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
+  constexpr uint64_t kBlocks = 4;
+  constexpr Lsn kRecords = 80;
+  uint64_t served = 0;
+  uint64_t refused = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<log::RedoRecord> stream;
+    std::map<BlockId, Lsn> block_tail;
+    for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
+      const BlockId block = 10 + rng.NextBounded(kBlocks);
+      const std::string key(1, static_cast<char>('a' + rng.NextBounded(6)));
+      PageOp op = InsertOp(key, std::to_string(lsn));
+      switch (rng.NextBounded(8)) {
+        case 0:
+          op = FormatOp();
+          break;
+        case 1:
+          op.type = PageOpType::kErase;
+          break;
+        case 2:
+          op.type = PageOpType::kTruncateFrom;
+          break;
+        default:
+          break;
+      }
+      stream.push_back(DataRecord(lsn, lsn - 1, block, block_tail[block], op));
+      block_tail[block] = lsn;
+    }
+    auto from_scratch = [&](BlockId block, Lsn r) -> std::optional<Page> {
+      std::optional<Page> page;
+      for (const auto& record : stream) {
+        if (record.lsn > r) break;
+        if (record.block != block) continue;
+        if (!page) {
+          page.emplace();
+          page->id = block;
+        }
+        EXPECT_TRUE(
+            ApplyRedoPayload(&*page, record.payload.view(), record.lsn).ok());
+      }
+      return page;
+    };
+    auto folded_away = [&](BlockId block, Lsn r, Lsn floor) {
+      return std::any_of(stream.begin(), stream.end(), [&](const auto& rec) {
+        return rec.block == block && rec.lsn > r && rec.lsn <= floor;
+      });
+    };
+
+    // Delivery order: each record moves up to 5 places from its LSN slot.
+    std::vector<log::RedoRecord> delivery = stream;
+    for (size_t i = delivery.size(); i > 1; --i) {
+      const size_t lo = i > 6 ? i - 6 : 0;
+      std::swap(delivery[i - 1], delivery[lo + rng.NextBounded(i - lo)]);
+    }
+    auto store = MakeStore();
+    size_t delivered = 0;
+    auto check = [&](BlockId block, Lsn r) {
+      auto got = store.ReadPage(block, r);
+      const auto want = from_scratch(block, r);
+      const Lsn floor = std::min(store.scl(), store.pgmrpl());
+      if (got.ok()) {
+        served++;
+        ASSERT_TRUE(want.has_value()) << "block " << block << " at " << r;
+        EXPECT_TRUE(*got == *want) << "block " << block << " at " << r
+                                   << ": " << got->ToString() << " vs "
+                                   << want->ToString();
+      } else if (got.status().code() == StatusCode::kOutOfRange) {
+        refused++;
+        EXPECT_TRUE(r < floor && folded_away(block, r, floor))
+            << "block " << block << " at " << r << " refused, floor "
+            << floor;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kNotFound)
+            << got.status().ToString();
+        EXPECT_FALSE(want.has_value()) << "block " << block << " at " << r;
+      }
+    };
+    for (int step = 0; step < 300; ++step) {
+      switch (rng.NextBounded(6)) {
+        case 0:
+        case 1: {
+          std::vector<log::RedoRecord> batch;
+          for (uint64_t n = 1 + rng.NextBounded(4);
+               n > 0 && delivered < delivery.size(); --n) {
+            batch.push_back(delivery[delivered++]);
+          }
+          // Gossip may also re-deliver a record the segment already has.
+          if (delivered > 0 && rng.Bernoulli(0.3)) {
+            batch.push_back(delivery[rng.NextBounded(delivered)]);
+          }
+          ASSERT_TRUE((rng.Bernoulli(0.5) ? store.Append(batch)
+                                          : store.AbsorbGossip(batch))
+                          .ok());
+          break;
+        }
+        case 2:
+          store.ObservePgmrpl(store.pgmrpl() + rng.NextBounded(8));
+          break;
+        case 3:
+          store.CoalesceStep(1 + rng.NextBounded(6));
+          break;
+        case 4:
+          store.MarkBackedUp(rng.NextBounded(store.scl() + 1));
+          store.GarbageCollect();
+          break;
+        default:
+          if (store.scl() != kInvalidLsn) {
+            check(10 + rng.NextBounded(kBlocks),
+                  1 + rng.NextBounded(store.scl()));
+          }
+          break;
+      }
+    }
+    // Drain: fold everything below a final floor, then sweep every read.
+    std::vector<log::RedoRecord> rest(delivery.begin() + delivered,
+                                      delivery.end());
+    ASSERT_TRUE(store.AbsorbGossip(rest).ok());
+    ASSERT_EQ(store.scl(), kRecords);
+    store.ObservePgmrpl(1 + rng.NextBounded(kRecords));
+    store.CoalesceStep(kRecords);
+    store.MarkBackedUp(kRecords);
+    store.GarbageCollect();
+    for (BlockId block = 10; block < 10 + kBlocks; ++block) {
+      for (Lsn r = 1; r <= kRecords; ++r) check(block, r);
+    }
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(SegmentStore, PendingBackupOnlyChainComplete) {
