@@ -52,6 +52,10 @@ struct ThroughputResult {
   uint64_t hedged_reads = 0;
   SimDuration vdl_advance_p50_us = 0;
   SimDuration vdl_advance_p99_us = 0;
+  // The writer's commit wait (engine.commit_wait_us), whole run: exact
+  // simulated latencies, gated bit for bit like the counts.
+  SimDuration commit_wait_p50_us = 0;
+  SimDuration commit_wait_p99_us = 0;
   // Block-version bytes the fleet holds at the end of the run: with
   // in-place coalescing below PGMRPL this is about one version per block
   // per full segment, not one per record.
@@ -135,6 +139,8 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
   result.hedged_reads = driver->router().hedged_reads() - hedges_before;
   result.vdl_advance_p50_us = driver->vdl_advance_gap().Percentile(0.50);
   result.vdl_advance_p99_us = driver->vdl_advance_gap().Percentile(0.99);
+  result.commit_wait_p50_us = cluster.writer()->commit_latency().P50();
+  result.commit_wait_p99_us = cluster.writer()->commit_latency().P99();
   cluster.ForEachSegment(
       [&](storage::StorageNode*, storage::SegmentStore* segment) {
         result.fleet_version_bytes += segment->TotalVersionBytes();
@@ -252,6 +258,10 @@ int main(int argc, char** argv) {
              std::to_string(result.vdl_advance_p50_us) + " / " +
                  std::to_string(result.vdl_advance_p99_us),
              ""});
+  table.Row({"commit wait p50/p99 (us)",
+             std::to_string(result.commit_wait_p50_us) + " / " +
+                 std::to_string(result.commit_wait_p99_us),
+             ""});
   table.Row({"hedge rate", Num(result.HedgeRate(), 4), ""});
   table.Row({"fleet block-version bytes",
              std::to_string(result.fleet_version_bytes), ""});
@@ -277,6 +287,10 @@ int main(int argc, char** argv) {
       .Set("hedge_rate", result.HedgeRate())
       .Set("vdl_advance_p50_us", static_cast<uint64_t>(result.vdl_advance_p50_us))
       .Set("vdl_advance_p99_us", static_cast<uint64_t>(result.vdl_advance_p99_us))
+      .Set("commit_wait_p50_us",
+           static_cast<uint64_t>(result.commit_wait_p50_us))
+      .Set("commit_wait_p99_us",
+           static_cast<uint64_t>(result.commit_wait_p99_us))
       .Set("fleet_version_bytes", result.fleet_version_bytes)
       .SetRaw("metrics", result.metrics_json);
   if (!json.WriteFile()) return 1;

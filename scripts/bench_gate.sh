@@ -14,8 +14,10 @@
 # must equal the baseline bit for bit (a change that adds a round trip or
 # a resend fails here even when the throughput floor still passes). So
 # must the fleet's block-version bytes at the end of the run: a return to
-# one page copy per coalesced record multiplies it. A deliberate schedule
-# or storage-layout change refreshes those baseline keys.
+# one page copy per coalesced record multiplies it. So must the writer's
+# commit-wait p50/p99 in simulated µs: a change meant to save only host
+# time must not move simulated latency. A deliberate schedule or
+# storage-layout change refreshes those baseline keys.
 #
 # Knobs for noisy machines (documented in EXPERIMENTS.md, C9 section):
 #   AURORA_BENCH_TOLERANCE=0.1  scripts/bench_gate.sh   # looser floor
@@ -176,7 +178,9 @@ for spec in \
   "c7:BENCH_c7_write_throughput.json:events_executed" \
   "c7:BENCH_c7_write_throughput.json:fanout_records" \
   "c7:BENCH_c7_write_throughput.json:retransmitted_records" \
-  "c7:BENCH_c7_write_throughput.json:fleet_version_bytes"; do
+  "c7:BENCH_c7_write_throughput.json:fleet_version_bytes" \
+  "c7:BENCH_c7_write_throughput.json:commit_wait_p50_us" \
+  "c7:BENCH_c7_write_throughput.json:commit_wait_p99_us"; do
   IFS=: read -r label file key <<<"${spec}"
   check_exact "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
 done

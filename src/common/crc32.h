@@ -1,8 +1,9 @@
-// CRC-32C (Castagnoli), software implementation.
+// CRC-32C (Castagnoli), portable slice-by-8 software implementation.
 //
-// Used to checksum serialized redo records and materialized blocks; the
-// storage-node scrubber (§2.1 activity 8) re-verifies these checksums
-// against "disk" periodically.
+// Checksums redo records: the writer seals each record once
+// (RedoRecord::Seal), the record carries that value, and the storage-node
+// scrubber (§2.1 activity 8) recomputes it over the stored copy and
+// compares. The record codec also writes and verifies it as a trailer.
 
 #pragma once
 

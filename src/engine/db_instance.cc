@@ -214,6 +214,9 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
       record.mtr = log::MtrBoundary::kMiddle;
     }
     record.payload = EncodePageOp(staged.op);
+    // The header is final: checksum once here; segments, gossip, the
+    // archive and the retransmit buffer carry this value (§2.1 scrub).
+    record.Seal();
     last_volume_lsn_ = record.lsn;
     last_pg_lsn_[*pg] = record.lsn;
     // Apply to the cached image immediately (§2.2: changes modify the

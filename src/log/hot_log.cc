@@ -6,8 +6,14 @@
 namespace aurora::log {
 
 SegmentHotLog::Iter SegmentHotLog::LowerBound(Lsn lsn) const {
+  // In-order appends only ask about the tail: Append's duplicate check
+  // looks past the back, AdvanceScl at the back itself. Answer those in
+  // O(1) and binary-search the rest.
+  const size_t n = records_.size();
+  if (n == 0 || lsn > records_[n - 1].lsn) return records_.end();
+  if (n == 1 || lsn > records_[n - 2].lsn) return records_.end() - 1;
   return std::lower_bound(
-      records_.begin(), records_.end(), lsn,
+      records_.begin(), records_.end() - 1, lsn,
       [](const RedoRecord& r, Lsn value) { return r.lsn < value; });
 }
 

@@ -11,11 +11,12 @@
 // writer allocates LSNs monotonically, so records arrive (mostly) in
 // ascending order. They live in a deque sorted by LSN — appends at the
 // back are O(1) with no per-record node allocation, the rare out-of-order
-// arrival inserts at its sorted position, lookups are binary searches, and
-// GC pops a prefix. The segment chain needs no edge map either: in sorted
-// order, record i+1 extends the chain iff its prev_lsn_segment equals
-// record i's LSN. Chain-walk anchoring below the GC floor uses the floor
-// itself (everything at or below it was chain-complete when evicted).
+// arrival inserts at its sorted position, lookups at the tail are O(1) and
+// binary searches elsewhere, and GC pops a prefix. The segment chain needs
+// no edge map either: in sorted order, record i+1 extends the chain iff
+// its prev_lsn_segment equals record i's LSN. Chain-walk anchoring below
+// the GC floor uses the floor itself (everything at or below it was
+// chain-complete when evicted).
 
 #pragma once
 
@@ -76,6 +77,9 @@ class SegmentHotLog {
   /// All records in [lo, hi], LSN order (backup / repair reads).
   std::vector<RedoRecord> RecordsInRange(Lsn lo, Lsn hi) const;
 
+  /// Every stored record, LSN order (scrub walks them in place).
+  const std::deque<RedoRecord>& records() const { return records_; }
+
   /// Installs a truncation range: drops stored records inside it and
   /// refuses future appends inside it. Ranges accumulate across repeated
   /// crash recoveries.
@@ -105,8 +109,8 @@ class SegmentHotLog {
  private:
   using Iter = std::deque<RedoRecord>::const_iterator;
 
-  /// First stored record with LSN >= lsn (binary search; deque iterators
-  /// are random-access).
+  /// First stored record with LSN >= lsn: O(1) when that is the back or
+  /// past it, else a binary search (deque iterators are random-access).
   Iter LowerBound(Lsn lsn) const;
   RedoRecord* FindMutable(Lsn lsn);
   void AdvanceScl();

@@ -40,6 +40,8 @@ uint64_t RedoRecord::SerializedSize() const {
   return kHeaderSize + payload.size() + 4;  // + CRC
 }
 
+void RedoRecord::Seal() { crc = RecordBodyCrc(*this); }
+
 std::string RedoRecord::ToString() const {
   std::string out = "RedoRecord{lsn=" + std::to_string(lsn) +
                     " prev_vol=" + std::to_string(prev_lsn_volume) +
@@ -107,8 +109,8 @@ void EncodeHeader(const RedoRecord& record, char (&buf)[kHeaderSize]) {
 
 uint32_t RecordBodyCrc(const RedoRecord& record) {
   // Allocation-free: CRC the stack-encoded header, then continue over the
-  // shared payload bytes in place. Scrub calls this for every stored
-  // record, so it must not materialize a full encoding each time.
+  // shared payload bytes in place. The writer's seal and every scrub pass
+  // call this, so it must not materialize a full encoding each time.
   char header[kHeaderSize];
   EncodeHeader(record, header);
   const uint32_t header_crc = Crc32c(header, kHeaderSize);
@@ -157,6 +159,7 @@ Result<RedoRecord> DecodeRecord(std::string_view encoded) {
   if (stored_crc != computed_crc) {
     return Status::Corruption("record CRC mismatch");
   }
+  rec.crc = stored_crc;
   return rec;
 }
 

@@ -87,6 +87,9 @@ struct RedoRecord {
   /// Previous LSN for the target block ("block chain").
   Lsn prev_lsn_block = kInvalidLsn;
   ProtectionGroupId pg = 0;
+  /// RecordBodyCrc() of this record, set once by Seal() at the writer and
+  /// carried with the record everywhere it goes; scrub compares against it.
+  uint32_t crc = 0;
   BlockId block = kInvalidBlock;
   TxnId txn = kInvalidTxn;
   RecordType type = RecordType::kData;
@@ -101,17 +104,25 @@ struct RedoRecord {
   /// Bytes this record occupies on the wire / on disk (header + payload).
   uint64_t SerializedSize() const;
 
+  /// Sets `crc` from the header and payload. Call once, when both are
+  /// final; every later holder verifies against the carried value.
+  void Seal();
+
   bool operator==(const RedoRecord&) const = default;
 
   std::string ToString() const;
 };
 
-/// Serializes a record with a trailing CRC-32C. The scrubber re-validates
-/// this checksum against stored bytes.
+// `crc` sits in the padding after `pg`: sealing costs no record bytes.
+static_assert(sizeof(RedoRecord) == 80, "RedoRecord grew");
+
+/// Serializes a record with a trailing CRC-32C of its body: the same value
+/// Seal() stores in `crc`.
 std::string EncodeRecord(const RedoRecord& record);
 
-/// Decodes a record, verifying length framing and CRC. Returns
-/// Status::Corruption on any mismatch.
+/// Decodes a record, verifying length framing and CRC. The verified
+/// trailer becomes the record's `crc`, so a decoded record equals its
+/// sealed original. Returns Status::Corruption on any mismatch.
 Result<RedoRecord> DecodeRecord(std::string_view encoded);
 
 /// CRC-32C of the record's serialized body (header + payload, EXCLUDING

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <set>
 
-#include "src/common/crc32.h"
 #include "src/common/logging.h"
 
 namespace aurora::storage {
@@ -38,7 +37,6 @@ Status SegmentStore::CheckEpochs(const EpochVector& epochs) {
 }
 
 void SegmentStore::IndexRecord(const log::RedoRecord& record) {
-  record_crcs_[record.lsn] = log::RecordBodyCrc(record);
   // Commit records carry a status-index page op and materialize like any
   // other change; only control records carry no block payload.
   if (info_.is_full && record.type != log::RecordType::kControl &&
@@ -274,8 +272,6 @@ size_t SegmentStore::GarbageCollect() {
     hot_log_.EvictBelow(evict_to);
     removed += before - hot_log_.RecordCount();
     stats_.records_gced += before - hot_log_.RecordCount();
-    record_crcs_.erase(record_crcs_.begin(),
-                       record_crcs_.upper_bound(evict_to));
   }
   // Version GC: older versions are reclaimed only once no reader (writer
   // instance or replica) can need them (§3.4): keep everything above
@@ -295,26 +291,27 @@ size_t SegmentStore::GarbageCollect() {
 
 size_t SegmentStore::Scrub() {
   stats_.scrub_runs++;
-  size_t corruptions = 0;
-  std::vector<Lsn> bad;
-  for (const auto& [lsn, crc] : record_crcs_) {
-    const log::RedoRecord* record = hot_log_.Find(lsn);
-    if (record == nullptr) continue;
-    if (log::RecordBodyCrc(*record) != crc) {
-      bad.push_back(lsn);
+  // Compare each stored record against the checksum its writer sealed: a
+  // record damaged here, in transit or in a gossip reply fails alike.
+  std::vector<std::pair<Lsn, BlockId>> bad;
+  for (const auto& record : hot_log_.records()) {
+    if (log::RecordBodyCrc(record) != record.crc) {
+      bad.emplace_back(record.lsn, record.block);
     }
   }
-  for (Lsn lsn : bad) {
+  for (const auto& [lsn, block] : bad) {
     hot_log_.Remove(lsn);
-    record_crcs_.erase(lsn);
-    // Drop any pending-redo entry built from the corrupt record.
-    for (auto& [block, pending] : pending_redo_) pending.erase(lsn);
-    corruptions++;
+    // Drop the pending-redo entry built from the corrupt record.
+    auto pending = pending_redo_.find(block);
+    if (pending != pending_redo_.end()) {
+      pending->second.erase(lsn);
+      if (pending->second.empty()) pending_redo_.erase(pending);
+    }
     stats_.scrub_corruptions_found++;
     AURORA_WARN << "segment " << info_.id << " scrub dropped corrupt record "
                 << lsn;
   }
-  return corruptions;
+  return bad.size();
 }
 
 Status SegmentStore::UpdateMembership(const MembershipUpdateRequest& request) {
@@ -347,8 +344,6 @@ Status SegmentStore::UpdateVolumeEpoch(
   if (request.truncation.has_value()) {
     const auto& range = *request.truncation;
     hot_log_.Truncate(range);
-    record_crcs_.erase(record_crcs_.lower_bound(range.start),
-                       record_crcs_.upper_bound(range.end));
     // Drop pending redo and materialized versions inside the annulled
     // range (§2.4: in-flight writes completing during recovery must be
     // ignored; versions built from annulled records are invalid).
@@ -451,7 +446,6 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
   stats_.scl_advances += hot_log_.scl_advances();
   hot_log_ = log::SegmentHotLog();
   for (const auto& range : annulled) hot_log_.Truncate(range);
-  record_crcs_.clear();
   pending_redo_.clear();
   versions_.clear();
   pgmrpl_ = kInvalidLsn;

@@ -137,8 +137,10 @@ class SegmentStore {
   /// (keeping the newest version at or below it). Returns items removed.
   size_t GarbageCollect();
 
-  /// Scrub (§2.1 activity 8): re-verifies stored record checksums. Corrupt
-  /// records are dropped (gossip will re-fill them). Returns corruptions.
+  /// Scrub (§2.1 activity 8): recomputes each stored record's checksum
+  /// and compares it with the one the writer sealed into the record, so
+  /// damage before, during or after append is caught. Corrupt records are
+  /// dropped (gossip will re-fill them). Returns corruptions.
   size_t Scrub();
 
   /// Installs a new membership config. Accepts monotonically newer epochs
@@ -186,8 +188,6 @@ class SegmentStore {
   Lsn hydration_target_ = kInvalidLsn;
 
   log::SegmentHotLog hot_log_;
-  // Record checksums captured at append; Scrub() re-verifies.
-  std::map<Lsn, uint32_t> record_crcs_;
   // Per-block pending (un-coalesced) redo, in LSN order.
   std::map<BlockId, std::map<Lsn, log::RedoRecord>> pending_redo_;
   // Materialized versions per block, keyed by page_lsn: at most one at or

@@ -70,6 +70,7 @@ struct Fixture {
     op.type = storage::PageOpType::kFormat;
     op.page_type = storage::PageType::kLeaf;
     rec.payload = EncodePageOp(op);
+    rec.Seal();
     return rec;
   }
 };

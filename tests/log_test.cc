@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "src/common/random.h"
 #include "src/log/boxcar.h"
 #include "src/log/hot_log.h"
 #include "src/log/record.h"
@@ -23,6 +27,7 @@ RedoRecord MakeRecord(Lsn lsn, Lsn prev_seg, ProtectionGroupId pg = 0,
   rec.block = block;
   rec.txn = 1;
   rec.payload = std::move(payload);
+  rec.Seal();
   return rec;
 }
 
@@ -34,6 +39,7 @@ TEST(RecordCodec, RoundTrip) {
   rec.type = RecordType::kCommit;
   rec.mtr = MtrBoundary::kEnd;
   rec.payload = std::string("\x00\x01\x02 binary \xff", 12);
+  rec.Seal();  // the header changed; the decoded trailer must match
   const std::string encoded = EncodeRecord(rec);
   EXPECT_EQ(encoded.size(), rec.SerializedSize());
   auto decoded = DecodeRecord(encoded);
@@ -280,6 +286,121 @@ TEST(HotLog, TotalBytesTracksContents) {
   EXPECT_EQ(log.TotalBytes(), rec.SerializedSize());
   log.EvictBelow(1);
   EXPECT_EQ(log.TotalBytes(), 0u);
+}
+
+TEST(HotLog, TailLookupMatchesReference) {
+  // Differential: LowerBound answers at the tail without a search, so
+  // every lookup near and away from the back is checked against a
+  // std::map model under random in-order, out-of-order and duplicate
+  // appends, GC, truncation and scrub removal.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // This segment's chain: a random subset of volume LSNs, each record
+    // pointing at the previous one (other PGs own the LSNs in between).
+    std::vector<RedoRecord> chain;
+    Lsn prev = kInvalidLsn;
+    for (Lsn lsn = 1; lsn <= 600; ++lsn) {
+      if (rng.Bernoulli(0.5)) continue;
+      chain.push_back(MakeRecord(lsn, prev));
+      prev = lsn;
+    }
+    SegmentHotLog log;
+    std::map<Lsn, RedoRecord> model;
+    std::vector<TruncationRange> truncations;
+    Lsn floor = kInvalidLsn;
+    size_t next = 0;  // next in-order chain index
+    auto model_append = [&](const RedoRecord& r) {
+      for (const auto& t : truncations) {
+        if (t.Annuls(r.lsn)) return;
+      }
+      if (floor != kInvalidLsn && r.lsn <= floor) return;
+      model.emplace(r.lsn, r);
+    };
+    auto model_scl = [&] {
+      Lsn scl = floor;
+      for (auto it = model.upper_bound(scl);
+           it != model.end() && it->second.prev_lsn_segment == scl; ++it) {
+        scl = it->first;
+      }
+      return scl;
+    };
+    auto append = [&](const RedoRecord& r) {
+      ASSERT_TRUE(log.Append(r).ok());
+      model_append(r);
+    };
+    auto random_stored = [&]() -> Lsn {
+      if (model.empty()) return kInvalidLsn;
+      auto it = model.begin();
+      std::advance(it, rng.NextBounded(model.size()));
+      return it->first;
+    };
+    for (int step = 0; step < 500 && next < chain.size(); ++step) {
+      const uint64_t dice = rng.NextBounded(100);
+      if (dice < 55) {
+        // In order; now and then skip one to leave a hole behind.
+        if (rng.Bernoulli(0.1) && next + 1 < chain.size()) ++next;
+        append(chain[next++]);
+      } else if (dice < 70) {
+        append(chain[rng.NextBounded(next + 1)]);  // at or below `next`
+      } else if (dice < 80) {
+        const Lsn lsn = random_stored();
+        if (lsn != kInvalidLsn) append(model.at(lsn));
+      } else if (dice < 86) {
+        // GC to a stored LSN at or below SCL, as the segment store does.
+        std::vector<Lsn> below;
+        const Lsn scl = model_scl();
+        for (const auto& [lsn, r] : model) {
+          if (lsn <= scl) below.push_back(lsn);
+        }
+        if (!below.empty()) {
+          const Lsn to = below[rng.NextBounded(below.size())];
+          log.EvictBelow(to);
+          model.erase(model.begin(), model.upper_bound(to));
+          floor = std::max(floor, to);
+        }
+      } else if (dice < 89) {
+        const Lsn start = 1 + rng.NextBounded(620);
+        const TruncationRange range{start, start + rng.NextBounded(20)};
+        log.Truncate(range);
+        truncations.push_back(range);
+        model.erase(model.lower_bound(range.start),
+                    model.upper_bound(range.end));
+      } else if (dice < 96) {
+        const Lsn lsn = random_stored();
+        EXPECT_EQ(log.Remove(lsn), lsn != kInvalidLsn);
+        model.erase(lsn);
+      }
+      // Probe the back and the second-to-last record with their
+      // neighbours, plus one random and one stored LSN.
+      std::vector<Lsn> probes = {1 + rng.NextBounded(620), random_stored()};
+      if (!model.empty()) {
+        const Lsn back = model.rbegin()->first;
+        probes.insert(probes.end(), {back - 1, back, back + 1});
+        if (model.size() > 1) {
+          const Lsn second = std::next(model.rbegin())->first;
+          probes.insert(probes.end(), {second - 1, second, second + 1});
+        }
+      }
+      ASSERT_EQ(log.RecordCount(), model.size()) << "seed " << seed;
+      ASSERT_EQ(log.scl(), model_scl()) << "seed " << seed;
+      for (Lsn lsn : probes) {
+        auto it = model.find(lsn);
+        const RedoRecord* found = log.Find(lsn);
+        ASSERT_EQ(log.Contains(lsn), it != model.end()) << lsn;
+        ASSERT_EQ(found != nullptr, it != model.end()) << lsn;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
+        std::vector<RedoRecord> above;
+        for (auto a = model.upper_bound(lsn); a != model.end() &&
+                                              above.size() < 4;
+             ++a) {
+          above.push_back(a->second);
+        }
+        ASSERT_EQ(log.RecordsAbove(lsn, 4), above) << lsn;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- //

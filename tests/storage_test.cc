@@ -45,6 +45,7 @@ log::RedoRecord DataRecord(Lsn lsn, Lsn prev_seg, BlockId block,
   rec.block = block;
   rec.txn = 1;
   rec.payload = EncodePageOp(op);
+  rec.Seal();
   return rec;
 }
 
@@ -489,6 +490,37 @@ TEST(SegmentStore, ScrubDetectsAndDropsCorruption) {
   EXPECT_EQ(store.scl(), 2u);
 }
 
+// Damage between the writer's seal and the segment — in transit to Append
+// or inside a gossip reply — leaves the carried checksum unmatched, so the
+// next scrub drops the record even though it was never good here.
+TEST(SegmentStore, ScrubCatchesCorruptionBeforeAppend) {
+  auto flip_first_byte = [](log::RedoRecord record) {
+    std::string bytes(record.payload.view());
+    bytes[0] = static_cast<char>(bytes[0] ^ 0x40);
+    record.payload = std::move(bytes);
+    return record;
+  };
+  auto store = MakeStore();
+  const auto in_transit = DataRecord(2, 1, 7, 1, InsertOp("a", "1"));
+  const auto gossiped = DataRecord(3, 2, 8, 0, FormatOp());
+  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+                            flip_first_byte(in_transit)})
+                  .ok());
+  ASSERT_TRUE(store.AbsorbGossip({flip_first_byte(gossiped)}).ok());
+  EXPECT_EQ(store.scl(), 3u);
+  EXPECT_EQ(store.PendingRedoCount(), 3u);
+  EXPECT_EQ(store.Scrub(), 2u);
+  EXPECT_EQ(store.scl(), 1u) << "both damaged records dropped";
+  EXPECT_EQ(store.PendingRedoCount(), 1u);
+  // Clean redelivery heals, and the healed copies scrub clean.
+  ASSERT_TRUE(store.AbsorbGossip({in_transit, gossiped}).ok());
+  EXPECT_EQ(store.scl(), 3u);
+  EXPECT_EQ(store.Scrub(), 0u);
+  auto page = store.ReadPage(7, 3);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  EXPECT_EQ(page->entries.at("a"), "1");
+}
+
 // ---------------------------------------------------------------------- //
 // SegmentStore: truncation & hydration
 
@@ -626,6 +658,7 @@ log::RedoRecord ChainRecord(Lsn lsn, Lsn prev) {
   op.type = PageOpType::kFormat;
   op.page_type = PageType::kLeaf;
   rec.payload = EncodePageOp(op);
+  rec.Seal();
   return rec;
 }
 
