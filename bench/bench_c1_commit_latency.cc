@@ -9,11 +9,19 @@
 // link latency with a heavy tail) and the same disk model; the table
 // reports the commit latency distribution of each. The expected shape:
 // Aurora ~ one cross-AZ one-way + 4th-fastest-of-6 ack; MultiPaxos ~ one
-// RTT to a majority (close, but serialized by the leader and stalled by
-// leader change); 2PC ~ two RTTs gated on the SLOWEST of all participants,
-// with p999 blowing up under the tail.
+// RTT to a majority (a stable leader matches or beats Aurora's median,
+// but leader change widens its tail); 2PC ~ two RTTs gated on the SLOWEST
+// of all participants, with p999 blowing up under the tail.
+//
+// The bench exits 1 unless the shape holds: one slow participant lifts
+// the 2PC p50 to at least 10x Aurora's, Aurora has the lowest p999/p50 of
+// the four rows, and p999 orders Aurora < MultiPaxos < 2PC. `--quick`
+// prints and checks the table but skips the wall-clock microbenchmark;
+// CTest runs it that way.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
 
 #include "bench/bench_common.h"
 #include "src/baseline/paxos.h"
@@ -107,9 +115,13 @@ BENCHMARK(BM_AuroraCommitPath)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using aurora::bench::LatencySummary;
   using aurora::bench::Table;
   using aurora::bench::Us;
+
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  }
 
   auto aurora_lat = aurora::AuroraCommitLatency();
   auto tpc_lat = aurora::TpcCommitLatency(false);
@@ -129,11 +141,36 @@ int main(int argc, char** argv) {
   row("2PC + one 10x-slow participant", tpc_slow_lat);
   table.Print();
   std::printf(
-      "(Expected shape: Aurora lowest and tightest — 4/6 quorum masks slow\n"
-      " copies; 2PC pays 2 RTTs gated on the slowest of ALL participants,\n"
-      " so a single slow node multiplies its p50; Paxos sits between.)\n");
+      "(Shape: Aurora has the tightest distribution and the lowest p999 —\n"
+      " the 4/6 quorum masks slow copies; a stable-leader MultiPaxos has\n"
+      " the lowest p50, but leader churn widens its tail; 2PC pays 2 RTTs\n"
+      " gated on the slowest of ALL participants, so a single slow node\n"
+      " multiplies its p50.)\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  // The shape as printed, checked on the same histograms.
+  auto spread = [](const aurora::Histogram& h) {
+    return static_cast<double>(h.P999()) / static_cast<double>(h.P50());
+  };
+  const bool slow_2pc_p50 = tpc_slow_lat.P50() >= 10 * aurora_lat.P50();
+  const bool tightest = spread(aurora_lat) < spread(paxos_lat) &&
+                        spread(aurora_lat) < spread(tpc_lat) &&
+                        spread(aurora_lat) < spread(tpc_slow_lat);
+  const bool p999_order = aurora_lat.P999() < paxos_lat.P999() &&
+                          paxos_lat.P999() < tpc_lat.P999();
+  if (aurora_lat.count() == 0 || !slow_2pc_p50 || !tightest || !p999_order) {
+    std::fprintf(stderr,
+                 "C1: FAIL samples=%llu 2PC+slow p50 >= 10x Aurora p50: %s; "
+                 "Aurora lowest p999/p50: %s; p999 Aurora < MultiPaxos < "
+                 "2PC: %s\n",
+                 static_cast<unsigned long long>(aurora_lat.count()),
+                 slow_2pc_p50 ? "yes" : "NO", tightest ? "yes" : "NO",
+                 p999_order ? "yes" : "NO");
+    return 1;
+  }
+
+  if (!quick) {
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+  }
   return 0;
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "src/core/cluster.h"
+#include "src/quorum/geometry.h"
 
 using namespace aurora;
 
@@ -28,7 +29,7 @@ int main() {
     return 1;
   }
   std::printf("cluster up: %zu storage nodes in %zu AZs, volume epoch %llu\n",
-              cluster.storage_nodes().size(), options.num_azs,
+              cluster.storage_nodes().size(), quorum::kAzCount,
               static_cast<unsigned long long>(
                   cluster.writer()->volume_epoch()));
   std::printf("protection group 0: %s\n\n",

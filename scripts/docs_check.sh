@@ -18,6 +18,11 @@
 #      member of an `options.<...>.field =` snippet — in README.md,
 #      DESIGN.md or EXPERIMENTS.md must be declared in an `XxxOptions`
 #      struct in src/, so a deleted knob cannot linger in the docs.
+#   5. Every `XxxOptions` field in src/ must be assigned somewhere outside
+#      its declaring header (src/, tests/, bench/, examples/, tools/,
+#      perfbench/): a field nothing sets is a file-local constant in the
+#      .cc that reads it, not a knob. Paper geometry lives in
+#      src/quorum/geometry.h.
 #
 # Run from anywhere; registered as a ctest so every suite run enforces it.
 
@@ -122,10 +127,10 @@ fi
 
 # ---- 4. option fields named in the docs ---------------------------------
 
-# Declared fields as `Struct::field`: top-level member declarations inside
-# each `struct XxxOptions { ... };` body in src/ headers (comments dropped;
-# a declaration is `type name` followed by `=`, `;` or `{`).
-declared_options="$(
+# Declared fields as `header Struct::field`: top-level member declarations
+# inside each `struct XxxOptions { ... };` body in src/ headers (comments
+# dropped; a declaration is `type name` followed by `=`, `;` or `{`).
+declared_with_header="$(
   find src -name '*.h' -print0 | xargs -0 awk '
     FNR == 1 { name = "" }
     name == "" && match($0, /^[[:space:]]*struct [A-Za-z0-9_]*Options[[:space:]]*\{/) {
@@ -143,13 +148,14 @@ declared_options="$(
         decl = substr(line, RSTART, RLENGTH)
         sub(/[[:space:]]*(=|;|\{)$/, "", decl)
         n = split(decl, parts, /[[:space:]]+/)
-        print name "::" parts[n]
+        print FILENAME " " name "::" parts[n]
       }
       depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
       if (depth <= 0) name = ""
     }
   ' | sort -u
 )"
+declared_options="$(echo "${declared_with_header}" | cut -d' ' -f2 | sort -u)"
 declared_fields="$(echo "${declared_options}" | sed 's/.*:://' | sort -u)"
 
 doc_options="$(
@@ -175,6 +181,36 @@ if [[ -n "${ghost_fields}" ]]; then
   fail=1
 fi
 
+# ---- 5. no unset options ------------------------------------------------
+
+# A field counts as set when some file other than its declaring header
+# assigns it: `.field =` or `->field =`, also through a nested path such
+# as `.db.cache_pages =` (which sets both `db` and `cache_pages`).
+# Designated initializers match the same way. The match is by name, so
+# the rule is a floor: a field passes when any same-named member is
+# assigned anywhere (a nested `disk` or `driver` config passes on the
+# strength of another struct's `.disk =` or `.driver =`).
+unset_options=""
+n_fields=0
+while read -r header qualified; do
+  [[ -n "${header}" ]] || continue
+  n_fields=$((n_fields + 1))
+  field="${qualified##*::}"
+  setters="$(
+    grep -rlP --include='*.h' --include='*.cc' --include='*.cpp' \
+      "(\.|->)${field}(\.\w+)*\s*=[^=]" \
+      src tests bench examples tools perfbench | grep -vxF "${header}" || true
+  )"
+  [[ -n "${setters}" ]] || unset_options+="${qualified}"$'\n'
+done <<<"${declared_with_header}"
+
+if [[ -n "${unset_options}" ]]; then
+  n_unset="$(printf '%s' "${unset_options}" | grep -c .)"
+  echo "docs_check: ${n_unset} of ${n_fields} option fields are set by nothing outside their header (make each a constant in the .cc that reads it):" >&2
+  printf '%s' "${unset_options}" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 if [[ "${fail}" -ne 0 ]]; then
   echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md / README.md (or the code) so they agree" >&2
   exit 1
@@ -184,4 +220,4 @@ n_metrics="$(echo "${src_metrics}" | wc -l)"
 n_benches="$(echo "${tree_benches}" | wc -l)"
 n_modules="$(echo "${tree_modules}" | wc -l)"
 n_options="$(cat <(echo "${doc_options}") <(echo "${doc_snippet_fields}") | grep -c . || true)"
-echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep)"
+echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere)"

@@ -16,30 +16,13 @@
 
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
-#include "src/storage/disk.h"
 
 namespace aurora::baseline {
-
-struct AriesOptions {
-  storage::DiskOptions disk;
-  /// Log read bandwidth during analysis/redo (bytes/us).
-  double log_scan_bytes_per_us = 500.0;
-  /// CPU cost to apply one redo record.
-  SimDuration apply_cost_per_record = 2;
-  /// Average bytes per log record.
-  uint64_t bytes_per_record = 256;
-  /// Checkpoint every N records.
-  uint64_t checkpoint_interval_records = 100000;
-  /// Fraction of replayed records needing a random page read (cache cold).
-  double page_read_fraction = 0.02;
-  SimDuration page_read_cost = 80;
-};
 
 /// Tracks enough log/checkpoint state to price a recovery.
 class AriesEngine {
  public:
-  AriesEngine(sim::Simulator* sim, AriesOptions options = {})
-      : sim_(sim), options_(options) {}
+  explicit AriesEngine(sim::Simulator* sim) : sim_(sim) {}
 
   /// Appends `n` records to the log (workload generation).
   void AppendRecords(uint64_t n);
@@ -60,7 +43,6 @@ class AriesEngine {
 
  private:
   sim::Simulator* sim_;
-  AriesOptions options_;
   uint64_t records_since_checkpoint_ = 0;
 };
 

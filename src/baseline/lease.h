@@ -20,8 +20,6 @@ namespace aurora::baseline {
 
 struct LeaseOptions {
   SimDuration ttl = 10 * kSecond;
-  /// Holders renew this long before expiry.
-  SimDuration renew_margin = 2 * kSecond;
   /// Clock-skew safety margin the grantor must add before re-granting.
   SimDuration skew_margin = 500 * kMillisecond;
 };

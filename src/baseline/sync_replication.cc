@@ -2,6 +2,13 @@
 
 namespace aurora::baseline {
 
+namespace {
+/// A dirty page ships whole: the traffic C8 sets against log-only writes.
+constexpr uint64_t kPageBytes = 8192;
+/// The commit's log record, force-written locally and shipped as well.
+constexpr uint64_t kLogRecordBytes = 256;
+}  // namespace
+
 Standby::Standby(sim::Simulator* sim, sim::Network* network, NodeId id,
                  AzId az, storage::DiskOptions disk)
     : sim_(sim), network_(network), id_(id), disk_(sim, disk) {
@@ -32,8 +39,7 @@ PageShippingPrimary::PageShippingPrimary(sim::Simulator* sim,
 void PageShippingPrimary::CommitTxn(size_t pages_dirtied,
                                     std::function<void()> cb) {
   const SimTime start = sim_->Now();
-  const uint64_t ship_bytes =
-      pages_dirtied * options_.page_bytes + options_.log_record_bytes;
+  const uint64_t ship_bytes = pages_dirtied * kPageBytes + kLogRecordBytes;
   auto acks = std::make_shared<size_t>(0);
   auto local_done = std::make_shared<bool>(false);
   auto fired = std::make_shared<bool>(false);
@@ -46,7 +52,7 @@ void PageShippingPrimary::CommitTxn(size_t pages_dirtied,
     cb();
   };
   // Local group-commit force write of the log.
-  disk_.SubmitWrite(options_.log_record_bytes,
+  disk_.SubmitWrite(kLogRecordBytes,
                     [local_done, maybe_finish]() {
                       *local_done = true;
                       maybe_finish();

@@ -25,8 +25,6 @@
 namespace aurora::baseline {
 
 struct PageShippingOptions {
-  uint64_t page_bytes = 8192;
-  uint64_t log_record_bytes = 256;
   bool synchronous = true;
   storage::DiskOptions disk;
 };

@@ -84,17 +84,18 @@ void MetadataService::FetchGeometry(
 namespace {
 constexpr NodeId kMetadataNode = 90;
 constexpr NodeId kFirstStorageNode = 100;
+/// Default deadline for the *Blocking helpers (RunUntil with timeout 0).
+constexpr SimDuration kBlockingTimeout = 60 * kSecond;
 }  // namespace
 
 AuroraCluster::AuroraCluster(AuroraOptions options)
-    : options_(options), sim_(options.seed), network_(&sim_, options.network) {
-  object_store_ =
-      std::make_unique<storage::ObjectStore>(&sim_, options_.object_store);
+    : options_(options), sim_(options.seed), network_(&sim_) {
+  object_store_ = std::make_unique<storage::ObjectStore>(&sim_);
   failure_injector_ = std::make_unique<sim::FailureInjector>(&sim_, &network_);
   metadata_ =
       std::make_unique<MetadataService>(&sim_, &network_, kMetadataNode, 0);
   NodeId id = kFirstStorageNode;
-  for (size_t az = 0; az < options_.num_azs; ++az) {
+  for (size_t az = 0; az < quorum::kAzCount; ++az) {
     for (size_t i = 0; i < options_.storage_nodes_per_az; ++i) {
       auto node = std::make_unique<storage::StorageNode>(
           &sim_, &network_, id, static_cast<AzId>(az), object_store_.get(),
@@ -199,13 +200,13 @@ Status AuroraCluster::StartBlocking() {
   }
   for (auto& node : storage_nodes_) node->StartBackground();
 
-  writer_ = MakeWriter(next_node_id_++, 0);
+  writer_ = MakeWriter(AllocateNodeId(), 0);
   AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writer_.get()));
   // Tenant writers (volumes 1..N-1), spread across AZs, bootstrapped
   // sequentially: each recovers its own volume independently.
   for (VolumeId volume = 1; volume < options_.volumes; ++volume) {
-    const AzId az = static_cast<AzId>(volume % options_.num_azs);
-    auto writer = MakeWriter(next_node_id_++, az, volume);
+    const AzId az = static_cast<AzId>(volume % quorum::kAzCount);
+    auto writer = MakeWriter(AllocateNodeId(), az, volume);
     AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writer.get()));
     tenant_writers_.push_back(std::move(writer));
   }
@@ -232,7 +233,7 @@ std::vector<NodeId> AuroraCluster::StorageNodeIds() const {
 
 std::vector<AzId> AuroraCluster::AzIds() const {
   std::vector<AzId> ids;
-  for (size_t az = 0; az < options_.num_azs; ++az) {
+  for (size_t az = 0; az < quorum::kAzCount; ++az) {
     ids.push_back(static_cast<AzId>(az));
   }
   return ids;
@@ -300,7 +301,7 @@ const quorum::PgConfig* AuroraCluster::FindConfigForSegment(
 
 bool AuroraCluster::RunUntil(const std::function<bool()>& pred,
                              SimDuration timeout) {
-  if (timeout == 0) timeout = options_.blocking_timeout;
+  if (timeout == 0) timeout = kBlockingTimeout;
   const SimTime deadline = sim_.Now() + timeout;
   while (!pred()) {
     if (sim_.Now() >= deadline) return false;
@@ -313,16 +314,27 @@ bool AuroraCluster::RunUntil(const std::function<bool()>& pred,
 // Replicas & failover
 // ---------------------------------------------------------------------------
 
+NodeId AuroraCluster::AllocateNodeId() {
+  // Ids below the metadata node are handed out in order; once the counter
+  // reaches it, allocation continues after the last storage node, so a
+  // dynamic id never aliases the metadata node or a server.
+  if (next_node_id_ == kMetadataNode) {
+    next_node_id_ =
+        kFirstStorageNode + static_cast<NodeId>(storage_nodes_.size());
+  }
+  return next_node_id_++;
+}
+
 NodeId AuroraCluster::RegisterClientNode(AzId az) {
-  const NodeId id = next_node_id_++;
+  const NodeId id = AllocateNodeId();
   network_.RegisterNode(id, az, nullptr);
   return id;
 }
 
 replica::ReadReplica* AuroraCluster::AddReplica() {
   if (replicas_.size() >= kMaxReplicas) return nullptr;
-  const NodeId id = next_node_id_++;
-  const AzId az = static_cast<AzId>(replicas_.size() % options_.num_azs);
+  const NodeId id = AllocateNodeId();
+  const AzId az = static_cast<AzId>(replicas_.size() % quorum::kAzCount);
   auto rep = std::make_unique<replica::ReadReplica>(
       &sim_, &network_, id, az, MakeResolver(), writer_->id(),
       metadata_->geometry(), metadata_->volume_epoch(), options_.replica);
@@ -346,7 +358,7 @@ void AuroraCluster::WireReplica(replica::ReadReplica* rep) {
 }
 
 std::unique_ptr<engine::DbInstance> AuroraCluster::CreateDetachedInstance() {
-  return MakeWriter(next_node_id_++, 0);
+  return MakeWriter(AllocateNodeId(), 0);
 }
 
 Result<engine::DbInstance*> AuroraCluster::FailoverBlocking() {
@@ -357,7 +369,7 @@ Result<engine::DbInstance*> AuroraCluster::FailoverBlocking() {
   // "if a commit has been marked durable and acknowledged to the client,
   // there is no data loss" (§3.2).
   retired_writers_.push_back(std::move(writer_));
-  writer_ = MakeWriter(next_node_id_++, 0);
+  writer_ = MakeWriter(AllocateNodeId(), 0);
   bool done = false;
   Status result = Status::OK();
   writer_->Open([&](Status st) {

@@ -46,17 +46,12 @@ struct AuroraOptions {
   size_t num_pgs = 1;
   uint64_t blocks_per_pg = 1 << 20;
   quorum::QuorumModel quorum_model = quorum::QuorumModel::kUniform46;
-  size_t num_azs = 3;
   /// Storage nodes per AZ; the placement service spreads segments across
   /// them least-loaded-first.
   size_t storage_nodes_per_az = 2;
-  sim::NetworkOptions network;
   storage::StorageNodeOptions storage_node;
-  storage::ObjectStoreOptions object_store;
   engine::DbOptions db;
   replica::ReplicaOptions replica;
-  /// Default timeout for the *Blocking helpers.
-  SimDuration blocking_timeout = 60 * kSecond;
   /// Independent volumes (tenants) sharing the storage fleet (DESIGN.md
   /// §11). 1 (default) is the classic single-tenant cluster. Each volume
   /// creates `num_pgs` protection groups on the shared servers, laid out
@@ -323,9 +318,9 @@ class AuroraCluster {
 
   // -- Event-loop helpers --------------------------------------------------
 
-  /// Runs the simulation until `pred` holds or `timeout` elapses.
-  bool RunUntil(const std::function<bool()>& pred,
-                SimDuration timeout = 0 /* = options.blocking_timeout */);
+  /// Runs the simulation until `pred` holds or `timeout` elapses (0 means
+  /// the default deadline of the *Blocking helpers).
+  bool RunUntil(const std::function<bool()>& pred, SimDuration timeout = 0);
   void RunFor(SimDuration duration) { sim_.RunFor(duration); }
 
   const AuroraOptions& options() const { return options_; }
@@ -347,6 +342,9 @@ class AuroraCluster {
   void CreateSegmentStores(const quorum::PgConfig& config);
   std::unique_ptr<engine::DbInstance> MakeWriter(NodeId id, AzId az,
                                                  VolumeId volume = 0);
+  /// Next id for a writer, replica or client node; skips the fixed range
+  /// the metadata node and the storage fleet occupy.
+  NodeId AllocateNodeId();
   void WireReplica(replica::ReadReplica* rep);
   Status InstallPgConfigBlocking(const quorum::PgConfig& old_config,
                                  const quorum::PgConfig& new_config);

@@ -15,10 +15,26 @@
 
 namespace aurora::core {
 
-HealthMonitor::HealthMonitor(AuroraCluster* cluster,
-                             HealthMonitorOptions options)
-    : cluster_(cluster), options_(options),
-      live_(std::make_shared<HealthMonitor*>(this)) {}
+namespace {
+/// Steady-state probe period per segment.
+constexpr SimDuration kProbeInterval = 50 * kMillisecond;
+/// Clamp for the adaptive probe timeout.
+constexpr SimDuration kMinTimeout = 5 * kMillisecond;
+constexpr SimDuration kMaxTimeout = 500 * kMillisecond;
+/// RTT estimate seeded before the first sample.
+constexpr SimDuration kInitialRtt = 2 * kMillisecond;
+/// timeout = ewma_rtt + kJitterMult * ewma_jitter, clamped.
+constexpr double kJitterMult = 4.0;
+/// EWMA smoothing factor for RTT and jitter.
+constexpr double kEwmaAlpha = 0.25;
+/// Failures in a row before suspicion; one timeout is often tail latency.
+constexpr int kSuspectAfter = 2;
+/// The probe period doubles per failure in a row, at most this many times.
+constexpr int kMaxBackoffShift = 3;
+}  // namespace
+
+HealthMonitor::HealthMonitor(AuroraCluster* cluster)
+    : cluster_(cluster), live_(std::make_shared<HealthMonitor*>(this)) {}
 
 void HealthMonitor::Start() {
   if (running_) return;
@@ -77,11 +93,11 @@ SimTime HealthMonitor::last_ok_at(SegmentId id) const {
 
 SimDuration HealthMonitor::ProbeTimeoutFor(SegmentId id) const {
   auto it = health_.find(id);
-  if (it == health_.end()) return options_.max_timeout;
+  if (it == health_.end()) return kMaxTimeout;
   const SegmentHealth& h = it->second;
-  const double raw = h.ewma_rtt_us + options_.jitter_mult * h.ewma_jitter_us;
+  const double raw = h.ewma_rtt_us + kJitterMult * h.ewma_jitter_us;
   return std::clamp(static_cast<SimDuration>(std::llround(raw)),
-                    options_.min_timeout, options_.max_timeout);
+                    kMinTimeout, kMaxTimeout);
 }
 
 void HealthMonitor::ObserveAck(SegmentId id, bool ok) {
@@ -121,10 +137,10 @@ void HealthMonitor::Sweep() {
       current.insert(member.id);
       auto [it, fresh] = health_.try_emplace(member.id);
       if (fresh) {
-        it->second.ewma_rtt_us = static_cast<double>(options_.initial_rtt);
+        it->second.ewma_rtt_us = static_cast<double>(kInitialRtt);
         // Stagger first probes deterministically so six segments do not
         // heartbeat in one burst.
-        ScheduleProbe(member.id, (idx % 6) * (options_.probe_interval / 6));
+        ScheduleProbe(member.id, (idx % 6) * (kProbeInterval / 6));
       }
       ++idx;
     }
@@ -138,7 +154,7 @@ void HealthMonitor::Sweep() {
   }
   std::weak_ptr<HealthMonitor*> weak = live_;
   cluster_->sim().Schedule(
-      options_.probe_interval,
+      kProbeInterval,
       [weak, gen]() {
         auto live = weak.lock();
         if (!live) return;
@@ -241,12 +257,12 @@ void HealthMonitor::OnProbeReply(
   if (current) {
     sh.probe_in_flight = false;
     const double rtt = static_cast<double>(cluster_->sim().Now() - sent_at);
-    const double alpha = options_.ewma_alpha;
+    const double alpha = kEwmaAlpha;
     sh.ewma_jitter_us = (1.0 - alpha) * sh.ewma_jitter_us +
                         alpha * std::abs(rtt - sh.ewma_rtt_us);
     sh.ewma_rtt_us = (1.0 - alpha) * sh.ewma_rtt_us + alpha * rtt;
     MarkHealthy(sh);
-    ScheduleProbe(id, options_.probe_interval);
+    ScheduleProbe(id, kProbeInterval);
   } else {
     // Late success after its timeout already fired: the node is
     // slow, not dead — clear suspicion, but the timeout path owns
@@ -268,8 +284,8 @@ void HealthMonitor::OnProbeTimeout(SegmentId id, uint64_t token) {
 
 void HealthMonitor::OnProbeFailure(SegmentHealth& h) {
   ++h.consecutive_failures;
-  h.backoff_shift = std::min(h.backoff_shift + 1, options_.max_backoff_shift);
-  if (!h.suspected && h.consecutive_failures >= options_.suspect_after) {
+  h.backoff_shift = std::min(h.backoff_shift + 1, kMaxBackoffShift);
+  if (!h.suspected && h.consecutive_failures >= kSuspectAfter) {
     h.suspected = true;
     h.suspected_since = cluster_->sim().Now();
     h.last_suspected_at = h.suspected_since;
@@ -288,7 +304,7 @@ void HealthMonitor::MarkHealthy(SegmentHealth& h) {
 }
 
 SimDuration HealthMonitor::BackoffInterval(const SegmentHealth& h) const {
-  return options_.probe_interval << h.backoff_shift;
+  return kProbeInterval << h.backoff_shift;
 }
 
 }  // namespace aurora::core

@@ -41,27 +41,6 @@ namespace aurora::core {
 
 class AuroraCluster;
 
-struct HealthMonitorOptions {
-  /// Steady-state probe period per segment.
-  SimDuration probe_interval = 50 * kMillisecond;
-  /// Clamp for the adaptive probe timeout.
-  SimDuration min_timeout = 5 * kMillisecond;
-  SimDuration max_timeout = 500 * kMillisecond;
-  /// RTT estimate seeded before the first sample.
-  SimDuration initial_rtt = 2 * kMillisecond;
-  /// timeout = ewma_rtt + jitter_mult * ewma_jitter, clamped.
-  double jitter_mult = 4.0;
-  /// EWMA smoothing factor for RTT and jitter.
-  double ewma_alpha = 0.25;
-  /// Consecutive probe failures before a segment is suspected. Two beats
-  /// one: a single timeout is routinely a tail-latency artifact, and the
-  /// flap hysteresis the campaign exercises starts here.
-  int suspect_after = 2;
-  /// Probe period doubles per consecutive failure, capped at
-  /// probe_interval << max_backoff_shift.
-  int max_backoff_shift = 3;
-};
-
 class HealthMonitor {
  public:
   struct SegmentHealth {
@@ -80,8 +59,7 @@ class HealthMonitor {
     uint64_t probe_token = 0;
   };
 
-  explicit HealthMonitor(AuroraCluster* cluster,
-                         HealthMonitorOptions options = {});
+  explicit HealthMonitor(AuroraCluster* cluster);
   ~HealthMonitor();
 
   /// Begins probing (idempotent). Nothing probes until Start().
@@ -108,7 +86,6 @@ class HealthMonitor {
   void ObserveAck(SegmentId id, bool ok);
 
   const std::map<SegmentId, SegmentHealth>& health() const { return health_; }
-  const HealthMonitorOptions& options() const { return options_; }
 
   uint64_t probes_sent() const { return probes_sent_; }
   uint64_t probe_timeouts() const { return probe_timeouts_; }
@@ -126,7 +103,6 @@ class HealthMonitor {
   SimDuration BackoffInterval(const SegmentHealth& h) const;
 
   AuroraCluster* cluster_;
-  HealthMonitorOptions options_;
   bool running_ = false;
   /// Invalidates callbacks scheduled before the latest Start()/Stop().
   uint64_t generation_ = 0;

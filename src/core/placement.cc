@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-namespace aurora::core {
+#include "src/quorum/geometry.h"
 
-PlacementService::PlacementService(PlacementOptions options)
-    : options_(options) {}
+namespace aurora::core {
 
 void PlacementService::RegisterServer(NodeId node, AzId az) {
   if (servers_.contains(node)) return;
@@ -73,12 +72,12 @@ Result<std::vector<quorum::SegmentInfo>> PlacementService::PlacePg(
   std::vector<quorum::SegmentInfo> members;
   std::set<NodeId> used;  // rule 2: fleet-wide server anti-affinity
   for (const auto& [az, _] : by_az_) {
-    for (size_t copy = 0; copy < options_.copies_per_az; ++copy) {
+    for (size_t copy = 0; copy < quorum::kCopiesPerAz; ++copy) {
       NodeId host = PickLeastLoaded(az, used, /*require_up=*/true);
       if (host == kInvalidNode) {
         return Status::Unavailable(
             "placement: AZ " + std::to_string(az) + " lacks " +
-            std::to_string(options_.copies_per_az) +
+            std::to_string(quorum::kCopiesPerAz) +
             " distinct live servers");
       }
       used.insert(host);

@@ -41,20 +41,12 @@
 
 namespace aurora::core {
 
-struct PlacementOptions {
-  /// Segment copies of one PG placed in each registered AZ (6-way quorum
-  /// over 3 AZs = 2 per AZ).
-  size_t copies_per_az = 2;
-};
-
 class PlacementService {
  public:
   /// Returns hosted-segment count for a server (fleet ground truth).
   using LoadFn = std::function<size_t(NodeId)>;
   /// Returns whether a server is currently up.
   using LivenessFn = std::function<bool(NodeId)>;
-
-  explicit PlacementService(PlacementOptions options = {});
 
   /// Adds a segment server to the placement universe.
   void RegisterServer(NodeId node, AzId az);
@@ -70,13 +62,13 @@ class PlacementService {
   /// Registered servers in `az`, ascending by node id.
   const std::vector<NodeId>& ServersIn(AzId az) const;
 
-  /// Places one protection group for `volume`: `copies_per_az` members in
+  /// Places one protection group for `volume`: `kCopiesPerAz` members in
   /// each registered AZ, each on a distinct least-loaded live server
   /// (rule 2 checked fleet-wide, not just per AZ). `alloc_id` must return
   /// fresh fleet-unique segment ids; it is called once per member, in
   /// slot order. Under kFullTail the first member per AZ is full and the
   /// second is a tail segment (the 3-full/3-tail shape).
-  /// Fails if any AZ lacks `copies_per_az` distinct live servers.
+  /// Fails if any AZ lacks `kCopiesPerAz` distinct live servers.
   Result<std::vector<quorum::SegmentInfo>> PlacePg(
       VolumeId volume, quorum::QuorumModel model,
       const std::function<SegmentId()>& alloc_id) const;
@@ -113,7 +105,6 @@ class PlacementService {
   NodeId PickLeastLoaded(AzId az, const std::set<NodeId>& exclude,
                          bool require_up) const;
 
-  PlacementOptions options_;
   LoadFn load_;
   LivenessFn is_up_;
   std::map<NodeId, AzId> servers_;

@@ -19,11 +19,26 @@ namespace {
 /// SCL probes from this many hydrated members establish the hydration
 /// target (a read quorum under V=6/Vr=3; §2.1).
 constexpr size_t kSclProbeQuorum = 3;
+/// Cadence of the decision loop.
+constexpr SimDuration kTickInterval = 20 * kMillisecond;
+/// Concurrent repair bounds (jobs, not epochs).
+constexpr size_t kMaxConcurrentPerAz = 1;
+constexpr size_t kMaxConcurrentTotal = 2;
+/// Jobs one server may hydrate at once, so repair is no noisy neighbor
+/// (DESIGN.md §11; cannot bind while kMaxConcurrentTotal is 2).
+constexpr size_t kMaxConcurrentPerServer = 2;
+/// How long kProbing waits for a read quorum of SCLs before re-probing.
+constexpr SimDuration kProbeWindow = 500 * kMillisecond;
+/// Re-kick a hydration pull that made no visible progress for this long.
+constexpr SimDuration kHydrationRetry = 500 * kMillisecond;
+/// Per-attempt timeout for one config install quorum.
+constexpr SimDuration kInstallTimeout = 2 * kSecond;
+/// A job stuck in the dual-quorum state this long rolls back.
+constexpr SimDuration kJobDeadline = 20 * kSecond;
 }  // namespace
 
-RepairPlanner::RepairPlanner(AuroraCluster* cluster, HealthMonitor* monitor,
-                             RepairPlannerOptions options)
-    : cluster_(cluster), monitor_(monitor), options_(options) {}
+RepairPlanner::RepairPlanner(AuroraCluster* cluster, HealthMonitor* monitor)
+    : cluster_(cluster), monitor_(monitor) {}
 
 void RepairPlanner::Start() {
   if (running_) return;
@@ -79,7 +94,7 @@ void RepairPlanner::Tick() {
   StartNewJobs();
   const uint64_t gen = generation_;
   cluster_->sim().Schedule(
-      options_.tick_interval,
+      kTickInterval,
       [this, gen]() {
         if (gen != generation_) return;
         Tick();
@@ -122,7 +137,7 @@ void RepairPlanner::StartNewJobs() {
               return a.suspect < b.suspect;
             });
   for (const Candidate& c : candidates) {
-    if (jobs_.size() >= options_.max_concurrent_total) break;
+    if (jobs_.size() >= kMaxConcurrentTotal) break;
     const quorum::PgConfig* config = c.config;
     // One job per PG: the slot machinery supports nested changes, but
     // bounded eager repair keeps blast radius small, and a reverted or
@@ -132,7 +147,7 @@ void RepairPlanner::StartNewJobs() {
     }
     const quorum::SegmentInfo* info = config->FindSegment(c.suspect);
     if (info == nullptr) continue;
-    if (JobsInAz(info->az) >= options_.max_concurrent_per_az) continue;
+    if (JobsInAz(info->az) >= kMaxConcurrentPerAz) continue;
     RepairJob job;
     job.old_segment = c.suspect;
     job.volume = c.volume;
@@ -141,8 +156,8 @@ void RepairPlanner::StartNewJobs() {
     job.state = JobState::kProbing;
     job.decided_at = now;
     job.suspected_since = monitor_->suspected_since(c.suspect);
-    job.probe_deadline = now + options_.probe_window;
-    job.deadline = now + options_.job_deadline;
+    job.probe_deadline = now + kProbeWindow;
+    job.deadline = now + kJobDeadline;
     jobs_.emplace(c.suspect, std::move(job));
     ++stats_.jobs_started;
     ProbeScls(c.suspect);
@@ -223,7 +238,7 @@ void RepairPlanner::AdvanceJobs() {
           break;
         }
         if (now >= job.probe_deadline) {
-          job.probe_deadline = now + options_.probe_window;
+          job.probe_deadline = now + kProbeWindow;
           ProbeScls(id);
         }
         break;
@@ -283,7 +298,7 @@ void RepairPlanner::AdvanceJobs() {
           StartInstall(job);
           break;
         }
-        if (now - job.last_pull_at >= options_.hydration_retry &&
+        if (now - job.last_pull_at >= kHydrationRetry &&
             cluster_->network().IsUp(job.host_node)) {
           job.last_pull_at = now;
           host->StartHydrationPull(job.new_segment);
@@ -317,13 +332,13 @@ void RepairPlanner::BeginChange(RepairJob& job) {
       cluster_->PickNodeForNewSegment(old_info->az, *config);
   if (host == nullptr || !cluster_->network().IsUp(host->id())) {
     // No live host in the AZ right now; keep probing and retry.
-    job.probe_deadline = cluster_->sim().Now() + options_.probe_window;
+    job.probe_deadline = cluster_->sim().Now() + kProbeWindow;
     return;
   }
-  if (JobsOnServer(host->id()) >= options_.max_concurrent_per_server) {
+  if (JobsOnServer(host->id()) >= kMaxConcurrentPerServer) {
     // The best host already carries its fill of hydration pulls; defer
     // rather than pile another full-prefix pull onto it.
-    job.probe_deadline = cluster_->sim().Now() + options_.probe_window;
+    job.probe_deadline = cluster_->sim().Now() + kProbeWindow;
     return;
   }
   quorum::SegmentInfo new_info;
@@ -402,7 +417,7 @@ void RepairPlanner::StartInstall(RepairJob& job) {
             break;
         }
       },
-      options_.install_timeout);
+      kInstallTimeout);
 }
 
 void RepairPlanner::FinishCommit(RepairJob& job) {

@@ -59,32 +59,6 @@ namespace aurora::core {
 class AuroraCluster;
 class HealthMonitor;
 
-struct RepairPlannerOptions {
-  /// Cadence of the decision loop.
-  SimDuration tick_interval = 20 * kMillisecond;
-  /// Concurrent repair bounds (jobs, not epochs).
-  size_t max_concurrent_per_az = 1;
-  size_t max_concurrent_total = 2;
-  /// At most this many jobs may hydrate onto one segment server at a
-  /// time: on a shared fleet every replacement is a full-prefix pull, and
-  /// an unbounded pile-up on the least-loaded host would turn one server
-  /// loss into a fleet-wide noisy neighbor. (With the default global
-  /// bound of two this never binds; it matters when a multi-tenant
-  /// deployment raises max_concurrent_total.)
-  size_t max_concurrent_per_server = 2;
-  /// How long kProbing waits for a read quorum of SCL replies before
-  /// re-probing (the PG may be temporarily unreachable).
-  SimDuration probe_window = 500 * kMillisecond;
-  /// Re-kick the hydration pull if the replacement made no visible
-  /// progress for this long.
-  SimDuration hydration_retry = 500 * kMillisecond;
-  /// Per-attempt timeout for one config install quorum.
-  SimDuration install_timeout = 2 * kSecond;
-  /// A job stuck in the dual-quorum state longer than this rolls back so
-  /// a fresh job can pick a different host.
-  SimDuration job_deadline = 20 * kSecond;
-};
-
 class RepairPlanner {
  public:
   enum class JobState {
@@ -135,8 +109,7 @@ class RepairPlanner {
     uint64_t aborted_before_begin = 0;
   };
 
-  RepairPlanner(AuroraCluster* cluster, HealthMonitor* monitor,
-                RepairPlannerOptions options = {});
+  RepairPlanner(AuroraCluster* cluster, HealthMonitor* monitor);
 
   void Start();
   void Stop();
@@ -167,7 +140,6 @@ class RepairPlanner {
 
   AuroraCluster* cluster_;
   HealthMonitor* monitor_;
-  RepairPlannerOptions options_;
   bool running_ = false;
   uint64_t generation_ = 0;
 

@@ -16,6 +16,11 @@ struct OpGuard {
 };
 
 constexpr uint64_t kRequestBytes = 64;
+/// Writer-fallback poll period: a fallback read polls the writer's VDL
+/// until it reaches the anchor (each poll is one hop to the writer).
+constexpr SimDuration kWriterPoll = 1 * kMillisecond;
+/// Operation deadline (replica wait + writer fallback + lost messages).
+constexpr SimDuration kOpTimeout = 10 * kSecond;
 
 }  // namespace
 
@@ -24,7 +29,6 @@ ClientSession::ClientSession(AuroraCluster* cluster, AzId az,
     : cluster_(cluster),
       node_(cluster->RegisterClientNode(az)),
       az_(az),
-      options_(options),
       rr_cursor_(options.replica_offset) {}
 
 replica::ReadReplica* ClientSession::PickReplica() {
@@ -54,7 +58,7 @@ void ClientSession::Put(const std::string& key, const std::string& value,
     guard->done = true;
     cb(std::move(st));
   };
-  cluster_->sim().Schedule(options_.op_timeout, [done]() {
+  cluster_->sim().Schedule(kOpTimeout, [done]() {
     done(Status::TimedOut("session put timed out"));
   });
   engine::DbInstance* writer = cluster_->writer();
@@ -118,7 +122,7 @@ void ClientSession::RunAtWriterAnchor(
     return;
   }
   cluster_->sim().Schedule(
-      options_.writer_poll,
+      kWriterPoll,
       [this, anchor, deadline, op = std::move(op), fail = std::move(fail)]() {
         RunAtWriterAnchor(anchor, deadline, std::move(op), std::move(fail));
       });
@@ -155,7 +159,7 @@ void ClientSession::GetFromWriter(
 void ClientSession::Get(const std::string& key,
                         std::function<void(Result<std::string>)> cb) {
   stats_.gets++;
-  const SimTime deadline = cluster_->sim().Now() + options_.op_timeout;
+  const SimTime deadline = cluster_->sim().Now() + kOpTimeout;
   const Lsn anchor = anchor_;
   auto guard = std::make_shared<OpGuard>();
   auto done = [guard, cb = std::move(cb)](Result<std::string> r) {
@@ -163,7 +167,7 @@ void ClientSession::Get(const std::string& key,
     guard->done = true;
     cb(std::move(r));
   };
-  cluster_->sim().Schedule(options_.op_timeout, [done]() {
+  cluster_->sim().Schedule(kOpTimeout, [done]() {
     done(Status::TimedOut("session get timed out"));
   });
   replica::ReadReplica* rep = PickReplica();
@@ -239,7 +243,7 @@ void ClientSession::Scan(
         void(Result<std::vector<std::pair<std::string, std::string>>>)>
         cb) {
   stats_.scans++;
-  const SimTime deadline = cluster_->sim().Now() + options_.op_timeout;
+  const SimTime deadline = cluster_->sim().Now() + kOpTimeout;
   const Lsn anchor = anchor_;
   auto guard = std::make_shared<OpGuard>();
   auto done =
@@ -249,7 +253,7 @@ void ClientSession::Scan(
         guard->done = true;
         cb(std::move(r));
       };
-  cluster_->sim().Schedule(options_.op_timeout, [done]() {
+  cluster_->sim().Schedule(kOpTimeout, [done]() {
     done(Status::TimedOut("session scan timed out"));
   });
   replica::ReadReplica* rep = PickReplica();

@@ -40,13 +40,6 @@ struct SessionOptions {
   /// Round-robin starting offset into the replica fleet (spreads
   /// sessions across replicas deterministically).
   size_t replica_offset = 0;
-  /// Writer-fallback poll cadence: a fallback read must still honor the
-  /// anchor, so it polls the writer's VDL at this interval (each poll is
-  /// one network hop to the writer).
-  SimDuration writer_poll = 1 * kMillisecond;
-  /// Give up on an operation after this long (replica wait + writer
-  /// fallback + a watchdog for messages lost to crashes/partitions).
-  SimDuration op_timeout = 10 * kSecond;
 };
 
 struct SessionStats {
@@ -110,7 +103,6 @@ class ClientSession {
   AuroraCluster* cluster_;
   NodeId node_;
   AzId az_;
-  SessionOptions options_;
   Lsn anchor_ = kInvalidLsn;
   size_t rr_cursor_ = 0;
   SessionStats stats_;

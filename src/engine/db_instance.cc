@@ -8,6 +8,13 @@
 
 namespace aurora::engine {
 
+namespace {
+/// Retry backoff for recovery probe rounds.
+constexpr SimDuration kRecoveryRetry = 50 * kMillisecond;
+/// Max key-path retries before an operation reports Aborted.
+constexpr int kMaxOpRetries = 16;
+}  // namespace
+
 uint64_t ReplicationEvent::SerializedSize() const {
   uint64_t bytes = 64;
   for (const auto& r : mtr) bytes += r.SerializedSize();
@@ -54,7 +61,7 @@ void DbInstance::InitComponents(const quorum::VolumeGeometry& geometry,
   if (ack_observer_) driver_->SetAckObserver(ack_observer_);
   driver_->SetPgmrplSource([this]() { return ComputePgmrpl(); });
   btree_ = std::make_unique<BTree>(
-      options_.btree,
+      BTreeOptions{},
       [this](BlockId block, std::function<void(Result<storage::Page*>)> f) {
         WithPage(block, std::move(f));
       },
@@ -300,14 +307,14 @@ void DbInstance::Put(TxnId txn, const std::string& key,
                      std::function<void(Status)> cb) {
   stats_.puts++;
   PutInternal(txn, DataKey(key), value, /*deleted=*/false, std::move(cb),
-              options_.max_op_retries);
+              kMaxOpRetries);
 }
 
 void DbInstance::Delete(TxnId txn, const std::string& key,
                         std::function<void(Status)> cb) {
   stats_.deletes++;
   PutInternal(txn, DataKey(key), "", /*deleted=*/true, std::move(cb),
-              options_.max_op_retries);
+              kMaxOpRetries);
 }
 
 void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
@@ -718,7 +725,7 @@ void DbInstance::Commit(TxnId txn, std::function<void(Status)> cb) {
     cb(Status::OK());
     return;
   }
-  FinishCommit(txn, std::move(cb), options_.max_op_retries);
+  FinishCommit(txn, std::move(cb), kMaxOpRetries);
 }
 
 void DbInstance::FinishCommit(TxnId txn, std::function<void(Status)> cb,
@@ -1098,7 +1105,7 @@ void DbInstance::ProbeRound(std::shared_ptr<RecoveryState> state) {
   }
   // Evaluate after a settling delay; retry the round if any PG lacks a
   // read quorum among hydrated responders.
-  sim_->Schedule(options_.recovery_retry, [this, state]() {
+  sim_->Schedule(kRecoveryRetry, [this, state]() {
     if (state->phase != RecoveryState::Phase::kProbing) return;
     bool all_ready = true;
     for (const auto& pg : state->geometry.pgs()) {
@@ -1216,12 +1223,12 @@ void DbInstance::ComputeRecoveryPoints(
   if (state->tail_outstanding == 0) {
     // No reachable best segments (should not happen after a successful
     // probe round); restart.
-    sim_->Schedule(options_.recovery_retry,
+    sim_->Schedule(kRecoveryRetry,
                    [this, state]() { StartRecovery(state); });
   } else {
     // Watchdog: if a tail fetch is lost (node crashed mid-recovery),
     // restart from probing.
-    sim_->Schedule(options_.recovery_retry * 4, [this, state]() {
+    sim_->Schedule(kRecoveryRetry * 4, [this, state]() {
       if (state->phase == RecoveryState::Phase::kTails) {
         StartRecovery(state);
       }
@@ -1270,7 +1277,7 @@ void DbInstance::InstallRecovery(std::shared_ptr<RecoveryState> state) {
           });
     }
   }
-  sim_->Schedule(options_.recovery_retry, [this, state]() {
+  sim_->Schedule(kRecoveryRetry, [this, state]() {
     if (state->phase != RecoveryState::Phase::kEpoch) return;
     bool all_ready = true;
     for (const auto& pg : state->geometry.pgs()) {

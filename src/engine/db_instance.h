@@ -89,14 +89,9 @@ struct DbOptions {
   /// below that, fetch/evict livelock is possible — as in any real engine
   /// whose buffer pool cannot hold a single operation's fix set.
   size_t cache_pages = 8192;
-  BTreeOptions btree;
   DriverOptions driver;
   /// Undo page split threshold.
   size_t undo_entries_per_page = 64;
-  /// Retry backoff for recovery probe rounds.
-  SimDuration recovery_retry = 50 * kMillisecond;
-  /// Max key-path retries before an operation reports Aborted.
-  int max_op_retries = 16;
 };
 
 struct DbStats {

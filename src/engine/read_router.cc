@@ -4,27 +4,34 @@
 
 namespace aurora::engine {
 
+namespace {
+/// EWMA smoothing factor for response-time tracking.
+constexpr double kEwmaAlpha = 0.2;
+/// Expected latency assumed for segments never measured.
+constexpr SimDuration kDefaultLatency = 1 * kMillisecond;
+}  // namespace
+
 void ReadRouter::ObserveLatency(SegmentId segment, SimDuration latency) {
   auto it = ewma_.find(segment);
   if (it == ewma_.end()) {
     ewma_[segment] = static_cast<double>(latency);
     return;
   }
-  it->second = options_.ewma_alpha * static_cast<double>(latency) +
-               (1.0 - options_.ewma_alpha) * it->second;
+  it->second = kEwmaAlpha * static_cast<double>(latency) +
+               (1.0 - kEwmaAlpha) * it->second;
 }
 
 void ReadRouter::Penalize(SegmentId segment) {
   auto it = ewma_.find(segment);
   const double base = it == ewma_.end()
-                          ? static_cast<double>(options_.default_latency)
+                          ? static_cast<double>(kDefaultLatency)
                           : it->second;
   ewma_[segment] = base * 4.0;
 }
 
 SimDuration ReadRouter::ExpectedLatency(SegmentId segment) const {
   auto it = ewma_.find(segment);
-  if (it == ewma_.end()) return options_.default_latency;
+  if (it == ewma_.end()) return kDefaultLatency;
   return static_cast<SimDuration>(it->second);
 }
 

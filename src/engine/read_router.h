@@ -21,8 +21,6 @@
 namespace aurora::engine {
 
 struct ReadRouterOptions {
-  /// EWMA smoothing factor for response-time tracking.
-  double ewma_alpha = 0.2;
   /// Probability of issuing an extra parallel probe to a non-best segment
   /// to keep its latency estimate fresh.
   double explore_probability = 0.02;
@@ -32,8 +30,6 @@ struct ReadRouterOptions {
   /// Floor/ceiling for the hedge delay.
   SimDuration min_hedge_delay = 500;
   SimDuration max_hedge_delay = 20 * kMillisecond;
-  /// Expected latency assumed for segments never measured.
-  SimDuration default_latency = 1 * kMillisecond;
 };
 
 /// Tracks per-segment read response times and picks targets.

@@ -6,6 +6,14 @@
 
 namespace aurora::engine {
 
+namespace {
+/// Records one retransmission sweep resends to a single segment.
+constexpr size_t kRetryBatch = 512;
+/// A PG whose oldest outstanding record is stuck this long has lost its
+/// write quorum (for now) and is marked degraded until it progresses.
+constexpr SimDuration kDegradedAfter = 250 * kMillisecond;
+}  // namespace
+
 StorageDriver::StorageDriver(sim::Simulator* sim, sim::Network* network,
                              NodeId self, storage::NodeResolver resolver,
                              DriverOptions options)
@@ -47,7 +55,7 @@ void StorageDriver::EnsureChannels(const quorum::PgConfig& config) {
     channels_.emplace(member.id, std::move(channel));
     SegmentChannel* raw = &channels_[member.id];
     raw->boxcar = std::make_unique<log::BoxcarBatcher>(
-        sim_, options_.boxcar,
+        sim_, log::BoxcarOptions{},
         [this, raw](std::vector<log::RedoRecord> batch) {
           SendBatch(raw, std::move(batch));
         });
@@ -197,7 +205,7 @@ void StorageDriver::RetrySweep() {
     auto it = std::lower_bound(
         retained_.begin(), retained_.end(), known_scl + 1,
         [](const log::RedoRecord& r, Lsn value) { return r.lsn < value; });
-    for (; it != retained_.end() && resend.size() < options_.retry_batch;
+    for (; it != retained_.end() && resend.size() < kRetryBatch;
          ++it) {
       if (it->pg == channel.pg) resend.push_back(*it);
     }
@@ -234,7 +242,7 @@ void StorageDriver::UpdateDegraded() {
       ClearDegraded(pg_id, now);
       continue;
     }
-    if (now - watch.since >= options_.degraded_after &&
+    if (now - watch.since >= kDegradedAfter &&
         !degraded_since_.contains(pg_id)) {
       degraded_since_.emplace(pg_id, now);
       stats_.degraded_entries++;

@@ -36,20 +36,14 @@
 namespace aurora::engine {
 
 struct DriverOptions {
-  log::BoxcarOptions boxcar;
   /// Retransmission sweep for writes missing acknowledgements; gossip
   /// usually beats it, so this is a safety net.
   SimDuration retry_interval = 50 * kMillisecond;
-  size_t retry_batch = 512;
   /// Overall deadline for one routed read (hedges included). Requests to
   /// crashed nodes are silently lost; without a deadline a read against a
   /// fully dark protection group would hang forever.
   SimDuration read_deadline = 5 * kSecond;
   ReadRouterOptions router;
-  /// A protection group whose oldest outstanding record has not advanced
-  /// for this long has (transiently) lost its write quorum: the PG is
-  /// marked degraded until the quorum resumes progress.
-  SimDuration degraded_after = 250 * kMillisecond;
   /// While a PG is degraded, its writes park in `retained_` awaiting
   /// quorum. The bound applies per degraded PG: once any degraded PG
   /// holds this many parked records the instance backpressures (rejects

@@ -35,6 +35,12 @@
 
 namespace aurora::quorum {
 
+/// Paper geometry (§2.1): every protection group keeps six copies, two in
+/// each of three AZs, so the 4/6 write and 3/6 read quorums survive an AZ
+/// loss plus one more failure (AZ+1).
+inline constexpr size_t kAzCount = 3;
+inline constexpr size_t kCopiesPerAz = 2;
+
 /// The full shape of one volume: protection groups, block mapping, epochs.
 ///
 /// Protection groups own contiguous block ranges (`blocks_per_pg` each);

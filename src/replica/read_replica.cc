@@ -6,6 +6,14 @@
 
 namespace aurora::replica {
 
+namespace {
+/// Period of the read-point report to the writer (feeds PGMRPL, §3.4).
+constexpr SimDuration kReportInterval = 100 * kMillisecond;
+/// How long an anchored read waits for VDL before the session falls back
+/// to the writer.
+constexpr SimDuration kAnchorWaitTimeout = 2 * kSecond;
+}  // namespace
+
 ReadReplica::ReadReplica(sim::Simulator* sim, sim::Network* network,
                          NodeId id, AzId az, storage::NodeResolver resolver,
                          NodeId writer,
@@ -15,15 +23,14 @@ ReadReplica::ReadReplica(sim::Simulator* sim, sim::Network* network,
       network_(network),
       id_(id),
       az_(az),
-      writer_(writer),
-      options_(options) {
+      writer_(writer) {
   network_->RegisterNode(id_, az_, this);
-  cache_ = std::make_unique<engine::BufferCache>(options_.cache_pages);
+  cache_ = std::make_unique<engine::BufferCache>(options.cache_pages);
   driver_ = std::make_unique<engine::StorageDriver>(
-      sim_, network_, id_, std::move(resolver), options_.driver);
+      sim_, network_, id_, std::move(resolver), engine::DriverOptions{});
   driver_->SetGeometry(geometry, volume_epoch);
   btree_ = std::make_unique<engine::BTree>(
-      options_.btree,
+      engine::BTreeOptions{},
       [this](BlockId block, std::function<void(Result<storage::Page*>)> f) {
         WithPage(block, std::move(f));
       },
@@ -138,7 +145,6 @@ void ReadReplica::OnReplicationEvent(const engine::ReplicationEvent& event) {
 
 void ReadReplica::CheckStreamContinuity(
     const engine::ReplicationEvent& event) {
-  if (event.seq == 0) return;  // unstamped (legacy/test) stream
   const bool new_stream = event.source != stream_source_;
   const bool gap = !new_stream && event.seq != stream_seq_ + 1;
   // A writer switch counts as a break too once we had a stream: events
@@ -222,7 +228,7 @@ void ReadReplica::RunAtAnchor(Lsn min_lsn, std::function<void(bool)> fn) {
   waiter->fn = std::move(fn);
   waiter->parked_at = sim_->Now();
   anchor_waiters_.emplace(min_lsn, waiter);
-  sim_->Schedule(options_.anchor_wait_timeout, [this, waiter]() {
+  sim_->Schedule(kAnchorWaitTimeout, [this, waiter]() {
     if (waiter->fired) return;
     waiter->fired = true;
     stats_.anchor_timeouts++;
@@ -523,7 +529,7 @@ void ReadReplica::ReportLoop() {
     network_->Send(id_, writer_, 64,
                    [reporter = reporter_, point]() { reporter(point); });
   }
-  sim_->Schedule(options_.report_interval, [this]() { ReportLoop(); });
+  sim_->Schedule(kReportInterval, [this]() { ReportLoop(); });
 }
 
 }  // namespace aurora::replica

@@ -40,15 +40,6 @@ namespace aurora::replica {
 
 struct ReplicaOptions {
   size_t cache_pages = 8192;
-  engine::BTreeOptions btree;
-  engine::DriverOptions driver;
-  /// How often the replica reports its minimum read point to the writer
-  /// (feeds PGMRPL, §3.4) and refreshes segment SCL knowledge.
-  SimDuration report_interval = 100 * kMillisecond;
-  /// How long an anchored read (read-your-writes) waits for this
-  /// replica's VDL to reach the anchor before failing with Unavailable
-  /// so the session can fall back to the writer.
-  SimDuration anchor_wait_timeout = 2 * kSecond;
 };
 
 struct ReplicaStats {
@@ -92,7 +83,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
   /// Runs `fn(true)` once this replica's VDL has reached `min_lsn`
   /// (immediately if it already has); parks otherwise and drains on VDL
   /// advances from the stream. `fn(false)` fires after
-  /// anchor_wait_timeout (or on crash) — session consistency's escape
+  /// kAnchorWaitTimeout (or on crash) — session consistency's escape
   /// hatch to the writer.
   void RunAtAnchor(Lsn min_lsn, std::function<void(bool)> fn);
 
@@ -185,7 +176,6 @@ class ReadReplica : public sim::NodeLifecycleListener {
   NodeId id_;
   AzId az_;
   NodeId writer_;
-  ReplicaOptions options_;
   bool running_ = false;
 
   std::unique_ptr<engine::StorageDriver> driver_;

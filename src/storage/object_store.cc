@@ -4,14 +4,22 @@
 
 namespace aurora::storage {
 
-ObjectStore::ObjectStore(sim::Simulator* sim, ObjectStoreOptions options)
-    : sim_(sim), options_(options), rng_(sim->rng().Fork()) {}
+namespace {
+/// Archive round trips are S3-like: tens of ms, never on the commit path.
+const LatencyDistribution kPutLatency =
+    LatencyDistribution::LogNormal(20 * kMillisecond, 0.4);
+const LatencyDistribution kGetLatency =
+    LatencyDistribution::LogNormal(30 * kMillisecond, 0.4);
+}  // namespace
+
+ObjectStore::ObjectStore(sim::Simulator* sim)
+    : sim_(sim), rng_(sim->rng().Fork()) {}
 
 void ObjectStore::Put(ArchiveKey pg,
                       std::vector<log::RedoRecord> records,
                       std::function<void(Lsn)> done) {
   puts_++;
-  const SimDuration latency = options_.put_latency.Sample(rng_);
+  const SimDuration latency = kPutLatency.Sample(rng_);
   auto shared =
       std::make_shared<std::vector<log::RedoRecord>>(std::move(records));
   sim_->Schedule(latency, [this, pg, shared, done = std::move(done)]() {
@@ -29,7 +37,7 @@ void ObjectStore::Put(ArchiveKey pg,
 void ObjectStore::Get(ArchiveKey pg, Lsn lo, Lsn hi,
                       std::function<void(std::vector<log::RedoRecord>)> done) {
   gets_++;
-  const SimDuration latency = options_.get_latency.Sample(rng_);
+  const SimDuration latency = kGetLatency.Sample(rng_);
   sim_->Schedule(latency, [this, pg, lo, hi, done = std::move(done)]() {
     std::vector<log::RedoRecord> out;
     auto it = archive_.find(pg);

@@ -19,20 +19,13 @@
 
 namespace aurora::storage {
 
-struct ObjectStoreOptions {
-  LatencyDistribution put_latency =
-      LatencyDistribution::LogNormal(20 * kMillisecond, 0.4);
-  LatencyDistribution get_latency =
-      LatencyDistribution::LogNormal(30 * kMillisecond, 0.4);
-};
-
 /// Region-durable archive of redo records, keyed by (volume, protection
 /// group). All segments of a PG carry the same log, so one archive per
 /// PG deduplicates the six copies; the volume half of the key keeps
 /// co-tenant PGs with equal ordinals apart.
 class ObjectStore {
  public:
-  ObjectStore(sim::Simulator* sim, ObjectStoreOptions options = {});
+  explicit ObjectStore(sim::Simulator* sim);
 
   /// Archives `records` for `key`; `done(highest_lsn_archived)` runs after
   /// simulated upload latency. Records become visible at completion.
@@ -53,7 +46,6 @@ class ObjectStore {
 
  private:
   sim::Simulator* sim_;
-  ObjectStoreOptions options_;
   Rng rng_;
   std::map<ArchiveKey, std::map<Lsn, log::RedoRecord>> archive_;
   uint64_t bytes_stored_ = 0;

@@ -26,6 +26,15 @@ namespace {
 /// noisy-neighbor cell).
 constexpr uint64_t kDrrQuantumBytes = 512;
 
+/// Background pass periods (§2.1 activities 5, 7): fold often, GC rarely.
+constexpr SimDuration kCoalesceInterval = 5 * kMillisecond;
+constexpr SimDuration kGcInterval = 500 * kMillisecond;
+/// Per-segment caps: records one coalesce pass folds, one gossip reply
+/// carries and one backup pass uploads.
+constexpr size_t kCoalesceBatch = 1024;
+constexpr size_t kGossipBatch = 1024;
+constexpr size_t kBackupBatch = 4096;
+
 }  // namespace
 
 StorageNode::StorageNode(sim::Simulator* sim, sim::Network* network,
@@ -37,7 +46,7 @@ StorageNode::StorageNode(sim::Simulator* sim, sim::Network* network,
       az_(az),
       object_store_(object_store),
       options_(options),
-      disk_(sim, options.disk),
+      disk_(sim),
       rng_(sim->rng().Fork()) {
   network_->RegisterNode(id_, az_, this);
 }
@@ -290,7 +299,7 @@ void StorageNode::HandleGossip(const GossipRequest& request,
   }
   GossipResponse response;
   response.status = Status::OK();
-  response.records = segment->ChainAfter(request.scl, options_.gossip_batch);
+  response.records = segment->ChainAfter(request.scl, kGossipBatch);
   response.peer_scl = segment->scl();
   reply(std::move(response));
 }
@@ -352,9 +361,9 @@ void StorageNode::StartBackground() {
   if (background_started_ || !options_.background_enabled) return;
   background_started_ = true;
   Every(options_.gossip_interval, [this]() { RunGossipOnce(); });
-  Every(options_.coalesce_interval, [this]() { RunCoalesceOnce(); });
+  Every(kCoalesceInterval, [this]() { RunCoalesceOnce(); });
   Every(options_.backup_interval, [this]() { RunBackupOnce(); });
-  Every(options_.gc_interval, [this]() { RunGcOnce(); });
+  Every(kGcInterval, [this]() { RunGcOnce(); });
   Every(options_.scrub_interval, [this]() { RunScrubOnce(); });
 }
 
@@ -427,14 +436,14 @@ void StorageNode::GossipSegment(SegmentStore* segment) {
 
 void StorageNode::RunCoalesceOnce() {
   for (auto& [id, segment] : segments_) {
-    segment->CoalesceStep(options_.coalesce_batch);
+    segment->CoalesceStep(kCoalesceBatch);
   }
 }
 
 void StorageNode::RunBackupOnce() {
   if (object_store_ == nullptr) return;
   for (auto& [id, segment] : segments_) {
-    auto records = segment->PendingBackup(options_.backup_batch);
+    auto records = segment->PendingBackup(kBackupBatch);
     if (records.empty()) continue;
     const SegmentId seg_id = id;
     object_store_->Put(segment->archive_key(), std::move(records),

@@ -38,15 +38,9 @@
 namespace aurora::storage {
 
 struct StorageNodeOptions {
-  DiskOptions disk;
   SimDuration gossip_interval = 100 * kMillisecond;
-  SimDuration coalesce_interval = 5 * kMillisecond;
   SimDuration backup_interval = 100 * kMillisecond;
-  SimDuration gc_interval = 500 * kMillisecond;
   SimDuration scrub_interval = 30 * kSecond;
-  size_t coalesce_batch = 1024;
-  size_t gossip_batch = 1024;
-  size_t backup_batch = 4096;
   /// If false, no periodic timers are scheduled; tests drive stages
   /// manually via the Run*Once methods.
   bool background_enabled = true;

@@ -14,7 +14,8 @@ namespace {
 /// A synchronous in-memory "cache + storage": every page always present.
 class FakePages {
  public:
-  explicit FakePages(size_t max_entries) : options_{max_entries} {
+  explicit FakePages(size_t max_entries)
+      : options_{.max_entries = max_entries} {
     // Bootstrap: meta + root leaf, one PG with a huge cursor space.
     for (const auto& staged :
          BTree::BootstrapOps(kFirstAllocatableBlock, {2})) {

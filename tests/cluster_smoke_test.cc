@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/core/cluster.h"
 
@@ -261,6 +263,22 @@ TEST(ClusterSmoke, WriterSealsEveryRecord) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// Dynamically allocated node ids (writers, replicas, clients) never alias
+// the metadata node or a storage server, however many clients register.
+TEST(ClusterSmoke, ClientNodeIdsNeverCollide) {
+  core::AuroraCluster cluster(SmallOptions());
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  const std::vector<NodeId> servers = cluster.StorageNodeIds();
+  const std::set<NodeId> fixed(servers.begin(), servers.end());
+  std::set<NodeId> seen;
+  for (int i = 0; i < 120; ++i) {
+    const NodeId id = cluster.RegisterClientNode(static_cast<AzId>(i % 3));
+    EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
+    EXPECT_NE(id, cluster.metadata().id());
+    EXPECT_FALSE(fixed.contains(id)) << "id " << id << " is a storage node";
+  }
 }
 
 }  // namespace

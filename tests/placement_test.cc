@@ -25,9 +25,8 @@ namespace {
 
 /// A 3-AZ fleet with `per_az` servers per AZ, node ids 1..3*per_az
 /// (AZ-major: AZ 0 gets the lowest ids).
-core::PlacementService MakeFleet(size_t per_az,
-                                 core::PlacementOptions options = {}) {
-  core::PlacementService placement(options);
+core::PlacementService MakeFleet(size_t per_az) {
+  core::PlacementService placement;
   NodeId next = 1;
   for (AzId az = 0; az < 3; ++az) {
     for (size_t i = 0; i < per_az; ++i) {
