@@ -60,6 +60,13 @@ struct ThroughputResult {
   // in-place coalescing below PGMRPL this is about one version per block
   // per full segment, not one per record.
   uint64_t fleet_version_bytes = 0;
+  // What the rest of the storage pipeline keeps at the end of the run:
+  // hot-log bytes the fleet still holds, archived bytes (one copy of each
+  // record per PG) and records folded into block versions. All three are
+  // deterministic and gated exactly.
+  uint64_t fleet_hot_log_bytes = 0;
+  uint64_t archive_bytes_stored = 0;
+  uint64_t records_coalesced = 0;
   std::string metrics_json;
 
   double HedgeRate() const {
@@ -144,7 +151,10 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
   cluster.ForEachSegment(
       [&](storage::StorageNode*, storage::SegmentStore* segment) {
         result.fleet_version_bytes += segment->TotalVersionBytes();
+        result.fleet_hot_log_bytes += segment->HotLogBytes();
+        result.records_coalesced += segment->stats().records_coalesced;
       });
+  result.archive_bytes_stored = cluster.object_store().bytes_stored();
   result.metrics_json = cluster.MetricsJson();
   return result;
 }
@@ -265,6 +275,12 @@ int main(int argc, char** argv) {
   table.Row({"hedge rate", Num(result.HedgeRate(), 4), ""});
   table.Row({"fleet block-version bytes",
              std::to_string(result.fleet_version_bytes), ""});
+  table.Row({"fleet hot-log bytes",
+             std::to_string(result.fleet_hot_log_bytes), ""});
+  table.Row({"archive bytes stored",
+             std::to_string(result.archive_bytes_stored), ""});
+  table.Row({"records coalesced", std::to_string(result.records_coalesced),
+             ""});
   table.Print();
 
   BenchJson json("c7_write_throughput");
@@ -292,6 +308,9 @@ int main(int argc, char** argv) {
       .Set("commit_wait_p99_us",
            static_cast<uint64_t>(result.commit_wait_p99_us))
       .Set("fleet_version_bytes", result.fleet_version_bytes)
+      .Set("fleet_hot_log_bytes", result.fleet_hot_log_bytes)
+      .Set("archive_bytes_stored", result.archive_bytes_stored)
+      .Set("records_coalesced", result.records_coalesced)
       .SetRaw("metrics", result.metrics_json);
   if (!json.WriteFile()) return 1;
 

@@ -16,8 +16,11 @@
 # must the fleet's block-version bytes at the end of the run: a return to
 # one page copy per coalesced record multiplies it. So must the writer's
 # commit-wait p50/p99 in simulated µs: a change meant to save only host
-# time must not move simulated latency. A deliberate schedule or
-# storage-layout change refreshes those baseline keys.
+# time must not move simulated latency. So must what the rest of the
+# storage pipeline keeps: the fleet's hot-log bytes, the archive's bytes
+# (one copy per record per PG) and the records folded into versions. A
+# deliberate schedule or storage-layout change refreshes those baseline
+# keys.
 #
 # Knobs for noisy machines (documented in EXPERIMENTS.md, C9 section):
 #   AURORA_BENCH_TOLERANCE=0.1  scripts/bench_gate.sh   # looser floor
@@ -180,7 +183,10 @@ for spec in \
   "c7:BENCH_c7_write_throughput.json:retransmitted_records" \
   "c7:BENCH_c7_write_throughput.json:fleet_version_bytes" \
   "c7:BENCH_c7_write_throughput.json:commit_wait_p50_us" \
-  "c7:BENCH_c7_write_throughput.json:commit_wait_p99_us"; do
+  "c7:BENCH_c7_write_throughput.json:commit_wait_p99_us" \
+  "c7:BENCH_c7_write_throughput.json:fleet_hot_log_bytes" \
+  "c7:BENCH_c7_write_throughput.json:archive_bytes_stored" \
+  "c7:BENCH_c7_write_throughput.json:records_coalesced"; do
   IFS=: read -r label file key <<<"${spec}"
   check_exact "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
 done

@@ -17,6 +17,7 @@ void ConsistencyTracker::ConfigurePg(ProtectionGroupId pg,
   }
   tracking.scls = std::move(kept);
   tracking.members = std::move(members);
+  tracking.dirty = true;
 }
 
 void ConsistencyTracker::ObserveScl(ProtectionGroupId pg, SegmentId segment,
@@ -24,7 +25,9 @@ void ConsistencyTracker::ObserveScl(ProtectionGroupId pg, SegmentId segment,
   auto it = pgs_.find(pg);
   if (it == pgs_.end()) return;
   Lsn& known = it->second.scls[segment];
-  known = std::max(known, scl);
+  if (scl <= known) return;
+  known = scl;
+  it->second.dirty = true;
 }
 
 void ConsistencyTracker::RecordIssued(ProtectionGroupId pg, Lsn lsn) {
@@ -59,8 +62,8 @@ void ConsistencyTracker::SetMaxAllocated(Lsn lsn) {
 Lsn ConsistencyTracker::ComputePgcl(const PgTracking& tracking) const {
   // Find the largest SCL value X such that the set of members with
   // SCL >= X satisfies the write quorum. Iterate distinct SCLs downward,
-  // growing the satisfied set. Runs once per write ack; the sort buffer
-  // is a reused member so the hot path does not allocate.
+  // growing the satisfied set. Runs once per ack that moves an SCL; the
+  // sort buffer is a reused member so the hot path does not allocate.
   std::vector<std::pair<Lsn, SegmentId>>& by_scl = by_scl_scratch_;
   by_scl.clear();
   by_scl.reserve(tracking.scls.size());
@@ -88,8 +91,12 @@ bool ConsistencyTracker::Advance() {
   const Lsn old_vdl = vdl_;
   Lsn vcl_bound = max_allocated_;
   for (auto& [pg, tracking] : pgs_) {
-    const Lsn pgcl = ComputePgcl(tracking);
-    tracking.pgcl = std::max(tracking.pgcl, pgcl);
+    // ComputePgcl depends only on the SCLs and the quorum shape, so a
+    // clean PG would return what it returned last time.
+    if (tracking.dirty) {
+      tracking.pgcl = std::max(tracking.pgcl, ComputePgcl(tracking));
+      tracking.dirty = false;
+    }
     // Ascending deque: everything covered by PGCL drains off the front.
     while (!tracking.outstanding.empty() &&
            tracking.outstanding.front() <= tracking.pgcl) {
@@ -126,6 +133,7 @@ void ConsistencyTracker::Reset(Lsn vcl, Lsn vdl, Lsn max_allocated) {
     tracking.outstanding.clear();
     tracking.pgcl = kInvalidLsn;
     tracking.scls.clear();
+    tracking.dirty = true;
   }
   mtr_points_.clear();
   vcl_ = vcl;

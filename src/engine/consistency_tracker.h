@@ -42,6 +42,10 @@ struct PgTracking {
   /// ascending.
   std::deque<Lsn> outstanding;
   Lsn pgcl = kInvalidLsn;
+  /// The quorum shape or a member's SCL changed since the last
+  /// ComputePgcl, so the next Advance() must re-evaluate this PG. An ack
+  /// moves one PG; the others keep their last result.
+  bool dirty = true;
 };
 
 class ConsistencyTracker {
@@ -64,7 +68,8 @@ class ConsistencyTracker {
   /// Highest LSN allocated so far (VCL never exceeds it).
   void SetMaxAllocated(Lsn lsn);
 
-  /// Recomputes PGCLs, VCL, VDL. Returns true if VCL or VDL advanced.
+  /// Recomputes the PGCL of each PG whose SCLs or shape changed since the
+  /// last call, then VCL and VDL. Returns true if VCL or VDL advanced.
   bool Advance();
 
   Lsn pgcl(ProtectionGroupId pg) const;

@@ -65,10 +65,10 @@ void SegmentHotLog::AdvanceScl() {
 }
 
 void SegmentHotLog::RewindScl() {
-  // Everything at or below the GC floor was chain-complete when evicted,
-  // so the walk re-anchors there (or at the very start if nothing was
-  // ever evicted).
-  scl_ = gc_floor_;
+  // Everything GC evicted was chain-complete, so the walk re-anchors at
+  // the last evicted record (or at the very start if nothing was ever
+  // evicted).
+  scl_ = evicted_tail_;
   AdvanceScl();
 }
 
@@ -112,9 +112,11 @@ std::vector<RedoRecord> SegmentHotLog::RecordsAbove(
   return out;
 }
 
-std::vector<RedoRecord> SegmentHotLog::RecordsInRange(Lsn lo, Lsn hi) const {
+std::vector<RedoRecord> SegmentHotLog::RecordsInRange(
+    Lsn lo, Lsn hi, size_t max_records) const {
   std::vector<RedoRecord> out;
-  for (Iter it = LowerBound(lo); it != records_.end() && it->lsn <= hi;
+  for (Iter it = LowerBound(lo); it != records_.end() && it->lsn <= hi &&
+                                 out.size() < max_records;
        ++it) {
     out.push_back(*it);
   }
@@ -168,6 +170,7 @@ void SegmentHotLog::EvictBelow(Lsn lsn) {
   // GC is a prefix pop — O(1) per record on the deque.
   while (!records_.empty() && records_.front().lsn <= lsn) {
     total_bytes_ -= records_.front().SerializedSize();
+    evicted_tail_ = records_.front().lsn;
     records_.pop_front();
   }
   gc_floor_ = std::max(gc_floor_, lsn);

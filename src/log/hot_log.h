@@ -15,7 +15,7 @@
 // binary searches elsewhere, and GC pops a prefix. The segment chain needs
 // no edge map either: in sorted order, record i+1 extends the chain iff
 // its prev_lsn_segment equals record i's LSN. Chain-walk anchoring below
-// the GC floor uses the floor itself (everything at or below it was
+// the GC floor uses the last evicted record (everything up to it was
 // chain-complete when evicted).
 
 #pragma once
@@ -74,8 +74,9 @@ class SegmentHotLog {
   /// gossip to also fill holes below a stalled chain head.
   std::vector<RedoRecord> RecordsAbove(Lsn lsn, size_t max_records) const;
 
-  /// All records in [lo, hi], LSN order (backup / repair reads).
-  std::vector<RedoRecord> RecordsInRange(Lsn lo, Lsn hi) const;
+  /// Records in [lo, hi], LSN order, up to `max_records` (backup reads).
+  std::vector<RedoRecord> RecordsInRange(
+      Lsn lo, Lsn hi, size_t max_records = SIZE_MAX) const;
 
   /// Every stored record, LSN order (scrub walks them in place).
   const std::deque<RedoRecord>& records() const { return records_; }
@@ -123,6 +124,10 @@ class SegmentHotLog {
   std::deque<RedoRecord> records_;
   Lsn scl_ = kInvalidLsn;
   Lsn gc_floor_ = kInvalidLsn;
+  /// LSN of the last record GC evicted: the chain was complete through
+  /// it, so a rewind restarts there. The GC floor itself may name no
+  /// record of this segment (another PG's LSN, or an annulled one).
+  Lsn evicted_tail_ = kInvalidLsn;
   uint64_t total_bytes_ = 0;
   uint64_t scl_advances_ = 0;
   std::vector<TruncationRange> truncations_;

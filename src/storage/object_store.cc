@@ -1,10 +1,15 @@
 #include "src/storage/object_store.h"
 
+#include <algorithm>
 #include <memory>
 
 namespace aurora::storage {
 
 namespace {
+constexpr auto kLsnBelow = [](const log::RedoRecord& record, Lsn lsn) {
+  return record.lsn < lsn;
+};
+
 /// Archive round trips are S3-like: tens of ms, never on the commit path.
 const LatencyDistribution kPutLatency =
     LatencyDistribution::LogNormal(20 * kMillisecond, 0.4);
@@ -27,8 +32,16 @@ void ObjectStore::Put(ArchiveKey pg,
     auto& pg_archive = archive_[pg];
     for (auto& record : *shared) {
       max_lsn = std::max(max_lsn, record.lsn);
-      auto [it, inserted] = pg_archive.emplace(record.lsn, std::move(record));
-      if (inserted) bytes_stored_ += it->second.SerializedSize();
+      if (pg_archive.empty() || record.lsn > pg_archive.back().lsn) {
+        bytes_stored_ += record.SerializedSize();
+        pg_archive.push_back(std::move(record));
+        continue;
+      }
+      auto pos = std::lower_bound(pg_archive.begin(), pg_archive.end(),
+                                  record.lsn, kLsnBelow);
+      if (pos != pg_archive.end() && pos->lsn == record.lsn) continue;
+      bytes_stored_ += record.SerializedSize();
+      pg_archive.insert(pos, std::move(record));
     }
     done(max_lsn);
   });
@@ -42,9 +55,10 @@ void ObjectStore::Get(ArchiveKey pg, Lsn lo, Lsn hi,
     std::vector<log::RedoRecord> out;
     auto it = archive_.find(pg);
     if (it != archive_.end()) {
-      for (auto rec = it->second.lower_bound(lo);
-           rec != it->second.end() && rec->first <= hi; ++rec) {
-        out.push_back(rec->second);
+      for (auto rec = std::lower_bound(it->second.begin(), it->second.end(),
+                                       lo, kLsnBelow);
+           rec != it->second.end() && rec->lsn <= hi; ++rec) {
+        out.push_back(*rec);
       }
     }
     done(std::move(out));
@@ -54,7 +68,7 @@ void ObjectStore::Get(ArchiveKey pg, Lsn lo, Lsn hi,
 Lsn ObjectStore::MaxArchivedLsn(ArchiveKey pg) const {
   auto it = archive_.find(pg);
   if (it == archive_.end() || it->second.empty()) return kInvalidLsn;
-  return it->second.rbegin()->first;
+  return it->second.back().lsn;
 }
 
 }  // namespace aurora::storage

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -22,7 +23,10 @@ namespace aurora::storage {
 /// Region-durable archive of redo records, keyed by (volume, protection
 /// group). All segments of a PG carry the same log, so one archive per
 /// PG deduplicates the six copies; the volume half of the key keeps
-/// co-tenant PGs with equal ordinals apart.
+/// co-tenant PGs with equal ordinals apart. Each key's archive is a flat
+/// LSN-sorted deque: segments back up in LSN order, so the first copy of
+/// a record appends at the back and the other copies are found by binary
+/// search and dropped.
 class ObjectStore {
  public:
   explicit ObjectStore(sim::Simulator* sim);
@@ -47,7 +51,7 @@ class ObjectStore {
  private:
   sim::Simulator* sim_;
   Rng rng_;
-  std::map<ArchiveKey, std::map<Lsn, log::RedoRecord>> archive_;
+  std::map<ArchiveKey, std::deque<log::RedoRecord>> archive_;
   uint64_t bytes_stored_ = 0;
   uint64_t puts_ = 0;
   uint64_t gets_ = 0;

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <unordered_map>
 
 #include "src/common/logging.h"
 
 namespace aurora::storage {
+
+namespace {
+// Binary-search comparators over the LSN-ordered pending-redo queue.
+constexpr auto kLsnBelow = [](const auto& redo, Lsn lsn) {
+  return redo.lsn < lsn;
+};
+constexpr auto kLsnAbove = [](Lsn lsn, const auto& redo) {
+  return lsn < redo.lsn;
+};
+}  // namespace
 
 SegmentStore::SegmentStore(quorum::SegmentInfo info, ProtectionGroupId pg,
                            quorum::PgConfig config, VolumeEpoch volume_epoch,
@@ -39,9 +49,23 @@ Status SegmentStore::CheckEpochs(const EpochVector& epochs) {
 void SegmentStore::IndexRecord(const log::RedoRecord& record) {
   // Commit records carry a status-index page op and materialize like any
   // other change; only control records carry no block payload.
-  if (info_.is_full && record.type != log::RecordType::kControl &&
-      record.block != kInvalidBlock) {
-    pending_redo_[record.block].emplace(record.lsn, record);
+  if (!info_.is_full || record.type == log::RecordType::kControl ||
+      record.block == kInvalidBlock) {
+    return;
+  }
+  PendingRedo redo{record.lsn, record.prev_lsn_block, record.block,
+                   record.payload};
+  // The hot log admits each LSN once and the writer allocates them in
+  // order, so almost every record lands past the back; a gossip fill or
+  // retransmission inserts at its sorted position.
+  if (pending_.empty() || record.lsn > pending_.back().lsn) {
+    pending_.push_back(std::move(redo));
+    return;
+  }
+  auto pos =
+      std::lower_bound(pending_.begin(), pending_.end(), record.lsn, kLsnBelow);
+  if (pos == pending_.end() || pos->lsn != record.lsn) {
+    pending_.insert(pos, std::move(redo));
   }
 }
 
@@ -85,68 +109,62 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
   // min(SCL, PGMRPL) stay pending and ReadPage materializes them on demand.
   const Lsn floor = std::min(hot_log_.scl(), pgmrpl_);
   if (floor == kInvalidLsn) return 0;
+  // The queue is in LSN order, so what may fold is a prefix; each block's
+  // records fold in its chain order.
   size_t applied = 0;
-  for (auto block_it = pending_redo_.begin();
-       block_it != pending_redo_.end() && applied < max_records;) {
-    auto& pending = block_it->second;
-    auto& block_versions = versions_[block_it->first];
-    while (!pending.empty() && applied < max_records) {
-      const auto& [lsn, record] = *pending.begin();
-      if (lsn > floor) break;
-      // Fold into the newest version at or below the record. Versions
-      // older than it lie below the floor, where the folded version is
-      // the block's only state, so they go.
-      auto base = block_versions.upper_bound(lsn);
-      const bool has_base = base != block_versions.begin();
-      if (has_base) --base;
-      const Lsn base_lsn = has_base ? base->first : kInvalidLsn;
-      stats_.versions_gced += std::distance(block_versions.begin(), base);
-      block_versions.erase(block_versions.begin(), base);
-      if (lsn == base_lsn) {
-        // Already applied via on-demand materialization.
-        pending.erase(pending.begin());
+  while (!pending_.empty() && applied < max_records) {
+    const PendingRedo& redo = pending_.front();
+    const Lsn lsn = redo.lsn;
+    if (lsn > floor) break;
+    auto& block_versions = versions_[redo.block];
+    // Fold into the newest version at or below the record. Versions
+    // older than it lie below the floor, where the folded version is
+    // the block's only state, so they go.
+    auto base = block_versions.upper_bound(lsn);
+    const bool has_base = base != block_versions.begin();
+    if (has_base) --base;
+    const Lsn base_lsn = has_base ? base->first : kInvalidLsn;
+    stats_.versions_gced += std::distance(block_versions.begin(), base);
+    block_versions.erase(block_versions.begin(), base);
+    if (lsn == base_lsn) {
+      // Already applied via on-demand materialization.
+      pending_.pop_front();
+      continue;
+    }
+    if (redo.prev_lsn_block != base_lsn) {
+      if (block_versions.upper_bound(lsn) != block_versions.end()) {
+        // A newer version (absorbed from hydration) already reflects
+        // this record; the history below it is not retained.
+        if (has_base) {
+          block_versions.erase(base);
+          stats_.versions_gced++;
+        }
+        pending_.pop_front();
         continue;
       }
-      if (record.prev_lsn_block != base_lsn) {
-        if (block_versions.upper_bound(lsn) != block_versions.end()) {
-          // A newer version (absorbed from hydration) already reflects
-          // this record; the history below it is not retained.
-          if (has_base) {
-            block_versions.erase(base);
-            stats_.versions_gced++;
-          }
-          pending.erase(pending.begin());
-          continue;
-        }
-        // Hole in the block chain below this record; wait for gossip.
-        break;
-      }
-      auto op = DecodePageOp(record.payload.view());
-      if (!op.ok()) {
-        AURORA_ERROR << "segment " << info_.id << " coalesce failed: "
-                     << op.status().ToString();
-        break;
-      }
-      // In place: re-key the base version's node and apply, no page copy.
-      Page* page = nullptr;
-      if (has_base) {
-        auto node = block_versions.extract(base);
-        node.key() = lsn;
-        page = &block_versions.insert(std::move(node)).position->second;
-      } else {
-        page = &block_versions.emplace(lsn, Page{}).first->second;
-        page->id = block_it->first;
-      }
-      (void)ApplyPageOp(page, *op, lsn);
-      pending.erase(pending.begin());
-      stats_.records_coalesced++;
-      applied++;
+      // Hole in the block chain below this record; wait for gossip.
+      break;
     }
-    if (pending.empty()) {
-      block_it = pending_redo_.erase(block_it);
+    auto op = DecodePageOp(redo.payload.view());
+    if (!op.ok()) {
+      AURORA_ERROR << "segment " << info_.id << " coalesce failed: "
+                   << op.status().ToString();
+      break;
+    }
+    // In place: re-key the base version's node and apply, no page copy.
+    Page* page = nullptr;
+    if (has_base) {
+      auto node = block_versions.extract(base);
+      node.key() = lsn;
+      page = &block_versions.insert(std::move(node)).position->second;
     } else {
-      ++block_it;
+      page = &block_versions.emplace(lsn, Page{}).first->second;
+      page->id = redo.block;
     }
+    (void)ApplyPageOp(page, *op, lsn);
+    pending_.pop_front();
+    stats_.records_coalesced++;
+    applied++;
   }
   return applied;
 }
@@ -194,7 +212,7 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     }
     return status;
   };
-  // Collect pending redo in (base_lsn, read_lsn] for on-demand
+  // Apply this block's pending redo in (base_lsn, read_lsn] for on-demand
   // materialization along the block chain (§2.2).
   const Lsn base_lsn = base ? base->page_lsn : kInvalidLsn;
   Page page;
@@ -203,20 +221,18 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
   } else {
     page.id = block;
   }
-  auto pending_it = pending_redo_.find(block);
   bool applied_any = false;
-  if (pending_it != pending_redo_.end()) {
-    for (auto it = pending_it->second.upper_bound(base_lsn);
-         it != pending_it->second.end() && it->first <= read_lsn; ++it) {
-      const auto& record = it->second;
-      if (record.prev_lsn_block != page.page_lsn) {
-        return refuse(
-            Status::Unavailable("block chain hole during materialization"));
-      }
-      AURORA_RETURN_IF_ERROR(ApplyRedoPayload(&page, record.payload.view(),
-                                              record.lsn));
-      applied_any = true;
+  for (auto it = std::upper_bound(pending_.begin(), pending_.end(), base_lsn,
+                                  kLsnAbove);
+       it != pending_.end() && it->lsn <= read_lsn; ++it) {
+    if (it->block != block) continue;
+    if (it->prev_lsn_block != page.page_lsn) {
+      return refuse(
+          Status::Unavailable("block chain hole during materialization"));
     }
+    AURORA_RETURN_IF_ERROR(
+        ApplyRedoPayload(&page, it->payload.view(), it->lsn));
+    applied_any = true;
   }
   if (base == nullptr && !applied_any) {
     return refuse(Status::NotFound("block has no data at or below read point"));
@@ -246,13 +262,8 @@ void SegmentStore::MarkBackedUp(Lsn lsn) {
 std::vector<log::RedoRecord> SegmentStore::PendingBackup(
     size_t max_records) const {
   // Only chain-complete records are backed up (no holes in the archive).
-  std::vector<log::RedoRecord> out;
-  for (const auto& record :
-       hot_log_.RecordsAbove(backup_lsn_, max_records)) {
-    if (record.lsn > hot_log_.scl()) break;
-    out.push_back(record);
-  }
-  return out;
+  return hot_log_.RecordsInRange(backup_lsn_ + 1, hot_log_.scl(),
+                                 max_records);
 }
 
 size_t SegmentStore::GarbageCollect() {
@@ -260,12 +271,8 @@ size_t SegmentStore::GarbageCollect() {
   // Hot-log eviction: records must be backed up AND (coalesced, for full
   // segments). The eviction point is a prefix.
   Lsn evict_to = std::min(backup_lsn_, hot_log_.scl());
-  if (info_.is_full) {
-    for (const auto& [block, pending] : pending_redo_) {
-      if (!pending.empty()) {
-        evict_to = std::min(evict_to, pending.begin()->first - 1);
-      }
-    }
+  if (info_.is_full && !pending_.empty()) {
+    evict_to = std::min(evict_to, pending_.front().lsn - 1);
   }
   if (evict_to != kInvalidLsn && evict_to > hot_log_.gc_floor()) {
     const size_t before = hot_log_.RecordCount();
@@ -293,19 +300,17 @@ size_t SegmentStore::Scrub() {
   stats_.scrub_runs++;
   // Compare each stored record against the checksum its writer sealed: a
   // record damaged here, in transit or in a gossip reply fails alike.
-  std::vector<std::pair<Lsn, BlockId>> bad;
+  std::vector<Lsn> bad;
   for (const auto& record : hot_log_.records()) {
-    if (log::RecordBodyCrc(record) != record.crc) {
-      bad.emplace_back(record.lsn, record.block);
-    }
+    if (log::RecordBodyCrc(record) != record.crc) bad.push_back(record.lsn);
   }
-  for (const auto& [lsn, block] : bad) {
+  for (const Lsn lsn : bad) {
     hot_log_.Remove(lsn);
     // Drop the pending-redo entry built from the corrupt record.
-    auto pending = pending_redo_.find(block);
-    if (pending != pending_redo_.end()) {
-      pending->second.erase(lsn);
-      if (pending->second.empty()) pending_redo_.erase(pending);
+    auto pending =
+        std::lower_bound(pending_.begin(), pending_.end(), lsn, kLsnBelow);
+    if (pending != pending_.end() && pending->lsn == lsn) {
+      pending_.erase(pending);
     }
     stats_.scrub_corruptions_found++;
     AURORA_WARN << "segment " << info_.id << " scrub dropped corrupt record "
@@ -347,12 +352,10 @@ Status SegmentStore::UpdateVolumeEpoch(
     // Drop pending redo and materialized versions inside the annulled
     // range (§2.4: in-flight writes completing during recovery must be
     // ignored; versions built from annulled records are invalid).
-    for (auto it = pending_redo_.begin(); it != pending_redo_.end();) {
-      auto& pending = it->second;
-      pending.erase(pending.lower_bound(range.start),
-                    pending.upper_bound(range.end));
-      it = pending.empty() ? pending_redo_.erase(it) : std::next(it);
-    }
+    pending_.erase(std::lower_bound(pending_.begin(), pending_.end(),
+                                    range.start, kLsnBelow),
+                   std::upper_bound(pending_.begin(), pending_.end(),
+                                    range.end, kLsnAbove));
     for (auto& [block, block_versions] : versions_) {
       block_versions.erase(block_versions.lower_bound(range.start),
                            block_versions.end());
@@ -380,16 +383,19 @@ Status SegmentStore::AbsorbHydration(const HydrationResponse& response) {
     hot_log_.Truncate(range);
   }
   AURORA_RETURN_IF_ERROR(AbsorbGossip(response.records));
+  // Pending redo at or below an absorbed version is already reflected in
+  // it; one pass over the queue drops it for every block.
+  std::unordered_map<BlockId, Lsn> absorbed;
   for (const auto& page : response.pages) {
-    auto& block_versions = versions_[page.id];
-    block_versions.emplace(page.page_lsn, page);
-    // Pending redo at or below the absorbed version is already reflected.
-    auto pending_it = pending_redo_.find(page.id);
-    if (pending_it != pending_redo_.end()) {
-      auto& pending = pending_it->second;
-      pending.erase(pending.begin(), pending.upper_bound(page.page_lsn));
-      if (pending.empty()) pending_redo_.erase(pending_it);
-    }
+    versions_[page.id].emplace(page.page_lsn, page);
+    Lsn& reflected = absorbed[page.id];
+    reflected = std::max(reflected, page.page_lsn);
+  }
+  if (!absorbed.empty()) {
+    std::erase_if(pending_, [&](const PendingRedo& redo) {
+      auto it = absorbed.find(redo.block);
+      return it != absorbed.end() && redo.lsn <= it->second;
+    });
   }
   MaybeFinishHydration();
   return Status::OK();
@@ -404,32 +410,34 @@ HydrationResponse SegmentStore::BuildHydration(
   response.records = hot_log_.RecordsAbove(request.have_scl, kMaxRecords);
   if (request.need_blocks && info_.is_full) {
     // Each block ships materialized at SCL: its newest version plus the
-    // chain-complete redo still pending above it. History below is not
-    // needed by any reader of the replacement.
-    std::set<BlockId> blocks;
-    for (const auto& [block, block_versions] : versions_) {
-      if (!block_versions.empty()) blocks.insert(block);
-    }
-    for (const auto& [block, pending] : pending_redo_) blocks.insert(block);
-    for (BlockId block : blocks) {
+    // chain-complete redo still pending above it, applied in one pass over
+    // the queue. History below is not needed by any reader of the
+    // replacement.
+    struct Materializing {
       Page page;
-      page.id = block;
-      auto v = versions_.find(block);
-      if (v != versions_.end() && !v->second.empty()) {
-        page = v->second.rbegin()->second;
+      bool stalled = false;  // chain hole or bad payload: ship as is
+    };
+    std::map<BlockId, Materializing> blocks;
+    for (const auto& [block, block_versions] : versions_) {
+      if (!block_versions.empty()) {
+        blocks[block].page = block_versions.rbegin()->second;
       }
-      auto p = pending_redo_.find(block);
-      if (p != pending_redo_.end()) {
-        for (auto it = p->second.upper_bound(page.page_lsn);
-             it != p->second.end() && it->first <= hot_log_.scl(); ++it) {
-          if (it->second.prev_lsn_block != page.page_lsn ||
-              !ApplyRedoPayload(&page, it->second.payload.view(), it->first)
-                   .ok()) {
-            break;
-          }
-        }
+    }
+    for (const PendingRedo& redo : pending_) {
+      if (redo.lsn > hot_log_.scl()) break;
+      auto [it, inserted] = blocks.try_emplace(redo.block);
+      Materializing& m = it->second;
+      if (inserted) m.page.id = redo.block;
+      if (m.stalled || redo.lsn <= m.page.page_lsn) continue;
+      if (redo.prev_lsn_block != m.page.page_lsn ||
+          !ApplyRedoPayload(&m.page, redo.payload.view(), redo.lsn).ok()) {
+        m.stalled = true;
       }
-      if (page.page_lsn != kInvalidLsn) response.pages.push_back(page);
+    }
+    for (auto& [block, m] : blocks) {
+      if (m.page.page_lsn != kInvalidLsn) {
+        response.pages.push_back(std::move(m.page));
+      }
     }
   }
   return response;
@@ -446,7 +454,7 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
   stats_.scl_advances += hot_log_.scl_advances();
   hot_log_ = log::SegmentHotLog();
   for (const auto& range : annulled) hot_log_.Truncate(range);
-  pending_redo_.clear();
+  pending_.clear();
   versions_.clear();
   pgmrpl_ = kInvalidLsn;
   read_floor_ = kInvalidLsn;
@@ -489,12 +497,6 @@ uint64_t SegmentStore::TotalVersionBytes() const {
     for (const auto& [lsn, page] : block_versions) bytes += page.SizeBytes();
   }
   return bytes;
-}
-
-size_t SegmentStore::PendingRedoCount() const {
-  size_t n = 0;
-  for (const auto& [block, pending] : pending_redo_) n += pending.size();
-  return n;
 }
 
 }  // namespace aurora::storage

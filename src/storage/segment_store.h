@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -173,7 +174,12 @@ class SegmentStore {
   size_t VersionCount(BlockId block) const;
   uint64_t TotalVersionBytes() const;
   uint64_t HotLogBytes() const { return hot_log_.TotalBytes(); }
-  size_t PendingRedoCount() const;
+  size_t PendingRedoCount() const { return pending_.size(); }
+  /// Oldest record not yet folded (kInvalidLsn if none); GC keeps the hot
+  /// log above it.
+  Lsn OldestPendingLsn() const {
+    return pending_.empty() ? kInvalidLsn : pending_.front().lsn;
+  }
 
  private:
   void IndexRecord(const log::RedoRecord& record);
@@ -187,9 +193,21 @@ class SegmentStore {
   bool hydrated_ = true;
   Lsn hydration_target_ = kInvalidLsn;
 
+  /// An un-coalesced redo record of a full segment: what folding and
+  /// on-demand materialization read, sharing the hot log's payload buffer.
+  struct PendingRedo {
+    Lsn lsn = kInvalidLsn;
+    Lsn prev_lsn_block = kInvalidLsn;
+    BlockId block = kInvalidBlock;
+    log::Payload payload;
+  };
+
   log::SegmentHotLog hot_log_;
-  // Per-block pending (un-coalesced) redo, in LSN order.
-  std::map<BlockId, std::map<Lsn, log::RedoRecord>> pending_redo_;
+  // Un-coalesced redo of every block in one queue, in LSN order (the
+  // order the single writer allocated it): coalescing folds off the
+  // front, GC evicts the hot log below the front, and a block's chain is
+  // the subsequence with its id.
+  std::deque<PendingRedo> pending_;
   // Materialized versions per block, keyed by page_lsn: at most one at or
   // below the floor once coalesced, plus on-demand ones above it.
   std::map<BlockId, std::map<Lsn, Page>> versions_;

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/common/random.h"
 #include "src/engine/buffer_cache.h"
 #include "src/engine/consistency_tracker.h"
 #include "src/engine/read_router.h"
+#include "src/quorum/membership.h"
 
 namespace aurora::engine {
 namespace {
@@ -144,6 +151,213 @@ TEST(ConsistencyTracker, ResetInstallsRecoveredPoints) {
   tracker.Advance();
   EXPECT_EQ(tracker.vcl(), 1000u);
   EXPECT_EQ(tracker.vdl(), 1000u);
+}
+
+// The tracker recomputes PGCL only for PGs whose SCLs or quorum shape
+// changed. This reference recomputes every PG on every Advance() straight
+// from the definition (§2.3): PGCL is the highest SCL that a write quorum
+// of members has reached.
+class RecomputeEveryPgTracker {
+ public:
+  void ConfigurePg(ProtectionGroupId pg, quorum::QuorumSet write_set,
+                   const std::vector<SegmentId>& members) {
+    Pg& state = pgs_[pg];
+    state.write_set = std::move(write_set);
+    std::map<SegmentId, Lsn> kept;
+    for (SegmentId m : members) {
+      if (state.scls.count(m) != 0) kept[m] = state.scls[m];
+    }
+    state.scls = std::move(kept);
+  }
+  void ObserveScl(ProtectionGroupId pg, SegmentId segment, Lsn scl) {
+    auto it = pgs_.find(pg);
+    if (it == pgs_.end()) return;
+    Lsn& known = it->second.scls[segment];
+    known = std::max(known, scl);
+  }
+  void RecordIssued(ProtectionGroupId pg, Lsn lsn) {
+    auto it = pgs_.find(pg);
+    if (it != pgs_.end() && lsn > it->second.pgcl) {
+      it->second.outstanding.insert(lsn);
+    }
+  }
+  void RecordMtrComplete(Lsn lsn) { mtr_points_.insert(lsn); }
+  void SetMaxAllocated(Lsn lsn) { max_allocated_ = std::max(max_allocated_, lsn); }
+  bool Advance() {
+    const Lsn old_vcl = vcl_;
+    const Lsn old_vdl = vdl_;
+    Lsn bound = max_allocated_;
+    for (auto& [pg, state] : pgs_) {
+      Lsn pgcl = kInvalidLsn;
+      for (const auto& [segment, x] : state.scls) {
+        if (x <= pgcl) continue;
+        quorum::SegmentSet at_or_above;
+        for (const auto& [other, scl] : state.scls) {
+          if (scl >= x) at_or_above.insert(other);
+        }
+        if (state.write_set.SatisfiedBy(at_or_above)) pgcl = x;
+      }
+      state.pgcl = std::max(state.pgcl, pgcl);
+      state.outstanding.erase(state.outstanding.begin(),
+                              state.outstanding.upper_bound(state.pgcl));
+      if (!state.outstanding.empty()) {
+        bound = std::min(bound, *state.outstanding.begin() - 1);
+      }
+    }
+    vcl_ = std::max(vcl_, bound);
+    auto passed = mtr_points_.upper_bound(vcl_);
+    if (passed != mtr_points_.begin()) {
+      vdl_ = std::max(vdl_, *std::prev(passed));
+      mtr_points_.erase(mtr_points_.begin(), passed);
+    }
+    return vcl_ != old_vcl || vdl_ != old_vdl;
+  }
+  void Reset(Lsn vcl, Lsn vdl, Lsn max_allocated) {
+    for (auto& [pg, state] : pgs_) {
+      state.outstanding.clear();
+      state.pgcl = kInvalidLsn;
+      state.scls.clear();
+    }
+    mtr_points_.clear();
+    vcl_ = vcl;
+    vdl_ = vdl;
+    max_allocated_ = max_allocated;
+  }
+  void SeedPgcl(ProtectionGroupId pg, Lsn pgcl) {
+    auto it = pgs_.find(pg);
+    if (it != pgs_.end()) it->second.pgcl = std::max(it->second.pgcl, pgcl);
+  }
+  Lsn pgcl(ProtectionGroupId pg) const { return pgs_.at(pg).pgcl; }
+  Lsn vcl() const { return vcl_; }
+  Lsn vdl() const { return vdl_; }
+
+ private:
+  struct Pg {
+    quorum::QuorumSet write_set;
+    std::map<SegmentId, Lsn> scls;
+    std::set<Lsn> outstanding;
+    Lsn pgcl = kInvalidLsn;
+  };
+  std::map<ProtectionGroupId, Pg> pgs_;
+  std::set<Lsn> mtr_points_;
+  Lsn vcl_ = kInvalidLsn;
+  Lsn vdl_ = kInvalidLsn;
+  Lsn max_allocated_ = kInvalidLsn;
+};
+
+TEST(ConsistencyTracker, IncrementalMatchesRecomputeEveryPg) {
+  constexpr ProtectionGroupId kPgs = 3;
+  size_t pgcl_moves = 0;
+  size_t dual_quorum_steps = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ConsistencyTracker tracker;
+    RecomputeEveryPgTracker reference;
+    // Each PG walks Figure-5 transitions; a PG mid-change has a dual
+    // quorum and seven members.
+    std::vector<quorum::PgConfig> configs;
+    std::vector<SegmentId> replaced(kPgs, kInvalidSegment);
+    std::vector<std::vector<SegmentId>> ever(kPgs);
+    SegmentId next_segment = 1;
+    auto configure = [&](ProtectionGroupId pg) {
+      std::vector<SegmentId> members;
+      for (const auto& m : configs[pg].AllMembers()) members.push_back(m.id);
+      tracker.ConfigurePg(pg, configs[pg].WriteSet(), members);
+      reference.ConfigurePg(pg, configs[pg].WriteSet(), members);
+    };
+    auto fresh_segment = [&](ProtectionGroupId pg) {
+      quorum::SegmentInfo info;
+      info.id = next_segment++;
+      info.node = info.id;
+      info.az = static_cast<AzId>(info.id % 3);
+      ever[pg].push_back(info.id);
+      return info;
+    };
+    for (ProtectionGroupId pg = 0; pg < kPgs; ++pg) {
+      std::vector<quorum::SegmentInfo> six;
+      for (int i = 0; i < 6; ++i) six.push_back(fresh_segment(pg));
+      configs.push_back(quorum::PgConfig::Create(
+          pg, quorum::QuorumModel::kUniform46, std::move(six)));
+      configure(pg);
+    }
+    Lsn next_lsn = 0;
+    std::map<SegmentId, Lsn> last_sent;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const ProtectionGroupId pg = rng.NextBounded(kPgs);
+      for (uint64_t n = 1 + rng.NextBounded(3); n > 0; --n) {
+        const uint64_t kind = rng.NextBounded(20);
+        if (kind < 6) {
+          const Lsn lsn = ++next_lsn;
+          const ProtectionGroupId target = rng.NextBounded(kPgs);
+          tracker.SetMaxAllocated(lsn);
+          reference.SetMaxAllocated(lsn);
+          tracker.RecordIssued(target, lsn);
+          reference.RecordIssued(target, lsn);
+          if (rng.Bernoulli(0.5)) {
+            tracker.RecordMtrComplete(lsn);
+            reference.RecordMtrComplete(lsn);
+          }
+        } else if (kind < 16) {
+          // Acks: mostly a current member catching up, sometimes a
+          // repeated or lower SCL, or a late ack from a departed member.
+          const auto& candidates = ever[pg];
+          const SegmentId segment =
+              candidates[rng.NextBounded(candidates.size())];
+          Lsn scl = next_lsn - std::min<Lsn>(next_lsn, rng.NextBounded(6));
+          if (rng.Bernoulli(0.2)) scl = last_sent[segment];
+          if (rng.Bernoulli(0.1)) scl = rng.NextBounded(next_lsn + 1);
+          last_sent[segment] = scl;
+          tracker.ObserveScl(pg, segment, scl);
+          reference.ObserveScl(pg, segment, scl);
+        } else if (kind < 19) {
+          // Figure 5: begin a replacement, then commit or revert it.
+          Result<quorum::PgConfig> next = configs[pg];
+          if (replaced[pg] == kInvalidSegment) {
+            const auto members = configs[pg].AllMembers();
+            const SegmentId old_id =
+                members[rng.NextBounded(members.size())].id;
+            next = configs[pg].BeginReplace(old_id, fresh_segment(pg));
+            if (next.ok()) replaced[pg] = old_id;
+          } else {
+            next = rng.Bernoulli(0.5)
+                       ? configs[pg].CommitReplace(replaced[pg])
+                       : configs[pg].RevertReplace(replaced[pg]);
+            replaced[pg] = kInvalidSegment;
+          }
+          ASSERT_TRUE(next.ok()) << next.status().ToString();
+          configs[pg] = *next;
+          configure(pg);
+        } else {
+          // Crash recovery installs recovered points, then seeds each
+          // group's completion point; new LSNs start above a gap.
+          const Lsn vcl = reference.vcl() + rng.NextBounded(4);
+          const Lsn vdl = vcl - std::min<Lsn>(vcl, rng.NextBounded(3));
+          next_lsn = std::max(next_lsn, vcl) + 8;
+          tracker.Reset(vcl, vdl, next_lsn);
+          reference.Reset(vcl, vdl, next_lsn);
+          for (ProtectionGroupId seeded = 0; seeded < kPgs; ++seeded) {
+            const Lsn pgcl = vcl - std::min<Lsn>(vcl, rng.NextBounded(5));
+            tracker.SeedPgcl(seeded, pgcl);
+            reference.SeedPgcl(seeded, pgcl);
+          }
+        }
+      }
+      const Lsn pgcl_before = reference.pgcl(pg);
+      ASSERT_EQ(tracker.Advance(), reference.Advance());
+      for (ProtectionGroupId each = 0; each < kPgs; ++each) {
+        ASSERT_EQ(tracker.pgcl(each), reference.pgcl(each)) << "pg " << each;
+      }
+      ASSERT_EQ(tracker.vcl(), reference.vcl());
+      ASSERT_EQ(tracker.vdl(), reference.vdl());
+      if (reference.pgcl(pg) != pgcl_before) pgcl_moves++;
+      if (replaced[pg] != kInvalidSegment) dual_quorum_steps++;
+    }
+  }
+  // The walk really exercised quorum movement and dual-quorum shapes.
+  EXPECT_GT(pgcl_moves, 200u);
+  EXPECT_GT(dual_quorum_steps, 1000u);
 }
 
 // ---------------------------------------------------------------------- //

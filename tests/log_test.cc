@@ -253,6 +253,24 @@ TEST(HotLog, RemoveBelowEverythingRewindsToFloor) {
   EXPECT_EQ(log.scl(), 6u);
 }
 
+TEST(HotLog, RewindAnchorsAtLastEvictedRecord) {
+  // Another PG owns LSNs 3, 4 and 6. GC's eviction bound (first pending
+  // LSN - 1) can be one of them, so the floor names no record here.
+  SegmentHotLog log;
+  for (auto [lsn, prev] : {std::pair<Lsn, Lsn>{2, 0}, {5, 2}, {7, 5}}) {
+    ASSERT_TRUE(log.Append(MakeRecord(lsn, prev)).ok());
+  }
+  log.EvictBelow(4);
+  EXPECT_EQ(log.gc_floor(), 4u);
+  EXPECT_TRUE(log.Remove(7));
+  EXPECT_EQ(log.scl(), 5u) << "rewind re-links 5 through evicted record 2";
+  ASSERT_TRUE(log.Append(MakeRecord(7, 5)).ok());
+  EXPECT_EQ(log.scl(), 7u);
+  // A truncation rewind takes the same anchor.
+  log.Truncate(TruncationRange{6, 100});
+  EXPECT_EQ(log.scl(), 5u);
+}
+
 TEST(HotLog, CorruptPayloadIsCopyOnWrite) {
   // The payload buffer of a record is shared by every holder (peers,
   // retransmission buffers). A test-injected corruption must only hit the

@@ -29,6 +29,8 @@ quorum::PgConfig TestConfig() {
                                   members);
 }
 
+constexpr ArchiveKey kTestArchiveKey = MakeArchiveKey(/*volume=*/2, /*pg=*/0);
+
 SegmentStore MakeStore(bool is_full = true, bool hydrated = true) {
   quorum::SegmentInfo info{0, 100, 0, is_full};
   return SegmentStore(info, 0, TestConfig(), /*volume_epoch=*/1, hydrated);
@@ -329,20 +331,32 @@ TEST(SegmentStore, VersionGcKeepsNewestAtOrBelowPgmrpl) {
 // Differential check of in-place coalescing. Random record streams over
 // several blocks (format, insert, erase and truncate ops) arrive out of
 // order through appends and gossip while the floor advances at random.
-// Every served ReadPage(block, r) must equal a from-scratch apply of the
-// block's records <= r. A refusal is allowed only where the block's
+// Along the way a crash recovery annuls a range of the log (§2.4), scrub
+// drops corrupted records that gossip later re-fills, and a replacement
+// segment hydrated from a donor takes over (§4.2). Every served
+// ReadPage(block, r) must equal a from-scratch apply of the block's
+// surviving records <= r. A refusal is allowed only where the block's
 // history at r is folded away: the floor has passed one of its records
-// above r.
+// above r. GC must never evict a record that has not been folded.
 TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
   constexpr uint64_t kBlocks = 4;
   constexpr Lsn kRecords = 80;
   uint64_t served = 0;
   uint64_t refused = 0;
+  uint64_t scrubbed = 0;
+  uint64_t hydrations = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
+    // Recovery annuls [annul_lo, annul_hi]: the old timeline ends at
+    // annul_hi and the new one chains past the range on both the segment
+    // and the block chains.
+    const Lsn annul_lo = 30 + rng.NextBounded(20);
+    const Lsn annul_hi = annul_lo + rng.NextBounded(5);
+    auto annulled = [&](Lsn lsn) { return lsn >= annul_lo && lsn <= annul_hi; };
     std::vector<log::RedoRecord> stream;
-    std::map<BlockId, Lsn> block_tail;
+    std::map<BlockId, Lsn> block_tail;      // surviving chain
+    std::map<BlockId, Lsn> old_block_tail;  // old timeline's chain
     for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
       const BlockId block = 10 + rng.NextBounded(kBlocks);
       const std::string key(1, static_cast<char>('a' + rng.NextBounded(6)));
@@ -360,14 +374,26 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
         default:
           break;
       }
-      stream.push_back(DataRecord(lsn, lsn - 1, block, block_tail[block], op));
+      if (annulled(lsn)) {
+        stream.push_back(
+            DataRecord(lsn, lsn - 1, block, old_block_tail[block], op));
+        old_block_tail[block] = lsn;
+        continue;
+      }
+      const Lsn prev_seg = lsn == annul_hi + 1 ? annul_lo - 1 : lsn - 1;
+      stream.push_back(DataRecord(lsn, prev_seg, block, block_tail[block], op));
       block_tail[block] = lsn;
+      old_block_tail[block] = lsn;
     }
+    bool truncated = false;
+    auto surviving = [&](const log::RedoRecord& rec) {
+      return !truncated || !annulled(rec.lsn);
+    };
     auto from_scratch = [&](BlockId block, Lsn r) -> std::optional<Page> {
       std::optional<Page> page;
       for (const auto& record : stream) {
         if (record.lsn > r) break;
-        if (record.block != block) continue;
+        if (record.block != block || !surviving(record)) continue;
         if (!page) {
           page.emplace();
           page->id = block;
@@ -379,22 +405,42 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
     };
     auto folded_away = [&](BlockId block, Lsn r, Lsn floor) {
       return std::any_of(stream.begin(), stream.end(), [&](const auto& rec) {
-        return rec.block == block && rec.lsn > r && rec.lsn <= floor;
+        return rec.block == block && surviving(rec) && rec.lsn > r &&
+               rec.lsn <= floor;
       });
     };
 
-    // Delivery order: each record moves up to 5 places from its LSN slot.
-    std::vector<log::RedoRecord> delivery = stream;
-    for (size_t i = delivery.size(); i > 1; --i) {
-      const size_t lo = i > 6 ? i - 6 : 0;
-      std::swap(delivery[i - 1], delivery[lo + rng.NextBounded(i - lo)]);
+    // Delivery order: the old timeline, then (after the truncation) the
+    // new one; each record moves up to 5 places from its LSN slot.
+    auto shuffled = [&](std::vector<log::RedoRecord> records) {
+      for (size_t i = records.size(); i > 1; --i) {
+        const size_t lo = i > 6 ? i - 6 : 0;
+        std::swap(records[i - 1], records[lo + rng.NextBounded(i - lo)]);
+      }
+      return records;
+    };
+    std::vector<log::RedoRecord> delivery =
+        shuffled({stream.begin(), stream.begin() + annul_hi});
+    const size_t truncate_at = delivery.size();
+    for (const auto& rec :
+         shuffled({stream.begin() + annul_hi, stream.end()})) {
+      delivery.push_back(rec);
     }
     auto store = MakeStore();
     size_t delivered = 0;
+    // The floor is min(SCL, PGMRPL), with the highest SCL so far: scrub
+    // and truncation can rewind SCL, but versions folded or materialized
+    // below an earlier SCL stay.
+    Lsn scl_high = kInvalidLsn;
+    Lsn floor = kInvalidLsn;
+    auto note_floor = [&]() {
+      scl_high = std::max(scl_high, store.scl());
+      floor = std::min(scl_high, store.pgmrpl());
+    };
     auto check = [&](BlockId block, Lsn r) {
+      note_floor();
       auto got = store.ReadPage(block, r);
       const auto want = from_scratch(block, r);
-      const Lsn floor = std::min(store.scl(), store.pgmrpl());
       if (got.ok()) {
         served++;
         ASSERT_TRUE(want.has_value()) << "block " << block << " at " << r;
@@ -412,16 +458,42 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
         EXPECT_FALSE(want.has_value()) << "block " << block << " at " << r;
       }
     };
+    auto collect = [&]() {
+      store.GarbageCollect();
+      const Lsn oldest = store.OldestPendingLsn();
+      if (oldest != kInvalidLsn) {
+        ASSERT_LT(store.hot_log().gc_floor(), oldest)
+            << "GC evicted a record that was never folded";
+      }
+    };
+    // Recovery's volume-epoch bump with the annulled range; only once the
+    // whole old timeline has been handed out.
+    VolumeEpochUpdateRequest truncation;
+    truncation.new_epoch = 2;
+    truncation.truncation = log::TruncationRange{annul_lo, annul_hi};
+    auto truncate = [&]() {
+      ASSERT_EQ(delivered, truncate_at);
+      ASSERT_TRUE(store.UpdateVolumeEpoch(truncation).ok());
+      truncated = true;
+    };
+    // Before the truncation no reader's floor reaches the annulled range
+    // (it lies above VDL), so nothing in it folds.
+    auto raise_floor = [&](Lsn pgmrpl) {
+      store.ObservePgmrpl(truncated ? pgmrpl : std::min(pgmrpl, annul_lo - 1));
+    };
     for (int step = 0; step < 300; ++step) {
-      switch (rng.NextBounded(6)) {
+      note_floor();
+      switch (rng.NextBounded(9)) {
         case 0:
         case 1: {
+          const size_t limit = truncated ? delivery.size() : truncate_at;
           std::vector<log::RedoRecord> batch;
-          for (uint64_t n = 1 + rng.NextBounded(4);
-               n > 0 && delivered < delivery.size(); --n) {
+          for (uint64_t n = 1 + rng.NextBounded(4); n > 0 && delivered < limit;
+               --n) {
             batch.push_back(delivery[delivered++]);
           }
-          // Gossip may also re-deliver a record the segment already has.
+          // Gossip may also re-deliver a record the segment already has
+          // (or one that scrub dropped, or a late annulled one).
           if (delivered > 0 && rng.Bernoulli(0.3)) {
             batch.push_back(delivery[rng.NextBounded(delivered)]);
           }
@@ -431,15 +503,59 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
           break;
         }
         case 2:
-          store.ObservePgmrpl(store.pgmrpl() + rng.NextBounded(8));
+          raise_floor(store.pgmrpl() + rng.NextBounded(8));
           break;
         case 3:
           store.CoalesceStep(1 + rng.NextBounded(6));
           break;
         case 4:
           store.MarkBackedUp(rng.NextBounded(store.scl() + 1));
-          store.GarbageCollect();
+          collect();
           break;
+        case 5:
+          if (!truncated && delivered == truncate_at) truncate();
+          break;
+        case 6: {
+          // Scrub finds a record damaged in place and drops it.
+          if (delivered == 0) break;
+          const Lsn lsn = delivery[rng.NextBounded(delivered)].lsn;
+          const bool corrupted = store.CorruptRecordForTest(lsn);
+          EXPECT_EQ(store.Scrub(), corrupted ? 1u : 0u);
+          EXPECT_FALSE(store.hot_log().Contains(lsn));
+          scrubbed += corrupted;
+          break;
+        }
+        case 7: {
+          if (rng.NextBounded(4) != 0) break;
+          // A replacement hydrates from a donor holding what was handed
+          // out so far (before the truncation, only history below the
+          // annulled range) and takes over. It ships each block
+          // materialized at its SCL, so readers move past that point.
+          auto donor = MakeStore();
+          if (truncated) ASSERT_TRUE(donor.UpdateVolumeEpoch(truncation).ok());
+          std::vector<log::RedoRecord> handed;
+          for (size_t i = 0; i < delivered; ++i) {
+            if (truncated || delivery[i].lsn < annul_lo) {
+              handed.push_back(delivery[i]);
+            }
+          }
+          ASSERT_TRUE(donor.AbsorbGossip(handed).ok());
+          donor.ObservePgmrpl(store.pgmrpl());
+          donor.CoalesceStep(rng.NextBounded(kRecords));
+          HydrationRequest request;
+          request.have_scl = kInvalidLsn;
+          request.need_blocks = true;
+          const HydrationResponse response = donor.BuildHydration(request);
+          auto replacement = MakeStore(/*is_full=*/true, /*hydrated=*/false);
+          replacement.BeginHydration(donor.scl());
+          ASSERT_TRUE(replacement.AbsorbHydration(response).ok());
+          ASSERT_TRUE(replacement.hydrated());
+          ASSERT_EQ(replacement.scl(), donor.scl());
+          replacement.ObservePgmrpl(std::max(store.pgmrpl(), donor.scl()));
+          store = std::move(replacement);
+          hydrations++;
+          break;
+        }
         default:
           if (store.scl() != kInvalidLsn) {
             check(10 + rng.NextBounded(kBlocks),
@@ -448,21 +564,31 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
           break;
       }
     }
-    // Drain: fold everything below a final floor, then sweep every read.
-    std::vector<log::RedoRecord> rest(delivery.begin() + delivered,
-                                      delivery.end());
-    ASSERT_TRUE(store.AbsorbGossip(rest).ok());
+    // Drain: finish the old timeline and the truncation, re-deliver every
+    // record (re-filling scrub's holes), fold everything below a final
+    // floor, then sweep every read.
+    note_floor();
+    if (!truncated) {
+      ASSERT_TRUE(store.AbsorbGossip({delivery.begin() + delivered,
+                                      delivery.begin() + truncate_at})
+                      .ok());
+      delivered = truncate_at;
+      truncate();
+    }
+    ASSERT_TRUE(store.AbsorbGossip(delivery).ok());
     ASSERT_EQ(store.scl(), kRecords);
-    store.ObservePgmrpl(1 + rng.NextBounded(kRecords));
+    raise_floor(1 + rng.NextBounded(kRecords));
     store.CoalesceStep(kRecords);
     store.MarkBackedUp(kRecords);
-    store.GarbageCollect();
+    collect();
     for (BlockId block = 10; block < 10 + kBlocks; ++block) {
       for (Lsn r = 1; r <= kRecords; ++r) check(block, r);
     }
   }
   EXPECT_GT(served, 0u);
   EXPECT_GT(refused, 0u);
+  EXPECT_GT(scrubbed, 0u);
+  EXPECT_GT(hydrations, 0u);
 }
 
 TEST(SegmentStore, PendingBackupOnlyChainComplete) {
@@ -627,6 +753,73 @@ TEST(ObjectStore, DeduplicatesRecords) {
   store.Put(0, {rec}, [](Lsn) {});
   sim.Run();
   EXPECT_EQ(store.bytes_stored(), rec.SerializedSize());
+}
+
+// Six segments of one PG archive overlapping, duplicated and out-of-order
+// batches under one key, with uploads completing in random order. The
+// archive must hold each LSN once and answer like a std::map.
+TEST(ObjectStore, SixSegmentArchiveMatchesMapReference) {
+  constexpr Lsn kRecords = 300;
+  std::vector<log::RedoRecord> stream;
+  for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
+    stream.push_back(DataRecord(lsn, lsn - 1, 7 + lsn % 3, 0,
+                                InsertOp("k", std::string(lsn % 40, 'v'))));
+  }
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sim::Simulator sim;
+    ObjectStore store(&sim);
+    std::map<Lsn, log::RedoRecord> reference;
+    std::vector<Lsn> backed_up(6, 0);
+    for (int round = 0; round < 60; ++round) {
+      // A segment archives its next range, sometimes re-sending part of
+      // the last one or skipping ahead (a gap filled later by others).
+      const size_t segment = rng.NextBounded(6);
+      Lsn lo = backed_up[segment] + 1;
+      if (lo > 1 && rng.Bernoulli(0.3)) lo -= std::min<Lsn>(lo - 1, 5);
+      if (rng.Bernoulli(0.2)) lo += rng.NextBounded(10);
+      const Lsn hi = std::min(kRecords, lo + rng.NextBounded(12));
+      std::vector<log::RedoRecord> batch;
+      for (Lsn lsn = lo; lsn <= hi; ++lsn) batch.push_back(stream[lsn - 1]);
+      if (!batch.empty() && rng.Bernoulli(0.3)) batch.push_back(batch.front());
+      if (rng.Bernoulli(0.3)) std::reverse(batch.begin(), batch.end());
+      Lsn want_max = kInvalidLsn;
+      for (const auto& record : batch) {
+        reference.emplace(record.lsn, record);
+        want_max = std::max(want_max, record.lsn);
+      }
+      backed_up[segment] = std::max(backed_up[segment], hi);
+      store.Put(kTestArchiveKey, batch,
+                [want_max](Lsn max_lsn) { EXPECT_EQ(max_lsn, want_max); });
+      // Let some uploads land before the next ones start.
+      if (rng.Bernoulli(0.5)) sim.RunFor(rng.NextBounded(30 * kMillisecond));
+    }
+    store.Put(kTestArchiveKey + 1, {stream[0]}, [](Lsn) {});
+    sim.Run();
+    uint64_t want_bytes = stream[0].SerializedSize();
+    for (const auto& [lsn, record] : reference) {
+      want_bytes += record.SerializedSize();
+    }
+    EXPECT_EQ(store.bytes_stored(), want_bytes);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(store.MaxArchivedLsn(kTestArchiveKey), reference.rbegin()->first);
+    EXPECT_EQ(store.MaxArchivedLsn(kTestArchiveKey + 2), kInvalidLsn);
+    for (int query = 0; query < 20; ++query) {
+      const Lsn lo = rng.NextBounded(kRecords + 2);
+      const Lsn hi = lo + rng.NextBounded(kRecords / 2);
+      std::vector<log::RedoRecord> want;
+      for (auto it = reference.lower_bound(lo);
+           it != reference.end() && it->first <= hi; ++it) {
+        want.push_back(it->second);
+      }
+      std::vector<log::RedoRecord> got;
+      store.Get(kTestArchiveKey, lo, hi,
+                [&](std::vector<log::RedoRecord> r) { got = std::move(r); });
+      sim.Run();
+      EXPECT_EQ(got, want) << "[" << lo << ", " << hi << "]";
+    }
+  }
 }
 
 }  // namespace
