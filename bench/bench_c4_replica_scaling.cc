@@ -98,7 +98,7 @@ void BM_ReplicaMtrApply(benchmark::State& state) {
   op.type = aurora::storage::PageOpType::kInsert;
   op.key = "k";
   op.value = std::string(64, 'v');
-  const std::string payload = EncodePageOp(op);
+  const aurora::log::Payload payload = EncodePageOp(op);
   aurora::Lsn lsn = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

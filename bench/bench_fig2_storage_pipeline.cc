@@ -93,7 +93,7 @@ void BM_CoalesceApply(benchmark::State& state) {
   aurora::Lsn lsn = 1;
   for (auto _ : state) {
     op.key = payload_base + std::to_string(lsn % 64);
-    const std::string payload = EncodePageOp(op);
+    const aurora::log::Payload payload = EncodePageOp(op);
     benchmark::DoNotOptimize(
         aurora::storage::ApplyRedoPayload(&page, payload, lsn++));
   }

@@ -12,7 +12,7 @@ std::string EncodeU64Value(uint64_t v) {
   return std::string(buf, 8);
 }
 
-Result<uint64_t> DecodeU64Value(const std::string& encoded) {
+Result<uint64_t> DecodeU64Value(std::string_view encoded) {
   if (encoded.size() != 8) return Status::Corruption("bad u64 value");
   uint64_t v;
   std::memcpy(&v, encoded.data(), 8);
@@ -347,7 +347,7 @@ void BTree::GetEntry(const std::string& key,
       cb(Status::NotFound("key absent"));
       return;
     }
-    cb(it->second);
+    cb(std::string(it->second));
   });
 }
 

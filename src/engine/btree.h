@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -59,7 +60,7 @@ inline std::string StatusKey(TxnId txn) {
 }
 
 std::string EncodeU64Value(uint64_t v);
-Result<uint64_t> DecodeU64Value(const std::string& encoded);
+Result<uint64_t> DecodeU64Value(std::string_view encoded);
 
 /// One physical page change staged for an MTR.
 struct StagedOp {

@@ -61,9 +61,10 @@ void ConsistencyTracker::SetMaxAllocated(Lsn lsn) {
 
 Lsn ConsistencyTracker::ComputePgcl(const PgTracking& tracking) const {
   // Find the largest SCL value X such that the set of members with
-  // SCL >= X satisfies the write quorum. Iterate distinct SCLs downward,
-  // growing the satisfied set. Runs once per ack that moves an SCL; the
-  // sort buffer is a reused member so the hot path does not allocate.
+  // SCL >= X satisfies the write quorum. Iterate distinct SCLs downward:
+  // the members at or above X are a prefix of the SCL-descending order.
+  // Runs once per ack that moves an SCL; the sort buffers are reused
+  // members so the hot path does not allocate.
   std::vector<std::pair<Lsn, SegmentId>>& by_scl = by_scl_scratch_;
   by_scl.clear();
   by_scl.reserve(tracking.scls.size());
@@ -72,16 +73,18 @@ Lsn ConsistencyTracker::ComputePgcl(const PgTracking& tracking) const {
   }
   std::sort(by_scl.begin(), by_scl.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  quorum::SegmentSet at_or_above;
+  std::vector<SegmentId>& at_or_above = ids_scratch_;
+  at_or_above.clear();
+  for (const auto& [scl, segment] : by_scl) at_or_above.push_back(segment);
   size_t i = 0;
   while (i < by_scl.size()) {
     const Lsn x = by_scl[i].first;
-    while (i < by_scl.size() && by_scl[i].first == x) {
-      at_or_above.insert(by_scl[i].second);
-      ++i;
-    }
+    while (i < by_scl.size() && by_scl[i].first == x) ++i;
     if (x == kInvalidLsn) break;
-    if (tracking.write_set.SatisfiedBy(at_or_above)) return x;
+    if (tracking.write_set.SatisfiedBy(
+            std::span<const SegmentId>(at_or_above.data(), i))) {
+      return x;
+    }
   }
   return kInvalidLsn;
 }

@@ -107,6 +107,7 @@ class ConsistencyTracker {
   /// Scratch for ComputePgcl, kept across calls so the per-ack Advance()
   /// does not allocate.
   mutable std::vector<std::pair<Lsn, SegmentId>> by_scl_scratch_;
+  mutable std::vector<SegmentId> ids_scratch_;
   Lsn vcl_ = kInvalidLsn;
   Lsn vdl_ = kInvalidLsn;
   Lsn max_allocated_ = kInvalidLsn;

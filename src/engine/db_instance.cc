@@ -227,8 +227,9 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
     last_volume_lsn_ = record.lsn;
     last_pg_lsn_[*pg] = record.lsn;
     // Apply to the cached image immediately (§2.2: changes modify the
-    // buffer-cache image and the redo record goes to the log).
-    Status st = ApplyPageOp(page, staged.op, record.lsn);
+    // buffer-cache image and the redo record goes to the log). The image
+    // applies the record's own payload, so it shares the shipped bytes.
+    Status st = ApplyRedoPayload(page, record.payload, record.lsn);
     assert(st.ok());
     (void)st;
     records.push_back(std::move(record));
@@ -381,7 +382,7 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
     // incarnation: roll it back, then retry (§2.4: undo happens after
     // open, in parallel with user activity).
     const TxnId writer = existing->txn;
-    if (!txns_.ActiveSet().contains(writer)) {
+    if (!txns_.IsActive(writer)) {
       ResolveCommitScn(writer, [this, txn, key = std::move(key),
                                 value = std::move(value), deleted,
                                 cb = std::move(cb), retries,
@@ -515,7 +516,7 @@ void DbInstance::ResolveCommitScn(
     cb(scn);
     return;
   }
-  if (txns_.ActiveSet().contains(writer)) {
+  if (txns_.IsActive(writer)) {
     cb(std::nullopt);
     return;
   }

@@ -76,13 +76,14 @@ void StorageDriver::SubmitRecords(
     }
     // Fan out to every member (including both alternatives of a slot
     // mid-membership-change; quorum evaluation handles the algebra).
-    const auto& config = geometry_.Pg(record.pg);
-    for (const auto& member : config.AllMembers()) {
-      auto it = channels_.find(member.id);
-      if (it == channels_.end()) continue;
-      it->second.max_sent = std::max(it->second.max_sent, record.lsn);
-      it->second.boxcar->Add(record);
-      stats_.records_sent++;
+    for (const auto& slot : geometry_.Pg(record.pg).slots()) {
+      for (const auto& member : slot) {
+        auto it = channels_.find(member.id);
+        if (it == channels_.end()) continue;
+        it->second.max_sent = std::max(it->second.max_sent, record.lsn);
+        it->second.boxcar->Add(record);
+        stats_.records_sent++;
+      }
     }
   }
 }

@@ -35,28 +35,36 @@ QuorumSet QuorumSet::Or(std::vector<QuorumSet> children) {
   return QuorumSet(std::move(node));
 }
 
-bool QuorumSet::SatisfiedBy(const SegmentSet& acked) const {
+bool QuorumSet::SatisfiedBy(std::span<const SegmentId> present) const {
   if (root_ == nullptr) return true;
-  return Eval(*root_, acked);
+  return Eval(*root_, present);
 }
 
-bool QuorumSet::Eval(const Node& node, const SegmentSet& acked) {
+bool QuorumSet::SatisfiedBy(const SegmentSet& present) const {
+  const std::vector<SegmentId> members(present.begin(), present.end());
+  return SatisfiedBy(members);
+}
+
+bool QuorumSet::Eval(const Node& node, std::span<const SegmentId> present) {
   switch (node.op) {
     case Op::kThreshold: {
       uint32_t count = 0;
       for (SegmentId m : node.members) {
-        if (acked.contains(m) && ++count >= node.k) return true;
+        if (std::find(present.begin(), present.end(), m) != present.end() &&
+            ++count >= node.k) {
+          return true;
+        }
       }
       return node.k == 0;
     }
     case Op::kAnd:
       for (const auto& c : node.children) {
-        if (!Eval(*c, acked)) return false;
+        if (!Eval(*c, present)) return false;
       }
       return true;
     case Op::kOr:
       for (const auto& c : node.children) {
-        if (Eval(*c, acked)) return true;
+        if (Eval(*c, present)) return true;
       }
       return node.children.empty();
   }
@@ -85,14 +93,12 @@ bool QuorumSet::AlwaysOverlaps(const QuorumSet& a, const QuorumSet& b) {
   const size_t n = ids.size();
   assert(n <= 24 && "AlwaysOverlaps is exhaustive; universe too large");
   const uint64_t limit = 1ULL << n;
+  std::vector<SegmentId> s, complement;
   for (uint64_t mask = 0; mask < limit; ++mask) {
-    SegmentSet s, complement;
+    s.clear();
+    complement.clear();
     for (size_t i = 0; i < n; ++i) {
-      if (mask & (1ULL << i)) {
-        s.insert(ids[i]);
-      } else {
-        complement.insert(ids[i]);
-      }
+      ((mask & (1ULL << i)) ? s : complement).push_back(ids[i]);
     }
     if (a.SatisfiedBy(s) && b.SatisfiedBy(complement)) return false;
   }
@@ -107,10 +113,11 @@ bool QuorumSet::Implies(const QuorumSet& a, const QuorumSet& b) {
   const size_t n = ids.size();
   assert(n <= 24 && "Implies is exhaustive; universe too large");
   const uint64_t limit = 1ULL << n;
+  std::vector<SegmentId> s;
   for (uint64_t mask = 0; mask < limit; ++mask) {
-    SegmentSet s;
+    s.clear();
     for (size_t i = 0; i < n; ++i) {
-      if (mask & (1ULL << i)) s.insert(ids[i]);
+      if (mask & (1ULL << i)) s.push_back(ids[i]);
     }
     if (a.SatisfiedBy(s) && !b.SatisfiedBy(s)) return false;
   }

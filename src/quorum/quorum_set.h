@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,8 +59,12 @@ class QuorumSet {
 
   bool IsEmpty() const { return root_ == nullptr; }
 
-  /// True iff `acked` satisfies the formula.
-  bool SatisfiedBy(const SegmentSet& acked) const;
+  /// True iff the segments in `present` (acked, or able to serve; any
+  /// order, duplicates allowed) satisfy the formula. Takes a short member
+  /// list so the per-ack PGCL evaluation allocates nothing.
+  bool SatisfiedBy(std::span<const SegmentId> present) const;
+  /// Set form for callers that collect acks in a SegmentSet.
+  bool SatisfiedBy(const SegmentSet& present) const;
 
   /// Union of all member ids mentioned anywhere in the formula.
   SegmentSet Universe() const;
@@ -93,7 +98,7 @@ class QuorumSet {
     std::vector<NodePtr> children;   // kAnd / kOr
   };
 
-  static bool Eval(const Node& node, const SegmentSet& acked);
+  static bool Eval(const Node& node, std::span<const SegmentId> present);
   static void CollectUniverse(const Node& node, SegmentSet* out);
   static std::string NodeToString(const Node& node);
 

@@ -190,7 +190,7 @@ void ReadReplica::ApplyMtr(const std::vector<log::RedoRecord>& records) {
       stats_.pages_invalidated++;
       continue;
     }
-    Status st = ApplyRedoPayload(page, record.payload.view(), record.lsn);
+    Status st = ApplyRedoPayload(page, record.payload, record.lsn);
     if (!st.ok()) {
       cache_->Erase(record.block);
       stats_.pages_invalidated++;

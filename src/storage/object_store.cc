@@ -30,18 +30,28 @@ void ObjectStore::Put(ArchiveKey pg,
   sim_->Schedule(latency, [this, pg, shared, done = std::move(done)]() {
     Lsn max_lsn = kInvalidLsn;
     auto& pg_archive = archive_[pg];
-    for (auto& record : *shared) {
+    // Merge: a backup batch is LSN-sorted (each of a PG's segments sends
+    // the same ranges), so one binary search places its first record and
+    // a cursor walks the rest; a record not above its predecessor
+    // re-seeks.
+    size_t pos = 0;
+    for (size_t i = 0; i < shared->size(); ++i) {
+      log::RedoRecord& record = (*shared)[i];
+      if (i == 0 || record.lsn <= (*shared)[i - 1].lsn) {
+        pos = std::lower_bound(pg_archive.begin(), pg_archive.end(),
+                               record.lsn, kLsnBelow) -
+              pg_archive.begin();
+      }
       max_lsn = std::max(max_lsn, record.lsn);
-      if (pg_archive.empty() || record.lsn > pg_archive.back().lsn) {
-        bytes_stored_ += record.SerializedSize();
-        pg_archive.push_back(std::move(record));
+      while (pos < pg_archive.size() && pg_archive[pos].lsn < record.lsn) {
+        ++pos;
+      }
+      if (pos < pg_archive.size() && pg_archive[pos].lsn == record.lsn) {
         continue;
       }
-      auto pos = std::lower_bound(pg_archive.begin(), pg_archive.end(),
-                                  record.lsn, kLsnBelow);
-      if (pos != pg_archive.end() && pos->lsn == record.lsn) continue;
       bytes_stored_ += record.SerializedSize();
-      pg_archive.insert(pos, std::move(record));
+      pg_archive.insert(pg_archive.begin() + pos, std::move(record));
+      ++pos;
     }
     done(max_lsn);
   });

@@ -37,11 +37,11 @@ class Reader {
   bool ReadU32(uint32_t* v) { return ReadRaw(v, 4); }
   bool ReadU64(uint64_t* v) { return ReadRaw(v, 8); }
 
-  bool ReadString(std::string* s) {
+  bool ReadString(std::string_view* s) {
     uint32_t len;
     if (!ReadU32(&len)) return false;
     if (data_.size() - pos_ < len) return false;
-    s->assign(data_.data() + pos_, len);
+    *s = data_.substr(pos_, len);
     pos_ += len;
     return true;
   }
@@ -88,9 +88,9 @@ std::string EncodePageOp(const PageOp& op) {
   return out;
 }
 
-Result<PageOp> DecodePageOp(std::string_view payload) {
+Result<PageOpView> DecodePageOp(std::string_view payload) {
   if (payload.size() < 2) return Status::Corruption("page op too short");
-  PageOp op;
+  PageOpView op;
   const auto type = static_cast<uint8_t>(payload[0]);
   const auto page_type = static_cast<uint8_t>(payload[1]);
   if (type > static_cast<uint8_t>(PageOpType::kTruncateFrom) ||
@@ -111,7 +111,10 @@ Result<PageOp> DecodePageOp(std::string_view payload) {
   return op;
 }
 
-Status ApplyPageOp(Page* page, const PageOp& op, Lsn lsn) {
+Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn) {
+  auto decoded = DecodePageOp(payload.view());
+  if (!decoded.ok()) return decoded.status();
+  const PageOpView& op = *decoded;
   switch (op.type) {
     case PageOpType::kFormat:
       page->type = op.page_type;
@@ -121,7 +124,7 @@ Status ApplyPageOp(Page* page, const PageOp& op, Lsn lsn) {
       page->prev = kInvalidBlock;
       break;
     case PageOpType::kInsert:
-      page->entries.Upsert(op.key, op.value);
+      page->entries.Upsert(op.key, op.value, payload);
       break;
     case PageOpType::kErase:
       page->entries.Erase(op.key);
@@ -136,12 +139,6 @@ Status ApplyPageOp(Page* page, const PageOp& op, Lsn lsn) {
   }
   page->page_lsn = lsn;
   return Status::OK();
-}
-
-Status ApplyRedoPayload(Page* page, std::string_view payload, Lsn lsn) {
-  auto op = DecodePageOp(payload);
-  if (!op.ok()) return op.status();
-  return ApplyPageOp(page, *op, lsn);
 }
 
 }  // namespace aurora::storage

@@ -5,21 +5,22 @@
 // background or on-demand to satisfy a read request." This header defines
 // the page structure shared by the storage nodes (materialization), the
 // writer's buffer cache, and replicas (cache application) — all three apply
-// the SAME PageOp payloads, which is what makes log application idempotent
-// and location-independent.
+// the SAME redo payloads through ApplyRedoPayload, which is what makes log
+// application idempotent and location-independent.
 //
 // Pages are B+-tree nodes: sorted key→value entries plus header fields.
 // Values are opaque to storage; the transaction layer encodes row versions
-// (txn id + undo pointer) inside them.
+// (txn id + undo pointer) inside them. A value is not copied out of the
+// redo record that wrote it: the entry holds a view into that record's
+// immutable, refcounted payload and co-owns the buffer, so the six
+// segments, the writer cache and every replica cache that apply one
+// record all share its bytes.
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -28,164 +29,111 @@
 
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/log/record.h"
 
 namespace aurora::storage {
 
-/// Sorted key→value entry set with structurally-shared storage.
+struct Page;
+Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn);
+
+/// Sorted key→value entry set whose values alias redo payloads.
 ///
-/// The storage nodes retain many materialized versions of each block
-/// (MVCC reads, §3.1), and coalescing produces a new version per applied
-/// redo record. With a plain std::map every new version deep-copies every
-/// entry — measured at ~3/4 of the C7 write-path wall time. PageEntries
-/// keeps entries as refcounted immutable (key, value) pairs in a sorted
-/// vector: copying a page copies N pointers, and applying one PageOp
-/// replaces exactly one pointer, so adjacent versions share all unchanged
-/// entries. The map-like read interface (find/at/contains/lower_bound/
-/// upper_bound/ordered iteration) is preserved so the B-tree and the
-/// buffer cache are representation-agnostic; mutation happens only through
-/// ApplyPageOp's vocabulary (Upsert/Erase/TruncateFrom/clear).
+/// The storage nodes retain several materialized versions of each block
+/// (MVCC reads, §3.1), and every holder of a block applies the same redo.
+/// Keys sit inline in a sorted vector (short keys need no allocation) and
+/// each value is a string_view into the payload of the record that wrote
+/// it; a parallel vector holds one payload handle per entry, so the entry
+/// keeps those bytes alive after the record leaves the hot log. Applying an
+/// insert stores one handle and copies no value bytes; copying a version
+/// copies keys and handles, never values. The map-like read interface
+/// (find/at/contains/lower_bound/upper_bound/ordered iteration) keeps the
+/// B-tree and the buffer cache representation-agnostic; mutation happens
+/// only through ApplyRedoPayload.
 class PageEntries {
  public:
-  using Entry = std::pair<std::string, std::string>;
+  using Entry = std::pair<std::string, std::string_view>;
+  using const_iterator = std::vector<Entry>::const_iterator;
 
- private:
-  using Ptr = std::shared_ptr<const Entry>;
-  std::vector<Ptr> entries_;
-
- public:
-  class const_iterator {
-   public:
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type = Entry;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Entry*;
-    using reference = const Entry&;
-
-    const_iterator() = default;
-    explicit const_iterator(const Ptr* p) : p_(p) {}
-
-    reference operator*() const { return **p_; }
-    pointer operator->() const { return p_->get(); }
-    const_iterator& operator++() {
-      ++p_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator out = *this;
-      ++p_;
-      return out;
-    }
-    const_iterator& operator--() {
-      --p_;
-      return *this;
-    }
-    const_iterator operator--(int) {
-      const_iterator out = *this;
-      --p_;
-      return out;
-    }
-    const_iterator& operator+=(difference_type n) {
-      p_ += n;
-      return *this;
-    }
-    const_iterator& operator-=(difference_type n) {
-      p_ -= n;
-      return *this;
-    }
-    friend const_iterator operator+(const_iterator it, difference_type n) {
-      return it += n;
-    }
-    friend const_iterator operator-(const_iterator it, difference_type n) {
-      return it -= n;
-    }
-    friend difference_type operator-(const_iterator a, const_iterator b) {
-      return a.p_ - b.p_;
-    }
-    reference operator[](difference_type n) const { return **(p_ + n); }
-    friend auto operator<=>(const const_iterator&,
-                            const const_iterator&) = default;
-
-   private:
-    const Ptr* p_ = nullptr;
-  };
-  using iterator = const_iterator;
-
-  const_iterator begin() const { return const_iterator(entries_.data()); }
-  const_iterator end() const {
-    return const_iterator(entries_.data() + entries_.size());
-  }
-
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
 
   const_iterator lower_bound(std::string_view key) const {
-    return const_iterator(entries_.data() + LowerBoundIndex(key));
+    return entries_.begin() + LowerBoundIndex(key);
   }
   const_iterator upper_bound(std::string_view key) const {
-    auto it = std::upper_bound(
+    return std::upper_bound(
         entries_.begin(), entries_.end(), key,
-        [](std::string_view k, const Ptr& e) { return k < e->first; });
-    return const_iterator(entries_.data() + (it - entries_.begin()));
+        [](std::string_view k, const Entry& e) { return k < e.first; });
   }
   const_iterator find(std::string_view key) const {
     const size_t i = LowerBoundIndex(key);
-    if (i < entries_.size() && entries_[i]->first == key) {
-      return const_iterator(entries_.data() + i);
+    if (i < entries_.size() && entries_[i].first == key) {
+      return entries_.begin() + i;
     }
     return end();
   }
   bool contains(std::string_view key) const { return find(key) != end(); }
-  const std::string& at(std::string_view key) const {
+  std::string_view at(std::string_view key) const {
     auto it = find(key);
     if (it == end()) throw std::out_of_range("PageEntries::at");
     return it->second;
   }
 
-  /// Inserts or replaces one entry. Replacement swaps a single pointer;
-  /// versions sharing the old entry are untouched.
-  void Upsert(std::string key, std::string value) {
+  /// Content equality: same keys and value bytes, wherever they live.
+  bool operator==(const PageEntries& other) const {
+    return entries_ == other.entries_;
+  }
+
+ private:
+  friend Status ApplyRedoPayload(Page* page, const log::Payload& payload,
+                                 Lsn lsn);
+
+  /// Inserts or replaces one entry; `value` lies inside `owner`'s bytes.
+  void Upsert(std::string_view key, std::string_view value,
+              const log::Payload& owner) {
     const size_t i = LowerBoundIndex(key);
-    auto entry = std::make_shared<const Entry>(std::move(key),
-                                               std::move(value));
-    if (i < entries_.size() && entries_[i]->first == entry->first) {
-      entries_[i] = std::move(entry);
-    } else {
-      entries_.insert(entries_.begin() + i, std::move(entry));
+    if (i < entries_.size() && entries_[i].first == key) {
+      entries_[i].second = value;
+      owners_[i] = owner;
+      return;
     }
+    entries_.emplace(entries_.begin() + i, std::string(key), value);
+    owners_.insert(owners_.begin() + i, owner);
   }
 
   /// Removes one entry (no-op if absent; idempotent application).
   void Erase(std::string_view key) {
     const size_t i = LowerBoundIndex(key);
-    if (i < entries_.size() && entries_[i]->first == key) {
+    if (i < entries_.size() && entries_[i].first == key) {
       entries_.erase(entries_.begin() + i);
+      owners_.erase(owners_.begin() + i);
     }
   }
 
   /// Removes all entries with key >= pivot (split: donor side).
   void TruncateFrom(std::string_view pivot) {
-    entries_.resize(LowerBoundIndex(pivot));
+    const size_t i = LowerBoundIndex(pivot);
+    entries_.resize(i);
+    owners_.resize(i);
   }
 
-  /// Content equality, with a pointer fast path for shared entries.
-  bool operator==(const PageEntries& other) const {
-    if (entries_.size() != other.entries_.size()) return false;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Ptr& a = entries_[i];
-      const Ptr& b = other.entries_[i];
-      if (a != b && *a != *b) return false;
-    }
-    return true;
+  void clear() {
+    entries_.clear();
+    owners_.clear();
   }
 
- private:
   size_t LowerBoundIndex(std::string_view key) const {
     auto it = std::lower_bound(
         entries_.begin(), entries_.end(), key,
-        [](const Ptr& e, std::string_view k) { return e->first < k; });
+        [](const Entry& e, std::string_view k) { return e.first < k; });
     return static_cast<size_t>(it - entries_.begin());
   }
+
+  std::vector<Entry> entries_;
+  /// owners_[i] holds the payload entries_[i].second points into.
+  std::vector<log::Payload> owners_;
 };
 
 /// What role a page plays in the access method.
@@ -228,9 +176,8 @@ enum class PageOpType : uint8_t {
   kTruncateFrom = 4,
 };
 
-/// A single physical operation on one page. Encoded into
-/// RedoRecord::payload; applied identically by storage nodes, the writer's
-/// cache, and replica caches.
+/// A single physical operation on one page, as the writer builds it.
+/// Encoded into RedoRecord::payload; every holder applies the payload.
 struct PageOp {
   PageOpType type = PageOpType::kInsert;
   PageType page_type = PageType::kLeaf;  // kFormat
@@ -239,22 +186,31 @@ struct PageOp {
   std::string value;                     // kInsert
   BlockId next = kInvalidBlock;          // kSetLinks
   BlockId prev = kInvalidBlock;          // kSetLinks
+};
 
-  bool operator==(const PageOp&) const = default;
+/// A decoded page op: `key` and `value` view the payload it came from and
+/// are valid while that payload lives.
+struct PageOpView {
+  PageOpType type = PageOpType::kInsert;
+  PageType page_type = PageType::kLeaf;
+  uint16_t level = 0;
+  std::string_view key;
+  std::string_view value;
+  BlockId next = kInvalidBlock;
+  BlockId prev = kInvalidBlock;
 };
 
 /// Serializes a PageOp into a redo payload.
 std::string EncodePageOp(const PageOp& op);
 
-/// Decodes a redo payload; Corruption on malformed input.
-Result<PageOp> DecodePageOp(std::string_view payload);
+/// Decodes a redo payload without copying or allocating; Corruption on
+/// malformed input.
+Result<PageOpView> DecodePageOp(std::string_view payload);
 
-/// Applies `op` to `page` and stamps `lsn` as the new page_lsn. The caller
-/// is responsible for ordering (prev_lsn_block chain); application itself
-/// is deterministic and total.
-Status ApplyPageOp(Page* page, const PageOp& op, Lsn lsn);
-
-/// Convenience: decode + apply a raw redo payload.
-Status ApplyRedoPayload(Page* page, std::string_view payload, Lsn lsn);
+/// Decodes `payload` and applies it to `page`, stamping `lsn` as the new
+/// page_lsn. An inserted value stays a view into `payload`, which the
+/// page co-owns. The caller is responsible for ordering (prev_lsn_block
+/// chain); application itself is deterministic and total.
+Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn);
 
 }  // namespace aurora::storage

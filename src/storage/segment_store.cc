@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <unordered_map>
 
 #include "src/common/logging.h"
@@ -16,6 +17,22 @@ constexpr auto kLsnBelow = [](const auto& redo, Lsn lsn) {
 constexpr auto kLsnAbove = [](Lsn lsn, const auto& redo) {
   return lsn < redo.lsn;
 };
+// The same over a block's versions, ordered by page_lsn.
+constexpr auto kVersionBelow = [](const Page& page, Lsn lsn) {
+  return page.page_lsn < lsn;
+};
+constexpr auto kVersionAbove = [](Lsn lsn, const Page& page) {
+  return lsn < page.page_lsn;
+};
+
+// Adds `page` at its page_lsn unless the block has a version there.
+void AddVersion(std::vector<Page>& versions, const Page& page) {
+  auto pos = std::lower_bound(versions.begin(), versions.end(),
+                              page.page_lsn, kVersionBelow);
+  if (pos == versions.end() || pos->page_lsn != page.page_lsn) {
+    versions.insert(pos, page);
+  }
+}
 }  // namespace
 
 SegmentStore::SegmentStore(quorum::SegmentInfo info, ProtectionGroupId pg,
@@ -116,23 +133,24 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
     const PendingRedo& redo = pending_.front();
     const Lsn lsn = redo.lsn;
     if (lsn > floor) break;
-    auto& block_versions = versions_[redo.block];
+    std::vector<Page>& block_versions = versions_[redo.block];
     // Fold into the newest version at or below the record. Versions
     // older than it lie below the floor, where the folded version is
     // the block's only state, so they go.
-    auto base = block_versions.upper_bound(lsn);
+    auto base = std::upper_bound(block_versions.begin(), block_versions.end(),
+                                 lsn, kVersionAbove);
     const bool has_base = base != block_versions.begin();
     if (has_base) --base;
-    const Lsn base_lsn = has_base ? base->first : kInvalidLsn;
-    stats_.versions_gced += std::distance(block_versions.begin(), base);
-    block_versions.erase(block_versions.begin(), base);
+    stats_.versions_gced += base - block_versions.begin();
+    base = block_versions.erase(block_versions.begin(), base);
+    const Lsn base_lsn = has_base ? base->page_lsn : kInvalidLsn;
     if (lsn == base_lsn) {
       // Already applied via on-demand materialization.
       pending_.pop_front();
       continue;
     }
     if (redo.prev_lsn_block != base_lsn) {
-      if (block_versions.upper_bound(lsn) != block_versions.end()) {
+      if (!block_versions.empty() && block_versions.back().page_lsn > lsn) {
         // A newer version (absorbed from hydration) already reflects
         // this record; the history below it is not retained.
         if (has_base) {
@@ -145,23 +163,21 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
       // Hole in the block chain below this record; wait for gossip.
       break;
     }
-    auto op = DecodePageOp(redo.payload.view());
-    if (!op.ok()) {
-      AURORA_ERROR << "segment " << info_.id << " coalesce failed: "
-                   << op.status().ToString();
+    // In place: no version lies between the base and the record, so the
+    // base becomes the version at `lsn` and keeps its position; no page
+    // is copied. A payload that does not decode leaves it as it was.
+    Page fresh;
+    fresh.id = redo.block;
+    const Status st =
+        ApplyRedoPayload(has_base ? &*base : &fresh, redo.payload, lsn);
+    if (!st.ok()) {
+      AURORA_ERROR << "segment " << info_.id
+                   << " coalesce failed: " << st.ToString();
       break;
     }
-    // In place: re-key the base version's node and apply, no page copy.
-    Page* page = nullptr;
-    if (has_base) {
-      auto node = block_versions.extract(base);
-      node.key() = lsn;
-      page = &block_versions.insert(std::move(node)).position->second;
-    } else {
-      page = &block_versions.emplace(lsn, Page{}).first->second;
-      page->id = redo.block;
+    if (!has_base) {
+      block_versions.insert(block_versions.begin(), std::move(fresh));
     }
-    (void)ApplyPageOp(page, *op, lsn);
     pending_.pop_front();
     stats_.records_coalesced++;
     applied++;
@@ -172,11 +188,11 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
 const Page* SegmentStore::LatestVersionAtOrBelow(BlockId block,
                                                  Lsn lsn) const {
   auto it = versions_.find(block);
-  if (it == versions_.end() || it->second.empty()) return nullptr;
-  auto v = it->second.upper_bound(lsn);
-  if (v == it->second.begin()) return nullptr;
-  --v;
-  return &v->second;
+  if (it == versions_.end()) return nullptr;
+  const std::vector<Page>& versions = it->second;
+  auto v = std::upper_bound(versions.begin(), versions.end(), lsn,
+                            kVersionAbove);
+  return v == versions.begin() ? nullptr : &*std::prev(v);
 }
 
 Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
@@ -207,7 +223,7 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     stats_.reads_rejected++;
     auto v = versions_.find(block);
     if (base == nullptr && v != versions_.end() && !v->second.empty() &&
-        v->second.begin()->first <= pgmrpl_) {
+        v->second.front().page_lsn <= pgmrpl_) {
       return Status::OutOfRange("block history below PGMRPL folded away");
     }
     return status;
@@ -230,8 +246,7 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
       return refuse(
           Status::Unavailable("block chain hole during materialization"));
     }
-    AURORA_RETURN_IF_ERROR(
-        ApplyRedoPayload(&page, it->payload.view(), it->lsn));
+    AURORA_RETURN_IF_ERROR(ApplyRedoPayload(&page, it->payload, it->lsn));
     applied_any = true;
   }
   if (base == nullptr && !applied_any) {
@@ -240,7 +255,7 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
   if (applied_any) {
     // Keep the on-demand result; once the floor passes it, coalescing
     // reaches it and drops the versions below.
-    versions_[block].emplace(page.page_lsn, page);
+    AddVersion(versions_[block], page);
   }
   stats_.reads_served++;
   return page;
@@ -285,12 +300,14 @@ size_t SegmentStore::GarbageCollect() {
   // PGMRPL plus the newest version at or below it.
   if (pgmrpl_ != kInvalidLsn) {
     for (auto& [block, block_versions] : versions_) {
-      auto keep = block_versions.upper_bound(pgmrpl_);
+      auto keep = std::upper_bound(block_versions.begin(),
+                                   block_versions.end(), pgmrpl_,
+                                   kVersionAbove);
       if (keep != block_versions.begin()) --keep;
-      const size_t before = block_versions.size();
+      const size_t dropped = keep - block_versions.begin();
       block_versions.erase(block_versions.begin(), keep);
-      removed += before - block_versions.size();
-      stats_.versions_gced += before - block_versions.size();
+      removed += dropped;
+      stats_.versions_gced += dropped;
     }
   }
   return removed;
@@ -357,8 +374,10 @@ Status SegmentStore::UpdateVolumeEpoch(
                    std::upper_bound(pending_.begin(), pending_.end(),
                                     range.end, kLsnAbove));
     for (auto& [block, block_versions] : versions_) {
-      block_versions.erase(block_versions.lower_bound(range.start),
-                           block_versions.end());
+      block_versions.erase(
+          std::lower_bound(block_versions.begin(), block_versions.end(),
+                           range.start, kVersionBelow),
+          block_versions.end());
     }
   }
   return Status::OK();
@@ -387,7 +406,7 @@ Status SegmentStore::AbsorbHydration(const HydrationResponse& response) {
   // it; one pass over the queue drops it for every block.
   std::unordered_map<BlockId, Lsn> absorbed;
   for (const auto& page : response.pages) {
-    versions_[page.id].emplace(page.page_lsn, page);
+    AddVersion(versions_[page.id], page);
     Lsn& reflected = absorbed[page.id];
     reflected = std::max(reflected, page.page_lsn);
   }
@@ -420,7 +439,7 @@ HydrationResponse SegmentStore::BuildHydration(
     std::map<BlockId, Materializing> blocks;
     for (const auto& [block, block_versions] : versions_) {
       if (!block_versions.empty()) {
-        blocks[block].page = block_versions.rbegin()->second;
+        blocks[block].page = block_versions.back();
       }
     }
     for (const PendingRedo& redo : pending_) {
@@ -430,7 +449,7 @@ HydrationResponse SegmentStore::BuildHydration(
       if (inserted) m.page.id = redo.block;
       if (m.stalled || redo.lsn <= m.page.page_lsn) continue;
       if (redo.prev_lsn_block != m.page.page_lsn ||
-          !ApplyRedoPayload(&m.page, redo.payload.view(), redo.lsn).ok()) {
+          !ApplyRedoPayload(&m.page, redo.payload, redo.lsn).ok()) {
         m.stalled = true;
       }
     }
@@ -494,7 +513,7 @@ size_t SegmentStore::VersionCount(BlockId block) const {
 uint64_t SegmentStore::TotalVersionBytes() const {
   uint64_t bytes = 0;
   for (const auto& [block, block_versions] : versions_) {
-    for (const auto& [lsn, page] : block_versions) bytes += page.SizeBytes();
+    for (const Page& page : block_versions) bytes += page.SizeBytes();
   }
   return bytes;
 }

@@ -18,9 +18,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -208,9 +208,10 @@ class SegmentStore {
   // front, GC evicts the hot log below the front, and a block's chain is
   // the subsequence with its id.
   std::deque<PendingRedo> pending_;
-  // Materialized versions per block, keyed by page_lsn: at most one at or
-  // below the floor once coalesced, plus on-demand ones above it.
-  std::map<BlockId, std::map<Lsn, Page>> versions_;
+  // Materialized versions per block, ascending by page_lsn: at most one
+  // at or below the floor once coalesced, plus on-demand ones above it.
+  // Hashed by block: every pass over all blocks is order-independent.
+  std::unordered_map<BlockId, std::vector<Page>> versions_;
 
   Lsn pgmrpl_ = kInvalidLsn;      // highest floor observed from any request
   Lsn read_floor_ = kInvalidLsn;  // highest floor a page read advertised

@@ -60,6 +60,9 @@ class TxnManager {
 
   /// Ids of transactions in kActive state (the read-view active list).
   std::set<TxnId> ActiveSet() const;
+  /// True iff `id` is in kActive state; ActiveSet().contains(id) without
+  /// the copy.
+  bool IsActive(TxnId id) const { return active_.contains(id); }
 
   /// Transition to kCommitting with the commit record's LSN as SCN. The
   /// transaction leaves the active set now; visibility is still gated by

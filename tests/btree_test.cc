@@ -44,7 +44,7 @@ class FakePages {
   void Apply(const StagedOp& staged) {
     storage::Page& page = pages_[staged.block];
     page.id = staged.block;
-    ASSERT_TRUE(ApplyPageOp(&page, staged.op, ++lsn_).ok());
+    ASSERT_TRUE(ApplyRedoPayload(&page, EncodePageOp(staged.op), ++lsn_).ok());
   }
 
   void ApplyAll(const std::vector<StagedOp>& ops) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <vector>
+
 #include "src/common/random.h"
 #include "src/quorum/geometry.h"
 #include "src/quorum/membership.h"
@@ -30,7 +35,7 @@ std::vector<SegmentInfo> SixSegments(bool full_tail = false) {
 
 TEST(QuorumSet, KofNSatisfaction) {
   auto q = QuorumSet::KofN(2, {1, 2, 3});
-  EXPECT_FALSE(q.SatisfiedBy({}));
+  EXPECT_FALSE(q.SatisfiedBy(SegmentSet{}));
   EXPECT_FALSE(q.SatisfiedBy({1}));
   EXPECT_TRUE(q.SatisfiedBy({1, 3}));
   EXPECT_TRUE(q.SatisfiedBy({1, 2, 3}));
@@ -102,6 +107,79 @@ TEST(QuorumSet, Figure5DualQuorumOverlap) {
   EXPECT_TRUE(write.SatisfiedBy({0, 1, 2, 3}));
   // New write set overlaps the OLD write set (rule 2 across transition).
   EXPECT_TRUE(QuorumSet::AlwaysOverlaps(write, QuorumSet::KofN(4, abcdef)));
+}
+
+TEST(QuorumSet, MemberListEvalMatchesSetReferenceOnEverySubset) {
+  // Every subset of each shape's universe (plus one id outside it), fed as
+  // a member list in descending order with a duplicate, must give the
+  // answer of a std::set reference written straight from §2.1 / §4.1 /
+  // §4.2.
+  auto count_in = [](const std::set<SegmentId>& s,
+                     const std::vector<SegmentId>& members) {
+    return std::count_if(members.begin(), members.end(),
+                         [&](SegmentId m) { return s.contains(m); });
+  };
+  const std::vector<SegmentId> abcdef = {0, 1, 2, 3, 4, 5};
+  const std::vector<SegmentId> abcdeg = {0, 1, 2, 3, 4, 6};
+  const std::vector<SegmentId> fulls = {0, 2, 4};  // SixSegments(true)
+  const auto stable =
+      PgConfig::Create(0, QuorumModel::kUniform46, SixSegments());
+  const auto dual = stable.BeginReplace(5, SegmentInfo{6, 110, 2, true});
+  ASSERT_TRUE(dual.ok());
+  const auto full_tail =
+      PgConfig::Create(0, QuorumModel::kFullTail, SixSegments(true));
+  struct Shape {
+    const char* name;
+    QuorumSet quorum;
+    std::function<bool(const std::set<SegmentId>&)> reference;
+  };
+  const std::vector<Shape> shapes = {
+      {"4/6 write", stable.WriteSet(),
+       [&](const auto& s) { return count_in(s, abcdef) >= 4; }},
+      {"4/6 read", stable.ReadSet(),
+       [&](const auto& s) { return count_in(s, abcdef) >= 3; }},
+      {"Figure-5 dual write", dual->WriteSet(),
+       [&](const auto& s) {
+         return count_in(s, abcdef) >= 4 && count_in(s, abcdeg) >= 4;
+       }},
+      {"Figure-5 dual read", dual->ReadSet(),
+       [&](const auto& s) {
+         return count_in(s, abcdef) >= 3 || count_in(s, abcdeg) >= 3;
+       }},
+      {"3 full + 3 tail write", full_tail.WriteSet(),
+       [&](const auto& s) {
+         return count_in(s, abcdef) >= 4 || count_in(s, fulls) == 3;
+       }},
+      {"3 full + 3 tail read", full_tail.ReadSet(),
+       [&](const auto& s) {
+         return count_in(s, abcdef) >= 3 && count_in(s, fulls) >= 1;
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    SegmentSet universe = shape.quorum.Universe();
+    universe.insert(99);
+    const std::vector<SegmentId> ids(universe.begin(), universe.end());
+    size_t satisfied = 0;
+    for (uint64_t mask = 0; mask < (1ULL << ids.size()); ++mask) {
+      std::set<SegmentId> s;
+      std::vector<SegmentId> members;
+      for (size_t i = ids.size(); i-- > 0;) {
+        if ((mask & (1ULL << i)) == 0) continue;
+        s.insert(ids[i]);
+        members.push_back(ids[i]);
+      }
+      if (!members.empty()) members.push_back(members.front());
+      const bool expected = shape.reference(s);
+      ASSERT_EQ(shape.quorum.SatisfiedBy(members), expected)
+          << shape.name << " " << shape.quorum.ToString() << " mask " << mask;
+      ASSERT_EQ(shape.quorum.SatisfiedBy(s), expected)
+          << shape.name << " mask " << mask;
+      satisfied += expected;
+    }
+    // Neither trivially true nor trivially false.
+    EXPECT_GT(satisfied, 0u) << shape.name;
+    EXPECT_LT(satisfied, 1ULL << ids.size()) << shape.name;
+  }
 }
 
 TEST(QuorumSet, ImpliesDetectsStrictness) {

@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/core/cluster.h"
+#include "src/engine/btree.h"
+#include "src/storage/page.h"
+#include "src/storage/segment_store.h"
+#include "src/storage/storage_node.h"
 
 namespace aurora {
 namespace {
@@ -293,6 +301,146 @@ TEST(Replica, ReadBelowWriterFloorOfTrailingGroupIsServed) {
   EXPECT_GT(after.reads_served, before.reads_served)
       << "the replica must have read the trailing group";
   EXPECT_EQ(after.reads_rejected, before.reads_rejected);
+}
+
+TEST(Replica, OneWriteIsOneBufferOnEveryHolder) {
+  // §2.2: the six segments, the writer's cache and a replica's cache all
+  // apply the same redo. A page value is a view into the payload of the
+  // record that wrote it, so one write's bytes live once in memory, and
+  // the pages keep them alive after the record leaves every hot log.
+  core::AuroraCluster cluster(Options());
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  ASSERT_TRUE(cluster.PutBlocking("warm", "x").ok());
+  auto* rep = cluster.AddReplica();
+  cluster.RunFor(50 * kMillisecond);
+  // Cache the root leaf at the replica so the stream applies the write.
+  ASSERT_TRUE(ReplicaGet(cluster, rep, "warm").ok());
+
+  const std::string value(256, 'v');
+  const std::string key = engine::DataKey("shared");
+  ASSERT_TRUE(cluster.PutBlocking("shared", value).ok());
+
+  auto leaf_of = [](engine::BufferCache& cache) -> const storage::Page* {
+    const storage::Page* meta = cache.Peek(engine::kMetaBlock);
+    if (meta == nullptr) return nullptr;
+    auto root = engine::DecodeU64Value(meta->entries.at(engine::kMetaRootKey));
+    return root.ok() ? cache.Peek(*root) : nullptr;
+  };
+  const storage::Page* writer_leaf = leaf_of(cluster.writer()->cache());
+  ASSERT_NE(writer_leaf, nullptr);
+  ASSERT_TRUE(writer_leaf->entries.contains(key));
+  const char* written = writer_leaf->entries.find(key)->second.data();
+
+  // The record that carried the write: one payload buffer on all six
+  // segments, and the writer's cached value points into it.
+  std::vector<storage::SegmentStore*> segments;
+  for (const auto& member : cluster.geometry().pgs().front().AllMembers()) {
+    storage::StorageNode* node = cluster.NodeForSegment(member.id);
+    ASSERT_NE(node, nullptr);
+    segments.push_back(node->FindSegment(member.id));
+    ASSERT_NE(segments.back(), nullptr);
+  }
+  ASSERT_EQ(segments.size(), 6u);
+  log::Payload payload;
+  Lsn lsn = kInvalidLsn;
+  BlockId block = kInvalidBlock;
+  for (const auto& record : segments.front()->hot_log().records()) {
+    if (written >= record.payload.data() &&
+        written < record.payload.data() + record.payload.size()) {
+      payload = record.payload;
+      lsn = record.lsn;
+      block = record.block;
+    }
+  }
+  ASSERT_NE(lsn, kInvalidLsn) << "writer cache does not alias the record";
+  for (const storage::SegmentStore* segment : segments) {
+    const log::RedoRecord* record = segment->hot_log().Find(lsn);
+    ASSERT_NE(record, nullptr);
+    EXPECT_EQ(record->payload.data(), payload.data());
+  }
+
+  // PGMRPL rides on writes: once the replica has reported a read point
+  // past the record, later writes carry it and the record folds on every
+  // segment; backup and GC then evict it from every hot log.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(cluster
+                      .PutBlocking("filler" + std::to_string(round) +
+                                       std::to_string(i),
+                                   "f")
+                      .ok());
+    }
+    cluster.RunFor(500 * kMillisecond);
+  }
+  cluster.RunFor(3 * kSecond);
+
+  auto inside_payload = [&](const storage::Page& page) {
+    auto it = page.entries.find(key);
+    if (it == page.entries.end()) return false;
+    const std::string_view v = it->second;
+    return v.data() >= payload.data() &&
+           v.data() + v.size() <= payload.data() + payload.size();
+  };
+  writer_leaf = leaf_of(cluster.writer()->cache());
+  ASSERT_NE(writer_leaf, nullptr);
+  EXPECT_TRUE(inside_payload(*writer_leaf)) << "writer cache";
+  const storage::Page* replica_leaf = leaf_of(rep->cache());
+  ASSERT_NE(replica_leaf, nullptr);
+  EXPECT_EQ(replica_leaf->page_lsn, writer_leaf->page_lsn);
+  EXPECT_TRUE(inside_payload(*replica_leaf)) << "replica cache";
+  for (storage::SegmentStore* segment : segments) {
+    EXPECT_EQ(segment->hot_log().Find(lsn), nullptr) << "not evicted";
+    EXPECT_TRUE(segment->OldestPendingLsn() == kInvalidLsn ||
+                segment->OldestPendingLsn() > lsn)
+        << "not folded";
+    EXPECT_EQ(segment->VersionCount(block), 1u);
+    auto page = segment->ReadPage(block, segment->scl());
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_TRUE(inside_payload(*page)) << "segment " << segment->id();
+    // Equality and modeled size are about content, not where it lives.
+    EXPECT_EQ(*page, *writer_leaf);
+    EXPECT_EQ(page->SizeBytes(), writer_leaf->SizeBytes());
+  }
+
+  // A page rebuilt from copied bytes equals the aliasing one and models
+  // the same size: key + value + 8 per entry over a 40-byte header.
+  storage::Page copy;
+  copy.id = writer_leaf->id;
+  auto apply = [&](const storage::PageOp& op) {
+    ASSERT_TRUE(storage::ApplyRedoPayload(&copy, storage::EncodePageOp(op),
+                                          writer_leaf->page_lsn)
+                    .ok());
+  };
+  storage::PageOp format;
+  format.type = storage::PageOpType::kFormat;
+  format.page_type = writer_leaf->type;
+  format.level = writer_leaf->level;
+  apply(format);
+  uint64_t modeled = 40;
+  for (const auto& [k, v] : writer_leaf->entries) {
+    storage::PageOp insert;
+    insert.key = k;
+    insert.value = std::string(v);
+    apply(insert);
+    modeled += k.size() + v.size() + 8;
+  }
+  storage::PageOp links;
+  links.type = storage::PageOpType::kSetLinks;
+  links.next = writer_leaf->next;
+  links.prev = writer_leaf->prev;
+  apply(links);
+  EXPECT_FALSE(inside_payload(copy));
+  EXPECT_EQ(copy, *writer_leaf);
+  EXPECT_EQ(copy.SizeBytes(), writer_leaf->SizeBytes());
+  EXPECT_EQ(writer_leaf->SizeBytes(), modeled);
+
+  // Readable through both read paths, with the record long gone.
+  auto got = cluster.GetBlocking("shared");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, value);
+  auto replica_got = ReplicaGet(cluster, rep, "shared");
+  ASSERT_TRUE(replica_got.ok()) << replica_got.status().ToString();
+  EXPECT_EQ(*replica_got, value);
 }
 
 TEST(Replica, ReadPointFeedsPgmrpl) {

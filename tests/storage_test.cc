@@ -69,6 +69,11 @@ PageOp InsertOp(std::string key, std::string value) {
 // ---------------------------------------------------------------------- //
 // Page ops
 
+// The one apply path: encode the op into a payload and apply that.
+Status Apply(Page* page, const PageOp& op, Lsn lsn) {
+  return ApplyRedoPayload(page, EncodePageOp(op), lsn);
+}
+
 TEST(PageOps, CodecRoundTrip) {
   PageOp op;
   op.type = PageOpType::kSetLinks;
@@ -78,9 +83,23 @@ TEST(PageOps, CodecRoundTrip) {
   op.value = std::string("\x00\x01", 2);
   op.next = 42;
   op.prev = 41;
-  auto decoded = DecodePageOp(EncodePageOp(op));
+  const std::string encoded = EncodePageOp(op);
+  auto decoded = DecodePageOp(encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, op);
+  EXPECT_EQ(decoded->type, op.type);
+  EXPECT_EQ(decoded->page_type, op.page_type);
+  EXPECT_EQ(decoded->level, op.level);
+  EXPECT_EQ(decoded->key, op.key);
+  EXPECT_EQ(decoded->value, op.value);
+  EXPECT_EQ(decoded->next, op.next);
+  EXPECT_EQ(decoded->prev, op.prev);
+  // The decoded key and value are views into the encoded bytes.
+  const auto inside = [&](std::string_view v) {
+    return v.data() >= encoded.data() &&
+           v.data() + v.size() <= encoded.data() + encoded.size();
+  };
+  EXPECT_TRUE(inside(decoded->key));
+  EXPECT_TRUE(inside(decoded->value));
 }
 
 TEST(PageOps, DecodeRejectsGarbage) {
@@ -89,49 +108,54 @@ TEST(PageOps, DecodeRejectsGarbage) {
   std::string bad = EncodePageOp(InsertOp("k", "v"));
   bad.resize(bad.size() - 1);
   EXPECT_TRUE(DecodePageOp(bad).status().IsCorruption());
+  Page page;
+  EXPECT_TRUE(ApplyRedoPayload(&page, bad, 1).IsCorruption());
+  EXPECT_EQ(page.page_lsn, kInvalidLsn) << "a bad payload leaves the page";
 }
 
 TEST(PageOps, ApplySequence) {
   Page page;
   page.id = 9;
-  ASSERT_TRUE(ApplyPageOp(&page, FormatOp(), 1).ok());
+  ASSERT_TRUE(Apply(&page, FormatOp(), 1).ok());
   EXPECT_EQ(page.type, PageType::kLeaf);
-  ASSERT_TRUE(ApplyPageOp(&page, InsertOp("b", "2"), 2).ok());
-  ASSERT_TRUE(ApplyPageOp(&page, InsertOp("a", "1"), 3).ok());
+  ASSERT_TRUE(Apply(&page, InsertOp("b", "2"), 2).ok());
+  ASSERT_TRUE(Apply(&page, InsertOp("a", "1"), 3).ok());
   EXPECT_EQ(page.entries.size(), 2u);
   EXPECT_EQ(page.page_lsn, 3u);
 
   PageOp erase;
   erase.type = PageOpType::kErase;
   erase.key = "a";
-  ASSERT_TRUE(ApplyPageOp(&page, erase, 4).ok());
+  ASSERT_TRUE(Apply(&page, erase, 4).ok());
   EXPECT_FALSE(page.entries.contains("a"));
 
   PageOp truncate;
   truncate.type = PageOpType::kTruncateFrom;
   truncate.key = "b";
-  ASSERT_TRUE(ApplyPageOp(&page, truncate, 5).ok());
+  ASSERT_TRUE(Apply(&page, truncate, 5).ok());
   EXPECT_TRUE(page.entries.empty());
 }
 
 TEST(PageOps, CopiedVersionsShareUntouchedEntries) {
-  // Coalescing materializes one page version per applied record; the COW
-  // entry store must make that copy O(entries) pointer work, with every
-  // unmodified entry physically shared between adjacent versions.
+  // Coalescing and on-demand reads copy page versions; a copy must share
+  // every unmodified value's bytes with the version it came from.
   Page v1;
-  ASSERT_TRUE(ApplyPageOp(&v1, FormatOp(), 1).ok());
-  ASSERT_TRUE(ApplyPageOp(&v1, InsertOp("a", "1"), 2).ok());
-  ASSERT_TRUE(ApplyPageOp(&v1, InsertOp("b", "2"), 3).ok());
-  ASSERT_TRUE(ApplyPageOp(&v1, InsertOp("c", "3"), 4).ok());
+  ASSERT_TRUE(Apply(&v1, FormatOp(), 1).ok());
+  ASSERT_TRUE(Apply(&v1, InsertOp("a", "1"), 2).ok());
+  ASSERT_TRUE(Apply(&v1, InsertOp("b", "2"), 3).ok());
+  ASSERT_TRUE(Apply(&v1, InsertOp("c", "3"), 4).ok());
 
   Page v2 = v1;
-  ASSERT_TRUE(ApplyPageOp(&v2, InsertOp("b", "new"), 5).ok());
+  ASSERT_TRUE(Apply(&v2, InsertOp("b", "new"), 5).ok());
 
-  // Same Entry objects for untouched keys (address equality), a fresh one
-  // for the overwritten key, and the old version is unperturbed.
-  EXPECT_EQ(&*v1.entries.find("a"), &*v2.entries.find("a"));
-  EXPECT_EQ(&*v1.entries.find("c"), &*v2.entries.find("c"));
-  EXPECT_NE(&*v1.entries.find("b"), &*v2.entries.find("b"));
+  // Untouched keys view the same bytes, the overwritten key views the new
+  // record's, and the old version is unperturbed.
+  EXPECT_EQ(v1.entries.find("a")->second.data(),
+            v2.entries.find("a")->second.data());
+  EXPECT_EQ(v1.entries.find("c")->second.data(),
+            v2.entries.find("c")->second.data());
+  EXPECT_NE(v1.entries.find("b")->second.data(),
+            v2.entries.find("b")->second.data());
   EXPECT_EQ(v1.entries.at("b"), "2");
   EXPECT_EQ(v2.entries.at("b"), "new");
 
@@ -139,7 +163,7 @@ TEST(PageOps, CopiedVersionsShareUntouchedEntries) {
   Page v3 = v2;
   EXPECT_TRUE(v3 == v2);
   EXPECT_FALSE(v1 == v2);
-  ASSERT_TRUE(ApplyPageOp(&v3, InsertOp("d", "4"), 6).ok());
+  ASSERT_TRUE(Apply(&v3, InsertOp("d", "4"), 6).ok());
   EXPECT_FALSE(v3 == v2);
   EXPECT_EQ(v2.entries.size(), 3u);
 }
@@ -399,7 +423,7 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
           page->id = block;
         }
         EXPECT_TRUE(
-            ApplyRedoPayload(&*page, record.payload.view(), record.lsn).ok());
+            ApplyRedoPayload(&*page, record.payload, record.lsn).ok());
       }
       return page;
     };
