@@ -14,6 +14,9 @@
 //   * records/sec  — per-member redo records pushed through the driver;
 //   * commits/sec  — transactions acknowledged;
 //   * events/sec   — simulator events executed (event-loop overhead).
+// Beside them it counts heap allocations per txn (calls and bytes, via the
+// replacement operator new in alloc_counter.cc): a host cost that, unlike
+// the rates, is exact and gated bit for bit.
 //
 // `--quick` runs a small workload as a CTest smoke check (regressions in
 // the hot path fail loudly); the full run uses enough transactions for a
@@ -26,6 +29,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_common.h"
 #include "src/common/random.h"
 #include "src/log/hot_log.h"
@@ -67,6 +71,9 @@ struct ThroughputResult {
   uint64_t fleet_hot_log_bytes = 0;
   uint64_t archive_bytes_stored = 0;
   uint64_t records_coalesced = 0;
+  // Heap allocations (operator new calls and bytes requested) inside the
+  // measured window: deterministic like the event count, gated exactly.
+  bench::AllocCount allocs;
   std::string metrics_json;
 
   double HedgeRate() const {
@@ -77,6 +84,12 @@ struct ThroughputResult {
   double RecordsPerSec() const { return records_sent / wall_seconds; }
   double CommitsPerSec() const { return commits_acked / wall_seconds; }
   double EventsPerSec() const { return events_executed / wall_seconds; }
+  double AllocsPerTxn() const {
+    return txns == 0 ? 0.0 : static_cast<double>(allocs.calls) / txns;
+  }
+  double AllocBytesPerTxn() const {
+    return txns == 0 ? 0.0 : static_cast<double>(allocs.bytes) / txns;
+  }
 };
 
 /// Closed-loop sustained write workload: `txns` autocommit transactions
@@ -110,6 +123,7 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
 
   Rng mix_rng(seed ^ 0xc7ead);
   uint64_t writes_done = 0;  // == i when read_ratio is 0
+  const bench::AllocCount allocs_before = bench::AllocsSoFar();
   const auto wall_start = std::chrono::steady_clock::now();
   for (int i = 0; i < txns; ++i) {
     if (read_ratio > 0 && writes_done > 0 &&
@@ -127,6 +141,7 @@ ThroughputResult RunWorkload(int txns, uint64_t seed,
     writes_done++;
   }
   const auto wall_end = std::chrono::steady_clock::now();
+  result.allocs = bench::AllocsSoFar() - allocs_before;
 
   result.txns = static_cast<uint64_t>(txns);
   const engine::DriverStats& driver_after = driver->stats();
@@ -281,6 +296,10 @@ int main(int argc, char** argv) {
              std::to_string(result.archive_bytes_stored), ""});
   table.Row({"records coalesced", std::to_string(result.records_coalesced),
              ""});
+  table.Row({"heap allocs / bytes per txn",
+             Num(result.AllocsPerTxn(), 1) + " / " +
+                 Num(result.AllocBytesPerTxn(), 0),
+             ""});
   table.Print();
 
   BenchJson json("c7_write_throughput");
@@ -311,6 +330,8 @@ int main(int argc, char** argv) {
       .Set("fleet_hot_log_bytes", result.fleet_hot_log_bytes)
       .Set("archive_bytes_stored", result.archive_bytes_stored)
       .Set("records_coalesced", result.records_coalesced)
+      .Set("allocs_per_txn", result.AllocsPerTxn())
+      .Set("alloc_bytes_per_txn", result.AllocBytesPerTxn())
       .SetRaw("metrics", result.metrics_json);
   if (!json.WriteFile()) return 1;
 

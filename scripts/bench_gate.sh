@@ -18,9 +18,11 @@
 # commit-wait p50/p99 in simulated µs: a change meant to save only host
 # time must not move simulated latency. So must what the rest of the
 # storage pipeline keeps: the fleet's hot-log bytes, the archive's bytes
-# (one copy per record per PG) and the records folded into versions. A
-# deliberate schedule or storage-layout change refreshes those baseline
-# keys.
+# (one copy per record per PG) and the records folded into versions. So
+# must C7's heap allocations per txn (calls and bytes, counted by the
+# bench's replacement operator new): a change that adds a per-write
+# allocation fails here. A deliberate schedule, storage-layout or
+# allocation change refreshes those baseline keys.
 #
 # Knobs for noisy machines (documented in EXPERIMENTS.md, C9 section):
 #   AURORA_BENCH_TOLERANCE=0.1  scripts/bench_gate.sh   # looser floor
@@ -186,7 +188,9 @@ for spec in \
   "c7:BENCH_c7_write_throughput.json:commit_wait_p99_us" \
   "c7:BENCH_c7_write_throughput.json:fleet_hot_log_bytes" \
   "c7:BENCH_c7_write_throughput.json:archive_bytes_stored" \
-  "c7:BENCH_c7_write_throughput.json:records_coalesced"; do
+  "c7:BENCH_c7_write_throughput.json:records_coalesced" \
+  "c7:BENCH_c7_write_throughput.json:allocs_per_txn" \
+  "c7:BENCH_c7_write_throughput.json:alloc_bytes_per_txn"; do
   IFS=: read -r label file key <<<"${spec}"
   check_exact "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
 done

@@ -150,7 +150,7 @@ Result<std::vector<BlockId>> BTree::FindPathSync(
 
 Result<std::vector<StagedOp>> BTree::PlanInsert(
     const std::vector<BlockId>& path, const std::string& key,
-    const std::string& value, const BlockAllocator& alloc) {
+    std::string value, const BlockAllocator& alloc) {
   if (path.empty()) return Status::InvalidArgument("empty path");
   std::vector<StagedOp> ops;
 
@@ -161,22 +161,22 @@ Result<std::vector<StagedOp>> BTree::PlanInsert(
   storage::PageOp insert;
   insert.type = storage::PageOpType::kInsert;
   insert.key = key;
-  insert.value = value;
+  insert.value = std::move(value);
   const bool update_in_place = leaf->entries.contains(key);
   if (update_in_place || leaf->entries.size() + 1 <= options_.max_entries) {
-    ops.push_back({leaf->id, insert});
+    ops.push_back({leaf->id, std::move(insert)});
     return ops;
   }
 
   // Split cascade. `pending_key/pending_child` is the router to add to the
   // next level up.
   // Build the merged key list for the leaf.
-  std::vector<std::string> keys;
+  std::vector<std::string_view> keys;
   keys.reserve(leaf->entries.size() + 1);
   for (const auto& [k, v] : leaf->entries) keys.push_back(k);
   keys.insert(std::upper_bound(keys.begin(), keys.end(), key), key);
 
-  std::string pivot = keys[keys.size() / 2];
+  std::string pivot(keys[keys.size() / 2]);
   const BlockId right_block = alloc(&ops);
   if (right_block == kInvalidBlock) {
     return Status::OutOfRange("volume full: grow the volume to continue");
@@ -201,7 +201,7 @@ Result<std::vector<StagedOp>> BTree::PlanInsert(
     }
     // The new key joins whichever side it belongs to — after the format
     // and entry moves, so nothing wipes it.
-    ops.push_back({key >= pivot ? right_block : leaf->id, insert});
+    ops.push_back({key >= pivot ? right_block : leaf->id, std::move(insert)});
     storage::PageOp truncate;
     truncate.type = storage::PageOpType::kTruncateFrom;
     truncate.key = pivot;
@@ -237,13 +237,13 @@ Result<std::vector<StagedOp>> BTree::PlanInsert(
       return ops;
     }
     // Split the internal node.
-    std::vector<std::string> node_keys;
+    std::vector<std::string_view> node_keys;
     node_keys.reserve(node->entries.size() + 1);
     for (const auto& [k, v] : node->entries) node_keys.push_back(k);
     node_keys.insert(
         std::upper_bound(node_keys.begin(), node_keys.end(), pending_key),
         pending_key);
-    std::string node_pivot = node_keys[node_keys.size() / 2];
+    std::string node_pivot(node_keys[node_keys.size() / 2]);
     const BlockId new_right = alloc(&ops);
     if (new_right == kInvalidBlock) {
       return Status::OutOfRange("volume full: grow the volume to continue");

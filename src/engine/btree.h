@@ -113,7 +113,7 @@ class BTree {
   /// the path is stale (caller re-descends).
   Result<std::vector<StagedOp>> PlanInsert(const std::vector<BlockId>& path,
                                            const std::string& key,
-                                           const std::string& value,
+                                           std::string value,
                                            const BlockAllocator& alloc);
 
   /// Reads the raw leaf entry for `key` via an async descent. Delivers

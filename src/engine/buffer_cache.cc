@@ -6,9 +6,7 @@ storage::Page* BufferCache::Find(BlockId block) {
   auto it = pages_.find(block);
   if (it == pages_.end()) return nullptr;
   stats_.hits++;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(block);
-  it->second.lru_it = lru_.begin();
+  Touch(it->second);
   return &it->second.page;
 }
 
@@ -22,9 +20,7 @@ storage::Page* BufferCache::Insert(storage::Page page, Lsn vdl) {
   auto it = pages_.find(block);
   if (it != pages_.end()) {
     it->second.page = std::move(page);
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(block);
-    it->second.lru_it = lru_.begin();
+    Touch(it->second);
     return &it->second.page;
   }
   // Make room BEFORE inserting so the returned pointer cannot be evicted

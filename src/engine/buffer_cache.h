@@ -73,6 +73,12 @@ class BufferCache {
     int pins = 0;
   };
 
+  /// Moves the entry's LRU node to the front; splice re-links the node in
+  /// place, so a cache hit allocates nothing.
+  void Touch(Entry& entry) {
+    lru_.splice(lru_.begin(), lru_, entry.lru_it);
+  }
+
   void TrimTo(size_t target, Lsn vdl);
 
   size_t capacity_;

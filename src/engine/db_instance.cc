@@ -177,9 +177,13 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
   assert(driver_ != nullptr);
   // Latch every page this MTR touches: inserting a fresh page mid-MTR may
   // trigger eviction, and no page the MTR still has to mutate may go.
-  std::set<BlockId> latched;
+  latched_.clear();
   for (const auto& staged : ops) {
-    if (latched.insert(staged.block).second) cache_->Pin(staged.block);
+    if (std::find(latched_.begin(), latched_.end(), staged.block) ==
+        latched_.end()) {
+      latched_.push_back(staged.block);
+      cache_->Pin(staged.block);
+    }
   }
   std::vector<log::RedoRecord> records;
   records.reserve(ops.size());
@@ -234,14 +238,14 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
     (void)st;
     records.push_back(std::move(record));
   }
-  for (BlockId block : latched) cache_->Unpin(block);
+  for (BlockId block : latched_) cache_->Unpin(block);
   const Lsn last = records.back().lsn;
   driver_->SubmitRecords(records);
   if (!replica_sinks_.empty()) {
     ReplicationEvent event;
     event.type = ReplicationEvent::Type::kMtr;
     event.mtr = std::move(records);
-    ShipReplicationEvent(event);
+    ShipReplicationEvent(std::move(event));
   }
   return last;
 }
@@ -380,9 +384,12 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
     // If the current top version belongs to an uncommitted transaction
     // that is not locally active, it is a leftover from a crashed
     // incarnation: roll it back, then retry (§2.4: undo happens after
-    // open, in parallel with user activity).
+    // open, in parallel with user activity). A writer in local commit
+    // history needs no resolve: the write proceeds on this descent,
+    // without the asynchronous lookup and its second descent.
     const TxnId writer = existing->txn;
-    if (!txns_.IsActive(writer)) {
+    if (!txns_.IsActive(writer) &&
+        !txns_.CommitScnOf(writer).has_value()) {
       ResolveCommitScn(writer, [this, txn, key = std::move(key),
                                 value = std::move(value), deleted,
                                 cb = std::move(cb), retries,
@@ -466,7 +473,10 @@ void DbInstance::ApplyWrite(txn::Transaction* txn, const std::string& key,
                             const std::vector<BlockId>& path,
                             std::optional<txn::RowVersion> existing,
                             std::function<void(Status)> cb) {
+  // Room for the common MTR (undo insert + leaf upsert, or a fresh undo
+  // page's format and cursor bump besides) in one allocation.
   std::vector<StagedOp> ops;
+  ops.reserve(4);
   auto undo_ptr = StageUndo(txn, key, existing, &ops);
   if (!undo_ptr.ok()) {
     cb(undo_ptr.status());
@@ -484,7 +494,8 @@ void DbInstance::ApplyWrite(txn::Transaction* txn, const std::string& key,
     cb(plan.status());
     return;
   }
-  ops.insert(ops.end(), plan->begin(), plan->end());
+  ops.insert(ops.end(), std::make_move_iterator(plan->begin()),
+             std::make_move_iterator(plan->end()));
   AppendMtr(ops, txn->id);
   txn->undo_head = version.undo;
   txn->writes.emplace_back(path.back(), key);
@@ -969,15 +980,20 @@ void DbInstance::OnDurabilityAdvance() {
   if (cache_) cache_->TrimToCapacity(current_vdl);
 }
 
-void DbInstance::ShipReplicationEvent(const ReplicationEvent& event) {
+void DbInstance::ShipReplicationEvent(ReplicationEvent event) {
   stats_.replication_events += replica_sinks_.size();
-  ReplicationEvent stamped = event;
-  stamped.shipped_at = sim_->Now();
-  stamped.source = id_;
+  event.shipped_at = sim_->Now();
+  event.source = id_;
+  const uint64_t bytes = event.SerializedSize();
+  size_t left = replica_sinks_.size();
   for (const auto& [replica, deliver] : replica_sinks_) {
+    // Every sink but the last gets a copy; the last takes the event.
+    ReplicationEvent stamped = --left > 0 ? event : std::move(event);
     stamped.seq = ++replica_stream_seq_[replica];
-    network_->Send(id_, replica, stamped.SerializedSize(),
-                   [deliver, stamped]() { deliver(stamped); });
+    network_->Send(id_, replica, bytes,
+                   [deliver, stamped = std::move(stamped)]() mutable {
+                     deliver(std::move(stamped));
+                   });
   }
 }
 

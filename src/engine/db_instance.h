@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -276,7 +275,7 @@ class DbInstance : public sim::NodeLifecycleListener {
   // Commit-path helpers.
   void FinishCommit(TxnId txn, std::function<void(Status)> cb, int retries);
   void OnDurabilityAdvance();
-  void ShipReplicationEvent(const ReplicationEvent& event);
+  void ShipReplicationEvent(ReplicationEvent event);
 
   // Recovery.
   void StartRecovery(std::shared_ptr<RecoveryState> state);
@@ -311,6 +310,9 @@ class DbInstance : public sim::NodeLifecycleListener {
   Lsn next_lsn_ = 1;
   Lsn last_volume_lsn_ = kInvalidLsn;
   std::map<ProtectionGroupId, Lsn> last_pg_lsn_;
+  /// AppendMtr's latched pages, reused across MTRs so a latch allocates
+  /// nothing.
+  std::vector<BlockId> latched_;
 
   // Undo allocation state.
   BlockId current_undo_block_ = kInvalidBlock;

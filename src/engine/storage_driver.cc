@@ -91,33 +91,35 @@ void StorageDriver::SubmitRecords(
 void StorageDriver::SendBatch(SegmentChannel* channel,
                               std::vector<log::RedoRecord> records) {
   if (!running_) return;
-  // The request is shared, not copied, into the RPC closures: the batch
-  // vector (and each record's refcounted payload) crosses the simulated
-  // wire without duplication.
-  auto request = std::make_shared<storage::WriteRequest>();
-  request->segment = channel->info.id;
-  request->epochs = EpochVector{volume_epoch_,
-                                geometry_.Pg(channel->pg).epoch()};
-  request->records = std::move(records);
+  // The request moves into the RPC closure and on into the storage node:
+  // the batch vector (and each record's refcounted payload) crosses the
+  // simulated wire without duplication.
+  storage::WriteRequest request;
+  request.segment = channel->info.id;
+  request.epochs = EpochVector{volume_epoch_,
+                               geometry_.Pg(channel->pg).epoch()};
+  request.records = std::move(records);
   if (pgmrpl_source_) {
     // Never advertise a floor above the group's own completion point
     // (the same clamp ReadBlock applies to its read point).
-    request->pgmrpl = std::min(pgmrpl_source_(), tracker_.pgcl(channel->pg));
+    request.pgmrpl = std::min(pgmrpl_source_(), tracker_.pgcl(channel->pg));
   }
   stats_.write_requests++;
   const SimTime sent_at = sim_->Now();
   const NodeId target = channel->info.node;
+  const uint64_t request_bytes = request.SerializedSize();
   sim::UnaryCall<storage::WriteAck>(
-      network_, self_, target, request->SerializedSize(),
-      [this, target, request](sim::ReplyFn<storage::WriteAck> reply) {
+      network_, self_, target, request_bytes,
+      [this, target, request = std::move(request)](
+          sim::ReplyFn<storage::WriteAck> reply) mutable {
         storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
         if (node == nullptr) {
-          reply(storage::WriteAck{request->segment,
+          reply(storage::WriteAck{request.segment,
                                   Status::Unavailable("unresolved node"),
                                   kInvalidLsn});
           return;
         }
-        node->HandleWrite(*request, std::move(reply));
+        node->HandleWrite(std::move(request), std::move(reply));
       },
       [](const storage::WriteAck& a) { return a.SerializedSize(); },
       [this, channel, sent_at](storage::WriteAck ack) {

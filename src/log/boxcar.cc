@@ -10,6 +10,10 @@ BoxcarBatcher::BoxcarBatcher(sim::Simulator* sim, BoxcarOptions options,
 
 void BoxcarBatcher::Add(RedoRecord record) {
   const bool was_empty = open_batch_.empty();
+  // A batch leaves with its buffer. Size the next one like the last when
+  // it opens, so a batch costs one allocation rather than one per
+  // doubling, and an idle channel holds none.
+  if (was_empty) open_batch_.reserve(last_batch_size_);
   open_bytes_ += record.SerializedSize();
   open_batch_.push_back(std::move(record));
 
@@ -38,6 +42,7 @@ void BoxcarBatcher::Dispatch() {
   if (open_batch_.empty()) return;
   batches_sent_++;
   records_sent_ += open_batch_.size();
+  last_batch_size_ = open_batch_.size();
   std::vector<RedoRecord> batch;
   batch.swap(open_batch_);
   open_bytes_ = 0;

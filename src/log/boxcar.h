@@ -75,6 +75,7 @@ class BoxcarBatcher {
   FlushFn flush_;
   std::vector<RedoRecord> open_batch_;
   uint64_t open_bytes_ = 0;
+  size_t last_batch_size_ = 1;
   sim::EventId pending_dispatch_ = sim::kInvalidEvent;
   uint64_t batches_sent_ = 0;
   uint64_t records_sent_ = 0;

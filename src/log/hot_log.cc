@@ -1,6 +1,7 @@
 #include "src/log/hot_log.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 namespace aurora::log {
@@ -160,9 +161,11 @@ bool SegmentHotLog::CorruptPayloadForTest(Lsn lsn) {
   // Copy-on-write: the payload buffer is shared with every other holder
   // of this record (peers, retransmission buffers, the archive); only
   // this segment's copy may go bad.
-  std::string bytes(record->payload.view());
-  bytes[0] = static_cast<char>(bytes[0] ^ 0x40);
-  record->payload = Payload(std::move(bytes));
+  const std::string_view bytes = record->payload.view();
+  record->payload = Payload::Build(bytes.size(), [&](char* out) {
+    std::memcpy(out, bytes.data(), bytes.size());
+    out[0] = static_cast<char>(out[0] ^ 0x40);
+  });
   return true;
 }
 

@@ -153,7 +153,7 @@ Result<RedoRecord> DecodeRecord(std::string_view encoded) {
   if (encoded.size() != kHeaderSize + payload_len + 4) {
     return Status::Corruption("record length mismatch");
   }
-  rec.payload = std::string(p + kHeaderSize, payload_len);
+  rec.payload = std::string_view(p + kHeaderSize, payload_len);
   const uint32_t stored_crc = GetU32(p + kHeaderSize + payload_len);
   const uint32_t computed_crc = Crc32c(p, kHeaderSize + payload_len);
   if (stored_crc != computed_crc) {

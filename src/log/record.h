@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -21,41 +21,117 @@
 
 namespace aurora::log {
 
-/// Refcounted immutable record payload.
+/// Refcounted immutable record payload: one heap block per payload.
 ///
 /// A redo record fans out to many holders on the hot path — six segment
 /// boxcars, the driver's retransmission buffer, the wire message, each
-/// segment's hot log, gossip replies, replication streams, the archive.
-/// All of them share ONE immutable buffer; copying a record bumps a
-/// refcount instead of duplicating bytes. Construction from std::string is
-/// implicit so producers keep writing `record.payload = EncodePageOp(op)`.
+/// segment's hot log, gossip replies, replication streams, the archive —
+/// and every page entry the record writes views its key and value bytes
+/// (storage/page.h). All of them share ONE immutable buffer; copying a
+/// record bumps a refcount instead of duplicating bytes.
+///
+/// The handle is a single pointer to a block laid out as a `{refs, size}`
+/// header followed by the bytes, so a payload costs one allocation and
+/// one pointer per holder (no separate control block). The refcount is a
+/// plain integer, not an atomic: the simulator and every component it
+/// drives run on one thread, and the `thread` sanitizer build
+/// (scripts/check.sh) is the tripwire should a change ever share a
+/// payload across threads. Construction from bytes is implicit and copies
+/// them once; producers that know the final size write straight into a
+/// fresh block with Build().
 class Payload {
  public:
   Payload() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): payloads ARE strings.
-  Payload(std::string bytes)
-      : bytes_(bytes.empty() ? nullptr
-                             : std::make_shared<const std::string>(
-                                   std::move(bytes))) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): payloads ARE byte strings.
+  Payload(std::string_view bytes) {
+    if (!bytes.empty()) {
+      block_ = Allocate(bytes.size());
+      std::memcpy(Bytes(block_), bytes.data(), bytes.size());
+    }
+  }
   // NOLINTNEXTLINE(google-explicit-constructor)
-  Payload(const char* bytes) : Payload(std::string(bytes)) {}
+  Payload(const std::string& bytes) : Payload(std::string_view(bytes)) {}
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Payload(const char* bytes) : Payload(std::string_view(bytes)) {}
+
+  /// A payload of exactly `size` bytes that `fill(char*)` writes before
+  /// the handle is returned, i.e. before any other holder can see it.
+  template <typename Fill>
+  static Payload Build(size_t size, Fill&& fill) {
+    Payload out;
+    if (size > 0) {
+      out.block_ = Allocate(size);
+      fill(Bytes(out.block_));
+    }
+    return out;
+  }
+
+  Payload(const Payload& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) ++block_->refs;
+  }
+  Payload(Payload&& other) noexcept : block_(other.block_) {
+    other.block_ = nullptr;
+  }
+  Payload& operator=(const Payload& other) noexcept {
+    // Take the new reference before dropping the old: safe on
+    // self-assignment.
+    Block* incoming = other.block_;
+    if (incoming != nullptr) ++incoming->refs;
+    Release();
+    block_ = incoming;
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      Release();
+      block_ = other.block_;
+      other.block_ = nullptr;
+    }
+    return *this;
+  }
+  ~Payload() { Release(); }
 
   std::string_view view() const {
-    return bytes_ ? std::string_view(*bytes_) : std::string_view();
+    return block_ != nullptr ? std::string_view(Bytes(block_), block_->size)
+                             : std::string_view();
   }
-  size_t size() const { return bytes_ ? bytes_->size() : 0; }
-  bool empty() const { return size() == 0; }
-  const char* data() const { return bytes_ ? bytes_->data() : nullptr; }
-  char operator[](size_t i) const { return (*bytes_)[i]; }
+  size_t size() const { return block_ != nullptr ? block_->size : 0; }
+  bool empty() const { return block_ == nullptr; }
+  const char* data() const {
+    return block_ != nullptr ? Bytes(block_) : nullptr;
+  }
+  char operator[](size_t i) const { return data()[i]; }
+  /// Holders sharing this buffer (0 for an empty payload).
+  uint32_t use_count() const { return block_ != nullptr ? block_->refs : 0; }
 
   /// Content equality (not pointer identity): decoded copies of the same
   /// record must compare equal to the original.
   bool operator==(const Payload& other) const {
-    return bytes_ == other.bytes_ || view() == other.view();
+    return block_ == other.block_ || view() == other.view();
   }
 
  private:
-  std::shared_ptr<const std::string> bytes_;
+  struct Block {
+    uint32_t refs;
+    uint32_t size;  // the record format's payload length is 32 bits too
+  };
+
+  static Block* Allocate(size_t size) {
+    auto* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
+    block->refs = 1;
+    block->size = static_cast<uint32_t>(size);
+    return block;
+  }
+  static char* Bytes(Block* block) {
+    return reinterpret_cast<char*>(block + 1);
+  }
+
+  void Release() {
+    if (block_ != nullptr && --block_->refs == 0) ::operator delete(block_);
+    block_ = nullptr;
+  }
+
+  Block* block_ = nullptr;
 };
 
 /// What kind of change a record carries.
@@ -113,8 +189,9 @@ struct RedoRecord {
   std::string ToString() const;
 };
 
-// `crc` sits in the padding after `pg`: sealing costs no record bytes.
-static_assert(sizeof(RedoRecord) == 80, "RedoRecord grew");
+// `crc` sits in the padding after `pg`: sealing costs no record bytes, and
+// the payload is one pointer.
+static_assert(sizeof(RedoRecord) == 72, "RedoRecord grew");
 
 /// Serializes a record with a trailing CRC-32C of its body: the same value
 /// Seal() stores in `crc`.

@@ -6,28 +6,29 @@ namespace aurora::storage {
 
 namespace {
 
-void PutU16(std::string& out, uint16_t v) {
-  char buf[2];
-  std::memcpy(buf, &v, 2);
-  out.append(buf, 2);
-}
+/// Appends fixed-width fields to a buffer sized up front (no bounds
+/// checks: EncodePageOp computes the exact size first).
+class Writer {
+ public:
+  explicit Writer(char* out) : out_(out) {}
 
-void PutU32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
+  void Byte(uint8_t v) { *out_++ = static_cast<char>(v); }
+  void U16(uint16_t v) { Raw(&v, 2); }
+  void U32(uint32_t v) { Raw(&v, 4); }
+  void U64(uint64_t v) { Raw(&v, 8); }
+  void String(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
 
-void PutU64(std::string& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
+ private:
+  void Raw(const void* p, size_t n) {
+    std::memcpy(out_, p, n);
+    out_ += n;
+  }
 
-void PutString(std::string& out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out.append(s);
-}
+  char* out_;
+};
 
 class Reader {
  public:
@@ -76,16 +77,20 @@ std::string Page::ToString() const {
   return out;
 }
 
-std::string EncodePageOp(const PageOp& op) {
-  std::string out;
-  out.push_back(static_cast<char>(op.type));
-  out.push_back(static_cast<char>(op.page_type));
-  PutU16(out, op.level);
-  PutU64(out, op.next);
-  PutU64(out, op.prev);
-  PutString(out, op.key);
-  PutString(out, op.value);
-  return out;
+log::Payload EncodePageOp(const PageOp& op) {
+  // type, page_type, level, next, prev, then two length-prefixed strings.
+  const size_t size = 1 + 1 + 2 + 8 + 8 + 4 + op.key.size() + 4 +
+                      op.value.size();
+  return log::Payload::Build(size, [&op](char* out) {
+    Writer writer(out);
+    writer.Byte(static_cast<uint8_t>(op.type));
+    writer.Byte(static_cast<uint8_t>(op.page_type));
+    writer.U16(op.level);
+    writer.U64(op.next);
+    writer.U64(op.prev);
+    writer.String(op.key);
+    writer.String(op.value);
+  });
 }
 
 Result<PageOpView> DecodePageOp(std::string_view payload) {

@@ -10,11 +10,11 @@
 //
 // Pages are B+-tree nodes: sorted key→value entries plus header fields.
 // Values are opaque to storage; the transaction layer encodes row versions
-// (txn id + undo pointer) inside them. A value is not copied out of the
-// redo record that wrote it: the entry holds a view into that record's
-// immutable, refcounted payload and co-owns the buffer, so the six
-// segments, the writer cache and every replica cache that apply one
-// record all share its bytes.
+// (txn id + undo pointer) inside them. Neither key nor value is copied out
+// of the redo record that wrote it: the entry holds two views into that
+// record's immutable, refcounted payload and co-owns the buffer, so the
+// six segments, the writer cache and every replica cache that apply one
+// record all share its bytes, and applying an insert allocates nothing.
 
 #pragma once
 
@@ -24,6 +24,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,22 +38,47 @@ namespace aurora::storage {
 struct Page;
 Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn);
 
-/// Sorted key→value entry set whose values alias redo payloads.
+/// Sorted key→value entry set whose keys and values alias redo payloads.
 ///
 /// The storage nodes retain several materialized versions of each block
 /// (MVCC reads, §3.1), and every holder of a block applies the same redo.
-/// Keys sit inline in a sorted vector (short keys need no allocation) and
-/// each value is a string_view into the payload of the record that wrote
-/// it; a parallel vector holds one payload handle per entry, so the entry
-/// keeps those bytes alive after the record leaves the hot log. Applying an
-/// insert stores one handle and copies no value bytes; copying a version
-/// copies keys and handles, never values. The map-like read interface
-/// (find/at/contains/lower_bound/upper_bound/ordered iteration) keeps the
-/// B-tree and the buffer cache representation-agnostic; mutation happens
-/// only through ApplyRedoPayload.
+/// Each entry is two string_views — key and value — into the payload of
+/// the record that wrote it, plus that payload's handle, so the entry keeps
+/// those bytes alive after the record leaves the hot log: 40 B per entry
+/// in one sorted vector. Applying an insert stores views and one handle
+/// and copies no bytes; copying a version copies views and bumps
+/// refcounts. Key, value and owner always change together: an entry whose
+/// owner is replaced must not keep a view into the old buffer. The
+/// map-like read interface (find/at/contains/lower_bound/upper_bound/
+/// ordered iteration over (key, value) pairs) keeps the B-tree and the
+/// buffer cache representation-agnostic; mutation happens only through
+/// ApplyRedoPayload.
 class PageEntries {
  public:
-  using Entry = std::pair<std::string, std::string_view>;
+  /// Reads as a (key, value) pair: `it->first`, `it->second`, or
+  /// `const auto& [key, value]`. The owner stays private to PageEntries.
+  class Entry {
+   public:
+    std::string_view first;   // key
+    std::string_view second;  // value
+
+    template <size_t I>
+    const std::string_view& get() const {
+      if constexpr (I == 0) {
+        return first;
+      } else {
+        return second;
+      }
+    }
+
+   private:
+    friend class PageEntries;
+    Entry(std::string_view key, std::string_view value,
+          const log::Payload& owner)
+        : first(key), second(value), owner_(owner) {}
+
+    log::Payload owner_;  // the buffer both views point into
+  };
   using const_iterator = std::vector<Entry>::const_iterator;
 
   const_iterator begin() const { return entries_.begin(); }
@@ -83,24 +110,27 @@ class PageEntries {
 
   /// Content equality: same keys and value bytes, wherever they live.
   bool operator==(const PageEntries& other) const {
-    return entries_ == other.entries_;
+    return std::equal(entries_.begin(), entries_.end(),
+                      other.entries_.begin(), other.entries_.end(),
+                      [](const Entry& a, const Entry& b) {
+                        return a.first == b.first && a.second == b.second;
+                      });
   }
 
  private:
   friend Status ApplyRedoPayload(Page* page, const log::Payload& payload,
                                  Lsn lsn);
 
-  /// Inserts or replaces one entry; `value` lies inside `owner`'s bytes.
+  /// Inserts or replaces one entry; `key` and `value` lie inside
+  /// `owner`'s bytes. A replaced entry re-points both views and its owner.
   void Upsert(std::string_view key, std::string_view value,
               const log::Payload& owner) {
     const size_t i = LowerBoundIndex(key);
     if (i < entries_.size() && entries_[i].first == key) {
-      entries_[i].second = value;
-      owners_[i] = owner;
+      entries_[i] = Entry(key, value, owner);
       return;
     }
-    entries_.emplace(entries_.begin() + i, std::string(key), value);
-    owners_.insert(owners_.begin() + i, owner);
+    entries_.insert(entries_.begin() + i, Entry(key, value, owner));
   }
 
   /// Removes one entry (no-op if absent; idempotent application).
@@ -108,21 +138,15 @@ class PageEntries {
     const size_t i = LowerBoundIndex(key);
     if (i < entries_.size() && entries_[i].first == key) {
       entries_.erase(entries_.begin() + i);
-      owners_.erase(owners_.begin() + i);
     }
   }
 
   /// Removes all entries with key >= pivot (split: donor side).
   void TruncateFrom(std::string_view pivot) {
-    const size_t i = LowerBoundIndex(pivot);
-    entries_.resize(i);
-    owners_.resize(i);
+    entries_.erase(entries_.begin() + LowerBoundIndex(pivot), entries_.end());
   }
 
-  void clear() {
-    entries_.clear();
-    owners_.clear();
-  }
+  void clear() { entries_.clear(); }
 
   size_t LowerBoundIndex(std::string_view key) const {
     auto it = std::lower_bound(
@@ -132,9 +156,9 @@ class PageEntries {
   }
 
   std::vector<Entry> entries_;
-  /// owners_[i] holds the payload entries_[i].second points into.
-  std::vector<log::Payload> owners_;
 };
+
+static_assert(sizeof(PageEntries::Entry) == 40, "page entry grew");
 
 /// What role a page plays in the access method.
 enum class PageType : uint8_t {
@@ -200,17 +224,26 @@ struct PageOpView {
   BlockId prev = kInvalidBlock;
 };
 
-/// Serializes a PageOp into a redo payload.
-std::string EncodePageOp(const PageOp& op);
+/// Serializes a PageOp straight into a redo payload of exactly its size.
+log::Payload EncodePageOp(const PageOp& op);
 
 /// Decodes a redo payload without copying or allocating; Corruption on
 /// malformed input.
 Result<PageOpView> DecodePageOp(std::string_view payload);
 
 /// Decodes `payload` and applies it to `page`, stamping `lsn` as the new
-/// page_lsn. An inserted value stays a view into `payload`, which the
-/// page co-owns. The caller is responsible for ordering (prev_lsn_block
+/// page_lsn. An inserted key and value stay views into `payload`, which
+/// the page co-owns. The caller is responsible for ordering (prev_lsn_block
 /// chain); application itself is deterministic and total.
 Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn);
 
 }  // namespace aurora::storage
+
+// An entry binds as `const auto& [key, value]`.
+template <>
+struct std::tuple_size<aurora::storage::PageEntries::Entry>
+    : std::integral_constant<size_t, 2> {};
+template <size_t I>
+struct std::tuple_element<I, aurora::storage::PageEntries::Entry> {
+  using type = const std::string_view;
+};

@@ -103,7 +103,7 @@ void StorageNode::DropSegment(SegmentId segment) {
   segments_.erase(it);
 }
 
-void StorageNode::HandleWrite(const WriteRequest& request,
+void StorageNode::HandleWrite(WriteRequest request,
                               sim::ReplyFn<WriteAck> reply) {
   SegmentStore* segment = FindSegment(request.segment);
   if (segment == nullptr) {
@@ -122,21 +122,21 @@ void StorageNode::HandleWrite(const WriteRequest& request,
   // scheduler decides when it reaches the disk (DESIGN.md §11). The
   // durable append to the update queue is the only synchronous cost on
   // the ack path (§2.1 activities 1-3).
-  EnqueueTenantWrite(segment, request, std::move(reply));
+  EnqueueTenantWrite(segment, std::move(request), std::move(reply));
 }
 
 void StorageNode::EnqueueTenantWrite(SegmentStore* segment,
-                                     const WriteRequest& request,
+                                     WriteRequest request,
                                      sim::ReplyFn<WriteAck> reply) {
   TenantState& tenant = tenants_[segment->volume()];
-  TenantWrite entry;
-  entry.request = request;
-  entry.reply = std::move(reply);
   uint64_t cost = 0;
   for (const auto& r : request.records) cost += r.SerializedSize();
+  tenant.stats.records += request.records.size();
+  TenantWrite entry;
+  entry.request = std::move(request);
+  entry.reply = std::move(reply);
   entry.cost = std::max<uint64_t>(cost, 1);
   tenant.queue.push_back(std::move(entry));
-  tenant.stats.records += request.records.size();
   tenant.stats.bytes += cost;
   tenant.stats.queue_depth = tenant.queue.size();
   if (!drain_active_) {

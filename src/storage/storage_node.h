@@ -105,8 +105,9 @@ class StorageNode : public sim::NodeLifecycleListener {
   }
 
   // -- RPC handlers (invoked at this node after request delivery) --------
-  void HandleWrite(const WriteRequest& request,
-                   sim::ReplyFn<WriteAck> reply);
+  /// Takes the request by value: the driver moves its batch in, so the
+  /// records reach the tenant queue and the disk without a copy.
+  void HandleWrite(WriteRequest request, sim::ReplyFn<WriteAck> reply);
   void HandleReadPage(const ReadPageRequest& request,
                       sim::ReplyFn<ReadPageResponse> reply);
   void HandleSegmentState(const SegmentStateRequest& request,
@@ -162,7 +163,7 @@ class StorageNode : public sim::NodeLifecycleListener {
     TenantStats stats;
   };
 
-  void EnqueueTenantWrite(SegmentStore* segment, const WriteRequest& request,
+  void EnqueueTenantWrite(SegmentStore* segment, WriteRequest request,
                           sim::ReplyFn<WriteAck> reply);
   /// DRR scan: serves the next affordable head-of-queue request, earning
   /// quanta for backlogged tenants whose turn comes up short.

@@ -42,6 +42,12 @@ struct Reader {
   }
 };
 
+/// Encoded bytes of a RowVersion: txn, deleted flag, length-prefixed
+/// value, undo block, length-prefixed undo key.
+size_t RowVersionSize(const RowVersion& version) {
+  return 8 + 1 + 8 + version.value.size() + 8 + 8 + version.undo.key.size();
+}
+
 void EncodeRowVersionTo(std::string& out, const RowVersion& version) {
   PutU64(out, version.txn);
   out.push_back(version.deleted ? 1 : 0);
@@ -66,6 +72,7 @@ bool DecodeRowVersionFrom(Reader& reader, RowVersion* version) {
 
 std::string EncodeRowVersion(const RowVersion& version) {
   std::string out;
+  out.reserve(RowVersionSize(version));
   EncodeRowVersionTo(out, version);
   return out;
 }
@@ -82,6 +89,8 @@ Result<RowVersion> DecodeRowVersion(std::string_view encoded) {
 
 std::string EncodeUndoEntry(const UndoEntry& entry) {
   std::string out;
+  out.reserve(8 + entry.row_key.size() + 1 + RowVersionSize(entry.prev) + 8 +
+              8 + entry.next.key.size());
   PutString(out, entry.row_key);
   out.push_back(entry.prev_exists ? 1 : 0);
   EncodeRowVersionTo(out, entry.prev);

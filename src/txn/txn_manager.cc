@@ -39,18 +39,18 @@ void TxnManager::MarkCommitting(TxnId id, Scn scn) {
 }
 
 void TxnManager::MarkCommitted(TxnId id) {
-  Transaction* txn = Find(id);
-  assert(txn != nullptr);
-  if (txn->state == TxnState::kCommitted) return;
-  assert(txn->state == TxnState::kCommitting);
-  txn->state = TxnState::kCommitted;
+  auto it = txns_.find(id);
+  if (it == txns_.end()) return;  // already committed and forgotten
+  assert(it->second.state == TxnState::kCommitting);
+  // commit_history_ keeps the SCN; the rest of the record is done with.
+  txns_.erase(it);
   committed_++;
 }
 
 void TxnManager::MarkAborted(TxnId id) {
-  Transaction* txn = Find(id);
-  assert(txn != nullptr);
-  txn->state = TxnState::kAborted;
+  const size_t erased = txns_.erase(id);
+  assert(erased == 1);
+  (void)erased;
   active_.erase(id);
   aborted_++;
 }

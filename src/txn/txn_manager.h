@@ -27,12 +27,12 @@
 
 namespace aurora::txn {
 
+/// A transaction the manager still holds: once committed or aborted it is
+/// forgotten, and commit history answers for its SCN.
 enum class TxnState {
   kActive,
   /// Commit record written; awaiting VCL >= SCN before acknowledgement.
   kCommitting,
-  kCommitted,
-  kAborted,
 };
 
 struct Transaction {
@@ -55,6 +55,8 @@ class TxnManager {
   /// Starts a transaction.
   Transaction* Begin(SimTime now);
 
+  /// Active or committing transactions only; null once committed or
+  /// aborted.
   Transaction* Find(TxnId id);
   const Transaction* Find(TxnId id) const;
 
@@ -69,9 +71,11 @@ class TxnManager {
   /// read anchors (SCN <= view LSN implies durable AND committed).
   void MarkCommitting(TxnId id, Scn scn);
 
-  /// VCL has passed the SCN: commit is acknowledgeable.
+  /// VCL has passed the SCN: commit is acknowledgeable. The transaction
+  /// is forgotten (Find returns null); its SCN stays in commit history.
   void MarkCommitted(TxnId id);
 
+  /// Rolled back: the transaction is forgotten (Find returns null).
   void MarkAborted(TxnId id);
 
   /// Commit SCN of `id`, if it ever committed (commit history).

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -295,6 +297,60 @@ TEST(RecordPayload, CopiesShareOneBuffer) {
   EXPECT_EQ(fanout_copy.payload.data(), rec.payload.data())
       << "record copies must alias the payload, not duplicate it";
   EXPECT_EQ(fanout_copy, rec);
+}
+
+TEST(RecordPayload, CopyMoveAndSelfAssignKeepOneOwnerCount) {
+  // One heap block per payload: copies bump its plain count, moves hand
+  // it over, and the last owner frees it (the AddressSanitizer build turns
+  // a missed free into a leak report and an early one into a
+  // use-after-free).
+  Payload a(std::string(100, 'x'));
+  const char* bytes = a.data();
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(a.size(), 100u);
+  {
+    Payload b = a;
+    EXPECT_EQ(b.data(), bytes);
+    EXPECT_EQ(a.use_count(), 2u);
+    Payload c = std::move(b);
+    EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b.use_count(), 0u);
+    EXPECT_EQ(c.data(), bytes);
+    EXPECT_EQ(a.use_count(), 2u);
+    Payload& alias = c;
+    c = alias;  // self copy-assignment
+    EXPECT_EQ(c.data(), bytes);
+    EXPECT_EQ(a.use_count(), 2u);
+    c = std::move(alias);  // self move-assignment
+    EXPECT_EQ(c.data(), bytes);
+    EXPECT_EQ(a.use_count(), 2u);
+    Payload d("other");
+    d = c;  // copy over a sole owner frees the old block
+    EXPECT_EQ(a.use_count(), 3u);
+    d = Payload();
+    EXPECT_EQ(a.use_count(), 2u);
+  }
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(a.view(), std::string(100, 'x'));
+  a = Payload("y");  // the last owner frees the first buffer
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(a.view(), "y");
+
+  // Empty payloads own no block.
+  EXPECT_TRUE(Payload().empty());
+  EXPECT_TRUE(Payload(std::string()).empty());
+  EXPECT_EQ(Payload().data(), nullptr);
+  EXPECT_EQ(Payload(std::string()).use_count(), 0u);
+}
+
+TEST(RecordPayload, BuildFillsOneExactlySizedBlock) {
+  const Payload built = Payload::Build(5, [](char* out) {
+    for (int i = 0; i < 5; ++i) out[i] = static_cast<char>('a' + i);
+  });
+  EXPECT_EQ(built.view(), "abcde");
+  EXPECT_EQ(built.use_count(), 1u);
+  EXPECT_EQ(built, Payload("abcde")) << "equality is by content";
+  EXPECT_TRUE(Payload::Build(0, [](char*) { FAIL(); }).empty());
 }
 
 TEST(HotLog, TotalBytesTracksContents) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/cluster.h"
 
 namespace aurora {
@@ -44,6 +47,48 @@ TEST(Mvcc, LongVersionChainResolvesAtEveryAnchor) {
   EXPECT_GT(writer->stats().undo_chain_walks, 25u);
   ASSERT_TRUE(cluster.CommitBlocking(old_reader).ok());
   EXPECT_EQ(*cluster.GetBlocking("deep"), "v30");
+}
+
+TEST(Mvcc, FinishedTransactionsAreForgotten) {
+  core::AuroraCluster cluster(Options(96));
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  auto* writer = cluster.writer();
+  // 40 commits over 10 keys: from the second round on, each write lands
+  // on a version whose writer is already gone from the transaction table,
+  // so commit history alone must vouch for it.
+  std::vector<TxnId> committed;
+  for (int i = 0; i < 40; ++i) {
+    const TxnId txn = writer->Begin();
+    bool put = false;
+    writer->Put(txn, "f" + std::to_string(i % 10), "v" + std::to_string(i),
+                [&](Status st) {
+                  ASSERT_TRUE(st.ok()) << st.ToString();
+                  put = true;
+                });
+    ASSERT_TRUE(cluster.RunUntil([&]() { return put; }));
+    ASSERT_TRUE(cluster.CommitBlocking(txn).ok());
+    committed.push_back(txn);
+  }
+  const TxnId rolled_back = writer->Begin();
+  bool put = false;
+  writer->Put(rolled_back, "f0", "never", [&](Status st) {
+    ASSERT_TRUE(st.ok());
+    put = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return put; }));
+  ASSERT_TRUE(cluster.RollbackBlocking(rolled_back).ok());
+
+  for (TxnId txn : committed) {
+    EXPECT_EQ(writer->txns().Find(txn), nullptr) << txn;
+    EXPECT_TRUE(writer->txns().CommitScnOf(txn).has_value()) << txn;
+  }
+  EXPECT_EQ(writer->txns().Find(rolled_back), nullptr);
+  EXPECT_EQ(writer->txns().ActiveCount(), 0u);
+  for (int k = 0; k < 10; ++k) {
+    auto value = cluster.GetBlocking("f" + std::to_string(k));
+    ASSERT_TRUE(value.ok()) << k << ": " << value.status().ToString();
+    EXPECT_EQ(*value, "v" + std::to_string(30 + k));
+  }
 }
 
 TEST(Mvcc, UndoPageRolloverWithinOneTransaction) {

@@ -305,9 +305,10 @@ TEST(Replica, ReadBelowWriterFloorOfTrailingGroupIsServed) {
 
 TEST(Replica, OneWriteIsOneBufferOnEveryHolder) {
   // §2.2: the six segments, the writer's cache and a replica's cache all
-  // apply the same redo. A page value is a view into the payload of the
-  // record that wrote it, so one write's bytes live once in memory, and
-  // the pages keep them alive after the record leaves every hot log.
+  // apply the same redo. A page entry's key and value are views into the
+  // payload of the record that wrote it, so one write's bytes live once in
+  // memory, and the pages keep them alive after the record leaves every
+  // hot log.
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());
   ASSERT_TRUE(cluster.PutBlocking("warm", "x").ok());
@@ -374,12 +375,15 @@ TEST(Replica, OneWriteIsOneBufferOnEveryHolder) {
   }
   cluster.RunFor(3 * kSecond);
 
+  // Key and value alike lie inside the record's one buffer.
   auto inside_payload = [&](const storage::Page& page) {
     auto it = page.entries.find(key);
     if (it == page.entries.end()) return false;
-    const std::string_view v = it->second;
-    return v.data() >= payload.data() &&
-           v.data() + v.size() <= payload.data() + payload.size();
+    auto inside = [&](std::string_view v) {
+      return v.data() >= payload.data() &&
+             v.data() + v.size() <= payload.data() + payload.size();
+    };
+    return inside(it->first) && inside(it->second);
   };
   writer_leaf = leaf_of(cluster.writer()->cache());
   ASSERT_NE(writer_leaf, nullptr);

@@ -83,7 +83,9 @@ TEST(PageOps, CodecRoundTrip) {
   op.value = std::string("\x00\x01", 2);
   op.next = 42;
   op.prev = 41;
-  const std::string encoded = EncodePageOp(op);
+  const log::Payload payload = EncodePageOp(op);
+  EXPECT_EQ(payload.use_count(), 1u) << "one fresh block, exactly sized";
+  const std::string_view encoded = payload.view();
   auto decoded = DecodePageOp(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->type, op.type);
@@ -105,7 +107,7 @@ TEST(PageOps, CodecRoundTrip) {
 TEST(PageOps, DecodeRejectsGarbage) {
   EXPECT_TRUE(DecodePageOp("").status().IsCorruption());
   EXPECT_TRUE(DecodePageOp("zz").status().IsCorruption());
-  std::string bad = EncodePageOp(InsertOp("k", "v"));
+  std::string bad(EncodePageOp(InsertOp("k", "v")).view());
   bad.resize(bad.size() - 1);
   EXPECT_TRUE(DecodePageOp(bad).status().IsCorruption());
   Page page;
@@ -318,6 +320,48 @@ TEST(SegmentStore, GcRequiresBackupAndCoalesce) {
   EXPECT_EQ(store.hot_log().RecordCount(), 0u);
   // Reads still work from materialized versions.
   EXPECT_TRUE(store.ReadPage(7, 2).ok());
+}
+
+TEST(SegmentStore, OverwrittenEntryOutlivesItsOldRecord) {
+  // An entry's key and value both view the payload of the record that
+  // last wrote them. Overwrite a key, then evict the first record from the
+  // hot log and fold it away: no page may still point into its buffer,
+  // and the entry reads back from the overwriting record's bytes. (Under
+  // AddressSanitizer a stale key or value view is a use-after-free.)
+  auto store = MakeStore();
+  const std::string key = "a key too long for any small-string buffer";
+  log::RedoRecord first = DataRecord(2, 1, 7, 1, InsertOp(key, "old value"));
+  log::RedoRecord second = DataRecord(3, 2, 7, 2, InsertOp(key, "new value"));
+  log::Payload old_payload = first.payload;
+  const log::Payload new_payload = second.payload;
+  ASSERT_TRUE(
+      store.Append({DataRecord(1, 0, 7, 0, FormatOp()), first, second}).ok());
+  first = log::RedoRecord();
+  second = log::RedoRecord();
+
+  store.MarkBackedUp(3);
+  store.ObservePgmrpl(3);
+  EXPECT_EQ(store.CoalesceStep(100), 3u);
+  store.GarbageCollect();
+  EXPECT_EQ(store.hot_log().RecordCount(), 0u) << "not evicted";
+  EXPECT_EQ(store.OldestPendingLsn(), kInvalidLsn) << "not folded";
+  EXPECT_EQ(store.VersionCount(7), 1u);
+  EXPECT_EQ(old_payload.use_count(), 1u)
+      << "the folded version still co-owns the overwritten record";
+  old_payload = log::Payload();  // last owner: the old buffer is freed
+
+  auto page = store.ReadPage(7, 3);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  auto it = page->entries.find(key);
+  ASSERT_NE(it, page->entries.end());
+  EXPECT_EQ(it->first, key);
+  EXPECT_EQ(it->second, "new value");
+  const auto inside_new = [&](std::string_view v) {
+    return v.data() >= new_payload.data() &&
+           v.data() + v.size() <= new_payload.data() + new_payload.size();
+  };
+  EXPECT_TRUE(inside_new(it->first)) << "key still views the old record";
+  EXPECT_TRUE(inside_new(it->second)) << "value still views the old record";
 }
 
 TEST(SegmentStore, VersionGcKeepsNewestAtOrBelowPgmrpl) {

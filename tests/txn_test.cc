@@ -97,14 +97,22 @@ TEST(TxnManager, LifecycleAndActiveSet) {
   Transaction* t2 = manager.Begin(0);
   EXPECT_EQ(manager.ActiveSet(), (std::set<TxnId>{t1->id, t2->id}));
 
-  manager.MarkCommitting(t1->id, 55);
-  EXPECT_EQ(manager.ActiveSet(), (std::set<TxnId>{t2->id}));
+  const TxnId id1 = t1->id;
+  const TxnId id2 = t2->id;
+  manager.MarkCommitting(id1, 55);
+  EXPECT_EQ(manager.ActiveSet(), (std::set<TxnId>{id2}));
   EXPECT_EQ(t1->state, TxnState::kCommitting);
-  manager.MarkCommitted(t1->id);
-  EXPECT_EQ(t1->state, TxnState::kCommitted);
+  manager.MarkCommitted(id1);
+  // A finished transaction is forgotten; commit history keeps its SCN.
+  EXPECT_EQ(manager.Find(id1), nullptr);
+  EXPECT_EQ(manager.CommitScnOf(id1), std::optional<Scn>(55));
+  EXPECT_EQ(manager.committed(), 1u);
+  manager.MarkCommitted(id1);  // a repeated ack is a no-op
   EXPECT_EQ(manager.committed(), 1u);
 
-  manager.MarkAborted(t2->id);
+  manager.MarkAborted(id2);
+  EXPECT_EQ(manager.Find(id2), nullptr);
+  EXPECT_FALSE(manager.CommitScnOf(id2).has_value());
   EXPECT_TRUE(manager.ActiveSet().empty());
   EXPECT_EQ(manager.aborted(), 1u);
 }
