@@ -17,6 +17,9 @@
 # suite (fixed seeds; see tests/chaos_campaign_test.cc) instead of the full
 # ctest matrix. Combine with configs to widen it: `--campaign undefined`.
 #
+# The plain config builds with -Werror, so a new warning under the repo's
+# -Wall -Wextra fails the gate.
+#
 # Build trees live under build-check/<config> so they never disturb an
 # existing ./build directory.
 
@@ -52,7 +55,7 @@ run_config() {
   local dir="build-check/${config}"
   local -a cmake_args=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
   case "${config}" in
-    plain) ;;
+    plain) cmake_args+=(-DCMAKE_CXX_FLAGS=-Werror) ;;
     address|undefined|thread) cmake_args+=("-DAURORA_SANITIZE=${config}") ;;
     *)
       echo "unknown config '${config}' (want plain, address, undefined," \

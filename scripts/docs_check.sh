@@ -23,6 +23,10 @@
 #      perfbench/): a field nothing sets is a file-local constant in the
 #      .cc that reads it, not a knob. Paper geometry lives in
 #      src/quorum/geometry.h.
+#   6. Every public member function declared in a src/ header class must
+#      be named somewhere besides its declaration and its out-of-line
+#      definition (src/, tests/, bench/, examples/, tools/, perfbench/):
+#      an accessor nothing calls is code to read and keep, not API.
 #
 # Run from anywhere; registered as a ctest so every suite run enforces it.
 
@@ -211,6 +215,78 @@ if [[ -n "${unset_options}" ]]; then
   fail=1
 fi
 
+# ---- 6. no uncalled public member functions -----------------------------
+
+# Declarations as `file:line name`: a line at a class body's top level,
+# in a public section, outside any open parenthesis, shaped `<type> Name(`
+# (constructors, destructors and operators skipped; a type with an
+# unclosed `<` is a std::function member, not a method). The awk tracks
+# braces and parentheses only, so the parse is a regex, not a compiler.
+public_methods="$(
+  find src -name '*.h' -print0 | xargs -0 awk '
+    FNR == 1 { depth = 0; parens = 0; n = 0 }
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      if (n > 0 && depth == body[n] && parens == 0) {
+        if (line ~ /^[[:space:]]*public:/) access[n] = "public"
+        else if (line ~ /^[[:space:]]*(private|protected):/) access[n] = "private"
+        else if (access[n] == "public" &&
+                 line !~ /^[[:space:]]*(using|typedef|friend|return|template)[[:space:]]/ &&
+                 match(line, /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>,*& ]*[[:space:]*&]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*\(/)) {
+          decl = substr(line, RSTART, RLENGTH)
+          sub(/[[:space:]]*\($/, "", decl)
+          type = decl
+          sub(/[A-Za-z_][A-Za-z0-9_]*$/, "", type)
+          name = substr(decl, length(type) + 1)
+          if (gsub(/</, "<", type) == gsub(/>/, ">", type) &&
+              name != cls[n] && type !~ /operator/ &&
+              name !~ /^(if|for|while|switch|return|sizeof|static_assert)$/)
+            print FILENAME ":" FNR " " name
+        }
+      }
+      if (parens == 0 &&
+          match(line, /^[[:space:]]*(class|struct)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[^;]*\{/)) {
+        head = line
+        sub(/^[[:space:]]*(class|struct)[[:space:]]+/, "", head)
+        kind = (line ~ /^[[:space:]]*class/) ? "private" : "public"
+        sub(/[^A-Za-z0-9_].*/, "", head)
+        n++
+        cls[n] = head
+        access[n] = kind
+        body[n] = depth + 1
+      }
+      depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+      parens += gsub(/\(/, "(", line) - gsub(/\)/, ")", line)
+      while (n > 0 && depth < body[n]) n--
+    }
+  ' | sort -u
+)"
+
+# A name is used when some line names it that is neither one of its
+# declarations nor an unindented `Class::Name(` definition. The match is
+# by name, so the rule is a floor: a method passes when a same-named
+# member of any class, or a comment, mentions it.
+uncalled=""
+n_methods=0
+for name in $(echo "${public_methods}" | cut -d' ' -f2 | sort -u); do
+  n_methods=$((n_methods + 1))
+  decl_lines="$(echo "${public_methods}" | awk -v n="${name}" '$2 == n { print $1 ":" }')"
+  uses="$(
+    grep -rnwP --include='*.h' --include='*.cc' --include='*.cpp' \
+      "${name}" src tests bench examples tools perfbench |
+      grep -vF "${decl_lines}" |
+      grep -vP "^[^:]+:[0-9]+:\S.*::${name}\s*\(" || true
+  )"
+  [[ -n "${uses}" ]] || uncalled+="$(echo "${decl_lines}" | sed 's/:$//' | tr '\n' ' ')${name}"$'\n'
+done
+
+if [[ -n "${uncalled}" ]]; then
+  echo "docs_check: public member functions named nowhere outside their declaration and definition (delete them):" >&2
+  printf '%s' "${uncalled}" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 if [[ "${fail}" -ne 0 ]]; then
   echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md / README.md (or the code) so they agree" >&2
   exit 1
@@ -220,4 +296,4 @@ n_metrics="$(echo "${src_metrics}" | wc -l)"
 n_benches="$(echo "${tree_benches}" | wc -l)"
 n_modules="$(echo "${tree_modules}" | wc -l)"
 n_options="$(cat <(echo "${doc_options}") <(echo "${doc_snippet_fields}") | grep -c . || true)"
-echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere)"
+echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used)"

@@ -97,7 +97,6 @@ class MultiPaxosLog {
 
   const PaxosStats& stats() const { return stats_; }
   Histogram& latency() { return latency_; }
-  uint64_t next_slot() const { return next_slot_; }
 
  private:
   void Propose(uint64_t slot, std::string value, bool skip_prepare,

@@ -87,13 +87,6 @@ void IntervalSet::TruncateAbove(uint64_t hi) {
   intervals_.erase(it, intervals_.end());
 }
 
-std::vector<Interval> IntervalSet::ToVector() const {
-  std::vector<Interval> out;
-  out.reserve(intervals_.size());
-  for (const auto& [lo, hi] : intervals_) out.push_back({lo, hi});
-  return out;
-}
-
 std::string IntervalSet::ToString() const {
   std::string out = "{";
   bool first = true;

@@ -51,7 +51,6 @@ class IntervalSet {
   /// Removes everything above `hi` (exclusive truncation keeps [.., hi]).
   void TruncateAbove(uint64_t hi);
 
-  std::vector<Interval> ToVector() const;
   std::string ToString() const;
 
   bool operator==(const IntervalSet& other) const {

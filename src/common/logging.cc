@@ -1,15 +1,12 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstring>
 
 namespace aurora {
 
 namespace {
-// Relaxed atomic: any thread may consult the level; the emit path below
-// stays unsynchronized (stderr is line-buffered enough for diagnostics,
-// and hot runs log at kWarn+).
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+// Hot runs log at kWarn+, so the level check is all most call sites pay.
+LogLevel g_level = LogLevel::kWarn;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -30,10 +27,8 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
+LogLevel GetLogLevel() { return g_level; }
+void SetLogLevel(LogLevel level) { g_level = level; }
 
 namespace internal {
 

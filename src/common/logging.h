@@ -1,8 +1,7 @@
 // Minimal leveled diagnostic logging.
 //
-// The level check is a relaxed atomic load, safe to consult from any
-// thread; message emission itself is unsynchronized.
-// Logging defaults to kWarn so tests and benches stay quiet; examples
+// The level is a plain process-wide variable: the simulator runs on one
+// thread. Logging defaults to kWarn so tests and benches stay quiet; examples
 // raise the level to narrate protocol activity.
 
 #pragma once

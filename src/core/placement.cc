@@ -19,13 +19,6 @@ void PlacementService::SetLiveness(LivenessFn is_up) {
   is_up_ = std::move(is_up);
 }
 
-std::vector<AzId> PlacementService::Azs() const {
-  std::vector<AzId> azs;
-  azs.reserve(by_az_.size());
-  for (const auto& [az, _] : by_az_) azs.push_back(az);
-  return azs;
-}
-
 const std::vector<NodeId>& PlacementService::ServersIn(AzId az) const {
   static const std::vector<NodeId> kEmpty;
   auto it = by_az_.find(az);

@@ -56,9 +56,6 @@ class PlacementService {
   void SetLoadSource(LoadFn load);
   void SetLiveness(LivenessFn is_up);
 
-  size_t ServerCount() const { return servers_.size(); }
-  /// Registered AZs, ascending.
-  std::vector<AzId> Azs() const;
   /// Registered servers in `az`, ascending by node id.
   const std::vector<NodeId>& ServersIn(AzId az) const;
 

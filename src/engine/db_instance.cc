@@ -30,7 +30,23 @@ DbInstance::DbInstance(sim::Simulator* sim, sim::Network* network, NodeId id,
       az_(az),
       resolver_(std::move(resolver)),
       control_plane_(std::move(control_plane)),
-      options_(options) {
+      options_(options),
+      reader_(
+          options_.cache_pages, &txns_,
+          [this](BlockId block, StorageDriver::ReadCallback cb) {
+            driver_->ReadBlock(block, vdl(), ComputePgmrpl(), std::move(cb));
+          },
+          [this]() { return vdl(); },
+          [](const std::string&, const txn::ReadView&, const Status& fetched,
+             SnapshotReader::ValueCallback cb) {
+            // Nothing purges undo, and a row version and its undo entry
+            // ride in one MTR: a version whose undo entry is missing means
+            // recovery kept half an MTR. Fail loudly; never read it as a
+            // miss.
+            cb(fetched.ok() ? Status::Internal("undo entry missing under a "
+                                               "surviving row version")
+                            : fetched);
+          }) {
   network_->RegisterNode(id_, az_, this);
 }
 
@@ -41,7 +57,6 @@ DbInstance::DbInstance(sim::Simulator* sim, sim::Network* network, NodeId id,
 void DbInstance::InitComponents(const quorum::VolumeGeometry& geometry,
                                 VolumeEpoch epoch) {
   RetireDriver();
-  cache_ = std::make_unique<BufferCache>(options_.cache_pages);
   driver_ = std::make_unique<StorageDriver>(sim_, network_, id_, resolver_,
                                             options_.driver);
   driver_->SetGeometry(geometry, epoch);
@@ -60,12 +75,6 @@ void DbInstance::InitComponents(const quorum::VolumeGeometry& geometry,
   // observer (health monitoring) so it survives crash/failover.
   if (ack_observer_) driver_->SetAckObserver(ack_observer_);
   driver_->SetPgmrplSource([this]() { return ComputePgmrpl(); });
-  btree_ = std::make_unique<BTree>(
-      BTreeOptions{},
-      [this](BlockId block, std::function<void(Result<storage::Page*>)> f) {
-        WithPage(block, std::move(f));
-      },
-      [this](BlockId block) { return CachedPage(block); });
 }
 
 void DbInstance::Bootstrap(std::function<void(Status)> cb) {
@@ -112,14 +121,11 @@ void DbInstance::OnCrash() {
   // Everything here is the "local ephemeral state" of §2.4.
   open_ = false;
   RetireDriver();
-  btree_.reset();
-  if (cache_) cache_->Clear();
-  cache_.reset();
+  reader_.Clear();
   commit_queue_.Clear();
   locks_.Clear();
   txns_ = txn::TxnManager();
   txn_views_.clear();
-  pending_fetches_.clear();
   replica_sinks_.clear();
   replica_read_points_.clear();
   last_pg_lsn_.clear();
@@ -127,44 +133,6 @@ void DbInstance::OnCrash() {
   current_undo_block_ = kInvalidBlock;
   undo_entries_in_block_ = 0;
   last_shipped_vdl_ = kInvalidLsn;
-}
-
-// ---------------------------------------------------------------------------
-// Page access
-// ---------------------------------------------------------------------------
-
-storage::Page* DbInstance::CachedPage(BlockId block) {
-  return cache_ ? cache_->Find(block) : nullptr;
-}
-
-void DbInstance::WithPage(BlockId block,
-                          std::function<void(Result<storage::Page*>)> cb) {
-  if (storage::Page* page = CachedPage(block); page != nullptr) {
-    cb(page);
-    return;
-  }
-  cache_->CountMiss();
-  auto [it, inserted] = pending_fetches_.try_emplace(block);
-  it->second.push_back(std::move(cb));
-  if (!inserted) return;  // fetch already in flight
-  driver_->ReadBlock(
-      block, vdl(), ComputePgmrpl(),
-      [this, block](Result<storage::Page> page) {
-        auto waiters = pending_fetches_.extract(block);
-        if (waiters.empty()) return;  // crashed meanwhile
-        if (!page.ok()) {
-          for (auto& waiter : waiters.mapped()) waiter(page.status());
-          return;
-        }
-        storage::Page* cached = cache_->Insert(std::move(*page), vdl());
-        for (auto& waiter : waiters.mapped()) {
-          // Re-find each time: a previous waiter may have grown the cache
-          // and evicted it (extremely unlikely, but correct).
-          storage::Page* p = cache_->Find(block);
-          if (p == nullptr) p = cached;  // best effort
-          waiter(p);
-        }
-      });
 }
 
 // ---------------------------------------------------------------------------
@@ -182,7 +150,7 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
     if (std::find(latched_.begin(), latched_.end(), staged.block) ==
         latched_.end()) {
       latched_.push_back(staged.block);
-      cache_->Pin(staged.block);
+      reader_.cache().Pin(staged.block);
     }
   }
   std::vector<log::RedoRecord> records;
@@ -192,7 +160,7 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
     auto pg = driver_->geometry().PgForBlock(staged.block);
     assert(pg.ok() && "block outside volume geometry");
     // Ensure the page exists in cache (new blocks start empty).
-    storage::Page* page = CachedPage(staged.block);
+    storage::Page* page = reader_.CachedPage(staged.block);
     if (page == nullptr) {
       // Only brand-new pages (first op = format) may be created blind;
       // mutating an uncached existing page would fork its block chain.
@@ -203,8 +171,8 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
       }
       storage::Page fresh;
       fresh.id = staged.block;
-      page = cache_->Insert(std::move(fresh), vdl());
-      cache_->Pin(staged.block);  // latch the fresh page too
+      page = reader_.cache().Insert(std::move(fresh), vdl());
+      reader_.cache().Pin(staged.block);  // latch the fresh page too
     }
     log::RedoRecord record;
     record.lsn = next_lsn_++;
@@ -238,7 +206,7 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
     (void)st;
     records.push_back(std::move(record));
   }
-  for (BlockId block : latched_) cache_->Unpin(block);
+  for (BlockId block : latched_) reader_.cache().Unpin(block);
   const Lsn last = records.back().lsn;
   driver_->SubmitRecords(records);
   if (!replica_sinks_.empty()) {
@@ -255,7 +223,7 @@ BlockId DbInstance::AllocateBlock(std::vector<StagedOp>* ops) {
   // least-filled protection group so data stripes across the volume.
   // Earlier ops in this MTR may already have bumped a cursor; staged meta
   // updates win over the cached page state.
-  storage::Page* meta = CachedPage(kMetaBlock);
+  storage::Page* meta = reader_.CachedPage(kMetaBlock);
   assert(meta != nullptr && "meta page must be cached for allocation");
   const auto& geometry = driver_->geometry();
   const uint64_t per_pg = geometry.blocks_per_pg();
@@ -353,13 +321,13 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
     cb(std::move(st));
     return;
   }
-  auto path = btree_->FindPathSync(key);
+  auto path = reader_.btree().FindPathSync(key);
   if (!path.ok()) {
     // Fault the path in asynchronously, then retry synchronously.
-    btree_->FindPath(key, [this, txn, key = std::move(key),
-                           value = std::move(value), deleted,
-                           cb = std::move(cb),
-                           retries](Result<std::vector<BlockId>> r) mutable {
+    reader_.btree().FindPath(key, [this, txn, key = std::move(key),
+                                   value = std::move(value), deleted,
+                                   cb = std::move(cb), retries](
+                                      Result<std::vector<BlockId>> r) mutable {
       if (!r.ok() && !r.status().IsAborted()) {
         cb(r.status());
         return;
@@ -369,7 +337,7 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
     });
     return;
   }
-  storage::Page* leaf = CachedPage(path->back());
+  storage::Page* leaf = reader_.CachedPage(path->back());
   assert(leaf != nullptr);
   std::optional<txn::RowVersion> existing;
   if (auto it = leaf->entries.find(key); it != leaf->entries.end()) {
@@ -390,10 +358,10 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
     const TxnId writer = existing->txn;
     if (!txns_.IsActive(writer) &&
         !txns_.CommitScnOf(writer).has_value()) {
-      ResolveCommitScn(writer, [this, txn, key = std::move(key),
-                                value = std::move(value), deleted,
-                                cb = std::move(cb), retries,
-                                existing](std::optional<Scn> scn) mutable {
+      reader_.ResolveCommitScn(writer, [this, txn, key = std::move(key),
+                                        value = std::move(value), deleted,
+                                        cb = std::move(cb), retries, existing](
+                                           std::optional<Scn> scn) mutable {
         if (scn.has_value()) {
           // Committed: proceed with the write on a fresh descent.
           txn::Transaction* t2 = txns_.Find(txn);
@@ -401,7 +369,7 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
             cb(Status::InvalidArgument("transaction not active"));
             return;
           }
-          auto path2 = btree_->FindPathSync(key);
+          auto path2 = reader_.btree().FindPathSync(key);
           if (!path2.ok()) {
             PutInternal(txn, std::move(key), std::move(value), deleted,
                         std::move(cb), retries - 1);
@@ -438,7 +406,7 @@ Result<std::pair<BlockId, std::string>> DbInstance::StageUndo(
     std::vector<StagedOp>* ops) {
   if (current_undo_block_ == kInvalidBlock ||
       undo_entries_in_block_ >= options_.undo_entries_per_page ||
-      CachedPage(current_undo_block_) == nullptr) {
+      reader_.CachedPage(current_undo_block_) == nullptr) {
     // The third condition: the current undo page fell out of cache (its
     // redo is durable). Appending blind would break its block chain, so
     // simply start a fresh undo page.
@@ -487,7 +455,7 @@ void DbInstance::ApplyWrite(txn::Transaction* txn, const std::string& key,
   version.deleted = deleted;
   version.value = value;
   version.undo = txn::UndoPtr{undo_ptr->first, undo_ptr->second};
-  auto plan = btree_->PlanInsert(
+  auto plan = reader_.btree().PlanInsert(
       path, key, txn::EncodeRowVersion(version),
       [this](std::vector<StagedOp>* staged) { return AllocateBlock(staged); });
   if (!plan.ok()) {
@@ -521,99 +489,6 @@ void DbInstance::FinishStatementView(TxnId txn, const txn::ReadView& view) {
   if (txn == kInvalidTxn) txns_.CloseReadView(view);
 }
 
-void DbInstance::ResolveCommitScn(
-    TxnId writer, std::function<void(std::optional<Scn>)> cb) {
-  if (auto scn = txns_.CommitScnOf(writer); scn.has_value()) {
-    cb(scn);
-    return;
-  }
-  if (txns_.IsActive(writer)) {
-    cb(std::nullopt);
-    return;
-  }
-  // Consult the persistent transaction-status index in the tree
-  // (survives crashes; this is how the post-recovery instance and
-  // replicas learn outcomes).
-  ResolveCommitScnFromIndex(writer, std::move(cb), 4);
-}
-
-void DbInstance::ResolveCommitScnFromIndex(
-    TxnId writer, std::function<void(std::optional<Scn>)> cb, int retries) {
-  btree_->GetEntry(
-      StatusKey(writer),
-      [this, writer, cb = std::move(cb), retries](Result<std::string> raw) {
-        if (!raw.ok()) {
-          if (raw.status().IsAborted() && retries > 0) {
-            // Leaf evicted mid-lookup: retry rather than mis-reporting an
-            // actually-committed transaction as invisible.
-            ResolveCommitScnFromIndex(writer, std::move(cb), retries - 1);
-            return;
-          }
-          cb(std::nullopt);
-          return;
-        }
-        auto scn = DecodeU64Value(*raw);
-        if (!scn.ok()) {
-          cb(std::nullopt);
-          return;
-        }
-        txns_.InstallCommitNotification(writer, *scn);
-        cb(*scn);
-      });
-}
-
-void DbInstance::ResolveVisible(txn::RowVersion version, txn::ReadView view,
-                                std::function<void(Result<std::string>)> cb,
-                                int depth) {
-  if (depth <= 0) {
-    cb(Status::Internal("undo chain too deep"));
-    return;
-  }
-  ResolveCommitScn(version.txn, [this, version = std::move(version),
-                                 view = std::move(view), cb = std::move(cb),
-                                 depth](std::optional<Scn> scn) mutable {
-    const Scn commit_scn = scn.value_or(kInvalidLsn);
-    if (view.Sees(version.txn, commit_scn)) {
-      if (version.deleted) {
-        cb(Status::NotFound("deleted in snapshot"));
-      } else {
-        cb(std::move(version.value));
-      }
-      return;
-    }
-    if (version.undo.IsNull()) {
-      cb(Status::NotFound("no visible version"));
-      return;
-    }
-    stats_.undo_chain_walks++;
-    const txn::UndoPtr undo = version.undo;
-    WithPage(undo.block, [this, undo, view = std::move(view),
-                          cb = std::move(cb),
-                          depth](Result<storage::Page*> page) mutable {
-      if (!page.ok()) {
-        cb(page.status());
-        return;
-      }
-      auto it = (*page)->entries.find(undo.key);
-      if (it == (*page)->entries.end()) {
-        // Purged below every read point — treat as chain end.
-        cb(Status::NotFound("undo purged"));
-        return;
-      }
-      auto entry = txn::DecodeUndoEntry(it->second);
-      if (!entry.ok()) {
-        cb(entry.status());
-        return;
-      }
-      if (!entry->prev_exists) {
-        cb(Status::NotFound("row did not exist in snapshot"));
-        return;
-      }
-      ResolveVisible(entry->prev, std::move(view), std::move(cb), depth - 1);
-    });
-  });
-}
-
 void DbInstance::Get(TxnId txn, const std::string& key,
                      std::function<void(Result<std::string>)> cb) {
   stats_.gets++;
@@ -622,31 +497,12 @@ void DbInstance::Get(TxnId txn, const std::string& key,
     return;
   }
   txn::ReadView view = ViewFor(txn);
-  btree_->GetEntry(DataKey(key), [this, txn, view, cb = std::move(cb)](
-                            Result<std::string> raw) mutable {
-    if (!raw.ok()) {
-      FinishStatementView(txn, view);
-      if (raw.status().IsAborted()) {
-        cb(Status::NotFound("key absent"));  // leaf evicted mid-read
-      } else {
-        cb(raw.status());
-      }
-      return;
-    }
-    auto version = txn::DecodeRowVersion(*raw);
-    if (!version.ok()) {
-      FinishStatementView(txn, view);
-      cb(version.status());
-      return;
-    }
-    ResolveVisible(std::move(*version), view,
-                   [this, txn, view, cb = std::move(cb)](
-                       Result<std::string> result) {
-                     FinishStatementView(txn, view);
-                     cb(std::move(result));
-                   },
-                   256);
-  });
+  reader_.Get(key, view,
+              [this, txn, view, cb = std::move(cb)](
+                  Result<std::string> result) {
+                FinishStatementView(txn, view);
+                cb(std::move(result));
+              });
 }
 
 void DbInstance::Scan(
@@ -660,56 +516,12 @@ void DbInstance::Scan(
     return;
   }
   txn::ReadView view = ViewFor(txn);
-  btree_->ScanEntries(
-      DataKey(lo), DataKey(hi), limit,
-      [this, txn, view, cb = std::move(cb)](
-          Result<std::vector<std::pair<std::string, std::string>>> raw) {
-        if (!raw.ok()) {
-          FinishStatementView(txn, view);
-          cb(raw.status());
-          return;
-        }
-        ScanResolve(std::move(*raw), 0, view, {},
-                    [this, txn, view, cb = std::move(cb)](
-                        Result<std::vector<
-                            std::pair<std::string, std::string>>> result) {
-                      FinishStatementView(txn, view);
-                      cb(std::move(result));
-                    });
-      });
-}
-
-void DbInstance::ScanResolve(
-    std::vector<std::pair<std::string, std::string>> raw, size_t index,
-    txn::ReadView view, std::vector<std::pair<std::string, std::string>> acc,
-    std::function<void(
-        Result<std::vector<std::pair<std::string, std::string>>>)>
-        cb) {
-  if (index >= raw.size()) {
-    cb(std::move(acc));
-    return;
-  }
-  auto version = txn::DecodeRowVersion(raw[index].second);
-  if (!version.ok()) {
-    cb(version.status());
-    return;
-  }
-  std::string key = raw[index].first.substr(1);  // strip the namespace
-  ResolveVisible(
-      std::move(*version), view,
-      [this, raw = std::move(raw), index, view, acc = std::move(acc),
-       key = std::move(key), cb = std::move(cb)](
-          Result<std::string> value) mutable {
-        if (value.ok()) {
-          acc.emplace_back(std::move(key), std::move(*value));
-        } else if (!value.status().IsNotFound()) {
-          cb(value.status());
-          return;
-        }
-        ScanResolve(std::move(raw), index + 1, view, std::move(acc),
-                    std::move(cb));
-      },
-      256);
+  reader_.Scan(lo, hi, limit, view,
+               [this, txn, view, cb = std::move(cb)](
+                   Result<SnapshotReader::Rows> result) {
+                 FinishStatementView(txn, view);
+                 cb(std::move(result));
+               });
 }
 
 // ---------------------------------------------------------------------------
@@ -751,20 +563,21 @@ void DbInstance::FinishCommit(TxnId txn, std::function<void(Status)> cb,
     return;
   }
   const std::string status_key = StatusKey(txn);
-  auto path = btree_->FindPathSync(status_key);
+  auto path = reader_.btree().FindPathSync(status_key);
   if (!path.ok()) {
-    btree_->FindPath(status_key, [this, txn, cb = std::move(cb), retries](
-                                     Result<std::vector<BlockId>>) mutable {
-      txn::Transaction* t = txns_.Find(txn);
-      if (t == nullptr || t->state != txn::TxnState::kActive) {
-        cb(Status::InvalidArgument("transaction not active"));
-        return;
-      }
-      FinishCommit(txn, std::move(cb), retries - 1);
-    });
+    reader_.btree().FindPath(
+        status_key, [this, txn, cb = std::move(cb),
+                     retries](Result<std::vector<BlockId>>) mutable {
+          txn::Transaction* t = txns_.Find(txn);
+          if (t == nullptr || t->state != txn::TxnState::kActive) {
+            cb(Status::InvalidArgument("transaction not active"));
+            return;
+          }
+          FinishCommit(txn, std::move(cb), retries - 1);
+        });
     return;
   }
-  auto plan = btree_->PlanInsert(
+  auto plan = reader_.btree().PlanInsert(
       *path, status_key, EncodeU64Value(0),
       [this](std::vector<StagedOp>* staged) { return AllocateBlock(staged); });
   if (!plan.ok()) {
@@ -840,8 +653,8 @@ void DbInstance::RollbackChain(TxnId txn, txn::UndoPtr ptr,
     cb(Status::OK());
     return;
   }
-  WithPage(ptr.block, [this, txn, ptr, cb = std::move(cb),
-                       depth](Result<storage::Page*> page) mutable {
+  reader_.WithPage(ptr.block, [this, txn, ptr, cb = std::move(cb),
+                               depth](Result<storage::Page*> page) mutable {
     if (!page.ok()) {
       cb(page.status());
       return;
@@ -858,18 +671,19 @@ void DbInstance::RollbackChain(TxnId txn, txn::UndoPtr ptr,
     }
     // Compensation: restore the previous version (or erase the key if the
     // rolled-back write created it).
-    auto path = btree_->FindPathSync(entry->row_key);
+    auto path = reader_.btree().FindPathSync(entry->row_key);
     if (!path.ok()) {
-      btree_->FindPath(entry->row_key,
-                       [this, txn, ptr, cb = std::move(cb), depth](
-                           Result<std::vector<BlockId>>) mutable {
-                         RollbackChain(txn, ptr, std::move(cb), depth - 1);
-                       });
+      reader_.btree().FindPath(entry->row_key,
+                               [this, txn, ptr, cb = std::move(cb), depth](
+                                   Result<std::vector<BlockId>>) mutable {
+                                 RollbackChain(txn, ptr, std::move(cb),
+                                               depth - 1);
+                               });
       return;
     }
     std::vector<StagedOp> ops;
     if (entry->prev_exists) {
-      auto plan = btree_->PlanInsert(
+      auto plan = reader_.btree().PlanInsert(
           *path, entry->row_key, txn::EncodeRowVersion(entry->prev),
           [this](std::vector<StagedOp>* staged) {
             return AllocateBlock(staged);
@@ -898,7 +712,7 @@ void DbInstance::RollbackLeftover(const std::string& key,
   const TxnId leftover = version.txn;
   if (version.undo.IsNull()) {
     // The crashed txn created the key: erase it.
-    auto path = btree_->FindPathSync(key);
+    auto path = reader_.btree().FindPathSync(key);
     if (!path.ok()) {
       cb(Status::Aborted("retry"));
       return;
@@ -911,8 +725,9 @@ void DbInstance::RollbackLeftover(const std::string& key,
     return;
   }
   const txn::UndoPtr undo = version.undo;
-  WithPage(undo.block, [this, key, leftover, undo,
-                        cb = std::move(cb)](Result<storage::Page*> page) {
+  reader_.WithPage(undo.block, [this, key, leftover, undo,
+                                cb = std::move(cb)](
+                                   Result<storage::Page*> page) {
     if (!page.ok()) {
       cb(page.status());
       return;
@@ -931,14 +746,14 @@ void DbInstance::RollbackLeftover(const std::string& key,
       RollbackLeftover(key, entry->prev, std::move(cb));
       return;
     }
-    auto path = btree_->FindPathSync(key);
+    auto path = reader_.btree().FindPathSync(key);
     if (!path.ok()) {
       cb(Status::Aborted("retry"));
       return;
     }
     std::vector<StagedOp> ops;
     if (entry->prev_exists) {
-      auto plan = btree_->PlanInsert(
+      auto plan = reader_.btree().PlanInsert(
           *path, key, txn::EncodeRowVersion(entry->prev),
           [this](std::vector<StagedOp>* staged) {
             return AllocateBlock(staged);
@@ -977,7 +792,7 @@ void DbInstance::OnDurabilityAdvance() {
     ShipReplicationEvent(event);
   }
   last_shipped_vdl_ = current_vdl;
-  if (cache_) cache_->TrimToCapacity(current_vdl);
+  reader_.cache().TrimToCapacity(current_vdl);
 }
 
 void DbInstance::ShipReplicationEvent(ReplicationEvent event) {
@@ -1013,12 +828,6 @@ void DbInstance::AddReplicationSink(
                  [deliver = replica_sinks_[replica], event]() {
                    deliver(event);
                  });
-}
-
-void DbInstance::RemoveReplicationSink(NodeId replica) {
-  replica_sinks_.erase(replica);
-  replica_read_points_.erase(replica);
-  replica_stream_seq_.erase(replica);
 }
 
 void DbInstance::ObserveReplicaReadPoint(NodeId replica, Lsn read_point) {

@@ -27,6 +27,7 @@
 #include "src/common/types.h"
 #include "src/engine/btree.h"
 #include "src/engine/buffer_cache.h"
+#include "src/engine/snapshot_reader.h"
 #include "src/engine/storage_driver.h"
 #include "src/log/record.h"
 #include "src/quorum/geometry.h"
@@ -100,6 +101,7 @@ struct DbStats {
   uint64_t scans = 0;
   uint64_t commits_acked = 0;
   uint64_t txn_aborts = 0;
+  /// Read from the snapshot reader by stats().
   uint64_t undo_chain_walks = 0;
   uint64_t crash_recoveries = 0;
   uint64_t leftover_rollbacks = 0;
@@ -167,7 +169,6 @@ class DbInstance : public sim::NodeLifecycleListener {
   /// Registers a replica sink; events are shipped over the network.
   void AddReplicationSink(NodeId replica,
                           std::function<void(ReplicationEvent)> deliver);
-  void RemoveReplicationSink(NodeId replica);
 
   /// Replicas report their minimum read points; PGMRPL is the fleet-wide
   /// minimum (§3.4).
@@ -208,11 +209,15 @@ class DbInstance : public sim::NodeLifecycleListener {
   const std::map<NodeId, Lsn>& replica_read_points() const {
     return replica_read_points_;
   }
-  BufferCache& cache() { return *cache_; }
+  BufferCache& cache() { return reader_.cache(); }
   txn::TxnManager& txns() { return txns_; }
   txn::LockTable& locks() { return locks_; }
-  BTree* btree() { return btree_.get(); }
-  const DbStats& stats() const { return stats_; }
+  BTree* btree() { return &reader_.btree(); }
+  DbStats stats() const {
+    DbStats s = stats_;
+    s.undo_chain_walks = reader_.undo_chain_walks();
+    return s;
+  }
   Histogram& commit_latency() { return commit_latency_; }
   size_t CommitQueueDepth() const { return commit_queue_.Size(); }
   Scn MinPendingCommitScn() const { return commit_queue_.MinPendingScn(); }
@@ -229,11 +234,6 @@ class DbInstance : public sim::NodeLifecycleListener {
                       VolumeEpoch epoch);
   void RetireDriver();
 
-  // Page access.
-  void WithPage(BlockId block,
-                std::function<void(Result<storage::Page*>)> cb);
-  storage::Page* CachedPage(BlockId block);
-
   // Write-path helpers.
   void PutInternal(TxnId txn, std::string key, std::string value,
                    bool deleted, std::function<void(Status)> cb, int retries);
@@ -247,23 +247,6 @@ class DbInstance : public sim::NodeLifecycleListener {
       txn::Transaction* txn, const std::string& key,
       const std::optional<txn::RowVersion>& existing,
       std::vector<StagedOp>* ops);
-
-  // Read-path helpers.
-  void ResolveCommitScn(TxnId writer,
-                        std::function<void(std::optional<Scn>)> cb);
-  void ResolveCommitScnFromIndex(TxnId writer,
-                                 std::function<void(std::optional<Scn>)> cb,
-                                 int retries);
-  void ResolveVisible(txn::RowVersion version, txn::ReadView view,
-                      std::function<void(Result<std::string>)> cb,
-                      int depth);
-  void ScanResolve(
-      std::vector<std::pair<std::string, std::string>> raw, size_t index,
-      txn::ReadView view,
-      std::vector<std::pair<std::string, std::string>> acc,
-      std::function<void(
-          Result<std::vector<std::pair<std::string, std::string>>>)>
-          cb);
 
   // Crashed-writer cleanup: rolls back a leftover uncommitted version
   // found on `key` (undo "in parallel with user activity", §2.4).
@@ -300,9 +283,9 @@ class DbInstance : public sim::NodeLifecycleListener {
   /// Stopped drivers from previous incarnations; kept alive because
   /// in-flight simulator events still reference them.
   std::vector<std::unique_ptr<StorageDriver>> retired_drivers_;
-  std::unique_ptr<BufferCache> cache_;
-  std::unique_ptr<BTree> btree_;
   txn::TxnManager txns_;
+  /// Buffer cache, tree and snapshot reads; fetches read at VDL.
+  SnapshotReader reader_;
   txn::LockTable locks_;
   txn::CommitQueue commit_queue_;
 
@@ -320,10 +303,6 @@ class DbInstance : public sim::NodeLifecycleListener {
 
   // Per-transaction read views (snapshot isolation).
   std::map<TxnId, txn::ReadView> txn_views_;
-
-  // In-flight page fetches (dedup).
-  std::map<BlockId, std::vector<std::function<void(Result<storage::Page*>)>>>
-      pending_fetches_;
 
   // Replication.
   std::map<NodeId, std::function<void(ReplicationEvent)>> replica_sinks_;

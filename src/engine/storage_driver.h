@@ -132,9 +132,6 @@ class StorageDriver {
   /// is known), but the budget counts only records parked on degraded
   /// PGs, so healthy-PG throughput cannot trip it.
   bool AcceptingWrites() const;
-  bool IsDegraded(ProtectionGroupId pg) const {
-    return degraded_since_.contains(pg);
-  }
   size_t DegradedPgCount() const { return degraded_since_.size(); }
   /// Records retained for PGs currently degraded — the memory actually
   /// parked awaiting write-quorum recovery (in-flight records of healthy

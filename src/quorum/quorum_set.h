@@ -57,8 +57,6 @@ class QuorumSet {
 
   QuorumSet() = default;  // empty formula; satisfied by anything
 
-  bool IsEmpty() const { return root_ == nullptr; }
-
   /// True iff the segments in `present` (acked, or able to serve; any
   /// order, duplicates allowed) satisfy the formula. Takes a short member
   /// list so the per-ack PGCL evaluation allocates nothing.

@@ -23,18 +23,22 @@ ReadReplica::ReadReplica(sim::Simulator* sim, sim::Network* network,
       network_(network),
       id_(id),
       az_(az),
-      writer_(writer) {
+      writer_(writer),
+      reader_(
+          options.cache_pages, &txns_,
+          [this](BlockId block, engine::StorageDriver::ReadCallback cb) {
+            driver_->ReadBlock(block, ClampToGroup(block, vdl_),
+                               MinReadPoint(), std::move(cb));
+          },
+          [this]() { return vdl_; },
+          [this](const std::string& key, const txn::ReadView& view,
+                 const Status&, engine::SnapshotReader::ValueCallback cb) {
+            ReadLeafFromStorage(key, view, std::move(cb));
+          }) {
   network_->RegisterNode(id_, az_, this);
-  cache_ = std::make_unique<engine::BufferCache>(options.cache_pages);
   driver_ = std::make_unique<engine::StorageDriver>(
       sim_, network_, id_, std::move(resolver), engine::DriverOptions{});
   driver_->SetGeometry(geometry, volume_epoch);
-  btree_ = std::make_unique<engine::BTree>(
-      engine::BTreeOptions{},
-      [this](BlockId block, std::function<void(Result<storage::Page*>)> f) {
-        WithPage(block, std::move(f));
-      },
-      [this](BlockId block) { return CachedPage(block); });
 }
 
 void ReadReplica::Start() {
@@ -72,8 +76,7 @@ Lsn ReadReplica::ClampToGroup(BlockId block, Lsn read_lsn) const {
 void ReadReplica::OnCrash() {
   running_ = false;
   if (driver_) driver_->Stop();
-  if (cache_) cache_->Clear();
-  pending_fetches_.clear();
+  reader_.Clear();
   FailAnchorWaiters();
   pinned_views_.clear();
   txns_ = txn::TxnManager();
@@ -85,37 +88,6 @@ void ReadReplica::OnCrash() {
 void ReadReplica::UpdateGeometry(const quorum::VolumeGeometry& geometry,
                                  VolumeEpoch volume_epoch) {
   driver_->SetGeometry(geometry, volume_epoch);
-}
-
-storage::Page* ReadReplica::CachedPage(BlockId block) {
-  return cache_ ? cache_->Find(block) : nullptr;
-}
-
-void ReadReplica::WithPage(BlockId block,
-                           std::function<void(Result<storage::Page*>)> cb) {
-  if (storage::Page* page = CachedPage(block); page != nullptr) {
-    cb(page);
-    return;
-  }
-  cache_->CountMiss();
-  auto [it, inserted] = pending_fetches_.try_emplace(block);
-  it->second.push_back(std::move(cb));
-  if (!inserted) return;
-  driver_->ReadBlock(block, ClampToGroup(block, vdl_), MinReadPoint(),
-                     [this, block](Result<storage::Page> page) {
-                       auto waiters = pending_fetches_.extract(block);
-                       if (waiters.empty()) return;
-                       if (!page.ok()) {
-                         for (auto& w : waiters.mapped()) w(page.status());
-                         return;
-                       }
-                       storage::Page* cached =
-                           cache_->Insert(std::move(*page), vdl_);
-                       for (auto& w : waiters.mapped()) {
-                         storage::Page* p = cache_->Find(block);
-                         w(p != nullptr ? p : cached);
-                       }
-                     });
 }
 
 // ---------------------------------------------------------------------------
@@ -160,9 +132,9 @@ void ReadReplica::CheckStreamContinuity(
   // has advanced past such a page would let an anchored read return old
   // data. Drop the cache so storage — which has the durable truth —
   // serves the next reads.
-  if (cache_ && cache_->Size() > 0) {
+  if (reader_.cache().Size() > 0) {
     stats_.gap_cache_drops++;
-    cache_->Clear();
+    reader_.cache().Clear();
   }
 }
 
@@ -175,7 +147,7 @@ void ReadReplica::ApplyMtr(const std::vector<log::RedoRecord>& records) {
     if (record.block == kInvalidBlock) continue;
     Lsn& mark = pg_high_water_[record.pg];
     mark = std::max(mark, record.lsn);
-    storage::Page* page = cache_ ? cache_->Find(record.block) : nullptr;
+    storage::Page* page = reader_.CachedPage(record.block);
     if (page == nullptr) {
       // Redo for uncached blocks is discarded; shared storage serves them
       // on demand (§3.2).
@@ -186,13 +158,13 @@ void ReadReplica::ApplyMtr(const std::vector<log::RedoRecord>& records) {
       // Block-chain mismatch (e.g. the replica attached mid-stream or
       // missed events while crashed): the cached copy is stale and must
       // be re-read from storage.
-      cache_->Erase(record.block);
+      reader_.cache().Erase(record.block);
       stats_.pages_invalidated++;
       continue;
     }
     Status st = ApplyRedoPayload(page, record.payload, record.lsn);
     if (!st.ok()) {
-      cache_->Erase(record.block);
+      reader_.cache().Erase(record.block);
       stats_.pages_invalidated++;
       continue;
     }
@@ -302,49 +274,21 @@ void ReadReplica::UnpinView(uint64_t handle) {
   pinned_views_.erase(it);
 }
 
-void ReadReplica::ResolveCommitScn(
-    TxnId writer_txn, std::function<void(std::optional<Scn>)> cb) {
-  if (auto scn = txns_.CommitScnOf(writer_txn); scn.has_value()) {
-    cb(scn);
-    return;
-  }
-  // Fall back to the persistent status index in the shared B-tree
-  // (handles commits from before this replica attached). Entries above
-  // this replica's VDL are invisible here, which is exactly right: such
-  // commits are not yet visible to this replica's read views either.
-  btree_->GetEntry(
-      engine::StatusKey(writer_txn),
-      [this, writer_txn, cb = std::move(cb)](Result<std::string> raw) {
-        if (!raw.ok()) {
-          cb(std::nullopt);
-          return;
-        }
-        auto scn = engine::DecodeU64Value(*raw);
-        if (!scn.ok()) {
-          cb(std::nullopt);
-          return;
-        }
-        txns_.InstallCommitNotification(writer_txn, *scn);
-        cb(*scn);
-      });
-}
-
 void ReadReplica::ReadLeafFromStorage(
-    const std::string& key, txn::ReadView view,
+    const std::string& key, const txn::ReadView& view,
     std::function<void(Result<std::string>)> cb) {
   // Fallback path: the cached image ran ahead of this view's anchor and
-  // undo was not available locally; re-read the leaf as of the anchor
-  // directly from storage (bypassing the cache, which must keep the
-  // newer image for the replication chain).
+  // undo was not available locally (the entry's redo is above this
+  // replica's VDL and the undo page is uncached). Re-read the leaf as of
+  // the anchor directly from storage, bypassing the cache, which must keep
+  // the newer image for the replication chain.
   stats_.storage_fallback_reads++;
-  auto path = btree_->FindPathSync(key);
-  BlockId leaf;
-  if (path.ok()) {
-    leaf = path->back();
-  } else {
+  auto path = reader_.btree().FindPathSync(key);
+  if (!path.ok()) {
     cb(Status::Unavailable("replica fallback: path unavailable"));
     return;
   }
+  const BlockId leaf = path->back();
   driver_->ReadBlock(
       leaf, ClampToGroup(leaf, view.read_lsn()), MinReadPoint(),
       [this, key, view, cb = std::move(cb)](Result<storage::Page> page) {
@@ -362,66 +306,8 @@ void ReadReplica::ReadLeafFromStorage(
           cb(version.status());
           return;
         }
-        ResolveVisible(key, std::move(*version), view, /*from_storage=*/true,
-                       std::move(cb), 256);
-      });
-}
-
-void ReadReplica::ResolveVisible(const std::string& key,
-                                 txn::RowVersion version, txn::ReadView view,
-                                 bool from_storage,
-                                 std::function<void(Result<std::string>)> cb,
-                                 int depth) {
-  if (depth <= 0) {
-    cb(Status::Internal("undo chain too deep"));
-    return;
-  }
-  ResolveCommitScn(
-      version.txn,
-      [this, key, version = std::move(version), view, from_storage,
-       cb = std::move(cb), depth](std::optional<Scn> scn) mutable {
-        if (view.Sees(version.txn, scn.value_or(kInvalidLsn))) {
-          if (version.deleted) {
-            cb(Status::NotFound("deleted in snapshot"));
-          } else {
-            cb(std::move(version.value));
-          }
-          return;
-        }
-        if (version.undo.IsNull()) {
-          cb(Status::NotFound("no visible version"));
-          return;
-        }
-        const txn::UndoPtr undo = version.undo;
-        WithPage(undo.block, [this, key, undo, view, from_storage,
-                              cb = std::move(cb),
-                              depth](Result<storage::Page*> page) mutable {
-          if (page.ok()) {
-            auto it = (*page)->entries.find(undo.key);
-            if (it != (*page)->entries.end()) {
-              auto entry = txn::DecodeUndoEntry(it->second);
-              if (!entry.ok()) {
-                cb(entry.status());
-                return;
-              }
-              if (!entry->prev_exists) {
-                cb(Status::NotFound("row did not exist in snapshot"));
-                return;
-              }
-              ResolveVisible(key, entry->prev, view, from_storage,
-                             std::move(cb), depth - 1);
-              return;
-            }
-          }
-          if (!from_storage) {
-            // Undo not reachable locally (the entry's redo is above this
-            // replica's VDL and the undo page is uncached): anchor the
-            // whole read at storage instead.
-            ReadLeafFromStorage(key, view, std::move(cb));
-            return;
-          }
-          cb(Status::NotFound("undo unavailable in snapshot"));
-        });
+        reader_.ResolveVisible(key, std::move(*version), view, std::move(cb),
+                               /*undo_fallback=*/false);
       });
 }
 
@@ -434,29 +320,13 @@ void ReadReplica::Get(const std::string& key,
   }
   txn::ReadView view = txns_.OpenReadView(vdl_);
   const SimTime start = sim_->Now();
-  const std::string internal_key = engine::DataKey(key);
-  btree_->GetEntry(internal_key,
-                   [this, internal_key, view, start, cb = std::move(cb)](
-                            Result<std::string> raw) mutable {
-    auto finish = [this, view, start, cb = std::move(cb)](
-                      Result<std::string> result) {
-      txns_.CloseReadView(view);
-      read_latency_.Record(sim_->Now() - start);
-      cb(std::move(result));
-    };
-    if (!raw.ok()) {
-      finish(raw.status().IsAborted() ? Status::NotFound("key absent")
-                                      : raw.status());
-      return;
-    }
-    auto version = txn::DecodeRowVersion(*raw);
-    if (!version.ok()) {
-      finish(version.status());
-      return;
-    }
-    ResolveVisible(internal_key, std::move(*version), view,
-                   /*from_storage=*/false, std::move(finish), 256);
-  });
+  reader_.Get(key, view,
+              [this, view, start,
+               cb = std::move(cb)](Result<std::string> result) {
+                txns_.CloseReadView(view);
+                read_latency_.Record(sim_->Now() - start);
+                cb(std::move(result));
+              });
 }
 
 void ReadReplica::Scan(
@@ -469,56 +339,12 @@ void ReadReplica::Scan(
     return;
   }
   txn::ReadView view = txns_.OpenReadView(vdl_);
-  btree_->ScanEntries(
-      engine::DataKey(lo), engine::DataKey(hi), limit,
-      [this, view, cb = std::move(cb)](
-          Result<std::vector<std::pair<std::string, std::string>>> raw) {
-        if (!raw.ok()) {
-          txns_.CloseReadView(view);
-          cb(raw.status());
-          return;
-        }
-        ScanResolve(std::move(*raw), 0, view, {},
-                    [this, view, cb = std::move(cb)](
-                        Result<std::vector<
-                            std::pair<std::string, std::string>>> result) {
-                      txns_.CloseReadView(view);
-                      cb(std::move(result));
-                    });
-      });
-}
-
-void ReadReplica::ScanResolve(
-    std::vector<std::pair<std::string, std::string>> raw, size_t index,
-    txn::ReadView view, std::vector<std::pair<std::string, std::string>> acc,
-    std::function<void(
-        Result<std::vector<std::pair<std::string, std::string>>>)>
-        cb) {
-  if (index >= raw.size()) {
-    cb(std::move(acc));
-    return;
-  }
-  auto version = txn::DecodeRowVersion(raw[index].second);
-  if (!version.ok()) {
-    cb(version.status());
-    return;
-  }
-  std::string internal_key = raw[index].first;
-  ResolveVisible(
-      internal_key, std::move(*version), view, /*from_storage=*/false,
-      [this, raw = std::move(raw), index, view, acc = std::move(acc),
-       internal_key, cb = std::move(cb)](Result<std::string> value) mutable {
-        if (value.ok()) {
-          acc.emplace_back(internal_key.substr(1), std::move(*value));
-        } else if (!value.status().IsNotFound() &&
-                   !value.status().IsTimedOut()) {
-          cb(value.status());
-          return;
-        }
-        ScanResolve(std::move(raw), index + 1, view, std::move(acc),
-                    std::move(cb));
-      },
-      256);
+  reader_.Scan(lo, hi, limit, view,
+               [this, view, cb = std::move(cb)](
+                   Result<engine::SnapshotReader::Rows> result) {
+                 txns_.CloseReadView(view);
+                 cb(std::move(result));
+               });
 }
 
 void ReadReplica::ReportLoop() {

@@ -7,7 +7,11 @@
 // can always be read from shared storage (§3.2). Read views anchor at VDL
 // control points shipped by the writer, and transaction visibility uses
 // shipped commit notifications plus the persistent status index; MVCC
-// reversion uses undo exactly as on the writer (§3.4).
+// reversion uses undo exactly as on the writer (§3.4): both read through
+// one engine::SnapshotReader (src/engine/snapshot_reader.h). The replica
+// fetches pages at its group-clamped VDL and its MinReadPoint, and when a
+// version's undo is unreachable it re-reads the leaf from storage at the
+// view's anchor.
 //
 // Invariants implemented here (§3.3):
 //  1. replica read views lag the writer's durability points (anchor = the
@@ -32,6 +36,7 @@
 #include "src/engine/btree.h"
 #include "src/engine/buffer_cache.h"
 #include "src/engine/db_instance.h"
+#include "src/engine/snapshot_reader.h"
 #include "src/engine/storage_driver.h"
 #include "src/sim/network.h"
 #include "src/txn/txn_manager.h"
@@ -134,7 +139,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
   void OnRestart() override {}
 
   const ReplicaStats& stats() const { return stats_; }
-  engine::BufferCache& cache() { return *cache_; }
+  engine::BufferCache& cache() { return reader_.cache(); }
   engine::StorageDriver* driver() { return driver_.get(); }
   Histogram& read_latency() { return read_latency_; }
   /// Ship-to-apply latency of replication stream events (§3.3 "replicas
@@ -145,25 +150,9 @@ class ReadReplica : public sim::NodeLifecycleListener {
   Histogram& anchor_wait() { return anchor_wait_; }
 
  private:
-  void WithPage(BlockId block,
-                std::function<void(Result<storage::Page*>)> cb);
-  storage::Page* CachedPage(BlockId block);
   void ApplyMtr(const std::vector<log::RedoRecord>& records);
-  void ResolveCommitScn(TxnId writer_txn,
-                        std::function<void(std::optional<Scn>)> cb);
-  void ResolveVisible(const std::string& key, txn::RowVersion version,
-                      txn::ReadView view, bool from_storage,
-                      std::function<void(Result<std::string>)> cb,
-                      int depth);
-  void ReadLeafFromStorage(const std::string& key, txn::ReadView view,
+  void ReadLeafFromStorage(const std::string& key, const txn::ReadView& view,
                            std::function<void(Result<std::string>)> cb);
-  void ScanResolve(
-      std::vector<std::pair<std::string, std::string>> raw, size_t index,
-      txn::ReadView view,
-      std::vector<std::pair<std::string, std::string>> acc,
-      std::function<void(
-          Result<std::vector<std::pair<std::string, std::string>>>)>
-          cb);
   void ReportLoop();
   void SeedHighWaterMarks();
   Lsn ClampToGroup(BlockId block, Lsn read_lsn) const;
@@ -179,9 +168,8 @@ class ReadReplica : public sim::NodeLifecycleListener {
   bool running_ = false;
 
   std::unique_ptr<engine::StorageDriver> driver_;
-  std::unique_ptr<engine::BufferCache> cache_;
-  std::unique_ptr<engine::BTree> btree_;
   txn::TxnManager txns_;
+  engine::SnapshotReader reader_;
 
   Lsn vdl_ = kInvalidLsn;
   /// Replication-stream continuity tracking (writer + last seq seen).
@@ -203,9 +191,6 @@ class ReadReplica : public sim::NodeLifecycleListener {
   /// global space may exceed the group's own chain position.
   std::map<ProtectionGroupId, Lsn> pg_high_water_;
   std::function<void(Lsn)> reporter_;
-  std::map<BlockId,
-           std::vector<std::function<void(Result<storage::Page*>)>>>
-      pending_fetches_;
 
   ReplicaStats stats_;
   Histogram read_latency_;

@@ -5,12 +5,12 @@
 // captures. The simulator schedules hundreds of thousands of closures per
 // benchmark run, so both costs are paid on every event. MoveFunc stores the
 // common capture sizes inline in the event slab slot; closures too large for
-// the inline buffer fall back to a per-thread size-class pool (a freelist
-// beats the general-purpose allocator and keeps hot closure blocks
-// cache-resident). The pools are thread_local: blocks are plain
-// operator-new memory, so a closure destroyed on another thread than the
-// one that built it simply migrates its block to the destroyer's freelist
-// — no shared freelist, no locks, no ownership requirement.
+// the inline buffer fall back to a size-class pool: a freed block parks on
+// its class's freelist and serves the next closure of that class, so the
+// steady stream of large reply closures stops reaching operator new (C7's
+// allocs_per_txn rises by half without it) and hot blocks stay
+// cache-resident. The engine runs on one thread, so one process-wide pool
+// needs no locks.
 //
 // MoveFunc is move-only by design: the engine moves each callback exactly
 // once (slab slot -> stack) before invoking it, and move-only storage lets
@@ -37,12 +37,10 @@ namespace detail {
 inline constexpr size_t kPoolGranule = 64;
 inline constexpr size_t kPoolClasses = 8;
 
-/// Per-thread freelists of closure blocks. The wrapper's destructor frees
+/// Freelists of closure blocks, one per size class. The destructor frees
 /// parked blocks so sanitized runs see no leaked memory at exit.
 struct ClosurePool {
   std::array<std::vector<void*>, kPoolClasses> free_lists;
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
 
   ~ClosurePool() {
     for (auto& list : free_lists) {
@@ -52,22 +50,19 @@ struct ClosurePool {
 };
 
 inline ClosurePool& Pool() {
-  thread_local ClosurePool pool;
+  static ClosurePool pool;
   return pool;
 }
 
 inline void* PoolAlloc(size_t bytes) {
   if (bytes > kPoolGranule * kPoolClasses) return ::operator new(bytes);
   const size_t cls = (bytes + kPoolGranule - 1) / kPoolGranule - 1;
-  auto& pool = Pool();
-  auto& list = pool.free_lists[cls];
+  auto& list = Pool().free_lists[cls];
   if (!list.empty()) {
     void* block = list.back();
     list.pop_back();
-    pool.pool_hits++;
     return block;
   }
-  pool.pool_misses++;
   return ::operator new((cls + 1) * kPoolGranule);
 }
 

@@ -82,15 +82,6 @@ void FailureInjector::RestartNodeAt(SimTime when, NodeId node) {
                    "inj.script_restart");
 }
 
-void FailureInjector::FailAzAt(SimTime when, AzId az, SimDuration outage) {
-  sim_->ScheduleAt(when, [this, az, outage]() {
-    network_->FailAz(az);
-    ++az_failures_;
-    sim_->Schedule(outage, [this, az]() { network_->RestoreAz(az); },
-                   "inj.script_az_restore");
-  }, "inj.script_az_fail");
-}
-
 void FailureInjector::Flap(NodeId node, SimDuration period, int count) {
   if (count <= 0) return;
   // Each dwell is one Draw() in the injector's single decision stream:

@@ -44,7 +44,6 @@ class FailureInjector {
   /// Scripted faults.
   void CrashNodeAt(SimTime when, NodeId node);
   void RestartNodeAt(SimTime when, NodeId node);
-  void FailAzAt(SimTime when, AzId az, SimDuration outage);
   void SlowNodeAt(SimTime when, NodeId node, double factor,
                   SimDuration duration);
 
@@ -81,8 +80,6 @@ class FailureInjector {
     replay_cursor_ = 0;
   }
 
-  /// Draws served from the recording so far.
-  uint64_t replayed_decisions() const { return replay_cursor_; }
   /// Draws where the recording ran out or the decision kind disagreed
   /// (schedule drift between capture and replay).
   uint64_t replay_mismatches() const { return replay_mismatches_; }

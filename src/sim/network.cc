@@ -19,14 +19,6 @@ void Network::RegisterNode(NodeId node, AzId az,
   nodes_[node] = st;
 }
 
-void Network::SetListener(NodeId node, NodeLifecycleListener* listener) {
-  auto it = nodes_.find(node);
-  assert(it != nodes_.end());
-  it->second.listener = listener;
-}
-
-bool Network::IsRegistered(NodeId node) const { return nodes_.contains(node); }
-
 AzId Network::AzOf(NodeId node) const {
   auto it = nodes_.find(node);
   assert(it != nodes_.end());

@@ -65,11 +65,6 @@ class Network {
   void RegisterNode(NodeId node, AzId az,
                     NodeLifecycleListener* listener = nullptr);
 
-  /// Re-points the lifecycle listener (used when an actor is rebuilt after
-  /// a crash).
-  void SetListener(NodeId node, NodeLifecycleListener* listener);
-
-  bool IsRegistered(NodeId node) const;
   AzId AzOf(NodeId node) const;
 
   bool IsUp(NodeId node) const;

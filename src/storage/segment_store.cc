@@ -86,35 +86,22 @@ void SegmentStore::IndexRecord(const log::RedoRecord& record) {
   }
 }
 
-Status SegmentStore::Append(const std::vector<log::RedoRecord>& records) {
+Status SegmentStore::Ingest(const std::vector<log::RedoRecord>& records,
+                            RedoSource source) {
   for (const auto& record : records) {
     if (record.pg != pg_) {
       return Status::InvalidArgument("record addressed to wrong PG");
     }
     if (hot_log_.Contains(record.lsn)) {
-      stats_.records_duplicate++;
+      if (source == RedoSource::kWrite) stats_.records_duplicate++;
       continue;
     }
     const size_t before = hot_log_.RecordCount();
     AURORA_RETURN_IF_ERROR(hot_log_.Append(record));
-    if (hot_log_.RecordCount() > before) {
-      stats_.records_received++;
-      IndexRecord(record);
-    }
-  }
-  MaybeFinishHydration();
-  return Status::OK();
-}
-
-Status SegmentStore::AbsorbGossip(const std::vector<log::RedoRecord>& records) {
-  for (const auto& record : records) {
-    if (hot_log_.Contains(record.lsn)) continue;
-    const size_t before = hot_log_.RecordCount();
-    AURORA_RETURN_IF_ERROR(hot_log_.Append(record));
-    if (hot_log_.RecordCount() > before) {
-      stats_.records_gossip_filled++;
-      IndexRecord(record);
-    }
+    if (hot_log_.RecordCount() == before) continue;  // annulled or GC'd
+    if (source == RedoSource::kWrite) stats_.records_received++;
+    if (source == RedoSource::kPeer) stats_.records_gossip_filled++;
+    IndexRecord(record);
   }
   MaybeFinishHydration();
   return Status::OK();
@@ -401,7 +388,7 @@ Status SegmentStore::AbsorbHydration(const HydrationResponse& response) {
   for (const auto& range : response.truncations) {
     hot_log_.Truncate(range);
   }
-  AURORA_RETURN_IF_ERROR(AbsorbGossip(response.records));
+  AURORA_RETURN_IF_ERROR(Ingest(response.records, RedoSource::kPeer));
   // Pending redo at or below an absorbed version is already reflected in
   // it; one pass over the queue drops it for every block.
   std::unordered_map<BlockId, Lsn> absorbed;
@@ -481,14 +468,7 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
   hydrated_ = true;
   hydration_target_ = kInvalidLsn;
   volume_epoch_ = new_epoch;
-  for (const auto& record : records) {
-    if (record.lsn > restore_point) continue;
-    if (record.pg != pg_) continue;
-    if (hot_log_.Append(record).ok() &&
-        hot_log_.Contains(record.lsn)) {
-      IndexRecord(record);
-    }
-  }
+  (void)Ingest(records, RedoSource::kArchive);
   // Everything the archive held was once backed up by definition.
   backup_lsn_ = hot_log_.scl();
   // Annul the old timeline above the restore point (writes archived after

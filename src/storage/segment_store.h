@@ -54,6 +54,14 @@ struct SegmentStats {
   uint64_t scl_advances = 0;
 };
 
+/// How a redo record reached a segment. A record is the same whichever
+/// way it arrives (§2.2); the source picks only the counter it bumps.
+enum class RedoSource {
+  kWrite,    // the writer's write request (records_received/_duplicate)
+  kPeer,     // a gossip fill or a hydration reply (records_gossip_filled)
+  kArchive,  // a point-in-time restore from the archive (no counter)
+};
+
 /// One segment replica. All methods are local (the owning StorageNode
 /// mediates network and disk latency).
 class SegmentStore {
@@ -91,11 +99,11 @@ class SegmentStore {
   /// authority and monotone).
   Status CheckEpochs(const EpochVector& epochs);
 
-  /// Appends a batch of redo records (idempotent; §2.2 steps 1-3).
-  Status Append(const std::vector<log::RedoRecord>& records);
-
-  /// Appends records learned via gossip (same as Append, separate stat).
-  Status AbsorbGossip(const std::vector<log::RedoRecord>& records);
+  /// Takes in a batch of redo records (idempotent; §2.2 steps 1-3): each
+  /// new one joins the hot log and the pending redo. Records addressed to
+  /// another PG are refused.
+  Status Ingest(const std::vector<log::RedoRecord>& records,
+                RedoSource source);
 
   /// Gossip reply: the chain records a peer at `peer_scl` is missing.
   std::vector<log::RedoRecord> ChainAfter(Lsn peer_scl,
@@ -128,7 +136,6 @@ class SegmentStore {
 
   /// Marks records at or below `lsn` as durably backed up (§2.1 act. 6).
   void MarkBackedUp(Lsn lsn);
-  Lsn backup_lsn() const { return backup_lsn_; }
 
   /// Records eligible for the next backup batch.
   std::vector<log::RedoRecord> PendingBackup(size_t max_records) const;
@@ -163,6 +170,7 @@ class SegmentStore {
   /// reloads from archived records at or below `restore_point`, installing
   /// `new_epoch` and a truncation range that annuls everything above the
   /// restore point. Only records on the contiguous chain survive.
+  /// `records` are this PG's archive at or below `restore_point`.
   void ResetToArchive(const std::vector<log::RedoRecord>& records,
                       Lsn restore_point, VolumeEpoch new_epoch);
 

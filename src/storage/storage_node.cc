@@ -75,14 +75,6 @@ SegmentStore* StorageNode::FindSegment(VolumeId volume, ProtectionGroupId pg,
   return it == tenant_index_.end() ? nullptr : it->second;
 }
 
-void StorageNode::ForEachTenantSegment(
-    VolumeId volume, const std::function<void(SegmentStore*)>& fn) {
-  for (auto it = tenant_index_.lower_bound({volume, 0, 0});
-       it != tenant_index_.end() && std::get<0>(it->first) == volume; ++it) {
-    fn(it->second);
-  }
-}
-
 TenantStats StorageNode::tenant_stats(VolumeId volume) const {
   auto it = tenants_.find(volume);
   return it == tenants_.end() ? TenantStats{} : it->second.stats;
@@ -208,7 +200,7 @@ void StorageNode::ServeTenantWrite(TenantWrite entry) {
                                  reply = std::move(entry.reply),
                                  segment]() mutable {
     if (!IsUp()) return;  // crashed mid-I/O: OnCrash cleared the queues
-    Status st = segment->Append(request.records);
+    Status st = segment->Ingest(request.records, RedoSource::kWrite);
     reply(WriteAck{request.segment, std::move(st), segment->scl(),
                    segment->hydrated()});
     DispatchNextTenantWrite();
@@ -254,9 +246,10 @@ void StorageNode::HandleSegmentState(const SegmentStateRequest& request,
                                      sim::ReplyFn<SegmentStateResponse> reply) {
   SegmentStore* segment = FindSegment(request.segment);
   if (segment == nullptr) {
-    reply(SegmentStateResponse{Status::NotFound("no such segment"),
-                               request.segment, kInvalidLsn, false, false, 0,
-                               0});
+    SegmentStateResponse missing;
+    missing.status = Status::NotFound("no such segment");
+    missing.segment = request.segment;
+    reply(std::move(missing));
     return;
   }
   SegmentStateResponse response;
@@ -334,7 +327,9 @@ void StorageNode::HandleHydration(const HydrationRequest& request,
                                   sim::ReplyFn<HydrationResponse> reply) {
   SegmentStore* segment = FindSegment(request.from_segment);
   if (segment == nullptr) {
-    reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}});
+    HydrationResponse missing;
+    missing.status = Status::NotFound("no such segment");
+    reply(std::move(missing));
     return;
   }
   disk_.SubmitRead(64 * 1024, [reply = std::move(reply), segment, request,
@@ -402,7 +397,7 @@ void StorageNode::GossipSegment(SegmentStore* segment) {
         if (local == nullptr) return;
         if (!response.records.empty()) {
           gossip_behind_rounds_.erase(local_id);
-          (void)local->AbsorbGossip(response.records);
+          (void)local->Ingest(response.records, RedoSource::kPeer);
           return;
         }
         if (response.peer_scl == kInvalidLsn ||
@@ -427,8 +422,9 @@ void StorageNode::GossipSegment(SegmentStore* segment) {
             std::numeric_limits<Lsn>::max(),
             [this, local_id](std::vector<log::RedoRecord> records) {
               SegmentStore* s = FindSegment(local_id);
+              // The archive stands in for a peer that trimmed its log.
               if (s != nullptr && !records.empty()) {
-                (void)s->AbsorbGossip(records);
+                (void)s->Ingest(records, RedoSource::kPeer);
               }
             });
       });
@@ -504,8 +500,9 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
       [this, donor, request](sim::ReplyFn<HydrationResponse> reply) {
         StorageNode* donor_node = resolver_ ? resolver_(donor.node) : nullptr;
         if (donor_node == nullptr) {
-          reply(HydrationResponse{Status::Unavailable("donor unresolved"),
-                                  {}, {}});
+          HydrationResponse unresolved;
+          unresolved.status = Status::Unavailable("donor unresolved");
+          reply(std::move(unresolved));
           return;
         }
         donor_node->HandleHydration(request, std::move(reply));
@@ -538,7 +535,9 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
               [this, local_segment](std::vector<log::RedoRecord> records) {
                 SegmentStore* s = FindSegment(local_segment);
                 if (s == nullptr) return;
-                if (!records.empty()) (void)s->AbsorbGossip(records);
+                if (!records.empty()) {
+                  (void)s->Ingest(records, RedoSource::kPeer);
+                }
                 if (!s->hydrated()) {
                   sim_->Schedule(10 * kMillisecond, [this, local_segment]() {
                     StartHydrationPull(local_segment);

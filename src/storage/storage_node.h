@@ -87,10 +87,6 @@ class StorageNode : public sim::NodeLifecycleListener {
   const std::map<SegmentId, std::unique_ptr<SegmentStore>>& segments() const {
     return segments_;
   }
-  /// Visits this server's segments belonging to `volume`, in (pg, segment)
-  /// order.
-  void ForEachTenantSegment(VolumeId volume,
-                            const std::function<void(SegmentStore*)>& fn);
   /// Accounting for one tenant (zeroes if the tenant never wrote here).
   TenantStats tenant_stats(VolumeId volume) const;
   /// Tenants with accounting state on this server, ascending.

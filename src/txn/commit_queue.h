@@ -31,7 +31,6 @@ class CommitQueue {
  public:
   void Enqueue(PendingCommit commit) {
     pending_.emplace(commit.scn, std::move(commit));
-    if (pending_.size() > max_depth_) max_depth_ = pending_.size();
   }
 
   /// Removes and returns every pending commit with SCN <= vcl, in SCN
@@ -58,13 +57,8 @@ class CommitQueue {
     return pending_.empty() ? kInvalidLsn : pending_.begin()->first;
   }
 
-  /// High-water mark of simultaneously pending commits (a proxy for how
-  /// far the group-commit effect batches acknowledgements).
-  size_t MaxDepth() const { return max_depth_; }
-
  private:
   std::multimap<Scn, PendingCommit> pending_;
-  size_t max_depth_ = 0;
 };
 
 }  // namespace aurora::txn

@@ -25,7 +25,6 @@ class ReadView {
 
   /// The anchor: data block versions read must be at or below this LSN.
   Lsn read_lsn() const { return read_lsn_; }
-  TxnId own_txn() const { return own_; }
   const std::set<TxnId>& active() const { return active_; }
 
   /// Visibility of a row version written by `writer`, which committed at

@@ -264,7 +264,9 @@ TEST_P(PlacementCluster, MultiVolumeClusterBootstrapsUnderAntiAffinity) {
     EXPECT_EQ(*got, "v");
   }
   // Tenant keyspaces are disjoint: volume 1 never sees volume 0's key.
-  if (volumes > 1) EXPECT_FALSE(cluster.GetBlocking(1, "t0").ok());
+  if (volumes > 1) {
+    EXPECT_FALSE(cluster.GetBlocking(1, "t0").ok());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Volumes, PlacementCluster,

@@ -188,6 +188,76 @@ TEST(SessionConsistency, StreamGapNeverServesStalePage) {
       << "the stream gap did not drop the replica cache";
 }
 
+// A replica scan with one row it cannot resolve must fail, not come back
+// short: a dropped row is a wrong answer, and the session can only fall
+// back to the writer on an error. The row's undo is out of the replica's
+// reach because its cached leaf ran ahead of its anchor (the writer's VDL
+// is stalled while its redo streams on), and the storage re-read that
+// would anchor the row times out because the replica is cut off from
+// storage as the re-read goes out.
+TEST(SessionConsistency, ReplicaScanFailsWhenARowCannotResolve) {
+  core::AuroraCluster cluster(Options());
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  auto* rep = cluster.AddReplica();
+  ASSERT_NE(rep, nullptr);
+  for (const std::string key : {"s1", "s2", "s3"}) {
+    ASSERT_TRUE(cluster.PutBlocking(key, "v" + key).ok());
+  }
+  cluster.RunFor(200 * kMillisecond);
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  Result<Rows> scanned = Status::Internal("unset");
+  bool scan_done = false;
+  auto start_replica_scan = [&]() {
+    scan_done = false;
+    rep->Scan("s0", "s9", 10, [&](Result<Rows> r) {
+      scanned = std::move(r);
+      scan_done = true;
+    });
+  };
+  start_replica_scan();
+  ASSERT_TRUE(cluster.RunUntil([&]() { return scan_done; }));
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ(scanned->size(), 3u);
+
+  // Stall the writer's VDL: with half of the PG's segments cut off, no
+  // write quorum forms. An uncommitted update then streams to the replica
+  // and lands on its cached leaf above its VDL.
+  engine::DbInstance* writer = cluster.writer();
+  const auto members = writer->driver()->geometry().pgs()[0].AllMembers();
+  for (size_t i = 0; i < 3; ++i) {
+    cluster.network().Partition(writer->id(), members[i].node, true);
+  }
+  const TxnId txn = writer->Begin();
+  bool put_done = false;
+  writer->Put(txn, "s2", "uncommitted", [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    put_done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return put_done; }));
+  cluster.RunFor(50 * kMillisecond);
+
+  const uint64_t fallbacks = rep->stats().storage_fallback_reads;
+  start_replica_scan();
+  ASSERT_TRUE(cluster.RunUntil([&]() {
+    return scan_done || rep->stats().storage_fallback_reads > fallbacks;
+  }));
+  ASSERT_FALSE(scan_done) << "no storage fallback; the test is vacuous";
+  for (const auto& node : cluster.storage_nodes()) {
+    cluster.network().Partition(rep->id(), node->id(), true);
+  }
+  ASSERT_TRUE(cluster.RunUntil([&]() { return scan_done; }));
+  EXPECT_FALSE(scanned.ok()) << "replica scan came back with "
+                             << scanned->size() << " rows";
+
+  // The session's scan fails on the replica the same way and falls back
+  // to the writer, which serves every row as of its last commit.
+  core::ClientSession session(&cluster, /*az=*/0);
+  auto rows = SessionScan(cluster, session, "s0", "s9");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(*rows, (Rows{{"s1", "vs1"}, {"s2", "vs2"}, {"s3", "vs3"}}));
+  EXPECT_EQ(session.stats().writer_fallbacks, 1u);
+}
+
 TEST(SessionConsistency, AnchorSurvivesPromote) {
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());

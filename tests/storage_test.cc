@@ -175,8 +175,10 @@ TEST(PageOps, CopiedVersionsShareUntouchedEntries) {
 
 TEST(SegmentStore, AppendAdvancesScl) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp())}).ok());
-  ASSERT_TRUE(store.Append({DataRecord(2, 1, 7, 1, InsertOp("k", "v"))}).ok());
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp())},
+                           RedoSource::kWrite).ok());
+  ASSERT_TRUE(store.Ingest({DataRecord(2, 1, 7, 1, InsertOp("k", "v"))},
+                           RedoSource::kWrite).ok());
   EXPECT_EQ(store.scl(), 2u);
   EXPECT_EQ(store.stats().records_received, 2u);
 }
@@ -184,8 +186,8 @@ TEST(SegmentStore, AppendAdvancesScl) {
 TEST(SegmentStore, DuplicateAppendCounted) {
   auto store = MakeStore();
   auto rec = DataRecord(1, 0, 7, 0, FormatOp());
-  ASSERT_TRUE(store.Append({rec}).ok());
-  ASSERT_TRUE(store.Append({rec}).ok());
+  ASSERT_TRUE(store.Ingest({rec}, RedoSource::kWrite).ok());
+  ASSERT_TRUE(store.Ingest({rec}, RedoSource::kWrite).ok());
   EXPECT_EQ(store.stats().records_duplicate, 1u);
 }
 
@@ -193,7 +195,7 @@ TEST(SegmentStore, WrongPgRejected) {
   auto store = MakeStore();
   auto rec = DataRecord(1, 0, 7, 0, FormatOp());
   rec.pg = 3;
-  EXPECT_FALSE(store.Append({rec}).ok());
+  EXPECT_FALSE(store.Ingest({rec}, RedoSource::kWrite).ok());
 }
 
 TEST(SegmentStore, EpochChecks) {
@@ -212,9 +214,10 @@ TEST(SegmentStore, EpochChecks) {
 
 TEST(SegmentStore, CoalesceMaterializesVersions) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
-                            DataRecord(3, 2, 7, 2, InsertOp("b", "2"))})
+                            DataRecord(3, 2, 7, 2, InsertOp("b", "2"))},
+                           RedoSource::kWrite)
                   .ok());
   EXPECT_EQ(store.CoalesceStep(100), 0u) << "no floor: redo stays pending";
   store.ObservePgmrpl(2);
@@ -232,8 +235,9 @@ TEST(SegmentStore, CoalesceMaterializesVersions) {
 
 TEST(SegmentStore, OnDemandMaterializationWithoutCoalesce) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
-                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))})
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
+                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))},
+                           RedoSource::kWrite)
                   .ok());
   // No CoalesceStep: the read materializes on demand (§2.2).
   auto page = store.ReadPage(7, 2);
@@ -244,9 +248,10 @@ TEST(SegmentStore, OnDemandMaterializationWithoutCoalesce) {
 
 TEST(SegmentStore, ReadsAtOlderLsnSeeOlderVersion) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
                             DataRecord(2, 1, 7, 1, InsertOp("k", "v1")),
-                            DataRecord(3, 2, 7, 2, InsertOp("k", "v2"))})
+                            DataRecord(3, 2, 7, 2, InsertOp("k", "v2"))},
+                           RedoSource::kWrite)
                   .ok());
   store.CoalesceStep(100);
   auto old_page = store.ReadPage(7, 2);
@@ -259,15 +264,17 @@ TEST(SegmentStore, ReadsAtOlderLsnSeeOlderVersion) {
 
 TEST(SegmentStore, ReadAboveSclRejected) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp())}).ok());
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp())},
+                           RedoSource::kWrite).ok());
   EXPECT_EQ(store.ReadPage(7, 5).status().code(), StatusCode::kUnavailable);
 }
 
 TEST(SegmentStore, ReadBelowPgmrplRejected) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
-                            DataRecord(3, 2, 9, 0, FormatOp())})
+                            DataRecord(3, 2, 9, 0, FormatOp())},
+                           RedoSource::kWrite)
                   .ok());
   store.ObservePgmrpl(3);
   // Until coalescing folds it, the history below the floor is intact.
@@ -291,7 +298,8 @@ TEST(SegmentStore, ReadBelowPgmrplRejected) {
 
 TEST(SegmentStore, TailSegmentServesNoPages) {
   auto store = MakeStore(/*is_full=*/false);
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp())}).ok());
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp())},
+                           RedoSource::kWrite).ok());
   EXPECT_EQ(store.CoalesceStep(100), 0u);
   EXPECT_EQ(store.ReadPage(7, 1).status().code(), StatusCode::kNotSupported);
   EXPECT_EQ(store.scl(), 1u) << "tail still tracks the log chain";
@@ -302,8 +310,9 @@ TEST(SegmentStore, TailSegmentServesNoPages) {
 
 TEST(SegmentStore, GcRequiresBackupAndCoalesce) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
-                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))})
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
+                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))},
+                           RedoSource::kWrite)
                   .ok());
   EXPECT_EQ(store.GarbageCollect(), 0u) << "nothing backed up yet";
   store.MarkBackedUp(2);
@@ -335,7 +344,8 @@ TEST(SegmentStore, OverwrittenEntryOutlivesItsOldRecord) {
   log::Payload old_payload = first.payload;
   const log::Payload new_payload = second.payload;
   ASSERT_TRUE(
-      store.Append({DataRecord(1, 0, 7, 0, FormatOp()), first, second}).ok());
+      store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()), first, second},
+                   RedoSource::kWrite).ok());
   first = log::RedoRecord();
   second = log::RedoRecord();
 
@@ -366,10 +376,11 @@ TEST(SegmentStore, OverwrittenEntryOutlivesItsOldRecord) {
 
 TEST(SegmentStore, VersionGcKeepsNewestAtOrBelowPgmrpl) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
                             DataRecord(2, 1, 7, 1, InsertOp("k", "v1")),
                             DataRecord(3, 2, 7, 2, InsertOp("k", "v2")),
-                            DataRecord(4, 3, 7, 3, InsertOp("k", "v3"))})
+                            DataRecord(4, 3, 7, 3, InsertOp("k", "v3"))},
+                           RedoSource::kWrite)
                   .ok());
   // On-demand reads keep the versions they materialize.
   ASSERT_TRUE(store.ReadPage(7, 2).ok());
@@ -565,8 +576,10 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
           if (delivered > 0 && rng.Bernoulli(0.3)) {
             batch.push_back(delivery[rng.NextBounded(delivered)]);
           }
-          ASSERT_TRUE((rng.Bernoulli(0.5) ? store.Append(batch)
-                                          : store.AbsorbGossip(batch))
+          ASSERT_TRUE(store
+                          .Ingest(batch, rng.Bernoulli(0.5)
+                                             ? RedoSource::kWrite
+                                             : RedoSource::kPeer)
                           .ok());
           break;
         }
@@ -600,14 +613,16 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
           // annulled range) and takes over. It ships each block
           // materialized at its SCL, so readers move past that point.
           auto donor = MakeStore();
-          if (truncated) ASSERT_TRUE(donor.UpdateVolumeEpoch(truncation).ok());
+          if (truncated) {
+            ASSERT_TRUE(donor.UpdateVolumeEpoch(truncation).ok());
+          }
           std::vector<log::RedoRecord> handed;
           for (size_t i = 0; i < delivered; ++i) {
             if (truncated || delivery[i].lsn < annul_lo) {
               handed.push_back(delivery[i]);
             }
           }
-          ASSERT_TRUE(donor.AbsorbGossip(handed).ok());
+          ASSERT_TRUE(donor.Ingest(handed, RedoSource::kPeer).ok());
           donor.ObservePgmrpl(store.pgmrpl());
           donor.CoalesceStep(rng.NextBounded(kRecords));
           HydrationRequest request;
@@ -637,13 +652,14 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
     // floor, then sweep every read.
     note_floor();
     if (!truncated) {
-      ASSERT_TRUE(store.AbsorbGossip({delivery.begin() + delivered,
-                                      delivery.begin() + truncate_at})
+      ASSERT_TRUE(store.Ingest({delivery.begin() + delivered,
+                                delivery.begin() + truncate_at},
+                               RedoSource::kPeer)
                       .ok());
       delivered = truncate_at;
       truncate();
     }
-    ASSERT_TRUE(store.AbsorbGossip(delivery).ok());
+    ASSERT_TRUE(store.Ingest(delivery, RedoSource::kPeer).ok());
     ASSERT_EQ(store.scl(), kRecords);
     raise_floor(1 + rng.NextBounded(kRecords));
     store.CoalesceStep(kRecords);
@@ -661,8 +677,9 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
 
 TEST(SegmentStore, PendingBackupOnlyChainComplete) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
-                            DataRecord(3, 2, 7, 2, InsertOp("b", "2"))})
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
+                            DataRecord(3, 2, 7, 2, InsertOp("b", "2"))},
+                           RedoSource::kWrite)
                   .ok());
   auto pending = store.PendingBackup(100);
   ASSERT_EQ(pending.size(), 1u) << "record 3 is beyond SCL (gap at 2)";
@@ -671,8 +688,9 @@ TEST(SegmentStore, PendingBackupOnlyChainComplete) {
 
 TEST(SegmentStore, ScrubDetectsAndDropsCorruption) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
-                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))})
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
+                            DataRecord(2, 1, 7, 1, InsertOp("a", "1"))},
+                           RedoSource::kWrite)
                   .ok());
   EXPECT_EQ(store.Scrub(), 0u);
   ASSERT_TRUE(store.CorruptRecordForTest(2));
@@ -680,7 +698,8 @@ TEST(SegmentStore, ScrubDetectsAndDropsCorruption) {
   EXPECT_EQ(store.scl(), 1u) << "corrupt record dropped; SCL rewound";
   // Gossip redelivery heals.
   ASSERT_TRUE(
-      store.AbsorbGossip({DataRecord(2, 1, 7, 1, InsertOp("a", "1"))}).ok());
+      store.Ingest({DataRecord(2, 1, 7, 1, InsertOp("a", "1"))},
+                   RedoSource::kPeer).ok());
   EXPECT_EQ(store.scl(), 2u);
 }
 
@@ -697,17 +716,18 @@ TEST(SegmentStore, ScrubCatchesCorruptionBeforeAppend) {
   auto store = MakeStore();
   const auto in_transit = DataRecord(2, 1, 7, 1, InsertOp("a", "1"));
   const auto gossiped = DataRecord(3, 2, 8, 0, FormatOp());
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
-                            flip_first_byte(in_transit)})
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
+                            flip_first_byte(in_transit)}, RedoSource::kWrite)
                   .ok());
-  ASSERT_TRUE(store.AbsorbGossip({flip_first_byte(gossiped)}).ok());
+  ASSERT_TRUE(store.Ingest({flip_first_byte(gossiped)},
+                           RedoSource::kPeer).ok());
   EXPECT_EQ(store.scl(), 3u);
   EXPECT_EQ(store.PendingRedoCount(), 3u);
   EXPECT_EQ(store.Scrub(), 2u);
   EXPECT_EQ(store.scl(), 1u) << "both damaged records dropped";
   EXPECT_EQ(store.PendingRedoCount(), 1u);
   // Clean redelivery heals, and the healed copies scrub clean.
-  ASSERT_TRUE(store.AbsorbGossip({in_transit, gossiped}).ok());
+  ASSERT_TRUE(store.Ingest({in_transit, gossiped}, RedoSource::kPeer).ok());
   EXPECT_EQ(store.scl(), 3u);
   EXPECT_EQ(store.Scrub(), 0u);
   auto page = store.ReadPage(7, 3);
@@ -720,9 +740,10 @@ TEST(SegmentStore, ScrubCatchesCorruptionBeforeAppend) {
 
 TEST(SegmentStore, TruncationDropsAnnulledVersions) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+  ASSERT_TRUE(store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
                             DataRecord(2, 1, 7, 1, InsertOp("k", "v1")),
-                            DataRecord(3, 2, 7, 2, InsertOp("k", "dead"))})
+                            DataRecord(3, 2, 7, 2, InsertOp("k", "dead"))},
+                           RedoSource::kWrite)
                   .ok());
   store.CoalesceStep(100);
   VolumeEpochUpdateRequest request;
@@ -740,9 +761,10 @@ TEST(SegmentStore, TruncationDropsAnnulledVersions) {
 
 TEST(SegmentStore, HydrationViaGossipRecords) {
   auto donor = MakeStore();
-  ASSERT_TRUE(donor.Append({DataRecord(1, 0, 7, 0, FormatOp()),
+  ASSERT_TRUE(donor.Ingest({DataRecord(1, 0, 7, 0, FormatOp()),
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
-                            DataRecord(3, 2, 7, 2, InsertOp("b", "2"))})
+                            DataRecord(3, 2, 7, 2, InsertOp("b", "2"))},
+                           RedoSource::kWrite)
                   .ok());
   donor.CoalesceStep(100);
 
@@ -759,6 +781,60 @@ TEST(SegmentStore, HydrationViaGossipRecords) {
   auto page = fresh.ReadPage(7, 3);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->entries.size(), 2u);
+}
+
+// A record is the same whether it arrives by write, gossip, hydration or
+// archive restore (§2.2): each source leaves the same SCL, pending redo
+// and pages, and differs only in the counter it bumps.
+TEST(SegmentStore, IngestSourcesAgree) {
+  // Two blocks' chains, out of LSN order, with one record delivered twice.
+  const std::vector<log::RedoRecord> records = {
+      DataRecord(1, 0, 7, 0, FormatOp()),
+      DataRecord(3, 2, 7, 1, InsertOp("a", "1")),
+      DataRecord(2, 1, 9, 0, FormatOp()),
+      DataRecord(4, 3, 9, 2, InsertOp("b", "2")),
+      DataRecord(3, 2, 7, 1, InsertOp("a", "1")),
+      DataRecord(5, 4, 7, 3, InsertOp("a", "3")),
+  };
+  const Lsn last = 5;
+  auto written = MakeStore();
+  ASSERT_TRUE(written.Ingest(records, RedoSource::kWrite).ok());
+  auto gossiped = MakeStore();
+  ASSERT_TRUE(gossiped.Ingest(records, RedoSource::kPeer).ok());
+  auto hydrated = MakeStore(/*is_full=*/true, /*hydrated=*/false);
+  hydrated.BeginHydration(last);
+  HydrationResponse response;
+  response.records = records;
+  ASSERT_TRUE(hydrated.AbsorbHydration(response).ok());
+  auto restored = MakeStore();
+  restored.ResetToArchive(records, last, /*new_epoch=*/2);
+
+  EXPECT_EQ(written.stats().records_received, 5u);
+  EXPECT_EQ(written.stats().records_duplicate, 1u);
+  EXPECT_EQ(gossiped.stats().records_gossip_filled, 5u);
+  EXPECT_EQ(hydrated.stats().records_gossip_filled, 5u);
+  EXPECT_EQ(restored.stats().records_received +
+                restored.stats().records_gossip_filled,
+            0u);
+  ASSERT_TRUE(hydrated.hydrated());
+  for (SegmentStore* store : {&gossiped, &hydrated, &restored}) {
+    EXPECT_EQ(store->scl(), written.scl());
+    EXPECT_EQ(store->PendingRedoCount(), written.PendingRedoCount());
+    for (BlockId block : {7, 9}) {
+      for (Lsn lsn = 1; lsn <= last; ++lsn) {
+        auto want = written.ReadPage(block, lsn);
+        auto got = store->ReadPage(block, lsn);
+        ASSERT_EQ(got.status().code(), want.status().code())
+            << "block " << block << " at " << lsn;
+        if (want.ok()) {
+          EXPECT_EQ(got->page_lsn, want->page_lsn);
+          EXPECT_EQ(got->entries, want->entries);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(written.scl(), last);
+  EXPECT_EQ(written.PendingRedoCount(), 5u);
 }
 
 TEST(SegmentStore, MembershipInstallMonotone) {
@@ -926,14 +1002,14 @@ log::RedoRecord ChainRecord(Lsn lsn, Lsn prev) {
 TEST(SegmentStore, HydrationCarriesTruncationHistory) {
   // Donor lived through a recovery that annulled [3, 100].
   SegmentStore donor({0, 100, 0, true}, 0, RegressionConfig(), 1);
-  ASSERT_TRUE(donor.Append({ChainRecord(1, 0), ChainRecord(2, 1),
-                            ChainRecord(3, 2)}).ok());
+  ASSERT_TRUE(donor.Ingest({ChainRecord(1, 0), ChainRecord(2, 1),
+                            ChainRecord(3, 2)}, RedoSource::kWrite).ok());
   VolumeEpochUpdateRequest epoch_update;
   epoch_update.segment = 0;
   epoch_update.new_epoch = 2;
   epoch_update.truncation = log::TruncationRange{3, 100};
   ASSERT_TRUE(donor.UpdateVolumeEpoch(epoch_update).ok());
-  ASSERT_TRUE(donor.Append({ChainRecord(101, 2)}).ok());
+  ASSERT_TRUE(donor.Ingest({ChainRecord(101, 2)}, RedoSource::kWrite).ok());
   ASSERT_EQ(donor.scl(), 101u);
 
   // A fresh segment hydrates from the donor, then is offered the annulled
@@ -945,14 +1021,15 @@ TEST(SegmentStore, HydrationCarriesTruncationHistory) {
   ASSERT_TRUE(fresh.AbsorbHydration(donor.BuildHydration(request)).ok());
   EXPECT_TRUE(fresh.hydrated());
   EXPECT_EQ(fresh.scl(), 101u);
-  ASSERT_TRUE(fresh.AbsorbGossip({ChainRecord(3, 2)}).ok());
+  ASSERT_TRUE(fresh.Ingest({ChainRecord(3, 2)}, RedoSource::kPeer).ok());
   EXPECT_FALSE(fresh.hot_log().Contains(3))
       << "annulled record resurrected through hydration";
 }
 
 TEST(SegmentStore, ResetToArchivePreservesTruncations) {
   SegmentStore store({0, 100, 0, true}, 0, RegressionConfig(), 1);
-  ASSERT_TRUE(store.Append({ChainRecord(1, 0), ChainRecord(2, 1)}).ok());
+  ASSERT_TRUE(store.Ingest({ChainRecord(1, 0), ChainRecord(2, 1)},
+                           RedoSource::kWrite).ok());
   VolumeEpochUpdateRequest epoch_update;
   epoch_update.segment = 0;
   epoch_update.new_epoch = 2;
@@ -966,7 +1043,7 @@ TEST(SegmentStore, ResetToArchivePreservesTruncations) {
   EXPECT_EQ(store.scl(), 1u);
   EXPECT_FALSE(store.hot_log().Contains(2));
   // And the reset installed its own range above the restore point.
-  ASSERT_TRUE(store.Append({ChainRecord(61, 1)}).ok());
+  ASSERT_TRUE(store.Ingest({ChainRecord(61, 1)}, RedoSource::kWrite).ok());
   EXPECT_FALSE(store.hot_log().Contains(61))
       << "old-timeline record above the restore point must be annulled";
 }
