@@ -6,8 +6,16 @@
 // measuring commit latency in each phase. The Paxos-style baseline models
 // the traditional stop-the-world reconfiguration: writes pause while the
 // new configuration is agreed and the replacement node state-transfers.
+// The bench asserts the figure's shape: it exits non-zero unless the
+// epochs go 1 -> 2 (dual) -> 3 (committed), every phase commits every
+// write offered to it (no write stall), and the revert reports OK.
+// `--quick` prints and checks the tables but skips the microbenchmarks;
+// CTest runs it that way.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -19,14 +27,20 @@ struct PhaseStats {
   uint64_t commits = 0;
 };
 
-void Run() {
+/// Runs the figure; true when its shape holds.
+bool Run() {
   core::AuroraOptions options;
   options.seed = 5555;
   options.blocks_per_pg = 1 << 16;
   options.storage_nodes_per_az = 3;
   core::AuroraCluster cluster(options);
-  if (!cluster.StartBlocking().ok()) return;
+  if (!cluster.StartBlocking().ok()) return false;
   (void)bench::RunClosedLoopWrites(cluster, 64, "warm");
+  constexpr double kRate = 400.0;
+  constexpr SimDuration kPhase = 2 * kSecond;
+  const auto offered = static_cast<uint64_t>(kRate * kPhase / kSecond);
+  std::vector<MembershipEpoch> epochs;
+  bool every_write_committed = true;
 
   bench::Table table(
       "Figure 5: commit latency across a two-step membership change "
@@ -36,7 +50,9 @@ void Run() {
   auto run_phase = [&](const char* name) {
     Histogram latency;
     const uint64_t commits =
-        bench::RunOpenLoopWrites(cluster, 400.0, 2 * kSecond, &latency);
+        bench::RunOpenLoopWrites(cluster, kRate, kPhase, &latency);
+    epochs.push_back(cluster.geometry().Pg(0).epoch());
+    every_write_committed &= commits == offered;
     table.Row({name, std::to_string(cluster.geometry().Pg(0).epoch()),
                std::to_string(commits), bench::Us(latency.P50()),
                bench::Us(latency.P99()), bench::Us(latency.max())});
@@ -54,7 +70,7 @@ void Run() {
   if (!begin_report.ok()) {
     std::printf("begin failed: %s\n",
                 begin_report.status().ToString().c_str());
-    return;
+    return false;
   }
   run_phase("epoch 2: dual quorum ABCDEF+G");
 
@@ -64,7 +80,7 @@ void Run() {
   const SimDuration change_time = cluster.sim().Now() - commit_start;
   if (!commit_st.ok()) {
     std::printf("commit failed: %s\n", commit_st.ToString().c_str());
-    return;
+    return false;
   }
   run_phase("epoch 3: committed ABCDEG");
   table.Print();
@@ -89,6 +105,7 @@ void Run() {
   const SegmentId e = 4;
   cluster.network().Crash(cluster.NodeForSegment(e)->id());
   auto report2 = cluster.BeginReplaceBlocking(e);
+  bool reverted = false;
   if (report2.ok()) {
     cluster.network().Restart(cluster.NodeForSegment(e)->id());
     cluster.RunFor(100 * kMillisecond);
@@ -99,7 +116,19 @@ void Run() {
                 revert.ToString().c_str(),
                 static_cast<unsigned long long>(
                     cluster.geometry().Pg(0).epoch()));
+    reverted = revert.ok();
   }
+  const bool epochs_hold =
+      epochs == std::vector<MembershipEpoch>{1, 1, 2, 3};
+  if (!epochs_hold || !every_write_committed || !reverted) {
+    std::fprintf(stderr,
+                 "F5: FAIL expected epochs 1 -> 2 (dual) -> 3 (committed), "
+                 "all %llu offered writes committed in every phase, and an "
+                 "OK revert\n",
+                 static_cast<unsigned long long>(offered));
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -141,8 +170,14 @@ BENCHMARK(BM_TransitionSafetyProof);
 }  // namespace
 
 int main(int argc, char** argv) {
-  aurora::Run();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  }
+  if (!aurora::Run()) return 1;
+  if (!quick) {
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+  }
   return 0;
 }

@@ -52,7 +52,7 @@ int main() {
 
   // ---- Heat management ----------------------------------------------------
   std::printf("2) heat management: node hosting segment 0 is hot; move it\n");
-  auto moved = cluster.MoveSegmentBlocking(0);
+  auto moved = cluster.ReplaceSegmentBlocking(0);
   std::printf("   moved -> segment %u (epochs %llu -> %llu), zero write "
               "stall\n\n",
               moved.ok() ? moved->new_segment : 0,

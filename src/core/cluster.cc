@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/common/logging.h"
+#include "src/engine/recovery_plan.h"
 
 namespace aurora::core {
 
@@ -86,6 +87,8 @@ constexpr NodeId kMetadataNode = 90;
 constexpr NodeId kFirstStorageNode = 100;
 /// Default deadline for the *Blocking helpers (RunUntil with timeout 0).
 constexpr SimDuration kBlockingTimeout = 60 * kSecond;
+/// How long a manual membership change waits for a read quorum of SCLs.
+constexpr SimDuration kSclProbeWindow = 5 * kSecond;
 }  // namespace
 
 AuroraCluster::AuroraCluster(AuroraOptions options)
@@ -554,51 +557,48 @@ storage::StorageNode* AuroraCluster::PickNodeForNewSegment(
   return node(*host);
 }
 
+Result<Lsn> AuroraCluster::ProbeHydrationTargetBlocking(
+    const quorum::PgConfig& config) {
+  struct Probe {
+    quorum::PgConfig config;
+    engine::SclProbeReplies replies;
+    std::optional<engine::QuorumScl> target;
+  };
+  auto probe = std::make_shared<Probe>();
+  probe->config = config;
+  // The reply rides no simulated wire (unlike the repair planner's
+  // UnaryCall probe); moving it onto one changes the golden schedule.
+  for (const auto& member : config.AllMembers()) {
+    storage::StorageNode* target = node_index_.at(member.node);
+    storage::SegmentStateRequest request{member.id};
+    network_.Send(metadata_->id(), member.node, request.SerializedSize(),
+                  [target, request, probe]() {
+                    target->HandleSegmentState(
+                        request, [probe](storage::SegmentStateResponse r) {
+                          if (!r.status.ok()) return;
+                          probe->replies[r.segment] = std::move(r);
+                          probe->target = engine::ReadQuorumScl(
+                              probe->config, probe->replies);
+                        });
+                  });
+  }
+  if (!RunUntil([&]() { return probe->target.has_value(); },
+                kSclProbeWindow)) {
+    return Status::QuorumUnavailable(
+        "no read quorum of hydrated members answered the SCL probe");
+  }
+  return probe->target->scl;
+}
+
 Status AuroraCluster::InstallPgConfigBlocking(
     const quorum::PgConfig& old_config, const quorum::PgConfig& new_config) {
-  assert(quorum::TransitionIsSafe(old_config, new_config));
-  // An epoch increment requires a write quorum, like any other write
-  // (§4.1). Send the new config to every member; succeed once the OLD
-  // config's write set acknowledges.
-  const VolumeId volume = VolumeOf(new_config);
-  engine::DbInstance* owner = writer(volume);
-  auto acks = std::make_shared<quorum::SegmentSet>();
-  for (const auto& member : new_config.AllMembers()) {
-    storage::MembershipUpdateRequest request;
-    request.segment = member.id;
-    request.expected_epoch = old_config.epoch();
-    request.config = new_config;
-    request.volume_epoch = metadata_->volume_epoch(volume);
-    storage::StorageNode* target = node_index_.at(member.node);
-    network_.Send(
-        owner ? owner->id() : kMetadataNode, member.node,
-        request.SerializedSize(), [target, request, acks, this]() {
-          target->HandleMembershipUpdate(
-              request,
-              [acks, seg = request.segment](
-                  storage::MembershipUpdateResponse response) {
-                if (response.status.ok()) acks->insert(seg);
-              });
-        });
-  }
-  const auto& write_set = old_config.WriteSet();
-  if (!RunUntil([&]() { return write_set.SatisfiedBy(*acks); })) {
-    return Status::QuorumUnavailable(
-        "membership epoch increment did not reach write quorum");
-  }
-  // Record at the authority and refresh instances.
-  AURORA_RETURN_IF_ERROR(
-      metadata_->mutable_geometry(volume).UpdatePg(new_config));
-  if (owner != nullptr && owner->driver() != nullptr) {
-    owner->driver()->UpdatePgConfig(new_config);
-  }
-  if (volume == 0) {
-    // Read replicas attach to the primary volume only.
-    for (auto& rep : replicas_) {
-      rep->UpdateGeometry(metadata_->geometry(), metadata_->volume_epoch());
-    }
-  }
-  return Status::OK();
+  auto result = std::make_shared<std::optional<Status>>();
+  InstallPgConfigAsync(
+      old_config, new_config,
+      [result](Status st) { *result = std::move(st); }, kBlockingTimeout);
+  RunUntil([&]() { return result->has_value(); });
+  return result->value_or(Status::QuorumUnavailable(
+      "membership epoch increment did not reach write quorum"));
 }
 
 void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
@@ -606,10 +606,9 @@ void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
                                          std::function<void(Status)> done,
                                          SimDuration timeout) {
   assert(quorum::TransitionIsSafe(old_config, new_config));
-  // Event-driven twin of InstallPgConfigBlocking for the repair planner:
-  // same quorum rule (the OLD config's write set must ack the epoch+1
-  // config), but completion is a callback, so it can run underneath any
-  // workload without pumping the event loop.
+  // An epoch increment requires a write quorum, like any other write
+  // (§4.1): the new config goes to every member, and the OLD config's
+  // write set must acknowledge it.
   struct InstallState {
     quorum::SegmentSet acks;
     quorum::QuorumSet write_set;
@@ -617,7 +616,6 @@ void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
   };
   auto state = std::make_shared<InstallState>();
   state->write_set = old_config.WriteSet();
-  const MembershipEpoch target_epoch = new_config.epoch();
   const VolumeId volume = VolumeOf(new_config);
   for (const auto& member : new_config.AllMembers()) {
     storage::MembershipUpdateRequest request;
@@ -630,22 +628,22 @@ void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
     storage::StorageNode* target = node_it->second;
     network_.Send(
         metadata_->id(), member.node, request.SerializedSize(),
-        [this, target, request, state, target_epoch, new_config, volume,
+        [this, target, request, state, new_config, volume,
          done]() {
           target->HandleMembershipUpdate(
-              request, [this, state, seg = request.segment, target_epoch,
+              request, [this, state, seg = request.segment,
                         new_config, volume,
                         done](storage::MembershipUpdateResponse response) {
                 if (state->finished) return;
-                // A StaleEpoch reply whose current epoch already covers
-                // the target means the node holds this (or a newer)
-                // config — membership installs are monotone, so that is
-                // an ack for quorum purposes. This is what makes install
+                // A StaleEpoch reply from a node that already holds this
+                // very config is an ack: that is what makes install
                 // retries idempotent instead of wedging half-installed.
+                // A different config at the same epoch (a concurrent
+                // change of the group) is not.
                 const bool accepted =
                     response.status.ok() ||
                     (response.status.IsStaleEpoch() &&
-                     response.current_epoch >= target_epoch);
+                     response.config == new_config);
                 if (!accepted) return;
                 state->acks.insert(seg);
                 if (!state->write_set.SatisfiedBy(state->acks)) return;
@@ -684,8 +682,6 @@ void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
 Result<MembershipChangeReport> AuroraCluster::BeginReplaceBlocking(
     SegmentId old_segment) {
   MembershipChangeReport report;
-  report.old_segment = old_segment;
-  report.started_at = sim_.Now();
   // Locate the PG and the suspect member (any volume's geometry).
   VolumeId volume = 0;
   const quorum::PgConfig* config = FindConfigForSegment(old_segment, &volume);
@@ -707,45 +703,30 @@ Result<MembershipChangeReport> AuroraCluster::BeginReplaceBlocking(
   report.new_segment = new_info.id;
   report.begin_epoch = next->epoch();
 
-  // Hydration target: the highest SCL among reachable current members.
-  auto target_scl = std::make_shared<Lsn>(kInvalidLsn);
-  auto probes = std::make_shared<size_t>(0);
-  engine::DbInstance* owner = writer(volume);
-  const NodeId prober = owner ? owner->id() : kMetadataNode;
-  for (const auto& member : config->AllMembers()) {
-    storage::StorageNode* target = node_index_.at(member.node);
-    storage::SegmentStateRequest request{member.id};
-    network_.Send(prober, member.node, request.SerializedSize(),
-                  [target, request, target_scl, probes]() {
-                    target->HandleSegmentState(
-                        request, [target_scl, probes](
-                                     storage::SegmentStateResponse r) {
-                          if (r.status.ok()) {
-                            *target_scl = std::max(*target_scl, r.scl);
-                            (*probes)++;
-                          }
-                        });
-                  });
+  // Hydration target: the SCL a read quorum of the current config
+  // vouches for. The probe pumps the event loop, so the group may change
+  // under it (the repair planner); then this change no longer applies.
+  const quorum::PgConfig old_copy = *config;
+  auto target_scl = ProbeHydrationTargetBlocking(old_copy);
+  if (!target_scl.ok()) return target_scl.status();
+  if (metadata_->geometry(volume).Pg(old_copy.pg()) != old_copy) {
+    return Status::Aborted("the group changed during the SCL probe");
   }
-  RunUntil([&]() { return *probes >= 3; }, 5 * kSecond);
 
   // Create the (empty, un-hydrated) segment with the DUAL-quorum config.
-  host->AddSegment(new_info, config->pg(), *next,
+  host->AddSegment(new_info, old_copy.pg(), *next,
                    metadata_->volume_epoch(volume),
                    /*hydrated=*/false);
   host->FindSegment(new_info.id)->BeginHydration(*target_scl);
 
   // Install the epoch increment at a write quorum of the old config.
-  const quorum::PgConfig old_copy = *config;
   AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(old_copy, *next));
   host->StartHydrationPull(new_info.id);
-  report.status = Status::OK();
-  report.finished_at = sim_.Now();
   return report;
 }
 
 Status AuroraCluster::CommitReplaceBlocking(SegmentId old_segment) {
-  const quorum::PgConfig* config = FindConfigForSegment(old_segment, nullptr);
+  const quorum::PgConfig* config = FindConfigForSegment(old_segment);
   if (config == nullptr) return Status::NotFound("segment not in volume");
   auto next = config->CommitReplace(old_segment);
   if (!next.ok()) return next.status();
@@ -778,7 +759,7 @@ Status AuroraCluster::CommitReplaceBlocking(SegmentId old_segment) {
 }
 
 Status AuroraCluster::RevertReplaceBlocking(SegmentId old_segment) {
-  const quorum::PgConfig* config = FindConfigForSegment(old_segment, nullptr);
+  const quorum::PgConfig* config = FindConfigForSegment(old_segment);
   if (config == nullptr) return Status::NotFound("segment not in volume");
   auto next = config->RevertReplace(old_segment);
   if (!next.ok()) return next.status();
@@ -805,9 +786,8 @@ Result<MembershipChangeReport> AuroraCluster::ReplaceSegmentBlocking(
   if (!report.ok()) return report;
   Status commit = CommitReplaceBlocking(old_segment);
   if (!commit.ok()) return commit;
-  report->finished_at = sim_.Now();
   if (const quorum::PgConfig* final_config =
-          FindConfigForSegment(report->new_segment, nullptr)) {
+          FindConfigForSegment(report->new_segment)) {
     report->final_epoch = final_config->epoch();
   }
   return report;
@@ -938,18 +918,14 @@ Status AuroraCluster::ExpandToSixBlocking(AzId restored_az) {
       auto next = pg.ExpandToSix(fresh);
       if (!next.ok()) return next.status();
       // Probe the hydration target, create the segments, install, hydrate.
-      Lsn target = kInvalidLsn;
-      for (const auto& member : pg.AllMembers()) {
-        storage::StorageNode* node = node_index_.at(member.node);
-        storage::SegmentStore* store = node->FindSegment(member.id);
-        if (store != nullptr) target = std::max(target, store->scl());
-      }
+      auto target = ProbeHydrationTargetBlocking(pg);
+      if (!target.ok()) return target.status();
       for (const auto& info : fresh) {
         storage::StorageNode* host = node_index_.at(info.node);
         host->AddSegment(info, pg.pg(), *next,
                          metadata_->volume_epoch(volume),
                          /*hydrated=*/false);
-        host->FindSegment(info.id)->BeginHydration(target);
+        host->FindSegment(info.id)->BeginHydration(*target);
       }
       AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(pg, *next));
       for (const auto& info : fresh) {

@@ -95,19 +95,10 @@ class MetadataService {
   /// never changes another tenant's message timings.
   void IncrementVolumeEpoch(NodeId caller, VolumeId volume,
                             std::function<void(VolumeEpoch)> cb);
-  void IncrementVolumeEpoch(NodeId caller,
-                            std::function<void(VolumeEpoch)> cb) {
-    IncrementVolumeEpoch(caller, 0, std::move(cb));
-  }
   /// Network-mediated geometry fetch.
   void FetchGeometry(
       NodeId caller, VolumeId volume,
       std::function<void(quorum::VolumeGeometry, VolumeEpoch)> cb);
-  void FetchGeometry(
-      NodeId caller,
-      std::function<void(quorum::VolumeGeometry, VolumeEpoch)> cb) {
-    FetchGeometry(caller, 0, std::move(cb));
-  }
 
  private:
   /// Per-volume authority state: epoch lineage + geometry, independent
@@ -125,16 +116,11 @@ class MetadataService {
   std::map<VolumeId, VolumeState> volumes_;
 };
 
-/// Progress/outcome of a membership change (Figure 5).
+/// Outcome of a membership change (Figure 5).
 struct MembershipChangeReport {
-  Status status;
-  SegmentId old_segment = kInvalidSegment;
   SegmentId new_segment = kInvalidSegment;
   MembershipEpoch begin_epoch = 0;   // epoch of the dual-quorum config
-  MembershipEpoch final_epoch = 0;   // epoch after commit/revert
-  bool reverted = false;
-  SimTime started_at = 0;
-  SimTime finished_at = 0;
+  MembershipEpoch final_epoch = 0;   // epoch after the commit
 };
 
 class AuroraCluster {
@@ -178,16 +164,23 @@ class AuroraCluster {
 
   /// Storage node hosting `segment`, or nullptr.
   storage::StorageNode* NodeForSegment(SegmentId segment);
+  /// The config containing `segment`, searched in (volume, pg) order; its
+  /// volume goes to `volume_out` when that is not null.
+  const quorum::PgConfig* FindConfigForSegment(
+      SegmentId segment, VolumeId* volume_out = nullptr) const;
 
   // -- Control-plane building blocks (repair planner) ---------------------
 
-  /// Installs `new_config` at a write quorum of `old_config`'s members
-  /// without pumping the event loop; `done` fires with OK once the quorum
-  /// acks (metadata geometry, the writer's driver, and replicas are
-  /// updated first) or with QuorumUnavailable after `timeout`. A node
-  /// that already holds an epoch >= new_config.epoch() counts as an ack:
-  /// membership installs are monotone at the nodes (segment_store.cc), so
-  /// retrying a timed-out install is always safe and eventually convergent.
+  /// The one config install: sends `new_config` from the metadata node to
+  /// every member and, without pumping the event loop, fires `done` with
+  /// OK once a write quorum of `old_config` acks (metadata geometry, the
+  /// writer's driver, and replicas are updated first) or with
+  /// QuorumUnavailable after `timeout`. A node that already holds
+  /// `new_config` itself counts as an ack: membership installs are
+  /// monotone at the nodes (segment_store.cc), so retrying a timed-out
+  /// install is always safe and eventually convergent, while a different
+  /// config that reached the same epoch first never counts. The
+  /// *Blocking membership operations run it to completion.
   void InstallPgConfigAsync(const quorum::PgConfig& old_config,
                             const quorum::PgConfig& new_config,
                             std::function<void(Status)> done,
@@ -266,7 +259,9 @@ class AuroraCluster {
   Status RecoverWriterBlocking();
 
   /// Replaces `old_segment` with a fresh segment via the two-step quorum-
-  /// set transition; commits once hydrated. I/O proceeds throughout.
+  /// set transition; commits once hydrated. I/O proceeds throughout. On a
+  /// healthy segment this is heat management (§1, §4.1): the live source
+  /// makes hydration fast.
   Result<MembershipChangeReport> ReplaceSegmentBlocking(SegmentId old_segment);
 
   /// Begins a replacement (dual-quorum epoch) without committing —
@@ -280,13 +275,6 @@ class AuroraCluster {
   /// Appends a protection group to `volume` (geometry epoch increment),
   /// placed through the placement service.
   Status GrowVolumeBlocking(VolumeId volume = 0);
-
-  /// Heat management (§1, §4.1): migrates a healthy segment to another
-  /// node in its AZ using the same two-step reversible transition as a
-  /// failure repair — the live source makes hydration fast.
-  Result<MembershipChangeReport> MoveSegmentBlocking(SegmentId segment) {
-    return ReplaceSegmentBlocking(segment);
-  }
 
   /// Point-in-time restore (§2.1 activity 6, Figure 2's "point in time
   /// snapshot"): crashes the writer, reloads every segment from the
@@ -346,11 +334,13 @@ class AuroraCluster {
   /// the metadata node and the storage fleet occupy.
   NodeId AllocateNodeId();
   void WireReplica(replica::ReadReplica* rep);
+  /// Probes `config`'s members from the metadata node for the SCL a read
+  /// quorum of hydrated members vouches for (engine::ReadQuorumScl);
+  /// QuorumUnavailable if none does within the probe window.
+  Result<Lsn> ProbeHydrationTargetBlocking(const quorum::PgConfig& config);
+  /// InstallPgConfigAsync run to completion.
   Status InstallPgConfigBlocking(const quorum::PgConfig& old_config,
                                  const quorum::PgConfig& new_config);
-  /// Locates the config containing `segment` across all volumes.
-  const quorum::PgConfig* FindConfigForSegment(SegmentId segment,
-                                               VolumeId* volume_out) const;
   Status BootstrapWriterBlocking(engine::DbInstance* writer);
 
   AuroraOptions options_;

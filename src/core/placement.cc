@@ -103,23 +103,4 @@ Result<NodeId> PlacementService::PickReplacement(
   return host;
 }
 
-std::vector<PlacementService::Displaced> PlacementService::PlanRebalance(
-    NodeId lost, const std::vector<quorum::PgConfig>& configs) const {
-  std::vector<Displaced> plan;
-  for (const auto& config : configs) {
-    for (const auto& member : config.AllMembers()) {
-      if (member.node != lost) continue;
-      Displaced d;
-      d.volume = member.volume;
-      d.pg = config.pg();
-      d.segment = member.id;
-      d.az = member.az;
-      auto host = PickReplacement(config, member.az);
-      d.suggested_host = host.ok() ? *host : kInvalidNode;
-      plan.push_back(d);
-    }
-  }
-  return plan;
-}
-
 }  // namespace aurora::core

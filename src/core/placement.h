@@ -24,9 +24,8 @@
 // segment, placement forgets to hear about it) at the price of the
 // probes being cheap, which they are in-simulation.
 //
-// The repair planner consumes `PickReplacement` for replacement
-// candidates and `PlanRebalance` to enumerate the displaced segments of a
-// lost server; both honor the same two rules.
+// The repair planner and manual replacements consume `PickReplacement`
+// for replacement hosts; it honors the same two rules.
 
 #pragma once
 
@@ -77,22 +76,6 @@ class PlacementService {
   /// server in the AZ already hosts a member.
   Result<NodeId> PickReplacement(const quorum::PgConfig& config,
                                  AzId az) const;
-
-  /// One segment displaced by a server loss, with a replacement host
-  /// suggestion (kInvalidNode if no host satisfies anti-affinity).
-  struct Displaced {
-    VolumeId volume = 0;
-    ProtectionGroupId pg = 0;
-    SegmentId segment = kInvalidSegment;
-    AzId az = 0;
-    NodeId suggested_host = kInvalidNode;
-  };
-
-  /// Rebalance plan after losing `lost`: for every member of `configs`
-  /// hosted there, a replacement suggestion via PickReplacement. Pure
-  /// planning — callers (tests, the repair path) execute the moves.
-  std::vector<Displaced> PlanRebalance(
-      NodeId lost, const std::vector<quorum::PgConfig>& configs) const;
 
  private:
   size_t LoadOf(NodeId node) const;

@@ -16,9 +16,6 @@
 namespace aurora::core {
 
 namespace {
-/// SCL probes from this many hydrated members establish the hydration
-/// target (a read quorum under V=6/Vr=3; §2.1).
-constexpr size_t kSclProbeQuorum = 3;
 /// Cadence of the decision loop.
 constexpr SimDuration kTickInterval = 20 * kMillisecond;
 /// Concurrent repair bounds (jobs, not epochs).
@@ -51,18 +48,6 @@ void RepairPlanner::Stop() {
   if (!running_) return;
   running_ = false;
   ++generation_;
-}
-
-const quorum::PgConfig* RepairPlanner::FindConfig(SegmentId segment,
-                                                 VolumeId* volume) const {
-  const quorum::PgConfig* found = nullptr;
-  cluster_->ForEachPgConfig([&](VolumeId v, const quorum::PgConfig& pg) {
-    if (found == nullptr && pg.ContainsSegment(segment)) {
-      found = &pg;
-      if (volume != nullptr) *volume = v;
-    }
-  });
-  return found;
 }
 
 size_t RepairPlanner::JobsInAz(AzId az) const {
@@ -120,7 +105,7 @@ void RepairPlanner::StartNewJobs() {
     if (jobs_.contains(suspect)) continue;
     Candidate c;
     c.suspect = suspect;
-    c.config = FindConfig(suspect, &c.volume);
+    c.config = cluster_->FindConfigForSegment(suspect, &c.volume);
     if (c.config == nullptr) continue;  // already replaced / departed
     for (const auto& member : c.config->AllMembers()) {
       if (monitor_->IsSuspect(member.id)) ++c.degraded;
@@ -165,7 +150,7 @@ void RepairPlanner::StartNewJobs() {
 }
 
 void RepairPlanner::ProbeScls(SegmentId old_segment) {
-  const quorum::PgConfig* config = FindConfig(old_segment);
+  const quorum::PgConfig* config = cluster_->FindConfigForSegment(old_segment);
   if (config == nullptr) return;
   const uint64_t gen = generation_;
   for (const auto& member : config->AllMembers()) {
@@ -198,13 +183,14 @@ void RepairPlanner::ProbeScls(SegmentId old_segment) {
             return;
           }
           if (!response.status.ok() || !response.hydrated) return;
-          // Deduplicate by responder: the quorum gate counts DISTINCT
-          // hydrated members, so a repeat reply across re-probe rounds
-          // (or a stale duplicate from an earlier round) only refreshes
-          // the max, never the count.
-          it->second.target_scl =
-              std::max(it->second.target_scl, response.scl);
-          it->second.probe_responders.insert(responder);
+          // Keyed by responder: a repeat reply across re-probe rounds (or
+          // a stale duplicate from an earlier round) can only raise that
+          // member's SCL, never add a member to the quorum.
+          auto [slot, fresh] = it->second.probes.try_emplace(responder,
+                                                             response);
+          if (!fresh && response.scl > slot->second.scl) {
+            slot->second = std::move(response);
+          }
         });
   }
 }
@@ -226,7 +212,14 @@ void RepairPlanner::AdvanceJobs() {
           jobs_.erase(it);
           break;
         }
-        if (job.probe_responders.size() >= kSclProbeQuorum) {
+        // A suspect that left its group gets no more probes and runs
+        // into the deadline below.
+        const quorum::PgConfig* config = cluster_->FindConfigForSegment(id);
+        const auto quorum = config != nullptr
+                                ? engine::ReadQuorumScl(*config, job.probes)
+                                : std::nullopt;
+        if (quorum.has_value()) {
+          job.target_scl = quorum->scl;
           BeginChange(job);
           break;
         }
@@ -320,7 +313,8 @@ void RepairPlanner::AdvanceJobs() {
 
 void RepairPlanner::BeginChange(RepairJob& job) {
   VolumeId volume = 0;
-  const quorum::PgConfig* config = FindConfig(job.old_segment, &volume);
+  const quorum::PgConfig* config =
+      cluster_->FindConfigForSegment(job.old_segment, &volume);
   if (config == nullptr || config->HasPendingChange() ||
       config->FindSegment(job.old_segment) == nullptr) {
     ++stats_.aborted_before_begin;
@@ -371,7 +365,7 @@ void RepairPlanner::StartInstall(RepairJob& job) {
   const quorum::PgConfig* base = nullptr;
   const quorum::PgConfig* target = nullptr;
   if (job.state == JobState::kBeginInstall) {
-    base = FindConfig(job.old_segment);
+    base = cluster_->FindConfigForSegment(job.old_segment);
     target = &*job.pending_config;
     // If metadata already shows the pending config (install landed but the
     // quorum callback lost a race with a timeout), skip straight ahead.

@@ -8,8 +8,9 @@
 // time):
 //
 //   kProbing        async SCL probes of the group's members establish the
-//     │             hydration target (max SCL over a read quorum of
-//     │             hydrated replies). Aborted if suspicion clears first.
+//     │             hydration target (engine::ReadQuorumScl: max SCL once
+//     │             the hydrated responders satisfy the group's read set).
+//     │             Aborted if suspicion clears first.
 //   kBeginInstall   BeginReplace(old, fresh) computed; the replacement
 //     │             segment is created un-hydrated on a live host in the
 //     │             same AZ; the epoch+1 dual config installs at a write
@@ -47,11 +48,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/types.h"
+#include "src/engine/recovery_plan.h"
 #include "src/quorum/membership.h"
 
 namespace aurora::core {
@@ -85,11 +86,10 @@ class RepairPlanner {
     SimTime probe_deadline = 0;
     SimTime deadline = 0;
     Lsn target_scl = kInvalidLsn;
-    /// Distinct hydrated members that answered an SCL probe. A member
-    /// replying in several probe rounds (or a stale duplicate reply)
-    /// must not inflate the count: the hydration target is only a safe
-    /// read quorum when kSclProbeQuorum DIFFERENT members contribute.
-    std::set<SegmentId> probe_responders;
+    /// Hydrated SCL-probe replies, one per member, keeping each member's
+    /// highest SCL: a member replying in several probe rounds counts once
+    /// toward the read quorum.
+    engine::SclProbeReplies probes;
     NodeId host_node = kInvalidNode;
     bool install_in_flight = false;
     uint64_t install_attempts = 0;
@@ -132,8 +132,6 @@ class RepairPlanner {
   void StartInstall(RepairJob& job);
   void FinishCommit(RepairJob& job);
   void FinishRevert(RepairJob& job);
-  const quorum::PgConfig* FindConfig(SegmentId segment,
-                                     VolumeId* volume = nullptr) const;
   size_t JobsInAz(AzId az) const;
   size_t JobsOnServer(NodeId node) const;
   bool PgHasJob(VolumeId volume, ProtectionGroupId pg) const;

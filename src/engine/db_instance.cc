@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/common/interval_set.h"
 #include "src/common/logging.h"
+#include "src/engine/recovery_plan.h"
 
 namespace aurora::engine {
 
@@ -857,26 +857,17 @@ struct DbInstance::RecoveryState {
 
   std::function<void(Status)> cb;
   quorum::VolumeGeometry geometry;
-  VolumeEpoch old_epoch = 0;
   VolumeEpoch new_epoch = 0;
   Phase phase = Phase::kProbing;
 
-  // Probe results, keyed by PG then segment.
-  std::map<ProtectionGroupId,
-           std::map<SegmentId, storage::SegmentStateResponse>>
-      states;
-  std::map<ProtectionGroupId, Lsn> recovered_pgcl;
-  std::map<ProtectionGroupId, SegmentId> best_segment;
-
-  // Tail scan.
-  IntervalSet present;
-  std::map<Lsn, bool> tail_info;  // lsn -> mtr_complete
-  Lsn tail_floor = kInvalidLsn;
+  /// Probe replies, keyed by PG then segment; a repeat reply replaces the
+  /// segment's earlier one.
+  std::map<ProtectionGroupId, SclProbeReplies> probes;
+  RecoveryPlan plan;
+  /// Tail replies since the plan was made, in arrival order.
+  std::vector<TailReply> tails;
   size_t tail_outstanding = 0;
-
-  Lsn recovered_vcl = kInvalidLsn;
-  Lsn recovered_vdl = kInvalidLsn;
-  log::TruncationRange truncation;
+  RecoveryPoints points;
 
   // Epoch installation.
   std::map<ProtectionGroupId, quorum::SegmentSet> epoch_acks;
@@ -896,7 +887,6 @@ void DbInstance::Open(std::function<void(Status)> cb) {
   control_plane_.fetch_geometry(
       [this, state](quorum::VolumeGeometry geometry, VolumeEpoch epoch) {
         state->geometry = std::move(geometry);
-        state->old_epoch = epoch;
         InitComponents(state->geometry, epoch);
         StartRecovery(state);
       });
@@ -905,145 +895,75 @@ void DbInstance::Open(std::function<void(Status)> cb) {
 void DbInstance::StartRecovery(std::shared_ptr<RecoveryState> state) {
   if (state->generation != recovery_generation_ || driver_ == nullptr) return;
   state->phase = RecoveryState::Phase::kProbing;
-  state->states.clear();
-  state->recovered_pgcl.clear();
-  state->best_segment.clear();
-  state->present = IntervalSet();
-  state->tail_info.clear();
+  state->probes.clear();
+  state->tails.clear();
+  state->epoch_acks.clear();
+  state->post_truncation_scl.clear();
+  state->epoch_rounds = 0;
   ProbeRound(state);
 }
 
 void DbInstance::ProbeRound(std::shared_ptr<RecoveryState> state) {
   if (state->generation != recovery_generation_ || driver_ == nullptr) return;
   if (state->phase != RecoveryState::Phase::kProbing) return;
-  // Probe every segment of every PG; un-hydrated segments never count
-  // toward a read quorum.
   for (const auto& pg : state->geometry.pgs()) {
     for (const auto& member : pg.AllMembers()) {
       driver_->ProbeSegmentState(
-          member, [this, state, pg_id = pg.pg()](
-                      storage::SegmentStateResponse response) {
+          member,
+          [state, pg_id = pg.pg()](storage::SegmentStateResponse response) {
             if (state->phase != RecoveryState::Phase::kProbing) return;
             if (!response.status.ok()) return;
-            state->states[pg_id][response.segment] = std::move(response);
+            state->probes[pg_id][response.segment] = std::move(response);
           });
     }
   }
-  // Evaluate after a settling delay; retry the round if any PG lacks a
-  // read quorum among hydrated responders.
+  // Plan after a settling delay; probe again while any PG lacks a read
+  // quorum of hydrated replies.
   sim_->Schedule(kRecoveryRetry, [this, state]() {
     if (state->phase != RecoveryState::Phase::kProbing) return;
-    bool all_ready = true;
-    for (const auto& pg : state->geometry.pgs()) {
-      quorum::SegmentSet hydrated;
-      for (const auto& [seg, response] : state->states[pg.pg()]) {
-        if (response.hydrated) hydrated.insert(seg);
-      }
-      if (!pg.ReadSet().SatisfiedBy(hydrated)) {
-        all_ready = false;
-        break;
-      }
-    }
-    if (!all_ready) {
+    std::optional<RecoveryPlan> plan =
+        PlanRecovery(state->geometry, state->probes);
+    if (!plan) {
       ProbeRound(state);
       return;
     }
-    // Read quorum reached everywhere: recover PGCLs (max SCL among
-    // hydrated responders) and collect truncation ranges.
-    Lsn min_pgcl = kInvalidLsn;
-    bool first = true;
-    for (const auto& pg : state->geometry.pgs()) {
-      Lsn best = kInvalidLsn;
-      SegmentId best_seg = kInvalidSegment;
-      for (const auto& [seg, response] : state->states[pg.pg()]) {
-        if (!response.hydrated) continue;
-        if (response.scl >= best || best_seg == kInvalidSegment) {
-          best = response.scl;
-          best_seg = seg;
-        }
-        for (const auto& range : response.truncations) {
-          state->present.AddRange(range.start, range.end);
-        }
-        if (response.gc_floor != kInvalidLsn && response.gc_floor > 0) {
-          // The GC floor is a chain-complete prefix that was archived
-          // before eviction; its records exist even though the hot log
-          // can no longer list them.
-          state->present.AddRange(1, response.gc_floor);
-        }
-      }
-      state->recovered_pgcl[pg.pg()] = best;
-      state->best_segment[pg.pg()] = best_seg;
-      if (first || best < min_pgcl) min_pgcl = best;
-      first = false;
-    }
-    if (min_pgcl > 0) state->present.AddRange(1, min_pgcl);
-    state->tail_floor = min_pgcl;
+    state->plan = std::move(*plan);
     state->phase = RecoveryState::Phase::kTails;
-    ComputeRecoveryPoints(state);
+    FetchTails(state);
   });
 }
 
-void DbInstance::ComputeRecoveryPoints(
-    std::shared_ptr<RecoveryState> state) {
+void DbInstance::FetchTails(std::shared_ptr<RecoveryState> state) {
   if (state->generation != recovery_generation_ || driver_ == nullptr) return;
   if (state->phase != RecoveryState::Phase::kTails) return;
   // Fetch the (lsn, mtr-complete) shape of each PG's chain above the
-  // floor from its best segment, then find the contiguous durable point
-  // and the last complete MTR below it.
+  // floor from its best segment.
   state->tail_outstanding = 0;
-  const Lsn floor = state->tail_floor;
   for (const auto& pg : state->geometry.pgs()) {
-    const SegmentId best = state->best_segment[pg.pg()];
-    const quorum::SegmentInfo* info = pg.FindSegment(best);
+    const quorum::SegmentInfo* info =
+        pg.FindSegment(state->plan.pgs.at(pg.pg()).segment);
     if (info == nullptr) continue;
     state->tail_outstanding++;
-    const Lsn pg_cap = state->recovered_pgcl[pg.pg()];
     driver_->FetchTailRecords(
-        *info, floor,
-        [this, state, pg_cap](storage::TailRecordsResponse response) {
+        *info, state->plan.tail_floor,
+        [this, state, pg_id = pg.pg()](storage::TailRecordsResponse response) {
           if (state->phase != RecoveryState::Phase::kTails) return;
-          if (response.gc_floor != kInvalidLsn && response.gc_floor > 0) {
-            // Chain-complete prefix GC'd between the probe and this
-            // fetch: those LSNs exist (archived) even though the hot log
-            // can no longer list them.
-            state->present.AddRange(1, response.gc_floor);
+          state->tails.push_back(TailReply{pg_id, std::move(response)});
+          if (--state->tail_outstanding > 0) return;
+          const RecoveryPoints points =
+              FinishRecovery(state->plan, state->tails);
+          if (points.deeper_floor) {
+            state->plan.tail_floor = *points.deeper_floor;
+            FetchTails(state);
+            return;
           }
-          for (const auto& rec : response.records) {
-            if (rec.lsn > pg_cap) continue;  // beyond provable point
-            state->present.Add(rec.lsn);
-            state->tail_info[rec.lsn] = rec.mtr_complete;
-          }
-          if (--state->tail_outstanding == 0) {
-            // All tails in: compute VCL (contiguous) and VDL (last
-            // complete MTR at or below VCL).
-            state->recovered_vcl =
-                state->present.Empty() ? 0
-                                       : state->present.ContiguousUpperBound(1);
-            Lsn vdl = kInvalidLsn;
-            for (const auto& [lsn, complete] : state->tail_info) {
-              if (lsn <= state->recovered_vcl && complete) {
-                vdl = std::max(vdl, lsn);
-              }
-            }
-            if (vdl == kInvalidLsn && state->recovered_vcl > 0 &&
-                state->tail_floor > 0) {
-              // No MTR boundary in the window: deepen the scan.
-              state->tail_floor = state->tail_floor / 2;
-              ComputeRecoveryPoints(state);
-              return;
-            }
-            state->recovered_vdl =
-                vdl == kInvalidLsn ? state->recovered_vcl : vdl;
-            state->truncation = log::TruncationRange{
-                state->recovered_vdl + 1,
-                state->recovered_vdl + kTruncationGap};
-            state->phase = RecoveryState::Phase::kEpoch;
-            control_plane_.increment_volume_epoch(
-                [this, state](VolumeEpoch new_epoch) {
-                  state->new_epoch = new_epoch;
-                  InstallRecovery(state);
-                });
-          }
+          state->points = points;
+          state->phase = RecoveryState::Phase::kEpoch;
+          control_plane_.increment_volume_epoch(
+              [this, state](VolumeEpoch new_epoch) {
+                state->new_epoch = new_epoch;
+                InstallRecovery(state);
+              });
         });
   }
   if (state->tail_outstanding == 0) {
@@ -1075,7 +995,7 @@ void DbInstance::InstallRecovery(std::shared_ptr<RecoveryState> state) {
   // whose post-truncation SCL seeds the new chain tail) has accepted.
   storage::VolumeEpochUpdateRequest base;
   base.new_epoch = state->new_epoch;
-  base.truncation = state->truncation;
+  base.truncation = state->points.truncation;
   for (const auto& pg : state->geometry.pgs()) {
     for (const auto& member : pg.AllMembers()) {
       if (state->epoch_acks[pg.pg()].contains(member.id)) continue;
@@ -1105,23 +1025,14 @@ void DbInstance::InstallRecovery(std::shared_ptr<RecoveryState> state) {
   }
   sim_->Schedule(kRecoveryRetry, [this, state]() {
     if (state->phase != RecoveryState::Phase::kEpoch) return;
-    bool all_ready = true;
-    for (const auto& pg : state->geometry.pgs()) {
-      const auto& acks = state->epoch_acks[pg.pg()];
-      if (!pg.WriteSet().SatisfiedBy(acks) ||
-          !acks.contains(state->best_segment[pg.pg()])) {
-        all_ready = false;
-        break;
-      }
-    }
-    if (!all_ready) {
+    if (!EpochInstalled(state->geometry, state->plan, state->epoch_acks)) {
       InstallRecovery(state);
       return;
     }
     state->phase = RecoveryState::Phase::kDone;
     // Install the recovered state. Truncation annulled everything above
     // VDL, so the effective VCL equals the recovered VDL.
-    const Lsn durable = state->recovered_vdl;
+    const Lsn durable = state->points.vdl;
     driver_->SetGeometry(state->geometry, state->new_epoch);
     driver_->tracker().Reset(durable, durable, durable);
     // Each group's durable chain tail (from the truncation acks) seeds its
@@ -1130,7 +1041,7 @@ void DbInstance::InstallRecovery(std::shared_ptr<RecoveryState> state) {
       driver_->tracker().SeedPgcl(pg.pg(),
                                   state->post_truncation_scl[pg.pg()]);
     }
-    next_lsn_ = state->truncation.end + 1;
+    next_lsn_ = state->points.truncation.end + 1;
     last_volume_lsn_ = durable;
     last_pg_lsn_.clear();
     for (const auto& pg : state->geometry.pgs()) {

@@ -41,10 +41,6 @@
 
 namespace aurora::engine {
 
-/// New LSNs after crash recovery are allocated above the truncation range
-/// (§2.4); this is the width of the annulled gap.
-inline constexpr Lsn kTruncationGap = 1ULL << 30;
-
 /// Events shipped on the physical replication stream (§3.3): redo in MTR
 /// chunks, VDL update control records, and commit notifications.
 struct ReplicationEvent {
@@ -260,10 +256,11 @@ class DbInstance : public sim::NodeLifecycleListener {
   void OnDurabilityAdvance();
   void ShipReplicationEvent(ReplicationEvent event);
 
-  // Recovery.
+  // Recovery: the sends, timers and the final install around the pure
+  // decisions of recovery_plan.h.
   void StartRecovery(std::shared_ptr<RecoveryState> state);
   void ProbeRound(std::shared_ptr<RecoveryState> state);
-  void ComputeRecoveryPoints(std::shared_ptr<RecoveryState> state);
+  void FetchTails(std::shared_ptr<RecoveryState> state);
   void InstallRecovery(std::shared_ptr<RecoveryState> state);
   txn::ReadView ViewFor(TxnId txn);
   void FinishStatementView(TxnId txn, const txn::ReadView& view);

@@ -172,9 +172,12 @@ struct MembershipUpdateRequest {
 
 struct MembershipUpdateResponse {
   Status status;
-  MembershipEpoch current_epoch = 0;
+  /// The config the segment holds after the request, so an installer can
+  /// tell its own config (a retry's ack) from a concurrent change that
+  /// reached the same epoch first.
+  quorum::PgConfig config;
 
-  uint64_t SerializedSize() const { return kMessageOverheadBytes; }
+  uint64_t SerializedSize() const { return kMessageOverheadBytes + 256; }
 };
 
 /// Records a new volume epoch at the segment (crash recovery fencing,

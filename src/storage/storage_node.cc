@@ -302,11 +302,11 @@ void StorageNode::HandleMembershipUpdate(
     sim::ReplyFn<MembershipUpdateResponse> reply) {
   SegmentStore* segment = FindSegment(request.segment);
   if (segment == nullptr) {
-    reply(MembershipUpdateResponse{Status::NotFound("no such segment"), 0});
+    reply(MembershipUpdateResponse{Status::NotFound("no such segment"), {}});
     return;
   }
   Status st = segment->UpdateMembership(request);
-  reply(MembershipUpdateResponse{std::move(st), segment->config().epoch()});
+  reply(MembershipUpdateResponse{std::move(st), segment->config()});
 }
 
 void StorageNode::HandleVolumeEpochUpdate(

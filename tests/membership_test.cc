@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/core/cluster.h"
 
 namespace aurora {
@@ -32,7 +34,6 @@ TEST(Membership, ReplaceFailedSegmentEndToEnd) {
   const MembershipEpoch epoch_before = cluster.geometry().Pg(0).epoch();
   auto report = cluster.ReplaceSegmentBlocking(5);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report->reverted);
   EXPECT_EQ(report->begin_epoch, epoch_before + 1);
   EXPECT_EQ(report->final_epoch, epoch_before + 2) << "two-step transition";
 
@@ -173,6 +174,118 @@ TEST(Membership, AzFailureQuorumSurvives) {
   cluster.RunFor(500 * kMillisecond);  // gossip refills the returned AZ
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(cluster.GetBlocking("during" + std::to_string(i)).ok());
+  }
+}
+
+TEST(Membership, ManualReplaceWithWriterDownSucceeds) {
+  // A manual replacement probes and installs from the metadata node, as
+  // the repair planner does, so it needs no writer.
+  core::AuroraCluster cluster(Options());
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("w" + std::to_string(i), "v").ok());
+  }
+  const MembershipEpoch epoch_before = cluster.geometry().Pg(0).epoch();
+
+  cluster.CrashWriter();
+  auto report = cluster.ReplaceSegmentBlocking(5);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->final_epoch, epoch_before + 2);
+  EXPECT_FALSE(cluster.geometry().Pg(0).ContainsSegment(5));
+  EXPECT_TRUE(cluster.geometry().Pg(0).ContainsSegment(report->new_segment));
+
+  // The recovered writer reads everything back through the new member.
+  ASSERT_TRUE(cluster.RecoverWriterBlocking().ok());
+  for (int i = 0; i < 10; ++i) {
+    auto got = cluster.GetBlocking("w" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, "v");
+  }
+}
+
+// The epoch+1 dual config a repair would install for `suspect`: its
+// replacement is placed (but not created) on a free node in its AZ.
+quorum::PgConfig RepairConfig(core::AuroraCluster& cluster,
+                              const quorum::PgConfig& base,
+                              SegmentId suspect) {
+  quorum::SegmentInfo fresh = *base.FindSegment(suspect);
+  fresh.id = 1000;
+  for (const auto& node : cluster.storage_nodes()) {
+    bool member = false;
+    for (const auto& m : base.AllMembers()) member |= m.node == node->id();
+    if (node->az() == fresh.az && !member) fresh.node = node->id();
+  }
+  auto next = base.BeginReplace(suspect, fresh);
+  EXPECT_TRUE(next.ok());
+  return *next;
+}
+
+TEST(Membership, InstallDoesNotTakeAnotherConfigAtItsEpochAsAck) {
+  // Two changes of one group mint different configs at the same epoch.
+  // The nodes keep the first; the second install must not count their
+  // StaleEpoch replies as acks and record a config they never accepted.
+  core::AuroraCluster cluster(Options());
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  const quorum::PgConfig base = cluster.geometry().Pg(0);
+  auto manual = cluster.BeginReplaceBlocking(5);
+  ASSERT_TRUE(manual.ok()) << manual.status().ToString();
+  const quorum::PgConfig installed = cluster.geometry().Pg(0);
+  ASSERT_EQ(installed.epoch(), base.epoch() + 1);
+
+  const quorum::PgConfig other = RepairConfig(cluster, base, 4);
+  ASSERT_EQ(other.epoch(), installed.epoch());
+  std::optional<Status> result;
+  cluster.InstallPgConfigAsync(base, other,
+                               [&](Status st) { result = std::move(st); });
+  cluster.RunFor(3 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->IsQuorumUnavailable()) << result->ToString();
+  EXPECT_EQ(cluster.geometry().Pg(0), installed);
+}
+
+TEST(Membership, ManualReplaceRacingARepairInstallBacksOff) {
+  // A repair-planner install (InstallPgConfigAsync from the metadata
+  // node) is in flight when a manual replacement of another member of
+  // the same group starts. Both mint an epoch+1 config; at most one may
+  // succeed, and the config the metadata records must be the one a write
+  // quorum of the group holds. With no head start the manual probe ends
+  // first and its install finds the repair's config at the nodes; with
+  // 400 us the repair reaches its quorum during the probe, and the manual
+  // change backs off before creating its segment.
+  for (const SimDuration head_start : {SimDuration{0}, 400 * kMicrosecond}) {
+    SCOPED_TRACE(head_start);
+    core::AuroraCluster cluster(Options());
+    ASSERT_TRUE(cluster.StartBlocking().ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(cluster.PutBlocking("r" + std::to_string(i), "v").ok());
+    }
+    const quorum::PgConfig base = cluster.geometry().Pg(0);
+    const quorum::PgConfig repair = RepairConfig(cluster, base, 4);
+    std::optional<Status> repaired;
+    cluster.InstallPgConfigAsync(
+        base, repair, [&](Status st) { repaired = std::move(st); });
+    cluster.RunFor(head_start);
+    ASSERT_FALSE(repaired.has_value());
+    auto manual = cluster.BeginReplaceBlocking(5);
+    ASSERT_TRUE(repaired.has_value());
+    EXPECT_FALSE(manual.ok() && repaired->ok()) << "two configs at one epoch";
+    if (head_start > 0) {
+      EXPECT_TRUE(manual.status().IsAborted()) << manual.status().ToString();
+    }
+
+    const quorum::PgConfig& recorded = cluster.geometry().Pg(0);
+    EXPECT_EQ(recorded.epoch(), base.epoch() + 1);
+    quorum::SegmentSet holders;
+    for (const auto& member : base.AllMembers()) {
+      const auto* store =
+          cluster.NodeForSegment(member.id)->FindSegment(member.id);
+      if (store != nullptr && store->config() == recorded) {
+        holders.insert(member.id);
+      }
+    }
+    EXPECT_TRUE(base.WriteSet().SatisfiedBy(holders))
+        << "metadata records " << recorded.ToString()
+        << " but no write quorum holds it";
   }
 }
 

@@ -1,5 +1,5 @@
 // Placement service: anti-affinity, deterministic least-loaded choice,
-// replacement candidates, and rebalance planning after a server loss.
+// and replacement candidates.
 //
 // The placement service (DESIGN.md §11) is the only component that
 // decides WHERE segments live on a multi-tenant fleet. It is stateless
@@ -115,67 +115,34 @@ TEST(Placement, ReplacementExcludesCurrentMembersAndPrefersIdleServers) {
   ASSERT_TRUE(replacement.ok()) << replacement.status().ToString();
   EXPECT_FALSE(used.contains(*replacement));
   EXPECT_LE(*replacement, 3u);  // still an AZ-0 server
-}
 
-TEST(Placement, PlanRebalanceMovesEveryDisplacedSegmentOffLostServer) {
-  core::PlacementService placement = MakeFleet(/*per_az=*/3);
+  // With four AZ-0 servers, two are free of the PG. A down candidate
+  // loses to a live one even with the lower id, the less-loaded of two
+  // live ones wins, and a down server is the fallback only when no live
+  // candidate is left.
+  core::PlacementService wide = MakeFleet(/*per_az=*/4);
+  next_segment = 1;
+  const quorum::PgConfig spread = PlaceOne(wide, 0, 0, &next_segment);
+  std::vector<NodeId> free_az0;
+  for (NodeId node : wide.ServersIn(0)) {
+    bool member = false;
+    for (const auto& m : spread.AllMembers()) member |= m.node == node;
+    if (!member) free_az0.push_back(node);
+  }
+  ASSERT_EQ(free_az0.size(), 2u);
+  const NodeId low = free_az0[0];
+  const NodeId high = free_az0[1];
+  std::set<NodeId> down = {low};
   std::map<NodeId, size_t> load;
-  placement.SetLoadSource([&](NodeId id) { return load[id]; });
-
-  // Lay out four PGs across the fleet (two volumes, two PGs each), with
-  // the load probe tracking placements so they spread.
-  SegmentId next_segment = 1;
-  std::vector<quorum::PgConfig> configs;
-  for (VolumeId volume = 0; volume < 2; ++volume) {
-    for (ProtectionGroupId pg = 0; pg < 2; ++pg) {
-      quorum::PgConfig config =
-          PlaceOne(placement, volume, pg, &next_segment);
-      for (const auto& member : config.AllMembers()) load[member.node]++;
-      configs.push_back(std::move(config));
-    }
-  }
-
-  // Server 2 (AZ 0) dies. Every segment it hosted must be planned onto a
-  // live AZ-0 server that is not already a member of the same PG.
-  const NodeId lost = 2;
-  placement.SetLiveness([&](NodeId id) { return id != lost; });
-  auto plan = placement.PlanRebalance(lost, configs);
-
-  size_t hosted = 0;
-  for (const auto& config : configs) {
-    for (const auto& member : config.AllMembers()) {
-      if (member.node == lost) ++hosted;
-    }
-  }
-  ASSERT_GT(hosted, 0u) << "test fleet never used the lost server";
-  ASSERT_EQ(plan.size(), hosted);
-
-  for (const auto& move : plan) {
-    EXPECT_EQ(move.az, 0u);
-    EXPECT_NE(move.suggested_host, lost);
-    EXPECT_NE(move.suggested_host, kInvalidNode);
-    // The suggested host must not collide with a surviving member of the
-    // displaced segment's own PG (server anti-affinity after repair).
-    const quorum::PgConfig* owner = nullptr;
-    for (const auto& config : configs) {
-      if (config.pg() == move.pg && config.ContainsSegment(move.segment)) {
-        bool volume_match = false;
-        for (const auto& member : config.AllMembers()) {
-          if (member.id == move.segment && member.volume == move.volume) {
-            volume_match = true;
-          }
-        }
-        if (volume_match) owner = &config;
-      }
-    }
-    ASSERT_NE(owner, nullptr);
-    for (const auto& member : owner->AllMembers()) {
-      if (member.id != move.segment) {
-        EXPECT_NE(member.node, move.suggested_host)
-            << "pg " << move.pg << " segment " << move.segment;
-      }
-    }
-  }
+  wide.SetLiveness([&](NodeId id) { return !down.contains(id); });
+  wide.SetLoadSource([&](NodeId id) { return load[id]; });
+  EXPECT_EQ(*wide.PickReplacement(spread, 0), high) << "live server wins";
+  down.clear();
+  load[low] = 5;
+  EXPECT_EQ(*wide.PickReplacement(spread, 0), high) << "idle server wins";
+  down = {low, high};
+  EXPECT_EQ(*wide.PickReplacement(spread, 0), high)
+      << "least-loaded down server as the fallback";
 }
 
 // Every cluster lays out its segments through the placement service —

@@ -55,6 +55,40 @@ TEST(Recovery, ImmediateRecrashDuringFirstRecovery) {
   ASSERT_TRUE(cluster.PutBlocking("post", "v").ok());
 }
 
+TEST(Recovery, BestSegmentLostDuringEpochInstallStillOpens) {
+  // Crash the node of the group's best segment (the highest-id hydrated
+  // responder, segment 5) at each moment around the end of the probe
+  // round. When it goes down after being picked, the epoch install can
+  // never collect its ack, so recovery restarts after 20 rounds; the
+  // restart must plan afresh around the lost node and begin its install
+  // rounds from zero.
+  for (int offset_ms = 45; offset_ms <= 60; ++offset_ms) {
+    core::AuroraCluster cluster(Options(81));
+    ASSERT_TRUE(cluster.StartBlocking().ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(cluster.PutBlocking("k" + std::to_string(i), "v").ok());
+    }
+    cluster.CrashWriter();
+    cluster.RunFor(10 * kMillisecond);
+    cluster.network().Restart(cluster.writer()->id());
+    bool done = false;
+    Status status = Status::OK();
+    cluster.writer()->Open([&](Status st) {
+      status = std::move(st);
+      done = true;
+    });
+    cluster.RunFor(offset_ms * kMillisecond);
+    cluster.network().Crash(cluster.NodeForSegment(5)->id());
+    ASSERT_TRUE(cluster.RunUntil([&]() { return done; }, 10 * kSecond))
+        << "recovery wedged with the node crashed at " << offset_ms << " ms";
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_LE(cluster.writer()->volume_epoch(), 4u) << offset_ms << " ms";
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(cluster.GetBlocking("k" + std::to_string(i)).ok()) << i;
+    }
+  }
+}
+
 TEST(Recovery, TwoInstancesRaceEpochArbitrates) {
   core::AuroraCluster cluster(Options(83));
   ASSERT_TRUE(cluster.StartBlocking().ok());

@@ -85,7 +85,7 @@ TEST(VolumeOps, HeatManagementMoveKeepsDataAndService) {
   // repair). The live source is itself a hydration donor.
   auto* old_host = cluster.NodeForSegment(2);
   ASSERT_NE(old_host, nullptr);
-  auto report = cluster.MoveSegmentBlocking(2);
+  auto report = cluster.ReplaceSegmentBlocking(2);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(old_host->FindSegment(2), nullptr) << "old copy dropped";
   const auto& pg = cluster.geometry().Pg(0);
