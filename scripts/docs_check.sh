@@ -27,6 +27,15 @@
 #      be named somewhere besides its declaration and its out-of-line
 #      definition (src/, tests/, bench/, examples/, tools/, perfbench/):
 #      an accessor nothing calls is code to read and keep, not API.
+#   7. Every request to a storage node goes through the one call path,
+#      storage::Call (src/storage/call.h): no code in src/ calls a
+#      StorageNode RPC handler (`->HandleX(` / `.HandleX(` for each
+#      `void HandleX(` in src/storage/storage_node.h) directly. The two
+#      exceptions are the sends in src/core/cluster.cc whose replies skip
+#      the return wire, AuroraCluster::ProbeHydrationTargetBlocking
+#      (HandleSegmentState) and AuroraCluster::InstallPgConfigAsync
+#      (HandleMembershipUpdate); moving them onto the wire moves the
+#      golden schedule. Tests and benches may call handlers directly.
 #
 # Run from anywhere; registered as a ctest so every suite run enforces it.
 
@@ -287,6 +296,53 @@ if [[ -n "${uncalled}" ]]; then
   fail=1
 fi
 
+# ---- 7. one call path to a storage node ---------------------------------
+
+# Each direct handler call as `file:line Class::Function Handler`, where
+# the function is the nearest unindented `Class::Function(` definition
+# above the call (a regex, not a compiler, like rule 6).
+handlers="$(
+  grep -oP '^\s+void \KHandle\w+(?=\()' src/storage/storage_node.h |
+    sort -u | paste -sd'|'
+)"
+if [[ -z "${handlers}" ]]; then
+  echo "docs_check: no StorageNode handlers found in src/storage/storage_node.h" >&2
+  exit 1
+fi
+handler_calls="$(
+  find src \( -name '*.h' -o -name '*.cc' \) -print0 | sort -z |
+    xargs -0 awk -v handlers="^(${handlers})$" '
+      FNR == 1 { fn = "" }
+      /^[A-Za-z]/ && match($0, /[A-Za-z0-9_]+::[A-Za-z0-9_]+\(/) {
+        fn = substr($0, RSTART, RLENGTH - 1)
+      }
+      {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        while (match(line, /(->|\.)Handle[A-Za-z0-9_]*[[:space:]]*\(/)) {
+          name = substr(line, RSTART, RLENGTH)
+          sub(/^(->|\.)/, "", name)
+          sub(/[[:space:]]*\($/, "", name)
+          if (name ~ handlers) print FILENAME ":" FNR " " fn " " name
+          line = substr(line, RSTART + RLENGTH)
+        }
+      }'
+)"
+allowed_calls='src/core/cluster.cc AuroraCluster::InstallPgConfigAsync HandleMembershipUpdate
+src/core/cluster.cc AuroraCluster::ProbeHydrationTargetBlocking HandleSegmentState'
+stray_calls="$(
+  echo "${handler_calls}" | grep . |
+    awk -v allowed="${allowed_calls}" '
+      BEGIN { n = split(allowed, rows, "\n"); for (i = 1; i <= n; i++) ok[rows[i]] = 1 }
+      { file = $1; sub(/:[0-9]+$/, "", file); if (!((file " " $2 " " $3) in ok)) print }' || true
+)"
+if [[ -n "${stray_calls}" ]]; then
+  echo "docs_check: src/ calls a StorageNode handler outside storage::Call (src/storage/call.h):" >&2
+  echo "${stray_calls}" | sed 's/^/  /' >&2
+  fail=1
+fi
+n_handler_calls="$(echo "${handler_calls}" | grep -c . || true)"
+
 if [[ "${fail}" -ne 0 ]]; then
   echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md / README.md (or the code) so they agree" >&2
   exit 1
@@ -296,4 +352,4 @@ n_metrics="$(echo "${src_metrics}" | wc -l)"
 n_benches="$(echo "${tree_benches}" | wc -l)"
 n_modules="$(echo "${tree_modules}" | wc -l)"
 n_options="$(cat <(echo "${doc_options}") <(echo "${doc_snippet_fields}") | grep -c . || true)"
-echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used)"
+echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used, ${n_handler_calls} direct storage-handler calls all allowed)"

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/engine/recovery_plan.h"
+#include "src/sim/rpc.h"
 
 namespace aurora::core {
 
@@ -12,9 +15,8 @@ namespace aurora::core {
 // MetadataService
 // ---------------------------------------------------------------------------
 
-MetadataService::MetadataService(sim::Simulator* sim, sim::Network* network,
-                                 NodeId id, AzId az)
-    : sim_(sim), network_(network), id_(id) {
+MetadataService::MetadataService(sim::Network* network, NodeId id, AzId az)
+    : network_(network), id_(id) {
   network_->RegisterNode(id_, az);
   volumes_[0];  // the primary volume's lineage always exists, epoch 1
 }
@@ -55,27 +57,37 @@ std::vector<VolumeId> MetadataService::VolumeIds() const {
   return ids;
 }
 
+namespace {
+/// Control-plane message sizes: requests and epoch replies fit the fixed
+/// envelope; a geometry reply is billed as 1 KB.
+constexpr uint64_t kControlMessageBytes = 64;
+constexpr uint64_t kGeometryReplyBytes = 1024;
+}  // namespace
+
 void MetadataService::IncrementVolumeEpoch(
     NodeId caller, VolumeId volume, std::function<void(VolumeEpoch)> cb) {
-  network_->Send(caller, id_, 64,
-                 [this, caller, volume, cb = std::move(cb)]() {
-                   const VolumeEpoch next = ++StateFor(volume).epoch;
-                   network_->Send(id_, caller, 64, [cb, next]() { cb(next); });
-                 });
+  sim::UnaryCall<VolumeEpoch>(
+      network_, caller, id_, kControlMessageBytes,
+      [this, volume](sim::ReplyFn<VolumeEpoch> reply) {
+        reply(++StateFor(volume).epoch);
+      },
+      [](VolumeEpoch) { return kControlMessageBytes; }, std::move(cb));
 }
 
 void MetadataService::FetchGeometry(
     NodeId caller, VolumeId volume,
     std::function<void(quorum::VolumeGeometry, VolumeEpoch)> cb) {
-  network_->Send(caller, id_, 64,
-                 [this, caller, volume, cb = std::move(cb)]() {
-                   const VolumeState& state = StateFor(volume);
-                   const quorum::VolumeGeometry geometry = state.geometry;
-                   const VolumeEpoch epoch = state.epoch;
-                   network_->Send(id_, caller, 1024, [cb, geometry, epoch]() {
-                     cb(geometry, epoch);
-                   });
-                 });
+  using Reply = std::pair<quorum::VolumeGeometry, VolumeEpoch>;
+  sim::UnaryCall<Reply>(
+      network_, caller, id_, kControlMessageBytes,
+      [this, volume](sim::ReplyFn<Reply> reply) {
+        const VolumeState& state = StateFor(volume);
+        reply(Reply{state.geometry, state.epoch});
+      },
+      [](const Reply&) { return kGeometryReplyBytes; },
+      [cb = std::move(cb)](Reply reply) {
+        cb(std::move(reply.first), reply.second);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -89,14 +101,40 @@ constexpr NodeId kFirstStorageNode = 100;
 constexpr SimDuration kBlockingTimeout = 60 * kSecond;
 /// How long a manual membership change waits for a read quorum of SCLs.
 constexpr SimDuration kSclProbeWindow = 5 * kSecond;
+
+/// Continuation of an autocommit write: commits on success, else answers
+/// the write's own error.
+template <typename Done>
+auto ThenCommit(engine::DbInstance* owner, TxnId txn, Done done) {
+  return [owner, txn, done](Status st) {
+    if (!st.ok()) {
+      done(std::move(st));
+      return;
+    }
+    owner->Commit(txn, done);
+  };
+}
 }  // namespace
+
+template <typename R, typename Start>
+R AuroraCluster::Await(const char* what, Start start) {
+  bool answered = false;
+  R result = Status::Internal("unset");
+  start([&answered, &result](R r) {
+    result = std::move(r);
+    answered = true;
+  });
+  if (!RunUntil([&]() { return answered; })) {
+    return Status::TimedOut(std::string(what) + " did not complete");
+  }
+  return result;
+}
 
 AuroraCluster::AuroraCluster(AuroraOptions options)
     : options_(options), sim_(options.seed), network_(&sim_) {
   object_store_ = std::make_unique<storage::ObjectStore>(&sim_);
   failure_injector_ = std::make_unique<sim::FailureInjector>(&sim_, &network_);
-  metadata_ =
-      std::make_unique<MetadataService>(&sim_, &network_, kMetadataNode, 0);
+  metadata_ = std::make_unique<MetadataService>(&network_, kMetadataNode, 0);
   NodeId id = kFirstStorageNode;
   for (size_t az = 0; az < quorum::kAzCount; ++az) {
     for (size_t i = 0; i < options_.storage_nodes_per_az; ++i) {
@@ -120,6 +158,7 @@ AuroraCluster::AuroraCluster(AuroraOptions options)
     return it == node_index_.end() ? 0 : it->second->segments().size();
   });
   placement_.SetLiveness([this](NodeId id) { return network_.IsUp(id); });
+  writers_.resize(1);  // the primary writer's slot, filled at start
 }
 
 AuroraCluster::~AuroraCluster() = default;
@@ -174,16 +213,8 @@ std::unique_ptr<engine::DbInstance> AuroraCluster::MakeWriter(
 }
 
 Status AuroraCluster::BootstrapWriterBlocking(engine::DbInstance* writer) {
-  bool done = false;
-  Status result = Status::OK();
-  writer->Bootstrap([&](Status st) {
-    result = std::move(st);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("bootstrap did not complete");
-  }
-  return result;
+  return Await<Status>("bootstrap",
+                       [&](auto done) { writer->Bootstrap(done); });
 }
 
 Status AuroraCluster::StartBlocking() {
@@ -203,24 +234,21 @@ Status AuroraCluster::StartBlocking() {
   }
   for (auto& node : storage_nodes_) node->StartBackground();
 
-  writer_ = MakeWriter(AllocateNodeId(), 0);
-  AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writer_.get()));
+  writers_[0] = MakeWriter(AllocateNodeId(), 0);
+  AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writers_[0].get()));
   // Tenant writers (volumes 1..N-1), spread across AZs, bootstrapped
   // sequentially: each recovers its own volume independently.
   for (VolumeId volume = 1; volume < options_.volumes; ++volume) {
     const AzId az = static_cast<AzId>(volume % quorum::kAzCount);
     auto writer = MakeWriter(AllocateNodeId(), az, volume);
     AURORA_RETURN_IF_ERROR(BootstrapWriterBlocking(writer.get()));
-    tenant_writers_.push_back(std::move(writer));
+    writers_.push_back(std::move(writer));
   }
   return Status::OK();
 }
 
 engine::DbInstance* AuroraCluster::writer(VolumeId volume) {
-  if (volume == 0) return writer_.get();
-  const size_t index = volume - 1;
-  return index < tenant_writers_.size() ? tenant_writers_[index].get()
-                                        : nullptr;
+  return volume < writers_.size() ? writers_[volume].get() : nullptr;
 }
 
 storage::StorageNode* AuroraCluster::node(NodeId id) {
@@ -339,7 +367,7 @@ replica::ReadReplica* AuroraCluster::AddReplica() {
   const NodeId id = AllocateNodeId();
   const AzId az = static_cast<AzId>(replicas_.size() % quorum::kAzCount);
   auto rep = std::make_unique<replica::ReadReplica>(
-      &sim_, &network_, id, az, MakeResolver(), writer_->id(),
+      &sim_, &network_, id, az, MakeResolver(), writer()->id(),
       metadata_->geometry(), metadata_->volume_epoch(), options_.replica);
   replica::ReadReplica* raw = rep.get();
   replicas_.push_back(std::move(rep));
@@ -349,11 +377,11 @@ replica::ReadReplica* AuroraCluster::AddReplica() {
 }
 
 void AuroraCluster::WireReplica(replica::ReadReplica* rep) {
-  writer_->AddReplicationSink(rep->id(),
-                              [rep](engine::ReplicationEvent event) {
-                                rep->OnReplicationEvent(event);
-                              });
-  engine::DbInstance* writer = writer_.get();
+  engine::DbInstance* writer = this->writer();
+  writer->AddReplicationSink(rep->id(),
+                             [rep](engine::ReplicationEvent event) {
+                               rep->OnReplicationEvent(event);
+                             });
   const NodeId rep_id = rep->id();
   rep->SetReadPointReporter([writer, rep_id](Lsn point) {
     writer->ObserveReplicaReadPoint(rep_id, point);
@@ -365,30 +393,23 @@ std::unique_ptr<engine::DbInstance> AuroraCluster::CreateDetachedInstance() {
 }
 
 Result<engine::DbInstance*> AuroraCluster::FailoverBlocking() {
-  if (writer_ && network_.IsUp(writer_->id())) {
-    network_.Crash(writer_->id());
+  std::unique_ptr<engine::DbInstance>& primary = writers_[0];
+  if (primary && network_.IsUp(primary->id())) {
+    network_.Crash(primary->id());
   }
   // Promote: a fresh instance runs crash recovery against shared storage;
   // "if a commit has been marked durable and acknowledged to the client,
   // there is no data loss" (§3.2).
-  retired_writers_.push_back(std::move(writer_));
-  writer_ = MakeWriter(AllocateNodeId(), 0);
-  bool done = false;
-  Status result = Status::OK();
-  writer_->Open([&](Status st) {
-    result = std::move(st);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("failover recovery did not complete");
-  }
-  if (!result.ok()) return result;
+  retired_writers_.push_back(std::move(primary));
+  primary = MakeWriter(AllocateNodeId(), 0);
+  AURORA_RETURN_IF_ERROR(Await<Status>(
+      "failover recovery", [&](auto done) { primary->Open(done); }));
   // Re-attach replicas to the new writer's stream.
   for (auto& rep : replicas_) {
     WireReplica(rep.get());
     rep->UpdateGeometry(metadata_->geometry(), metadata_->volume_epoch());
   }
-  return writer_.get();
+  return primary.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -397,24 +418,7 @@ Result<engine::DbInstance*> AuroraCluster::FailoverBlocking() {
 
 Status AuroraCluster::PutBlocking(const std::string& key,
                                   const std::string& value) {
-  const TxnId txn = writer_->Begin();
-  bool done = false;
-  Status result = Status::OK();
-  writer_->Put(txn, key, value, [&](Status st) {
-    if (!st.ok()) {
-      result = std::move(st);
-      done = true;
-      return;
-    }
-    writer_->Commit(txn, [&](Status commit_st) {
-      result = std::move(commit_st);
-      done = true;
-    });
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("put did not complete");
-  }
-  return result;
+  return PutBlocking(0, key, value);
 }
 
 Status AuroraCluster::PutBlocking(VolumeId volume, const std::string& key,
@@ -422,99 +426,39 @@ Status AuroraCluster::PutBlocking(VolumeId volume, const std::string& key,
   engine::DbInstance* owner = writer(volume);
   if (owner == nullptr) return Status::NotFound("no such volume");
   const TxnId txn = owner->Begin();
-  bool done = false;
-  Status result = Status::OK();
-  owner->Put(txn, key, value, [&](Status st) {
-    if (!st.ok()) {
-      result = std::move(st);
-      done = true;
-      return;
-    }
-    owner->Commit(txn, [&](Status commit_st) {
-      result = std::move(commit_st);
-      done = true;
-    });
+  return Await<Status>("put", [&](auto done) {
+    owner->Put(txn, key, value, ThenCommit(owner, txn, done));
   });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("put did not complete");
-  }
-  return result;
 }
 
 Result<std::string> AuroraCluster::GetBlocking(const std::string& key) {
-  bool done = false;
-  Result<std::string> result = Status::Internal("unset");
-  writer_->Get(kInvalidTxn, key, [&](Result<std::string> r) {
-    result = std::move(r);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("get did not complete");
-  }
-  return result;
+  return GetBlocking(0, key);
 }
 
 Result<std::string> AuroraCluster::GetBlocking(VolumeId volume,
                                                const std::string& key) {
   engine::DbInstance* owner = writer(volume);
   if (owner == nullptr) return Status::NotFound("no such volume");
-  bool done = false;
-  Result<std::string> result = Status::Internal("unset");
-  owner->Get(kInvalidTxn, key, [&](Result<std::string> r) {
-    result = std::move(r);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("get did not complete");
-  }
-  return result;
+  return Await<Result<std::string>>(
+      "get", [&](auto done) { owner->Get(kInvalidTxn, key, done); });
 }
 
 Status AuroraCluster::DeleteBlocking(const std::string& key) {
-  const TxnId txn = writer_->Begin();
-  bool done = false;
-  Status result = Status::OK();
-  writer_->Delete(txn, key, [&](Status st) {
-    if (!st.ok()) {
-      result = std::move(st);
-      done = true;
-      return;
-    }
-    writer_->Commit(txn, [&](Status commit_st) {
-      result = std::move(commit_st);
-      done = true;
-    });
+  engine::DbInstance* owner = writer();
+  const TxnId txn = owner->Begin();
+  return Await<Status>("delete", [&](auto done) {
+    owner->Delete(txn, key, ThenCommit(owner, txn, done));
   });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("delete did not complete");
-  }
-  return result;
 }
 
 Status AuroraCluster::CommitBlocking(TxnId txn) {
-  bool done = false;
-  Status result = Status::OK();
-  writer_->Commit(txn, [&](Status st) {
-    result = std::move(st);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("commit did not complete");
-  }
-  return result;
+  return Await<Status>("commit",
+                       [&](auto done) { writer()->Commit(txn, done); });
 }
 
 Status AuroraCluster::RollbackBlocking(TxnId txn) {
-  bool done = false;
-  Status result = Status::OK();
-  writer_->Rollback(txn, [&](Status st) {
-    result = std::move(st);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("rollback did not complete");
-  }
-  return result;
+  return Await<Status>("rollback",
+                       [&](auto done) { writer()->Rollback(txn, done); });
 }
 
 // ---------------------------------------------------------------------------
@@ -522,21 +466,15 @@ Status AuroraCluster::RollbackBlocking(TxnId txn) {
 // ---------------------------------------------------------------------------
 
 void AuroraCluster::CrashWriter() {
-  if (writer_) network_.Crash(writer_->id());
+  if (writer() != nullptr) network_.Crash(writer()->id());
 }
 
 Status AuroraCluster::RecoverWriterBlocking() {
-  if (!writer_) return Status::Internal("no writer");
-  network_.Restart(writer_->id());
-  bool done = false;
-  Status result = Status::OK();
-  writer_->Open([&](Status st) {
-    result = std::move(st);
-    done = true;
-  });
-  if (!RunUntil([&]() { return done; })) {
-    return Status::TimedOut("recovery did not complete");
-  }
+  engine::DbInstance* primary = writer();
+  if (primary == nullptr) return Status::Internal("no writer");
+  network_.Restart(primary->id());
+  const Status result =
+      Await<Status>("recovery", [&](auto done) { primary->Open(done); });
   if (result.ok()) {
     for (auto& rep : replicas_) {
       WireReplica(rep.get());
@@ -823,8 +761,8 @@ Status AuroraCluster::RestoreToPointBlocking(Lsn restore_point) {
     return Status::InvalidArgument(
         "restore point beyond the archive horizon");
   }
-  if (writer_ && network_.IsUp(writer_->id())) {
-    network_.Crash(writer_->id());
+  if (writer() != nullptr && network_.IsUp(writer()->id())) {
+    network_.Crash(writer()->id());
   }
   // Reload every segment from the per-PG archive. This is an offline
   // storage operation: segment state (disk) is rewritten even on nodes

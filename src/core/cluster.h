@@ -75,8 +75,7 @@ struct AuroraOptions {
 /// invalidate another tenant's in-flight I/O.
 class MetadataService {
  public:
-  MetadataService(sim::Simulator* sim, sim::Network* network, NodeId id,
-                  AzId az);
+  MetadataService(sim::Network* network, NodeId id, AzId az);
 
   NodeId id() const { return id_; }
   VolumeEpoch volume_epoch(VolumeId volume = 0) const;
@@ -110,7 +109,6 @@ class MetadataService {
   VolumeState& StateFor(VolumeId volume);
   const VolumeState& StateFor(VolumeId volume) const;
 
-  sim::Simulator* sim_;
   sim::Network* network_;
   NodeId id_;
   std::map<VolumeId, VolumeState> volumes_;
@@ -143,7 +141,7 @@ class AuroraCluster {
   storage::ObjectStore& object_store() { return *object_store_; }
   MetadataService& metadata() { return *metadata_; }
 
-  engine::DbInstance* writer() { return writer_.get(); }
+  engine::DbInstance* writer() { return writer(0); }
   /// Volume `v`'s writer instance: the primary writer for v == 0, the
   /// tenant writer otherwise (nullptr for unknown volumes). Each tenant
   /// writer owns an independent LSN space, commit queue, and epoch
@@ -213,7 +211,7 @@ class AuroraCluster {
       const std::function<void(VolumeId, const quorum::PgConfig&)>& fn) const;
 
   /// Volume owning `config` (read off its members; configs are always
-  /// single-volume). 0 for legacy configs.
+  /// single-volume). 0 for a config without members.
   static VolumeId VolumeOf(const quorum::PgConfig& config);
 
   // -- Replicas -----------------------------------------------------------
@@ -242,10 +240,11 @@ class AuroraCluster {
 
   // -- Simple data-path helpers (autocommit) -------------------------------
 
+  /// Autocommit helpers through volume 0's writer.
   Status PutBlocking(const std::string& key, const std::string& value);
   Result<std::string> GetBlocking(const std::string& key);
   /// Tenant-qualified autocommit helpers: same as above but through
-  /// `volume`'s writer (tests and the multi-tenant bench).
+  /// `volume`'s writer (NotFound for an unknown volume).
   Status PutBlocking(VolumeId volume, const std::string& key,
                      const std::string& value);
   Result<std::string> GetBlocking(VolumeId volume, const std::string& key);
@@ -315,7 +314,7 @@ class AuroraCluster {
   const quorum::VolumeGeometry& geometry() const {
     return metadata_->geometry();
   }
-  /// Volume `v`'s geometry (volume 0 = the legacy accessor above).
+  /// Volume `v`'s geometry; geometry() above is volume 0's.
   const quorum::VolumeGeometry& geometry(VolumeId volume) const {
     return metadata_->geometry(volume);
   }
@@ -342,6 +341,11 @@ class AuroraCluster {
   Status InstallPgConfigBlocking(const quorum::PgConfig& old_config,
                                  const quorum::PgConfig& new_config);
   Status BootstrapWriterBlocking(engine::DbInstance* writer);
+  /// Runs the event loop until the asynchronous operation `start(done)`
+  /// calls `done(R)`; TimedOut("<what> did not complete") if it has not
+  /// by the blocking deadline.
+  template <typename R, typename Start>
+  R Await(const char* what, Start start);
 
   AuroraOptions options_;
   sim::Simulator sim_;
@@ -352,9 +356,9 @@ class AuroraCluster {
   PlacementService placement_;
   std::vector<std::unique_ptr<storage::StorageNode>> storage_nodes_;
   std::map<NodeId, storage::StorageNode*> node_index_;
-  std::unique_ptr<engine::DbInstance> writer_;
-  /// Writers for volumes 1..N-1 (index v-1); empty in single-tenant mode.
-  std::vector<std::unique_ptr<engine::DbInstance>> tenant_writers_;
+  /// Volume v's writer at index v; slot 0 (the primary writer) exists
+  /// from construction and is null until StartBlocking.
+  std::vector<std::unique_ptr<engine::DbInstance>> writers_;
   std::vector<std::unique_ptr<engine::DbInstance>> retired_writers_;
   std::vector<std::unique_ptr<replica::ReadReplica>> replicas_;
 

@@ -24,8 +24,9 @@ std::string AuroraCluster::MetricsJson() {
   // The instances each series sums over. Retired writers and drivers
   // (failover, crash recovery) still count; gauges read live ones only.
   std::vector<engine::DbInstance*> live_writers;
-  if (writer_ != nullptr) live_writers.push_back(writer_.get());
-  for (auto& db : tenant_writers_) live_writers.push_back(db.get());
+  for (auto& db : writers_) {
+    if (db != nullptr) live_writers.push_back(db.get());
+  }
   std::vector<engine::DbInstance*> writers = live_writers;
   for (auto& db : retired_writers_) writers.push_back(db.get());
   std::vector<replica::ReadReplica*> replicas;
@@ -132,9 +133,9 @@ std::string AuroraCluster::MetricsJson() {
           [](ReadReplica* r) -> auto& { return r->replica_lag(); });
   // Writer-side view of each replica's PGMRPL feedback (§3.4): how far
   // its last reported read point trails the writer's VDL.
-  if (writer_ != nullptr) {
-    const Lsn vdl = writer_->vdl();
-    for (const auto& [id, point] : writer_->replica_read_points()) {
+  if (engine::DbInstance* primary = writer()) {
+    const Lsn vdl = primary->vdl();
+    for (const auto& [id, point] : primary->replica_read_points()) {
       if (point == kInvalidLsn) continue;
       gauges["replica.lag_lsns." + std::to_string(id)] =
           vdl > point ? vdl - point : 0;

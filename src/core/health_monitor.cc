@@ -8,8 +8,8 @@
 #include "src/core/cluster.h"
 #include "src/engine/db_instance.h"
 #include "src/sim/network.h"
-#include "src/sim/rpc.h"
 #include "src/sim/simulator.h"
+#include "src/storage/call.h"
 #include "src/storage/messages.h"
 #include "src/storage/storage_node.h"
 
@@ -208,25 +208,10 @@ void HealthMonitor::SendProbe(SegmentId id) {
         self->OnProbeTimeout(id, token);
       },
       "health.probe_timeout");
-  const NodeId target = info->node;
-  storage::SegmentStateRequest request{id};
-  sim::UnaryCall<storage::SegmentStateResponse>(
-      &cluster_->network(), cluster_->metadata().id(), target,
-      request.SerializedSize(),
-      [cluster = cluster_, target,
-       request](sim::ReplyFn<storage::SegmentStateResponse> reply) {
-        storage::StorageNode* node = cluster->node(target);
-        if (node == nullptr) {
-          storage::SegmentStateResponse response;
-          response.status = Status::Unavailable("unresolved node");
-          reply(std::move(response));
-          return;
-        }
-        node->HandleSegmentState(request, std::move(reply));
-      },
-      [](const storage::SegmentStateResponse& response) {
-        return response.SerializedSize();
-      },
+  storage::Call<&storage::StorageNode::HandleSegmentState>(
+      &cluster_->network(), cluster_->metadata().id(), info->node,
+      [cluster = cluster_](NodeId node) { return cluster->node(node); },
+      storage::SegmentStateRequest{id},
       [weak, gen, id, token,
        sent_at](storage::SegmentStateResponse response) {
         auto live = weak.lock();

@@ -7,8 +7,8 @@
 #include "src/core/cluster.h"
 #include "src/core/health_monitor.h"
 #include "src/sim/network.h"
-#include "src/sim/rpc.h"
 #include "src/sim/simulator.h"
+#include "src/storage/call.h"
 #include "src/storage/messages.h"
 #include "src/storage/segment_store.h"
 #include "src/storage/storage_node.h"
@@ -154,28 +154,12 @@ void RepairPlanner::ProbeScls(SegmentId old_segment) {
   if (config == nullptr) return;
   const uint64_t gen = generation_;
   for (const auto& member : config->AllMembers()) {
-    storage::SegmentStateRequest request{member.id};
-    const SegmentId responder = member.id;
-    const NodeId target = member.node;
-    sim::UnaryCall<storage::SegmentStateResponse>(
-        &cluster_->network(), cluster_->metadata().id(), target,
-        request.SerializedSize(),
-        [cluster = cluster_, target,
-         request](sim::ReplyFn<storage::SegmentStateResponse> reply) {
-          storage::StorageNode* node = cluster->node(target);
-          if (node == nullptr) {
-            storage::SegmentStateResponse response;
-            response.status = Status::Unavailable("unresolved node");
-            reply(std::move(response));
-            return;
-          }
-          node->HandleSegmentState(request, std::move(reply));
-        },
-        [](const storage::SegmentStateResponse& response) {
-          return response.SerializedSize();
-        },
+    storage::Call<&storage::StorageNode::HandleSegmentState>(
+        &cluster_->network(), cluster_->metadata().id(), member.node,
+        [cluster = cluster_](NodeId node) { return cluster->node(node); },
+        storage::SegmentStateRequest{member.id},
         [this, gen, old_segment,
-         responder](storage::SegmentStateResponse response) {
+         responder = member.id](storage::SegmentStateResponse response) {
           if (gen != generation_) return;
           auto it = jobs_.find(old_segment);
           if (it == jobs_.end() ||

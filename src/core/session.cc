@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/core/cluster.h"
+#include "src/sim/rpc.h"
 
 namespace aurora::core {
 
@@ -21,6 +22,24 @@ constexpr uint64_t kRequestBytes = 64;
 constexpr SimDuration kWriterPoll = 1 * kMillisecond;
 /// Operation deadline (replica wait + writer fallback + lost messages).
 constexpr SimDuration kOpTimeout = 10 * kSecond;
+
+/// Every reply to a session is one fixed-size envelope.
+constexpr auto kReplyBytes = [](const auto&) { return kRequestBytes; };
+
+/// Adapts a call's move-only reply to the copyable callbacks the writer
+/// and replica APIs take.
+template <typename R>
+std::function<void(R)> Copyable(sim::ReplyFn<R> reply) {
+  auto shared = std::make_shared<sim::ReplyFn<R>>(std::move(reply));
+  return [shared](R r) { (*shared)(std::move(r)); };
+}
+
+/// The writer's answer to a session Put: the commit status and, on
+/// success, the commit SCN that becomes the session anchor.
+struct PutAck {
+  Status status;
+  Lsn scn = kInvalidLsn;
+};
 
 }  // namespace
 
@@ -66,37 +85,36 @@ void ClientSession::Put(const std::string& key, const std::string& value,
     done(Status::Unavailable("no writer"));
     return;
   }
-  sim::Network& net = cluster_->network();
-  net.Send(
-      node_, writer->id(), kRequestBytes + key.size() + value.size(),
-      [this, writer, key, value, done]() {
+  sim::UnaryCall<PutAck>(
+      &cluster_->network(), node_, writer->id(),
+      kRequestBytes + key.size() + value.size(),
+      [writer, key, value](sim::ReplyFn<PutAck> reply) {
         const TxnId txn = writer->Begin();
-        writer->Put(txn, key, value, [this, writer, txn,
-                                      done](Status st) mutable {
-          if (!st.ok()) {
-            cluster_->network().Send(writer->id(), node_, kRequestBytes,
-                                     [done, st]() { done(st); });
-            return;
-          }
-          writer->Commit(txn, [this, writer, txn,
-                               done](Status commit_st) mutable {
-            Lsn scn = kInvalidLsn;
-            if (commit_st.ok()) {
-              if (auto s = writer->txns().CommitScnOf(txn)) scn = *s;
-            }
-            cluster_->network().Send(
-                writer->id(), node_, kRequestBytes,
-                [this, scn, commit_st, done]() {
-                  // The ack carries the commit SCN: the session anchor
-                  // only ever advances (read-your-writes).
-                  if (commit_st.ok() && scn != kInvalidLsn &&
-                      (anchor_ == kInvalidLsn || scn > anchor_)) {
-                    anchor_ = scn;
-                  }
-                  done(commit_st);
-                });
-          });
-        });
+        writer->Put(
+            txn, key, value,
+            [writer, txn, ack = Copyable(std::move(reply))](Status st) {
+              if (!st.ok()) {
+                ack(PutAck{std::move(st)});
+                return;
+              }
+              writer->Commit(txn, [writer, txn, ack](Status commit_st) {
+                Lsn scn = kInvalidLsn;
+                if (commit_st.ok()) {
+                  if (auto s = writer->txns().CommitScnOf(txn)) scn = *s;
+                }
+                ack(PutAck{std::move(commit_st), scn});
+              });
+            });
+      },
+      kReplyBytes,
+      [this, done](PutAck ack) {
+        // The ack carries the commit SCN: the session anchor only ever
+        // advances (read-your-writes).
+        if (ack.status.ok() && ack.scn != kInvalidLsn &&
+            (anchor_ == kInvalidLsn || ack.scn > anchor_)) {
+          anchor_ = ack.scn;
+        }
+        done(std::move(ack.status));
       });
 }
 
@@ -105,9 +123,8 @@ void ClientSession::Put(const std::string& key, const std::string& value,
 // ---------------------------------------------------------------------------
 
 void ClientSession::RunAtWriterAnchor(
-    Lsn anchor, SimTime deadline, std::function<void(engine::DbInstance*)> op,
-    std::function<void()> fail) {
-  // Callers reach the writer via one network hop.
+    Lsn anchor, SimTime deadline,
+    std::function<void(engine::DbInstance*)> op) {
   // VDL >= anchor is required even here: the writer acks a commit at
   // VCL >= SCN, but statement views anchor at VDL, which can trail SCN
   // for a beat.
@@ -117,174 +134,108 @@ void ClientSession::RunAtWriterAnchor(
     op(writer);
     return;
   }
-  if (cluster_->sim().Now() >= deadline) {
-    fail();
-    return;
-  }
+  // The op's guard timer fires at this same deadline and was scheduled
+  // first, so it has already answered the client: the poll just stops.
+  if (cluster_->sim().Now() >= deadline) return;
   cluster_->sim().Schedule(
-      kWriterPoll,
-      [this, anchor, deadline, op = std::move(op), fail = std::move(fail)]() {
-        RunAtWriterAnchor(anchor, deadline, std::move(op), std::move(fail));
+      kWriterPoll, [this, anchor, deadline, op = std::move(op)]() mutable {
+        RunAtWriterAnchor(anchor, deadline, std::move(op));
       });
 }
 
-void ClientSession::GetFromWriter(
-    const std::string& key, Lsn anchor, SimTime deadline,
-    std::function<void(Result<std::string>)> cb) {
-  engine::DbInstance* writer = cluster_->writer();
-  if (writer == nullptr) {
-    cb(Status::Unavailable("no writer"));
+template <typename T, typename AtReplica, typename AtWriter>
+void ClientSession::Read(uint64_t request_bytes, bool accept_not_found,
+                         const char* timeout_message, AtReplica at_replica,
+                         AtWriter at_writer,
+                         std::function<void(Result<T>)> cb) {
+  const SimTime deadline = cluster_->sim().Now() + kOpTimeout;
+  const Lsn anchor = anchor_;
+  auto guard = std::make_shared<OpGuard>();
+  auto done = [guard, cb = std::move(cb)](Result<T> r) {
+    if (guard->done) return;
+    guard->done = true;
+    cb(std::move(r));
+  };
+  cluster_->sim().Schedule(kOpTimeout, [done, timeout_message]() {
+    done(Status::TimedOut(timeout_message));
+  });
+  // The writer can always serve the anchor: one hop, then a poll of its
+  // VDL until it reaches the anchor (or the deadline).
+  auto from_writer = [this, request_bytes, anchor, deadline, at_writer,
+                      done]() {
+    stats_.writer_fallbacks++;
+    engine::DbInstance* writer = cluster_->writer();
+    if (writer == nullptr) {
+      done(Status::Unavailable("no writer"));
+      return;
+    }
+    sim::UnaryCall<Result<T>>(
+        &cluster_->network(), node_, writer->id(), request_bytes,
+        [this, anchor, deadline, at_writer](sim::ReplyFn<Result<T>> reply) {
+          RunAtWriterAnchor(
+              anchor, deadline,
+              [at_writer, reply = Copyable(std::move(reply))](
+                  engine::DbInstance* at) mutable {
+                at_writer(at, std::move(reply));
+              });
+        },
+        kReplyBytes, done);
+  };
+  replica::ReadReplica* rep = PickReplica();
+  if (rep == nullptr) {
+    from_writer();
     return;
   }
-  sim::Network& net = cluster_->network();
-  net.Send(node_, writer->id(), kRequestBytes + key.size(),
-           [this, key, anchor, deadline, cb = std::move(cb)]() mutable {
-             RunAtWriterAnchor(
-                 anchor, deadline,
-                 [this, key, cb](engine::DbInstance* writer) {
-                   writer->Get(
-                       kInvalidTxn, key,
-                       [this, writer, cb](Result<std::string> r) {
-                         cluster_->network().Send(
-                             writer->id(), node_, kRequestBytes,
-                             [cb, r = std::move(r)]() { cb(r); });
-                       });
-                 },
-                 [cb]() {
-                   cb(Status::TimedOut("writer did not reach the anchor"));
-                 });
-           });
+  sim::UnaryCall<Result<T>>(
+      &cluster_->network(), node_, rep->id(), request_bytes,
+      [rep, anchor, at_replica](sim::ReplyFn<Result<T>> reply) {
+        at_replica(rep, anchor, Copyable(std::move(reply)));
+      },
+      kReplyBytes,
+      [this, accept_not_found, done, from_writer](Result<T> r) {
+        if (r.ok() || (accept_not_found && r.status().IsNotFound())) {
+          stats_.replica_reads++;
+          done(std::move(r));
+          return;
+        }
+        // Replica could not serve the anchor (lag, crash, invalidation
+        // storm): the writer always can.
+        from_writer();
+      });
 }
 
 void ClientSession::Get(const std::string& key,
                         std::function<void(Result<std::string>)> cb) {
   stats_.gets++;
-  const SimTime deadline = cluster_->sim().Now() + kOpTimeout;
-  const Lsn anchor = anchor_;
-  auto guard = std::make_shared<OpGuard>();
-  auto done = [guard, cb = std::move(cb)](Result<std::string> r) {
-    if (guard->done) return;
-    guard->done = true;
-    cb(std::move(r));
-  };
-  cluster_->sim().Schedule(kOpTimeout, [done]() {
-    done(Status::TimedOut("session get timed out"));
-  });
-  replica::ReadReplica* rep = PickReplica();
-  if (rep == nullptr) {
-    stats_.writer_fallbacks++;
-    GetFromWriter(key, anchor, deadline, done);
-    return;
-  }
-  sim::Network& net = cluster_->network();
-  net.Send(
-      node_, rep->id(), kRequestBytes + key.size(),
-      [this, rep, key, anchor, deadline, done]() {
-        rep->GetAtAnchor(
-            key, anchor,
-            [this, rep, key, anchor, deadline,
-             done](Result<std::string> r) mutable {
-              cluster_->network().Send(
-                  rep->id(), node_, kRequestBytes,
-                  [this, key, anchor, deadline, done,
-                   r = std::move(r)]() mutable {
-                    if (r.ok() || r.status().IsNotFound()) {
-                      stats_.replica_reads++;
-                      done(std::move(r));
-                      return;
-                    }
-                    // Replica could not serve the anchor (lag, crash,
-                    // invalidation storm): the writer always can.
-                    stats_.writer_fallbacks++;
-                    GetFromWriter(key, anchor, deadline, done);
-                  });
-            });
-      });
+  Read(
+      kRequestBytes + key.size(), /*accept_not_found=*/true,
+      "session get timed out",
+      [key](replica::ReadReplica* rep, Lsn anchor,
+            std::function<void(Result<std::string>)> reply) {
+        rep->GetAtAnchor(key, anchor, std::move(reply));
+      },
+      [key](engine::DbInstance* writer,
+            std::function<void(Result<std::string>)> reply) {
+        writer->Get(kInvalidTxn, key, std::move(reply));
+      },
+      std::move(cb));
 }
 
-void ClientSession::ScanFromWriter(
-    const std::string& lo, const std::string& hi, size_t limit, Lsn anchor,
-    SimTime deadline,
-    std::function<
-        void(Result<std::vector<std::pair<std::string, std::string>>>)>
-        cb) {
-  engine::DbInstance* writer = cluster_->writer();
-  if (writer == nullptr) {
-    cb(Status::Unavailable("no writer"));
-    return;
-  }
-  sim::Network& net = cluster_->network();
-  net.Send(
-      node_, writer->id(), kRequestBytes + lo.size() + hi.size(),
-      [this, lo, hi, limit, anchor, deadline, cb = std::move(cb)]() mutable {
-        RunAtWriterAnchor(
-            anchor, deadline,
-            [this, lo, hi, limit, cb](engine::DbInstance* writer) {
-              writer->Scan(
-                  kInvalidTxn, lo, hi, limit,
-                  [this, writer,
-                   cb](Result<
-                       std::vector<std::pair<std::string, std::string>>>
-                           r) {
-                    cluster_->network().Send(
-                        writer->id(), node_, kRequestBytes,
-                        [cb, r = std::move(r)]() { cb(r); });
-                  });
-            },
-            [cb]() {
-              cb(Status::TimedOut("writer did not reach the anchor"));
-            });
-      });
-}
-
-void ClientSession::Scan(
-    const std::string& lo, const std::string& hi, size_t limit,
-    std::function<
-        void(Result<std::vector<std::pair<std::string, std::string>>>)>
-        cb) {
+void ClientSession::Scan(const std::string& lo, const std::string& hi,
+                         size_t limit, std::function<void(Result<Rows>)> cb) {
   stats_.scans++;
-  const SimTime deadline = cluster_->sim().Now() + kOpTimeout;
-  const Lsn anchor = anchor_;
-  auto guard = std::make_shared<OpGuard>();
-  auto done =
-      [guard, cb = std::move(cb)](
-          Result<std::vector<std::pair<std::string, std::string>>> r) {
-        if (guard->done) return;
-        guard->done = true;
-        cb(std::move(r));
-      };
-  cluster_->sim().Schedule(kOpTimeout, [done]() {
-    done(Status::TimedOut("session scan timed out"));
-  });
-  replica::ReadReplica* rep = PickReplica();
-  if (rep == nullptr) {
-    stats_.writer_fallbacks++;
-    ScanFromWriter(lo, hi, limit, anchor, deadline, done);
-    return;
-  }
-  sim::Network& net = cluster_->network();
-  net.Send(
-      node_, rep->id(), kRequestBytes + lo.size() + hi.size(),
-      [this, rep, lo, hi, limit, anchor, deadline, done]() {
-        rep->ScanAtAnchor(
-            lo, hi, limit, anchor,
-            [this, rep, lo, hi, limit, anchor, deadline, done](
-                Result<std::vector<std::pair<std::string, std::string>>>
-                    r) mutable {
-              cluster_->network().Send(
-                  rep->id(), node_, kRequestBytes,
-                  [this, lo, hi, limit, anchor, deadline, done,
-                   r = std::move(r)]() mutable {
-                    if (r.ok()) {
-                      stats_.replica_reads++;
-                      done(std::move(r));
-                      return;
-                    }
-                    stats_.writer_fallbacks++;
-                    ScanFromWriter(lo, hi, limit, anchor, deadline, done);
-                  });
-            });
-      });
+  Read(
+      kRequestBytes + lo.size() + hi.size(), /*accept_not_found=*/false,
+      "session scan timed out",
+      [lo, hi, limit](replica::ReadReplica* rep, Lsn anchor,
+                      std::function<void(Result<Rows>)> reply) {
+        rep->ScanAtAnchor(lo, hi, limit, anchor, std::move(reply));
+      },
+      [lo, hi, limit](engine::DbInstance* writer,
+                      std::function<void(Result<Rows>)> reply) {
+        writer->Scan(kInvalidTxn, lo, hi, limit, std::move(reply));
+      },
+      std::move(cb));
 }
 
 }  // namespace aurora::core

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -76,29 +77,30 @@ class ClientSession {
   void Get(const std::string& key,
            std::function<void(Result<std::string>)> cb);
 
+  /// Rows of a range scan, in key order.
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+
   /// Session-consistent range scan (same routing as Get).
   void Scan(const std::string& lo, const std::string& hi, size_t limit,
-            std::function<void(
-                Result<std::vector<std::pair<std::string, std::string>>>)>
-                cb);
+            std::function<void(Result<Rows>)> cb);
 
  private:
   /// Next live replica in round-robin order, or nullptr.
   replica::ReadReplica* PickReplica();
-  /// Runs `op(writer)` at the writer once the writer is open
-  /// with VDL >= `anchor`; `fail()` after `deadline`. Re-resolves the
-  /// current writer each poll so it rides through failovers.
+  /// Runs `op(writer)` at the writer once the writer is open with
+  /// VDL >= `anchor`, polling until `deadline`, then stopping. Re-resolves
+  /// the current writer each poll so it rides through failovers.
   void RunAtWriterAnchor(Lsn anchor, SimTime deadline,
-                         std::function<void(engine::DbInstance*)> op,
-                         std::function<void()> fail);
-  void GetFromWriter(const std::string& key, Lsn anchor, SimTime deadline,
-                     std::function<void(Result<std::string>)> cb);
-  void ScanFromWriter(
-      const std::string& lo, const std::string& hi, size_t limit,
-      Lsn anchor, SimTime deadline,
-      std::function<void(
-          Result<std::vector<std::pair<std::string, std::string>>>)>
-          cb);
+                         std::function<void(engine::DbInstance*)> op);
+  /// The one session read path: `at_replica(rep, anchor, reply)` on a
+  /// replica anchored at the session's last commit, falling back to
+  /// `at_writer(writer, reply)` when no replica is ready or the replica
+  /// answers anything but OK (or NotFound, when `accept_not_found`).
+  /// `cb` gets TimedOut(`timeout_message`) at the op deadline.
+  template <typename T, typename AtReplica, typename AtWriter>
+  void Read(uint64_t request_bytes, bool accept_not_found,
+            const char* timeout_message, AtReplica at_replica,
+            AtWriter at_writer, std::function<void(Result<T>)> cb);
 
   AuroraCluster* cluster_;
   NodeId node_;

@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/engine/recovery_plan.h"
+#include "src/storage/call.h"
 
 namespace aurora::engine {
 
@@ -908,8 +909,9 @@ void DbInstance::ProbeRound(std::shared_ptr<RecoveryState> state) {
   if (state->phase != RecoveryState::Phase::kProbing) return;
   for (const auto& pg : state->geometry.pgs()) {
     for (const auto& member : pg.AllMembers()) {
-      driver_->ProbeSegmentState(
-          member,
+      storage::Call<&storage::StorageNode::HandleSegmentState>(
+          network_, id_, member.node, storage::ResolveWith(resolver_),
+          storage::SegmentStateRequest{member.id},
           [state, pg_id = pg.pg()](storage::SegmentStateResponse response) {
             if (state->phase != RecoveryState::Phase::kProbing) return;
             if (!response.status.ok()) return;
@@ -944,8 +946,9 @@ void DbInstance::FetchTails(std::shared_ptr<RecoveryState> state) {
         pg.FindSegment(state->plan.pgs.at(pg.pg()).segment);
     if (info == nullptr) continue;
     state->tail_outstanding++;
-    driver_->FetchTailRecords(
-        *info, state->plan.tail_floor,
+    storage::Call<&storage::StorageNode::HandleTailRecords>(
+        network_, id_, info->node, storage::ResolveWith(resolver_),
+        storage::TailRecordsRequest{info->id, state->plan.tail_floor},
         [this, state, pg_id = pg.pg()](storage::TailRecordsResponse response) {
           if (state->phase != RecoveryState::Phase::kTails) return;
           state->tails.push_back(TailReply{pg_id, std::move(response)});
@@ -1001,8 +1004,9 @@ void DbInstance::InstallRecovery(std::shared_ptr<RecoveryState> state) {
       if (state->epoch_acks[pg.pg()].contains(member.id)) continue;
       storage::VolumeEpochUpdateRequest request = base;
       request.segment = member.id;
-      driver_->SendVolumeEpochUpdate(
-          member, request,
+      storage::Call<&storage::StorageNode::HandleVolumeEpochUpdate>(
+          network_, id_, member.node, storage::ResolveWith(resolver_),
+          std::move(request),
           [this, state, pg_id = pg.pg(), seg = member.id](
               storage::VolumeEpochUpdateResponse response) {
             if (state->phase != RecoveryState::Phase::kEpoch) return;

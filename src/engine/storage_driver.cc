@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/storage/call.h"
 
 namespace aurora::engine {
 
@@ -106,22 +107,9 @@ void StorageDriver::SendBatch(SegmentChannel* channel,
   }
   stats_.write_requests++;
   const SimTime sent_at = sim_->Now();
-  const NodeId target = channel->info.node;
-  const uint64_t request_bytes = request.SerializedSize();
-  sim::UnaryCall<storage::WriteAck>(
-      network_, self_, target, request_bytes,
-      [this, target, request = std::move(request)](
-          sim::ReplyFn<storage::WriteAck> reply) mutable {
-        storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
-        if (node == nullptr) {
-          reply(storage::WriteAck{request.segment,
-                                  Status::Unavailable("unresolved node"),
-                                  kInvalidLsn});
-          return;
-        }
-        node->HandleWrite(std::move(request), std::move(reply));
-      },
-      [](const storage::WriteAck& a) { return a.SerializedSize(); },
+  storage::Call<&storage::StorageNode::HandleWrite>(
+      network_, self_, channel->info.node, storage::ResolveWith(resolver_),
+      std::move(request),
       [this, channel, sent_at](storage::WriteAck ack) {
         HandleAck(channel, ack, sent_at);
       });
@@ -409,19 +397,9 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
   stats_.reads_issued++;
   state->outstanding++;
   const SimTime sent_at = sim_->Now();
-  const NodeId target = info->node;
-  sim::UnaryCall<storage::ReadPageResponse>(
-      network_, self_, target, request.SerializedSize(),
-      [this, target, request](sim::ReplyFn<storage::ReadPageResponse> reply) {
-        storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
-        if (node == nullptr) {
-          reply(storage::ReadPageResponse{
-              Status::Unavailable("unresolved node"), {}});
-          return;
-        }
-        node->HandleReadPage(request, std::move(reply));
-      },
-      [](const storage::ReadPageResponse& r) { return r.SerializedSize(); },
+  storage::Call<&storage::StorageNode::HandleReadPage>(
+      network_, self_, info->node, storage::ResolveWith(resolver_),
+      std::move(request),
       [this, state, segment, sent_at](storage::ReadPageResponse response) {
         state->outstanding--;
         if (!running_) return;
@@ -456,80 +434,6 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
     state->next_candidate = std::max(state->next_candidate, hedge_index + 1);
   });
   state->next_candidate = std::max(state->next_candidate, rank_index + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Control plane
-// ---------------------------------------------------------------------------
-
-void StorageDriver::ProbeSegmentState(
-    const quorum::SegmentInfo& segment,
-    std::function<void(storage::SegmentStateResponse)> cb) {
-  storage::SegmentStateRequest request{segment.id};
-  const NodeId target = segment.node;
-  sim::UnaryCall<storage::SegmentStateResponse>(
-      network_, self_, target, request.SerializedSize(),
-      [this, target,
-       request](sim::ReplyFn<storage::SegmentStateResponse> reply) {
-        storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
-        if (node == nullptr) {
-          storage::SegmentStateResponse response;
-          response.status = Status::Unavailable("unresolved node");
-          reply(std::move(response));
-          return;
-        }
-        node->HandleSegmentState(request, std::move(reply));
-      },
-      [](const storage::SegmentStateResponse& r) {
-        return r.SerializedSize();
-      },
-      std::move(cb));
-}
-
-void StorageDriver::FetchTailRecords(
-    const quorum::SegmentInfo& segment, Lsn from_lsn,
-    std::function<void(storage::TailRecordsResponse)> cb) {
-  storage::TailRecordsRequest request{segment.id, from_lsn};
-  const NodeId target = segment.node;
-  sim::UnaryCall<storage::TailRecordsResponse>(
-      network_, self_, target, request.SerializedSize(),
-      [this, target,
-       request](sim::ReplyFn<storage::TailRecordsResponse> reply) {
-        storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
-        if (node == nullptr) {
-          reply(storage::TailRecordsResponse{
-              Status::Unavailable("unresolved node"), {}});
-          return;
-        }
-        node->HandleTailRecords(request, std::move(reply));
-      },
-      [](const storage::TailRecordsResponse& r) {
-        return r.SerializedSize();
-      },
-      std::move(cb));
-}
-
-void StorageDriver::SendVolumeEpochUpdate(
-    const quorum::SegmentInfo& segment,
-    const storage::VolumeEpochUpdateRequest& request,
-    std::function<void(storage::VolumeEpochUpdateResponse)> cb) {
-  const NodeId target = segment.node;
-  sim::UnaryCall<storage::VolumeEpochUpdateResponse>(
-      network_, self_, target, request.SerializedSize(),
-      [this, target,
-       request](sim::ReplyFn<storage::VolumeEpochUpdateResponse> reply) {
-        storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
-        if (node == nullptr) {
-          reply(storage::VolumeEpochUpdateResponse{
-              Status::Unavailable("unresolved node"), 0, kInvalidLsn});
-          return;
-        }
-        node->HandleVolumeEpochUpdate(request, std::move(reply));
-      },
-      [](const storage::VolumeEpochUpdateResponse& r) {
-        return r.SerializedSize();
-      },
-      std::move(cb));
 }
 
 }  // namespace aurora::engine

@@ -29,7 +29,6 @@
 #include "src/log/record.h"
 #include "src/quorum/geometry.h"
 #include "src/sim/network.h"
-#include "src/sim/rpc.h"
 #include "src/storage/messages.h"
 #include "src/storage/storage_node.h"
 
@@ -152,16 +151,8 @@ class StorageDriver {
   size_t RetainedRecords() const { return retained_.size(); }
   ReadRouter& router() { return router_; }
 
-  // -- Control-plane helpers (recovery, membership) -----------------------
-  void ProbeSegmentState(
-      const quorum::SegmentInfo& segment,
-      std::function<void(storage::SegmentStateResponse)> cb);
-  void FetchTailRecords(const quorum::SegmentInfo& segment, Lsn from_lsn,
-                        std::function<void(storage::TailRecordsResponse)> cb);
-  void SendVolumeEpochUpdate(
-      const quorum::SegmentInfo& segment,
-      const storage::VolumeEpochUpdateRequest& request,
-      std::function<void(storage::VolumeEpochUpdateResponse)> cb);
+  /// The storage-node directory this driver's calls resolve through.
+  const storage::NodeResolver& resolver() const { return resolver_; }
 
  private:
   /// What the last write ack said about the segment's hydration. Unknown

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/storage/call.h"
 
 namespace aurora::replica {
 
@@ -54,9 +55,11 @@ void ReadReplica::SeedHighWaterMarks() {
   // of data written before attach know the group's chain position.
   for (const auto& pg : driver_->geometry().pgs()) {
     for (const auto& member : pg.AllMembers()) {
-      driver_->ProbeSegmentState(
-          member, [this, pg_id = pg.pg()](
-                      storage::SegmentStateResponse response) {
+      storage::Call<&storage::StorageNode::HandleSegmentState>(
+          network_, id_, member.node,
+          storage::ResolveWith(driver_->resolver()),
+          storage::SegmentStateRequest{member.id},
+          [this, pg_id = pg.pg()](storage::SegmentStateResponse response) {
             if (!response.status.ok() || !response.hydrated) return;
             Lsn& mark = pg_high_water_[pg_id];
             mark = std::max(mark, response.scl);

@@ -1,7 +1,7 @@
 // StorageNode: one storage server's actor. Every peer interaction here
-// (gossip, hydration, scrub repair fetches) goes through sim::UnaryCall /
-// Network::Send, never a direct call into another node, so peer traffic
-// pays link latency and honours partitions and liveness.
+// (gossip, hydration pulls) goes through storage::Call, never a direct
+// call into another node, so peer traffic pays link latency and honours
+// partitions and liveness.
 
 #include "src/storage/storage_node.h"
 
@@ -9,6 +9,7 @@
 #include <cassert>
 
 #include "src/common/logging.h"
+#include "src/storage/call.h"
 
 namespace aurora::storage {
 
@@ -380,17 +381,8 @@ void StorageNode::GossipSegment(SegmentStore* segment) {
   const auto& peer = peers[rng_.NextBounded(peers.size())];
   GossipRequest request{segment->id(), peer.id, segment->scl()};
   SegmentId local_id = segment->id();
-  sim::UnaryCall<GossipResponse>(
-      network_, id_, peer.node, request.SerializedSize(),
-      [this, peer, request](sim::ReplyFn<GossipResponse> reply) {
-        StorageNode* peer_node = resolver_ ? resolver_(peer.node) : nullptr;
-        if (peer_node == nullptr) {
-          reply(GossipResponse{Status::Unavailable("peer unresolved"), {}});
-          return;
-        }
-        peer_node->HandleGossip(request, std::move(reply));
-      },
-      [](const GossipResponse& r) { return r.SerializedSize(); },
+  Call<&StorageNode::HandleGossip>(
+      network_, id_, peer.node, ResolveWith(resolver_), std::move(request),
       [this, local_id](GossipResponse response) {
         if (!response.status.ok()) return;
         SegmentStore* local = FindSegment(local_id);
@@ -495,19 +487,8 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
   const auto& donor = donors[rng_.NextBounded(donors.size())];
   HydrationRequest request{donor.id, local_segment, segment->scl(),
                            need_blocks};
-  sim::UnaryCall<HydrationResponse>(
-      network_, id_, donor.node, request.SerializedSize(),
-      [this, donor, request](sim::ReplyFn<HydrationResponse> reply) {
-        StorageNode* donor_node = resolver_ ? resolver_(donor.node) : nullptr;
-        if (donor_node == nullptr) {
-          HydrationResponse unresolved;
-          unresolved.status = Status::Unavailable("donor unresolved");
-          reply(std::move(unresolved));
-          return;
-        }
-        donor_node->HandleHydration(request, std::move(reply));
-      },
-      [](const HydrationResponse& r) { return r.SerializedSize(); },
+  Call<&StorageNode::HandleHydration>(
+      network_, id_, donor.node, ResolveWith(resolver_), std::move(request),
       [this, local_segment](HydrationResponse response) {
         SegmentStore* local = FindSegment(local_segment);
         if (local == nullptr) return;

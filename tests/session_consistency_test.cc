@@ -288,6 +288,45 @@ TEST(SessionConsistency, AnchorSurvivesPromote) {
   EXPECT_GT(rep->stats().stream_gaps, 0u);
 }
 
+// A Get whose writer never reaches the anchor — the writer's node is back
+// up but the instance was never reopened — answers TimedOut once, at the
+// op deadline, from the op's guard timer. The writer-side poll stops at
+// that same deadline: with the storage fleet's background work off, the
+// whole cluster goes quiet right after it.
+TEST(SessionConsistency, WriterThatNeverReachesTheAnchorTimesOutOnce) {
+  core::AuroraOptions options = Options();
+  options.storage_node.background_enabled = false;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  core::ClientSession session(&cluster, /*az=*/0);
+  ASSERT_TRUE(SessionPut(cluster, session, "k", "v").ok());
+  cluster.CrashWriter();
+  cluster.network().Restart(cluster.writer()->id());
+  cluster.RunFor(1 * kSecond);
+  ASSERT_FALSE(cluster.writer()->IsOpen());
+
+  constexpr SimDuration kOpTimeout = 10 * kSecond;  // session.cc
+  constexpr SimDuration kWriterPoll = 1 * kMillisecond;
+  const SimTime asked_at = cluster.sim().Now();
+  int answers = 0;
+  Status answer = Status::OK();
+  SimTime answered_at = 0;
+  session.Get("k", [&](Result<std::string> r) {
+    ++answers;
+    answer = r.status();
+    answered_at = cluster.sim().Now();
+  });
+  cluster.RunFor(kOpTimeout + kWriterPoll);
+  EXPECT_EQ(answers, 1);
+  EXPECT_TRUE(answer.IsTimedOut()) << answer.ToString();
+  EXPECT_EQ(answered_at, asked_at + kOpTimeout);
+  EXPECT_EQ(session.stats().writer_fallbacks, 1u);
+  EXPECT_EQ(cluster.sim().PendingEvents(), 0u)
+      << "the writer poll kept running past the deadline";
+  cluster.RunFor(1 * kSecond);
+  EXPECT_EQ(answers, 1);
+}
+
 // Randomized chaos: partitions around the replica, replica crashes, and
 // a writer failover, interleaved with session traffic. Reads may time
 // out under heavy faults, but a successful read must NEVER return a

@@ -1,6 +1,7 @@
 // Unit tests for the storage service: page ops, segment stores (SCL,
 // coalescing, on-demand materialization, MVCC version retention/GC,
-// truncation, scrub, hydration), the disk model, and the object store.
+// truncation, scrub, hydration), the disk model, the object store, and
+// storage::Call, the one request/reply path to a storage node.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,15 @@
 #include "src/common/random.h"
 #include "src/log/record.h"
 #include "src/quorum/membership.h"
+#include "src/sim/network.h"
+#include "src/sim/rpc.h"
+#include "src/sim/simulator.h"
+#include "src/storage/call.h"
 #include "src/storage/disk.h"
 #include "src/storage/object_store.h"
 #include "src/storage/page.h"
 #include "src/storage/segment_store.h"
+#include "src/storage/storage_node.h"
 
 namespace aurora::storage {
 namespace {
@@ -1046,6 +1052,157 @@ TEST(SegmentStore, ResetToArchivePreservesTruncations) {
   ASSERT_TRUE(store.Ingest({ChainRecord(61, 1)}, RedoSource::kWrite).ok());
   EXPECT_FALSE(store.hot_log().Contains(61))
       << "old-timeline record above the restore point must be annulled";
+}
+
+// ---------------------------------------------------------------------- //
+// storage::Call
+
+constexpr SimDuration kCallLink = 50;
+
+/// A client (node 1) and one storage node (node 100, hosting segment 0 of
+/// TestConfig) on constant-latency links with no bandwidth term.
+struct CallFixture {
+  sim::Simulator sim;
+  sim::Network net;
+  StorageNode node;
+
+  CallFixture()
+      : net(&sim, ConstantLinks()),
+        node(&sim, &net, 100, 0, /*object_store=*/nullptr,
+             StorageNodeOptions{.background_enabled = false}) {
+    net.RegisterNode(1, 0);
+    node.AddSegment(TestConfig().AllMembers()[0], 0, TestConfig(),
+                    /*volume_epoch=*/1);
+  }
+
+  static sim::NetworkOptions ConstantLinks() {
+    sim::NetworkOptions options;
+    options.intra_az = LatencyDistribution::Constant(kCallLink);
+    options.bytes_per_us = 0;
+    return options;
+  }
+
+  auto Resolver() {
+    return [this](NodeId id) { return id == node.id() ? &node : nullptr; };
+  }
+};
+
+WriteRequest OneRecordWrite() {
+  WriteRequest request;
+  request.segment = 0;
+  request.epochs = EpochVector{1, TestConfig().epoch()};
+  request.records = {DataRecord(1, 0, 7, 0, FormatOp())};
+  return request;
+}
+
+TEST(StorageCall, UnresolvedNodeAnswersUnavailableOverTheWire) {
+  CallFixture f;
+  int replies = 0;
+  SegmentStateResponse reply;
+  SimTime replied_at = 0;
+  const NodeResolver unwired;  // resolves nothing
+  Call<&StorageNode::HandleSegmentState>(
+      &f.net, 1, f.node.id(), ResolveWith(unwired), SegmentStateRequest{0},
+      [&](SegmentStateResponse r) {
+        ++replies;
+        reply = std::move(r);
+        replied_at = f.sim.Now();
+      });
+  f.sim.Run();
+  ASSERT_EQ(replies, 1);
+  EXPECT_EQ(reply.status.code(), StatusCode::kUnavailable);
+  // The refusal is a reply like any other: both legs cross the wire and
+  // both are charged.
+  EXPECT_EQ(replied_at, 2 * kCallLink);
+  EXPECT_EQ(f.net.stats().messages_delivered, 2u);
+  EXPECT_EQ(f.net.stats().bytes_delivered,
+            SegmentStateRequest{}.SerializedSize() +
+                SegmentStateResponse{}.SerializedSize());
+}
+
+TEST(StorageCall, CrashedNodeNeverRunsOnReply) {
+  CallFixture f;
+  bool replied = false;
+  // Down before the send: the request never leaves.
+  f.net.Crash(f.node.id());
+  Call<&StorageNode::HandleSegmentState>(
+      &f.net, 1, f.node.id(), f.Resolver(), SegmentStateRequest{0},
+      [&](SegmentStateResponse) { replied = true; });
+  f.sim.Run();
+  EXPECT_FALSE(replied);
+  // Crashes while the request is in flight: dropped at delivery.
+  f.net.Restart(f.node.id());
+  Call<&StorageNode::HandleWrite>(&f.net, 1, f.node.id(), f.Resolver(),
+                                  OneRecordWrite(),
+                                  [&](WriteAck) { replied = true; });
+  f.sim.Schedule(kCallLink / 2, [&f]() { f.net.Crash(f.node.id()); });
+  f.sim.Run();
+  EXPECT_FALSE(replied);
+  EXPECT_EQ(f.net.stats().messages_delivered, 0u);
+}
+
+// The helper is a UnaryCall whose server side resolves the node: it
+// charges exactly the bytes, and lands the reply at exactly the time, of
+// the hand-written call it replaces — for a sized request (a write) and
+// a sized reply (gossip records).
+TEST(StorageCall, ChargesWhatTheHandWrittenUnaryCallCharges) {
+  struct Outcome {
+    Lsn ack_scl = kInvalidLsn;
+    size_t gossiped = 0;
+    SimTime replied_at = 0;
+    sim::NetworkStats net;
+  };
+  const GossipRequest gossip{/*from_segment=*/1, /*to_segment=*/0,
+                             /*scl=*/kInvalidLsn};
+  auto run = [&](bool via_helper) {
+    CallFixture f;
+    Outcome out;
+    auto on_ack = [&](WriteAck ack) { out.ack_scl = ack.scl; };
+    auto on_gossip = [&](GossipResponse r) {
+      out.gossiped = r.records.size();
+      out.replied_at = f.sim.Now();
+    };
+    if (via_helper) {
+      Call<&StorageNode::HandleWrite>(&f.net, 1, f.node.id(), f.Resolver(),
+                                      OneRecordWrite(), on_ack);
+      f.sim.Run();
+      Call<&StorageNode::HandleGossip>(&f.net, 1, f.node.id(), f.Resolver(),
+                                       gossip, on_gossip);
+    } else {
+      WriteRequest write = OneRecordWrite();
+      const uint64_t write_bytes = write.SerializedSize();
+      sim::UnaryCall<WriteAck>(
+          &f.net, 1, f.node.id(), write_bytes,
+          [&f, write = std::move(write)](
+              sim::ReplyFn<WriteAck> reply) mutable {
+            f.node.HandleWrite(std::move(write), std::move(reply));
+          },
+          [](const WriteAck& a) { return a.SerializedSize(); }, on_ack);
+      f.sim.Run();
+      sim::UnaryCall<GossipResponse>(
+          &f.net, 1, f.node.id(), gossip.SerializedSize(),
+          [&f, gossip](sim::ReplyFn<GossipResponse> reply) {
+            f.node.HandleGossip(gossip, std::move(reply));
+          },
+          [](const GossipResponse& r) { return r.SerializedSize(); },
+          on_gossip);
+    }
+    f.sim.Run();
+    out.net = f.net.stats();
+    return out;
+  };
+  const Outcome helper = run(true);
+  const Outcome hand = run(false);
+  EXPECT_EQ(helper.ack_scl, 1u);
+  EXPECT_EQ(helper.gossiped, 1u);
+  EXPECT_EQ(helper.ack_scl, hand.ack_scl);
+  EXPECT_EQ(helper.gossiped, hand.gossiped);
+  EXPECT_EQ(helper.replied_at, hand.replied_at);
+  EXPECT_EQ(helper.net.messages_delivered, 4u);
+  EXPECT_EQ(helper.net.messages_delivered, hand.net.messages_delivered);
+  EXPECT_EQ(helper.net.bytes_delivered, hand.net.bytes_delivered);
+  // The record is charged on both sized legs, not just the envelopes.
+  EXPECT_GT(helper.net.bytes_delivered, 4 * kMessageOverheadBytes);
 }
 
 }  // namespace
