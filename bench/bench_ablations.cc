@@ -143,9 +143,9 @@ BoxcarPoint DispatchWindow(SimDuration window, double records_per_sec) {
   Histogram delays;
   std::map<Lsn, SimTime> arrival;
   log::BoxcarBatcher boxcar(&sim, options,
-                            [&](std::vector<log::RedoRecord> batch) {
+                            [&](std::vector<log::SealedRecord> batch) {
                               for (const auto& rec : batch) {
-                                delays.Record(sim.Now() - arrival[rec.lsn]);
+                                delays.Record(sim.Now() - arrival[rec->lsn]);
                               }
                             });
   Rng rng(3);
@@ -156,7 +156,7 @@ BoxcarPoint DispatchWindow(SimDuration window, double records_per_sec) {
     rec.lsn = next++;
     rec.payload = std::string(200, 'x');
     arrival[rec.lsn] = sim.Now();
-    boxcar.Add(std::move(rec));
+    boxcar.Add(log::Seal(std::move(rec)));
     sim.Schedule(static_cast<SimDuration>(
                      rng.NextExponential(1e6 / records_per_sec)),
                  arrive);

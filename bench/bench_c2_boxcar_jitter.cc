@@ -37,10 +37,10 @@ BoxcarResult RunPolicy(log::BoxcarPolicy policy, double records_per_sec,
   BoxcarResult result;
   std::map<Lsn, SimTime> arrival;
   log::BoxcarBatcher boxcar(&sim, options,
-                            [&](std::vector<log::RedoRecord> batch) {
+                            [&](std::vector<log::SealedRecord> batch) {
                               for (const auto& rec : batch) {
                                 result.added_delay.Record(
-                                    sim.Now() - arrival[rec.lsn]);
+                                    sim.Now() - arrival[rec->lsn]);
                               }
                             });
   // Poisson arrivals.
@@ -53,7 +53,7 @@ BoxcarResult RunPolicy(log::BoxcarPolicy policy, double records_per_sec,
     rec.prev_lsn_segment = rec.lsn - 1;
     rec.payload = std::string(200, 'x');
     arrival[rec.lsn] = sim.Now();
-    boxcar.Add(std::move(rec));
+    boxcar.Add(log::Seal(std::move(rec)));
     sim.Schedule(static_cast<SimDuration>(
                      rng.NextExponential(1e6 / records_per_sec)),
                  arrive);
@@ -74,14 +74,14 @@ namespace {
 void BM_BoxcarAdd(benchmark::State& state) {
   aurora::sim::Simulator sim;
   aurora::log::BoxcarBatcher boxcar(
-      &sim, {}, [](std::vector<aurora::log::RedoRecord>) {});
+      &sim, {}, [](std::vector<aurora::log::SealedRecord>) {});
   aurora::log::RedoRecord rec;
   rec.payload = std::string(200, 'x');
-  aurora::Lsn lsn = 1;
+  const aurora::log::SealedRecord sealed = aurora::log::Seal(rec);
+  uint64_t added = 0;
   for (auto _ : state) {
-    rec.lsn = lsn++;
-    boxcar.Add(rec);
-    if (lsn % 64 == 0) {
+    boxcar.Add(sealed);
+    if (++added % 64 == 0) {
       boxcar.Flush();
       sim.Run();
     }

@@ -203,7 +203,8 @@ void BM_HotLogAppendInOrder(benchmark::State& state) {
   for (auto _ : state) {
     aurora::log::SegmentHotLog log;
     for (aurora::Lsn l = 1; l <= n; ++l) {
-      benchmark::DoNotOptimize(log.Append(MakeRecord(l, l - 1, 256)));
+      benchmark::DoNotOptimize(
+          log.Append(aurora::log::Seal(MakeRecord(l, l - 1, 256))));
     }
     benchmark::DoNotOptimize(log.scl());
   }
@@ -215,7 +216,7 @@ void BM_HotLogGossipChain(benchmark::State& state) {
   aurora::log::SegmentHotLog log;
   const size_t n = 4096;
   for (aurora::Lsn l = 1; l <= n; ++l) {
-    (void)log.Append(MakeRecord(l, l - 1, 256));
+    (void)log.Append(aurora::log::Seal(MakeRecord(l, l - 1, 256)));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(log.ChainAfter(n / 2, 1024));
@@ -227,10 +228,11 @@ BENCHMARK(BM_HotLogGossipChain)->Unit(benchmark::kMicrosecond);
 void BM_RecordFanOutCopy(benchmark::State& state) {
   // The driver hands each record to 6 segment boxcars, retains it for
   // retransmission, and ships it to replicas — 8+ handoffs per record.
-  // This measures the cost of one such handoff (copy) incl. payload.
-  const aurora::log::RedoRecord rec = MakeRecord(1, 0, 256);
+  // This measures the cost of one such handoff: a sealed-handle copy.
+  const aurora::log::SealedRecord rec =
+      aurora::log::Seal(MakeRecord(1, 0, 256));
   for (auto _ : state) {
-    aurora::log::RedoRecord copy = rec;
+    aurora::log::SealedRecord copy = rec;
     benchmark::DoNotOptimize(copy);
   }
   state.SetItemsProcessed(state.iterations());

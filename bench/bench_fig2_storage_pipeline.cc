@@ -75,7 +75,7 @@ void BM_HotLogAppend(benchmark::State& state) {
   for (auto _ : state) {
     rec.lsn = lsn;
     rec.prev_lsn_segment = lsn - 1;
-    benchmark::DoNotOptimize(log.Append(rec));
+    benchmark::DoNotOptimize(log.Append(aurora::log::SealedRecord(rec)));
     ++lsn;
     if (lsn % 100000 == 0) log.EvictBelow(lsn - 1000);
   }

@@ -1,7 +1,7 @@
 // CRC-32C (Castagnoli), portable slice-by-8 software implementation.
 //
 // Checksums redo records: the writer seals each record once
-// (RedoRecord::Seal), the record carries that value, and the storage-node
+// (log::Seal), the record carries that value, and the storage-node
 // scrubber (§2.1 activity 8) recomputes it over the stored copy and
 // compares. The record codec also writes and verifies it as a trailer.
 

@@ -318,7 +318,7 @@ class ChaosExecutor {
     storage::SegmentStore* victim = stores[op.pick_a % stores.size()];
     const auto records = victim->hot_log().ChainAfter(kInvalidLsn, 16);
     if (records.empty()) return;
-    victim->CorruptRecordForTest(records[op.pick_b % records.size()].lsn);
+    victim->CorruptRecordForTest(records[op.pick_b % records.size()]->lsn);
   }
 
   void DoWriterCrashRecover() {

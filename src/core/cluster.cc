@@ -769,9 +769,9 @@ Status AuroraCluster::RestoreToPointBlocking(Lsn restore_point) {
   // that are currently down.
   for (const auto& pg : metadata_->geometry().pgs()) {
     bool fetched = false;
-    std::vector<log::RedoRecord> records;
+    std::vector<log::SealedRecord> records;
     object_store_->Get(pg.pg(), 1, restore_point,
-                       [&](std::vector<log::RedoRecord> r) {
+                       [&](std::vector<log::SealedRecord> r) {
                          records = std::move(r);
                          fetched = true;
                        });

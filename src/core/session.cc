@@ -10,18 +10,39 @@ namespace aurora::core {
 
 namespace {
 
-/// One-shot arbitration between the normal completion path and the
-/// watchdog (messages lost to crashes or partitions never complete).
-struct OpGuard {
-  bool done = false;
-};
-
 constexpr uint64_t kRequestBytes = 64;
 /// Writer-fallback poll period: a fallback read polls the writer's VDL
 /// until it reaches the anchor (each poll is one hop to the writer).
 constexpr SimDuration kWriterPoll = 1 * kMillisecond;
 /// Operation deadline (replica wait + writer fallback + lost messages).
 constexpr SimDuration kOpTimeout = 10 * kSecond;
+
+/// One-shot arbitration between the normal completion path and the
+/// watchdog (messages lost to crashes or partitions never complete).
+struct OpGuard {
+  bool done = false;
+  sim::EventId watchdog = sim::kInvalidEvent;
+};
+
+/// Wraps `cb` so it answers exactly once: the first of completion and the
+/// kOpTimeout watchdog wins. Completion cancels the watchdog, so a
+/// finished op's closures leave the event slab at once instead of
+/// waiting out the timeout.
+template <typename R>
+auto GuardedOp(sim::Simulator* sim, const char* timeout_message,
+               std::function<void(R)> cb) {
+  auto guard = std::make_shared<OpGuard>();
+  auto done = [guard, sim, cb = std::move(cb)](R r) {
+    if (guard->done) return;
+    guard->done = true;
+    sim->Cancel(guard->watchdog);  // a no-op when the watchdog is firing
+    cb(std::move(r));
+  };
+  guard->watchdog = sim->Schedule(kOpTimeout, [done, timeout_message]() {
+    done(Status::TimedOut(timeout_message));
+  });
+  return done;
+}
 
 /// Every reply to a session is one fixed-size envelope.
 constexpr auto kReplyBytes = [](const auto&) { return kRequestBytes; };
@@ -71,15 +92,8 @@ replica::ReadReplica* ClientSession::PickReplica() {
 void ClientSession::Put(const std::string& key, const std::string& value,
                         std::function<void(Status)> cb) {
   stats_.puts++;
-  auto guard = std::make_shared<OpGuard>();
-  auto done = [guard, cb = std::move(cb)](Status st) {
-    if (guard->done) return;
-    guard->done = true;
-    cb(std::move(st));
-  };
-  cluster_->sim().Schedule(kOpTimeout, [done]() {
-    done(Status::TimedOut("session put timed out"));
-  });
+  auto done = GuardedOp<Status>(&cluster_->sim(), "session put timed out",
+                                std::move(cb));
   engine::DbInstance* writer = cluster_->writer();
   if (writer == nullptr) {
     done(Status::Unavailable("no writer"));
@@ -150,15 +164,8 @@ void ClientSession::Read(uint64_t request_bytes, bool accept_not_found,
                          std::function<void(Result<T>)> cb) {
   const SimTime deadline = cluster_->sim().Now() + kOpTimeout;
   const Lsn anchor = anchor_;
-  auto guard = std::make_shared<OpGuard>();
-  auto done = [guard, cb = std::move(cb)](Result<T> r) {
-    if (guard->done) return;
-    guard->done = true;
-    cb(std::move(r));
-  };
-  cluster_->sim().Schedule(kOpTimeout, [done, timeout_message]() {
-    done(Status::TimedOut(timeout_message));
-  });
+  auto done =
+      GuardedOp<Result<T>>(&cluster_->sim(), timeout_message, std::move(cb));
   // The writer can always serve the anchor: one hop, then a poll of its
   // VDL until it reaches the anchor (or the deadline).
   auto from_writer = [this, request_bytes, anchor, deadline, at_writer,

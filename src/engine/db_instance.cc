@@ -18,7 +18,7 @@ constexpr int kMaxOpRetries = 16;
 
 uint64_t ReplicationEvent::SerializedSize() const {
   uint64_t bytes = 64;
-  for (const auto& r : mtr) bytes += r.SerializedSize();
+  for (const auto& r : mtr) bytes += r->SerializedSize();
   return bytes;
 }
 
@@ -154,7 +154,7 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
       reader_.cache().Pin(staged.block);
     }
   }
-  std::vector<log::RedoRecord> records;
+  std::vector<log::SealedRecord> records;
   records.reserve(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     const StagedOp& staged = ops[i];
@@ -194,21 +194,23 @@ Lsn DbInstance::AppendMtr(const std::vector<StagedOp>& ops, TxnId txn,
       record.mtr = log::MtrBoundary::kMiddle;
     }
     record.payload = EncodePageOp(staged.op);
-    // The header is final: checksum once here; segments, gossip, the
-    // archive and the retransmit buffer carry this value (§2.1 scrub).
-    record.Seal();
     last_volume_lsn_ = record.lsn;
     last_pg_lsn_[*pg] = record.lsn;
+    // The header is final: checksum and seal once here. The record and
+    // its payload become one block that segments, gossip, the archive,
+    // the retransmit buffer and the replicas all hold by handle (§2.1
+    // scrub checks the carried crc).
+    log::SealedRecord sealed = log::Seal(std::move(record));
     // Apply to the cached image immediately (§2.2: changes modify the
     // buffer-cache image and the redo record goes to the log). The image
-    // applies the record's own payload, so it shares the shipped bytes.
-    Status st = ApplyRedoPayload(page, record.payload, record.lsn);
+    // applies the record's own payload, so it shares the shipped block.
+    Status st = ApplyRedoPayload(page, sealed->payload, sealed->lsn);
     assert(st.ok());
     (void)st;
-    records.push_back(std::move(record));
+    records.push_back(std::move(sealed));
   }
   for (BlockId block : latched_) reader_.cache().Unpin(block);
-  const Lsn last = records.back().lsn;
+  const Lsn last = records.back()->lsn;
   driver_->SubmitRecords(records);
   if (!replica_sinks_.empty()) {
     ReplicationEvent event;

@@ -46,7 +46,7 @@ namespace aurora::engine {
 struct ReplicationEvent {
   enum class Type { kMtr, kVdlUpdate, kCommit };
   Type type = Type::kMtr;
-  std::vector<log::RedoRecord> mtr;
+  std::vector<log::SealedRecord> mtr;
   Lsn vdl = kInvalidLsn;
   TxnId txn = kInvalidTxn;
   Scn scn = kInvalidLsn;

@@ -57,22 +57,23 @@ void StorageDriver::EnsureChannels(const quorum::PgConfig& config) {
     SegmentChannel* raw = &channels_[member.id];
     raw->boxcar = std::make_unique<log::BoxcarBatcher>(
         sim_, log::BoxcarOptions{},
-        [this, raw](std::vector<log::RedoRecord> batch) {
+        [this, raw](std::vector<log::SealedRecord> batch) {
           SendBatch(raw, std::move(batch));
         });
   }
 }
 
 void StorageDriver::SubmitRecords(
-    const std::vector<log::RedoRecord>& records) {
-  for (const auto& record : records) {
+    const std::vector<log::SealedRecord>& records) {
+  for (const log::SealedRecord& sealed : records) {
+    const log::RedoRecord& record = *sealed;
     tracker_.SetMaxAllocated(record.lsn);
     tracker_.RecordIssued(record.pg, record.lsn);
     if (record.IsMtrComplete()) tracker_.RecordMtrComplete(record.lsn);
     // LSNs are allocated in ascending order; crash recovery rebuilds the
     // driver from scratch, so the deque never sees a regression.
-    if (retained_.empty() || record.lsn > retained_.back().lsn) {
-      retained_.push_back(record);
+    if (retained_.empty() || record.lsn > retained_.back()->lsn) {
+      retained_.push_back(sealed);
       ++retained_by_pg_[record.pg];
     }
     // Fan out to every member (including both alternatives of a slot
@@ -82,7 +83,7 @@ void StorageDriver::SubmitRecords(
         auto it = channels_.find(member.id);
         if (it == channels_.end()) continue;
         it->second.max_sent = std::max(it->second.max_sent, record.lsn);
-        it->second.boxcar->Add(record);
+        it->second.boxcar->Add(sealed);
         stats_.records_sent++;
       }
     }
@@ -90,10 +91,10 @@ void StorageDriver::SubmitRecords(
 }
 
 void StorageDriver::SendBatch(SegmentChannel* channel,
-                              std::vector<log::RedoRecord> records) {
+                              std::vector<log::SealedRecord> records) {
   if (!running_) return;
   // The request moves into the RPC closure and on into the storage node:
-  // the batch vector (and each record's refcounted payload) crosses the
+  // the batch vector (and each record's sealed block) crosses the
   // simulated wire without duplication.
   storage::WriteRequest request;
   request.segment = channel->info.id;
@@ -159,8 +160,8 @@ void StorageDriver::AdvancePass() {
     }
     // Durability advanced: drop retained records now known globally
     // durable and wake the commit path.
-    while (!retained_.empty() && retained_.front().lsn <= tracker_.vcl()) {
-      auto pg_it = retained_by_pg_.find(retained_.front().pg);
+    while (!retained_.empty() && retained_.front()->lsn <= tracker_.vcl()) {
+      auto pg_it = retained_by_pg_.find(retained_.front()->pg);
       if (pg_it != retained_by_pg_.end() && --pg_it->second == 0) {
         retained_by_pg_.erase(pg_it);
       }
@@ -192,13 +193,13 @@ void StorageDriver::RetrySweep() {
     // Resend retained records for this PG above the segment's known SCL
     // (§2.3: missing writes are tolerated; gossip or this sweep fills
     // them).
-    std::vector<log::RedoRecord> resend;
+    std::vector<log::SealedRecord> resend;
     auto it = std::lower_bound(
         retained_.begin(), retained_.end(), known_scl + 1,
-        [](const log::RedoRecord& r, Lsn value) { return r.lsn < value; });
+        [](const log::SealedRecord& r, Lsn value) { return r->lsn < value; });
     for (; it != retained_.end() && resend.size() < kRetryBatch;
          ++it) {
-      if (it->pg == channel.pg) resend.push_back(*it);
+      if ((*it)->pg == channel.pg) resend.push_back(*it);
     }
     if (resend.empty()) continue;
     stats_.retransmissions += resend.size();
@@ -302,7 +303,17 @@ struct ReadStateImpl {
   bool done = false;
   size_t outstanding = 0;
   StorageDriver::ReadCallback cb;
+  sim::EventId deadline = sim::kInvalidEvent;
 };
+
+/// Answers a read once and cancels its deadline, so a finished read
+/// leaves no timer (nor the state it pins) in the event queue.
+void FinishRead(sim::Simulator* sim, ReadStateImpl& state,
+                Result<storage::Page> result) {
+  state.done = true;
+  sim->Cancel(state.deadline);  // a no-op when the deadline is firing
+  state.cb(std::move(result));
+}
 }  // namespace
 
 struct ReadState : ReadStateImpl {};
@@ -361,11 +372,10 @@ void StorageDriver::ReadBlock(BlockId block, Lsn read_lsn, Lsn pgmrpl,
   state->pg = *pg;
   state->candidates = router_.Rank(std::move(eligible), rng_);
   state->cb = std::move(cb);
-  sim_->Schedule(options_.read_deadline, [this, state]() {
+  state->deadline = sim_->Schedule(options_.read_deadline, [this, state]() {
     if (state->done) return;
-    state->done = true;
     stats_.read_failures++;
-    state->cb(Status::TimedOut("read deadline exceeded"));
+    FinishRead(sim_, *state, Status::TimedOut("read deadline exceeded"));
   });
   IssueRead(state, 0);
 }
@@ -374,9 +384,9 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
                               size_t rank_index) {
   if (state->done || rank_index >= state->candidates.size()) {
     if (!state->done && state->outstanding == 0) {
-      state->done = true;
       stats_.read_failures++;
-      state->cb(Status::Unavailable("all read candidates exhausted"));
+      FinishRead(sim_, *state,
+                 Status::Unavailable("all read candidates exhausted"));
     }
     return;
   }
@@ -407,9 +417,8 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
         if (response.status.ok()) {
           router_.ObserveLatency(segment, elapsed);
           if (!state->done) {
-            state->done = true;
             read_latency_.Record(elapsed);
-            state->cb(std::move(*response.page));
+            FinishRead(sim_, *state, std::move(*response.page));
           }
           return;
         }

@@ -106,7 +106,7 @@ class StorageDriver {
 
   /// Submits a chained batch of records (one MTR or commit record). The
   /// records must carry already-allocated LSNs and PG assignments.
-  void SubmitRecords(const std::vector<log::RedoRecord>& records);
+  void SubmitRecords(const std::vector<log::SealedRecord>& records);
 
   /// Reads the durable version of `block` at `read_lsn` from the best
   /// eligible segment, hedging on slowness (§3.1). `pgmrpl` piggybacks
@@ -175,7 +175,7 @@ class StorageDriver {
 
   void EnsureChannels(const quorum::PgConfig& config);
   void SendBatch(SegmentChannel* channel,
-                 std::vector<log::RedoRecord> records);
+                 std::vector<log::SealedRecord> records);
   void HandleAck(SegmentChannel* channel, const storage::WriteAck& ack,
                  SimTime sent_at);
   /// The volume-wide consistency-point pass: tracker advance + retained
@@ -205,7 +205,7 @@ class StorageDriver {
   /// retransmission source. LSNs are allocated monotonically by this
   /// instance, so the deque stays sorted — O(1) append on submit, O(1)
   /// front-pruning as VCL advances, binary search for retransmission.
-  std::deque<log::RedoRecord> retained_;
+  std::deque<log::SealedRecord> retained_;
   /// Per-PG slice of `retained_` (kept in lockstep with the deque) so
   /// degraded-mode backpressure can budget each degraded PG's parked
   /// records without charging healthy-PG traffic.

@@ -45,13 +45,13 @@ struct BoxcarOptions {
 /// callback with each completed batch.
 class BoxcarBatcher {
  public:
-  using FlushFn = std::function<void(std::vector<RedoRecord>)>;
+  using FlushFn = std::function<void(std::vector<SealedRecord>)>;
 
   BoxcarBatcher(sim::Simulator* sim, BoxcarOptions options, FlushFn flush);
 
   /// Adds a record to the open batch, possibly scheduling or triggering a
   /// dispatch per policy.
-  void Add(RedoRecord record);
+  void Add(SealedRecord record);
 
   /// Force-dispatches the open batch (used at shutdown / crash points).
   void Flush();
@@ -73,7 +73,7 @@ class BoxcarBatcher {
   sim::Simulator* sim_;
   BoxcarOptions options_;
   FlushFn flush_;
-  std::vector<RedoRecord> open_batch_;
+  std::vector<SealedRecord> open_batch_;
   uint64_t open_bytes_ = 0;
   size_t last_batch_size_ = 1;
   sim::EventId pending_dispatch_ = sim::kInvalidEvent;

@@ -15,7 +15,7 @@ SegmentHotLog::Iter SegmentHotLog::LowerBound(Lsn lsn) const {
   if (n == 1 || lsn > records_[n - 2].lsn) return records_.end() - 1;
   return std::lower_bound(
       records_.begin(), records_.end() - 1, lsn,
-      [](const RedoRecord& r, Lsn value) { return r.lsn < value; });
+      [](const Entry& e, Lsn value) { return e.lsn < value; });
 }
 
 bool SegmentHotLog::Annulled(Lsn lsn) const {
@@ -25,30 +25,34 @@ bool SegmentHotLog::Annulled(Lsn lsn) const {
   return false;
 }
 
-Status SegmentHotLog::Append(const RedoRecord& record) {
-  if (record.lsn == kInvalidLsn) {
+Status SegmentHotLog::Append(SealedRecord record) {
+  const Lsn lsn = record->lsn;
+  if (lsn == kInvalidLsn) {
     return Status::InvalidArgument("record has invalid LSN");
   }
-  if (Annulled(record.lsn)) {
+  if (Annulled(lsn)) {
     // Late-arriving in-flight write from before a crash: annulled.
     return Status::OK();
   }
-  if (record.lsn <= gc_floor_ && gc_floor_ != kInvalidLsn) {
+  if (lsn <= gc_floor_ && gc_floor_ != kInvalidLsn) {
     return Status::OK();  // already coalesced + collected
   }
+  const uint64_t bytes = record->SerializedSize();
+  Entry entry{lsn, record->prev_lsn_segment, std::move(record)};
   // Hot path: a single writer allocates LSNs monotonically, so almost
   // every arrival lands past the current back — O(1), no node allocation.
-  if (records_.empty() || record.lsn > records_.back().lsn) {
-    records_.push_back(record);
+  if (records_.empty() || lsn > records_.back().lsn) {
+    records_.push_back(std::move(entry));
   } else {
-    const Iter it = LowerBound(record.lsn);
-    if (it != records_.end() && it->lsn == record.lsn) {
+    const Iter it = LowerBound(lsn);
+    if (it != records_.end() && it->lsn == lsn) {
       return Status::OK();  // idempotent re-delivery
     }
     // Out-of-order arrival (gossip fill, retransmission): sorted insert.
-    records_.insert(records_.begin() + (it - records_.begin()), record);
+    records_.insert(records_.begin() + (it - records_.begin()),
+                    std::move(entry));
   }
-  total_bytes_ += record.SerializedSize();
+  total_bytes_ += bytes;
   AdvanceScl();
   return Status::OK();
 }
@@ -80,46 +84,41 @@ bool SegmentHotLog::Contains(Lsn lsn) const {
 
 const RedoRecord* SegmentHotLog::Find(Lsn lsn) const {
   const Iter it = LowerBound(lsn);
-  return (it != records_.end() && it->lsn == lsn) ? &*it : nullptr;
+  return (it != records_.end() && it->lsn == lsn) ? it->record.get()
+                                                  : nullptr;
 }
 
-RedoRecord* SegmentHotLog::FindMutable(Lsn lsn) {
-  const Iter it = LowerBound(lsn);
-  if (it == records_.end() || it->lsn != lsn) return nullptr;
-  return &records_[it - records_.begin()];
-}
-
-std::vector<RedoRecord> SegmentHotLog::ChainAfter(Lsn from_scl,
-                                                  size_t max_records) const {
-  std::vector<RedoRecord> out;
+std::vector<SealedRecord> SegmentHotLog::ChainAfter(Lsn from_scl,
+                                                    size_t max_records) const {
+  std::vector<SealedRecord> out;
   Lsn cursor = from_scl;
   for (Iter it = LowerBound(from_scl + 1);
        it != records_.end() && out.size() < max_records &&
        it->prev_lsn_segment == cursor;
        ++it) {
-    out.push_back(*it);
+    out.push_back(it->record);
     cursor = it->lsn;
   }
   return out;
 }
 
-std::vector<RedoRecord> SegmentHotLog::RecordsAbove(
+std::vector<SealedRecord> SegmentHotLog::RecordsAbove(
     Lsn lsn, size_t max_records) const {
-  std::vector<RedoRecord> out;
+  std::vector<SealedRecord> out;
   for (Iter it = LowerBound(lsn + 1);
        it != records_.end() && out.size() < max_records; ++it) {
-    out.push_back(*it);
+    out.push_back(it->record);
   }
   return out;
 }
 
-std::vector<RedoRecord> SegmentHotLog::RecordsInRange(
+std::vector<SealedRecord> SegmentHotLog::RecordsInRange(
     Lsn lo, Lsn hi, size_t max_records) const {
-  std::vector<RedoRecord> out;
+  std::vector<SealedRecord> out;
   for (Iter it = LowerBound(lo); it != records_.end() && it->lsn <= hi &&
                                  out.size() < max_records;
        ++it) {
-    out.push_back(*it);
+    out.push_back(it->record);
   }
   return out;
 }
@@ -132,7 +131,7 @@ void SegmentHotLog::Truncate(const TruncationRange& range) {
   const Iter lo = LowerBound(range.start);
   Iter hi = lo;
   while (hi != records_.end() && hi->lsn <= range.end) {
-    total_bytes_ -= hi->SerializedSize();
+    total_bytes_ -= hi->record->SerializedSize();
     ++hi;
   }
   records_.erase(records_.begin() + (lo - records_.begin()),
@@ -147,7 +146,7 @@ void SegmentHotLog::Truncate(const TruncationRange& range) {
 bool SegmentHotLog::Remove(Lsn lsn) {
   const Iter it = LowerBound(lsn);
   if (it == records_.end() || it->lsn != lsn) return false;
-  total_bytes_ -= it->SerializedSize();
+  total_bytes_ -= it->record->SerializedSize();
   records_.erase(records_.begin() + (it - records_.begin()));
   if (scl_ >= lsn) {
     RewindScl();
@@ -156,23 +155,27 @@ bool SegmentHotLog::Remove(Lsn lsn) {
 }
 
 bool SegmentHotLog::CorruptPayloadForTest(Lsn lsn) {
-  RedoRecord* record = FindMutable(lsn);
-  if (record == nullptr || record->payload.empty()) return false;
-  // Copy-on-write: the payload buffer is shared with every other holder
-  // of this record (peers, retransmission buffers, the archive); only
-  // this segment's copy may go bad.
-  const std::string_view bytes = record->payload.view();
-  record->payload = Payload::Build(bytes.size(), [&](char* out) {
+  const Iter it = LowerBound(lsn);
+  if (it == records_.end() || it->lsn != lsn || it->record->payload.empty()) {
+    return false;
+  }
+  // Copy-on-write: the sealed block is shared with every other holder of
+  // this record (peers, retransmission buffers, the archive); only this
+  // segment's handle may go bad. The copy keeps the original crc.
+  RedoRecord damaged = *it->record;
+  const std::string_view bytes = damaged.payload.view();
+  damaged.payload = Payload::Build(bytes.size(), [&](char* out) {
     std::memcpy(out, bytes.data(), bytes.size());
     out[0] = static_cast<char>(out[0] ^ 0x40);
   });
+  records_[it - records_.begin()].record = SealedRecord(std::move(damaged));
   return true;
 }
 
 void SegmentHotLog::EvictBelow(Lsn lsn) {
   // GC is a prefix pop — O(1) per record on the deque.
   while (!records_.empty() && records_.front().lsn <= lsn) {
-    total_bytes_ -= records_.front().SerializedSize();
+    total_bytes_ -= records_.front().record->SerializedSize();
     evicted_tail_ = records_.front().lsn;
     records_.pop_front();
   }

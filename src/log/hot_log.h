@@ -9,7 +9,10 @@
 //
 // Storage is a FLAT monotonic structure, not a node-based map: a single
 // writer allocates LSNs monotonically, so records arrive (mostly) in
-// ascending order. They live in a deque sorted by LSN — appends at the
+// ascending order. They live in a deque sorted by LSN, one 24-byte entry
+// per record: the LSN and segment back-pointer inline (the only fields
+// the chain walk and the searches read) beside the sealed handle every
+// other holder of the record shares — appends at the
 // back are O(1) with no per-record node allocation, the rare out-of-order
 // arrival inserts at its sorted position, lookups at the tail are O(1) and
 // binary searches elsewhere, and GC pops a prefix. The segment chain needs
@@ -51,7 +54,7 @@ class SegmentHotLog {
   /// OK (quorum writes retry). Records annulled by a truncation range are
   /// silently ignored (§2.4: in-flight operations completing during crash
   /// recovery must be ignored).
-  Status Append(const RedoRecord& record);
+  Status Append(SealedRecord record);
 
   /// Segment Complete LSN: highest LSN reachable from the chain start with
   /// no gaps. kInvalidLsn if nothing is complete yet.
@@ -68,18 +71,29 @@ class SegmentHotLog {
   /// Records on the segment chain strictly above `from_scl`, in chain
   /// order, up to `max_records`. This is the gossip reply (§2.3): a peer
   /// advertises its SCL and receives the records it is missing.
-  std::vector<RedoRecord> ChainAfter(Lsn from_scl, size_t max_records) const;
+  std::vector<SealedRecord> ChainAfter(Lsn from_scl,
+                                       size_t max_records) const;
 
   /// Records held above the current SCL (the out-of-order tail); used by
   /// gossip to also fill holes below a stalled chain head.
-  std::vector<RedoRecord> RecordsAbove(Lsn lsn, size_t max_records) const;
+  std::vector<SealedRecord> RecordsAbove(Lsn lsn, size_t max_records) const;
 
   /// Records in [lo, hi], LSN order, up to `max_records` (backup reads).
-  std::vector<RedoRecord> RecordsInRange(
+  std::vector<SealedRecord> RecordsInRange(
       Lsn lo, Lsn hi, size_t max_records = SIZE_MAX) const;
 
+  /// One stored record: its chain fields inline, the rest behind the
+  /// shared handle.
+  struct Entry {
+    Lsn lsn = kInvalidLsn;
+    Lsn prev_lsn_segment = kInvalidLsn;
+    SealedRecord record;
+  };
+
+  static_assert(sizeof(Entry) <= 24, "a hot-log entry is two LSNs and a handle");
+
   /// Every stored record, LSN order (scrub walks them in place).
-  const std::deque<RedoRecord>& records() const { return records_; }
+  const std::deque<Entry>& records() const { return records_; }
 
   /// Installs a truncation range: drops stored records inside it and
   /// refuses future appends inside it. Ranges accumulate across repeated
@@ -100,20 +114,20 @@ class SegmentHotLog {
   /// Returns true if the record was present.
   bool Remove(Lsn lsn);
 
-  /// Test hook: replaces a stored record's payload with a copy whose first
-  /// byte is flipped. Copy-on-write — payload buffers are shared across
-  /// the fleet, so corrupting THIS segment's copy must not touch peers.
+  /// Test hook: replaces a stored record with a copy whose first payload
+  /// byte is flipped and whose crc is the original's. Copy-on-write —
+  /// sealed blocks are shared across the fleet, so only THIS segment's
+  /// handle changes and peers keep the good block.
   bool CorruptPayloadForTest(Lsn lsn);
 
   Lsn gc_floor() const { return gc_floor_; }
 
  private:
-  using Iter = std::deque<RedoRecord>::const_iterator;
+  using Iter = std::deque<Entry>::const_iterator;
 
   /// First stored record with LSN >= lsn: O(1) when that is the back or
   /// past it, else a binary search (deque iterators are random-access).
   Iter LowerBound(Lsn lsn) const;
-  RedoRecord* FindMutable(Lsn lsn);
   void AdvanceScl();
   /// Recomputes SCL from the chain anchor after a removal mid-chain.
   void RewindScl();
@@ -121,7 +135,7 @@ class SegmentHotLog {
 
   /// Sorted by LSN; contiguous prefix is the chain, back is the
   /// out-of-order tail.
-  std::deque<RedoRecord> records_;
+  std::deque<Entry> records_;
   Lsn scl_ = kInvalidLsn;
   Lsn gc_floor_ = kInvalidLsn;
   /// LSN of the last record GC evicted: the chain was complete through

@@ -40,7 +40,35 @@ uint64_t RedoRecord::SerializedSize() const {
   return kHeaderSize + payload.size() + 4;  // + CRC
 }
 
-void RedoRecord::Seal() { crc = RecordBodyCrc(*this); }
+SealedRecord::SealedRecord(RedoRecord record) {
+  if (record.payload.block_ != nullptr && record.payload.block_->refs == 1) {
+    // The record is the block's only holder: its slot is free (a sealed
+    // header there would hold a handle's count), so take the reference.
+    block_ = std::move(record.payload);
+  } else {
+    const std::string_view bytes = record.payload.view();
+    block_ = Payload::Build(bytes.size(), [&](char* out) {
+      std::memcpy(out, bytes.data(), bytes.size());
+    });
+    if (block_.block_ == nullptr) block_.block_ = Payload::Allocate(0);
+    record.payload = Payload();
+  }
+  auto* header =
+      new (Payload::Slot(block_.block_)) RedoRecord(std::move(record));
+  // The self-reference is not counted: the handles own the block.
+  header->payload.block_ = block_.block_;
+}
+
+bool SealedRecord::operator==(const SealedRecord& other) const {
+  if (block_.block_ == other.block_.block_) return true;
+  if (!*this || !other) return false;
+  return **this == *other;
+}
+
+SealedRecord Seal(RedoRecord record) {
+  record.crc = RecordBodyCrc(record);
+  return SealedRecord(std::move(record));
+}
 
 std::string RedoRecord::ToString() const {
   std::string out = "RedoRecord{lsn=" + std::to_string(lsn) +

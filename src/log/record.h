@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -20,6 +21,8 @@
 #include "src/common/types.h"
 
 namespace aurora::log {
+
+class SealedRecord;
 
 /// Refcounted immutable record payload: one heap block per payload.
 ///
@@ -31,10 +34,11 @@ namespace aurora::log {
 /// record bumps a refcount instead of duplicating bytes.
 ///
 /// The handle is a single pointer to a block laid out as a `{refs, size}`
-/// header followed by the bytes, so a payload costs one allocation and
-/// one pointer per holder (no separate control block). The refcount is a
-/// plain integer, not an atomic: the simulator and every component it
-/// drives run on one thread, and the `thread` sanitizer build
+/// header, room for the sealed record header (see SealedRecord), then the
+/// bytes, so a payload and the record that carries it cost one allocation
+/// and one pointer per holder (no separate control block). The refcount
+/// is a plain integer, not an atomic: the simulator and every component
+/// it drives run on one thread, and the `thread` sanitizer build
 /// (scripts/check.sh) is the tripwire should a change ever share a
 /// payload across threads. Construction from bytes is implicit and copies
 /// them once; producers that know the final size write straight into a
@@ -96,12 +100,15 @@ class Payload {
                              : std::string_view();
   }
   size_t size() const { return block_ != nullptr ? block_->size : 0; }
-  bool empty() const { return block_ == nullptr; }
+  /// No bytes. A sealed record with no payload still has a block (it
+  /// holds the header), so this tests the size, not the pointer.
+  bool empty() const { return size() == 0; }
   const char* data() const {
     return block_ != nullptr ? Bytes(block_) : nullptr;
   }
   char operator[](size_t i) const { return data()[i]; }
-  /// Holders sharing this buffer (0 for an empty payload).
+  /// Holders sharing this buffer, sealed-record handles included (0 for
+  /// an empty payload).
   uint32_t use_count() const { return block_ != nullptr ? block_->refs : 0; }
 
   /// Content equality (not pointer identity): decoded copies of the same
@@ -111,21 +118,34 @@ class Payload {
   }
 
  private:
+  friend class SealedRecord;
+
   struct Block {
     uint32_t refs;
     uint32_t size;  // the record format's payload length is 32 bits too
   };
+  /// Room between the block header and the bytes for the RedoRecord that
+  /// sealing places there (static_assert'ed below, once RedoRecord is
+  /// complete). Every payload reserves it: payloads exist to become
+  /// records, so sealing writes the header in place instead of
+  /// allocating.
+  static constexpr size_t kRecordSlot = 72;
 
   static Block* Allocate(size_t size) {
-    auto* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
+    auto* block = static_cast<Block*>(
+        ::operator new(sizeof(Block) + kRecordSlot + size));
     block->refs = 1;
     block->size = static_cast<uint32_t>(size);
     return block;
   }
+  static void* Slot(Block* block) { return block + 1; }
   static char* Bytes(Block* block) {
-    return reinterpret_cast<char*>(block + 1);
+    return static_cast<char*>(Slot(block)) + kRecordSlot;
   }
 
+  /// The last reference frees the block. A sealed record's header needs
+  /// no destructor call: its only non-trivial member is an uncounted
+  /// reference to this same block (see SealedRecord).
   void Release() {
     if (block_ != nullptr && --block_->refs == 0) ::operator delete(block_);
     block_ = nullptr;
@@ -180,18 +200,75 @@ struct RedoRecord {
   /// Bytes this record occupies on the wire / on disk (header + payload).
   uint64_t SerializedSize() const;
 
-  /// Sets `crc` from the header and payload. Call once, when both are
-  /// final; every later holder verifies against the carried value.
-  void Seal();
-
   bool operator==(const RedoRecord&) const = default;
 
   std::string ToString() const;
 };
 
-// `crc` sits in the padding after `pg`: sealing costs no record bytes, and
-// the payload is one pointer.
+// `crc` sits in the padding after `pg`: the checksum costs no record
+// bytes, and the payload is one pointer.
 static_assert(sizeof(RedoRecord) == 72, "RedoRecord grew");
+
+/// An immutable, checksummed redo record: an 8-byte handle to the ONE
+/// refcounted block that holds both the record header and its payload
+/// bytes (the block Payload allocates; the header lives in its slot).
+///
+/// The writer seals each record once (DbInstance::AppendMtr), and every
+/// long-lived holder keeps this handle instead of a 72-byte RedoRecord
+/// copy: the six segment hot logs and their pending-redo queues, the
+/// driver's retransmission buffer and boxcars, write requests, gossip and
+/// hydration replies, the replication stream and the archive. All of
+/// them, and every page entry holding the payload, share the block, so a
+/// record fanned out to six segments costs one allocation and a pointer
+/// per holder.
+///
+/// Dereferencing yields the stored `const RedoRecord&`. Its `payload`
+/// points back into the same block without holding a count (the handles
+/// do), so copying the record out (`RedoRecord copy = *sealed;`) yields
+/// an ordinary record that co-owns the block like any payload holder.
+class SealedRecord {
+ public:
+  SealedRecord() = default;
+  /// Moves `record` into its payload's block, keeping `record.crc` as it
+  /// stands: a decoded record already carries its verified trailer, and a
+  /// copy damaged on purpose keeps its original crc so scrub can tell.
+  /// Seal() is the writer's path, which sets the crc first. The payload
+  /// block is reused when `record` is its only holder, else its bytes are
+  /// copied into a fresh block.
+  explicit SealedRecord(RedoRecord record);
+
+  const RedoRecord& operator*() const { return *get(); }
+  const RedoRecord* operator->() const { return get(); }
+  const RedoRecord* get() const {
+    return block_.block_ != nullptr
+               ? std::launder(static_cast<const RedoRecord*>(
+                     Payload::Slot(block_.block_)))
+               : nullptr;
+  }
+  explicit operator bool() const { return block_.block_ != nullptr; }
+  /// Handles sharing this record's block (payload holders included).
+  uint32_t use_count() const { return block_.use_count(); }
+
+  /// Content equality, like RedoRecord's; the same block is equal to
+  /// itself without a look at the bytes.
+  bool operator==(const SealedRecord& other) const;
+
+ private:
+  static_assert(sizeof(RedoRecord) <= Payload::kRecordSlot &&
+                    alignof(RedoRecord) <= sizeof(Payload::Block),
+                "a sealed header must fit the payload block's slot");
+
+  /// The counted reference to the block; copying and dropping the handle
+  /// is copying and dropping this.
+  Payload block_;
+};
+
+static_assert(sizeof(SealedRecord) == 8, "a sealed handle is one pointer");
+
+/// The writer's one sealing call: sets `record.crc` to RecordBodyCrc()
+/// (the header and payload are final) and moves the record into its
+/// block. Every later holder verifies against the carried value.
+SealedRecord Seal(RedoRecord record);
 
 /// Serializes a record with a trailing CRC-32C of its body: the same value
 /// Seal() stores in `crc`.

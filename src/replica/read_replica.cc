@@ -141,12 +141,13 @@ void ReadReplica::CheckStreamContinuity(
   }
 }
 
-void ReadReplica::ApplyMtr(const std::vector<log::RedoRecord>& records) {
+void ReadReplica::ApplyMtr(const std::vector<log::SealedRecord>& records) {
   // MTR chunks are applied atomically to the subset of blocks in the
   // cache (§3.2). Within one simulator event, no read can interleave, so
   // applying record-by-record here IS atomic from the readers' view.
   stats_.mtrs_applied++;
-  for (const auto& record : records) {
+  for (const log::SealedRecord& sealed : records) {
+    const log::RedoRecord& record = *sealed;
     if (record.block == kInvalidBlock) continue;
     Lsn& mark = pg_high_water_[record.pg];
     mark = std::max(mark, record.lsn);
@@ -203,7 +204,7 @@ void ReadReplica::RunAtAnchor(Lsn min_lsn, std::function<void(bool)> fn) {
   waiter->fn = std::move(fn);
   waiter->parked_at = sim_->Now();
   anchor_waiters_.emplace(min_lsn, waiter);
-  sim_->Schedule(kAnchorWaitTimeout, [this, waiter]() {
+  waiter->timeout = sim_->Schedule(kAnchorWaitTimeout, [this, waiter]() {
     if (waiter->fired) return;
     waiter->fired = true;
     stats_.anchor_timeouts++;
@@ -218,6 +219,7 @@ void ReadReplica::DrainAnchorWaiters() {
     anchor_waiters_.erase(anchor_waiters_.begin());
     if (waiter->fired) continue;
     waiter->fired = true;
+    sim_->Cancel(waiter->timeout);
     anchor_wait_.Record(sim_->Now() - waiter->parked_at);
     waiter->fn(true);
   }
@@ -229,6 +231,7 @@ void ReadReplica::FailAnchorWaiters() {
   for (auto& [lsn, waiter] : parked) {
     if (waiter->fired) continue;
     waiter->fired = true;
+    sim_->Cancel(waiter->timeout);
     waiter->fn(false);
   }
 }

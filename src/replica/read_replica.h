@@ -150,7 +150,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
   Histogram& anchor_wait() { return anchor_wait_; }
 
  private:
-  void ApplyMtr(const std::vector<log::RedoRecord>& records);
+  void ApplyMtr(const std::vector<log::SealedRecord>& records);
   void ReadLeafFromStorage(const std::string& key, const txn::ReadView& view,
                            std::function<void(Result<std::string>)> cb);
   void ReportLoop();
@@ -176,11 +176,13 @@ class ReadReplica : public sim::NodeLifecycleListener {
   NodeId stream_source_ = kInvalidNode;
   uint64_t stream_seq_ = 0;
   /// Parked anchored reads keyed by the VDL they wait for. The shared
-  /// flag arbitrates between the drain path and the timeout event.
+  /// flag arbitrates between the drain path and the timeout event; the
+  /// drain cancels the timeout, so an answered wait leaves no timer.
   struct AnchorWaiter {
     std::function<void(bool)> fn;
     SimTime parked_at = 0;
     bool fired = false;
+    sim::EventId timeout = sim::kInvalidEvent;
   };
   std::multimap<Lsn, std::shared_ptr<AnchorWaiter>> anchor_waiters_;
   /// Long-running pinned read views (PGMRPL pressure).

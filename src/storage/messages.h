@@ -27,12 +27,12 @@ inline constexpr uint64_t kMessageOverheadBytes = 64;
 struct WriteRequest {
   SegmentId segment = kInvalidSegment;
   EpochVector epochs;
-  std::vector<log::RedoRecord> records;
+  std::vector<log::SealedRecord> records;
   Lsn pgmrpl = kInvalidLsn;
 
   uint64_t SerializedSize() const {
     uint64_t bytes = kMessageOverheadBytes;
-    for (const auto& r : records) bytes += r.SerializedSize();
+    for (const auto& r : records) bytes += r->SerializedSize();
     return bytes;
   }
 };
@@ -145,7 +145,7 @@ struct GossipRequest {
 
 struct GossipResponse {
   Status status;
-  std::vector<log::RedoRecord> records;
+  std::vector<log::SealedRecord> records;
   /// The responder's SCL. An empty `records` with `peer_scl` above the
   /// requester's SCL means the peer is ahead but its hot log no longer
   /// holds the requester's chain continuation (coalesced and GC'd) — the
@@ -154,7 +154,7 @@ struct GossipResponse {
 
   uint64_t SerializedSize() const {
     uint64_t bytes = kMessageOverheadBytes;
-    for (const auto& r : records) bytes += r.SerializedSize();
+    for (const auto& r : records) bytes += r->SerializedSize();
     return bytes;
   }
 };
@@ -210,7 +210,7 @@ struct HydrationRequest {
 
 struct HydrationResponse {
   Status status;
-  std::vector<log::RedoRecord> records;
+  std::vector<log::SealedRecord> records;
   /// All retained materialized versions (full repair); versions of one
   /// block are distinguished by page_lsn.
   std::vector<Page> pages;
@@ -221,7 +221,7 @@ struct HydrationResponse {
 
   uint64_t SerializedSize() const {
     uint64_t bytes = kMessageOverheadBytes;
-    for (const auto& r : records) bytes += r.SerializedSize();
+    for (const auto& r : records) bytes += r->SerializedSize();
     for (const auto& p : pages) bytes += p.SizeBytes();
     return bytes;
   }

@@ -24,21 +24,22 @@ namespace aurora::storage {
 /// group). All segments of a PG carry the same log, so one archive per
 /// PG deduplicates the six copies; the volume half of the key keeps
 /// co-tenant PGs with equal ordinals apart. Each key's archive is a flat
-/// LSN-sorted deque: segments back up in LSN order, so the first copy of
-/// a record appends at the back and the other copies are found by binary
-/// search and dropped.
+/// LSN-sorted deque of sealed handles: segments back up in LSN order, so
+/// the first copy of a record appends at the back and the other copies
+/// are found by binary search and dropped. The archive shares each
+/// record's block with the hot logs that backed it up.
 class ObjectStore {
  public:
   explicit ObjectStore(sim::Simulator* sim);
 
   /// Archives `records` for `key`; `done(highest_lsn_archived)` runs after
   /// simulated upload latency. Records become visible at completion.
-  void Put(ArchiveKey key, std::vector<log::RedoRecord> records,
+  void Put(ArchiveKey key, std::vector<log::SealedRecord> records,
            std::function<void(Lsn)> done);
 
   /// Fetches archived records for `key` in [lo, hi].
   void Get(ArchiveKey key, Lsn lo, Lsn hi,
-           std::function<void(std::vector<log::RedoRecord>)> done);
+           std::function<void(std::vector<log::SealedRecord>)> done);
 
   /// Highest contiguous archived LSN chain position per key is not
   /// tracked; this returns the max archived LSN (tests / PITR bounds).
@@ -51,7 +52,7 @@ class ObjectStore {
  private:
   sim::Simulator* sim_;
   Rng rng_;
-  std::map<ArchiveKey, std::deque<log::RedoRecord>> archive_;
+  std::map<ArchiveKey, std::deque<log::SealedRecord>> archive_;
   uint64_t bytes_stored_ = 0;
   uint64_t puts_ = 0;
   uint64_t gets_ = 0;

@@ -11,7 +11,7 @@
 // Pages are B+-tree nodes: sorted key→value entries plus header fields.
 // Values are opaque to storage; the transaction layer encodes row versions
 // (txn id + undo pointer) inside them. Neither key nor value is copied out
-// of the redo record that wrote it: the entry holds two views into that
+// of the redo record that wrote it: the entry holds where both lie in that
 // record's immutable, refcounted payload and co-owns the buffer, so the
 // six segments, the writer cache and every replica cache that apply one
 // record all share its bytes, and applying an insert allocates nothing.
@@ -24,8 +24,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <tuple>
-#include <type_traits>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -42,62 +41,78 @@ Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn);
 ///
 /// The storage nodes retain several materialized versions of each block
 /// (MVCC reads, §3.1), and every holder of a block applies the same redo.
-/// Each entry is two string_views — key and value — into the payload of
-/// the record that wrote it, plus that payload's handle, so the entry keeps
-/// those bytes alive after the record leaves the hot log: 40 B per entry
-/// in one sorted vector. Applying an insert stores views and one handle
-/// and copies no bytes; copying a version copies views and bumps
+/// Each entry records where its key and value lie inside the payload of
+/// the record that wrote them, plus that payload's handle, so the entry
+/// keeps those bytes alive after the record leaves the hot log: 24 B per
+/// entry in one sorted vector. Applying an insert stores offsets and one
+/// handle and copies no bytes; copying a version copies offsets and bumps
 /// refcounts. Key, value and owner always change together: an entry whose
-/// owner is replaced must not keep a view into the old buffer. The
+/// owner is replaced must not keep offsets into the old buffer. The
 /// map-like read interface (find/at/contains/lower_bound/upper_bound/
 /// ordered iteration over (key, value) pairs) keeps the B-tree and the
 /// buffer cache representation-agnostic; mutation happens only through
 /// ApplyRedoPayload.
 class PageEntries {
- public:
-  /// Reads as a (key, value) pair: `it->first`, `it->second`, or
-  /// `const auto& [key, value]`. The owner stays private to PageEntries.
-  class Entry {
-   public:
-    std::string_view first;   // key
-    std::string_view second;  // value
+  struct Entry;
 
-    template <size_t I>
-    const std::string_view& get() const {
-      if constexpr (I == 0) {
-        return first;
-      } else {
-        return second;
-      }
+ public:
+  /// What an entry reads as: `it->first`, `it->second`, or
+  /// `const auto& [key, value]`. Both views point into the owning payload.
+  using value_type = std::pair<std::string_view, std::string_view>;
+
+  /// Bidirectional iterator yielding (key, value) views by value.
+  class const_iterator {
+   public:
+    using iterator_category = std::bidirectional_iterator_tag;
+    using value_type = PageEntries::value_type;
+    using difference_type = std::ptrdiff_t;
+    using reference = value_type;
+    /// `it->first` reads through a pair held by this proxy.
+    struct pointer {
+      value_type pair;
+      const value_type* operator->() const { return &pair; }
+    };
+
+    const_iterator() = default;
+    value_type operator*() const { return it_->Pair(); }
+    pointer operator->() const { return pointer{it_->Pair()}; }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
     }
+    const_iterator operator++(int) { return const_iterator(it_++); }
+    const_iterator& operator--() {
+      --it_;
+      return *this;
+    }
+    const_iterator operator--(int) { return const_iterator(it_--); }
+    bool operator==(const const_iterator&) const = default;
 
    private:
     friend class PageEntries;
-    Entry(std::string_view key, std::string_view value,
-          const log::Payload& owner)
-        : first(key), second(value), owner_(owner) {}
+    explicit const_iterator(std::vector<Entry>::const_iterator it)
+        : it_(it) {}
 
-    log::Payload owner_;  // the buffer both views point into
+    std::vector<Entry>::const_iterator it_;
   };
-  using const_iterator = std::vector<Entry>::const_iterator;
 
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
+  const_iterator begin() const { return const_iterator(entries_.begin()); }
+  const_iterator end() const { return const_iterator(entries_.end()); }
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
 
   const_iterator lower_bound(std::string_view key) const {
-    return entries_.begin() + LowerBoundIndex(key);
+    return const_iterator(entries_.begin() + LowerBoundIndex(key));
   }
   const_iterator upper_bound(std::string_view key) const {
-    return std::upper_bound(
+    return const_iterator(std::upper_bound(
         entries_.begin(), entries_.end(), key,
-        [](std::string_view k, const Entry& e) { return k < e.first; });
+        [](std::string_view k, const Entry& e) { return k < e.Key(); }));
   }
   const_iterator find(std::string_view key) const {
     const size_t i = LowerBoundIndex(key);
-    if (i < entries_.size() && entries_[i].first == key) {
-      return entries_.begin() + i;
+    if (i < entries_.size() && entries_[i].Key() == key) {
+      return const_iterator(entries_.begin() + i);
     }
     return end();
   }
@@ -113,7 +128,7 @@ class PageEntries {
     return std::equal(entries_.begin(), entries_.end(),
                       other.entries_.begin(), other.entries_.end(),
                       [](const Entry& a, const Entry& b) {
-                        return a.first == b.first && a.second == b.second;
+                        return a.Key() == b.Key() && a.Value() == b.Value();
                       });
   }
 
@@ -121,12 +136,45 @@ class PageEntries {
   friend Status ApplyRedoPayload(Page* page, const log::Payload& payload,
                                  Lsn lsn);
 
+  /// The owning payload's handle and where the key and value lie in its
+  /// bytes. Offsets, not views: two 16-byte views would make an entry
+  /// 40 B, and the payload's bytes sit at a fixed place in its block.
+  struct Entry {
+    Entry(std::string_view key, std::string_view value,
+          const log::Payload& payload)
+        : owner(payload),
+          key_offset(Offset(key, payload)),
+          key_size(static_cast<uint32_t>(key.size())),
+          value_offset(Offset(value, payload)),
+          value_size(static_cast<uint32_t>(value.size())) {}
+
+    std::string_view Key() const {
+      return std::string_view(owner.data() + key_offset, key_size);
+    }
+    std::string_view Value() const {
+      return std::string_view(owner.data() + value_offset, value_size);
+    }
+    value_type Pair() const { return {Key(), Value()}; }
+
+    static uint32_t Offset(std::string_view bytes,
+                           const log::Payload& payload) {
+      return static_cast<uint32_t>(bytes.data() - payload.data());
+    }
+
+    log::Payload owner;  // the buffer both ranges lie in
+    uint32_t key_offset;
+    uint32_t key_size;
+    uint32_t value_offset;
+    uint32_t value_size;
+  };
+
   /// Inserts or replaces one entry; `key` and `value` lie inside
-  /// `owner`'s bytes. A replaced entry re-points both views and its owner.
+  /// `owner`'s bytes. A replaced entry re-points both ranges and its
+  /// owner.
   void Upsert(std::string_view key, std::string_view value,
               const log::Payload& owner) {
     const size_t i = LowerBoundIndex(key);
-    if (i < entries_.size() && entries_[i].first == key) {
+    if (i < entries_.size() && entries_[i].Key() == key) {
       entries_[i] = Entry(key, value, owner);
       return;
     }
@@ -136,7 +184,7 @@ class PageEntries {
   /// Removes one entry (no-op if absent; idempotent application).
   void Erase(std::string_view key) {
     const size_t i = LowerBoundIndex(key);
-    if (i < entries_.size() && entries_[i].first == key) {
+    if (i < entries_.size() && entries_[i].Key() == key) {
       entries_.erase(entries_.begin() + i);
     }
   }
@@ -151,14 +199,14 @@ class PageEntries {
   size_t LowerBoundIndex(std::string_view key) const {
     auto it = std::lower_bound(
         entries_.begin(), entries_.end(), key,
-        [](const Entry& e, std::string_view k) { return e.first < k; });
+        [](const Entry& e, std::string_view k) { return e.Key() < k; });
     return static_cast<size_t>(it - entries_.begin());
   }
 
   std::vector<Entry> entries_;
-};
 
-static_assert(sizeof(PageEntries::Entry) == 40, "page entry grew");
+  static_assert(sizeof(Entry) == 24, "page entry grew");
+};
 
 /// What role a page plays in the access method.
 enum class PageType : uint8_t {
@@ -232,18 +280,9 @@ log::Payload EncodePageOp(const PageOp& op);
 Result<PageOpView> DecodePageOp(std::string_view payload);
 
 /// Decodes `payload` and applies it to `page`, stamping `lsn` as the new
-/// page_lsn. An inserted key and value stay views into `payload`, which
+/// page_lsn. An inserted key and value stay in `payload`'s bytes, which
 /// the page co-owns. The caller is responsible for ordering (prev_lsn_block
 /// chain); application itself is deterministic and total.
 Status ApplyRedoPayload(Page* page, const log::Payload& payload, Lsn lsn);
 
 }  // namespace aurora::storage
-
-// An entry binds as `const auto& [key, value]`.
-template <>
-struct std::tuple_size<aurora::storage::PageEntries::Entry>
-    : std::integral_constant<size_t, 2> {};
-template <size_t I>
-struct std::tuple_element<I, aurora::storage::PageEntries::Entry> {
-  using type = const std::string_view;
-};

@@ -63,15 +63,15 @@ Status SegmentStore::CheckEpochs(const EpochVector& epochs) {
   return Status::OK();
 }
 
-void SegmentStore::IndexRecord(const log::RedoRecord& record) {
+void SegmentStore::IndexRecord(const log::SealedRecord& sealed) {
+  const log::RedoRecord& record = *sealed;
   // Commit records carry a status-index page op and materialize like any
   // other change; only control records carry no block payload.
   if (!info_.is_full || record.type == log::RecordType::kControl ||
       record.block == kInvalidBlock) {
     return;
   }
-  PendingRedo redo{record.lsn, record.prev_lsn_block, record.block,
-                   record.payload};
+  PendingRedo redo{record.lsn, record.block, sealed};
   // The hot log admits each LSN once and the writer allocates them in
   // order, so almost every record lands past the back; a gossip fill or
   // retransmission inserts at its sorted position.
@@ -86,9 +86,10 @@ void SegmentStore::IndexRecord(const log::RedoRecord& record) {
   }
 }
 
-Status SegmentStore::Ingest(const std::vector<log::RedoRecord>& records,
+Status SegmentStore::Ingest(const std::vector<log::SealedRecord>& records,
                             RedoSource source) {
-  for (const auto& record : records) {
+  for (const log::SealedRecord& sealed : records) {
+    const log::RedoRecord& record = *sealed;
     if (record.pg != pg_) {
       return Status::InvalidArgument("record addressed to wrong PG");
     }
@@ -97,11 +98,11 @@ Status SegmentStore::Ingest(const std::vector<log::RedoRecord>& records,
       continue;
     }
     const size_t before = hot_log_.RecordCount();
-    AURORA_RETURN_IF_ERROR(hot_log_.Append(record));
+    AURORA_RETURN_IF_ERROR(hot_log_.Append(sealed));
     if (hot_log_.RecordCount() == before) continue;  // annulled or GC'd
     if (source == RedoSource::kWrite) stats_.records_received++;
     if (source == RedoSource::kPeer) stats_.records_gossip_filled++;
-    IndexRecord(record);
+    IndexRecord(sealed);
   }
   MaybeFinishHydration();
   return Status::OK();
@@ -136,7 +137,7 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
       pending_.pop_front();
       continue;
     }
-    if (redo.prev_lsn_block != base_lsn) {
+    if (redo.record->prev_lsn_block != base_lsn) {
       if (!block_versions.empty() && block_versions.back().page_lsn > lsn) {
         // A newer version (absorbed from hydration) already reflects
         // this record; the history below it is not retained.
@@ -156,7 +157,8 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
     Page fresh;
     fresh.id = redo.block;
     const Status st =
-        ApplyRedoPayload(has_base ? &*base : &fresh, redo.payload, lsn);
+        ApplyRedoPayload(has_base ? &*base : &fresh, redo.record->payload,
+                         lsn);
     if (!st.ok()) {
       AURORA_ERROR << "segment " << info_.id
                    << " coalesce failed: " << st.ToString();
@@ -229,11 +231,12 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
                                   kLsnAbove);
        it != pending_.end() && it->lsn <= read_lsn; ++it) {
     if (it->block != block) continue;
-    if (it->prev_lsn_block != page.page_lsn) {
+    if (it->record->prev_lsn_block != page.page_lsn) {
       return refuse(
           Status::Unavailable("block chain hole during materialization"));
     }
-    AURORA_RETURN_IF_ERROR(ApplyRedoPayload(&page, it->payload, it->lsn));
+    AURORA_RETURN_IF_ERROR(
+        ApplyRedoPayload(&page, it->record->payload, it->lsn));
     applied_any = true;
   }
   if (base == nullptr && !applied_any) {
@@ -261,7 +264,7 @@ void SegmentStore::MarkBackedUp(Lsn lsn) {
   backup_lsn_ = std::max(backup_lsn_, lsn);
 }
 
-std::vector<log::RedoRecord> SegmentStore::PendingBackup(
+std::vector<log::SealedRecord> SegmentStore::PendingBackup(
     size_t max_records) const {
   // Only chain-complete records are backed up (no holes in the archive).
   return hot_log_.RecordsInRange(backup_lsn_ + 1, hot_log_.scl(),
@@ -305,8 +308,10 @@ size_t SegmentStore::Scrub() {
   // Compare each stored record against the checksum its writer sealed: a
   // record damaged here, in transit or in a gossip reply fails alike.
   std::vector<Lsn> bad;
-  for (const auto& record : hot_log_.records()) {
-    if (log::RecordBodyCrc(record) != record.crc) bad.push_back(record.lsn);
+  for (const auto& entry : hot_log_.records()) {
+    if (log::RecordBodyCrc(*entry.record) != entry.record->crc) {
+      bad.push_back(entry.lsn);
+    }
   }
   for (const Lsn lsn : bad) {
     hot_log_.Remove(lsn);
@@ -435,8 +440,8 @@ HydrationResponse SegmentStore::BuildHydration(
       Materializing& m = it->second;
       if (inserted) m.page.id = redo.block;
       if (m.stalled || redo.lsn <= m.page.page_lsn) continue;
-      if (redo.prev_lsn_block != m.page.page_lsn ||
-          !ApplyRedoPayload(&m.page, redo.payload, redo.lsn).ok()) {
+      if (redo.record->prev_lsn_block != m.page.page_lsn ||
+          !ApplyRedoPayload(&m.page, redo.record->payload, redo.lsn).ok()) {
         m.stalled = true;
       }
     }
@@ -449,7 +454,7 @@ HydrationResponse SegmentStore::BuildHydration(
   return response;
 }
 
-void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
+void SegmentStore::ResetToArchive(const std::vector<log::SealedRecord>& records,
                                   Lsn restore_point, VolumeEpoch new_epoch) {
   // Truncation history survives the reset: ranges annulled by earlier
   // recoveries/restores may still have records in the archive (they were
@@ -480,7 +485,7 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
 }
 
 bool SegmentStore::CorruptRecordForTest(Lsn lsn) {
-  // Payload buffers are shared across the fleet; the hot log does a
+  // Sealed blocks are shared across the fleet; the hot log does a
   // copy-on-write flip so only this segment's copy goes bad.
   return hot_log_.CorruptPayloadForTest(lsn);
 }

@@ -102,12 +102,12 @@ class SegmentStore {
   /// Takes in a batch of redo records (idempotent; §2.2 steps 1-3): each
   /// new one joins the hot log and the pending redo. Records addressed to
   /// another PG are refused.
-  Status Ingest(const std::vector<log::RedoRecord>& records,
+  Status Ingest(const std::vector<log::SealedRecord>& records,
                 RedoSource source);
 
   /// Gossip reply: the chain records a peer at `peer_scl` is missing.
-  std::vector<log::RedoRecord> ChainAfter(Lsn peer_scl,
-                                          size_t max_records) const {
+  std::vector<log::SealedRecord> ChainAfter(Lsn peer_scl,
+                                            size_t max_records) const {
     return hot_log_.ChainAfter(peer_scl, max_records);
   }
 
@@ -138,7 +138,7 @@ class SegmentStore {
   void MarkBackedUp(Lsn lsn);
 
   /// Records eligible for the next backup batch.
-  std::vector<log::RedoRecord> PendingBackup(size_t max_records) const;
+  std::vector<log::SealedRecord> PendingBackup(size_t max_records) const;
 
   /// Garbage collection (§2.1 activity 7): evicts hot-log records that are
   /// coalesced (full) or backed up, and block versions older than PGMRPL
@@ -171,11 +171,11 @@ class SegmentStore {
   /// `new_epoch` and a truncation range that annuls everything above the
   /// restore point. Only records on the contiguous chain survive.
   /// `records` are this PG's archive at or below `restore_point`.
-  void ResetToArchive(const std::vector<log::RedoRecord>& records,
+  void ResetToArchive(const std::vector<log::SealedRecord>& records,
                       Lsn restore_point, VolumeEpoch new_epoch);
 
   /// Test hook: flips a byte inside a stored record's payload so Scrub()
-  /// finds it.
+  /// finds it. Copy-on-write: only this segment's handle changes.
   bool CorruptRecordForTest(Lsn lsn);
 
   /// Test/inspection: number of retained versions for a block.
@@ -190,7 +190,7 @@ class SegmentStore {
   }
 
  private:
-  void IndexRecord(const log::RedoRecord& record);
+  void IndexRecord(const log::SealedRecord& record);
   void MaybeFinishHydration();
   const Page* LatestVersionAtOrBelow(BlockId block, Lsn lsn) const;
 
@@ -202,12 +202,13 @@ class SegmentStore {
   Lsn hydration_target_ = kInvalidLsn;
 
   /// An un-coalesced redo record of a full segment: what folding and
-  /// on-demand materialization read, sharing the hot log's payload buffer.
+  /// on-demand materialization read. The LSN and block stay inline for
+  /// the searches and the per-block scans; the rest is the hot log's
+  /// sealed block.
   struct PendingRedo {
     Lsn lsn = kInvalidLsn;
-    Lsn prev_lsn_block = kInvalidLsn;
     BlockId block = kInvalidBlock;
-    log::Payload payload;
+    log::SealedRecord record;
   };
 
   log::SegmentHotLog hot_log_;

@@ -123,7 +123,7 @@ void StorageNode::EnqueueTenantWrite(SegmentStore* segment,
                                      sim::ReplyFn<WriteAck> reply) {
   TenantState& tenant = tenants_[segment->volume()];
   uint64_t cost = 0;
-  for (const auto& r : request.records) cost += r.SerializedSize();
+  for (const auto& r : request.records) cost += r->SerializedSize();
   tenant.stats.records += request.records.size();
   TenantWrite entry;
   entry.request = std::move(request);
@@ -279,7 +279,7 @@ void StorageNode::HandleTailRecords(const TailRecordsRequest& request,
   for (const auto& record :
        segment->hot_log().RecordsAbove(request.from_lsn, 1 << 20)) {
     response.records.push_back(
-        TailRecordInfo{record.lsn, record.IsMtrComplete()});
+        TailRecordInfo{record->lsn, record->IsMtrComplete()});
   }
   reply(std::move(response));
 }
@@ -412,7 +412,7 @@ void StorageNode::GossipSegment(SegmentStore* segment) {
         object_store_->Get(
             local->archive_key(), local->scl() + 1,
             std::numeric_limits<Lsn>::max(),
-            [this, local_id](std::vector<log::RedoRecord> records) {
+            [this, local_id](std::vector<log::SealedRecord> records) {
               SegmentStore* s = FindSegment(local_id);
               // The archive stands in for a peer that trimmed its log.
               if (s != nullptr && !records.empty()) {
@@ -513,7 +513,7 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
           object_store_->Get(
               local->archive_key(), local->scl() + 1,
               std::numeric_limits<Lsn>::max(),
-              [this, local_segment](std::vector<log::RedoRecord> records) {
+              [this, local_segment](std::vector<log::SealedRecord> records) {
                 SegmentStore* s = FindSegment(local_segment);
                 if (s == nullptr) return;
                 if (!records.empty()) {

@@ -18,11 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -152,9 +152,37 @@ class StorageNode : public sim::NodeLifecycleListener {
     uint64_t cost = 1;  ///< serialized redo bytes — the DRR currency
   };
 
+  /// A tenant's FIFO of queued writes over one reused vector: a drain
+  /// and refill reuses the same storage, where a deque would free and
+  /// allocate a node every other write.
+  class TenantQueue {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    size_t size() const { return items_.size() - head_; }
+    TenantWrite& front() { return items_[head_]; }
+    void push_back(TenantWrite entry) { items_.push_back(std::move(entry)); }
+    void clear() {
+      items_.clear();
+      head_ = 0;
+    }
+    void pop_front() {
+      if (++head_ == items_.size()) {
+        clear();  // keeps the capacity
+      } else if (head_ > items_.size() / 2) {
+        // Never fully drained: drop the served prefix once it dominates.
+        items_.erase(items_.begin(), items_.begin() + head_);
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<TenantWrite> items_;
+    size_t head_ = 0;  ///< first unserved entry
+  };
+
   /// Per-tenant scheduler + accounting state.
   struct TenantState {
-    std::deque<TenantWrite> queue;
+    TenantQueue queue;
     uint64_t deficit = 0;  ///< DRR credit in bytes; reset when idle
     TenantStats stats;
   };

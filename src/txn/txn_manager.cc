@@ -1,5 +1,6 @@
 #include "src/txn/txn_manager.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace aurora::txn {
@@ -80,6 +81,7 @@ std::vector<std::pair<TxnId, Scn>> TxnManager::CommitsUpTo(Scn scn) const {
   for (const auto& [id, commit_scn] : commit_history_) {
     if (commit_scn <= scn) out.emplace_back(id, commit_scn);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -91,7 +92,8 @@ class TxnManager {
   /// PGMRPL: storage may not GC versions any open view might need.
   Lsn MinOpenReadLsn() const;
 
-  /// Commit history entries with SCN <= `scn` (replica catch-up).
+  /// Commit history entries with SCN <= `scn` (replica catch-up), in
+  /// transaction-id order.
   std::vector<std::pair<TxnId, Scn>> CommitsUpTo(Scn scn) const;
 
   size_t ActiveCount() const;
@@ -113,7 +115,10 @@ class TxnManager {
   TxnId next_txn_ = 1;
   std::map<TxnId, Transaction> txns_;
   std::set<TxnId> active_;
-  std::map<TxnId, Scn> commit_history_;
+  /// Every commit's SCN by transaction id: CommitScnOf is on the read
+  /// path's visibility check, so a hash lookup. Ids are not dense (they
+  /// jump to the next LSN after recovery), so not a vector.
+  std::unordered_map<TxnId, Scn> commit_history_;
   std::multiset<Lsn> open_read_lsns_;
   uint64_t started_ = 0;
   uint64_t committed_ = 0;

@@ -254,7 +254,8 @@ TEST(ClusterSmoke, WriterSealsEveryRecord) {
   size_t checked = 0;
   for (const auto& node : cluster.storage_nodes()) {
     for (const auto& [id, segment] : node->segments()) {
-      for (const auto& record : segment->hot_log().records()) {
+      for (const auto& entry : segment->hot_log().records()) {
+        const log::RedoRecord& record = *entry.record;
         EXPECT_EQ(record.crc, log::RecordBodyCrc(record)) << record.ToString();
         checked++;
       }
@@ -263,6 +264,57 @@ TEST(ClusterSmoke, WriterSealsEveryRecord) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// The writer seals each record once and every segment keeps a handle to
+// that block: the six hot logs of a PG hold one block per LSN. A corrupted
+// copy is this segment's own (copy-on-write), so scrub drops it there and
+// nowhere else, and the peers keep the writer's block.
+TEST(ClusterSmoke, SegmentsShareOneSealedBlockPerLsn) {
+  core::AuroraOptions options = SmallOptions();
+  options.storage_node.background_enabled = false;  // keep the hot logs
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("key" + std::to_string(i), "v").ok());
+  }
+  cluster.RunFor(100 * kMillisecond);  // the last writes reach all six
+  for (const auto& pg : cluster.geometry().pgs()) {
+    std::vector<storage::SegmentStore*> segments;
+    for (const auto& member : pg.AllMembers()) {
+      segments.push_back(
+          cluster.NodeForSegment(member.id)->FindSegment(member.id));
+    }
+    ASSERT_EQ(segments.size(), 6u);
+    size_t shared = 0;
+    for (const auto& entry : segments.front()->hot_log().records()) {
+      for (const storage::SegmentStore* segment : segments) {
+        EXPECT_EQ(segment->hot_log().Find(entry.lsn), entry.record.get())
+            << "lsn " << entry.lsn;
+      }
+      shared++;
+    }
+    EXPECT_GT(shared, 0u);
+  }
+
+  const auto& members = cluster.geometry().pgs().front().AllMembers();
+  std::vector<storage::SegmentStore*> segments;
+  for (const auto& member : members) {
+    segments.push_back(
+        cluster.NodeForSegment(member.id)->FindSegment(member.id));
+  }
+  const Lsn lsn = segments.front()->hot_log().records().back().lsn;
+  const log::RedoRecord* sealed = segments.front()->hot_log().Find(lsn);
+  ASSERT_TRUE(segments[2]->CorruptRecordForTest(lsn));
+  for (size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_EQ(segments[i]->Scrub(), i == 2 ? 1u : 0u) << "segment " << i;
+    const log::RedoRecord* kept = segments[i]->hot_log().Find(lsn);
+    if (i == 2) {
+      EXPECT_EQ(kept, nullptr);
+    } else {
+      EXPECT_EQ(kept, sealed) << "segment " << i;
+    }
+  }
 }
 
 // Dynamically allocated node ids (writers, replicas, clients) never alias

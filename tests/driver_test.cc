@@ -58,7 +58,7 @@ struct Fixture {
     driver->Start();
   }
 
-  log::RedoRecord Record(Lsn lsn, BlockId block = 5) {
+  log::SealedRecord Record(Lsn lsn, BlockId block = 5) {
     log::RedoRecord rec;
     rec.lsn = lsn;
     rec.prev_lsn_volume = lsn - 1;
@@ -70,8 +70,7 @@ struct Fixture {
     op.type = storage::PageOpType::kFormat;
     op.page_type = storage::PageType::kLeaf;
     rec.payload = EncodePageOp(op);
-    rec.Seal();
-    return rec;
+    return log::Seal(std::move(rec));
   }
 };
 
@@ -142,6 +141,51 @@ TEST(StorageDriver, RoutedReadServesMaterializedBlock) {
   f.sim.RunFor(100 * kMillisecond);
   EXPECT_TRUE(done);
   EXPECT_EQ(f.driver->stats().reads_issued, 1u) << "single read, no quorum";
+}
+
+// The read deadline is cancelled when the read completes: a finished
+// ReadBlock leaves nothing in the event queue (before, each page read
+// pinned its state under a 5 s timer that fired as a no-op).
+TEST(StorageDriver, CompletedReadLeavesNoDeadline) {
+  Fixture f;
+  f.driver->SubmitRecords({f.Record(1, /*block=*/7)});
+  f.sim.RunFor(50 * kMillisecond);
+  const size_t baseline = f.sim.PendingEvents();
+  int answers = 0;
+  f.driver->ReadBlock(7, 1, kInvalidLsn, [&](Result<storage::Page> page) {
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    ++answers;
+  });
+  EXPECT_EQ(f.sim.PendingEvents(), baseline + 3)
+      << "request, hedge timer and deadline";
+  // Past the hedge timer, well short of the 5 s deadline.
+  f.sim.RunFor(1 * kSecond);
+  EXPECT_EQ(answers, 1);
+  EXPECT_EQ(f.sim.PendingEvents(), baseline);
+}
+
+// The driver's retransmission buffer and boxcars hold the sealed block
+// itself: a record re-sent from the buffer to a segment that missed it
+// lands there as the very block the other segments hold.
+TEST(StorageDriver, RetransmissionShipsTheSealedBlock) {
+  Fixture f;
+  for (NodeId node = 103; node <= 105; ++node) f.network->Crash(node);
+  const log::SealedRecord record = f.Record(1);
+  f.driver->SubmitRecords({record});
+  f.sim.RunFor(10 * kMillisecond);
+  // Three acks are no write quorum: the record stays retained.
+  ASSERT_EQ(f.driver->RetainedRecords(), 1u);
+  f.network->Restart(103);
+  f.sim.RunFor(200 * kMillisecond);
+  EXPECT_GT(f.driver->stats().retransmissions, 0u);
+  EXPECT_EQ(f.driver->tracker().vcl(), 1u);
+  for (const auto& node : f.nodes) {
+    if (!f.network->IsUp(node->id())) continue;
+    const log::RedoRecord* stored =
+        node->segments().begin()->second->hot_log().Find(1);
+    ASSERT_NE(stored, nullptr) << "node " << node->id();
+    EXPECT_EQ(stored, record.get()) << "node " << node->id();
+  }
 }
 
 TEST(StorageDriver, HedgedReadCapsSlowSegmentLatency) {

@@ -29,8 +29,13 @@ RedoRecord MakeRecord(Lsn lsn, Lsn prev_seg, ProtectionGroupId pg = 0,
   rec.block = block;
   rec.txn = 1;
   rec.payload = std::move(payload);
-  rec.Seal();
+  rec.crc = RecordBodyCrc(rec);
   return rec;
+}
+
+SealedRecord Sealed(Lsn lsn, Lsn prev_seg, ProtectionGroupId pg = 0,
+                    BlockId block = 7, std::string payload = "op") {
+  return Seal(MakeRecord(lsn, prev_seg, pg, block, std::move(payload)));
 }
 
 // ---------------------------------------------------------------------- //
@@ -41,7 +46,7 @@ TEST(RecordCodec, RoundTrip) {
   rec.type = RecordType::kCommit;
   rec.mtr = MtrBoundary::kEnd;
   rec.payload = std::string("\x00\x01\x02 binary \xff", 12);
-  rec.Seal();  // the header changed; the decoded trailer must match
+  rec.crc = RecordBodyCrc(rec);  // the header changed; the trailer must match
   const std::string encoded = EncodeRecord(rec);
   EXPECT_EQ(encoded.size(), rec.SerializedSize());
   auto decoded = DecodeRecord(encoded);
@@ -80,34 +85,34 @@ TEST(RecordCodec, RejectsBadEnums) {
 TEST(HotLog, SclAdvancesAlongChain) {
   SegmentHotLog log;
   EXPECT_EQ(log.scl(), kInvalidLsn);
-  ASSERT_TRUE(log.Append(MakeRecord(1, 0)).ok());
+  ASSERT_TRUE(log.Append(Sealed(1, 0)).ok());
   EXPECT_EQ(log.scl(), 1u);
-  ASSERT_TRUE(log.Append(MakeRecord(2, 1)).ok());
+  ASSERT_TRUE(log.Append(Sealed(2, 1)).ok());
   EXPECT_EQ(log.scl(), 2u);
 }
 
 TEST(HotLog, GapHoldsSclThenFills) {
   SegmentHotLog log;
-  ASSERT_TRUE(log.Append(MakeRecord(1, 0)).ok());
-  ASSERT_TRUE(log.Append(MakeRecord(3, 2)).ok());  // 2 missing
+  ASSERT_TRUE(log.Append(Sealed(1, 0)).ok());
+  ASSERT_TRUE(log.Append(Sealed(3, 2)).ok());  // 2 missing
   EXPECT_EQ(log.scl(), 1u);
-  ASSERT_TRUE(log.Append(MakeRecord(4, 3)).ok());
+  ASSERT_TRUE(log.Append(Sealed(4, 3)).ok());
   EXPECT_EQ(log.scl(), 1u);
-  ASSERT_TRUE(log.Append(MakeRecord(2, 1)).ok());  // hole filled
+  ASSERT_TRUE(log.Append(Sealed(2, 1)).ok());  // hole filled
   EXPECT_EQ(log.scl(), 4u) << "SCL jumps across the filled hole";
 }
 
 TEST(HotLog, AppendIsIdempotent) {
   SegmentHotLog log;
-  ASSERT_TRUE(log.Append(MakeRecord(1, 0)).ok());
-  ASSERT_TRUE(log.Append(MakeRecord(1, 0)).ok());
+  ASSERT_TRUE(log.Append(Sealed(1, 0)).ok());
+  ASSERT_TRUE(log.Append(Sealed(1, 0)).ok());
   EXPECT_EQ(log.RecordCount(), 1u);
 }
 
 TEST(HotLog, OutOfOrderDeliveryConverges) {
   // Property: any delivery permutation yields the same SCL.
-  std::vector<RedoRecord> records;
-  for (Lsn l = 1; l <= 8; ++l) records.push_back(MakeRecord(l, l - 1));
+  std::vector<SealedRecord> records;
+  for (Lsn l = 1; l <= 8; ++l) records.push_back(Sealed(l, l - 1));
   std::vector<size_t> perm = {7, 2, 0, 5, 1, 6, 3, 4};
   SegmentHotLog log;
   for (size_t i : perm) ASSERT_TRUE(log.Append(records[i]).ok());
@@ -116,22 +121,22 @@ TEST(HotLog, OutOfOrderDeliveryConverges) {
 
 TEST(HotLog, ChainAfterReturnsMissingSuffix) {
   SegmentHotLog log;
-  for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+  for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   auto chain = log.ChainAfter(2, 10);
   ASSERT_EQ(chain.size(), 3u);
-  EXPECT_EQ(chain[0].lsn, 3u);
-  EXPECT_EQ(chain[2].lsn, 5u);
+  EXPECT_EQ(chain[0]->lsn, 3u);
+  EXPECT_EQ(chain[2]->lsn, 5u);
   EXPECT_TRUE(log.ChainAfter(5, 10).empty());
 }
 
 TEST(HotLog, GossipFillsPeerGap) {
   SegmentHotLog complete, lagging;
   for (Lsn l = 1; l <= 6; ++l) {
-    ASSERT_TRUE(complete.Append(MakeRecord(l, l - 1)).ok());
+    ASSERT_TRUE(complete.Append(Sealed(l, l - 1)).ok());
   }
-  ASSERT_TRUE(lagging.Append(MakeRecord(1, 0)).ok());
-  ASSERT_TRUE(lagging.Append(MakeRecord(5, 4)).ok());
-  ASSERT_TRUE(lagging.Append(MakeRecord(6, 5)).ok());
+  ASSERT_TRUE(lagging.Append(Sealed(1, 0)).ok());
+  ASSERT_TRUE(lagging.Append(Sealed(5, 4)).ok());
+  ASSERT_TRUE(lagging.Append(Sealed(6, 5)).ok());
   EXPECT_EQ(lagging.scl(), 1u);
   // Gossip exchange: lagging advertises SCL=1; peer responds with chain.
   for (const auto& rec : complete.ChainAfter(lagging.scl(), 100)) {
@@ -142,51 +147,51 @@ TEST(HotLog, GossipFillsPeerGap) {
 
 TEST(HotLog, TruncationAnnulsRangeAndLateArrivals) {
   SegmentHotLog log;
-  for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+  for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   log.Truncate(TruncationRange{6, 1000});
   EXPECT_EQ(log.scl(), 5u);
   EXPECT_FALSE(log.Contains(7));
   // A late in-flight write inside the annulled range is ignored (§2.4).
-  ASSERT_TRUE(log.Append(MakeRecord(8, 7)).ok());
+  ASSERT_TRUE(log.Append(Sealed(8, 7)).ok());
   EXPECT_FALSE(log.Contains(8));
   // Post-recovery records above the range chain onto the kept tail.
-  ASSERT_TRUE(log.Append(MakeRecord(1001, 5)).ok());
+  ASSERT_TRUE(log.Append(Sealed(1001, 5)).ok());
   EXPECT_EQ(log.scl(), 1001u);
 }
 
 TEST(HotLog, MultipleTruncationsAccumulate) {
   SegmentHotLog log;
-  for (Lsn l = 1; l <= 4; ++l) ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+  for (Lsn l = 1; l <= 4; ++l) ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   log.Truncate(TruncationRange{3, 100});
-  ASSERT_TRUE(log.Append(MakeRecord(101, 2)).ok());
+  ASSERT_TRUE(log.Append(Sealed(101, 2)).ok());
   log.Truncate(TruncationRange{101, 200});
   EXPECT_EQ(log.scl(), 2u);
   EXPECT_EQ(log.truncations().size(), 2u);
-  ASSERT_TRUE(log.Append(MakeRecord(50, 2)).ok());   // annulled by first
-  ASSERT_TRUE(log.Append(MakeRecord(150, 2)).ok());  // annulled by second
+  ASSERT_TRUE(log.Append(Sealed(50, 2)).ok());   // annulled by first
+  ASSERT_TRUE(log.Append(Sealed(150, 2)).ok());  // annulled by second
   EXPECT_FALSE(log.Contains(50));
   EXPECT_FALSE(log.Contains(150));
 }
 
 TEST(HotLog, EvictBelowKeepsLogicalChain) {
   SegmentHotLog log;
-  for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+  for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   log.EvictBelow(5);
   EXPECT_EQ(log.RecordCount(), 5u);
   EXPECT_EQ(log.gc_floor(), 5u);
   EXPECT_EQ(log.scl(), 10u) << "GC must not regress SCL";
   // New appends continue the chain.
-  ASSERT_TRUE(log.Append(MakeRecord(11, 10)).ok());
+  ASSERT_TRUE(log.Append(Sealed(11, 10)).ok());
   EXPECT_EQ(log.scl(), 11u);
 }
 
 TEST(HotLog, RemoveRewindsScl) {
   SegmentHotLog log;
-  for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+  for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   EXPECT_TRUE(log.Remove(3));
   EXPECT_EQ(log.scl(), 2u) << "scrubbed-out record breaks the chain";
   // Re-delivery (gossip) heals it.
-  ASSERT_TRUE(log.Append(MakeRecord(3, 2)).ok());
+  ASSERT_TRUE(log.Append(Sealed(3, 2)).ok());
   EXPECT_EQ(log.scl(), 5u);
 }
 
@@ -195,17 +200,17 @@ TEST(HotLog, RangeQueriesOnOutOfOrderContents) {
   // Arrival order scrambled; the flat store must still answer range
   // queries in ascending LSN order.
   for (Lsn l : {4u, 1u, 7u, 2u, 6u, 3u, 5u}) {
-    ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+    ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   }
   auto in_range = log.RecordsInRange(2, 5);
   ASSERT_EQ(in_range.size(), 4u);
   for (size_t i = 0; i < in_range.size(); ++i) {
-    EXPECT_EQ(in_range[i].lsn, 2u + i);
+    EXPECT_EQ(in_range[i]->lsn, 2u + i);
   }
   auto above = log.RecordsAbove(5, 10);
   ASSERT_EQ(above.size(), 2u);
-  EXPECT_EQ(above[0].lsn, 6u);
-  EXPECT_EQ(above[1].lsn, 7u);
+  EXPECT_EQ(above[0]->lsn, 6u);
+  EXPECT_EQ(above[1]->lsn, 7u);
   EXPECT_EQ(log.RecordsAbove(7, 10).size(), 0u);
   EXPECT_EQ(log.RecordsInRange(8, 100).size(), 0u);
 }
@@ -215,14 +220,14 @@ TEST(HotLog, TruncateEvictRemoveRoundTrip) {
   // truncation, re-append above the gap, GC, scrub removal, gossip heal.
   SegmentHotLog log;
   for (Lsn l : {2u, 1u, 4u, 3u, 6u, 5u, 8u, 7u, 10u, 9u}) {
-    ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+    ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   }
   EXPECT_EQ(log.scl(), 10u);
   log.Truncate(TruncationRange{6, 1000});
   EXPECT_EQ(log.scl(), 5u);
   EXPECT_EQ(log.RecordCount(), 5u);
-  ASSERT_TRUE(log.Append(MakeRecord(1001, 5)).ok());
-  ASSERT_TRUE(log.Append(MakeRecord(1002, 1001)).ok());
+  ASSERT_TRUE(log.Append(Sealed(1001, 5)).ok());
+  ASSERT_TRUE(log.Append(Sealed(1002, 1001)).ok());
   EXPECT_EQ(log.scl(), 1002u);
   log.EvictBelow(3);
   EXPECT_EQ(log.gc_floor(), 3u);
@@ -233,11 +238,11 @@ TEST(HotLog, TruncateEvictRemoveRoundTrip) {
   EXPECT_EQ(log.scl(), 4u) << "rewind lands on the last intact link";
   // Gossip re-delivers the scrubbed record; SCL heals across the
   // truncation gap to the tail.
-  ASSERT_TRUE(log.Append(MakeRecord(5, 4)).ok());
+  ASSERT_TRUE(log.Append(Sealed(5, 4)).ok());
   EXPECT_EQ(log.scl(), 1002u);
   // Everything below or inside the annulled range stays out.
-  ASSERT_TRUE(log.Append(MakeRecord(2, 1)).ok());   // below GC floor
-  ASSERT_TRUE(log.Append(MakeRecord(500, 5)).ok());  // annulled
+  ASSERT_TRUE(log.Append(Sealed(2, 1)).ok());   // below GC floor
+  ASSERT_TRUE(log.Append(Sealed(500, 5)).ok());  // annulled
   EXPECT_FALSE(log.Contains(2));
   EXPECT_FALSE(log.Contains(500));
   EXPECT_EQ(log.RecordCount(), 4u);  // 4, 5, 1001, 1002
@@ -245,13 +250,13 @@ TEST(HotLog, TruncateEvictRemoveRoundTrip) {
 
 TEST(HotLog, RemoveBelowEverythingRewindsToFloor) {
   SegmentHotLog log;
-  for (Lsn l = 1; l <= 6; ++l) ASSERT_TRUE(log.Append(MakeRecord(l, l - 1)).ok());
+  for (Lsn l = 1; l <= 6; ++l) ASSERT_TRUE(log.Append(Sealed(l, l - 1)).ok());
   log.EvictBelow(2);
   // Remove the first record still stored; the rewind anchors at the GC
   // floor (records at or below it were chain-complete when evicted).
   EXPECT_TRUE(log.Remove(3));
   EXPECT_EQ(log.scl(), 2u);
-  ASSERT_TRUE(log.Append(MakeRecord(3, 2)).ok());
+  ASSERT_TRUE(log.Append(Sealed(3, 2)).ok());
   EXPECT_EQ(log.scl(), 6u);
 }
 
@@ -260,13 +265,13 @@ TEST(HotLog, RewindAnchorsAtLastEvictedRecord) {
   // LSN - 1) can be one of them, so the floor names no record here.
   SegmentHotLog log;
   for (auto [lsn, prev] : {std::pair<Lsn, Lsn>{2, 0}, {5, 2}, {7, 5}}) {
-    ASSERT_TRUE(log.Append(MakeRecord(lsn, prev)).ok());
+    ASSERT_TRUE(log.Append(Sealed(lsn, prev)).ok());
   }
   log.EvictBelow(4);
   EXPECT_EQ(log.gc_floor(), 4u);
   EXPECT_TRUE(log.Remove(7));
   EXPECT_EQ(log.scl(), 5u) << "rewind re-links 5 through evicted record 2";
-  ASSERT_TRUE(log.Append(MakeRecord(7, 5)).ok());
+  ASSERT_TRUE(log.Append(Sealed(7, 5)).ok());
   EXPECT_EQ(log.scl(), 7u);
   // A truncation rewind takes the same anchor.
   log.Truncate(TruncationRange{6, 100});
@@ -274,20 +279,25 @@ TEST(HotLog, RewindAnchorsAtLastEvictedRecord) {
 }
 
 TEST(HotLog, CorruptPayloadIsCopyOnWrite) {
-  // The payload buffer of a record is shared by every holder (peers,
+  // A sealed record's block is shared by every holder (peers,
   // retransmission buffers). A test-injected corruption must only hit the
-  // copy in the corrupted log.
-  const RedoRecord original = MakeRecord(1, 0, 0, 7, "shared-bytes");
+  // handle in the corrupted log.
+  const SealedRecord original = Sealed(1, 0, 0, 7, "shared-bytes");
   SegmentHotLog healthy, corrupted;
   ASSERT_TRUE(healthy.Append(original).ok());
   ASSERT_TRUE(corrupted.Append(original).ok());
-  // All three records share one buffer.
-  EXPECT_EQ(healthy.Find(1)->payload.data(), original.payload.data());
-  EXPECT_EQ(corrupted.Find(1)->payload.data(), original.payload.data());
+  // Both logs hold the one sealed block.
+  EXPECT_EQ(healthy.Find(1), original.get());
+  EXPECT_EQ(corrupted.Find(1), original.get());
+  EXPECT_EQ(original.use_count(), 3u);
   ASSERT_TRUE(corrupted.CorruptPayloadForTest(1));
-  EXPECT_NE(corrupted.Find(1)->payload.view(), original.payload.view());
-  EXPECT_EQ(healthy.Find(1)->payload.view(), original.payload.view());
-  EXPECT_EQ(original.payload.view(), "shared-bytes");
+  EXPECT_NE(corrupted.Find(1), original.get());
+  EXPECT_NE(corrupted.Find(1)->payload.view(), original->payload.view());
+  EXPECT_EQ(corrupted.Find(1)->crc, original->crc) << "crc stays the sealed one";
+  EXPECT_NE(RecordBodyCrc(*corrupted.Find(1)), original->crc);
+  EXPECT_EQ(healthy.Find(1), original.get());
+  EXPECT_EQ(original->payload.view(), "shared-bytes");
+  EXPECT_EQ(original.use_count(), 2u);
   EXPECT_FALSE(corrupted.CorruptPayloadForTest(99));  // absent LSN
 }
 
@@ -343,6 +353,46 @@ TEST(RecordPayload, CopyMoveAndSelfAssignKeepOneOwnerCount) {
   EXPECT_EQ(Payload(std::string()).use_count(), 0u);
 }
 
+TEST(SealedRecord, SealReusesThePayloadBlock) {
+  // One block per record: sealing writes the header into the payload's
+  // own block when the record is its only holder.
+  RedoRecord rec = MakeRecord(3, 2, 1, 9, std::string(300, 'z'));
+  const char* bytes = rec.payload.data();
+  const SealedRecord sealed = Seal(std::move(rec));
+  EXPECT_EQ(sealed->payload.data(), bytes);
+  EXPECT_EQ(sealed.use_count(), 1u);
+  EXPECT_EQ(sealed->crc, RecordBodyCrc(*sealed));
+
+  // Copies are handles; a plain copy out co-owns the block.
+  SealedRecord copy = sealed;
+  EXPECT_EQ(copy.get(), sealed.get());
+  EXPECT_EQ(sealed.use_count(), 2u);
+  RedoRecord out = *sealed;
+  EXPECT_EQ(out.payload.data(), bytes);
+  EXPECT_EQ(sealed.use_count(), 3u);
+  // A block with other holders is not reused: sealing copies the bytes.
+  const SealedRecord resealed = Seal(out);
+  EXPECT_NE(resealed->payload.data(), bytes);
+  EXPECT_EQ(resealed, sealed) << "equal by content";
+  copy = SealedRecord();
+  out = RedoRecord();
+  EXPECT_EQ(sealed.use_count(), 1u);
+  EXPECT_EQ(sealed->payload.view(), std::string(300, 'z'));
+}
+
+TEST(SealedRecord, EmptyPayloadStillGetsABlock) {
+  const SealedRecord sealed = Seal(MakeRecord(1, 0, 0, kInvalidBlock, ""));
+  ASSERT_TRUE(sealed);
+  EXPECT_TRUE(sealed->payload.empty());
+  EXPECT_EQ(sealed->payload.size(), 0u);
+  EXPECT_EQ(sealed->SerializedSize(),
+            MakeRecord(1, 0, 0, kInvalidBlock, "").SerializedSize());
+  EXPECT_EQ(EncodeRecord(*sealed),
+            EncodeRecord(MakeRecord(1, 0, 0, kInvalidBlock, "")));
+  EXPECT_FALSE(SealedRecord());
+  EXPECT_EQ(SealedRecord().get(), nullptr);
+}
+
 TEST(RecordPayload, BuildFillsOneExactlySizedBlock) {
   const Payload built = Payload::Build(5, [](char* out) {
     for (int i = 0; i < 5; ++i) out[i] = static_cast<char>('a' + i);
@@ -355,9 +405,9 @@ TEST(RecordPayload, BuildFillsOneExactlySizedBlock) {
 
 TEST(HotLog, TotalBytesTracksContents) {
   SegmentHotLog log;
-  const RedoRecord rec = MakeRecord(1, 0);
+  const SealedRecord rec = Sealed(1, 0);
   ASSERT_TRUE(log.Append(rec).ok());
-  EXPECT_EQ(log.TotalBytes(), rec.SerializedSize());
+  EXPECT_EQ(log.TotalBytes(), rec->SerializedSize());
   log.EvictBelow(1);
   EXPECT_EQ(log.TotalBytes(), 0u);
 }
@@ -371,34 +421,34 @@ TEST(HotLog, TailLookupMatchesReference) {
     Rng rng(seed);
     // This segment's chain: a random subset of volume LSNs, each record
     // pointing at the previous one (other PGs own the LSNs in between).
-    std::vector<RedoRecord> chain;
+    std::vector<SealedRecord> chain;
     Lsn prev = kInvalidLsn;
     for (Lsn lsn = 1; lsn <= 600; ++lsn) {
       if (rng.Bernoulli(0.5)) continue;
-      chain.push_back(MakeRecord(lsn, prev));
+      chain.push_back(Sealed(lsn, prev));
       prev = lsn;
     }
     SegmentHotLog log;
-    std::map<Lsn, RedoRecord> model;
+    std::map<Lsn, SealedRecord> model;
     std::vector<TruncationRange> truncations;
     Lsn floor = kInvalidLsn;
     size_t next = 0;  // next in-order chain index
-    auto model_append = [&](const RedoRecord& r) {
+    auto model_append = [&](const SealedRecord& r) {
       for (const auto& t : truncations) {
-        if (t.Annuls(r.lsn)) return;
+        if (t.Annuls(r->lsn)) return;
       }
-      if (floor != kInvalidLsn && r.lsn <= floor) return;
-      model.emplace(r.lsn, r);
+      if (floor != kInvalidLsn && r->lsn <= floor) return;
+      model.emplace(r->lsn, r);
     };
     auto model_scl = [&] {
       Lsn scl = floor;
       for (auto it = model.upper_bound(scl);
-           it != model.end() && it->second.prev_lsn_segment == scl; ++it) {
+           it != model.end() && it->second->prev_lsn_segment == scl; ++it) {
         scl = it->first;
       }
       return scl;
     };
-    auto append = [&](const RedoRecord& r) {
+    auto append = [&](const SealedRecord& r) {
       ASSERT_TRUE(log.Append(r).ok());
       model_append(r);
     };
@@ -463,9 +513,10 @@ TEST(HotLog, TailLookupMatchesReference) {
         ASSERT_EQ(log.Contains(lsn), it != model.end()) << lsn;
         ASSERT_EQ(found != nullptr, it != model.end()) << lsn;
         if (found != nullptr) {
-          EXPECT_EQ(*found, it->second);
+          EXPECT_EQ(*found, *it->second);
+          EXPECT_EQ(found, it->second.get()) << "the log holds the handle";
         }
-        std::vector<RedoRecord> above;
+        std::vector<SealedRecord> above;
         for (auto a = model.upper_bound(lsn); a != model.end() &&
                                               above.size() < 4;
              ++a) {
@@ -486,11 +537,11 @@ TEST(Boxcar, SubmitOnFirstDispatchesQuickly) {
   BoxcarOptions options;
   options.policy = BoxcarPolicy::kSubmitOnFirst;
   options.dispatch_delay = 20;
-  BoxcarBatcher boxcar(&sim, options, [&](std::vector<RedoRecord> batch) {
+  BoxcarBatcher boxcar(&sim, options, [&](std::vector<SealedRecord> batch) {
     batch_sizes.push_back(batch.size());
   });
-  boxcar.Add(MakeRecord(1, 0));
-  sim.Schedule(5, [&]() { boxcar.Add(MakeRecord(2, 1)); });
+  boxcar.Add(Sealed(1, 0));
+  sim.Schedule(5, [&]() { boxcar.Add(Sealed(2, 1)); });
   sim.Run();
   // Both records ride the single dispatch scheduled by the first.
   ASSERT_EQ(batch_sizes.size(), 1u);
@@ -504,10 +555,10 @@ TEST(Boxcar, FillOrTimeoutWaitsFullTimeout) {
   BoxcarOptions options;
   options.policy = BoxcarPolicy::kFillOrTimeout;
   options.fill_timeout = 4000;
-  BoxcarBatcher boxcar(&sim, options, [&](std::vector<RedoRecord>) {
+  BoxcarBatcher boxcar(&sim, options, [&](std::vector<SealedRecord>) {
     dispatched_at = sim.Now();
   });
-  boxcar.Add(MakeRecord(1, 0));
+  boxcar.Add(Sealed(1, 0));
   sim.Run();
   EXPECT_EQ(dispatched_at, 4000) << "low-load boxcar pays the full timeout";
 }
@@ -520,8 +571,8 @@ TEST(Boxcar, SizeTriggerBeatsTimer) {
   options.fill_timeout = 4000;
   options.max_batch_bytes = 3 * MakeRecord(1, 0).SerializedSize();
   BoxcarBatcher boxcar(&sim, options,
-                       [&](std::vector<RedoRecord>) { dispatches++; });
-  for (Lsn l = 1; l <= 3; ++l) boxcar.Add(MakeRecord(l, l - 1));
+                       [&](std::vector<SealedRecord>) { dispatches++; });
+  for (Lsn l = 1; l <= 3; ++l) boxcar.Add(Sealed(l, l - 1));
   EXPECT_EQ(dispatches, 1u);
   EXPECT_EQ(sim.Now(), 0);
 }
@@ -530,8 +581,8 @@ TEST(Boxcar, FlushForcesDispatch) {
   sim::Simulator sim;
   size_t dispatches = 0;
   BoxcarBatcher boxcar(&sim, BoxcarOptions{},
-                       [&](std::vector<RedoRecord>) { dispatches++; });
-  boxcar.Add(MakeRecord(1, 0));
+                       [&](std::vector<SealedRecord>) { dispatches++; });
+  boxcar.Add(Sealed(1, 0));
   boxcar.Flush();
   EXPECT_EQ(dispatches, 1u);
   sim.Run();
@@ -540,8 +591,8 @@ TEST(Boxcar, FlushForcesDispatch) {
 
 TEST(Boxcar, MeanBatchFillAccounting) {
   sim::Simulator sim;
-  BoxcarBatcher boxcar(&sim, BoxcarOptions{}, [](std::vector<RedoRecord>) {});
-  for (Lsn l = 1; l <= 4; ++l) boxcar.Add(MakeRecord(l, l - 1));
+  BoxcarBatcher boxcar(&sim, BoxcarOptions{}, [](std::vector<SealedRecord>) {});
+  for (Lsn l = 1; l <= 4; ++l) boxcar.Add(Sealed(l, l - 1));
   sim.Run();
   EXPECT_EQ(boxcar.batches_sent(), 1u);
   EXPECT_EQ(boxcar.records_sent(), 4u);

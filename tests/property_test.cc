@@ -25,22 +25,22 @@ class SclPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SclPropertyTest, SclEqualsContiguousPrefixUnderRandomDelivery) {
   Rng rng(GetParam());
   const Lsn n = 60;
-  std::vector<log::RedoRecord> records;
+  std::vector<log::SealedRecord> records;
   for (Lsn l = 1; l <= n; ++l) {
     log::RedoRecord rec;
     rec.lsn = l;
     rec.prev_lsn_segment = l - 1;
     rec.pg = 0;
     rec.block = 1;
-    records.push_back(rec);
+    records.push_back(log::Seal(std::move(rec)));
   }
   // Drop a random subset, shuffle the rest.
-  std::vector<log::RedoRecord> delivered;
+  std::vector<log::SealedRecord> delivered;
   std::set<Lsn> kept;
   for (const auto& rec : records) {
     if (rng.Bernoulli(0.8)) {
       delivered.push_back(rec);
-      kept.insert(rec.lsn);
+      kept.insert(rec->lsn);
     }
   }
   for (size_t i = delivered.size(); i > 1; --i) {
@@ -79,12 +79,13 @@ TEST_P(GossipPropertyTest, PairwiseGossipConverges) {
     rec.prev_lsn_segment = l - 1;
     rec.pg = 0;
     rec.block = 1;
+    const log::SealedRecord sealed = log::Seal(std::move(rec));
     // Each record lands on a random 4/6 write quorum.
     std::set<int> targets;
     while (targets.size() < 4) {
       targets.insert(static_cast<int>(rng.NextBounded(num_segments)));
     }
-    for (int t : targets) ASSERT_TRUE(logs[t].Append(rec).ok());
+    for (int t : targets) ASSERT_TRUE(logs[t].Append(sealed).ok());
   }
   // Gossip rounds: each segment pulls from a random peer.
   for (int round = 0; round < 30; ++round) {

@@ -345,12 +345,15 @@ TEST(Replica, OneWriteIsOneBufferOnEveryHolder) {
   log::Payload payload;
   Lsn lsn = kInvalidLsn;
   BlockId block = kInvalidBlock;
-  for (const auto& record : segments.front()->hot_log().records()) {
+  const log::RedoRecord* sealed = nullptr;
+  for (const auto& entry : segments.front()->hot_log().records()) {
+    const log::RedoRecord& record = *entry.record;
     if (written >= record.payload.data() &&
         written < record.payload.data() + record.payload.size()) {
       payload = record.payload;
       lsn = record.lsn;
       block = record.block;
+      sealed = entry.record.get();
     }
   }
   ASSERT_NE(lsn, kInvalidLsn) << "writer cache does not alias the record";
@@ -358,6 +361,7 @@ TEST(Replica, OneWriteIsOneBufferOnEveryHolder) {
     const log::RedoRecord* record = segment->hot_log().Find(lsn);
     ASSERT_NE(record, nullptr);
     EXPECT_EQ(record->payload.data(), payload.data());
+    EXPECT_EQ(record, sealed) << "one sealed header for all six segments";
   }
 
   // PGMRPL rides on writes: once the replica has reported a read point

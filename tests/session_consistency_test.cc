@@ -327,6 +327,67 @@ TEST(SessionConsistency, WriterThatNeverReachesTheAnchorTimesOutOnce) {
   EXPECT_EQ(answers, 1);
 }
 
+// Each op's watchdog is cancelled when the op completes: after a run of
+// completed Puts, Gets and Scans the event queue is back at its baseline
+// (without the cancellation, every op would leave its kOpTimeout timer,
+// and the closures it pins, queued for ten simulated seconds). An op
+// whose request is lost still answers TimedOut once, at the deadline.
+TEST(SessionConsistency, CompletedOpsCancelTheirWatchdogs) {
+  core::AuroraOptions options = Options();
+  options.storage_node.background_enabled = false;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  auto* rep = cluster.AddReplica();
+  cluster.RunFor(100 * kMillisecond);
+  // A slow replica stream makes reads right after a Put park until the
+  // replica's VDL reaches the anchor, so its anchor-wait timer runs too.
+  cluster.network().SetNodeSlowdown(rep->id(), 50.0);
+  core::ClientSession session(&cluster, /*az=*/0);
+  ASSERT_TRUE(SessionPut(cluster, session, "k0", "v").ok());
+  cluster.RunFor(1 * kSecond);
+  const size_t baseline = cluster.sim().PendingEvents();
+
+  for (int i = 0; i < 10; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(SessionPut(cluster, session, key, "v" + std::to_string(i))
+                    .ok());
+    ASSERT_TRUE(SessionGet(cluster, session, key).ok());
+    bool scanned = false;
+    session.Scan("k", "l", 100, [&](Result<core::ClientSession::Rows> rows) {
+      EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+      scanned = true;
+    });
+    ASSERT_TRUE(cluster.RunUntil([&]() { return scanned; }));
+  }
+  EXPECT_EQ(session.stats().puts, 11u);
+  EXPECT_EQ(session.stats().gets, 10u);
+  EXPECT_EQ(session.stats().scans, 10u);
+  EXPECT_GT(rep->stats().anchor_waits, 0u);
+  // Let the last commit's stragglers (acks, stream, boxcars) settle. Only
+  // the periodic loops stay queued; one of their messages may be in
+  // flight at one instant and not at the other, hence at most baseline.
+  cluster.RunFor(1 * kSecond);
+  EXPECT_LE(cluster.sim().PendingEvents(), baseline)
+      << "a completed op left its watchdog queued";
+
+  // A request the network drops: the watchdog answers, exactly once.
+  constexpr SimDuration kOpTimeout = 10 * kSecond;  // session.cc
+  cluster.network().Partition(session.node(), cluster.writer()->id(), true);
+  const SimTime asked_at = cluster.sim().Now();
+  int answers = 0;
+  Status answer = Status::OK();
+  SimTime answered_at = 0;
+  session.Put("lost", "v", [&](Status st) {
+    ++answers;
+    answer = st;
+    answered_at = cluster.sim().Now();
+  });
+  cluster.RunFor(kOpTimeout + 1 * kSecond);
+  EXPECT_EQ(answers, 1);
+  EXPECT_TRUE(answer.IsTimedOut()) << answer.ToString();
+  EXPECT_EQ(answered_at, asked_at + kOpTimeout);
+}
+
 // Randomized chaos: partitions around the replica, replica crashes, and
 // a writer failover, interleaved with session traffic. Reads may time
 // out under heavy faults, but a successful read must NEVER return a

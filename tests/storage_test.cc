@@ -42,8 +42,8 @@ SegmentStore MakeStore(bool is_full = true, bool hydrated = true) {
   return SegmentStore(info, 0, TestConfig(), /*volume_epoch=*/1, hydrated);
 }
 
-log::RedoRecord DataRecord(Lsn lsn, Lsn prev_seg, BlockId block,
-                           Lsn prev_block, const PageOp& op) {
+log::SealedRecord DataRecord(Lsn lsn, Lsn prev_seg, BlockId block,
+                             Lsn prev_block, const PageOp& op) {
   log::RedoRecord rec;
   rec.lsn = lsn;
   rec.prev_lsn_volume = lsn - 1;
@@ -53,8 +53,7 @@ log::RedoRecord DataRecord(Lsn lsn, Lsn prev_seg, BlockId block,
   rec.block = block;
   rec.txn = 1;
   rec.payload = EncodePageOp(op);
-  rec.Seal();
-  return rec;
+  return log::Seal(std::move(rec));
 }
 
 PageOp FormatOp(PageType type = PageType::kLeaf) {
@@ -199,9 +198,9 @@ TEST(SegmentStore, DuplicateAppendCounted) {
 
 TEST(SegmentStore, WrongPgRejected) {
   auto store = MakeStore();
-  auto rec = DataRecord(1, 0, 7, 0, FormatOp());
+  log::RedoRecord rec = *DataRecord(1, 0, 7, 0, FormatOp());
   rec.pg = 3;
-  EXPECT_FALSE(store.Ingest({rec}, RedoSource::kWrite).ok());
+  EXPECT_FALSE(store.Ingest({log::Seal(rec)}, RedoSource::kWrite).ok());
 }
 
 TEST(SegmentStore, EpochChecks) {
@@ -345,15 +344,15 @@ TEST(SegmentStore, OverwrittenEntryOutlivesItsOldRecord) {
   // AddressSanitizer a stale key or value view is a use-after-free.)
   auto store = MakeStore();
   const std::string key = "a key too long for any small-string buffer";
-  log::RedoRecord first = DataRecord(2, 1, 7, 1, InsertOp(key, "old value"));
-  log::RedoRecord second = DataRecord(3, 2, 7, 2, InsertOp(key, "new value"));
-  log::Payload old_payload = first.payload;
-  const log::Payload new_payload = second.payload;
+  log::SealedRecord first = DataRecord(2, 1, 7, 1, InsertOp(key, "old value"));
+  log::SealedRecord second = DataRecord(3, 2, 7, 2, InsertOp(key, "new value"));
+  log::Payload old_payload = first->payload;
+  const log::Payload new_payload = second->payload;
   ASSERT_TRUE(
       store.Ingest({DataRecord(1, 0, 7, 0, FormatOp()), first, second},
                    RedoSource::kWrite).ok());
-  first = log::RedoRecord();
-  second = log::RedoRecord();
+  first = log::SealedRecord();
+  second = log::SealedRecord();
 
   store.MarkBackedUp(3);
   store.ObservePgmrpl(3);
@@ -439,7 +438,7 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
     const Lsn annul_lo = 30 + rng.NextBounded(20);
     const Lsn annul_hi = annul_lo + rng.NextBounded(5);
     auto annulled = [&](Lsn lsn) { return lsn >= annul_lo && lsn <= annul_hi; };
-    std::vector<log::RedoRecord> stream;
+    std::vector<log::SealedRecord> stream;
     std::map<BlockId, Lsn> block_tail;      // surviving chain
     std::map<BlockId, Lsn> old_block_tail;  // old timeline's chain
     for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
@@ -471,40 +470,40 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
       old_block_tail[block] = lsn;
     }
     bool truncated = false;
-    auto surviving = [&](const log::RedoRecord& rec) {
-      return !truncated || !annulled(rec.lsn);
+    auto surviving = [&](const log::SealedRecord& rec) {
+      return !truncated || !annulled(rec->lsn);
     };
     auto from_scratch = [&](BlockId block, Lsn r) -> std::optional<Page> {
       std::optional<Page> page;
       for (const auto& record : stream) {
-        if (record.lsn > r) break;
-        if (record.block != block || !surviving(record)) continue;
+        if (record->lsn > r) break;
+        if (record->block != block || !surviving(record)) continue;
         if (!page) {
           page.emplace();
           page->id = block;
         }
         EXPECT_TRUE(
-            ApplyRedoPayload(&*page, record.payload, record.lsn).ok());
+            ApplyRedoPayload(&*page, record->payload, record->lsn).ok());
       }
       return page;
     };
     auto folded_away = [&](BlockId block, Lsn r, Lsn floor) {
       return std::any_of(stream.begin(), stream.end(), [&](const auto& rec) {
-        return rec.block == block && surviving(rec) && rec.lsn > r &&
-               rec.lsn <= floor;
+        return rec->block == block && surviving(rec) && rec->lsn > r &&
+               rec->lsn <= floor;
       });
     };
 
     // Delivery order: the old timeline, then (after the truncation) the
     // new one; each record moves up to 5 places from its LSN slot.
-    auto shuffled = [&](std::vector<log::RedoRecord> records) {
+    auto shuffled = [&](std::vector<log::SealedRecord> records) {
       for (size_t i = records.size(); i > 1; --i) {
         const size_t lo = i > 6 ? i - 6 : 0;
         std::swap(records[i - 1], records[lo + rng.NextBounded(i - lo)]);
       }
       return records;
     };
-    std::vector<log::RedoRecord> delivery =
+    std::vector<log::SealedRecord> delivery =
         shuffled({stream.begin(), stream.begin() + annul_hi});
     const size_t truncate_at = delivery.size();
     for (const auto& rec :
@@ -572,7 +571,7 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
         case 0:
         case 1: {
           const size_t limit = truncated ? delivery.size() : truncate_at;
-          std::vector<log::RedoRecord> batch;
+          std::vector<log::SealedRecord> batch;
           for (uint64_t n = 1 + rng.NextBounded(4); n > 0 && delivered < limit;
                --n) {
             batch.push_back(delivery[delivered++]);
@@ -605,7 +604,7 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
         case 6: {
           // Scrub finds a record damaged in place and drops it.
           if (delivered == 0) break;
-          const Lsn lsn = delivery[rng.NextBounded(delivered)].lsn;
+          const Lsn lsn = delivery[rng.NextBounded(delivered)]->lsn;
           const bool corrupted = store.CorruptRecordForTest(lsn);
           EXPECT_EQ(store.Scrub(), corrupted ? 1u : 0u);
           EXPECT_FALSE(store.hot_log().Contains(lsn));
@@ -622,9 +621,9 @@ TEST(SegmentStore, InPlaceCoalesceMatchesFromScratchApply) {
           if (truncated) {
             ASSERT_TRUE(donor.UpdateVolumeEpoch(truncation).ok());
           }
-          std::vector<log::RedoRecord> handed;
+          std::vector<log::SealedRecord> handed;
           for (size_t i = 0; i < delivered; ++i) {
-            if (truncated || delivery[i].lsn < annul_lo) {
+            if (truncated || delivery[i]->lsn < annul_lo) {
               handed.push_back(delivery[i]);
             }
           }
@@ -689,7 +688,7 @@ TEST(SegmentStore, PendingBackupOnlyChainComplete) {
                   .ok());
   auto pending = store.PendingBackup(100);
   ASSERT_EQ(pending.size(), 1u) << "record 3 is beyond SCL (gap at 2)";
-  EXPECT_EQ(pending[0].lsn, 1u);
+  EXPECT_EQ(pending[0]->lsn, 1u);
 }
 
 TEST(SegmentStore, ScrubDetectsAndDropsCorruption) {
@@ -713,11 +712,12 @@ TEST(SegmentStore, ScrubDetectsAndDropsCorruption) {
 // or inside a gossip reply — leaves the carried checksum unmatched, so the
 // next scrub drops the record even though it was never good here.
 TEST(SegmentStore, ScrubCatchesCorruptionBeforeAppend) {
-  auto flip_first_byte = [](log::RedoRecord record) {
+  auto flip_first_byte = [](const log::SealedRecord& sealed) {
+    log::RedoRecord record = *sealed;
     std::string bytes(record.payload.view());
     bytes[0] = static_cast<char>(bytes[0] ^ 0x40);
     record.payload = std::move(bytes);
-    return record;
+    return log::SealedRecord(std::move(record));  // keeps the sealed crc
   };
   auto store = MakeStore();
   const auto in_transit = DataRecord(2, 1, 7, 1, InsertOp("a", "1"));
@@ -794,7 +794,7 @@ TEST(SegmentStore, HydrationViaGossipRecords) {
 // and pages, and differs only in the counter it bumps.
 TEST(SegmentStore, IngestSourcesAgree) {
   // Two blocks' chains, out of LSN order, with one record delivered twice.
-  const std::vector<log::RedoRecord> records = {
+  const std::vector<log::SealedRecord> records = {
       DataRecord(1, 0, 7, 0, FormatOp()),
       DataRecord(3, 2, 7, 1, InsertOp("a", "1")),
       DataRecord(2, 1, 9, 0, FormatOp()),
@@ -877,7 +877,7 @@ TEST(SimDisk, FifoQueueing) {
 TEST(ObjectStore, PutThenGetVisibleAfterLatency) {
   sim::Simulator sim;
   ObjectStore store(&sim);
-  std::vector<log::RedoRecord> records = {
+  std::vector<log::SealedRecord> records = {
       DataRecord(1, 0, 7, 0, FormatOp()),
       DataRecord(2, 1, 7, 1, InsertOp("a", "1"))};
   Lsn archived = kInvalidLsn;
@@ -886,13 +886,49 @@ TEST(ObjectStore, PutThenGetVisibleAfterLatency) {
   EXPECT_EQ(archived, 2u);
   EXPECT_EQ(store.MaxArchivedLsn(0), 2u);
 
-  std::vector<log::RedoRecord> fetched;
-  store.Get(0, 1, 10, [&](std::vector<log::RedoRecord> r) {
+  std::vector<log::SealedRecord> fetched;
+  store.Get(0, 1, 10, [&](std::vector<log::SealedRecord> r) {
     fetched = std::move(r);
   });
   sim.Run();
   EXPECT_EQ(fetched.size(), 2u);
   EXPECT_GT(store.bytes_stored(), 0u);
+}
+
+// Backup hands the archive the hot log's sealed handles, so the archive
+// and every segment of the PG share one block per LSN.
+TEST(ObjectStore, ArchiveSharesTheHotLogsBlocks) {
+  sim::Simulator sim;
+  ObjectStore store(&sim);
+  const std::vector<log::SealedRecord> records = {
+      DataRecord(1, 0, 7, 0, FormatOp()),
+      DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
+      DataRecord(3, 2, 7, 2, InsertOp("b", "2"))};
+  std::vector<SegmentStore> segments;
+  for (SegmentId id = 0; id < 6; ++id) {
+    segments.emplace_back(quorum::SegmentInfo{id, 100 + id, 0, true}, 0,
+                          TestConfig(), /*volume_epoch=*/1);
+    ASSERT_TRUE(segments.back().Ingest(records, RedoSource::kWrite).ok());
+  }
+  for (SegmentStore& segment : segments) {
+    store.Put(0, segment.PendingBackup(16), [](Lsn) {});
+  }
+  sim.Run();
+  std::vector<log::SealedRecord> archived;
+  store.Get(0, 1, 3, [&](std::vector<log::SealedRecord> r) {
+    archived = std::move(r);
+  });
+  sim.Run();
+  ASSERT_EQ(archived.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(archived[i].get(), records[i].get());
+    for (const SegmentStore& segment : segments) {
+      EXPECT_EQ(segment.hot_log().Find(records[i]->lsn), records[i].get());
+    }
+  }
+  // Every holder counts on the one block: this test, six hot logs, six
+  // pending-redo entries, the archive and the fetched reply.
+  EXPECT_EQ(records[1].use_count(), 1u + 6u + 6u + 1u + 1u);
 }
 
 TEST(ObjectStore, DeduplicatesRecords) {
@@ -902,7 +938,7 @@ TEST(ObjectStore, DeduplicatesRecords) {
   store.Put(0, {rec}, [](Lsn) {});
   store.Put(0, {rec}, [](Lsn) {});
   sim.Run();
-  EXPECT_EQ(store.bytes_stored(), rec.SerializedSize());
+  EXPECT_EQ(store.bytes_stored(), rec->SerializedSize());
 }
 
 // Six segments of one PG archive overlapping, duplicated and out-of-order
@@ -910,7 +946,7 @@ TEST(ObjectStore, DeduplicatesRecords) {
 // archive must hold each LSN once and answer like a std::map.
 TEST(ObjectStore, SixSegmentArchiveMatchesMapReference) {
   constexpr Lsn kRecords = 300;
-  std::vector<log::RedoRecord> stream;
+  std::vector<log::SealedRecord> stream;
   for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
     stream.push_back(DataRecord(lsn, lsn - 1, 7 + lsn % 3, 0,
                                 InsertOp("k", std::string(lsn % 40, 'v'))));
@@ -920,7 +956,7 @@ TEST(ObjectStore, SixSegmentArchiveMatchesMapReference) {
     Rng rng(seed);
     sim::Simulator sim;
     ObjectStore store(&sim);
-    std::map<Lsn, log::RedoRecord> reference;
+    std::map<Lsn, log::SealedRecord> reference;
     std::vector<Lsn> backed_up(6, 0);
     for (int round = 0; round < 60; ++round) {
       // A segment archives its next range, sometimes re-sending part of
@@ -930,14 +966,14 @@ TEST(ObjectStore, SixSegmentArchiveMatchesMapReference) {
       if (lo > 1 && rng.Bernoulli(0.3)) lo -= std::min<Lsn>(lo - 1, 5);
       if (rng.Bernoulli(0.2)) lo += rng.NextBounded(10);
       const Lsn hi = std::min(kRecords, lo + rng.NextBounded(12));
-      std::vector<log::RedoRecord> batch;
+      std::vector<log::SealedRecord> batch;
       for (Lsn lsn = lo; lsn <= hi; ++lsn) batch.push_back(stream[lsn - 1]);
       if (!batch.empty() && rng.Bernoulli(0.3)) batch.push_back(batch.front());
       if (rng.Bernoulli(0.3)) std::reverse(batch.begin(), batch.end());
       Lsn want_max = kInvalidLsn;
       for (const auto& record : batch) {
-        reference.emplace(record.lsn, record);
-        want_max = std::max(want_max, record.lsn);
+        reference.emplace(record->lsn, record);
+        want_max = std::max(want_max, record->lsn);
       }
       backed_up[segment] = std::max(backed_up[segment], hi);
       store.Put(kTestArchiveKey, batch,
@@ -947,9 +983,9 @@ TEST(ObjectStore, SixSegmentArchiveMatchesMapReference) {
     }
     store.Put(kTestArchiveKey + 1, {stream[0]}, [](Lsn) {});
     sim.Run();
-    uint64_t want_bytes = stream[0].SerializedSize();
+    uint64_t want_bytes = stream[0]->SerializedSize();
     for (const auto& [lsn, record] : reference) {
-      want_bytes += record.SerializedSize();
+      want_bytes += record->SerializedSize();
     }
     EXPECT_EQ(store.bytes_stored(), want_bytes);
     ASSERT_FALSE(reference.empty());
@@ -958,14 +994,14 @@ TEST(ObjectStore, SixSegmentArchiveMatchesMapReference) {
     for (int query = 0; query < 20; ++query) {
       const Lsn lo = rng.NextBounded(kRecords + 2);
       const Lsn hi = lo + rng.NextBounded(kRecords / 2);
-      std::vector<log::RedoRecord> want;
+      std::vector<log::SealedRecord> want;
       for (auto it = reference.lower_bound(lo);
            it != reference.end() && it->first <= hi; ++it) {
         want.push_back(it->second);
       }
-      std::vector<log::RedoRecord> got;
+      std::vector<log::SealedRecord> got;
       store.Get(kTestArchiveKey, lo, hi,
-                [&](std::vector<log::RedoRecord> r) { got = std::move(r); });
+                [&](std::vector<log::SealedRecord> r) { got = std::move(r); });
       sim.Run();
       EXPECT_EQ(got, want) << "[" << lo << ", " << hi << "]";
     }
@@ -990,7 +1026,7 @@ quorum::PgConfig RegressionConfig() {
                                   members);
 }
 
-log::RedoRecord ChainRecord(Lsn lsn, Lsn prev) {
+log::SealedRecord ChainRecord(Lsn lsn, Lsn prev) {
   log::RedoRecord rec;
   rec.lsn = lsn;
   rec.prev_lsn_segment = prev;
@@ -1001,8 +1037,7 @@ log::RedoRecord ChainRecord(Lsn lsn, Lsn prev) {
   op.type = PageOpType::kFormat;
   op.page_type = PageType::kLeaf;
   rec.payload = EncodePageOp(op);
-  rec.Seal();
-  return rec;
+  return log::Seal(std::move(rec));
 }
 
 TEST(SegmentStore, HydrationCarriesTruncationHistory) {
