@@ -10,7 +10,11 @@
 // epochs go 1 -> 2 (dual) -> 3 (committed), every phase commits every
 // write offered to it (no write stall), and the revert reports OK.
 // `--quick` prints and checks the tables but skips the microbenchmarks;
-// CTest runs it that way.
+// CTest runs it that way. Every run writes BENCH_fig5_membership_changes.json
+// (per-phase epoch, commits and p50/p99/max commit latency in simulated
+// µs, the step-2 hydration+commit time and the revert epoch); the
+// simulation is deterministic, so scripts/bench_gate.sh gates them
+// exactly.
 
 #include <benchmark/benchmark.h>
 
@@ -27,8 +31,8 @@ struct PhaseStats {
   uint64_t commits = 0;
 };
 
-/// Runs the figure; true when its shape holds.
-bool Run() {
+/// Runs the figure into `json`; true when its shape holds.
+bool Run(bench::BenchJson& json) {
   core::AuroraOptions options;
   options.seed = 5555;
   options.blocks_per_pg = 1 << 16;
@@ -47,23 +51,29 @@ bool Run() {
       "(segment F -> G) under steady load");
   table.Columns({"phase", "epoch", "commits", "p50", "p99", "max"});
 
-  auto run_phase = [&](const char* name) {
+  auto run_phase = [&](const char* name, const std::string& key) {
     Histogram latency;
     const uint64_t commits =
         bench::RunOpenLoopWrites(cluster, kRate, kPhase, &latency);
-    epochs.push_back(cluster.geometry().Pg(0).epoch());
+    const MembershipEpoch epoch = cluster.geometry().Pg(0).epoch();
+    epochs.push_back(epoch);
     every_write_committed &= commits == offered;
-    table.Row({name, std::to_string(cluster.geometry().Pg(0).epoch()),
-               std::to_string(commits), bench::Us(latency.P50()),
-               bench::Us(latency.P99()), bench::Us(latency.max())});
+    table.Row({name, std::to_string(epoch), std::to_string(commits),
+               bench::Us(latency.P50()), bench::Us(latency.P99()),
+               bench::Us(latency.max())});
+    json.Set(key + "_epoch", epoch)
+        .Set(key + "_commits", commits)
+        .Set(key + "_p50_us", latency.P50())
+        .Set(key + "_p99_us", latency.P99())
+        .Set(key + "_max_us", latency.max());
   };
 
-  run_phase("epoch 1: healthy ABCDEF");
+  run_phase("epoch 1: healthy ABCDEF", "healthy");
 
   // Fail F's node; I/O continues on the 4/6 of the survivors.
   const SegmentId f = 5;
   cluster.network().Crash(cluster.NodeForSegment(f)->id());
-  run_phase("F failed (no change yet)");
+  run_phase("F failed (no change yet)", "f_failed");
 
   // Step 1: add G — dual quorum, still serving.
   auto begin_report = cluster.BeginReplaceBlocking(f);
@@ -72,7 +82,7 @@ bool Run() {
                 begin_report.status().ToString().c_str());
     return false;
   }
-  run_phase("epoch 2: dual quorum ABCDEF+G");
+  run_phase("epoch 2: dual quorum ABCDEF+G", "dual_quorum");
 
   // Step 2: commit to ABCDEG once G hydrated.
   const SimTime commit_start = cluster.sim().Now();
@@ -82,7 +92,8 @@ bool Run() {
     std::printf("commit failed: %s\n", commit_st.ToString().c_str());
     return false;
   }
-  run_phase("epoch 3: committed ABCDEG");
+  run_phase("epoch 3: committed ABCDEG", "committed");
+  json.Set("change_time_us", change_time);
   table.Print();
   std::printf("hydration+commit of step 2 took %s of wall-clock SIM time "
               "(I/O never paused).\n\n",
@@ -117,6 +128,7 @@ bool Run() {
                 static_cast<unsigned long long>(
                     cluster.geometry().Pg(0).epoch()));
     reverted = revert.ok();
+    json.Set("revert_epoch", cluster.geometry().Pg(0).epoch());
   }
   const bool epochs_hold =
       epochs == std::vector<MembershipEpoch>{1, 1, 2, 3};
@@ -174,7 +186,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  if (!aurora::Run()) return 1;
+  aurora::bench::BenchJson json("fig5_membership_changes");
+  if (!aurora::Run(json) || !json.WriteFile()) return 1;
   if (!quick) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -21,8 +21,12 @@
 # (one copy per record per PG) and the records folded into versions. So
 # must C7's heap allocations per txn (calls and bytes, counted by the
 # bench's replacement operator new): a change that adds a per-write
-# allocation fails here. A deliberate schedule, storage-layout or
-# allocation change refreshes those baseline keys.
+# allocation fails here. So must every number of the F5 membership-change
+# figure (per-phase epoch, commits and p50/p99/max commit latency, the
+# step-2 hydration+commit time, the revert epoch): a change to the
+# Figure-5 control plane shows up there as a number, not as drift. A
+# deliberate schedule, storage-layout or allocation change refreshes those
+# baseline keys.
 #
 # Knobs for noisy machines (documented in EXPERIMENTS.md, C9 section):
 #   AURORA_BENCH_TOLERANCE=0.1  scripts/bench_gate.sh   # looser floor
@@ -59,14 +63,15 @@ if [[ ! -x "${BUILD_DIR}/bench/bench_c7_write_throughput" ||
       ! -x "${BUILD_DIR}/bench/bench_c9_event_engine" ||
       ! -x "${BUILD_DIR}/bench/bench_c10_read_path" ||
       ! -x "${BUILD_DIR}/bench/bench_c11_multi_tenant" ||
-      ! -x "${BUILD_DIR}/bench/bench_c12_adversarial" ]]; then
+      ! -x "${BUILD_DIR}/bench/bench_c12_adversarial" ||
+      ! -x "${BUILD_DIR}/bench/bench_fig5_membership_changes" ]]; then
   echo "bench_gate: building benches in ${BUILD_DIR}"
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >/dev/null
   cmake --build "${BUILD_DIR}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target bench_c7_write_throughput bench_c9_event_engine \
     bench_c10_read_path bench_c11_multi_tenant \
-    bench_c12_adversarial >/dev/null
+    bench_c12_adversarial bench_fig5_membership_changes >/dev/null
 fi
 
 TMP="$(mktemp -d)"
@@ -87,6 +92,9 @@ AURORA_BENCH_JSON_DIR="${TMP}" \
 echo "bench_gate: running bench_c12_adversarial --quick"
 AURORA_BENCH_JSON_DIR="${TMP}" \
   "${BUILD_DIR}/bench/bench_c12_adversarial" --quick >/dev/null
+echo "bench_gate: running bench_fig5_membership_changes --quick"
+AURORA_BENCH_JSON_DIR="${TMP}" \
+  "${BUILD_DIR}/bench/bench_fig5_membership_changes" --quick >/dev/null
 
 # Extracts a numeric field from a flat BENCH_*.json.
 json_value() {
@@ -190,7 +198,29 @@ for spec in \
   "c7:BENCH_c7_write_throughput.json:archive_bytes_stored" \
   "c7:BENCH_c7_write_throughput.json:records_coalesced" \
   "c7:BENCH_c7_write_throughput.json:allocs_per_txn" \
-  "c7:BENCH_c7_write_throughput.json:alloc_bytes_per_txn"; do
+  "c7:BENCH_c7_write_throughput.json:alloc_bytes_per_txn" \
+  "f5:BENCH_fig5_membership_changes.json:healthy_epoch" \
+  "f5:BENCH_fig5_membership_changes.json:healthy_commits" \
+  "f5:BENCH_fig5_membership_changes.json:healthy_p50_us" \
+  "f5:BENCH_fig5_membership_changes.json:healthy_p99_us" \
+  "f5:BENCH_fig5_membership_changes.json:healthy_max_us" \
+  "f5:BENCH_fig5_membership_changes.json:f_failed_epoch" \
+  "f5:BENCH_fig5_membership_changes.json:f_failed_commits" \
+  "f5:BENCH_fig5_membership_changes.json:f_failed_p50_us" \
+  "f5:BENCH_fig5_membership_changes.json:f_failed_p99_us" \
+  "f5:BENCH_fig5_membership_changes.json:f_failed_max_us" \
+  "f5:BENCH_fig5_membership_changes.json:dual_quorum_epoch" \
+  "f5:BENCH_fig5_membership_changes.json:dual_quorum_commits" \
+  "f5:BENCH_fig5_membership_changes.json:dual_quorum_p50_us" \
+  "f5:BENCH_fig5_membership_changes.json:dual_quorum_p99_us" \
+  "f5:BENCH_fig5_membership_changes.json:dual_quorum_max_us" \
+  "f5:BENCH_fig5_membership_changes.json:committed_epoch" \
+  "f5:BENCH_fig5_membership_changes.json:committed_commits" \
+  "f5:BENCH_fig5_membership_changes.json:committed_p50_us" \
+  "f5:BENCH_fig5_membership_changes.json:committed_p99_us" \
+  "f5:BENCH_fig5_membership_changes.json:committed_max_us" \
+  "f5:BENCH_fig5_membership_changes.json:change_time_us" \
+  "f5:BENCH_fig5_membership_changes.json:revert_epoch"; do
   IFS=: read -r label file key <<<"${spec}"
   check_exact "${label}" "${TMP}/${file}" "${BASELINE_DIR}/${file}" "${key}"
 done

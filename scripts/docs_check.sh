@@ -30,12 +30,9 @@
 #   7. Every request to a storage node goes through the one call path,
 #      storage::Call (src/storage/call.h): no code in src/ calls a
 #      StorageNode RPC handler (`->HandleX(` / `.HandleX(` for each
-#      `void HandleX(` in src/storage/storage_node.h) directly. The two
-#      exceptions are the sends in src/core/cluster.cc whose replies skip
-#      the return wire, AuroraCluster::ProbeHydrationTargetBlocking
-#      (HandleSegmentState) and AuroraCluster::InstallPgConfigAsync
-#      (HandleMembershipUpdate); moving them onto the wire moves the
-#      golden schedule. Tests and benches may call handlers directly.
+#      `void HandleX(` in src/storage/storage_node.h) directly, so every
+#      reply crosses the simulated return wire. There are no exceptions.
+#      Tests and benches may call handlers directly.
 #
 # Run from anywhere; registered as a ctest so every suite run enforces it.
 
@@ -300,7 +297,8 @@ fi
 
 # Each direct handler call as `file:line Class::Function Handler`, where
 # the function is the nearest unindented `Class::Function(` definition
-# above the call (a regex, not a compiler, like rule 6).
+# above the call (a regex, not a compiler, like rule 6). Any such call
+# fails the rule.
 handlers="$(
   grep -oP '^\s+void \KHandle\w+(?=\()' src/storage/storage_node.h |
     sort -u | paste -sd'|'
@@ -328,20 +326,11 @@ handler_calls="$(
         }
       }'
 )"
-allowed_calls='src/core/cluster.cc AuroraCluster::InstallPgConfigAsync HandleMembershipUpdate
-src/core/cluster.cc AuroraCluster::ProbeHydrationTargetBlocking HandleSegmentState'
-stray_calls="$(
-  echo "${handler_calls}" | grep . |
-    awk -v allowed="${allowed_calls}" '
-      BEGIN { n = split(allowed, rows, "\n"); for (i = 1; i <= n; i++) ok[rows[i]] = 1 }
-      { file = $1; sub(/:[0-9]+$/, "", file); if (!((file " " $2 " " $3) in ok)) print }' || true
-)"
-if [[ -n "${stray_calls}" ]]; then
+if [[ -n "${handler_calls}" ]]; then
   echo "docs_check: src/ calls a StorageNode handler outside storage::Call (src/storage/call.h):" >&2
-  echo "${stray_calls}" | sed 's/^/  /' >&2
+  echo "${handler_calls}" | sed 's/^/  /' >&2
   fail=1
 fi
-n_handler_calls="$(echo "${handler_calls}" | grep -c . || true)"
 
 if [[ "${fail}" -ne 0 ]]; then
   echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md / README.md (or the code) so they agree" >&2
@@ -352,4 +341,4 @@ n_metrics="$(echo "${src_metrics}" | wc -l)"
 n_benches="$(echo "${tree_benches}" | wc -l)"
 n_modules="$(echo "${tree_modules}" | wc -l)"
 n_options="$(cat <(echo "${doc_options}") <(echo "${doc_snippet_fields}") | grep -c . || true)"
-echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used, ${n_handler_calls} direct storage-handler calls all allowed)"
+echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used, no direct storage-handler call in src/)"

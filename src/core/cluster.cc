@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 #include <string>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/engine/recovery_plan.h"
 #include "src/sim/rpc.h"
+#include "src/storage/call.h"
 
 namespace aurora::core {
 
@@ -484,48 +486,114 @@ Status AuroraCluster::RecoverWriterBlocking() {
   return result;
 }
 
-storage::StorageNode* AuroraCluster::PickNodeForNewSegment(
-    AzId az, const quorum::PgConfig& config) {
+void AuroraCluster::ProbeSclsAsync(
+    const quorum::PgConfig& config,
+    std::shared_ptr<engine::SclProbeReplies> replies,
+    std::function<void()> on_reply) {
+  for (const auto& member : config.AllMembers()) {
+    storage::Call<&storage::StorageNode::HandleSegmentState>(
+        &network_, metadata_->id(), member.node,
+        [this](NodeId id) { return node(id); },
+        storage::SegmentStateRequest{member.id},
+        [replies, on_reply, responder = member.id](
+            storage::SegmentStateResponse response) {
+          if (!response.status.ok() || !response.hydrated) return;
+          // Keyed by responder: a repeat reply (a later round, or a stale
+          // duplicate of an earlier one) can only raise that member's SCL,
+          // never add a member to the quorum.
+          auto [slot, fresh] = replies->try_emplace(responder, response);
+          if (!fresh && response.scl > slot->second.scl) {
+            slot->second = std::move(response);
+          }
+          if (on_reply) on_reply();
+        });
+  }
+}
+
+Result<std::vector<quorum::SegmentInfo>> AuroraCluster::PlaceFreshMembers(
+    const quorum::PgConfig& config, AzId az, size_t count) {
   // Never co-locate two members of one protection group: a node failure
   // must cost the quorum at most one member. Placement applies that rule
   // and picks the least-loaded candidate, balancing repair traffic across
   // the shared fleet.
-  auto host = placement_.PickReplacement(config, az);
-  if (!host.ok()) return nullptr;
-  return node(*host);
+  std::vector<quorum::SegmentInfo> fresh;
+  std::set<NodeId> taken;
+  while (fresh.size() < count) {
+    auto host = placement_.PickReplacement(config, az, taken);
+    if (!host.ok()) return host.status();
+    taken.insert(*host);
+    fresh.push_back({.node = *host, .az = az, .volume = VolumeOf(config)});
+  }
+  for (auto& member : fresh) member.id = next_segment_id_++;
+  return fresh;
 }
 
-Result<Lsn> AuroraCluster::ProbeHydrationTargetBlocking(
-    const quorum::PgConfig& config) {
-  struct Probe {
-    quorum::PgConfig config;
-    engine::SclProbeReplies replies;
-    std::optional<engine::QuorumScl> target;
-  };
-  auto probe = std::make_shared<Probe>();
-  probe->config = config;
-  // The reply rides no simulated wire (unlike the repair planner's
-  // UnaryCall probe); moving it onto one changes the golden schedule.
-  for (const auto& member : config.AllMembers()) {
-    storage::StorageNode* target = node_index_.at(member.node);
-    storage::SegmentStateRequest request{member.id};
-    network_.Send(metadata_->id(), member.node, request.SerializedSize(),
-                  [target, request, probe]() {
-                    target->HandleSegmentState(
-                        request, [probe](storage::SegmentStateResponse r) {
-                          if (!r.status.ok()) return;
-                          probe->replies[r.segment] = std::move(r);
-                          probe->target = engine::ReadQuorumScl(
-                              probe->config, probe->replies);
-                        });
-                  });
+std::vector<quorum::SegmentInfo> AuroraCluster::StageFreshMembers(
+    const quorum::PgConfig& config, const quorum::PgConfig& next,
+    Lsn target_scl) {
+  std::vector<quorum::SegmentInfo> staged;
+  for (const auto& member : next.AllMembers()) {
+    if (config.ContainsSegment(member.id)) continue;
+    node_index_.at(member.node)
+        ->AddSegment(member, next.pg(), next,
+                     metadata_->volume_epoch(member.volume),
+                     /*hydrated=*/false)
+        ->BeginHydration(target_scl);
+    staged.push_back(member);
   }
-  if (!RunUntil([&]() { return probe->target.has_value(); },
-                kSclProbeWindow)) {
+  return staged;
+}
+
+void AuroraCluster::DropDepartedMembers(const quorum::PgConfig& before,
+                                        const quorum::PgConfig& after) {
+  for (const auto& member : before.AllMembers()) {
+    if (!after.ContainsSegment(member.id)) {
+      node_index_.at(member.node)->DropSegment(member.id);
+    }
+  }
+}
+
+Status AuroraCluster::AddMembersBlocking(const quorum::PgConfig& config,
+                                         const quorum::PgConfig& next) {
+  // Hydration target: the SCL a read quorum of `config` vouches for.
+  auto replies = std::make_shared<engine::SclProbeReplies>();
+  auto target = std::make_shared<std::optional<engine::QuorumScl>>();
+  ProbeSclsAsync(config, replies, [config, replies, target]() {
+    *target = engine::ReadQuorumScl(config, *replies);
+  });
+  if (!RunUntil([&]() { return target->has_value(); }, kSclProbeWindow)) {
     return Status::QuorumUnavailable(
         "no read quorum of hydrated members answered the SCL probe");
   }
-  return probe->target->scl;
+  // The probe pumps the event loop, so the group may change under it (the
+  // repair planner); then this change no longer applies.
+  if (metadata_->geometry(VolumeOf(config)).Pg(config.pg()) != config) {
+    return Status::Aborted("the group changed during the SCL probe");
+  }
+  const auto staged = StageFreshMembers(config, next, (*target)->scl);
+  AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(config, next));
+  for (const auto& member : staged) {
+    node_index_.at(member.node)->StartHydrationPull(member.id);
+  }
+  return Status::OK();
+}
+
+Status AuroraCluster::AwaitHydratedBlocking(
+    const quorum::SegmentInfo& member) {
+  storage::StorageNode* host = node_index_.at(member.node);
+  // Looked up at every step: a concurrent revert (the repair planner) may
+  // drop the store while the loop runs.
+  const auto settled = [&]() {
+    const storage::SegmentStore* store = host->FindSegment(member.id);
+    return store == nullptr || store->hydrated();
+  };
+  if (!RunUntil(settled)) {
+    return Status::TimedOut("fresh member did not hydrate");
+  }
+  if (host->FindSegment(member.id) == nullptr) {
+    return Status::NotFound("fresh member no longer hosted");
+  }
+  return Status::OK();
 }
 
 Status AuroraCluster::InstallPgConfigBlocking(
@@ -561,49 +629,41 @@ void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
     request.expected_epoch = old_config.epoch();
     request.config = new_config;
     request.volume_epoch = metadata_->volume_epoch(volume);
-    auto node_it = node_index_.find(member.node);
-    if (node_it == node_index_.end()) continue;
-    storage::StorageNode* target = node_it->second;
-    network_.Send(
-        metadata_->id(), member.node, request.SerializedSize(),
-        [this, target, request, state, new_config, volume,
-         done]() {
-          target->HandleMembershipUpdate(
-              request, [this, state, seg = request.segment,
-                        new_config, volume,
-                        done](storage::MembershipUpdateResponse response) {
-                if (state->finished) return;
-                // A StaleEpoch reply from a node that already holds this
-                // very config is an ack: that is what makes install
-                // retries idempotent instead of wedging half-installed.
-                // A different config at the same epoch (a concurrent
-                // change of the group) is not.
-                const bool accepted =
-                    response.status.ok() ||
-                    (response.status.IsStaleEpoch() &&
-                     response.config == new_config);
-                if (!accepted) return;
-                state->acks.insert(seg);
-                if (!state->write_set.SatisfiedBy(state->acks)) return;
-                state->finished = true;
-                Status update =
-                    metadata_->mutable_geometry(volume).UpdatePg(new_config);
-                if (!update.ok()) {
-                  done(std::move(update));
-                  return;
-                }
-                engine::DbInstance* owner = writer(volume);
-                if (owner != nullptr && owner->driver() != nullptr) {
-                  owner->driver()->UpdatePgConfig(new_config);
-                }
-                if (volume == 0) {
-                  for (auto& rep : replicas_) {
-                    rep->UpdateGeometry(metadata_->geometry(),
-                                        metadata_->volume_epoch());
-                  }
-                }
-                done(Status::OK());
-              });
+    storage::Call<&storage::StorageNode::HandleMembershipUpdate>(
+        &network_, metadata_->id(), member.node,
+        [this](NodeId id) { return node(id); }, std::move(request),
+        [this, state, seg = member.id, new_config, volume,
+         done](storage::MembershipUpdateResponse response) {
+          if (state->finished) return;
+          // A StaleEpoch reply from a node that already holds this very
+          // config is an ack: that is what makes install retries
+          // idempotent instead of wedging half-installed. A different
+          // config at the same epoch (a concurrent change of the group)
+          // is not.
+          const bool accepted = response.status.ok() ||
+                                (response.status.IsStaleEpoch() &&
+                                 response.config == new_config);
+          if (!accepted) return;
+          state->acks.insert(seg);
+          if (!state->write_set.SatisfiedBy(state->acks)) return;
+          state->finished = true;
+          Status update =
+              metadata_->mutable_geometry(volume).UpdatePg(new_config);
+          if (!update.ok()) {
+            done(std::move(update));
+            return;
+          }
+          engine::DbInstance* owner = writer(volume);
+          if (owner != nullptr && owner->driver() != nullptr) {
+            owner->driver()->UpdatePgConfig(new_config);
+          }
+          if (volume == 0) {
+            for (auto& rep : replicas_) {
+              rep->UpdateGeometry(metadata_->geometry(),
+                                  metadata_->volume_epoch());
+            }
+          }
+          done(Status::OK());
         });
   }
   sim_.Schedule(
@@ -619,48 +679,19 @@ void AuroraCluster::InstallPgConfigAsync(const quorum::PgConfig& old_config,
 
 Result<MembershipChangeReport> AuroraCluster::BeginReplaceBlocking(
     SegmentId old_segment) {
-  MembershipChangeReport report;
-  // Locate the PG and the suspect member (any volume's geometry).
-  VolumeId volume = 0;
-  const quorum::PgConfig* config = FindConfigForSegment(old_segment, &volume);
+  const quorum::PgConfig* config = FindConfigForSegment(old_segment);
   if (config == nullptr) return Status::NotFound("segment not in volume");
-  const quorum::SegmentInfo* old_info = config->FindSegment(old_segment);
-
-  // New segment placed in the same AZ (preserves AZ+1 tolerance).
-  quorum::SegmentInfo new_info;
-  new_info.id = next_segment_id_++;
-  new_info.az = old_info->az;
-  new_info.is_full = old_info->is_full;
-  new_info.volume = old_info->volume;
-  storage::StorageNode* host = PickNodeForNewSegment(old_info->az, *config);
-  if (host == nullptr) return Status::Unavailable("no host for new segment");
-  new_info.node = host->id();
-
-  auto next = config->BeginReplace(old_segment, new_info);
+  // The replacement goes in the suspect's AZ (preserves AZ+1 tolerance).
+  auto fresh =
+      PlaceFreshMembers(*config, config->FindSegment(old_segment)->az, 1);
+  if (!fresh.ok()) return fresh.status();
+  auto next = config->BeginReplace(old_segment, fresh->front());
   if (!next.ok()) return next.status();
-  report.new_segment = new_info.id;
-  report.begin_epoch = next->epoch();
-
-  // Hydration target: the SCL a read quorum of the current config
-  // vouches for. The probe pumps the event loop, so the group may change
-  // under it (the repair planner); then this change no longer applies.
-  const quorum::PgConfig old_copy = *config;
-  auto target_scl = ProbeHydrationTargetBlocking(old_copy);
-  if (!target_scl.ok()) return target_scl.status();
-  if (metadata_->geometry(volume).Pg(old_copy.pg()) != old_copy) {
-    return Status::Aborted("the group changed during the SCL probe");
-  }
-
-  // Create the (empty, un-hydrated) segment with the DUAL-quorum config.
-  host->AddSegment(new_info, old_copy.pg(), *next,
-                   metadata_->volume_epoch(volume),
-                   /*hydrated=*/false);
-  host->FindSegment(new_info.id)->BeginHydration(*target_scl);
-
-  // Install the epoch increment at a write quorum of the old config.
-  AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(old_copy, *next));
-  host->StartHydrationPull(new_info.id);
-  return report;
+  // A copy: the geometry entry `config` points at may change while the
+  // change pumps the event loop.
+  const quorum::PgConfig current = *config;
+  AURORA_RETURN_IF_ERROR(AddMembersBlocking(current, *next));
+  return MembershipChangeReport{fresh->front().id, next->epoch()};
 }
 
 Status AuroraCluster::CommitReplaceBlocking(SegmentId old_segment) {
@@ -668,31 +699,15 @@ Status AuroraCluster::CommitReplaceBlocking(SegmentId old_segment) {
   if (config == nullptr) return Status::NotFound("segment not in volume");
   auto next = config->CommitReplace(old_segment);
   if (!next.ok()) return next.status();
-  // The replacement must be hydrated before the old member's data can be
-  // abandoned ("we do not discard any durable state until back to a fully
-  // repaired quorum", §4.1).
-  SegmentId replacement = kInvalidSegment;
-  for (const auto& slot : config->slots()) {
-    if (slot.size() == 2) {
-      replacement = slot[0].id == old_segment ? slot[1].id : slot[0].id;
-    }
-  }
-  if (replacement != kInvalidSegment) {
-    storage::StorageNode* host = NodeForSegment(replacement);
-    if (host != nullptr) {
-      host->StartHydrationPull(replacement);
-      storage::SegmentStore* store = host->FindSegment(replacement);
-      if (!RunUntil([&]() { return store->hydrated(); })) {
-        return Status::TimedOut("replacement did not hydrate");
-      }
-    }
-  }
-  const quorum::PgConfig old_copy = *config;
-  AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(old_copy, *next));
-  // Old segment's state can now be dropped (if its node still exists).
-  if (storage::StorageNode* host = NodeForSegment(old_segment)) {
-    host->DropSegment(old_segment);
-  }
+  const quorum::PgConfig dual = *config;
+  // The replacement in `old_segment`'s own slot must be hydrated before
+  // the old member's data can be abandoned ("we do not discard any
+  // durable state until back to a fully repaired quorum", §4.1).
+  const quorum::SegmentInfo replacement = *dual.PendingPartner(old_segment);
+  node_index_.at(replacement.node)->StartHydrationPull(replacement.id);
+  AURORA_RETURN_IF_ERROR(AwaitHydratedBlocking(replacement));
+  AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(dual, *next));
+  DropDepartedMembers(dual, *next);
   return Status::OK();
 }
 
@@ -701,20 +716,9 @@ Status AuroraCluster::RevertReplaceBlocking(SegmentId old_segment) {
   if (config == nullptr) return Status::NotFound("segment not in volume");
   auto next = config->RevertReplace(old_segment);
   if (!next.ok()) return next.status();
-  SegmentId replacement = kInvalidSegment;
-  for (const auto& slot : config->slots()) {
-    if (slot.size() == 2 &&
-        (slot[0].id == old_segment || slot[1].id == old_segment)) {
-      replacement = slot[0].id == old_segment ? slot[1].id : slot[0].id;
-    }
-  }
-  const quorum::PgConfig old_copy = *config;
-  AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(old_copy, *next));
-  if (replacement != kInvalidSegment) {
-    if (storage::StorageNode* host = NodeForSegment(replacement)) {
-      host->DropSegment(replacement);
-    }
-  }
+  const quorum::PgConfig dual = *config;
+  AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(dual, *next));
+  DropDepartedMembers(dual, *next);
   return Status::OK();
 }
 
@@ -826,55 +830,13 @@ Status AuroraCluster::ExpandToSixBlocking(AzId restored_az) {
         metadata_->geometry(volume).pgs();
     for (const auto& pg : shrunk) {
       if (pg.slots().size() >= 6) continue;
-      // Two fresh members on distinct nodes in the restored AZ.
-      std::vector<quorum::SegmentInfo> fresh;
-      std::set<NodeId> occupied;
-      for (const auto& member : pg.AllMembers()) occupied.insert(member.node);
-      for (int copy = 0; copy < 2; ++copy) {
-        quorum::SegmentInfo info;
-        info.id = next_segment_id_++;
-        info.az = restored_az;
-        info.is_full = true;
-        info.volume = volume;
-        storage::StorageNode* host = nullptr;
-        for (auto& node : storage_nodes_) {
-          if (node->az() != restored_az || occupied.contains(node->id())) {
-            continue;
-          }
-          if (network_.IsUp(node->id())) {
-            host = node.get();
-            break;
-          }
-        }
-        if (host == nullptr) {
-          return Status::Unavailable("no host for restored segment");
-        }
-        info.node = host->id();
-        occupied.insert(host->id());
-        fresh.push_back(info);
-      }
-      auto next = pg.ExpandToSix(fresh);
+      auto fresh = PlaceFreshMembers(pg, restored_az, quorum::kCopiesPerAz);
+      if (!fresh.ok()) return fresh.status();
+      auto next = pg.ExpandToSix(*fresh);
       if (!next.ok()) return next.status();
-      // Probe the hydration target, create the segments, install, hydrate.
-      auto target = ProbeHydrationTargetBlocking(pg);
-      if (!target.ok()) return target.status();
-      for (const auto& info : fresh) {
-        storage::StorageNode* host = node_index_.at(info.node);
-        host->AddSegment(info, pg.pg(), *next,
-                         metadata_->volume_epoch(volume),
-                         /*hydrated=*/false);
-        host->FindSegment(info.id)->BeginHydration(*target);
-      }
-      AURORA_RETURN_IF_ERROR(InstallPgConfigBlocking(pg, *next));
-      for (const auto& info : fresh) {
-        node_index_.at(info.node)->StartHydrationPull(info.id);
-      }
-      for (const auto& info : fresh) {
-        storage::SegmentStore* store =
-            node_index_.at(info.node)->FindSegment(info.id);
-        if (!RunUntil([&]() { return store->hydrated(); })) {
-          return Status::TimedOut("restored segment did not hydrate");
-        }
+      AURORA_RETURN_IF_ERROR(AddMembersBlocking(pg, *next));
+      for (const auto& member : *fresh) {
+        AURORA_RETURN_IF_ERROR(AwaitHydratedBlocking(member));
       }
     }
   }

@@ -26,6 +26,7 @@
 #include "src/common/types.h"
 #include "src/core/placement.h"
 #include "src/engine/db_instance.h"
+#include "src/engine/recovery_plan.h"
 #include "src/quorum/geometry.h"
 #include "src/replica/read_replica.h"
 #include "src/sim/failure_injector.h"
@@ -167,31 +168,59 @@ class AuroraCluster {
   const quorum::PgConfig* FindConfigForSegment(
       SegmentId segment, VolumeId* volume_out = nullptr) const;
 
-  // -- Control-plane building blocks (repair planner) ---------------------
+  // -- Control-plane building blocks: the Figure-5 steps (§4.1) -----------
+  //
+  // A membership change probes a read quorum for the hydration target,
+  // stages fresh un-hydrated members under an epoch+1 config installed at
+  // the old config's write quorum, hydrates them, then installs the commit
+  // or revert (epoch+2) and drops the loser. Each step is written once
+  // here: the repair planner runs them from its state machine, and each
+  // *Blocking membership operation runs them to completion. Every message
+  // goes from the metadata node through storage::Call, so both legs
+  // cross the simulated wire.
 
-  /// The one config install: sends `new_config` from the metadata node to
-  /// every member and, without pumping the event loop, fires `done` with
-  /// OK once a write quorum of `old_config` acks (metadata geometry, the
-  /// writer's driver, and replicas are updated first) or with
-  /// QuorumUnavailable after `timeout`. A node that already holds
-  /// `new_config` itself counts as an ack: membership installs are
-  /// monotone at the nodes (segment_store.cc), so retrying a timed-out
-  /// install is always safe and eventually convergent, while a different
-  /// config that reached the same epoch first never counts. The
-  /// *Blocking membership operations run it to completion.
+  /// One SCL probe round of `config`'s members. Each hydrated reply is
+  /// folded into `*replies`, which keeps each member's highest SCL, so a
+  /// member answering several rounds counts once toward
+  /// engine::ReadQuorumScl(config, *replies); `on_reply` (if set) runs
+  /// after each fold.
+  void ProbeSclsAsync(const quorum::PgConfig& config,
+                      std::shared_ptr<engine::SclProbeReplies> replies,
+                      std::function<void()> on_reply = nullptr);
+
+  /// `count` fresh members for `config` in `az`: fresh segment ids of
+  /// `config`'s volume on distinct hosts picked by
+  /// PlacementService::PickReplacement (live ones first, then down ones,
+  /// which hydrate once they return). Unavailable if the AZ lacks them.
+  Result<std::vector<quorum::SegmentInfo>> PlaceFreshMembers(
+      const quorum::PgConfig& config, AzId az, size_t count);
+
+  /// Creates each member `next` adds to `config` on its host, un-hydrated
+  /// and already holding `next`, hydrating toward `target_scl`; returns
+  /// them.
+  std::vector<quorum::SegmentInfo> StageFreshMembers(
+      const quorum::PgConfig& config, const quorum::PgConfig& next,
+      Lsn target_scl);
+
+  /// The one config install: sends `new_config` to every member and,
+  /// without pumping the event loop, fires `done` with OK once a write
+  /// quorum of `old_config` acks (metadata geometry, the writer's driver,
+  /// and replicas are updated first) or with QuorumUnavailable after
+  /// `timeout`. A node that already holds `new_config` itself counts as
+  /// an ack: membership installs are monotone at the nodes
+  /// (segment_store.cc), so retrying a timed-out install is always safe
+  /// and eventually convergent, while a different config that reached the
+  /// same epoch first never counts.
   void InstallPgConfigAsync(const quorum::PgConfig& old_config,
                             const quorum::PgConfig& new_config,
                             std::function<void(Status)> done,
                             SimDuration timeout = 2 * kSecond);
 
-  /// Reserves a volume-unique segment id for a replacement segment.
-  SegmentId AllocateSegmentId() { return next_segment_id_++; }
-
-  /// Least-loaded up node in `az` not already hosting a member of
-  /// `config` (falls back to a down node only if the AZ has no live
-  /// candidate).
-  storage::StorageNode* PickNodeForNewSegment(AzId az,
-                                              const quorum::PgConfig& config);
+  /// Drops every member of `before` that `after` no longer has (the
+  /// suspect after a commit, the replacement after a revert) from its
+  /// host, crashed hosts included.
+  void DropDepartedMembers(const quorum::PgConfig& before,
+                           const quorum::PgConfig& after);
 
   /// Visits every live segment store in the fleet (crashed nodes included:
   /// their segment state is disk-durable). Used by the invariant auditor.
@@ -333,13 +362,18 @@ class AuroraCluster {
   /// the metadata node and the storage fleet occupy.
   NodeId AllocateNodeId();
   void WireReplica(replica::ReadReplica* rep);
-  /// Probes `config`'s members from the metadata node for the SCL a read
-  /// quorum of hydrated members vouches for (engine::ReadQuorumScl);
-  /// QuorumUnavailable if none does within the probe window.
-  Result<Lsn> ProbeHydrationTargetBlocking(const quorum::PgConfig& config);
+  /// The begin of a change run to completion: probes `config` for the
+  /// hydration target (QuorumUnavailable if no read quorum answers within
+  /// the probe window), stages the members `next` adds, installs `next`
+  /// and starts their hydration pulls. Aborted, before staging anything,
+  /// if the group changed during the probe.
+  Status AddMembersBlocking(const quorum::PgConfig& config,
+                            const quorum::PgConfig& next);
   /// InstallPgConfigAsync run to completion.
   Status InstallPgConfigBlocking(const quorum::PgConfig& old_config,
                                  const quorum::PgConfig& new_config);
+  /// Runs the event loop until `member`'s store has hydrated.
+  Status AwaitHydratedBlocking(const quorum::SegmentInfo& member);
   Status BootstrapWriterBlocking(engine::DbInstance* writer);
   /// Runs the event loop until the asynchronous operation `start(done)`
   /// calls `done(R)`; TimedOut("<what> did not complete") if it has not

@@ -91,8 +91,9 @@ Result<std::vector<quorum::SegmentInfo>> PlacementService::PlacePg(
 }
 
 Result<NodeId> PlacementService::PickReplacement(
-    const quorum::PgConfig& config, AzId az) const {
-  std::set<NodeId> exclude;
+    const quorum::PgConfig& config, AzId az,
+    const std::set<NodeId>& taken) const {
+  std::set<NodeId> exclude = taken;
   for (const auto& member : config.AllMembers()) exclude.insert(member.node);
   NodeId host = PickLeastLoaded(az, exclude, /*require_up=*/false);
   if (host == kInvalidNode) {

@@ -24,8 +24,10 @@
 // segment, placement forgets to hear about it) at the price of the
 // probes being cheap, which they are in-simulation.
 //
-// The repair planner and manual replacements consume `PickReplacement`
-// for replacement hosts; it honors the same two rules.
+// Every fresh member a membership change adds — a repair's or a manual
+// replacement, or AZ expand's two — gets its host from `PickReplacement`
+// (through AuroraCluster::PlaceFreshMembers); it honors the same two
+// rules.
 
 #pragma once
 
@@ -69,13 +71,12 @@ class PlacementService {
       VolumeId volume, quorum::QuorumModel model,
       const std::function<SegmentId()>& alloc_id) const;
 
-  /// Replacement host for a failed member of `config` living in `az`: the
-  /// least-loaded live server in that AZ not hosting any member of the
-  /// PG. Falls back to a down non-member server (repair can begin the
-  /// membership change and hydrate when it returns); fails only if every
-  /// server in the AZ already hosts a member.
-  Result<NodeId> PickReplacement(const quorum::PgConfig& config,
-                                 AzId az) const;
+  /// Host for a fresh member of `config` in `az`: the least-loaded live
+  /// server in that AZ hosting no member of the PG and not in `taken`
+  /// (hosts already chosen for the same change). Falls back to a down
+  /// such server; fails only if every server in the AZ is excluded.
+  Result<NodeId> PickReplacement(const quorum::PgConfig& config, AzId az,
+                                 const std::set<NodeId>& taken = {}) const;
 
  private:
   size_t LoadOf(NodeId node) const;

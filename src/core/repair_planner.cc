@@ -8,8 +8,6 @@
 #include "src/core/health_monitor.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
-#include "src/storage/call.h"
-#include "src/storage/messages.h"
 #include "src/storage/segment_store.h"
 #include "src/storage/storage_node.h"
 
@@ -21,9 +19,6 @@ constexpr SimDuration kTickInterval = 20 * kMillisecond;
 /// Concurrent repair bounds (jobs, not epochs).
 constexpr size_t kMaxConcurrentPerAz = 1;
 constexpr size_t kMaxConcurrentTotal = 2;
-/// Jobs one server may hydrate at once, so repair is no noisy neighbor
-/// (DESIGN.md §11; cannot bind while kMaxConcurrentTotal is 2).
-constexpr size_t kMaxConcurrentPerServer = 2;
 /// How long kProbing waits for a read quorum of SCLs before re-probing.
 constexpr SimDuration kProbeWindow = 500 * kMillisecond;
 /// Re-kick a hydration pull that made no visible progress for this long.
@@ -54,14 +49,6 @@ size_t RepairPlanner::JobsInAz(AzId az) const {
   size_t n = 0;
   for (const auto& [id, job] : jobs_) {
     if (job.az == az) ++n;
-  }
-  return n;
-}
-
-size_t RepairPlanner::JobsOnServer(NodeId node) const {
-  size_t n = 0;
-  for (const auto& [id, job] : jobs_) {
-    if (job.host_node == node) ++n;
   }
   return n;
 }
@@ -143,39 +130,9 @@ void RepairPlanner::StartNewJobs() {
     job.suspected_since = monitor_->suspected_since(c.suspect);
     job.probe_deadline = now + kProbeWindow;
     job.deadline = now + kJobDeadline;
+    cluster_->ProbeSclsAsync(*config, job.probes);
     jobs_.emplace(c.suspect, std::move(job));
     ++stats_.jobs_started;
-    ProbeScls(c.suspect);
-  }
-}
-
-void RepairPlanner::ProbeScls(SegmentId old_segment) {
-  const quorum::PgConfig* config = cluster_->FindConfigForSegment(old_segment);
-  if (config == nullptr) return;
-  const uint64_t gen = generation_;
-  for (const auto& member : config->AllMembers()) {
-    storage::Call<&storage::StorageNode::HandleSegmentState>(
-        &cluster_->network(), cluster_->metadata().id(), member.node,
-        [cluster = cluster_](NodeId node) { return cluster->node(node); },
-        storage::SegmentStateRequest{member.id},
-        [this, gen, old_segment,
-         responder = member.id](storage::SegmentStateResponse response) {
-          if (gen != generation_) return;
-          auto it = jobs_.find(old_segment);
-          if (it == jobs_.end() ||
-              it->second.state != JobState::kProbing) {
-            return;
-          }
-          if (!response.status.ok() || !response.hydrated) return;
-          // Keyed by responder: a repeat reply across re-probe rounds (or
-          // a stale duplicate from an earlier round) can only raise that
-          // member's SCL, never add a member to the quorum.
-          auto [slot, fresh] = it->second.probes.try_emplace(responder,
-                                                             response);
-          if (!fresh && response.scl > slot->second.scl) {
-            slot->second = std::move(response);
-          }
-        });
   }
 }
 
@@ -200,7 +157,7 @@ void RepairPlanner::AdvanceJobs() {
         // into the deadline below.
         const quorum::PgConfig* config = cluster_->FindConfigForSegment(id);
         const auto quorum = config != nullptr
-                                ? engine::ReadQuorumScl(*config, job.probes)
+                                ? engine::ReadQuorumScl(*config, *job.probes)
                                 : std::nullopt;
         if (quorum.has_value()) {
           job.target_scl = quorum->scl;
@@ -214,9 +171,9 @@ void RepairPlanner::AdvanceJobs() {
           jobs_.erase(it);
           break;
         }
-        if (now >= job.probe_deadline) {
+        if (now >= job.probe_deadline && config != nullptr) {
           job.probe_deadline = now + kProbeWindow;
-          ProbeScls(id);
+          cluster_->ProbeSclsAsync(*config, job.probes);
         }
         break;
       }
@@ -296,47 +253,28 @@ void RepairPlanner::AdvanceJobs() {
 }
 
 void RepairPlanner::BeginChange(RepairJob& job) {
-  VolumeId volume = 0;
   const quorum::PgConfig* config =
-      cluster_->FindConfigForSegment(job.old_segment, &volume);
-  if (config == nullptr || config->HasPendingChange() ||
-      config->FindSegment(job.old_segment) == nullptr) {
+      cluster_->FindConfigForSegment(job.old_segment);
+  if (config == nullptr || config->HasPendingChange()) {
     ++stats_.aborted_before_begin;
     jobs_.erase(job.old_segment);
     return;
   }
-  const quorum::SegmentInfo* old_info = config->FindSegment(job.old_segment);
-  storage::StorageNode* host =
-      cluster_->PickNodeForNewSegment(old_info->az, *config);
-  if (host == nullptr || !cluster_->network().IsUp(host->id())) {
+  auto fresh = cluster_->PlaceFreshMembers(*config, job.az, 1);
+  if (!fresh.ok() || !cluster_->network().IsUp(fresh->front().node)) {
     // No live host in the AZ right now; keep probing and retry.
     job.probe_deadline = cluster_->sim().Now() + kProbeWindow;
     return;
   }
-  if (JobsOnServer(host->id()) >= kMaxConcurrentPerServer) {
-    // The best host already carries its fill of hydration pulls; defer
-    // rather than pile another full-prefix pull onto it.
-    job.probe_deadline = cluster_->sim().Now() + kProbeWindow;
-    return;
-  }
-  quorum::SegmentInfo new_info;
-  new_info.id = cluster_->AllocateSegmentId();
-  new_info.node = host->id();
-  new_info.az = old_info->az;
-  new_info.is_full = old_info->is_full;
-  new_info.volume = old_info->volume;
-  auto next = config->BeginReplace(job.old_segment, new_info);
+  auto next = config->BeginReplace(job.old_segment, fresh->front());
   if (!next.ok()) {
     ++stats_.failed;
     jobs_.erase(job.old_segment);
     return;
   }
-  host->AddSegment(new_info, config->pg(), *next,
-                   cluster_->metadata().volume_epoch(volume),
-                   /*hydrated=*/false);
-  host->FindSegment(new_info.id)->BeginHydration(job.target_scl);
-  job.new_segment = new_info.id;
-  job.host_node = host->id();
+  cluster_->StageFreshMembers(*config, *next, job.target_scl);
+  job.new_segment = fresh->front().id;
+  job.host_node = fresh->front().node;
   job.pending_config = std::move(*next);
   job.state = JobState::kBeginInstall;
   AURORA_DEBUG << "repair: begin replace seg=" << job.old_segment
@@ -399,9 +337,7 @@ void RepairPlanner::StartInstall(RepairJob& job) {
 }
 
 void RepairPlanner::FinishCommit(RepairJob& job) {
-  if (auto* host = cluster_->NodeForSegment(job.old_segment)) {
-    host->DropSegment(job.old_segment);
-  }
+  cluster_->DropDepartedMembers(*job.pending_config, *job.exit_config);
   const SimTime now = cluster_->sim().Now();
   const SimTime base =
       job.suspected_since > 0 ? job.suspected_since : job.decided_at;
@@ -413,9 +349,7 @@ void RepairPlanner::FinishCommit(RepairJob& job) {
 }
 
 void RepairPlanner::FinishRevert(RepairJob& job) {
-  if (auto* host = cluster_->node(job.host_node)) {
-    host->DropSegment(job.new_segment);
-  }
+  cluster_->DropDepartedMembers(*job.pending_config, *job.exit_config);
   ++stats_.reverted;
   AURORA_DEBUG << "repair: reverted seg=" << job.old_segment
                << " (replacement seg=" << job.new_segment << " dropped)";

@@ -5,7 +5,8 @@
 // Per suspected segment the planner runs one job through this state
 // machine (every edge is an ordinary quorum operation; the job itself is
 // only planner-local state and can be re-derived from suspicion at any
-// time):
+// time). Each step is one of AuroraCluster's Figure-5 building blocks,
+// the same ones the *Blocking membership operations run to completion:
 //
 //   kProbing        async SCL probes of the group's members establish the
 //     │             hydration target (engine::ReadQuorumScl: max SCL once
@@ -31,22 +32,23 @@
 //                   dual config, then the loser segment is dropped and
 //                   the job erased.
 //
-// Concurrency is bounded per AZ, per segment server, and globally, and at
-// most one job runs per protection group (the Figure-5 slot machinery
-// supports nesting, but eager bounded repair keeps blast radius small —
-// the paper's point is that each change is cheap, not that many must run
-// at once). On a multi-tenant fleet (DESIGN.md §11) suspects compete for
-// those bounded slots, so candidates are ranked most-degraded PG first: a
-// tenant one failure away from losing write quorum is repaired before a
-// tenant with a single slow segment, regardless of which volume raised
-// the suspicion first. The per-server bound keeps one shared host from
-// absorbing every hydration pull at once. MTTR (suspicion → commit) is
-// recorded to `aurora.repair.mttr_us`.
+// Concurrency is bounded per AZ and globally, and at most one job runs
+// per protection group (the Figure-5 slot machinery supports nesting,
+// but eager bounded repair keeps blast radius small — the paper's point
+// is that each change is cheap, not that many must run at once). On a
+// multi-tenant fleet (DESIGN.md §11) suspects compete for those bounded
+// slots, so candidates are ranked most-degraded PG first: a tenant one
+// failure away from losing write quorum is repaired before a tenant with
+// a single slow segment, regardless of which volume raised the suspicion
+// first. With at most two jobs fleet-wide, no server hosts more than two
+// hydration pulls at once. MTTR (suspicion → commit) is recorded to
+// `aurora.repair.mttr_us`.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -88,8 +90,9 @@ class RepairPlanner {
     Lsn target_scl = kInvalidLsn;
     /// Hydrated SCL-probe replies, one per member, keeping each member's
     /// highest SCL: a member replying in several probe rounds counts once
-    /// toward the read quorum.
-    engine::SclProbeReplies probes;
+    /// toward the read quorum (AuroraCluster::ProbeSclsAsync folds them).
+    std::shared_ptr<engine::SclProbeReplies> probes =
+        std::make_shared<engine::SclProbeReplies>();
     NodeId host_node = kInvalidNode;
     bool install_in_flight = false;
     uint64_t install_attempts = 0;
@@ -127,13 +130,11 @@ class RepairPlanner {
   void Tick();
   void StartNewJobs();
   void AdvanceJobs();
-  void ProbeScls(SegmentId old_segment);
   void BeginChange(RepairJob& job);
   void StartInstall(RepairJob& job);
   void FinishCommit(RepairJob& job);
   void FinishRevert(RepairJob& job);
   size_t JobsInAz(AzId az) const;
-  size_t JobsOnServer(NodeId node) const;
   bool PgHasJob(VolumeId volume, ProtectionGroupId pg) const;
 
   AuroraCluster* cluster_;

@@ -40,6 +40,15 @@ const SegmentInfo* PgConfig::FindSegment(SegmentId id) const {
   return nullptr;
 }
 
+const SegmentInfo* PgConfig::PendingPartner(SegmentId id) const {
+  for (const auto& slot : slots_) {
+    if (slot.size() != 2) continue;
+    if (slot[0].id == id) return &slot[1];
+    if (slot[1].id == id) return &slot[0];
+  }
+  return nullptr;
+}
+
 bool PgConfig::HasPendingChange() const {
   return std::any_of(slots_.begin(), slots_.end(),
                      [](const auto& slot) { return slot.size() > 1; });
@@ -147,31 +156,28 @@ Result<PgConfig> PgConfig::BeginReplace(SegmentId old_id,
 }
 
 Result<PgConfig> PgConfig::CommitReplace(SegmentId old_id) const {
-  PgConfig next = *this;
-  for (auto& slot : next.slots_) {
-    if (slot.size() != 2) continue;
-    if (slot[0].id == old_id || slot[1].id == old_id) {
-      const SegmentInfo keep = slot[0].id == old_id ? slot[1] : slot[0];
-      slot = {keep};
-      next.epoch_ = epoch_ + 1;
-      return next;
-    }
-  }
-  return Status::NotFound("no pending change involving segment");
+  return SettlePending(old_id, /*keep_old=*/false);
 }
 
 Result<PgConfig> PgConfig::RevertReplace(SegmentId old_id) const {
+  return SettlePending(old_id, /*keep_old=*/true);
+}
+
+Result<PgConfig> PgConfig::SettlePending(SegmentId old_id,
+                                         bool keep_old) const {
+  const SegmentInfo* partner = PendingPartner(old_id);
+  if (partner == nullptr) {
+    return Status::NotFound("no pending change involving segment");
+  }
+  const SegmentInfo keep = keep_old ? *FindSegment(old_id) : *partner;
   PgConfig next = *this;
   for (auto& slot : next.slots_) {
-    if (slot.size() != 2) continue;
-    if (slot[0].id == old_id || slot[1].id == old_id) {
-      const SegmentInfo keep = slot[0].id == old_id ? slot[0] : slot[1];
+    if (slot.size() == 2 && (slot[0].id == old_id || slot[1].id == old_id)) {
       slot = {keep};
-      next.epoch_ = epoch_ + 1;
-      return next;
     }
   }
-  return Status::NotFound("no pending change involving segment");
+  next.epoch_ = epoch_ + 1;
+  return next;
 }
 
 Result<PgConfig> PgConfig::ShrinkAfterAzLoss(AzId lost_az) const {

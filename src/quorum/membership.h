@@ -109,6 +109,11 @@ class PgConfig {
   /// True while any slot holds two alternatives.
   bool HasPendingChange() const;
 
+  /// The other alternative in `id`'s slot while that slot is mid-change
+  /// (a suspect's replacement, or a replacement's suspect); nullptr when
+  /// `id` is in no pending slot.
+  const SegmentInfo* PendingPartner(SegmentId id) const;
+
   /// The cross product of slot alternatives: each candidate is a possible
   /// final membership (Figure 5 shows 2 candidates after one failure,
   /// §4.1 shows 4 after a second failure mid-change).
@@ -156,6 +161,9 @@ class PgConfig {
  private:
   QuorumSet QuorumForCandidate(const std::vector<SegmentInfo>& candidate,
                                bool write) const;
+  /// Collapses `old_id`'s pending slot to `old_id` (keep_old) or to its
+  /// partner, epoch+1.
+  Result<PgConfig> SettlePending(SegmentId old_id, bool keep_old) const;
 
   ProtectionGroupId pg_ = 0;
   MembershipEpoch epoch_ = 0;

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "src/core/cluster.h"
+#include "src/storage/messages.h"
 
 namespace aurora {
 namespace {
@@ -130,6 +131,70 @@ TEST(Membership, DoubleFailureDuringChange) {
     ASSERT_TRUE(cluster.GetBlocking("d" + std::to_string(i)).ok());
     ASSERT_TRUE(cluster.GetBlocking("dd" + std::to_string(i)).ok());
   }
+}
+
+TEST(Membership, NestedCommitWaitsForItsOwnReplacement) {
+  // Figure 5's double failure: F (segment 5) and then E (segment 4) are
+  // replaced at once. Committing E's change must wait for E's own
+  // replacement, not for G in F's slot, or it commits a member that has
+  // not hydrated ("we do not discard any durable state until back to a
+  // fully repaired quorum", §4.1).
+  core::AuroraOptions options = Options();
+  options.storage_nodes_per_az = 4;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("n" + std::to_string(i), "v").ok());
+  }
+  cluster.network().Crash(cluster.NodeForSegment(5)->id());
+  ASSERT_TRUE(cluster.BeginReplaceBlocking(5).ok());
+  cluster.network().Crash(cluster.NodeForSegment(4)->id());
+  auto h = cluster.BeginReplaceBlocking(4);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+
+  ASSERT_TRUE(cluster.CommitReplaceBlocking(4).ok());
+  const storage::SegmentStore* store =
+      cluster.NodeForSegment(h->new_segment)->FindSegment(h->new_segment);
+  ASSERT_NE(store, nullptr);
+  EXPECT_TRUE(store->hydrated()) << "committed an un-hydrated replacement";
+  const quorum::PgConfig& pg = cluster.geometry().Pg(0);
+  EXPECT_FALSE(pg.ContainsSegment(4));
+  EXPECT_TRUE(pg.ContainsSegment(5)) << "F's change is still pending";
+  EXPECT_TRUE(pg.HasPendingChange());
+}
+
+TEST(Membership, InstallAcksCrossTheReturnWire) {
+  // A config install is a request/reply per member over the simulated
+  // wire: with no other traffic, a commit delivers exactly one
+  // MembershipUpdateRequest and one MembershipUpdateResponse to and from
+  // each member of the committed config.
+  core::AuroraOptions options = Options();
+  options.storage_node.background_enabled = false;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("w" + std::to_string(i), "v").ok());
+  }
+  auto report = cluster.BeginReplaceBlocking(5);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const storage::SegmentStore* fresh =
+      cluster.NodeForSegment(report->new_segment)
+          ->FindSegment(report->new_segment);
+  ASSERT_TRUE(cluster.RunUntil([&]() { return fresh->hydrated(); }));
+  cluster.CrashWriter();
+  cluster.RunFor(kSecond);
+
+  const sim::NetworkStats before = cluster.network().stats();
+  ASSERT_TRUE(cluster.CommitReplaceBlocking(5).ok());
+  cluster.RunFor(kSecond);  // the acks past the write quorum land too
+  const sim::NetworkStats after = cluster.network().stats();
+  const uint64_t members = cluster.geometry().Pg(0).AllMembers().size();
+  ASSERT_EQ(members, 6u);
+  EXPECT_EQ(after.messages_delivered - before.messages_delivered,
+            2 * members);
+  EXPECT_EQ(after.bytes_delivered - before.bytes_delivered,
+            members * (storage::MembershipUpdateRequest{}.SerializedSize() +
+                       storage::MembershipUpdateResponse{}.SerializedSize()));
 }
 
 TEST(Membership, StaleEpochRequestsRejected) {

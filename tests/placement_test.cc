@@ -118,8 +118,8 @@ TEST(Placement, ReplacementExcludesCurrentMembersAndPrefersIdleServers) {
 
   // With four AZ-0 servers, two are free of the PG. A down candidate
   // loses to a live one even with the lower id, the less-loaded of two
-  // live ones wins, and a down server is the fallback only when no live
-  // candidate is left.
+  // live ones wins unless the same change already took it, and a down
+  // server is the fallback only when no live candidate is left.
   core::PlacementService wide = MakeFleet(/*per_az=*/4);
   next_segment = 1;
   const quorum::PgConfig spread = PlaceOne(wide, 0, 0, &next_segment);
@@ -140,6 +140,8 @@ TEST(Placement, ReplacementExcludesCurrentMembersAndPrefersIdleServers) {
   down.clear();
   load[low] = 5;
   EXPECT_EQ(*wide.PickReplacement(spread, 0), high) << "idle server wins";
+  EXPECT_EQ(*wide.PickReplacement(spread, 0, {high}), low)
+      << "a host already taken by the same change is excluded";
   down = {low, high};
   EXPECT_EQ(*wide.PickReplacement(spread, 0), high)
       << "least-loaded down server as the fallback";

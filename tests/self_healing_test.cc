@@ -290,7 +290,7 @@ TEST(SelfHealing, SclProbeQuorumRequiresDistinctResponders) {
   for (const auto& [id, job] : planner.jobs()) {
     EXPECT_EQ(job.state, core::RepairPlanner::JobState::kProbing)
         << "job for seg=" << id << " left kProbing";
-    EXPECT_LT(job.probes.size(), 3u);
+    EXPECT_LT(job.probes->size(), 3u);
   }
 
   // Restore all but one crashed member: three-plus distinct responders
