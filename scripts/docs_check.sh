@@ -33,6 +33,12 @@
 #      `void HandleX(` in src/storage/storage_node.h) directly, so every
 #      reply crosses the simulated return wire. There are no exceptions.
 #      Tests and benches may call handlers directly.
+#   8. The writer and the snapshot reader descend the B+-tree only
+#      through its one descent step, BTree::WithPath (src/engine/btree.h):
+#      no `FindPath(` or `FindPathSync(` call in src/engine/db_instance.cc
+#      or src/engine/snapshot_reader.cc, so every row write, commit
+#      record, compensation and point read faults its path in the same
+#      way.
 #
 # Run from anywhere; registered as a ctest so every suite run enforces it.
 
@@ -332,6 +338,20 @@ if [[ -n "${handler_calls}" ]]; then
   fail=1
 fi
 
+# ---- 8. one descent step for the writer and the snapshot reader --------
+
+direct_descents="$(
+  for file in src/engine/db_instance.cc src/engine/snapshot_reader.cc; do
+    sed 's|//.*||' "${file}" | grep -nP '\bFindPath(Sync)?\s*\(' |
+      sed "s|^|${file}:|" || true
+  done
+)"
+if [[ -n "${direct_descents}" ]]; then
+  echo "docs_check: the writer or the snapshot reader descends the tree outside BTree::WithPath:" >&2
+  echo "${direct_descents}" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 if [[ "${fail}" -ne 0 ]]; then
   echo "docs_check: FAILED — update DESIGN.md §3/§5b / EXPERIMENTS.md / README.md (or the code) so they agree" >&2
   exit 1
@@ -341,4 +361,4 @@ n_metrics="$(echo "${src_metrics}" | wc -l)"
 n_benches="$(echo "${tree_benches}" | wc -l)"
 n_modules="$(echo "${tree_modules}" | wc -l)"
 n_options="$(cat <(echo "${doc_options}") <(echo "${doc_snippet_fields}") | grep -c . || true)"
-echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used, no direct storage-handler call in src/)"
+echo "docs_check: OK (${n_metrics} metrics, ${n_benches} bench binaries, ${n_modules} modules, ${n_options} documented option fields in lockstep, ${n_fields} option fields all set somewhere, ${n_methods} public member function names all used, no direct storage-handler call in src/, one tree descent step)"

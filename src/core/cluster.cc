@@ -103,19 +103,6 @@ constexpr NodeId kFirstStorageNode = 100;
 constexpr SimDuration kBlockingTimeout = 60 * kSecond;
 /// How long a manual membership change waits for a read quorum of SCLs.
 constexpr SimDuration kSclProbeWindow = 5 * kSecond;
-
-/// Continuation of an autocommit write: commits on success, else answers
-/// the write's own error.
-template <typename Done>
-auto ThenCommit(engine::DbInstance* owner, TxnId txn, Done done) {
-  return [owner, txn, done](Status st) {
-    if (!st.ok()) {
-      done(std::move(st));
-      return;
-    }
-    owner->Commit(txn, done);
-  };
-}
 }  // namespace
 
 template <typename R, typename Start>
@@ -130,6 +117,29 @@ R AuroraCluster::Await(const char* what, Start start) {
     return Status::TimedOut(std::string(what) + " did not complete");
   }
   return result;
+}
+
+template <typename Write>
+Status AuroraCluster::AutocommitBlocking(engine::DbInstance* owner,
+                                         const char* what, Write write) {
+  const TxnId txn = owner->Begin();
+  Status answer = Await<Status>(what, [&](auto done) {
+    // Commits on success, else answers the write's own error.
+    write(txn, [owner, txn, done](Status st) {
+      if (!st.ok()) {
+        done(std::move(st));
+        return;
+      }
+      owner->Commit(txn, done);
+    });
+  });
+  // A failed write or commit leaves the transaction active and holding
+  // its row lock; roll it back before answering.
+  if (!answer.ok() && owner->txns().IsActive(txn)) {
+    (void)Await<Status>("rollback",
+                        [&](auto done) { owner->Rollback(txn, done); });
+  }
+  return answer;
 }
 
 AuroraCluster::AuroraCluster(AuroraOptions options)
@@ -427,9 +437,8 @@ Status AuroraCluster::PutBlocking(VolumeId volume, const std::string& key,
                                   const std::string& value) {
   engine::DbInstance* owner = writer(volume);
   if (owner == nullptr) return Status::NotFound("no such volume");
-  const TxnId txn = owner->Begin();
-  return Await<Status>("put", [&](auto done) {
-    owner->Put(txn, key, value, ThenCommit(owner, txn, done));
+  return AutocommitBlocking(owner, "put", [&](TxnId txn, auto then) {
+    owner->Put(txn, key, value, std::move(then));
   });
 }
 
@@ -447,9 +456,8 @@ Result<std::string> AuroraCluster::GetBlocking(VolumeId volume,
 
 Status AuroraCluster::DeleteBlocking(const std::string& key) {
   engine::DbInstance* owner = writer();
-  const TxnId txn = owner->Begin();
-  return Await<Status>("delete", [&](auto done) {
-    owner->Delete(txn, key, ThenCommit(owner, txn, done));
+  return AutocommitBlocking(owner, "delete", [&](TxnId txn, auto then) {
+    owner->Delete(txn, key, std::move(then));
   });
 }
 

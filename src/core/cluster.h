@@ -380,6 +380,12 @@ class AuroraCluster {
   /// by the blocking deadline.
   template <typename R, typename Start>
   R Await(const char* what, Start start);
+  /// One autocommit write on `owner`: `write(txn, then)` issues the write
+  /// and `then` commits it. A failed write or commit rolls the
+  /// transaction back before the answer, so it keeps no row lock.
+  template <typename Write>
+  Status AutocommitBlocking(engine::DbInstance* owner, const char* what,
+                            Write write);
 
   AuroraOptions options_;
   sim::Simulator sim_;

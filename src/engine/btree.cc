@@ -124,7 +124,15 @@ void BTree::DescendFrom(BlockId block, std::string key,
 
 Result<std::vector<BlockId>> BTree::FindPathSync(
     const std::string& key) const {
-  storage::Page* meta = cache_(kMetaBlock);
+  return Descend(key, /*peek=*/false);
+}
+
+Result<std::vector<BlockId>> BTree::Descend(const std::string& key,
+                                            bool peek) const {
+  auto lookup = [&](BlockId block) -> const storage::Page* {
+    return peek ? peek_(block) : cache_(block);
+  };
+  const storage::Page* meta = lookup(kMetaBlock);
   if (meta == nullptr) return Status::Aborted("retry: meta not cached");
   auto root_it = meta->entries.find(kMetaRootKey);
   if (root_it == meta->entries.end()) {
@@ -135,7 +143,7 @@ Result<std::vector<BlockId>> BTree::FindPathSync(
   std::vector<BlockId> path;
   for (int depth = 0; depth < 64; ++depth) {
     path.push_back(*block);
-    storage::Page* page = cache_(*block);
+    const storage::Page* page = lookup(*block);
     if (page == nullptr) return Status::Aborted("retry: page not cached");
     if (page->type == storage::PageType::kLeaf) return path;
     if (page->type != storage::PageType::kInternal) {
@@ -329,19 +337,16 @@ Result<std::vector<StagedOp>> BTree::PlanInsert(
   return ops;
 }
 
-void BTree::GetEntry(const std::string& key,
+void BTree::GetEntry(std::string key,
                      std::function<void(Result<std::string>)> cb) {
-  FindPath(key, [this, key, cb = std::move(cb)](
-                    Result<std::vector<BlockId>> path) {
+  WithPath(std::move(key), [this, cb = std::move(cb)](
+                               std::string key,
+                               Result<std::vector<BlockId>> path) {
     if (!path.ok()) {
       cb(path.status());
       return;
     }
-    storage::Page* leaf = cache_(path->back());
-    if (leaf == nullptr) {
-      cb(Status::Aborted("retry: leaf evicted"));
-      return;
-    }
+    const storage::Page* leaf = cache_(path->back());
     auto it = leaf->entries.find(key);
     if (it == leaf->entries.end()) {
       cb(Status::NotFound("key absent"));

@@ -81,13 +81,17 @@ class BTree {
       std::function<void(BlockId, std::function<void(Result<storage::Page*>)>)>;
   /// Synchronous cache lookup (nullptr on miss) used during plan building.
   using CacheLookup = std::function<storage::Page*(BlockId)>;
+  /// The same lookup without LRU promotion.
+  using CachePeek = std::function<const storage::Page*(BlockId)>;
   /// Allocates a fresh block id and stages the allocation-cursor update.
   using BlockAllocator = std::function<BlockId(std::vector<StagedOp>*)>;
 
-  BTree(BTreeOptions options, PageFetcher fetcher, CacheLookup cache)
+  BTree(BTreeOptions options, PageFetcher fetcher, CacheLookup cache,
+        CachePeek peek)
       : options_(options),
         fetcher_(std::move(fetcher)),
-        cache_(std::move(cache)) {}
+        cache_(std::move(cache)),
+        peek_(std::move(peek)) {}
 
   /// Ops that initialize an empty tree (meta + root leaf). The engine
   /// wraps them in the bootstrap MTR. `alloc_cursors[pg]` is the initial
@@ -103,7 +107,7 @@ class BTree {
 
   /// Cache-only descent. Runs in one event, so the result cannot be
   /// invalidated by interleaved operations before it is used. Returns
-  /// kAborted on any cache miss (caller faults in via FindPath and
+  /// kAborted on any cache miss (WithPath faults in via FindPath and
   /// retries).
   Result<std::vector<BlockId>> FindPathSync(const std::string& key) const;
 
@@ -116,10 +120,30 @@ class BTree {
                                            std::string value,
                                            const BlockAllocator& alloc);
 
-  /// Reads the raw leaf entry for `key` via an async descent. Delivers
+  /// Most cache misses one WithPath call faults in before it gives up.
+  static constexpr int kMaxPathFaults = 16;
+
+  /// The one descent step for writes and point reads. Hands `key` back
+  /// with its root-to-leaf path, every page of which is cached in the
+  /// current event, so the caller can read the leaf and PlanInsert at
+  /// once: cb(std::string key, Result<std::vector<BlockId>> path). Tries
+  /// the cache-only descent; on a miss it faults the path in and descends
+  /// the cache again, at most kMaxPathFaults times (then Aborted). Any
+  /// other fetch or descent error is delivered as is. A cached path calls
+  /// `cb` at once, so the hot path wraps nothing in a std::function.
+  template <typename Callback>
+  void WithPath(std::string key, Callback cb) {
+    Result<std::vector<BlockId>> path = FindPathSync(key);
+    if (path.ok() || !path.status().IsAborted()) {
+      cb(std::move(key), std::move(path));
+      return;
+    }
+    FaultInPath(std::move(key), std::move(cb), kMaxPathFaults);
+  }
+
+  /// Reads the raw leaf entry for `key` through WithPath. Delivers
   /// NotFound if absent.
-  void GetEntry(const std::string& key,
-                std::function<void(Result<std::string>)> cb);
+  void GetEntry(std::string key, std::function<void(Result<std::string>)> cb);
 
   /// Collects raw leaf entries in [lo, hi], following leaf sibling links,
   /// up to `limit`. Delivered as (key, raw value) pairs.
@@ -131,6 +155,36 @@ class BTree {
   uint64_t splits() const { return splits_; }
 
  private:
+  /// WithPath's miss branch: faults `key`'s path in, then descends the
+  /// cache again without promoting (the fault-in already promoted the
+  /// path's pages, in fetch order).
+  template <typename Callback>
+  void FaultInPath(std::string key, Callback cb, int faults) {
+    if (faults <= 0) {
+      cb(std::move(key),
+         Status::Aborted("path kept falling out of the cache"));
+      return;
+    }
+    FindPath(key, [this, key, cb = std::move(cb),
+                   faults](Result<std::vector<BlockId>> faulted) mutable {
+      if (!faulted.ok() && !faulted.status().IsAborted()) {
+        cb(std::move(key), std::move(faulted));
+        return;
+      }
+      Result<std::vector<BlockId>> path = Descend(key, /*peek=*/true);
+      if (path.ok() || !path.status().IsAborted()) {
+        cb(std::move(key), std::move(path));
+        return;
+      }
+      FaultInPath(std::move(key), std::move(cb), faults - 1);
+    });
+  }
+
+  /// Cache-only descent, promoting each page it reads unless `peek`:
+  /// kAborted on any miss.
+  Result<std::vector<BlockId>> Descend(const std::string& key,
+                                       bool peek) const;
+
   void DescendFrom(BlockId block, std::string key,
                    std::vector<BlockId> path,
                    std::function<void(Result<std::vector<BlockId>>)> cb,
@@ -148,6 +202,7 @@ class BTree {
   BTreeOptions options_;
   PageFetcher fetcher_;
   CacheLookup cache_;
+  CachePeek peek_;
   uint64_t splits_ = 0;
 };
 

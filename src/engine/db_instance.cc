@@ -12,7 +12,8 @@ namespace aurora::engine {
 namespace {
 /// Retry backoff for recovery probe rounds.
 constexpr SimDuration kRecoveryRetry = 50 * kMillisecond;
-/// Max key-path retries before an operation reports Aborted.
+/// Times a write re-reads its row after resolving another writer's
+/// version before it reports Aborted.
 constexpr int kMaxOpRetries = 16;
 }  // namespace
 
@@ -293,13 +294,10 @@ void DbInstance::Delete(TxnId txn, const std::string& key,
               kMaxOpRetries);
 }
 
-void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
-                             bool deleted, std::function<void(Status)> cb,
-                             int retries) {
+Status DbInstance::CheckWritable(TxnId txn) {
   if (!open_) {
-    cb(fenced_ ? Status::Fenced("instance fenced")
-               : Status::Unavailable("instance not open"));
-    return;
+    return fenced_ ? Status::Fenced("instance fenced")
+                   : Status::Unavailable("instance not open");
   }
   // Degraded-mode backpressure: while a PG has lost its write quorum and
   // the driver's parked-record budget is exhausted, refuse NEW writes up
@@ -308,12 +306,20 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
   // reads stay available at Vr=3.
   if (driver_ != nullptr && !driver_->AcceptingWrites()) {
     stats_.degraded_rejected_writes++;
-    cb(Status::Unavailable("write quorum degraded: parked-write budget full"));
-    return;
+    return Status::Unavailable(
+        "write quorum degraded: parked-write budget full");
   }
-  txn::Transaction* t = txns_.Find(txn);
-  if (t == nullptr || t->state != txn::TxnState::kActive) {
-    cb(Status::InvalidArgument("transaction not active"));
+  if (!txns_.IsActive(txn)) {
+    return Status::InvalidArgument("transaction not active");
+  }
+  return Status::OK();
+}
+
+void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
+                             bool deleted, std::function<void(Status)> cb,
+                             int retries) {
+  if (Status st = CheckWritable(txn); !st.ok()) {
+    cb(std::move(st));
     return;
   }
   if (retries <= 0) {
@@ -324,83 +330,66 @@ void DbInstance::PutInternal(TxnId txn, std::string key, std::string value,
     cb(std::move(st));
     return;
   }
-  auto path = reader_.btree().FindPathSync(key);
-  if (!path.ok()) {
-    // Fault the path in asynchronously, then retry synchronously.
-    reader_.btree().FindPath(key, [this, txn, key = std::move(key),
-                                   value = std::move(value), deleted,
-                                   cb = std::move(cb), retries](
-                                      Result<std::vector<BlockId>> r) mutable {
-      if (!r.ok() && !r.status().IsAborted()) {
-        cb(r.status());
-        return;
-      }
-      PutInternal(txn, std::move(key), std::move(value), deleted,
-                  std::move(cb), retries - 1);
-    });
-    return;
-  }
-  storage::Page* leaf = reader_.CachedPage(path->back());
-  assert(leaf != nullptr);
-  std::optional<txn::RowVersion> existing;
-  if (auto it = leaf->entries.find(key); it != leaf->entries.end()) {
-    auto decoded = txn::DecodeRowVersion(it->second);
-    if (!decoded.ok()) {
-      cb(decoded.status());
-      return;
-    }
-    existing = std::move(*decoded);
-  }
-  if (existing.has_value() && existing->txn != txn) {
-    // If the current top version belongs to an uncommitted transaction
-    // that is not locally active, it is a leftover from a crashed
-    // incarnation: roll it back, then retry (§2.4: undo happens after
-    // open, in parallel with user activity). A writer in local commit
-    // history needs no resolve: the write proceeds on this descent,
-    // without the asynchronous lookup and its second descent.
-    const TxnId writer = existing->txn;
-    if (!txns_.IsActive(writer) &&
-        !txns_.CommitScnOf(writer).has_value()) {
-      reader_.ResolveCommitScn(writer, [this, txn, key = std::move(key),
-                                        value = std::move(value), deleted,
-                                        cb = std::move(cb), retries, existing](
-                                           std::optional<Scn> scn) mutable {
-        if (scn.has_value()) {
-          // Committed: proceed with the write on a fresh descent.
-          txn::Transaction* t2 = txns_.Find(txn);
-          if (t2 == nullptr || t2->state != txn::TxnState::kActive) {
-            cb(Status::InvalidArgument("transaction not active"));
-            return;
-          }
-          auto path2 = reader_.btree().FindPathSync(key);
-          if (!path2.ok()) {
-            PutInternal(txn, std::move(key), std::move(value), deleted,
-                        std::move(cb), retries - 1);
-            return;
-          }
-          ApplyWrite(t2, key, value, deleted, *path2, existing,
-                     std::move(cb));
+  reader_.btree().WithPath(
+      std::move(key),
+      [this, txn, value = std::move(value), deleted, cb = std::move(cb),
+       retries](std::string key, Result<std::vector<BlockId>> path) mutable {
+        if (!path.ok()) {
+          cb(path.status());
           return;
         }
-        stats_.leftover_rollbacks++;
-        RollbackLeftover(
-            key, *existing,
-            [this, txn, key, value, deleted, cb = std::move(cb),
-             retries](Status st) mutable {
-              if (!st.ok()) {
-                cb(std::move(st));
-                return;
-              }
-              PutInternal(txn, std::move(key), std::move(value), deleted,
-                          std::move(cb), retries - 1);
-            });
+        // A fault-in may have outlived the instance or the transaction.
+        if (Status st = CheckWritable(txn); !st.ok()) {
+          cb(std::move(st));
+          return;
+        }
+        storage::Page* leaf = reader_.CachedPage(path->back());
+        std::optional<txn::RowVersion> existing;
+        if (auto it = leaf->entries.find(key); it != leaf->entries.end()) {
+          auto decoded = txn::DecodeRowVersion(it->second);
+          if (!decoded.ok()) {
+            cb(decoded.status());
+            return;
+          }
+          existing = std::move(*decoded);
+        }
+        // The lock is ours, so another writer on the row is committed or
+        // gone. One neither active nor in local commit history must be
+        // resolved first: the status index vouches for a commit from
+        // before this incarnation (then the write retries), and a writer
+        // it does not know is a crashed incarnation's leftover, rolled
+        // back by the one compensation rule before the write retries
+        // (§2.4: undo runs after open, in parallel with user activity).
+        if (existing.has_value() && existing->txn != txn &&
+            !txns_.IsActive(existing->txn) &&
+            !txns_.CommitScnOf(existing->txn).has_value()) {
+          const TxnId writer = existing->txn;
+          const txn::UndoPtr undo = existing->undo;
+          auto retry = [this, txn, key = std::move(key),
+                        value = std::move(value), deleted,
+                        cb = std::move(cb), retries](Status st) mutable {
+            if (!st.ok()) {
+              cb(std::move(st));
+              return;
+            }
+            PutInternal(txn, std::move(key), std::move(value), deleted,
+                        std::move(cb), retries - 1);
+          };
+          reader_.ResolveCommitScn(
+              writer, [this, writer, undo, retry = std::move(retry)](
+                          std::optional<Scn> scn) mutable {
+                if (scn.has_value()) {
+                  retry(Status::OK());
+                  return;
+                }
+                stats_.leftover_rollbacks++;
+                Compensate(writer, undo, std::move(retry));
+              });
+          return;
+        }
+        ApplyWrite(txns_.Find(txn), key, value, deleted, *path,
+                   std::move(existing), std::move(cb));
       });
-      return;
-    }
-    // Locally active other writer would have held the lock; Acquire above
-    // succeeded, so this must be our own or a committed version.
-  }
-  ApplyWrite(t, key, value, deleted, *path, existing, std::move(cb));
 }
 
 Result<std::pair<BlockId, std::string>> DbInstance::StageUndo(
@@ -545,87 +534,86 @@ void DbInstance::Commit(TxnId txn, std::function<void(Status)> cb) {
     // Read-only: nothing to make durable.
     txns_.MarkCommitting(txn, vdl());
     txns_.MarkCommitted(txn);
-    if (auto it = txn_views_.find(txn); it != txn_views_.end()) {
-      txns_.CloseReadView(it->second);
-      txn_views_.erase(it);
-    }
+    CloseTxnView(txn);
     cb(Status::OK());
     return;
   }
-  FinishCommit(txn, std::move(cb), kMaxOpRetries);
+  FinishCommit(txn, std::move(cb));
 }
 
-void DbInstance::FinishCommit(TxnId txn, std::function<void(Status)> cb,
-                              int retries) {
+void DbInstance::FinishCommit(TxnId txn, std::function<void(Status)> cb) {
   // The commit record: a normal B-tree insert into the status index, so
   // its pages stay bounded by splits. The record's MTR-final LSN is the
   // SCN and doubles as the durable txn -> SCN mapping (readable by
   // replicas and by recovery).
-  if (retries <= 0) {
-    cb(Status::Aborted("commit retries exhausted"));
-    return;
-  }
-  const std::string status_key = StatusKey(txn);
-  auto path = reader_.btree().FindPathSync(status_key);
-  if (!path.ok()) {
-    reader_.btree().FindPath(
-        status_key, [this, txn, cb = std::move(cb),
-                     retries](Result<std::vector<BlockId>>) mutable {
-          txn::Transaction* t = txns_.Find(txn);
-          if (t == nullptr || t->state != txn::TxnState::kActive) {
-            cb(Status::InvalidArgument("transaction not active"));
-            return;
-          }
-          FinishCommit(txn, std::move(cb), retries - 1);
-        });
-    return;
-  }
-  auto plan = reader_.btree().PlanInsert(
-      *path, status_key, EncodeU64Value(0),
-      [this](std::vector<StagedOp>* staged) { return AllocateBlock(staged); });
-  if (!plan.ok()) {
-    FinishCommit(txn, std::move(cb), retries - 1);
-    return;
-  }
-  // SCN = the MTR's last LSN (the whole commit MTR is durable at SCN).
-  const Scn scn = next_lsn_ + plan->size() - 1;
-  for (auto& staged : *plan) {
-    if (staged.op.type == storage::PageOpType::kInsert &&
-        staged.op.key == status_key) {
-      staged.op.value = EncodeU64Value(scn);
-    }
-  }
-  const Lsn written = AppendMtr(*plan, txn, log::RecordType::kCommit);
-  assert(written == scn);
-  (void)written;
-  txns_.MarkCommitting(txn, scn);
-  locks_.ReleaseAll(txn);
-  // Ship the commit notification to replicas (§3.4); visibility there is
-  // still gated by their VDL.
-  if (!replica_sinks_.empty()) {
-    ReplicationEvent event;
-    event.type = ReplicationEvent::Type::kCommit;
-    event.txn = txn;
-    event.scn = scn;
-    ShipReplicationEvent(event);
-  }
-  // Worker thread moves on; the dedicated commit path acks when VCL
-  // passes the SCN (§2.3).
-  const SimTime enqueued = sim_->Now();
-  commit_queue_.Enqueue(txn::PendingCommit{
-      txn, scn, enqueued, [this, txn, scn, enqueued, cb = std::move(cb)]() {
-        txns_.MarkCommitted(txn);
-        stats_.commits_acked++;
-        if (scn > max_acked_scn_) max_acked_scn_ = scn;
-        commit_latency_.Record(sim_->Now() - enqueued);
-        if (auto it = txn_views_.find(txn); it != txn_views_.end()) {
-          txns_.CloseReadView(it->second);
-          txn_views_.erase(it);
+  reader_.btree().WithPath(
+      StatusKey(txn),
+      [this, txn, cb = std::move(cb)](
+          std::string status_key, Result<std::vector<BlockId>> path) mutable {
+        if (!path.ok()) {
+          cb(path.status());
+          return;
         }
-        cb(Status::OK());
-      }});
-  // VCL may already cover the SCN (e.g. single-record MTRs acked fast).
-  OnDurabilityAdvance();
+        // A fault-in may have outlived the transaction.
+        if (!txns_.IsActive(txn)) {
+          cb(Status::InvalidArgument("transaction not active"));
+          return;
+        }
+        auto plan = reader_.btree().PlanInsert(
+            *path, status_key, EncodeU64Value(0),
+            [this](std::vector<StagedOp>* staged) {
+              return AllocateBlock(staged);
+            });
+        if (!plan.ok()) {
+          cb(plan.status());
+          return;
+        }
+        // SCN = the MTR's last LSN (the whole commit MTR is durable at SCN).
+        const Scn scn = next_lsn_ + plan->size() - 1;
+        for (auto& staged : *plan) {
+          if (staged.op.type == storage::PageOpType::kInsert &&
+              staged.op.key == status_key) {
+            staged.op.value = EncodeU64Value(scn);
+          }
+        }
+        const Lsn written = AppendMtr(*plan, txn, log::RecordType::kCommit);
+        assert(written == scn);
+        (void)written;
+        txns_.MarkCommitting(txn, scn);
+        locks_.ReleaseAll(txn);
+        // Ship the commit notification to replicas (§3.4); visibility
+        // there is still gated by their VDL.
+        if (!replica_sinks_.empty()) {
+          ReplicationEvent event;
+          event.type = ReplicationEvent::Type::kCommit;
+          event.txn = txn;
+          event.scn = scn;
+          ShipReplicationEvent(event);
+        }
+        // Worker thread moves on; the dedicated commit path acks when VCL
+        // passes the SCN (§2.3).
+        const SimTime enqueued = sim_->Now();
+        commit_queue_.Enqueue(txn::PendingCommit{
+            txn, scn, enqueued,
+            [this, txn, scn, enqueued, cb = std::move(cb)]() {
+              txns_.MarkCommitted(txn);
+              stats_.commits_acked++;
+              if (scn > max_acked_scn_) max_acked_scn_ = scn;
+              commit_latency_.Record(sim_->Now() - enqueued);
+              CloseTxnView(txn);
+              cb(Status::OK());
+            }});
+        // VCL may already cover the SCN (e.g. single-record MTRs acked
+        // fast).
+        OnDurabilityAdvance();
+      });
+}
+
+void DbInstance::CloseTxnView(TxnId txn) {
+  if (auto it = txn_views_.find(txn); it != txn_views_.end()) {
+    txns_.CloseReadView(it->second);
+    txn_views_.erase(it);
+  }
 }
 
 void DbInstance::Rollback(TxnId txn, std::function<void(Status)> cb) {
@@ -634,146 +622,117 @@ void DbInstance::Rollback(TxnId txn, std::function<void(Status)> cb) {
     cb(Status::InvalidArgument("transaction not active"));
     return;
   }
-  const txn::UndoPtr head = t->undo_head;
-  RollbackChain(txn, head,
-                [this, txn, cb = std::move(cb)](Status st) {
-                  txns_.MarkAborted(txn);
-                  stats_.txn_aborts++;
-                  locks_.ReleaseAll(txn);
-                  if (auto it = txn_views_.find(txn);
-                      it != txn_views_.end()) {
-                    txns_.CloseReadView(it->second);
-                    txn_views_.erase(it);
-                  }
-                  cb(std::move(st));
-                },
-                1 << 20);
+  RollbackFrom(txn, t->undo_head, [this, txn, cb = std::move(cb)](Status st) {
+    txns_.MarkAborted(txn);
+    stats_.txn_aborts++;
+    locks_.ReleaseAll(txn);
+    CloseTxnView(txn);
+    cb(std::move(st));
+  });
 }
 
-void DbInstance::RollbackChain(TxnId txn, txn::UndoPtr ptr,
-                               std::function<void(Status)> cb, int depth) {
-  if (ptr.IsNull() || depth <= 0) {
+void DbInstance::RollbackFrom(TxnId txn, txn::UndoPtr ptr,
+                              std::function<void(Status)> cb) {
+  if (ptr.IsNull()) {
     cb(Status::OK());
     return;
   }
-  reader_.WithPage(ptr.block, [this, txn, ptr, cb = std::move(cb),
-                               depth](Result<storage::Page*> page) mutable {
+  ReadUndo(ptr, [this, txn, ptr, cb = std::move(cb)](
+                    Result<txn::UndoEntry> entry) mutable {
+    if (!entry.ok()) {
+      cb(entry.status());
+      return;
+    }
+    Compensate(txn, ptr, [this, txn, next = entry->next,
+                          cb = std::move(cb)](Status st) mutable {
+      if (!st.ok()) {
+        cb(std::move(st));
+        return;
+      }
+      RollbackFrom(txn, next, std::move(cb));
+    });
+  });
+}
+
+void DbInstance::Compensate(TxnId txn, txn::UndoPtr undo,
+                            std::function<void(Status)> cb) {
+  ReadUndo(undo, [this, txn, cb = std::move(cb)](
+                     Result<txn::UndoEntry> entry) mutable {
+    if (!entry.ok()) {
+      cb(entry.status());
+      return;
+    }
+    if (entry->prev_exists && entry->prev.txn == txn) {
+      // The version this write replaced is `txn`'s own: look past it.
+      Compensate(txn, entry->prev.undo, std::move(cb));
+      return;
+    }
+    // Take the key out first: the capture below moves `entry`.
+    std::string key = std::move(entry->row_key);
+    reader_.btree().WithPath(
+        std::move(key),
+        [this, txn, entry = std::move(*entry), cb = std::move(cb)](
+            std::string key, Result<std::vector<BlockId>> path) mutable {
+          if (!path.ok()) {
+            cb(path.status());
+            return;
+          }
+          // A row whose newest version is no longer `txn`'s was already
+          // compensated (an earlier write of the same row, newer in the
+          // undo chain, restored it).
+          const storage::Page* leaf = reader_.CachedPage(path->back());
+          auto it = leaf->entries.find(key);
+          if (it == leaf->entries.end()) {
+            cb(Status::OK());
+            return;
+          }
+          auto top = txn::DecodeRowVersion(it->second);
+          if (!top.ok()) {
+            cb(top.status());
+            return;
+          }
+          if (top->txn != txn) {
+            cb(Status::OK());
+            return;
+          }
+          std::vector<StagedOp> ops;
+          if (entry.prev_exists) {
+            auto plan = reader_.btree().PlanInsert(
+                *path, key, txn::EncodeRowVersion(entry.prev),
+                [this](std::vector<StagedOp>* staged) {
+                  return AllocateBlock(staged);
+                });
+            if (!plan.ok()) {
+              cb(plan.status());
+              return;
+            }
+            ops = std::move(*plan);
+          } else {
+            storage::PageOp erase;
+            erase.type = storage::PageOpType::kErase;
+            erase.key = key;
+            ops.push_back({path->back(), erase});
+          }
+          AppendMtr(ops, txn);
+          cb(Status::OK());
+        });
+  });
+}
+
+void DbInstance::ReadUndo(
+    txn::UndoPtr ptr, std::function<void(Result<txn::UndoEntry>)> cb) {
+  reader_.WithPage(ptr.block, [ptr, cb = std::move(cb)](
+                                  Result<storage::Page*> page) {
     if (!page.ok()) {
       cb(page.status());
       return;
     }
     auto it = (*page)->entries.find(ptr.key);
     if (it == (*page)->entries.end()) {
-      cb(Status::Internal("undo entry missing during rollback"));
+      cb(Status::Internal("undo entry missing"));
       return;
     }
-    auto entry = txn::DecodeUndoEntry(it->second);
-    if (!entry.ok()) {
-      cb(entry.status());
-      return;
-    }
-    // Compensation: restore the previous version (or erase the key if the
-    // rolled-back write created it).
-    auto path = reader_.btree().FindPathSync(entry->row_key);
-    if (!path.ok()) {
-      reader_.btree().FindPath(entry->row_key,
-                               [this, txn, ptr, cb = std::move(cb), depth](
-                                   Result<std::vector<BlockId>>) mutable {
-                                 RollbackChain(txn, ptr, std::move(cb),
-                                               depth - 1);
-                               });
-      return;
-    }
-    std::vector<StagedOp> ops;
-    if (entry->prev_exists) {
-      auto plan = reader_.btree().PlanInsert(
-          *path, entry->row_key, txn::EncodeRowVersion(entry->prev),
-          [this](std::vector<StagedOp>* staged) {
-            return AllocateBlock(staged);
-          });
-      if (!plan.ok()) {
-        cb(plan.status());
-        return;
-      }
-      ops = std::move(*plan);
-    } else {
-      storage::PageOp erase;
-      erase.type = storage::PageOpType::kErase;
-      erase.key = entry->row_key;
-      ops.push_back({path->back(), erase});
-    }
-    AppendMtr(ops, txn);
-    RollbackChain(txn, entry->next, std::move(cb), depth - 1);
-  });
-}
-
-void DbInstance::RollbackLeftover(const std::string& key,
-                                  txn::RowVersion version,
-                                  std::function<void(Status)> cb) {
-  // Walk this key's version chain past every version written by the
-  // crashed transaction, then write the first surviving version back.
-  const TxnId leftover = version.txn;
-  if (version.undo.IsNull()) {
-    // The crashed txn created the key: erase it.
-    auto path = reader_.btree().FindPathSync(key);
-    if (!path.ok()) {
-      cb(Status::Aborted("retry"));
-      return;
-    }
-    storage::PageOp erase;
-    erase.type = storage::PageOpType::kErase;
-    erase.key = key;
-    AppendMtr({{path->back(), erase}}, leftover);
-    cb(Status::OK());
-    return;
-  }
-  const txn::UndoPtr undo = version.undo;
-  reader_.WithPage(undo.block, [this, key, leftover, undo,
-                                cb = std::move(cb)](
-                                   Result<storage::Page*> page) {
-    if (!page.ok()) {
-      cb(page.status());
-      return;
-    }
-    auto it = (*page)->entries.find(undo.key);
-    if (it == (*page)->entries.end()) {
-      cb(Status::Internal("undo entry missing for leftover rollback"));
-      return;
-    }
-    auto entry = txn::DecodeUndoEntry(it->second);
-    if (!entry.ok()) {
-      cb(entry.status());
-      return;
-    }
-    if (entry->prev_exists && entry->prev.txn == leftover) {
-      RollbackLeftover(key, entry->prev, std::move(cb));
-      return;
-    }
-    auto path = reader_.btree().FindPathSync(key);
-    if (!path.ok()) {
-      cb(Status::Aborted("retry"));
-      return;
-    }
-    std::vector<StagedOp> ops;
-    if (entry->prev_exists) {
-      auto plan = reader_.btree().PlanInsert(
-          *path, key, txn::EncodeRowVersion(entry->prev),
-          [this](std::vector<StagedOp>* staged) {
-            return AllocateBlock(staged);
-          });
-      if (!plan.ok()) {
-        cb(plan.status());
-        return;
-      }
-      ops = std::move(*plan);
-    } else {
-      storage::PageOp erase;
-      erase.type = storage::PageOpType::kErase;
-      erase.key = key;
-      ops.push_back({path->back(), erase});
-    }
-    AppendMtr(ops, leftover);
-    cb(Status::OK());
+    cb(txn::DecodeUndoEntry(it->second));
   });
 }
 

@@ -231,6 +231,9 @@ class DbInstance : public sim::NodeLifecycleListener {
   void RetireDriver();
 
   // Write-path helpers.
+  /// OK if `txn` may write now: the instance is open and not refusing
+  /// writes under degraded-mode backpressure, and `txn` is active.
+  Status CheckWritable(TxnId txn);
   void PutInternal(TxnId txn, std::string key, std::string value,
                    bool deleted, std::function<void(Status)> cb, int retries);
   void ApplyWrite(txn::Transaction* txn, const std::string& key,
@@ -244,15 +247,24 @@ class DbInstance : public sim::NodeLifecycleListener {
       const std::optional<txn::RowVersion>& existing,
       std::vector<StagedOp>* ops);
 
-  // Crashed-writer cleanup: rolls back a leftover uncommitted version
-  // found on `key` (undo "in parallel with user activity", §2.4).
-  void RollbackLeftover(const std::string& key, txn::RowVersion version,
-                        std::function<void(Status)> cb);
-  void RollbackChain(TxnId txn, txn::UndoPtr ptr,
-                     std::function<void(Status)> cb, int depth);
+  // Undo: live rollback and crashed-writer cleanup (undo "in parallel
+  // with user activity", §2.4) share one compensation rule.
+  /// Compensates each row of `txn`'s undo chain from `ptr`, newest first.
+  void RollbackFrom(TxnId txn, txn::UndoPtr ptr,
+                    std::function<void(Status)> cb);
+  /// The one compensation rule. `undo` is the undo pointer of `txn`'s
+  /// version of a row: restores the row to its newest version written by
+  /// another transaction, or erases it if there is none, in one MTR under
+  /// `txn`. A row whose newest version is not `txn`'s is left alone.
+  void Compensate(TxnId txn, txn::UndoPtr undo,
+                  std::function<void(Status)> cb);
+  void ReadUndo(txn::UndoPtr ptr,
+                std::function<void(Result<txn::UndoEntry>)> cb);
 
   // Commit-path helpers.
-  void FinishCommit(TxnId txn, std::function<void(Status)> cb, int retries);
+  void FinishCommit(TxnId txn, std::function<void(Status)> cb);
+  /// Closes the read view a transaction held across its statements.
+  void CloseTxnView(TxnId txn);
   void OnDurabilityAdvance();
   void ShipReplicationEvent(ReplicationEvent event);
 

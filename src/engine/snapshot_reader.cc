@@ -3,8 +3,6 @@
 namespace aurora::engine {
 
 namespace {
-/// Status-index lookups retried when the leaf is evicted mid-descent.
-constexpr int kStatusLookupRetries = 4;
 /// Undo entries walked before a read gives up on a cyclic or runaway chain.
 constexpr int kMaxUndoDepth = 256;
 }  // namespace
@@ -22,7 +20,8 @@ SnapshotReader::SnapshotReader(size_t cache_pages, txn::TxnManager* txns,
           [this](BlockId block, PageCallback cb) {
             WithPage(block, std::move(cb));
           },
-          [this](BlockId block) { return CachedPage(block); }) {}
+          [this](BlockId block) { return CachedPage(block); },
+          [this](BlockId block) { return cache_.Peek(block); }) {}
 
 void SnapshotReader::Clear() {
   cache_.Clear();
@@ -70,32 +69,22 @@ void SnapshotReader::ResolveCommitScn(
   // they started. On a replica, entries above its VDL are not in its view
   // of the tree, which is right: such commits are not yet visible to its
   // read views either.
-  ResolveCommitScnFromIndex(writer, std::move(cb), kStatusLookupRetries);
-}
-
-void SnapshotReader::ResolveCommitScnFromIndex(
-    TxnId writer, std::function<void(std::optional<Scn>)> cb, int retries) {
-  btree_.GetEntry(
-      StatusKey(writer),
-      [this, writer, cb = std::move(cb), retries](Result<std::string> raw) {
-        if (!raw.ok()) {
-          if (raw.status().IsAborted() && retries > 0) {
-            // Leaf evicted mid-lookup: retry rather than mis-reporting an
-            // actually-committed transaction as invisible.
-            ResolveCommitScnFromIndex(writer, std::move(cb), retries - 1);
-            return;
-          }
-          cb(std::nullopt);
-          return;
-        }
-        auto scn = DecodeU64Value(*raw);
-        if (!scn.ok()) {
-          cb(std::nullopt);
-          return;
-        }
-        txns_->InstallCommitNotification(writer, *scn);
-        cb(*scn);
-      });
+  btree_.GetEntry(StatusKey(writer), [this, writer, cb = std::move(cb)](
+                                         Result<std::string> raw) {
+    if (!raw.ok()) {
+      // An unreadable status page also reads as "not committed", so a
+      // read error can surface as an older version.
+      cb(std::nullopt);
+      return;
+    }
+    auto scn = DecodeU64Value(*raw);
+    if (!scn.ok()) {
+      cb(std::nullopt);
+      return;
+    }
+    txns_->InstallCommitNotification(writer, *scn);
+    cb(*scn);
+  });
 }
 
 void SnapshotReader::ResolveVisible(std::string key, txn::RowVersion version,
@@ -170,9 +159,7 @@ void SnapshotReader::Get(const std::string& key, txn::ReadView view,
                                  cb = std::move(cb)](
                                     Result<std::string> raw) mutable {
     if (!raw.ok()) {
-      // A leaf evicted mid-descent reads as absent.
-      cb(raw.status().IsAborted() ? Status::NotFound("key absent")
-                                  : raw.status());
+      cb(raw.status());
       return;
     }
     auto version = txn::DecodeRowVersion(*raw);

@@ -95,9 +95,6 @@ class SnapshotReader {
   uint64_t undo_chain_walks() const { return undo_chain_walks_; }
 
  private:
-  void ResolveCommitScnFromIndex(TxnId writer,
-                                 std::function<void(std::optional<Scn>)> cb,
-                                 int retries);
   void WalkUndo(std::string key, txn::RowVersion version, txn::ReadView view,
                 ValueCallback cb, bool undo_fallback, int depth);
   void ScanResolve(Rows raw, size_t index, txn::ReadView view, Rows acc,

@@ -409,16 +409,22 @@ void StorageNode::GossipSegment(SegmentStore* segment) {
           return;
         }
         gossip_behind_rounds_.erase(local_id);
-        object_store_->Get(
-            local->archive_key(), local->scl() + 1,
-            std::numeric_limits<Lsn>::max(),
-            [this, local_id](std::vector<log::SealedRecord> records) {
-              SegmentStore* s = FindSegment(local_id);
-              // The archive stands in for a peer that trimmed its log.
-              if (s != nullptr && !records.empty()) {
-                (void)s->Ingest(records, RedoSource::kPeer);
-              }
-            });
+        IngestFromArchive(local, [](SegmentStore*) {});
+      });
+}
+
+void StorageNode::IngestFromArchive(SegmentStore* segment,
+                                    std::function<void(SegmentStore*)> then) {
+  object_store_->Get(
+      segment->archive_key(), segment->scl() + 1,
+      std::numeric_limits<Lsn>::max(),
+      [this, local_id = segment->id(),
+       then = std::move(then)](std::vector<log::SealedRecord> records) {
+        SegmentStore* s = FindSegment(local_id);
+        if (s == nullptr) return;
+        // The archive stands in for a peer that trimmed its log.
+        if (!records.empty()) (void)s->Ingest(records, RedoSource::kPeer);
+        then(s);
       });
 }
 
@@ -507,24 +513,13 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
         // Donor had nothing for us (evicted below its GC floor, or
         // unlucky donor choice): fall back to the archive, then retry.
         if (object_store_ != nullptr) {
-          // Fetch to the end of the archive: recovery gaps (truncation
-          // ranges) make LSNs non-contiguous, so a bounded window above
-          // the local SCL can miss everything.
-          object_store_->Get(
-              local->archive_key(), local->scl() + 1,
-              std::numeric_limits<Lsn>::max(),
-              [this, local_segment](std::vector<log::SealedRecord> records) {
-                SegmentStore* s = FindSegment(local_segment);
-                if (s == nullptr) return;
-                if (!records.empty()) {
-                  (void)s->Ingest(records, RedoSource::kPeer);
-                }
-                if (!s->hydrated()) {
-                  sim_->Schedule(10 * kMillisecond, [this, local_segment]() {
-                    StartHydrationPull(local_segment);
-                  });
-                }
+          IngestFromArchive(local, [this, local_segment](SegmentStore* s) {
+            if (!s->hydrated()) {
+              sim_->Schedule(10 * kMillisecond, [this, local_segment]() {
+                StartHydrationPull(local_segment);
               });
+            }
+          });
         } else {
           sim_->Schedule(10 * kMillisecond, [this, local_segment]() {
             StartHydrationPull(local_segment);

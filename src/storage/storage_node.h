@@ -142,6 +142,13 @@ class StorageNode : public sim::NodeLifecycleListener {
   void Every(SimDuration interval, Fn fn);
 
   void GossipSegment(SegmentStore* segment);
+  /// The archive fallback of gossip and hydration: fetches `segment`'s
+  /// archived records from SCL + 1 to the end (recovery gaps make LSNs
+  /// non-contiguous, so a bounded window above the SCL can miss
+  /// everything) and ingests them as a peer's. `then` runs on the segment
+  /// afterwards, unless it is gone.
+  void IngestFromArchive(SegmentStore* segment,
+                         std::function<void(SegmentStore*)> then);
 
   /// One queued (not yet dispatched) tenant write under the DRR
   /// scheduler. The reply is deferred with it: acks happen only after the

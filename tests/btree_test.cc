@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <set>
 
 #include "src/engine/btree.h"
 
@@ -31,14 +33,28 @@ class FakePages {
           if (it == pages_.end()) {
             cb(Status::NotFound("no such page"));
           } else {
+            ++fetches_;
+            cached_.insert(block);
             cb(&it->second);
           }
         },
-        [this](BlockId block) -> storage::Page* {
-          auto it = pages_.find(block);
-          return it == pages_.end() ? nullptr : &it->second;
-        });
+        [this](BlockId block) { return Find(block); },
+        [this](BlockId block) { return Find(block); });
   }
+
+  storage::Page* Find(BlockId block) {
+    if (cold_ && !cached_.contains(block)) return nullptr;
+    auto it = pages_.find(block);
+    return it == pages_.end() ? nullptr : &it->second;
+  }
+
+  /// From now on the cache holds only pages the fetcher has delivered
+  /// since.
+  void DropCache() {
+    cold_ = true;
+    cached_.clear();
+  }
+  size_t fetches() const { return fetches_; }
 
   /// Applies a staged op directly (stands in for AppendMtr).
   void Apply(const StagedOp& staged) {
@@ -80,6 +96,9 @@ class FakePages {
  private:
   BTreeOptions options_;
   std::map<BlockId, storage::Page> pages_;
+  bool cold_ = false;
+  std::set<BlockId> cached_;
+  size_t fetches_ = 0;
   Lsn lsn_ = 0;
 };
 
@@ -237,6 +256,35 @@ TEST(BTree, StatusAndDataNamespacesDoNotCollide) {
   EXPECT_EQ(*DecodeU64Value(*Lookup(tree, StatusKey(42))), 7u);
 }
 
+TEST(BTree, WithPathFaultsInTheKeysOwnPath) {
+  FakePages pages(4);
+  BTree tree = pages.MakeTree();
+  auto key_of = [](int i) {
+    char key[8];
+    std::snprintf(key, sizeof(key), "k%03d", i);
+    return std::string(key);
+  };
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(Insert(tree, pages, key_of(i), "v").ok()) << i;
+  }
+  ASSERT_GT(tree.splits(), 4u);
+  pages.DropCache();
+  // The key comes back with a path to its own leaf (the rightmost, not
+  // the leftmost), each page fetched once.
+  const std::string wanted = key_of(63);
+  std::string delivered;
+  Result<std::vector<BlockId>> path = Status::Internal("no callback");
+  tree.WithPath(wanted, [&](std::string key, Result<std::vector<BlockId>> p) {
+    delivered = std::move(key);
+    path = std::move(p);
+  });
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(delivered, wanted);
+  EXPECT_TRUE(pages.page(path->back()).entries.contains(wanted));
+  EXPECT_EQ(pages.fetches(), path->size() + 1) << "meta, then each level";
+  EXPECT_EQ(*Lookup(tree, wanted), "v");
+}
+
 TEST(BTree, FindPathSyncAbortsOnMiss) {
   FakePages pages(8);
   BTree tree = pages.MakeTree();
@@ -245,7 +293,8 @@ TEST(BTree, FindPathSyncAbortsOnMiss) {
       BTreeOptions{}, [](BlockId, std::function<void(Result<storage::Page*>)> cb) {
         cb(Status::NotFound("x"));
       },
-      [](BlockId) -> storage::Page* { return nullptr; });
+      [](BlockId) -> storage::Page* { return nullptr; },
+      [](BlockId) -> const storage::Page* { return nullptr; });
   EXPECT_TRUE(blind.FindPathSync("k").status().IsAborted());
 }
 

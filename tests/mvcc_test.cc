@@ -1,9 +1,14 @@
 // MVCC edge cases on the live engine: long version chains, undo-page
 // rollover, write-write conflicts, delete visibility, leftover cleanup
-// after crashes, and scans under concurrent writers.
+// after crashes, writes into a cold cache after recovery, one
+// compensation rule for rollback and crash cleanup, and scans under
+// concurrent writers.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -195,6 +200,145 @@ TEST(Mvcc, LeftoverFromCrashedWriterCleanedOnTouch) {
   ASSERT_TRUE(cluster.PutBlocking("touched", "fresh").ok());
   EXPECT_EQ(*cluster.GetBlocking("touched"), "fresh");
   EXPECT_GE(cluster.writer()->stats().leftover_rollbacks, 1u);
+}
+
+std::string RowKey(int i) {
+  char key[8];
+  std::snprintf(key, sizeof(key), "k%05d", i);
+  return key;
+}
+
+Status AwaitStatus(core::AuroraCluster& cluster,
+                   const std::function<void(std::function<void(Status)>)>& op) {
+  std::optional<Status> result;
+  op([&](Status st) { result = std::move(st); });
+  if (!cluster.RunUntil([&]() { return result.has_value(); })) {
+    return Status::TimedOut("operation did not complete");
+  }
+  return *result;
+}
+
+void CrashAndRecover(core::AuroraCluster& cluster) {
+  cluster.RunFor(50 * kMillisecond);  // everything written becomes durable
+  cluster.CrashWriter();
+  cluster.RunFor(10 * kMillisecond);
+  ASSERT_TRUE(cluster.RecoverWriterBlocking().ok());
+}
+
+TEST(Mvcc, PutAfterRecoveryFaultsInItsOwnLeaf) {
+  // 600 rows span several leaves. Recovery starts with an empty cache, so
+  // the first write to each key must fault in that key's path, not the
+  // leftmost leaf's.
+  core::AuroraCluster cluster(Options(97));
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking(RowKey(i), "v0").ok()) << i;
+  }
+  ASSERT_GT(cluster.writer()->btree()->splits(), 2u);
+  ASSERT_NO_FATAL_FAILURE(CrashAndRecover(cluster));
+  for (int i : {599, 598, 500, 300, 100, 0}) {
+    const Status st = cluster.PutBlocking(RowKey(i), "v1");
+    ASSERT_TRUE(st.ok()) << RowKey(i) << ": " << st.ToString();
+  }
+  EXPECT_EQ(*cluster.GetBlocking(RowKey(599)), "v1");
+  EXPECT_EQ(*cluster.GetBlocking(RowKey(300)), "v1");
+  EXPECT_EQ(*cluster.GetBlocking(RowKey(301)), "v0");
+  EXPECT_EQ(cluster.writer()->txns().ActiveCount(), 0u);
+}
+
+TEST(Mvcc, LeftoversOutsideTheLeftmostLeafAreCleanedOnTouch) {
+  core::AuroraCluster cluster(Options(98));
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking(RowKey(i), "v0").ok()) << i;
+  }
+  // A transaction overwrites every third row and dies with the writer.
+  auto* writer = cluster.writer();
+  const TxnId loser = writer->Begin();
+  for (int i = 0; i < 600; i += 3) {
+    ASSERT_TRUE(AwaitStatus(cluster, [&](auto done) {
+                  writer->Put(loser, RowKey(i), "dirty", done);
+                }).ok())
+        << i;
+  }
+  ASSERT_NO_FATAL_FAILURE(CrashAndRecover(cluster));
+  int touched = 0;
+  for (int i = 0; i < 600; i += 3) {
+    const Status st = cluster.PutBlocking(RowKey(i), "v1");
+    ASSERT_TRUE(st.ok()) << RowKey(i) << ": " << st.ToString();
+    ++touched;
+  }
+  EXPECT_EQ(touched, 200);
+  EXPECT_GE(cluster.writer()->stats().leftover_rollbacks, 200u);
+  for (int i = 0; i < 600; i += 37) {
+    EXPECT_EQ(*cluster.GetBlocking(RowKey(i)), i % 3 == 0 ? "v1" : "v0")
+        << RowKey(i);
+  }
+}
+
+// One transaction updates `a` twice, deletes `b`, inserts `c` and updates
+// `d`; undoing it must bring back every pre-transaction value, whether a
+// live rollback or the crash cleanup of a later write undoes it.
+void WriteDoomedTransaction(core::AuroraCluster& cluster, TxnId* txn_out) {
+  for (const char* key : {"a", "b", "d"}) {
+    ASSERT_TRUE(cluster.PutBlocking(key, std::string(key) + "0").ok());
+  }
+  auto* writer = cluster.writer();
+  const TxnId txn = writer->Begin();
+  *txn_out = txn;
+  auto write = [&](const char* key, std::optional<std::string> value) {
+    const Status st = AwaitStatus(cluster, [&](auto done) {
+      if (value.has_value()) {
+        writer->Put(txn, key, *value, done);
+      } else {
+        writer->Delete(txn, key, done);
+      }
+    });
+    ASSERT_TRUE(st.ok()) << key << ": " << st.ToString();
+  };
+  write("a", "a1");
+  write("a", "a2");
+  write("b", std::nullopt);
+  write("c", "c1");
+  write("d", "d1");
+}
+
+void ExpectPreTransactionValues(core::AuroraCluster& cluster) {
+  EXPECT_EQ(*cluster.GetBlocking("a"), "a0");
+  EXPECT_EQ(*cluster.GetBlocking("b"), "b0");
+  EXPECT_TRUE(cluster.GetBlocking("c").status().IsNotFound());
+  EXPECT_EQ(*cluster.GetBlocking("d"), "d0");
+  EXPECT_EQ(cluster.writer()->txns().ActiveCount(), 0u);
+  EXPECT_EQ(cluster.writer()->locks().LockCount(), 0u);
+}
+
+TEST(Mvcc, RollbackRestoresPreTransactionValues) {
+  core::AuroraCluster cluster(Options(99));
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  TxnId txn = kInvalidTxn;
+  ASSERT_NO_FATAL_FAILURE(WriteDoomedTransaction(cluster, &txn));
+  ASSERT_TRUE(cluster.RollbackBlocking(txn).ok());
+  ExpectPreTransactionValues(cluster);
+}
+
+TEST(Mvcc, CrashCleanupRestoresPreTransactionValues) {
+  core::AuroraCluster cluster(Options(99));
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  TxnId txn = kInvalidTxn;
+  ASSERT_NO_FATAL_FAILURE(WriteDoomedTransaction(cluster, &txn));
+  ASSERT_NO_FATAL_FAILURE(CrashAndRecover(cluster));
+  // Each touch compensates the leftover, then is itself rolled back.
+  auto* writer = cluster.writer();
+  for (const char* key : {"a", "b", "c", "d"}) {
+    const TxnId toucher = writer->Begin();
+    const Status st = AwaitStatus(cluster, [&](auto done) {
+      writer->Put(toucher, key, "touch", done);
+    });
+    ASSERT_TRUE(st.ok()) << key << ": " << st.ToString();
+    ASSERT_TRUE(cluster.RollbackBlocking(toucher).ok()) << key;
+  }
+  EXPECT_EQ(writer->stats().leftover_rollbacks, 4u);
+  ExpectPreTransactionValues(cluster);
 }
 
 TEST(Mvcc, ScanIsSnapshotConsistentUnderConcurrentCommits) {

@@ -59,6 +59,32 @@ TEST(VolumeOps, GrowVolumeAddsUsableCapacity) {
   }
 }
 
+TEST(VolumeOps, FailedAutocommitRollsBackSoGrowthRetrySucceeds) {
+  core::AuroraOptions options = Options(78, /*num_pgs=*/1);
+  options.blocks_per_pg = 8;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  // Fill the one tiny PG until an autocommit write fails.
+  std::string full_key;
+  Status full = Status::OK();
+  for (int i = 0; i < 1000 && full.ok(); ++i) {
+    full_key = "k" + std::to_string(i);
+    full = cluster.PutBlocking(full_key, "v");
+  }
+  ASSERT_FALSE(full.ok()) << "the volume never filled";
+  // The failed write was rolled back: no transaction or row lock remains.
+  EXPECT_EQ(cluster.writer()->txns().ActiveCount(), 0u);
+  EXPECT_EQ(cluster.writer()->locks().LockCount(), 0u);
+
+  ASSERT_TRUE(cluster.GrowVolumeBlocking(0).ok());
+  const Status retry = cluster.PutBlocking(full_key, "v");
+  ASSERT_TRUE(retry.ok()) << full_key << ": " << retry.ToString();
+  EXPECT_EQ(cluster.writer()->txns().ActiveCount(), 0u);
+  auto value = cluster.GetBlocking(full_key);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, "v");
+}
+
 TEST(VolumeOps, GrowthSurvivesCrashRecovery) {
   core::AuroraCluster cluster(Options(73, 1));
   ASSERT_TRUE(cluster.StartBlocking().ok());
